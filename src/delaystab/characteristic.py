@@ -42,7 +42,8 @@ def _quiet(fn):
     return wrapper
 
 
-@_quiet
+# _phi and _phi_prime are only called from _quiet evaluators, which already
+# silence their overflow warnings.
 def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w, entire, with the removable singularity at w = 0."""
     small = np.abs(w) < _SERIES_SWITCH
@@ -52,7 +53,6 @@ def _phi(w: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-@_quiet
 def _phi_prime(w: np.ndarray) -> np.ndarray:
     """Derivative of _phi, with the same series switch near w = 0."""
     small = np.abs(w) < _SERIES_SWITCH
@@ -149,26 +149,26 @@ def char_num_prime(params: SystemParams, lam):
     return _maybe_scalar(val, scalar)
 
 
-@_quiet
-def _num_with_scale(params: SystemParams, arr: np.ndarray):
-    """char_num values plus a cancellation scale for on-zero detection."""
+def _coupled(params: SystemParams, arr: np.ndarray):
+    """Deflated numerator (lambda + alpha) - coupling, and the size
+    |lambda + alpha| + |coupling| of the terms that cancel in it."""
     ratio = params.l / params.f
     w = (arr + params.delta) * ratio
     coupling = params.beta * np.exp(-arr * params.tau) * ratio * _phi(w)
-    q = (arr + params.alpha) - coupling
-    vals = (arr + params.delta) * q
-    scale = np.abs(arr + params.delta) * (np.abs(arr + params.alpha) + np.abs(coupling)) + 1.0
-    return vals, scale
+    return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling)
+
+
+@_quiet
+def _num_with_scale(params: SystemParams, arr: np.ndarray):
+    """char_num values plus a cancellation scale for on-zero detection."""
+    q, size = _coupled(params, arr)
+    return (arr + params.delta) * q, np.abs(arr + params.delta) * size + 1.0
 
 
 @_quiet
 def _deflated_with_scale(params: SystemParams, arr: np.ndarray):
-    ratio = params.l / params.f
-    w = (arr + params.delta) * ratio
-    coupling = params.beta * np.exp(-arr * params.tau) * ratio * _phi(w)
-    vals = (arr + params.alpha) - coupling
-    scale = np.abs(arr + params.alpha) + np.abs(coupling) + 1.0
-    return vals, scale
+    q, size = _coupled(params, arr)
+    return q, size + 1.0
 
 
 @dataclass(frozen=True)

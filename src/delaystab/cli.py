@@ -20,7 +20,7 @@ import sys
 from .eigensolver import BelowThreshold, spectrum
 from .errors import DelayStabError, InvalidParameter
 from .params import SystemParams, decay_certificate, eig_bound_radius
-from .region import Label, sweep, trace_boundary, _classify_node
+from .region import Label, classify, sweep, trace_boundary
 from .simulator import SimConfig, run as run_sim, sine_profile, zero_fn
 
 _SCHEMA_VERSION = 1
@@ -239,11 +239,9 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    node = _classify_node(((args.alpha, args.delta, args.l, args.f), args.beta, args.tau, args.eps0))
-    if node.error is not None:
-        raise InvalidParameter(node.error)
+    result = classify(_params_from(args), args.eps0)
     header = ["label", "evidence", "max_real_part"]
-    rows = [[node.result.label.value, node.result.evidence.value, _bound_field(node.result.max_real_part)]]
+    rows = [[result.label.value, result.evidence.value, _bound_field(result.max_real_part)]]
     _emit(args, "classify", header, rows)
     return 0
 

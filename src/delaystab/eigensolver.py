@@ -20,6 +20,7 @@ from .characteristic import (
     _deflated_prime,
     _deflated_with_scale,
     _num_with_scale,
+    _quiet,
     char_fn,
     char_num,
 )
@@ -176,12 +177,14 @@ def _check_hits(box: ContourBox, pts: np.ndarray, vals: np.ndarray, scales: np.n
         raise _BoundaryHit(frozenset(edges))
 
 
+@_quiet
 def _winding_count(pair_fn, box: ContourBox, tau: float) -> int:
     """Exact zero count inside box via adaptive phase tracking of pair_fn.
 
     pair_fn(points) must return (values, cancellation scales).  Raises
     _BoundaryHit if any sample sits on a zero and QuadratureNonInteger if
-    the summed phase fails to close on an integer multiple of 2*pi.
+    the summed phase is not finite or fails to close on an integer multiple
+    of 2*pi.
     """
     pts = _initial_path(box, tau)
     vals, scales = pair_fn(pts)
@@ -203,12 +206,11 @@ def _winding_count(pair_fn, box: ContourBox, tau: float) -> int:
     else:
         raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
     total = float(diffs.sum()) / _TWO_PI
-    count = round(total)
-    if abs(total - count) > 1e-3:
+    if not math.isfinite(total) or abs(total - round(total)) > 1e-3:
         raise QuadratureNonInteger(
             f"winding integral {total!r} over {box} is not an integer"
         )
-    return int(count)
+    return round(total)
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -229,6 +231,17 @@ def _deflated_pair(params: SystemParams):
     return lambda pts: _deflated_with_scale(params, pts)
 
 
+def _nudged(attempt, box: ContourBox):
+    """Run attempt on box, nudged off boundary zeros as count_zeros
+    describes; return its result and the box it succeeded on."""
+    for _ in range(_MAX_NUDGES + 1):
+        try:
+            return attempt(box), box
+        except _BoundaryHit as hit:
+            box = _grow(box, hit.edges)
+    raise BoundaryZero(f"could not nudge {box} off a zero after {_MAX_NUDGES} tries")
+
+
 def count_zeros(params: SystemParams, box: ContourBox) -> int:
     """Number of zeros of char_num inside box, counted with multiplicity.
 
@@ -237,12 +250,7 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     times, before BoundaryZero is raised.
     """
     pair = _num_pair(params)
-    for _ in range(_MAX_NUDGES + 1):
-        try:
-            return _winding_count(pair, box, params.tau)
-        except _BoundaryHit as hit:
-            box = _grow(box, hit.edges)
-    raise BoundaryZero(f"could not nudge {box} off a zero after {_MAX_NUDGES} tries")
+    return _nudged(lambda b: _winding_count(pair, b, params.tau), box)[0]
 
 
 def _newton(params: SystemParams, z0: complex, tol: float, mult: int = 1):
@@ -261,7 +269,7 @@ def _newton(params: SystemParams, z0: complex, tol: float, mult: int = 1):
     return None
 
 
-def _cell_starts(box: ContourBox, n: int = 8) -> list[complex]:
+def _cell_starts(box: ContourBox, n: int) -> list[complex]:
     starts = [box.center]
     fracs = (np.arange(n) + 0.5) / n
     for fy in fracs:
@@ -272,50 +280,36 @@ def _cell_starts(box: ContourBox, n: int = 8) -> list[complex]:
     return starts
 
 
-def _polish_simple(params: SystemParams, box: ContourBox, tol: float) -> Root | None:
-    # Containment must be strict: Newton happily escapes to a neighboring
-    # cell's zero, which would silently drop this cell's own zero while
-    # keeping the totals balanced.
-    for z0 in _cell_starts(box):
-        hit = _newton(params, z0, tol)
-        if hit is None:
-            continue
-        z, iters = hit
-        if box.contains(z):
-            return Root(
-                lam=z,
-                residual=abs(char_num(params, z)),
-                newton_iters=iters,
-                structural=False,
-            )
-    return None
+def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Root | None:
+    """Newton-polish the zero of multiplicity count isolated in box.
 
-
-def _polish_cluster(
-    params: SystemParams, box: ContourBox, count: int, tol: float
-) -> Root | None:
-    pair = _deflated_pair(params)
-    for z0 in _cell_starts(box, n=4):
+    Containment must be strict: Newton happily escapes to a neighboring
+    cell's zero, which would silently drop this cell's own zero while
+    keeping the totals balanced.  A cluster (count > 1) is accepted only if
+    a probe box around the limit still winds count times.
+    """
+    for z0 in _cell_starts(box, 8 if count == 1 else 4):
         hit = _newton(params, z0, tol, mult=count)
         if hit is None:
             continue
         z, iters = hit
         if not box.contains(z):
             continue
-        r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
-        probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
-        try:
-            local = _winding_count(pair, probe, params.tau)
-        except (_BoundaryHit, QuadratureNonInteger):
-            continue
-        if local == count:
-            return Root(
-                lam=z,
-                residual=abs(char_num(params, z)),
-                newton_iters=iters,
-                structural=False,
-                multiplicity=count,
-            )
+        if count > 1:
+            r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
+            probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
+            try:
+                if _winding_count(_deflated_pair(params), probe, params.tau) != count:
+                    continue
+            except (_BoundaryHit, QuadratureNonInteger):
+                continue
+        return Root(
+            lam=z,
+            residual=abs(char_num(params, z)),
+            newton_iters=iters,
+            structural=False,
+            multiplicity=count,
+        )
     return None
 
 
@@ -345,7 +339,7 @@ def _subdivide(
     if count == 0:
         return
     if count == 1:
-        root = _polish_simple(params, box, tol)
+        root = _polish(params, box, 1, tol)
         if root is not None:
             roots.append(root)
             return
@@ -357,7 +351,7 @@ def _subdivide(
     else:
         cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
         if box.diameter <= cluster_size or depth >= _MAX_DEPTH:
-            root = _polish_cluster(params, box, count, tol)
+            root = _polish(params, box, count, tol)
             if root is not None:
                 roots.append(root)
                 return
@@ -415,26 +409,21 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
         raise ValueError(f"tol must be > 0, got {tol}")
     num_pair = _num_pair(params)
     minus_delta = complex(-params.delta, 0.0)
-    for _ in range(_MAX_NUDGES + 1):
-        try:
-            total = _winding_count(num_pair, box, params.tau)
-            roots: list[Root] = []
-            unresolved: list[UnresolvedCell] = []
-            inside = box.contains(minus_delta)
-            deflated_total = total - (1 if inside else 0)
-            if deflated_total < 0:
-                raise SolverConsistencyError(
-                    f"char_num count {total} misses the structural zero in {box}"
-                )
-            _subdivide(params, box, deflated_total, 0, tol, roots, unresolved)
-            break
-        except _BoundaryHit as hit:
-            box = _grow(box, hit.edges)
-    else:
-        raise BoundaryZero(
-            f"could not nudge {box} off a zero after {_MAX_NUDGES} tries"
-        )
 
+    def attempt(box: ContourBox):
+        total = _winding_count(num_pair, box, params.tau)
+        inside = box.contains(minus_delta)
+        deflated_total = total - (1 if inside else 0)
+        if deflated_total < 0:
+            raise SolverConsistencyError(
+                f"char_num count {total} misses the structural zero in {box}"
+            )
+        roots: list[Root] = []
+        unresolved: list[UnresolvedCell] = []
+        _subdivide(params, box, deflated_total, 0, tol, roots, unresolved)
+        return total, inside, roots, unresolved
+
+    (total, inside, roots, unresolved), box = _nudged(attempt, box)
     roots = _dedupe(roots, tol)
     if inside:
         roots.append(

@@ -41,10 +41,6 @@ class QuadratureNonInteger(DelayStabError):
     """A winding-number integral failed to round cleanly to an integer."""
 
 
-class NewtonDiverged(DelayStabError):
-    """Root polishing failed to converge for a counted cell."""
-
-
 class MaxDepthExceeded(DelayStabError):
     """Box subdivision hit the recursion depth limit before isolating zeros."""
 

@@ -275,28 +275,35 @@ def beta_on_axis(fixed, omega: float, tau: float) -> float:
     return _axis_gain_scalar(fixed, omega, tau).real
 
 
-def _omega_roots(fixed, tau: float, omega_max: float) -> list[float]:
-    grid = np.linspace(0.0, omega_max, _OMEGA_SCAN_POINTS)
-    values, dens = _axis_gain(fixed, grid, tau)
-    imag = values.imag
-    valid = dens >= _DENOM_TOL
-    roots = [float(w) for w, v, ok in zip(grid, imag, valid) if ok and v == 0.0]
+def _scan_roots(fn, grid: np.ndarray, values: np.ndarray, valid=None) -> list[float]:
+    """Roots of the scalar fn over grid, given its sampled values.
 
-    def f(w: float) -> float:
-        return phase_residual(fixed, w, tau)
-
-    for i in range(len(grid) - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        a, b = imag[i], imag[i + 1]
-        if a == 0.0 or b == 0.0 or (a < 0.0) == (b < 0.0):
-            continue
-        roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=_OMEGA_XTOL, rtol=8.9e-16)))
+    Exact zeros on the grid are kept as they are; every strict sign flip
+    between neighbouring valid samples is refined by brentq.  Roots closer
+    than 1e-9 are merged.  valid (default: all) masks samples to ignore.
+    """
+    if valid is None:
+        valid = np.ones(grid.shape, dtype=bool)
+    nonzero = values != 0.0
+    usable = valid & nonzero
+    negative = values < 0.0
+    flips = np.flatnonzero(usable[:-1] & usable[1:] & (negative[:-1] != negative[1:]))
+    roots = [float(w) for w in grid[valid & ~nonzero]]
+    for i in flips:
+        roots.append(float(brentq(fn, grid[i], grid[i + 1], xtol=_OMEGA_XTOL, rtol=8.9e-16)))
     deduped: list[float] = []
     for w in sorted(roots):
         if not deduped or w - deduped[-1] > 1e-9:
             deduped.append(w)
     return deduped
+
+
+def _omega_roots(fixed, tau: float, omega_max: float) -> list[float]:
+    grid = np.linspace(0.0, omega_max, _OMEGA_SCAN_POINTS)
+    values, dens = _axis_gain(fixed, grid, tau)
+    return _scan_roots(
+        lambda w: phase_residual(fixed, w, tau), grid, values.imag, dens >= _DENOM_TOL
+    )
 
 
 def trace_boundary(
@@ -309,7 +316,7 @@ def trace_boundary(
 
     For each of num_tau delays spanning [0, tau_max], all real crossing
     frequencies omega in [0, omega_max] are located by a 4000-point sign
-    scan plus bisection, the matching gain is read off, and the point is
+    scan refined with brentq, the matching gain is read off, and the point is
     kept only if the characteristic residual at i*omega stays below 1e-8.
     Per-delay failures are recorded and skipped.
     """
@@ -345,9 +352,9 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     possible on modulus grounds (delay-independent necessary condition).
 
     Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
-    beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by sign scan and bisection;
-    the quartic left side dominates beyond the scan ceiling, so the list is
-    finite.
+    beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined with
+    brentq; the quartic left side dominates beyond the scan ceiling, so the
+    list is finite.
     """
     alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
     x = delta * l / f
@@ -366,31 +373,10 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         ceiling = max(
             ceiling, math.sqrt(abs(params.beta) * (1.0 + math.exp(-x))) + 1.0
         )
-    roots: list[float] = []
+    grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
+    roots = _scan_roots(lambda w: float(mismatch(w)), grid, mismatch(grid))
     scale0 = delta**2 * alpha**2 + gain_sq * math.expm1(-x) ** 2 + 1.0
     if abs(float(mismatch(0.0))) <= 1e-12 * scale0:
-        roots.append(0.0)
-    grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
-    vals = mismatch(grid)
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if (a < 0.0) != (b < 0.0):
-            roots.append(
-                float(
-                    brentq(
-                        lambda w: float(mismatch(w)),
-                        grid[i],
-                        grid[i + 1],
-                        xtol=_OMEGA_XTOL,
-                        rtol=8.9e-16,
-                    )
-                )
-            )
-    deduped: list[float] = []
-    for w in sorted(roots):
-        if not deduped or w - deduped[-1] > 1e-9:
-            deduped.append(w)
-    return deduped
+        # omega = 0 stands in for every root within the merge distance of it.
+        roots = [0.0] + [w for w in roots if w > 1e-9]
+    return roots

@@ -68,12 +68,13 @@ class TestEig:
         def boom(*args, **kwargs):
             raise BoundaryZero("stuck on a contour zero")
 
-        monkeypatch.setattr(cli, "spectrum", boom)
-        code, _, err = run_cli(
-            capsys, ["eig", *ONES_FLAGS, "--beta", "1", "--tau", "1"]
-        )
-        assert code == 3
-        assert "contour" in err
+        for command, solver in (("eig", "spectrum"), ("classify", "classify")):
+            monkeypatch.setattr(cli, solver, boom)
+            code, _, err = run_cli(
+                capsys, [command, *ONES_FLAGS, "--beta", "1", "--tau", "1"]
+            )
+            assert code == 3, command
+            assert "contour" in err
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(

@@ -154,6 +154,30 @@ class TestFindRoots:
             assert found + sum(c.count for c in result.unresolved) == result.total_count
             assert count_zeros(p, result.box) == result.total_count
 
+    def test_double_zero_polished_as_cluster(self, monkeypatch):
+        # tau = 0, delta = l = f = 1: the deflated numerator is
+        # lambda + alpha - beta*phi(lambda + 1); these beta, alpha make both
+        # it and its derivative vanish at lambda = -3
+        w = -2.0
+        phi = -math.expm1(-w) / w
+        phi_prime = ((1.0 + w) * math.exp(-w) - 1.0) / (w * w)
+        beta = 1.0 / phi_prime
+        p = SystemParams(beta * phi + 3.0, beta, 1.0, 1.0, 1.0, 0.0)
+        counts = []
+        polish = es._polish
+
+        def spy(params, box, count, tol):
+            counts.append(count)
+            return polish(params, box, count, tol)
+
+        monkeypatch.setattr(es, "_polish", spy)
+        result = find_roots(p, ContourBox(-3.3, -2.6, -0.4, 0.45), tol=1e-8)
+        [root] = result.roots
+        assert root.multiplicity == 2 and not root.structural
+        assert abs(root.lam + 3.0) <= 1e-7
+        assert result.total_count == 2
+        assert counts == [2]
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             find_roots(SystemParams(1, 1, 1, 1, 1, 1), ContourBox(-1, 1, -1, 1), tol=0)

@@ -21,8 +21,8 @@ from delaystab import (
     threshold_gain,
     trace_boundary,
 )
-from delaystab.errors import InvalidParameter
-from delaystab.region import _return_to_zero
+from delaystab.errors import InvalidParameter, QuadratureNonInteger
+from delaystab.region import _return_to_zero, _scan_roots
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 B0 = threshold_gain(1, 1, 1, 1)
@@ -149,6 +149,21 @@ class TestClassify:
     def test_eps0_validation(self):
         with pytest.raises(ValueError):
             classify(SystemParams(1, 1, 1, 1, 1, 1), eps0=0.0)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.06258610018621615, 17.677583434925197, -1.216998575191424,
+             3.454339200090323, 0.10974200890988042, 7.089619906245331),
+            (0.03401576334896442, -4.477330728619231, -1.5597315108152006,
+             2.8298389996264213, 0.1498082647384635, 11.852751250739027),
+        ],
+    )
+    def test_non_finite_winding_total_is_typed(self, point):
+        # delta < 0 with large l/f overflows exp on the search contour; the
+        # NaN phase total must surface as a typed error, not a bare ValueError
+        with pytest.raises(QuadratureNonInteger):
+            classify(SystemParams(*point))
 
 
 class TestOscillationFastPath:
@@ -301,3 +316,24 @@ class TestAxisCrossingCandidates:
         a = axis_crossing_candidates(SystemParams(1, -3, 1, 1, 1, 0.5))
         b = axis_crossing_candidates(SystemParams(1, -3, 1, 1, 1, 7.0))
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestScanRoots:
+    def test_grid_zero_masked_bracket_and_several_flips(self):
+        grid = np.linspace(0.0, 10.0, 11)
+        values = np.sin(grid)
+        valid = np.ones(grid.size, dtype=bool)
+        valid[6] = False  # drops the flip across 2*pi in [6, 7]
+
+        def fn(w):
+            assert not 6.0 <= w <= 7.0
+            return math.sin(w)
+
+        roots = _scan_roots(fn, grid, values, valid)
+        assert roots[0] == 0.0
+        assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
+
+    def test_merges_roots_closer_than_merge_distance(self):
+        grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
+        values = np.array([-1.0, 0.0, 0.0, 1.0])
+        assert _scan_roots(math.sin, grid, values) == [1.0]
