@@ -12,11 +12,13 @@ phi(0) = 1.  The entire numerator
 
 is what the contour machinery counts; it carries a structural zero at
 lambda = -delta that is an eigenvalue only under the condition reported by
-``exclusions``.  All evaluators accept scalars or numpy arrays of lambda.
+``exclusions``.  The public evaluators accept scalars or numpy arrays of
+lambda; Newton's private ``_deflated``/``_deflated_prime`` take one complex.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -32,8 +34,8 @@ _POLE_TOL = 1e-12
 
 
 def _quiet(fn):
-    # Newton iterates may wander to extreme lambda where exp overflows;
-    # callers check finiteness, so the numpy warnings are just noise.
+    # Contour samples may reach lambda where exp overflows; callers check
+    # finiteness, so the numpy warnings are just noise.
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -71,26 +73,38 @@ def _maybe_scalar(value: np.ndarray, scalar: bool):
     return complex(value) if scalar else value
 
 
-@_quiet
-def _deflated(params: SystemParams, lam):
-    """char_num / (lambda + delta), entire; its zeros are the eigenvalues
-    whenever beta != 0."""
-    arr, scalar = _as_complex(lam)
-    w = (arr + params.delta) * (params.l / params.f)
-    val = (arr + params.alpha) - params.beta * np.exp(-arr * params.tau) * (
-        params.l / params.f
-    ) * _phi(w)
-    return _maybe_scalar(val, scalar)
+# Newton's per-iterate evaluators: scalar-only, in plain complex arithmetic.
+# cmath.exp raises OverflowError where numpy would return inf; Newton treats
+# that as a failed start.
+def _phi_scalar(w: complex) -> complex:
+    if abs(w) < _SERIES_SWITCH:
+        return 1.0 - w / 2.0 + w**2 / 6.0 - w**3 / 24.0 + w**4 / 120.0
+    return (1.0 - cmath.exp(-w)) / w
 
 
-@_quiet
-def _deflated_prime(params: SystemParams, lam):
-    arr, scalar = _as_complex(lam)
+def _phi_prime_scalar(w: complex) -> complex:
+    if abs(w) < _SERIES_SWITCH:
+        return -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
+    return ((1.0 + w) * cmath.exp(-w) - 1.0) / (w * w)
+
+
+def _deflated(params: SystemParams, lam: complex) -> complex:
+    """char_num / (lambda + delta) at one point, entire; its zeros are the
+    eigenvalues whenever beta != 0."""
     ratio = params.l / params.f
-    w = (arr + params.delta) * ratio
-    expl = np.exp(-arr * params.tau)
-    val = 1.0 - params.beta * expl * ratio * (ratio * _phi_prime(w) - params.tau * _phi(w))
-    return _maybe_scalar(val, scalar)
+    w = (lam + params.delta) * ratio
+    coupling = params.beta * cmath.exp(-lam * params.tau) * ratio * _phi_scalar(w)
+    return (lam + params.alpha) - coupling
+
+
+def _deflated_prime(params: SystemParams, lam: complex) -> complex:
+    """Derivative of _deflated at one point."""
+    ratio = params.l / params.f
+    w = (lam + params.delta) * ratio
+    expl = cmath.exp(-lam * params.tau)
+    return 1.0 - params.beta * expl * ratio * (
+        ratio * _phi_prime_scalar(w) - params.tau * _phi_scalar(w)
+    )
 
 
 def _check_pole(params: SystemParams, arr: np.ndarray) -> None:
@@ -135,16 +149,23 @@ def char_num(params: SystemParams, lam):
     char_num(-alpha) vanishes iff beta = 0 or delta = alpha.
     """
     arr, scalar = _as_complex(lam)
-    val = (arr + params.delta) * np.asarray(_deflated(params, arr))
+    # np.asarray keeps a scalar lambda's products in numpy's array loops;
+    # numpy scalar arithmetic can round differently in the last bit.
+    val = (arr + params.delta) * np.asarray(_coupled(params, arr)[0])
     return _maybe_scalar(val, scalar)
 
 
 @_quiet
 def char_num_prime(params: SystemParams, lam):
-    """Analytic derivative of char_num (used by Newton polishing)."""
+    """Analytic derivative of char_num."""
     arr, scalar = _as_complex(lam)
-    q = np.asarray(_deflated(params, arr))
-    qp = np.asarray(_deflated_prime(params, arr))
+    q = np.asarray(_coupled(params, arr)[0])
+    ratio = params.l / params.f
+    w = (arr + params.delta) * ratio
+    expl = np.exp(-arr * params.tau)
+    qp = np.asarray(
+        1.0 - params.beta * expl * ratio * (ratio * _phi_prime(w) - params.tau * _phi(w))
+    )
     val = q + (arr + params.delta) * qp
     return _maybe_scalar(val, scalar)
 

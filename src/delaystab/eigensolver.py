@@ -253,19 +253,24 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     return _nudged(lambda b: _winding_count(pair, b, params.tau), box)[0]
 
 
-def _newton(params: SystemParams, z0: complex, tol: float, mult: int = 1):
-    """Newton (or multiplicity-m Newton) on the deflated numerator."""
+def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult: int = 1):
+    """Newton (or multiplicity-m Newton) on the deflated numerator, confined
+    to box: the start is given up as soon as an iterate leaves it (NaN and
+    inf never lie inside) or the exponential overflows."""
     z = complex(z0)
-    for it in range(1, _NEWTON_MAXITER + 1):
-        fp = _deflated_prime(params, z)
-        if fp == 0:
-            return None
-        delta = mult * _deflated(params, z) / fp
-        z -= delta
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-        if abs(delta) < tol:
-            return z, it
+    try:
+        for it in range(1, _NEWTON_MAXITER + 1):
+            fp = _deflated_prime(params, z)
+            if fp == 0:
+                return None
+            delta = mult * _deflated(params, z) / fp
+            z -= delta
+            if not box.contains(z):
+                return None
+            if abs(delta) < tol:
+                return z, it
+    except OverflowError:
+        return None
     return None
 
 
@@ -283,18 +288,19 @@ def _cell_starts(box: ContourBox, n: int) -> list[complex]:
 def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Root | None:
     """Newton-polish the zero of multiplicity count isolated in box.
 
-    Containment must be strict: Newton happily escapes to a neighboring
-    cell's zero, which would silently drop this cell's own zero while
-    keeping the totals balanced.  A cluster (count > 1) is accepted only if
-    a probe box around the limit still winds count times.
+    Newton runs from a grid of starts in the cell (8x8 for a simple zero,
+    4x4 for a cluster, after the center) and drops a start as soon as it
+    leaves the cell: the argument principle has already isolated the zero
+    there, and an escaped iterate would only find a neighboring cell's zero,
+    silently dropping this cell's own while keeping the totals balanced.
+    A cluster (count > 1) is accepted only if a probe box around the limit
+    still winds count times.
     """
     for z0 in _cell_starts(box, 8 if count == 1 else 4):
-        hit = _newton(params, z0, tol, mult=count)
+        hit = _newton(params, box, z0, tol, mult=count)
         if hit is None:
             continue
         z, iters = hit
-        if not box.contains(z):
-            continue
         if count > 1:
             r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
             probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from delaystab import characteristic as ch
 from delaystab import (
     SystemParams,
     char_fn,
@@ -176,6 +177,48 @@ class TestCharNumPrime:
                 - p.beta * (p.l / p.f) * cmath.exp(-w)
             )
             assert abs(char_num_prime(p, lam) - expected) <= 1e-11 * (1 + abs(expected))
+
+
+class TestScalarEvaluators:
+    # Newton's scalar _deflated/_deflated_prime against the array path
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(1, 3, 1, 1, 1, 1),
+            SystemParams(0.5, -2, -0.7, 1, 1, 4),
+            SystemParams(2, 10, 1.5, 1, 1, 0),
+            SystemParams(1, 3, 1, 2, 0.5, 2),
+        ],
+    )
+    def test_scalar_matches_array(self, p):
+        # offsets from -delta put |w| = |lambda + delta|*l/f on both sides
+        # of the series switch
+        rng = np.random.default_rng(71)
+        near = [1e-9 * (1 + 1j), 3e-7, 3e-7j, 3e-6, -3e-6, 3e-6j, 1e-5j]
+        far = [complex(x, y) for x, y in zip(rng.uniform(-3, 3, 12), rng.uniform(-20, 20, 12))]
+        ratio = p.l / p.f
+        for lam in [-p.delta + d for d in near] + far:
+            arr = np.array([lam])
+            q = (char_num(p, arr) / (arr + p.delta))[0]
+            w = (arr + p.delta) * ratio
+            qp = (
+                1.0
+                - p.beta * np.exp(-arr * p.tau) * ratio
+                * (ratio * ch._phi_prime(w) - p.tau * ch._phi(w))
+            )[0]
+            assert abs(ch._deflated(p, lam) - q) <= 1e-13 * abs(q)
+            assert abs(ch._deflated_prime(p, lam) - qp) <= 1e-13 * abs(qp)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the direct quotient of phi' cancels to |w|^2 just above the "
+        "1e-6 series switch and keeps only ~5 digits there",
+    )
+    def test_phi_prime_accurate_above_switch(self):
+        # the five-term series is exact to ~|w|^5 here, so it is the reference
+        w = 2e-6 * (1 + 1j)
+        series = -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
+        assert abs(ch._phi_prime_scalar(w) - series) <= 1e-12
 
 
 class TestExclusions:

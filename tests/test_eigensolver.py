@@ -133,16 +133,34 @@ class TestFindRoots:
 
     def test_newton_reconverges_from_perturbation(self):
         p = SystemParams(1, 3, 1, 1, 1, 1)
-        result = find_roots(p, ContourBox(-0.5, 1.0, -1.0, 1.0), tol=1e-12)
+        box = ContourBox(-0.5, 1.0, -1.0, 1.0)
+        result = find_roots(p, box, tol=1e-12)
         rng = np.random.default_rng(13)
         for r in result.roots:
             if r.structural:
                 continue
             for _ in range(5):
                 start = r.lam + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-12
-                polished = es._newton(p, start, 1e-12)
+                polished = es._newton(p, box, start, 1e-12)
                 assert polished is not None
                 assert abs(polished[0] - r.lam) <= 1e-9
+
+    def test_newton_drops_start_that_leaves_box(self):
+        p = SystemParams(1, 3, 1, 1, 1, 1)
+        big = ContourBox(-0.5, 1.0, -1.0, 1.0)
+        [root] = find_roots(p, big).roots
+        start = root.lam + 0.05
+        polished = es._newton(p, big, start, 1e-12)
+        assert polished is not None and abs(polished[0] - root.lam) <= 1e-9
+        # the first step heads for the root, 0.05 away, and leaves this box
+        small = ContourBox(start.real - 1e-3, start.real + 1e-3, start.imag - 1e-3, start.imag + 1e-3)
+        assert es._newton(p, small, start, 1e-12) is None
+
+    def test_newton_overflow_is_a_failed_start(self):
+        # exp(-lambda*tau) overflows near Re lambda = -800
+        p = SystemParams(1, 3, 1, 1, 1, 1)
+        box = ContourBox(-801.0, -799.0, -1.0, 1.0)
+        assert es._newton(p, box, complex(-800.0, 0.5), 1e-12) is None
 
     def test_total_matches_count(self):
         rng = np.random.default_rng(37)
@@ -220,6 +238,18 @@ class TestSpectrum:
         for lam in roots:
             if abs(lam.imag) > 1e-9:
                 assert min(abs(lam.conjugate() - other) for other in roots) <= 1e-9
+
+    def test_large_delay_polish(self):
+        # beta = 10, tau = 50: 57 roots packed along the imaginary axis,
+        # where most Newton starts leave their cell
+        p = SystemParams(1, 10, 1, 1, 1, 50)
+        result = spectrum(p, 1e-5)
+        assert len(result.roots) == 57 and result.unresolved == ()
+        lams = [r.lam for r in result.roots]
+        assert all(abs(char_fn(p, lam)) <= 1e-8 for lam in lams)
+        for lam in lams:
+            if lam.imag != 0.0:
+                assert min(abs(other - lam.conjugate()) for other in lams) <= 1e-9 * (1 + abs(lam))
 
     def test_bound_radius_respected_for_nonnegative_decay(self):
         rng = np.random.default_rng(41)
