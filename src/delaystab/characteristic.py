@@ -27,9 +27,13 @@ import numpy as np
 from .errors import PoleAtMinusAlpha
 from .params import SystemParams
 
-# |w| below this evaluates phi and phi' by truncated series; the direct
-# quotient loses relative accuracy through the 1 - exp(-w) cancellation.
+# |w| below this evaluates phi by truncated series; the direct quotient
+# loses relative accuracy through the 1 - exp(-w) cancellation.
 _SERIES_SWITCH = 1e-6
+# phi' switches later: its direct quotient cancels down to |w|^2/2, so just
+# above 1e-6 it keeps only about five digits.  At |w| = 5e-3 the five-term
+# series is good to ~8e-15 and the quotient to ~3e-11.
+_PRIME_SERIES_SWITCH = 5e-3
 _POLE_TOL = 1e-12
 
 
@@ -56,8 +60,8 @@ def _phi(w: np.ndarray) -> np.ndarray:
 
 
 def _phi_prime(w: np.ndarray) -> np.ndarray:
-    """Derivative of _phi, with the same series switch near w = 0."""
-    small = np.abs(w) < _SERIES_SWITCH
+    """Derivative of _phi, by series for |w| < _PRIME_SERIES_SWITCH."""
+    small = np.abs(w) < _PRIME_SERIES_SWITCH
     ws = np.where(small, 1.0, w)
     direct = ((1.0 + ws) * np.exp(-ws) - 1.0) / (ws * ws)
     series = -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
@@ -83,7 +87,7 @@ def _phi_scalar(w: complex) -> complex:
 
 
 def _phi_prime_scalar(w: complex) -> complex:
-    if abs(w) < _SERIES_SWITCH:
+    if abs(w) < _PRIME_SERIES_SWITCH:
         return -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
     return ((1.0 + w) * cmath.exp(-w) - 1.0) / (w * w)
 

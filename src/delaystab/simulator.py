@@ -3,22 +3,20 @@
 The transport equation is integrated by the method of characteristics at
 unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
-boundary trace held over each step.  The delayed trace itself lives in a
-ring buffer holding the last tau time units of c(l, .) on the dt grid.
+boundary trace held over each step.  ``run`` keeps the whole outflow trace
+c(l, .) on the dt grid in one preallocated array and evaluates the energy
+only at the output steps, the history term for all of them at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary
 from .params import SystemParams
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -47,16 +45,17 @@ class SimState:
     """Snapshot of the discrete system.
 
     c[j] samples the concentration at x = j*l/nx (c[0] pinned to 0); the
-    history deque holds c(l, .) at t, t-dt, ..., t-n_tau*dt, so its last
-    entry is the delayed trace feeding the activation.  tau_rounding_error
-    reports |n_tau*dt - tau| from rounding the delay to the step grid.
+    1-D float array history holds c(l, .) at t, t-dt, ..., t-n_tau*dt (newest
+    first), so its last entry is the delayed trace feeding the activation.
+    tau_rounding_error reports |n_tau*dt - tau| from rounding the delay to
+    the step grid.
     """
 
     t: float
     step_index: int
     c: np.ndarray
     a: float
-    history: deque
+    history: np.ndarray
     dt: float
     n_tau: int
     tau_rounding_error: float
@@ -67,7 +66,7 @@ class SimState:
             step_index=self.step_index,
             c=self.c.copy(),
             a=self.a,
-            history=deque(self.history, maxlen=self.history.maxlen),
+            history=self.history.copy(),
             dt=self.dt,
             n_tau=self.n_tau,
             tau_rounding_error=self.tau_rounding_error,
@@ -136,52 +135,90 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         step_index=0,
         c=c,
         a=float(a0),
-        history=deque(samples, maxlen=n_tau + 1),
+        history=np.array(samples),
         dt=dt,
         n_tau=n_tau,
         tau_rounding_error=tau_err,
     )
 
 
+def _advance_fn(params: SystemParams, dt: float, n_tau: int):
+    """The one-step update for this step size, its exponentials computed once.
+
+    advance(a, trace, k, c, out) reads the delayed samples from the
+    oldest-first outflow trace, whose oldest entry still in the delay window
+    is trace[k]; it writes c at t + dt into out and returns a at t + dt.
+    """
+    alpha, beta = params.alpha, params.beta
+    decay_a = math.exp(-alpha * dt)
+    gain_a = -math.expm1(-alpha * dt)
+    if params.delta == 0.0:
+        # the delta -> 0 limit of the update below; c*1.0 and x/1.0 are exact
+        decay_c, gain_c, delta = 1.0, dt, 1.0
+    else:
+        delta = params.delta
+        decay_c = math.exp(-delta * dt)
+        gain_c = -math.expm1(-delta * dt)
+    lagged = n_tau >= 1
+
+    def advance(a: float, trace: np.ndarray, k: int, c: np.ndarray, out: np.ndarray) -> float:
+        # z(1, .) over [t, t+dt] spans the two oldest delay samples; their
+        # average keeps the coupling second order (tau = 0 has only the head).
+        if lagged:
+            delayed = 0.5 * (trace.item(k) + trace.item(k + 1))
+        else:
+            delayed = trace.item(k)
+        a_new = a * decay_a + delayed * gain_a / alpha
+        a_mid = 0.5 * (a + a_new)
+        out[0] = 0.0
+        body = out[1:]
+        np.multiply(c[:-1], decay_c, out=body)
+        np.add(body, beta * a_mid * gain_c / delta, out=body)
+        return a_new
+
+    return advance
+
+
 def step(state: SimState, params: SystemParams) -> SimState:
     """Advance one dt: exact advection/decay of c with the activation source
     integrated along the characteristic, then the exact activation update
     driven by the delayed trace averaged over the step."""
-    dt = state.dt
-    # z(1, .) over [t, t+dt] spans the two oldest ring-buffer samples; their
-    # average keeps the coupling second order (tau = 0 has only the head).
-    if state.n_tau >= 1:
-        delayed = 0.5 * (state.history[-1] + state.history[-2])
-    else:
-        delayed = state.history[-1]
-    decay_a = math.exp(-params.alpha * dt)
-    a_new = state.a * decay_a + delayed * (-math.expm1(-params.alpha * dt)) / params.alpha
-    a_mid = 0.5 * (state.a + a_new)
-
-    if params.delta == 0.0:
-        source = params.beta * a_mid * dt
-        decay_c = 1.0
-    else:
-        decay_c = math.exp(-params.delta * dt)
-        source = params.beta * a_mid * (-math.expm1(-params.delta * dt)) / params.delta
-
+    advance = _advance_fn(params, state.dt, state.n_tau)
     c_new = np.empty_like(state.c)
-    c_new[0] = 0.0
-    c_new[1:] = state.c[:-1] * decay_c + source
-
-    history = deque(state.history, maxlen=state.history.maxlen)
-    history.appendleft(float(c_new[-1]))
+    a_new = advance(state.a, state.history[::-1], 0, state.c, c_new)
+    history = np.empty_like(state.history)
+    history[0] = c_new[-1]
+    history[1:] = state.history[:-1]
     n = state.step_index + 1
     return SimState(
-        t=n * dt,
+        t=n * state.dt,
         step_index=n,
         c=c_new,
         a=a_new,
         history=history,
-        dt=dt,
+        dt=state.dt,
         n_tau=state.n_tau,
         tau_rounding_error=state.tau_rounding_error,
     )
+
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite-trapezoid weights for n >= 2 samples spaced h apart."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def _sq_integral(v: np.ndarray, weights: np.ndarray) -> float:
+    """Quadrature of v**2 with the given weights, as one dot product."""
+    return float((v * v).dot(weights))
+
+
+def _history_weights(params: SystemParams, dt: float, n_tau: int) -> np.ndarray:
+    """Trapezoid weights times exp(tau - age) over the newest-first delay
+    window, so the energy's history integral is a dot with z**2."""
+    ages = np.arange(n_tau + 1) * dt
+    return _trapezoid_weights(n_tau + 1, dt) * np.exp(params.tau - ages)
 
 
 def energy(state: SimState, params: SystemParams, gamma: float) -> float:
@@ -190,51 +227,92 @@ def energy(state: SimState, params: SystemParams, gamma: float) -> float:
     if not gamma > 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     dx = params.l / (state.c.size - 1)
-    value = 0.5 * float(_trapezoid(state.c * state.c, dx=dx)) + 0.5 * state.a * state.a
+    value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
+    value += 0.5 * state.a * state.a
     if state.n_tau >= 1:
-        z = np.fromiter(state.history, dtype=float, count=state.n_tau + 1)
-        ages = np.arange(state.n_tau + 1) * state.dt
-        weights = np.exp(params.tau - ages)
-        value += 0.5 * gamma * float(_trapezoid(weights * z * z, dx=state.dt))
+        weights = _history_weights(params, state.dt, state.n_tau)
+        value += 0.5 * gamma * _sq_integral(state.history, weights)
     return value
 
 
 def state_norm_sq(state: SimState, params: SystemParams) -> float:
     """Squared natural norm of the full state (c, a, delayed trace)."""
     dx = params.l / (state.c.size - 1)
-    value = float(_trapezoid(state.c * state.c, dx=dx)) + state.a * state.a
+    value = _sq_integral(state.c, _trapezoid_weights(state.c.size, dx)) + state.a * state.a
     if state.n_tau >= 1:
-        z = np.fromiter(state.history, dtype=float, count=state.n_tau + 1)
-        value += params.f * params.tau * float(_trapezoid(z * z, dx=1.0 / state.n_tau))
+        weights = _trapezoid_weights(state.n_tau + 1, 1.0 / state.n_tau)
+        value += params.f * params.tau * _sq_integral(state.history, weights)
     return value
 
 
 def run(
-    params: SystemParams, config: SimConfig, c0, a0: float, c_l_history
+    params: SystemParams,
+    config: SimConfig,
+    c0,
+    a0: float,
+    c_l_history,
+    *,
+    keep_states: bool = False,
 ) -> tuple[SimTrace, EnergyTrace]:
-    """Integrate to t_final, recording state and energy every output_stride
-    steps (plus the final step)."""
+    """Integrate to t_final, recording the energy every output_stride steps
+    (plus the final step).
+
+    The states at those steps are kept only with keep_states=True; their
+    histories are read-only views into one outflow-trace array.  Without
+    them the run holds O(nx + n_tau + steps) floats.
+    """
     state = init_state(params, config, c0, a0, c_l_history)
-    n_steps = max(1, math.ceil(config.t_final / state.dt - 1e-9))
-    states = [state.copy()]
-    samples = [_energy_sample(state, params, config.gamma)]
-    for k in range(1, n_steps + 1):
-        state = step(state, params)
-        if k % config.output_stride == 0 or k == n_steps:
-            states.append(state.copy())
-            samples.append(_energy_sample(state, params, config.gamma))
+    dt, n_tau = state.dt, state.n_tau
+    n_steps = max(1, math.ceil(config.t_final / dt - 1e-9))
+    outputs = list(range(0, n_steps + 1, config.output_stride))
+    if outputs[-1] != n_steps:
+        outputs.append(n_steps)
+
+    # c(l, .) oldest first: trace[k + n_tau] is the outflow after k steps,
+    # and trace[k : k + n_tau + 1] is the delay window of that state.
+    trace = np.empty(n_tau + n_steps + 1)
+    trace[: n_tau + 1] = state.history[::-1]
+    c, c_next = state.c, np.empty_like(state.c)
+    a = state.a
+    c_weights = _trapezoid_weights(c.size, params.l / config.nx)
+    advance = _advance_fn(params, dt, n_tau)
+    a_out, c_l, c_sq, states = [], [], [], []
+    done = 0
+    for stop in outputs:
+        for k in range(done, stop):
+            a = advance(a, trace, k, c, c_next)
+            c, c_next = c_next, c
+            trace[k + n_tau + 1] = c[-1]
+        done = stop
+        a_out.append(a)
+        c_l.append(c.item(-1))
+        c_sq.append(_sq_integral(c, c_weights))
+        if keep_states:
+            window = trace[stop : stop + n_tau + 1][::-1]
+            window.flags.writeable = False
+            states.append(
+                SimState(stop * dt, stop, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
+            )
+
+    a_out = np.array(a_out)
+    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out
+    if n_tau >= 1:
+        # every output's history integral at once; a direct sum of positive
+        # terms keeps relative accuracy where an FFT would not
+        history_terms = np.convolve(trace * trace, _history_weights(params, dt, n_tau), "valid")
+        energies += 0.5 * config.gamma * history_terms[outputs]
+    samples = tuple(
+        map(
+            EnergySample,
+            [k * dt for k in outputs],
+            energies.tolist(),
+            (a_out * a_out).tolist(),
+            c_l,
+        )
+    )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(samples=tuple(samples)),
-    )
-
-
-def _energy_sample(state: SimState, params: SystemParams, gamma: float) -> EnergySample:
-    return EnergySample(
-        t=state.t,
-        energy=energy(state, params, gamma),
-        a_sq=state.a * state.a,
-        c_l=float(state.c[-1]),
+        EnergyTrace(samples=samples),
     )
 
 
@@ -245,17 +323,13 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     non-positive energies; raises DegenerateWindow on fewer than 10 samples.
     """
     t0, t1 = window
-    ts, es = [], []
-    for s in trace.samples:
-        if t0 <= s.t <= t1:
-            ts.append(s.t)
-            es.append(s.energy)
-    if len(ts) < 10:
-        raise DegenerateWindow(f"only {len(ts)} samples in window [{t0}, {t1}]")
-    es = np.array(es)
+    ts, es = trace.times, trace.energies
+    inside = (t0 <= ts) & (ts <= t1)
+    ts, es = ts[inside], es[inside]
+    if ts.size < 10:
+        raise DegenerateWindow(f"only {ts.size} samples in window [{t0}, {t1}]")
     if np.any(es <= 0.0):
         return FitResult(rate=math.inf, r_squared=math.nan, decayed_to_zero=True)
-    ts = np.array(ts)
     log_e = np.log(es)
     slope, intercept = np.polyfit(ts, log_e, 1)
     resid = log_e - (slope * ts + intercept)

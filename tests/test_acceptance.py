@@ -234,7 +234,7 @@ def test_criterion_9_simulation_growth_matches_spectrum():
         p = SystemParams(1, beta, 1, 1, 1, 1)
         bound = spectral_bound(p, 2.0)
         config = SimConfig(nx=100, t_final=60.0, gamma=1.0, output_stride=20)
-        trace, _ = run(p, config, sine_profile(1.0), 1.0, zero_fn)
+        trace, _ = run(p, config, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
         times = np.array([s.t for s in trace.states])
         norms = np.array([state_norm_sq(s, p) for s in trace.states])
         mask = times >= 30.0

@@ -209,16 +209,26 @@ class TestScalarEvaluators:
             assert abs(ch._deflated(p, lam) - q) <= 1e-13 * abs(q)
             assert abs(ch._deflated_prime(p, lam) - qp) <= 1e-13 * abs(qp)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the direct quotient of phi' cancels to |w|^2 just above the "
-        "1e-6 series switch and keeps only ~5 digits there",
-    )
     def test_phi_prime_accurate_above_switch(self):
         # the five-term series is exact to ~|w|^5 here, so it is the reference
         w = 2e-6 * (1 + 1j)
         series = -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
         assert abs(ch._phi_prime_scalar(w) - series) <= 1e-12
+
+    def test_phi_prime_near_series_switch(self):
+        # sixteen terms of sum_k k(-1)^k w^(k-1)/(k+1)! are exact to double
+        # precision for |w| <= 0.1; both evaluators must keep ten digits on
+        # either side of the |w| = 5e-3 switch
+        rng = np.random.default_rng(72)
+        radii = 10.0 ** rng.uniform(-8.0, -1.3, 400)
+        ws = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 400))
+        array_values = ch._phi_prime(ws)
+        for w, from_array in zip(ws.tolist(), array_values.tolist()):
+            ref = sum(
+                k * (-1) ** k * w ** (k - 1) / math.factorial(k + 1) for k in range(16, 0, -1)
+            )
+            assert abs(ch._phi_prime_scalar(w) - ref) <= 1e-10 * abs(ref)
+            assert abs(from_array - ref) <= 1e-10 * abs(ref)
 
 
 class TestExclusions:

@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
-from delaystab import threshold_gain
+from delaystab import SystemParams, threshold_gain
 from delaystab.cli import main
+from delaystab.simulator import SimConfig, init_state, sine_profile, step, zero_fn
 
 B0 = threshold_gain(1, 1, 1, 1)
 ONES_FLAGS = ["--alpha", "1", "--delta", "1", "--l", "1", "--f", "1"]
+FLOAT_LITERAL = re.compile(r"-?(\d+\.\d*|\d+)(e[+-]\d+)?")
 
 
 def run_cli(capsys, argv):
@@ -279,6 +282,35 @@ class TestSimulate:
         assert len(rows) == 21
         assert float(rows[0][0]) == 0.0
         assert all(float(r[1]) > 0 for r in rows)
+
+    def test_fields_are_plain_floats_from_the_step_loop(self, capsys):
+        argv = [
+            "simulate",
+            *ONES_FLAGS,
+            "--beta",
+            "0.5",
+            "--tau",
+            "0.3",
+            "--nx",
+            "20",
+            "--t-final",
+            "1",
+            "--gamma",
+            "0.7",
+        ]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        state = init_state(p, SimConfig(20, 1.0, 0.7), sine_profile(1.0), 1.0, zero_fn)
+        for k, row in enumerate(rows):
+            assert all(FLOAT_LITERAL.fullmatch(field) for field in row), row
+            if k:
+                state = step(state, p)
+            assert row[0] == repr(state.t)
+            assert row[2] == repr(state.a * state.a)
+            assert row[3] == repr(float(state.c[-1]))
+        assert len(rows) == 21
 
     def test_zero_profile_flag(self, capsys):
         argv = [

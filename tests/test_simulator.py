@@ -101,7 +101,7 @@ class TestStep:
         finals = {}
         for nx in (100, 400):
             cfg = SimConfig(nx=nx, t_final=1.0, gamma=1.0, output_stride=10**9)
-            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
             finals[nx] = trace.states[-1]
         coarse, fine = finals[100], finals[400]
         scale = float(np.max(np.abs(fine.c))) + abs(fine.a)
@@ -117,7 +117,7 @@ class TestStep:
         finals = {}
         for nx in (50, 100, 200):
             cfg = SimConfig(nx=nx, t_final=1.0, gamma=1.0, output_stride=10**9)
-            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
             finals[nx] = trace.states[-1]
         for nx in (50, 100):
             errors.append(abs(finals[nx].a - finals[2 * nx].a))
@@ -126,8 +126,10 @@ class TestStep:
     def test_linearity(self):
         p = SystemParams(1, 1.5, 0.5, 1, 1, 0.4)
         cfg = SimConfig(nx=25, t_final=2.0, gamma=1.0, output_stride=5)
-        base, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
-        scaled, _ = run(p, cfg, lambda x: 3.0 * math.sin(math.pi * x), 3.0, zero_fn)
+        base, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
+        scaled, _ = run(
+            p, cfg, lambda x: 3.0 * math.sin(math.pi * x), 3.0, zero_fn, keep_states=True
+        )
         for s_base, s_scaled in zip(base.states, scaled.states):
             assert np.allclose(3.0 * s_base.c, s_scaled.c, rtol=1e-12, atol=1e-13)
             assert s_scaled.a == pytest.approx(3.0 * s_base.a, rel=1e-12)
@@ -155,6 +157,25 @@ class TestEnergy:
         assert abs(value - 0.5) <= dx
         assert value == pytest.approx(0.5 - dx / 4.0, rel=1e-12)
 
+    def test_matches_trapezoid_rule(self):
+        # the weighted dots against numpy's composite trapezoid rule; only
+        # the summation order differs
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        state = init_state(p, SimConfig(20, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        for _ in range(37):
+            state = step(state, p)
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2
+        z = state.history
+        dx = p.l / 20
+        c_sq = trapezoid(state.c * state.c, dx=dx)
+        weights = np.exp(p.tau - np.arange(state.n_tau + 1) * state.dt)
+        ref_energy = 0.5 * c_sq + 0.5 * state.a**2 + 0.5 * 0.7 * trapezoid(
+            weights * z * z, dx=state.dt
+        )
+        ref_norm = c_sq + state.a**2 + p.f * p.tau * trapezoid(z * z, dx=1.0 / state.n_tau)
+        assert energy(state, p, 0.7) == pytest.approx(ref_energy, rel=1e-14)
+        assert state_norm_sq(state, p) == pytest.approx(ref_norm, rel=1e-14)
+
     def test_gamma_validation(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)
         state = init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 0.0, zero_fn)
@@ -166,7 +187,7 @@ class TestRun:
     def test_states_recorded_at_stride(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.2)
         cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0, output_stride=3)
-        trace, etrace = run(p, cfg, zero_fn, 1.0, zero_fn)
+        trace, etrace = run(p, cfg, zero_fn, 1.0, zero_fn, keep_states=True)
         steps = [s.step_index for s in trace.states]
         assert steps == [0, 3, 6, 9, 10]
         times = [s.t for s in etrace.samples]
@@ -176,11 +197,66 @@ class TestRun:
     def test_energy_trace_fields(self):
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
         cfg = SimConfig(nx=10, t_final=0.5, gamma=1.0)
-        trace, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        trace, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
         for state, sample in zip(trace.states, etrace.samples):
             assert sample.a_sq == state.a * state.a
             assert sample.c_l == state.c[-1]
             assert sample.energy >= 0.0
+
+
+class TestFlatRun:
+    # run's single loop against the public single-step API
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(1, 0.5, 1, 1, 1, 0.3),
+            SystemParams(1, 0.5, 1, 1, 1, 0.0),  # n_tau == 0
+            SystemParams(1.3, 0.7, 0.0, 1, 1, 0.4),  # delta == 0
+            SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
+        ],
+    )
+    def test_states_match_step_loop(self, p):
+        cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=5)
+        trace, etrace = run(p, cfg, sine_profile(p.l), 1.0, zero_fn, keep_states=True)
+        state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
+        n_steps = math.ceil(cfg.t_final / state.dt - 1e-9)
+        expected = []
+        for k in range(n_steps + 1):
+            if k % 5 == 0 or k == n_steps:  # n_steps is off the stride here
+                expected.append(state)
+            if k < n_steps:
+                state = step(state, p)
+        assert n_steps % 5 != 0
+        assert len(trace.states) == len(etrace.samples) == len(expected)
+        for got, want, sample in zip(trace.states, expected, etrace.samples):
+            assert got.step_index == want.step_index
+            assert got.t == want.t == sample.t
+            assert np.array_equal(got.c, want.c)
+            assert got.a == want.a
+            assert np.array_equal(got.history, want.history)
+            assert sample.a_sq == want.a * want.a
+            assert sample.c_l == want.c[-1]
+            ref = energy(want, p, cfg.gamma)
+            assert abs(sample.energy - ref) <= 1e-13 * ref
+            for value in (sample.t, sample.energy, sample.a_sq, sample.c_l, got.a):
+                assert type(value) is float
+
+    def test_default_run_keeps_no_states(self):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+        trace, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert trace.states == ()
+        assert len(etrace.samples) == 11
+
+    def test_kept_histories_are_read_only(self):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+        trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
+        history = trace.states[5].history
+        assert history.ndim == 1 and history.size == 4
+        with pytest.raises(ValueError):
+            history[0] = 1.0
+        assert trace.states[5].copy().history.flags.writeable
 
 
 class TestFitDecayRate:
@@ -205,6 +281,17 @@ class TestFitDecayRate:
         fit = fit_decay_rate(etrace, (0.0, 5.0))
         assert fit.rate == pytest.approx(2 * 1.3, rel=1e-10)
 
+    def test_window_selects_the_same_samples_as_a_loop(self):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        cfg = SimConfig(nx=20, t_final=10.0, gamma=0.7)
+        _, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        t0, t1 = etrace.samples[40].t, etrace.samples[150].t  # endpoints on samples
+        ts = np.array([s.t for s in etrace.samples if t0 <= s.t <= t1])
+        es = np.array([s.energy for s in etrace.samples if t0 <= s.t <= t1])
+        assert ts.size == 111
+        slope = np.polyfit(ts, np.log(es), 1)[0]
+        assert fit_decay_rate(etrace, (t0, t1)).rate == -float(slope)
+
     def test_window_too_small(self):
         with pytest.raises(DegenerateWindow):
             fit_decay_rate(self.synthetic_trace(0.5), (0.0, 0.2))
@@ -226,7 +313,7 @@ class TestSpectralConsistency:
             p = SystemParams(1, beta, 1, 1, 1, 1)
             bound = spectral_bound(p, 2.0)
             cfg = SimConfig(nx=100, t_final=60.0, gamma=1.0, output_stride=20)
-            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
             ts = np.array([s.t for s in trace.states])
             norms = np.array([state_norm_sq(s, p) for s in trace.states])
             mask = ts >= 30.0
