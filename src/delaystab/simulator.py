@@ -3,9 +3,9 @@
 The transport equation is integrated by the method of characteristics at
 unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
-boundary trace held over each step.  ``run`` keeps the whole outflow trace
-c(l, .) on the dt grid in one preallocated array and evaluates the energy
-only at the output steps, the history term for all of them at once.
+boundary trace held over each step.  ``run`` keeps the outflow trace
+c(l, .) on the dt grid in one preallocated block buffer and evaluates the
+energy only at the output steps, the history terms of a block at once.
 """
 
 from __future__ import annotations
@@ -245,6 +245,11 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
     return value
 
 
+# Steps per block of the outflow buffer; a run holds n_tau + 1 + _BLOCK
+# samples of c(l, .) whatever its length.
+_BLOCK = 4096
+
+
 def run(
     params: SystemParams,
     config: SimConfig,
@@ -257,9 +262,8 @@ def run(
     """Integrate to t_final, recording the energy every output_stride steps
     (plus the final step).
 
-    The states at those steps are kept only with keep_states=True; their
-    histories are read-only views into one outflow-trace array.  Without
-    them the run holds O(nx + n_tau + steps) floats.
+    The states at those steps are kept only with keep_states=True.  Without
+    them the run holds O(nx + n_tau + outputs) floats at any length.
     """
     state = init_state(params, config, c0, a0, c_l_history)
     dt, n_tau = state.dt, state.n_tau
@@ -268,39 +272,59 @@ def run(
     if outputs[-1] != n_steps:
         outputs.append(n_steps)
 
-    # c(l, .) oldest first: trace[k + n_tau] is the outflow after k steps,
-    # and trace[k : k + n_tau + 1] is the delay window of that state.
-    trace = np.empty(n_tau + n_steps + 1)
-    trace[: n_tau + 1] = state.history[::-1]
+    # c(l, .) oldest first: buf[k - base + n_tau] is the outflow after k
+    # steps, and buf[k - base : k - base + n_tau + 1] is the delay window of
+    # that state.  When a block of steps fills buf, its last window moves to
+    # the front and base advances by _BLOCK.
+    buf = np.empty(n_tau + 1 + _BLOCK)
+    buf[: n_tau + 1] = state.history[::-1]
+    base = 0
     c, c_next = state.c, np.empty_like(state.c)
     a = state.a
     c_weights = _trapezoid_weights(c.size, params.l / config.nx)
+    history_weights = _history_weights(params, dt, n_tau) if n_tau >= 1 else None
+    history_terms = np.zeros(len(outputs))
+    flushed = 0
+
+    def flush(upto: int) -> None:
+        # the history integrals of outputs[flushed:upto], whose windows are
+        # all in buf: one direct correlation from the first window to the
+        # last (a direct sum of positive terms keeps relative accuracy where
+        # an FFT would not)
+        nonlocal flushed
+        if history_weights is None or upto == flushed:
+            return
+        starts = np.array(outputs[flushed:upto]) - base
+        lo, hi = starts[0], starts[-1]
+        sq = buf[lo : hi + n_tau + 1] ** 2
+        history_terms[flushed:upto] = np.convolve(sq, history_weights, "valid")[starts - lo]
+        flushed = upto
+
     advance = _advance_fn(params, dt, n_tau)
     a_out, c_l, c_sq, states = [], [], [], []
     done = 0
-    for stop in outputs:
+    for i, stop in enumerate(outputs):
         for k in range(done, stop):
-            a = advance(a, trace, k, c, c_next)
+            if k - base == _BLOCK:
+                flush(i)
+                buf[: n_tau + 1] = buf[_BLOCK:]
+                base = k
+            a = advance(a, buf, k - base, c, c_next)
             c, c_next = c_next, c
-            trace[k + n_tau + 1] = c[-1]
+            buf[k - base + n_tau + 1] = c[-1]
         done = stop
         a_out.append(a)
         c_l.append(c.item(-1))
         c_sq.append(_sq_integral(c, c_weights))
         if keep_states:
-            window = trace[stop : stop + n_tau + 1][::-1]
-            window.flags.writeable = False
+            window = buf[stop - base : stop - base + n_tau + 1][::-1].copy()
             states.append(
                 SimState(stop * dt, stop, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
             )
+    flush(len(outputs))
 
     a_out = np.array(a_out)
-    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out
-    if n_tau >= 1:
-        # every output's history integral at once; a direct sum of positive
-        # terms keeps relative accuracy where an FFT would not
-        history_terms = np.convolve(trace * trace, _history_weights(params, dt, n_tau), "valid")
-        energies += 0.5 * config.gamma * history_terms[outputs]
+    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out + 0.5 * config.gamma * history_terms
     samples = tuple(
         map(
             EnergySample,

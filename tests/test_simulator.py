@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from delaystab import SystemParams, spectral_bound
+from delaystab import SystemParams, simulator, spectral_bound
 from delaystab.errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary
 from delaystab.simulator import (
     EnergySample,
@@ -205,7 +206,9 @@ class TestRun:
 
 
 class TestFlatRun:
-    # run's single loop against the public single-step API
+    # run's single loop against the public single-step API; blocks of 1 and
+    # 4 steps wrap the outflow buffer many times, also below n_tau = 5
+    @pytest.mark.parametrize("block", [None, 1, 4])
     @pytest.mark.parametrize(
         "p",
         [
@@ -215,7 +218,9 @@ class TestFlatRun:
             SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
         ],
     )
-    def test_states_match_step_loop(self, p):
+    def test_states_match_step_loop(self, p, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(simulator, "_BLOCK", block)
         cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=5)
         trace, etrace = run(p, cfg, sine_profile(p.l), 1.0, zero_fn, keep_states=True)
         state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
@@ -248,15 +253,19 @@ class TestFlatRun:
         assert trace.states == ()
         assert len(etrace.samples) == 11
 
-    def test_kept_histories_are_read_only(self):
+    def test_memory_does_not_grow_with_the_run(self):
+        # 20000 steps, 5 outputs: the outflow buffer holds n_tau + 1 + _BLOCK
+        # samples, far fewer than one per step
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
-        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
-        trace, _ = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
-        history = trace.states[5].history
-        assert history.ndim == 1 and history.size == 4
-        with pytest.raises(ValueError):
-            history[0] = 1.0
-        assert trace.states[5].copy().history.flags.writeable
+        cfg = SimConfig(nx=10, t_final=2000.0, gamma=1.0, output_stride=5000)
+        tracemalloc.start()
+        try:
+            _, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.t for s in etrace.samples] == pytest.approx([0, 500, 1000, 1500, 2000])
+        assert peak < 20_000 * 8
 
 
 class TestFitDecayRate:
