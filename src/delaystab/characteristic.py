@@ -183,14 +183,14 @@ def _coupled(params: SystemParams, arr: np.ndarray):
     return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling)
 
 
-@_quiet
+# The *_with_scale evaluators are only called from _winding_count, which
+# already runs under _quiet.
 def _num_with_scale(params: SystemParams, arr: np.ndarray):
     """char_num values plus a cancellation scale for on-zero detection."""
     q, size = _coupled(params, arr)
     return (arr + params.delta) * q, np.abs(arr + params.delta) * size + 1.0
 
 
-@_quiet
 def _deflated_with_scale(params: SystemParams, arr: np.ndarray):
     q, size = _coupled(params, arr)
     return q, size + 1.0

@@ -78,11 +78,8 @@ class ContourBox:
     def center(self) -> complex:
         return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re_min - margin < z.real < self.re_max + margin
-            and self.im_min - margin < z.imag < self.im_max + margin
-        )
+    def contains(self, z: complex) -> bool:
+        return self.re_min < z.real < self.re_max and self.im_min < z.imag < self.im_max
 
 
 @dataclass(frozen=True)
@@ -383,24 +380,6 @@ def _subdivide(
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
 
 
-def _dedupe(roots: list[Root], tol: float) -> list[Root]:
-    merged: list[Root] = []
-    for root in sorted(roots, key=lambda r: (r.lam.real, r.lam.imag)):
-        for i, prev in enumerate(merged):
-            if abs(root.lam - prev.lam) <= 10.0 * tol:
-                merged[i] = Root(
-                    lam=prev.lam,
-                    residual=min(prev.residual, root.residual),
-                    newton_iters=max(prev.newton_iters, root.newton_iters),
-                    structural=False,
-                    multiplicity=prev.multiplicity + root.multiplicity,
-                )
-                break
-        else:
-            merged.append(root)
-    return merged
-
-
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
     """Locate every zero of char_num inside box.
 
@@ -430,7 +409,6 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
         return total, inside, roots, unresolved
 
     (total, inside, roots, unresolved), box = _nudged(attempt, box)
-    roots = _dedupe(roots, tol)
     if inside:
         roots.append(
             Root(

@@ -53,10 +53,6 @@ class DenominatorVanishes(DelayStabError):
     """The boundary-curve gain expression is singular at this frequency."""
 
 
-class BracketingFailed(DelayStabError):
-    """No sign-change bracket could be established for a scalar root."""
-
-
 class IncompatibleBoundary(InvalidParameter):
     """Initial concentration profile violates the inflow boundary condition."""
 

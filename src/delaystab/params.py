@@ -99,8 +99,7 @@ def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
 
     Returns alpha*delta/(1 - exp(-delta*l/f)); the delta -> 0 limit alpha*f/l
     is substituted once |delta*l/f| drops below 1e-9.  The value is also
-    evaluated for delta < 0, but the oscillation fast path must not rely on
-    it there.
+    evaluated for delta < 0, where the oscillation fast path does not use it.
     """
     _require(alpha > 0.0, NonPositiveAlpha, "alpha must be > 0")
     _require(l > 0.0, NonPositiveL, "l must be > 0")
@@ -117,12 +116,12 @@ def eig_bound_radius(beta: float, delta: float) -> float:
 
 
 def monotonicity_margin(alpha: float, delta: float, l: float, f: float) -> float:
-    """Margin deciding whether the real-axis gain map is increasing.
+    """Margin by which the real-axis gain map is increasing.
 
-    Returns exp(delta*l/f) - 1 - (l/f)*alpha*delta/(alpha + delta).  A
-    non-negative value puts the point in the regime where every gain above
-    the threshold oscillates for all delays; callers branch on the sign.
-    Requires alpha, delta, l, f > 0.
+    Returns exp(x) - 1 - x*alpha/(alpha + delta) with x = delta*l/f.  It is
+    positive for every admissible input, since exp(x) - 1 > x >
+    x*alpha/(alpha + delta); only round-off at x below about 1e-16 can give
+    a tiny negative value.  Requires alpha, delta, l, f > 0.
     """
     _require(alpha > 0.0, NonPositiveAlpha, "alpha must be > 0")
     _require(delta > 0.0, InvalidParameter, "monotonicity_margin requires delta > 0")

@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from .characteristic import char_fn
 from .eigensolver import BelowThreshold, spectral_bound
 from .errors import (
-    BracketingFailed,
     DelayStabError,
     DenominatorVanishes,
     InvalidParameter,
@@ -31,7 +30,6 @@ from .params import (
     SystemParams,
     decay_certificate,
     eig_bound_radius,
-    monotonicity_margin,
     threshold_gain,
 )
 
@@ -51,6 +49,8 @@ class Evidence(str, Enum):
     SPECTRAL_SEARCH = "SpectralSearch"
     DECAY_CERTIFICATE = "DecayCertificate"
     GAIN_THRESHOLD_ALL_TAU = "GainThresholdAllTau"
+    # Never produced; kept because perfbench/tracing.py builds its
+    # region.evidence.* metric names from this enum.
     GAIN_THRESHOLD_TAU_WINDOW = "GainThresholdTauWindow"
 
 
@@ -60,7 +60,7 @@ class RegionLabel:
 
     max_real_part is the spectral bound when evidence is SpectralSearch, a
     BelowThreshold witness when the decay certificate applies, and None when
-    a gain-threshold fast path decided without locating eigenvalues.
+    the gain-threshold fast path decided without locating eigenvalues.
     """
 
     label: Label
@@ -99,71 +99,41 @@ class SweepNode:
 
 class FastPath(Enum):
     OSCILLATES_ALL_TAU = "OscillatesAllTau"
-    OSCILLATES_TAU_WINDOW = "OscillatesTauWindow"
     UNDECIDED = "Undecided"
 
 
 @dataclass(frozen=True)
 class FastPathResult:
     kind: FastPath
-    tau_upper: float | None = None
 
 
 def oscillation_fast_path(
     fixed: tuple[float, float, float, float], beta: float
 ) -> FastPathResult:
-    """Analytic oscillation test for gains above the threshold.
+    """Analytic oscillation test: one comparison with the threshold gain.
 
-    fixed = (alpha, delta, l, f) with delta > 0 and f > 0.  Gains at or
-    below the threshold are Undecided.  Above it, a non-negative
-    monotonicity margin yields oscillation for every delay; otherwise the
-    point oscillates for delays up to -ln(threshold/beta)/x0, where x0 > 0
-    is where the real-axis gain map returns to the threshold value.
+    fixed = (alpha, delta, l, f) with delta > 0 and f > 0.  A gain above
+    b0 = threshold_gain(*fixed) oscillates for every delay; any other gain
+    is Undecided.  On the real axis char_fn(x) is real, equals 1 - beta/b0
+    < 0 at x = 0 and tends to 1 as x -> +inf, so a positive real eigenvalue
+    exists whatever the delay.
     """
     alpha, delta, l, f = fixed
     if delta <= 0.0:
         raise InvalidParameter("oscillation fast path requires delta > 0")
     if f <= 0.0:
         raise NonPositiveF("oscillation fast path requires f > 0")
-    b0 = threshold_gain(alpha, delta, l, f)
-    if beta <= b0:
-        return FastPathResult(FastPath.UNDECIDED)
-    if monotonicity_margin(alpha, delta, l, f) >= 0.0:
+    if beta > threshold_gain(alpha, delta, l, f):
         return FastPathResult(FastPath.OSCILLATES_ALL_TAU)
-
-    def gain_gap(x: float) -> float:
-        return (x + alpha) * (x + delta) / -math.expm1(-(x + delta) * l / f) - b0
-
-    x0 = _return_to_zero(gain_gap)
-    return FastPathResult(FastPath.OSCILLATES_TAU_WINDOW, -math.log(b0 / beta) / x0)
-
-
-def _return_to_zero(fn) -> float:
-    """Positive root of fn given fn(0) = 0 and an initial dip below zero."""
-    x_neg = None
-    x = 1.0
-    for _ in range(80):
-        if fn(x) < 0.0:
-            x_neg = x
-            break
-        x /= 2.0
-    if x_neg is None:
-        raise BracketingFailed("no negative value of the gain gap found near 0")
-    x = max(1.0, 2.0 * x_neg)
-    for _ in range(80):
-        if fn(x) > 0.0:
-            return float(brentq(fn, x_neg, x, xtol=1e-14, rtol=8.9e-16))
-        x_neg = x
-        x *= 2.0
-    raise BracketingFailed("gain gap never became positive while doubling")
+    return FastPathResult(FastPath.UNDECIDED)
 
 
 def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
     """Label one parameter point, preferring analytic evidence to numerics.
 
-    Order: decay certificate, then the gain-threshold fast paths (delta > 0
-    only), then a spectral search with sigma = 1000*eps0 thresholded at
-    +/- eps0.
+    Order: decay certificate, then the gain-threshold fast path (delta > 0
+    only: a gain above the threshold oscillates for every delay), then a
+    spectral search with sigma = 1000*eps0 thresholded at +/- eps0.
     """
     if eps0 <= 0.0:
         raise ValueError(f"eps0 must be > 0, got {eps0}")
@@ -181,10 +151,6 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
         if fast.kind is FastPath.OSCILLATES_ALL_TAU:
             return RegionLabel(
                 Label.LIMIT_CYCLE_OSCILLATION, Evidence.GAIN_THRESHOLD_ALL_TAU, None
-            )
-        if fast.kind is FastPath.OSCILLATES_TAU_WINDOW and params.tau <= fast.tau_upper:
-            return RegionLabel(
-                Label.LIMIT_CYCLE_OSCILLATION, Evidence.GAIN_THRESHOLD_TAU_WINDOW, None
             )
     bound = spectral_bound(params, sigma=eps0 * 1e3)
     if isinstance(bound, BelowThreshold) or bound < -eps0:

@@ -60,18 +60,6 @@ class SimState:
     n_tau: int
     tau_rounding_error: float
 
-    def copy(self) -> "SimState":
-        return SimState(
-            t=self.t,
-            step_index=self.step_index,
-            c=self.c.copy(),
-            a=self.a,
-            history=self.history.copy(),
-            dt=self.dt,
-            n_tau=self.n_tau,
-            tau_rounding_error=self.tau_rounding_error,
-        )
-
 
 @dataclass(frozen=True)
 class EnergySample:

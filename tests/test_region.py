@@ -22,7 +22,7 @@ from delaystab import (
     trace_boundary,
 )
 from delaystab.errors import InvalidParameter, QuadratureNonInteger
-from delaystab.region import _return_to_zero, _scan_roots
+from delaystab.region import _scan_roots
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 B0 = threshold_gain(1, 1, 1, 1)
@@ -179,15 +179,30 @@ class TestOscillationFastPath:
         with pytest.raises(InvalidParameter):
             oscillation_fast_path((1.0, -1.0, 1.0, 1.0), 3.0)
 
-    def test_agrees_with_spectral_search(self):
+    @staticmethod
+    def _oscillates_at_sampled_delays(fixed):
         rng = np.random.default_rng(63)
-        fixed = (0.8, 1.2, 1.0, 0.9)
         beta = 1.4 * threshold_gain(*fixed)
         assert oscillation_fast_path(fixed, beta).kind is FastPath.OSCILLATES_ALL_TAU
         for tau in rng.uniform(0, 10, 20):
             p = SystemParams(fixed[0], beta, fixed[1], fixed[2], fixed[3], float(tau))
             roots = spectrum(p, 0.0).roots
             assert roots and any(r.lam.real > 0 for r in roots)
+
+    def test_agrees_with_spectral_search(self):
+        self._oscillates_at_sampled_delays((0.8, 1.2, 1.0, 0.9))
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [
+            (5.0, 0.3, 2.0, 0.5),
+            (0.2, 3.0, 0.4, 2.5),
+            # delta*l/f = 1e-6: the threshold sits close to its alpha*f/l limit
+            (1.5, 1e-6, 0.5, 0.5),
+        ],
+    )
+    def test_other_families_agree_with_spectral_search(self, fixed):
+        self._oscillates_at_sampled_delays(fixed)
 
     def test_gain_map_monotone_when_margin_nonnegative(self):
         rng = np.random.default_rng(64)
@@ -202,13 +217,19 @@ class TestOscillationFastPath:
             values = [h(x) for x in xs]
             assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_return_root_helper(self):
-        # synthetic gain gap: zero at 0, dips to -1, returns to zero at 2
-        assert _return_to_zero(lambda x: (x - 1.0) ** 2 - 1.0) == pytest.approx(2.0, abs=1e-12)
-        from delaystab.errors import BracketingFailed
-
-        with pytest.raises(BracketingFailed):
-            _return_to_zero(lambda x: x * x)
+    def test_rounding_corner_is_all_tau(self):
+        # delta*l/f ~ 2.4e-22 with alpha >> delta: the monotonicity margin
+        # rounds to about -5e-38, yet a gain above the threshold still puts a
+        # positive real eigenvalue in the spectrum for every delay
+        fixed = (
+            242706.22033421503, 1.107202659715052e-20,
+            0.4702438932156436, 21.342249566728263,
+        )
+        beta = 1.5 * threshold_gain(*fixed)
+        assert oscillation_fast_path(fixed, beta).kind is FastPath.OSCILLATES_ALL_TAU
+        label = classify(SystemParams(fixed[0], beta, fixed[1], fixed[2], fixed[3], 1e14))
+        assert label.evidence is Evidence.GAIN_THRESHOLD_ALL_TAU
+        assert label.label is Label.LIMIT_CYCLE_OSCILLATION
 
 
 class TestSweep:
