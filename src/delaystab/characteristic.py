@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,14 +135,9 @@ def char_fn(params: SystemParams, lam):
     return _maybe_scalar(val, scalar)
 
 
-@_quiet
 def char_fn_no_delay(params: SystemParams, lam):
     """Characteristic function of the delay-free (tau = 0) operator."""
-    arr, scalar = _as_complex(lam)
-    _check_pole(params, arr)
-    w = (arr + params.delta) * (params.l / params.f)
-    val = 1.0 - params.beta * (params.l / params.f) * _phi(w) / (arr + params.alpha)
-    return _maybe_scalar(val, scalar)
+    return char_fn(replace(params, tau=0.0), lam)
 
 
 @_quiet

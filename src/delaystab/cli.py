@@ -80,9 +80,12 @@ def _emit(args, command, header, rows, svg: str | None = None) -> None:
         text = buf.getvalue()
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, with_beta_tau: bool = True) -> None:

@@ -437,15 +437,21 @@ def _search_radius(params: SystemParams) -> float:
 
     For delta >= 0 this is the closed-form eig_bound_radius.  For delta < 0
     the |1 - exp(-(lambda+delta)l/f)| <= 2 step behind that formula fails,
-    so the bound is re-derived with the exact exponential factor.
+    so the bound is re-derived with the exact factor 1 + exp(-delta*l/f) > 2;
+    in exact arithmetic it is at least eig_bound_radius.  A radius that overflows
+    (below delta*l/f of about -708.4 at |beta| = 1) leaves no finite search
+    box and raises QuadratureNonInteger.
     """
-    radius = eig_bound_radius(params.beta, params.delta)
-    if params.delta < 0.0:
-        b = abs(params.beta) * (1.0 + math.exp(-params.delta * params.l / params.f))
-        radius = max(
-            radius,
-            0.5 * (abs(params.delta) + math.sqrt(params.delta**2 + 4.0 * b)),
-        )
+    if params.delta >= 0.0:
+        radius = eig_bound_radius(params.beta, params.delta)
+    else:
+        try:
+            b = abs(params.beta) * (1.0 + math.exp(-params.delta * params.l / params.f))
+            radius = 0.5 * (abs(params.delta) + math.sqrt(params.delta**2 + 4.0 * b))
+        except OverflowError:
+            radius = math.inf
+    if radius == math.inf:
+        raise QuadratureNonInteger(f"search radius overflows for {params}")
     return radius
 
 

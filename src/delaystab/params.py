@@ -89,9 +89,10 @@ class DecayCertificate:
             raise InvalidParameter(f"certificate rate must be > 0, got {self.rate}")
 
 
-def _require(cond: bool, exc: type[InvalidParameter], msg: str) -> None:
-    if not cond:
-        raise exc(msg)
+def _check_family(alpha: float, delta: float, l: float, f: float) -> None:
+    """Raise the SystemParams error of a bad family (alpha, delta, l, f);
+    beta = tau = 0 are placeholders."""
+    SystemParams(alpha, 0.0, delta, l, f, 0.0)
 
 
 def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
@@ -99,15 +100,18 @@ def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
 
     Returns alpha*delta/(1 - exp(-delta*l/f)); the delta -> 0 limit alpha*f/l
     is substituted once |delta*l/f| drops below 1e-9.  The value is also
-    evaluated for delta < 0, where the oscillation fast path does not use it.
+    evaluated for delta < 0, where the oscillation fast path does not use it;
+    below delta*l/f of about -709.78, where exp(-delta*l/f) overflows, it is
+    the limit 0.0.  Raises the SystemParams error for a bad family.
     """
-    _require(alpha > 0.0, NonPositiveAlpha, "alpha must be > 0")
-    _require(l > 0.0, NonPositiveL, "l must be > 0")
-    _require(f > 0.0, NonPositiveF, "f must be > 0")
+    _check_family(alpha, delta, l, f)
     x = delta * l / f
     if abs(x) < _DELTA_LIMIT_SWITCH:
         return alpha * f / l
-    return alpha * delta / -math.expm1(-x)
+    try:
+        return alpha * delta / -math.expm1(-x)
+    except OverflowError:
+        return 0.0
 
 
 def eig_bound_radius(beta: float, delta: float) -> float:
@@ -123,10 +127,9 @@ def monotonicity_margin(alpha: float, delta: float, l: float, f: float) -> float
     x*alpha/(alpha + delta); only round-off at x below about 1e-16 can give
     a tiny negative value.  Requires alpha, delta, l, f > 0.
     """
-    _require(alpha > 0.0, NonPositiveAlpha, "alpha must be > 0")
-    _require(delta > 0.0, InvalidParameter, "monotonicity_margin requires delta > 0")
-    _require(l > 0.0, NonPositiveL, "l must be > 0")
-    _require(f > 0.0, NonPositiveF, "f must be > 0")
+    _check_family(alpha, delta, l, f)
+    if delta <= 0.0:
+        raise InvalidParameter("monotonicity_margin requires delta > 0")
     try:
         grown = math.expm1(delta * l / f)
     except OverflowError:

@@ -23,11 +23,12 @@ from .errors import (
     DelayStabError,
     DenominatorVanishes,
     InvalidParameter,
-    NonPositiveF,
-    NonPositiveL,
+    NegativeTau,
+    QuadratureNonInteger,
 )
 from .params import (
     SystemParams,
+    _check_family,
     decay_certificate,
     eig_bound_radius,
     threshold_gain,
@@ -97,35 +98,19 @@ class SweepNode:
     error: str | None = None
 
 
-class FastPath(Enum):
-    OSCILLATES_ALL_TAU = "OscillatesAllTau"
-    UNDECIDED = "Undecided"
-
-
-@dataclass(frozen=True)
-class FastPathResult:
-    kind: FastPath
-
-
-def oscillation_fast_path(
-    fixed: tuple[float, float, float, float], beta: float
-) -> FastPathResult:
+def oscillation_fast_path(fixed: tuple[float, float, float, float], beta: float) -> bool:
     """Analytic oscillation test: one comparison with the threshold gain.
 
-    fixed = (alpha, delta, l, f) with delta > 0 and f > 0.  A gain above
-    b0 = threshold_gain(*fixed) oscillates for every delay; any other gain
-    is Undecided.  On the real axis char_fn(x) is real, equals 1 - beta/b0
-    < 0 at x = 0 and tends to 1 as x -> +inf, so a positive real eigenvalue
-    exists whatever the delay.
+    fixed = (alpha, delta, l, f) with delta > 0.  Returns True when beta
+    exceeds b0 = threshold_gain(*fixed), so the point oscillates for every
+    delay, and False when the test cannot decide.  On the real axis
+    char_fn(x) is real, equals 1 - beta/b0 < 0 at x = 0 and tends to 1 as
+    x -> +inf, so a positive real eigenvalue exists whatever the delay.
     """
     alpha, delta, l, f = fixed
     if delta <= 0.0:
         raise InvalidParameter("oscillation fast path requires delta > 0")
-    if f <= 0.0:
-        raise NonPositiveF("oscillation fast path requires f > 0")
-    if beta > threshold_gain(alpha, delta, l, f):
-        return FastPathResult(FastPath.OSCILLATES_ALL_TAU)
-    return FastPathResult(FastPath.UNDECIDED)
+    return bool(beta > threshold_gain(alpha, delta, l, f))
 
 
 def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
@@ -144,14 +129,12 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
             Evidence.DECAY_CERTIFICATE,
             BelowThreshold(-0.5 * cert.rate),
         )
-    if params.delta > 0.0:
-        fast = oscillation_fast_path(
-            (params.alpha, params.delta, params.l, params.f), params.beta
+    if params.delta > 0.0 and oscillation_fast_path(
+        (params.alpha, params.delta, params.l, params.f), params.beta
+    ):
+        return RegionLabel(
+            Label.LIMIT_CYCLE_OSCILLATION, Evidence.GAIN_THRESHOLD_ALL_TAU, None
         )
-        if fast.kind is FastPath.OSCILLATES_ALL_TAU:
-            return RegionLabel(
-                Label.LIMIT_CYCLE_OSCILLATION, Evidence.GAIN_THRESHOLD_ALL_TAU, None
-            )
     bound = spectral_bound(params, sigma=eps0 * 1e3)
     if isinstance(bound, BelowThreshold) or bound < -eps0:
         return RegionLabel(Label.STABLE_STEADY_STATE, Evidence.SPECTRAL_SEARCH, bound)
@@ -180,16 +163,23 @@ def sweep(
 ) -> list[SweepNode]:
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
-    grid_counts = (n_beta, n_tau), both >= 2.  Per-node failures are
-    recorded on the node and do not stop the sweep.  With workers > 1 the
-    nodes are classified in a process pool; output order is deterministic
-    either way.
+    grid_counts = (n_beta, n_tau), both >= 2.  A bad family, grid, range or
+    eps0 raises before any node is classified: the family's SystemParams
+    error, NegativeTau for a tau_range below 0, ValueError otherwise.
+    Failures of single nodes are recorded on the node and do not stop the
+    sweep.  With workers > 1 the nodes are classified in a process pool;
+    output order is deterministic either way.
     """
+    _check_family(*fixed)
     n_beta, n_tau = grid_counts
     if n_beta < 2 or n_tau < 2:
         raise ValueError(f"grid_counts must be >= 2 each, got {grid_counts}")
     if not all(map(math.isfinite, (*beta_range, *tau_range))):
         raise ValueError("sweep ranges must be finite")
+    if min(tau_range) < 0.0:
+        raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
+    if not eps0 > 0.0:
+        raise InvalidParameter(f"eps0 must be > 0, got {eps0}")
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     jobs = [
@@ -216,15 +206,11 @@ def _axis_gain(fixed, omega, tau):
 
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
-    alpha, delta, l, f = fixed
-    if l <= 0.0:
-        raise NonPositiveL("l must be > 0")
-    if f <= 0.0:
-        raise NonPositiveF("f must be > 0")
+    """Axis gain at one frequency, for a family the caller has checked."""
     value, den = _axis_gain(fixed, omega, tau)
     if den < _DENOM_TOL:
         raise DenominatorVanishes(
-            f"axis gain denominator vanishes at omega={omega}, delta={delta}"
+            f"axis gain denominator vanishes at omega={omega}, delta={fixed[1]}"
         )
     return complex(value)
 
@@ -232,12 +218,14 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
 def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
     eigenvalue at i*omega for this delay.  Odd in omega."""
+    _check_family(*fixed)
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 
 def beta_on_axis(fixed, omega: float, tau: float) -> float:
     """Real part of the axis gain; the gain that places an eigenvalue at
     i*omega once phase_residual vanishes there."""
+    _check_family(*fixed)
     return _axis_gain_scalar(fixed, omega, tau).real
 
 
@@ -268,7 +256,7 @@ def _omega_roots(fixed, tau: float, omega_max: float) -> list[float]:
     grid = np.linspace(0.0, omega_max, _OMEGA_SCAN_POINTS)
     values, dens = _axis_gain(fixed, grid, tau)
     return _scan_roots(
-        lambda w: phase_residual(fixed, w, tau), grid, values.imag, dens >= _DENOM_TOL
+        lambda w: _axis_gain_scalar(fixed, w, tau).imag, grid, values.imag, dens >= _DENOM_TOL
     )
 
 
@@ -284,10 +272,15 @@ def trace_boundary(
     frequencies omega in [0, omega_max] are located by a 4000-point sign
     scan refined with brentq, the matching gain is read off, and the point is
     kept only if the characteristic residual at i*omega stays below 1e-8.
-    Per-delay failures are recorded and skipped.
+    A bad family raises its SystemParams error, and a tau_max or omega_max
+    that is not finite and positive raises InvalidParameter, before any
+    delay is traced.  Failures at single delays are recorded and skipped.
     """
-    if tau_max <= 0.0 or num_tau < 2:
-        raise ValueError("need tau_max > 0 and num_tau >= 2")
+    _check_family(*fixed)
+    if not (0.0 < tau_max < math.inf) or num_tau < 2:
+        raise InvalidParameter("need finite tau_max > 0 and num_tau >= 2")
+    if not 0.0 < omega_max < math.inf:
+        raise InvalidParameter(f"omega_max must be finite and > 0, got {omega_max}")
     alpha, delta, l, f = fixed
     points: list[BoundaryPoint] = []
     failures: list[tuple[float, str]] = []
@@ -300,7 +293,7 @@ def trace_boundary(
             continue
         for omega in omegas:
             try:
-                beta = beta_on_axis(fixed, omega, tau)
+                beta = _axis_gain_scalar(fixed, omega, tau).real
                 params = SystemParams(alpha, beta, delta, l, f, tau)
                 residual = abs(char_fn(params, 1j * omega))
             except (DelayStabError, ValueError) as exc:
@@ -320,7 +313,8 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
     beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined with
     brentq; the quartic left side dominates beyond the scan ceiling, so the
-    list is finite.
+    list is finite.  Where the scan's moduli overflow (delta*l/f below about
+    -354 at |beta| = 1) it raises QuadratureNonInteger.
     """
     alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
     x = delta * l / f
@@ -334,15 +328,20 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         )
         return lhs - rhs
 
-    ceiling = eig_bound_radius(params.beta, params.delta) + 1.0
-    if delta < 0.0:
-        ceiling = max(
-            ceiling, math.sqrt(abs(params.beta) * (1.0 + math.exp(-x))) + 1.0
-        )
-    grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
-    roots = _scan_roots(lambda w: float(mismatch(w)), grid, mismatch(grid))
-    scale0 = delta**2 * alpha**2 + gain_sq * math.expm1(-x) ** 2 + 1.0
-    if abs(float(mismatch(0.0))) <= 1e-12 * scale0:
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ceiling = eig_bound_radius(params.beta, params.delta) + 1.0
+            if delta < 0.0:
+                ceiling = max(
+                    ceiling, math.sqrt(abs(params.beta) * (1.0 + math.exp(-x))) + 1.0
+                )
+            grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
+            roots = _scan_roots(lambda w: float(mismatch(w)), grid, mismatch(grid))
+            scale0 = delta**2 * alpha**2 + gain_sq * math.expm1(-x) ** 2 + 1.0
+            at_zero = abs(float(mismatch(0.0)))
+    except (OverflowError, FloatingPointError) as exc:
+        raise QuadratureNonInteger(f"axis modulus scan overflows for {params}") from exc
+    if at_zero <= 1e-12 * scale0:
         # omega = 0 stands in for every root within the merge distance of it.
         roots = [0.0] + [w for w in roots if w > 1e-9]
     return roots

@@ -21,6 +21,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def with_flag(flag, value):
+    """ONES_FLAGS with one flag's value replaced."""
+    flags = list(ONES_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    return flags
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -113,6 +120,13 @@ class TestClassify:
         _, rows = parse_csv(out)
         assert rows[0][0] == "LimitCycleOscillation"
         assert float(rows[0][2]) > 0
+
+    @pytest.mark.parametrize("delta", ["-709", "-1000"])
+    def test_far_negative_decay_is_numerical_failure(self, capsys, delta):
+        argv = ["classify", "--alpha", "1", "--delta", delta, "--l", "1", "--f", "1"]
+        code, out, err = run_cli(capsys, [*argv, "--beta", "1", "--tau", "1"])
+        assert code == 3
+        assert out == "" and err.startswith("delaystab: ")
 
     def test_certificate_evidence(self, capsys):
         code, out, _ = run_cli(
@@ -218,7 +232,39 @@ class TestSweep:
         assert "grid" in err
 
 
+    @pytest.mark.parametrize("flag", ["--l", "--f"])
+    def test_bad_family_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "sweep",
+                *with_flag(flag, "0"),
+                "--beta-range",
+                "0:1",
+                "--tau-range",
+                "0:1",
+                "--grid",
+                "2x2",
+            ],
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("delaystab: ")
+
+
 class TestTraceR0:
+    @pytest.mark.parametrize("flag", ["--l", "--f"])
+    def test_bad_family_is_usage_error(self, capsys, flag):
+        argv = ["trace-r0", *with_flag(flag, "0"), "--steps", "3", "--omega-max", "5"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("delaystab: ")
+
+    def test_non_finite_omega_max_is_usage_error(self, capsys):
+        argv = ["trace-r0", *ONES_FLAGS, "--steps", "3", "--omega-max", "nan"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "omega_max" in err
+
     def test_csv_contract_and_grid(self, capsys):
         argv = [
             "trace-r0",
@@ -400,3 +446,13 @@ class TestOutputFiles:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("label,evidence,max_real_part")
+
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["classify", *ONES_FLAGS, "--beta", "1", "--tau", "1", "--output", str(target)],
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("delaystab: ")
+        assert str(target) in err

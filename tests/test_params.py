@@ -80,6 +80,13 @@ class TestThresholdGain:
                 1.3 * 1.1 / 0.7, rel=1e-6
             )
 
+    def test_far_negative_decay_limit(self):
+        # exp(-delta*l/f) overflows below delta*l/f of about -709.78; the
+        # gain tends to 0 there
+        assert 0.0 < threshold_gain(1, -700, 1, 1) < 1e-290
+        assert threshold_gain(1, -710, 1, 1) == 0.0
+        assert threshold_gain(1, -1000, 2, 1) == 0.0
+
     def test_preconditions(self):
         with pytest.raises(NonPositiveAlpha):
             threshold_gain(0, 1, 1, 1)

@@ -6,7 +6,6 @@ import pytest
 from delaystab import (
     BelowThreshold,
     Evidence,
-    FastPath,
     Label,
     SystemParams,
     axis_crossing_candidates,
@@ -21,7 +20,16 @@ from delaystab import (
     threshold_gain,
     trace_boundary,
 )
-from delaystab.errors import InvalidParameter, QuadratureNonInteger
+from delaystab.errors import (
+    DelayStabError,
+    InvalidParameter,
+    NegativeTau,
+    NonFiniteField,
+    NonPositiveAlpha,
+    NonPositiveF,
+    NonPositiveL,
+    QuadratureNonInteger,
+)
 from delaystab.region import _scan_roots
 
 ONES = (1.0, 1.0, 1.0, 1.0)
@@ -44,6 +52,48 @@ def explicit_axis_forms(omega, tau):
         - e1 * s * ((1.0 - omega**2) * ct - 2.0 * omega * st)
     ) / den
     return re, im
+
+
+class TestFamilyValidation:
+    @pytest.mark.parametrize(
+        "fixed, error",
+        [
+            ((-1.0, 1.0, 1.0, 1.0), NonPositiveAlpha),
+            ((1.0, 1.0, 0.0, 1.0), NonPositiveL),
+            ((1.0, 1.0, 1.0, 0.0), NonPositiveF),
+            ((1.0, math.nan, 1.0, 1.0), NonFiniteField),
+        ],
+        ids=["alpha", "l", "f", "delta-nan"],
+    )
+    def test_every_entry_point_raises_the_systemparams_error(self, fixed, error):
+        alpha, delta, l, f = fixed
+        with pytest.raises(error):
+            SystemParams(alpha, 0.0, delta, l, f, 0.0)
+        entries = {
+            "sweep": lambda: sweep(fixed, (0.0, 1.0), (0.0, 1.0), (2, 2)),
+            "trace_boundary": lambda: trace_boundary(fixed, 1.0, 3, 5.0),
+            "phase_residual": lambda: phase_residual(fixed, 0.5, 1.0),
+            "beta_on_axis": lambda: beta_on_axis(fixed, 0.5, 1.0),
+            "threshold_gain": lambda: threshold_gain(*fixed),
+        }
+        for name, call in entries.items():
+            with pytest.raises(DelayStabError) as info:
+                call()
+            assert type(info.value) is error, name
+
+
+class TestFarNegativeDecay:
+    @pytest.mark.parametrize("delta", [-709.0, -1000.0])
+    def test_typed_numerical_errors(self, delta):
+        # exp(-delta*l/f) makes the search radius overflow: the point is
+        # admissible, so the error is typed but not an InvalidParameter
+        p = SystemParams(1, 1, delta, 1, 1, 1)
+        for call in (lambda: classify(p), lambda: spectrum(p, 1e-6)):
+            with pytest.raises(DelayStabError) as info:
+                call()
+            assert not isinstance(info.value, InvalidParameter)
+        nodes = sweep((1.0, delta, 1.0, 1.0), (1.0, 2.0), (1.0, 2.0), (2, 2))
+        assert all(node.result is None and node.error for node in nodes)
 
 
 class TestPhaseResidual:
@@ -168,12 +218,11 @@ class TestClassify:
 
 class TestOscillationFastPath:
     def test_all_ones_above_threshold(self):
-        result = oscillation_fast_path(ONES, 3.0)
-        assert result.kind is FastPath.OSCILLATES_ALL_TAU
+        assert oscillation_fast_path(ONES, 3.0) is True
 
     def test_threshold_itself_is_undecided(self):
-        assert oscillation_fast_path(ONES, B0).kind is FastPath.UNDECIDED
-        assert oscillation_fast_path(ONES, 0.0).kind is FastPath.UNDECIDED
+        assert oscillation_fast_path(ONES, B0) is False
+        assert oscillation_fast_path(ONES, 0.0) is False
 
     def test_requires_positive_delta(self):
         with pytest.raises(InvalidParameter):
@@ -183,7 +232,7 @@ class TestOscillationFastPath:
     def _oscillates_at_sampled_delays(fixed):
         rng = np.random.default_rng(63)
         beta = 1.4 * threshold_gain(*fixed)
-        assert oscillation_fast_path(fixed, beta).kind is FastPath.OSCILLATES_ALL_TAU
+        assert oscillation_fast_path(fixed, beta) is True
         for tau in rng.uniform(0, 10, 20):
             p = SystemParams(fixed[0], beta, fixed[1], fixed[2], fixed[3], float(tau))
             roots = spectrum(p, 0.0).roots
@@ -226,7 +275,7 @@ class TestOscillationFastPath:
             0.4702438932156436, 21.342249566728263,
         )
         beta = 1.5 * threshold_gain(*fixed)
-        assert oscillation_fast_path(fixed, beta).kind is FastPath.OSCILLATES_ALL_TAU
+        assert oscillation_fast_path(fixed, beta) is True
         label = classify(SystemParams(fixed[0], beta, fixed[1], fixed[2], fixed[3], 1e14))
         assert label.evidence is Evidence.GAIN_THRESHOLD_ALL_TAU
         assert label.label is Label.LIMIT_CYCLE_OSCILLATION
@@ -267,6 +316,18 @@ class TestSweep:
             sweep(ONES, (0, 1), (0, 1), (1, 5))
         with pytest.raises(ValueError):
             sweep(ONES, (0, math.inf), (0, 1), (2, 2))
+
+    @pytest.mark.parametrize(
+        "tau_range, eps0, error",
+        [
+            ((-1.0, 1.0), 1e-8, NegativeTau),
+            ((0.0, 1.0), 0.0, InvalidParameter),
+            ((0.0, 1.0), math.nan, InvalidParameter),
+        ],
+    )
+    def test_delay_range_and_eps0_checked_at_entry(self, tau_range, eps0, error):
+        with pytest.raises(error):
+            sweep(ONES, (0.0, 1.0), tau_range, (2, 2), eps0=eps0)
 
 
 @pytest.fixture(scope="module")
@@ -321,11 +382,26 @@ class TestTraceBoundary:
         with pytest.raises(ValueError):
             trace_boundary(ONES, 1.0, 1, 5.0)
 
+    @pytest.mark.parametrize(
+        "tau_max, omega_max",
+        [(math.inf, 5.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)],
+    )
+    def test_limits_must_be_finite_and_positive(self, tau_max, omega_max):
+        with pytest.raises(InvalidParameter):
+            trace_boundary(ONES, tau_max, 3, omega_max)
+
 
 class TestAxisCrossingCandidates:
     def test_zero_candidate_exactly_at_threshold_gain(self):
         p = SystemParams(1, B0, 1, 1, 1, 2.0)
         assert 0.0 in axis_crossing_candidates(p)
+
+    @pytest.mark.parametrize(
+        "beta, delta", [(1.0, -355.0), (1.0, -1000.0), (20.0, -354.0), (20.0, -709.0)]
+    )
+    def test_overflowing_scan_is_typed(self, beta, delta):
+        with pytest.raises(QuadratureNonInteger):
+            axis_crossing_candidates(SystemParams(1, beta, delta, 1, 1, 1))
 
     def test_zero_gain_has_no_candidates(self):
         assert axis_crossing_candidates(SystemParams(1, 0, 1, 1, 1, 1)) == []
