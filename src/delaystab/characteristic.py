@@ -178,8 +178,8 @@ def _coupled(params: SystemParams, arr: np.ndarray):
     return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling)
 
 
-# The *_with_scale evaluators are only called from _winding_count, which
-# already runs under _quiet.
+# The *_with_scale evaluators are only called from eigensolver's contour
+# sampling, which runs under _quiet.
 def _num_with_scale(params: SystemParams, arr: np.ndarray):
     """char_num values plus a cancellation scale for on-zero detection."""
     q, size = _coupled(params, arr)

@@ -1,17 +1,31 @@
 """Zero location for the characteristic numerator by contour counting.
 
 The winding number of char_num around a rectangle gives the exact number of
-zeros inside; boxes are bisected until each cell isolates one zero, which
-Newton then polishes.  Subdivision actually runs on the deflated numerator
-(char_num with its permanent structural zero at -delta divided out), so the
-structural zero never blocks isolation; totals are reconciled against the
-char_num winding count at the end.
+zeros inside (the argument principle).  A rectangle's count is the sum of
+the phase changes along its four edges, (bottom + right - top - left)/2pi.
+Each edge is a straight segment sampled in increasing coordinate and
+refined on its own until no step turns by pi/2 or more.  A horizontal edge
+starts from 16 steps and a vertical one from 16 + height*(tau + l/f + 1):
+along Im lambda, exp(-lambda*tau) turns by tau per unit and exp(-w) by l/f.
+
+Boxes are bisected until each cell isolates one zero, which Newton then
+polishes.  A split samples only its cut: the two halves reuse the parent's
+edges, cut at the cut's end samples, and share the cut, one running it
+forward and the other reversed, so their counts add up to the parent's.
+Subdivision runs on the deflated numerator (char_num with its permanent
+structural zero at -delta divided out), so the structural zero never blocks
+isolation; totals are reconciled against the char_num winding count at the
+end.  Each count_zeros or find_roots call may take at most 1,000,000
+contour samples, across its nudges, splits and probes; past that it raises
+SampleBudgetExceeded.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +40,11 @@ from .characteristic import (
 )
 from .errors import (
     BoundaryZero,
+    InvalidParameter,
     MaxDepthExceeded,
     PoleAtMinusAlpha,
     QuadratureNonInteger,
+    SampleBudgetExceeded,
     SolverConsistencyError,
 )
 from .params import SystemParams, eig_bound_radius
@@ -40,7 +56,9 @@ _NUDGE_FACTOR = 1e-4
 _MAX_NUDGES = 5
 _MAX_DEPTH = 40
 _NEWTON_MAXITER = 100
-_MAX_BOUNDARY_SAMPLES = 2_000_000
+_MIN_STEPS = 16                # initial steps of every edge
+_REFINE_ROUNDS = 64
+_SAMPLE_BUDGET = 1_000_000     # contour samples per count_zeros/find_roots call
 _SPLIT_FRACTIONS = (0.5, 0.55, 0.45, 0.6, 0.4, 0.35, 0.65)
 
 _BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
@@ -129,85 +147,209 @@ class _BoundaryHit(Exception):
         self.edges = edges
 
 
-def _edge_of(box: ContourBox, z: complex) -> frozenset[int]:
-    eps_w = 1e-12 * (1.0 + box.width)
-    eps_h = 1e-12 * (1.0 + box.height)
-    edges = set()
-    if abs(z.imag - box.im_min) <= eps_h:
-        edges.add(_BOTTOM)
-    if abs(z.real - box.re_max) <= eps_w:
-        edges.add(_RIGHT)
-    if abs(z.imag - box.im_max) <= eps_h:
-        edges.add(_TOP)
-    if abs(z.real - box.re_min) <= eps_w:
-        edges.add(_LEFT)
-    return frozenset(edges or {_BOTTOM, _RIGHT, _TOP, _LEFT})
+class _Edge(NamedTuple):
+    """One straight contour segment, sampled in increasing coordinate.
+
+    turns[i] is the phase change from vals[i] to vals[i + 1]; refinement
+    keeps every one of them below pi/2 in size.
+    """
+
+    pts: np.ndarray
+    vals: np.ndarray
+    turns: np.ndarray
 
 
-def _initial_path(box: ContourBox, tau: float) -> np.ndarray:
-    # e^(-lambda*tau) winds fast along vertical edges; seed them densely
-    # enough that adaptive refinement converges in a few rounds.
-    n_h = 16
-    n_v = 16 + min(4096, int(box.height * (tau + 1.0)))
-    bottom = box.re_min + np.linspace(0.0, 1.0, n_h, endpoint=False) * box.width
-    right = box.im_min + np.linspace(0.0, 1.0, n_v, endpoint=False) * box.height
-    top = box.re_max - np.linspace(0.0, 1.0, n_h, endpoint=False) * box.width
-    left = box.im_max - np.linspace(0.0, 1.0, n_v, endpoint=False) * box.height
-    pts = np.concatenate(
-        [
-            bottom + 1j * box.im_min,
-            box.re_max + 1j * right,
-            top + 1j * box.im_max,
-            box.re_min + 1j * left,
-            [complex(box.re_min, box.im_min)],
-        ]
-    )
-    return pts
+class _Sampler:
+    """Contour sampling for one public call: the parameter point, the sample
+    density of vertical edges and the sample budget all its counts share."""
+
+    def __init__(self, params: SystemParams):
+        self.params = params
+        # Phase speed along Im lambda: exp(-lambda*tau) turns by tau per unit,
+        # exp(-w) by l/f, and the rest by about one.
+        self.rate = params.tau + params.l / params.f + 1.0
+        self.left = _SAMPLE_BUDGET
+
+    # The evaluators are looked up as module globals on every call, so that
+    # rebinding them in this module (as a tracer does) reaches the sampler.
+    def num(self, pts: np.ndarray):
+        return _num_with_scale(self.params, pts)
+
+    def deflated(self, pts: np.ndarray):
+        return _deflated_with_scale(self.params, pts)
+
+    def charge(self, n: float) -> None:
+        """Take n samples from the budget, before they are allocated."""
+        if not n <= self.left:
+            raise SampleBudgetExceeded(
+                f"contour sampling for {self.params} needs more than "
+                f"{_SAMPLE_BUDGET} samples"
+            )
+        self.left -= n
 
 
-def _check_hits(box: ContourBox, pts: np.ndarray, vals: np.ndarray, scales: np.ndarray):
-    mask = np.abs(vals) <= _ON_ZERO_RTOL * scales
-    if mask.any():
-        edges: set[int] = set()
-        for z in pts[mask]:
-            edges |= _edge_of(box, complex(z))
-        raise _BoundaryHit(frozenset(edges))
+def _on_zero(vals: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Which samples count as zeros: |value| <= 1e-13 * cancellation scale."""
+    return np.abs(vals) <= _ON_ZERO_RTOL * scales
+
+
+def _refined(sampler: _Sampler, fn, pts: np.ndarray, vals: np.ndarray) -> _Edge | None:
+    """The segment through pts (values vals), its steps bisected until none
+    turns by pi/2 or more.  None when a new sample lies on a zero or 64
+    rounds do not settle it."""
+    for _ in range(_REFINE_ROUNDS):
+        turns = np.angle(vals[1:] / vals[:-1])
+        idx = np.flatnonzero(np.abs(turns) >= _HALF_PI)
+        if idx.size == 0:
+            return _Edge(pts, vals, turns)
+        sampler.charge(idx.size)
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        mvals, mscales = fn(mids)
+        if _on_zero(mvals, mscales).any():
+            return None
+        pts = np.insert(pts, idx + 1, mids)
+        vals = np.insert(vals, idx + 1, mvals)
+    return None
+
+
+def _edges(sampler: _Sampler, fn, segments) -> list[_Edge | None]:
+    """The refined edges along segments, (start, stop) pairs, with None for
+    each edge where a sample lies on a zero.  A horizontal edge starts from
+    16 steps, a vertical one from 16 + height*rate, enough for the phase
+    speeds of the exponentials; all starting samples go to fn in one call."""
+    lines = []
+    for start, stop in segments:
+        steps = _MIN_STEPS
+        if start.real == stop.real:
+            steps += (stop.imag - start.imag) * sampler.rate
+        sampler.charge(steps + 1)
+        lines.append(np.linspace(start, stop, int(steps) + 1))
+    vals, scales = fn(np.concatenate(lines))
+    on_zero = _on_zero(vals, scales)
+    edges: list[_Edge | None] = []
+    end = 0
+    for pts in lines:
+        start, end = end, end + pts.size
+        if on_zero[start:end].any():
+            edges.append(None)
+        else:
+            edges.append(_refined(sampler, fn, pts, vals[start:end]))
+    return edges
 
 
 @_quiet
-def _winding_count(pair_fn, box: ContourBox, tau: float) -> int:
-    """Exact zero count inside box via adaptive phase tracking of pair_fn.
+def _box_edges(sampler: _Sampler, fn, box: ContourBox) -> tuple[_Edge, ...]:
+    """The bottom, right, top and left edges of box, each in increasing
+    coordinate.  All four are sampled before _BoundaryHit is raised, so the
+    hit names every side that touches a zero."""
+    sw = complex(box.re_min, box.im_min)
+    se = complex(box.re_max, box.im_min)
+    nw = complex(box.re_min, box.im_max)
+    ne = complex(box.re_max, box.im_max)
+    edges = tuple(_edges(sampler, fn, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
+    hits = frozenset(side for side, edge in enumerate(edges) if edge is None)
+    if hits:
+        raise _BoundaryHit(hits)
+    return edges
 
-    pair_fn(points) must return (values, cancellation scales).  Raises
-    _BoundaryHit if any sample sits on a zero and QuadratureNonInteger if
-    the summed phase is not finite or fails to close on an integer multiple
-    of 2*pi.
+
+def _count(edges: tuple[_Edge, ...], box: ContourBox) -> int:
+    """Zeros inside box from its edges, (bottom + right - top - left)/2pi.
+
+    Raises QuadratureNonInteger when the total is not finite or not within
+    1e-3 of an integer.
     """
-    pts = _initial_path(box, tau)
-    vals, scales = pair_fn(pts)
-    _check_hits(box, pts, vals, scales)
-    diffs = np.angle(vals[1:] / vals[:-1])
-    for _ in range(64):
-        bad = np.abs(diffs) >= _HALF_PI
-        if not bad.any():
-            break
-        idx = np.flatnonzero(bad)
-        mids = 0.5 * (pts[idx] + pts[idx + 1])
-        mvals, mscales = pair_fn(mids)
-        _check_hits(box, mids, mvals, mscales)
-        pts = np.insert(pts, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, mvals)
-        diffs = np.angle(vals[1:] / vals[:-1])
-        if pts.size > _MAX_BOUNDARY_SAMPLES:
-            raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
-    else:
-        raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
-    total = float(diffs.sum()) / _TWO_PI
+    bottom, right, top, left = (float(edge.turns.sum()) for edge in edges)
+    total = (bottom + right - top - left) / _TWO_PI
     if not math.isfinite(total) or abs(total - round(total)) > 1e-3:
         raise QuadratureNonInteger(
             f"winding integral {total!r} over {box} is not an integer"
         )
     return round(total)
+
+
+def _winding_count(sampler: _Sampler, fn, box: ContourBox) -> int:
+    """Exact zero count of fn inside box by the argument principle.
+
+    fn(points) must return (values, cancellation scales).  Raises
+    _BoundaryHit if any sample sits on a zero, QuadratureNonInteger if the
+    summed phase is not an integer multiple of 2*pi and SampleBudgetExceeded
+    when the sampler's budget runs out.
+    """
+    return _count(_box_edges(sampler, fn, box), box)
+
+
+def _cut(sampler: _Sampler, fn, edge: _Edge, coords: np.ndarray, x: float, point, value):
+    """edge split in two where its coordinate (coords) reaches x, at point:
+    a sample of the cut edge, with value value.  Only the two new steps next
+    to point are refined.  None when a new sample lies on a zero."""
+    i = int(np.searchsorted(coords, x, "left"))
+    j = int(np.searchsorted(coords, x, "right"))
+    seg = _refined(
+        sampler,
+        fn,
+        np.array([edge.pts[i - 1], point, edge.pts[j]]),
+        np.array([edge.vals[i - 1], value, edge.vals[j]]),
+    )
+    if seg is None:
+        return None
+    k = int(np.flatnonzero(seg.pts == point)[0])
+    return (
+        _Edge(
+            np.concatenate((edge.pts[: i - 1], seg.pts[: k + 1])),
+            np.concatenate((edge.vals[: i - 1], seg.vals[: k + 1])),
+            np.concatenate((edge.turns[: i - 1], seg.turns[:k])),
+        ),
+        _Edge(
+            np.concatenate((seg.pts[k:], edge.pts[j + 1 :])),
+            np.concatenate((seg.vals[k:], edge.vals[j + 1 :])),
+            np.concatenate((seg.turns[k:], edge.turns[j:])),
+        ),
+    )
+
+
+@_quiet
+def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
+    """box cut across its longer side at frac, as ((lo, lo_edges), (hi,
+    hi_edges)) with the deflated edges of each half, or None when a new
+    sample lies on a zero.
+
+    Only the cut is sampled anew, with its ends exactly on the split
+    coordinate.  The halves reuse the parent's edges, cut at the cut's end
+    samples, and share the cut: lo runs it forward, hi reversed, so their
+    counts add up to the parent's.
+    """
+    bottom, right, top, left = edges
+    fn = sampler.deflated
+    if box.width >= box.height:
+        mid = box.re_min + frac * box.width
+        lo = ContourBox(box.re_min, mid, box.im_min, box.im_max)
+        hi = ContourBox(mid, box.re_max, box.im_min, box.im_max)
+        [cut] = _edges(sampler, fn, [(complex(mid, box.im_min), complex(mid, box.im_max))])
+        if cut is None:
+            return None
+        crossed = (
+            _cut(sampler, fn, bottom, bottom.pts.real, mid, cut.pts[0], cut.vals[0]),
+            _cut(sampler, fn, top, top.pts.real, mid, cut.pts[-1], cut.vals[-1]),
+        )
+        if None in crossed:
+            return None
+        (bottom_lo, bottom_hi), (top_lo, top_hi) = crossed
+        return (lo, (bottom_lo, cut, top_lo, left)), (hi, (bottom_hi, right, top_hi, cut))
+    mid = box.im_min + frac * box.height
+    lo = ContourBox(box.re_min, box.re_max, box.im_min, mid)
+    hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
+    [cut] = _edges(sampler, fn, [(complex(box.re_min, mid), complex(box.re_max, mid))])
+    if cut is None:
+        return None
+    crossed = (
+        _cut(sampler, fn, left, left.pts.imag, mid, cut.pts[0], cut.vals[0]),
+        _cut(sampler, fn, right, right.pts.imag, mid, cut.pts[-1], cut.vals[-1]),
+    )
+    if None in crossed:
+        return None
+    (left_lo, left_hi), (right_lo, right_hi) = crossed
+    return (lo, (bottom, right_lo, cut, left_lo)), (hi, (cut, right_hi, top, left_hi))
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -218,14 +360,6 @@ def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
         im_min=box.im_min - (pad if _BOTTOM in edges else 0.0),
         im_max=box.im_max + (pad if _TOP in edges else 0.0),
     )
-
-
-def _num_pair(params: SystemParams):
-    return lambda pts: _num_with_scale(params, pts)
-
-
-def _deflated_pair(params: SystemParams):
-    return lambda pts: _deflated_with_scale(params, pts)
 
 
 def _nudged(attempt, box: ContourBox):
@@ -242,12 +376,17 @@ def _nudged(attempt, box: ContourBox):
 def count_zeros(params: SystemParams, box: ContourBox) -> int:
     """Number of zeros of char_num inside box, counted with multiplicity.
 
-    Zeros sitting on the boundary make the winding number undefined; the box
-    is grown by 1e-4*(1 + diameter) toward the offending edge, up to five
-    times, before BoundaryZero is raised.
+    The count is the argument principle over the box's four edges, each
+    sampled on its own (vertical edges from 16 + height*(tau + l/f + 1)
+    steps) and refined until no step turns by pi/2 or more.  Zeros sitting
+    on the boundary make the winding number undefined; the box is grown by
+    1e-4*(1 + diameter) toward every offending edge, up to five times,
+    before BoundaryZero is raised.  The call, nudges included, may take at
+    most 1,000,000 contour samples; past that it raises
+    SampleBudgetExceeded.
     """
-    pair = _num_pair(params)
-    return _nudged(lambda b: _winding_count(pair, b, params.tau), box)[0]
+    sampler = _Sampler(params)
+    return _nudged(lambda b: _winding_count(sampler, sampler.num, b), box)[0]
 
 
 def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult: int = 1):
@@ -271,18 +410,18 @@ def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult
     return None
 
 
-def _cell_starts(box: ContourBox, n: int) -> list[complex]:
-    starts = [box.center]
-    fracs = (np.arange(n) + 0.5) / n
+def _cell_starts(box: ContourBox, n: int) -> Iterator[complex]:
+    """The center of box, then an n x n grid of cell centers, row by row."""
+    yield box.center
+    width, height = box.width, box.height
+    fracs = [(i + 0.5) / n for i in range(n)]
     for fy in fracs:
+        im = box.im_min + fy * height
         for fx in fracs:
-            starts.append(
-                complex(box.re_min + fx * box.width, box.im_min + fy * box.height)
-            )
-    return starts
+            yield complex(box.re_min + fx * width, im)
 
 
-def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Root | None:
+def _polish(sampler: _Sampler, box: ContourBox, count: int, tol: float) -> Root | None:
     """Newton-polish the zero of multiplicity count isolated in box.
 
     Newton runs from a grid of starts in the cell (8x8 for a simple zero,
@@ -291,8 +430,9 @@ def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Ro
     there, and an escaped iterate would only find a neighboring cell's zero,
     silently dropping this cell's own while keeping the totals balanced.
     A cluster (count > 1) is accepted only if a probe box around the limit
-    still winds count times.
+    still winds count times; the probe draws on the sampler's budget.
     """
+    params = sampler.params
     for z0 in _cell_starts(box, 8 if count == 1 else 4):
         hit = _newton(params, box, z0, tol, mult=count)
         if hit is None:
@@ -302,7 +442,7 @@ def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Ro
             r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
             probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
             try:
-                if _winding_count(_deflated_pair(params), probe, params.tau) != count:
+                if _winding_count(sampler, sampler.deflated, probe) != count:
                     continue
             except (_BoundaryHit, QuadratureNonInteger):
                 continue
@@ -316,33 +456,25 @@ def _polish(params: SystemParams, box: ContourBox, count: int, tol: float) -> Ro
     return None
 
 
-def _split(box: ContourBox, frac: float) -> tuple[ContourBox, ContourBox]:
-    if box.width >= box.height:
-        mid = box.re_min + frac * box.width
-        return (
-            ContourBox(box.re_min, mid, box.im_min, box.im_max),
-            ContourBox(mid, box.re_max, box.im_min, box.im_max),
-        )
-    mid = box.im_min + frac * box.height
-    return (
-        ContourBox(box.re_min, box.re_max, box.im_min, mid),
-        ContourBox(box.re_min, box.re_max, mid, box.im_max),
-    )
-
-
 def _subdivide(
-    params: SystemParams,
+    sampler: _Sampler,
     box: ContourBox,
+    edges: tuple[_Edge, ...] | None,
     count: int,
     depth: int,
     tol: float,
     roots: list[Root],
     unresolved: list[UnresolvedCell],
 ) -> None:
+    """Isolate and polish the count zeros of the deflated numerator in box.
+
+    edges are box's deflated edges; the root cell passes None and samples
+    its own only when it has to split.
+    """
     if count == 0:
         return
     if count == 1:
-        root = _polish(params, box, 1, tol)
+        root = _polish(sampler, box, 1, tol)
         if root is not None:
             roots.append(root)
             return
@@ -354,7 +486,7 @@ def _subdivide(
     else:
         cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
         if box.diameter <= cluster_size or depth >= _MAX_DEPTH:
-            root = _polish(params, box, count, tol)
+            root = _polish(sampler, box, count, tol)
             if root is not None:
                 roots.append(root)
                 return
@@ -364,20 +496,29 @@ def _subdivide(
                 )
             unresolved.append(UnresolvedCell(box, count))
             return
-    pair = _deflated_pair(params)
+    if edges is None:
+        edges = _box_edges(sampler, sampler.deflated, box)
     for frac in _SPLIT_FRACTIONS:
-        lo, hi = _split(box, frac)
+        halves = _halves(sampler, box, edges, frac)
+        if halves is None:
+            continue
+        (lo, lo_edges), (hi, hi_edges) = halves
         try:
-            c_lo = _winding_count(pair, lo, params.tau)
-            c_hi = _winding_count(pair, hi, params.tau)
-        except (_BoundaryHit, QuadratureNonInteger):
+            c_lo = _count(lo_edges, lo)
+            c_hi = _count(hi_edges, hi)
+        except QuadratureNonInteger:
             continue
         if c_lo < 0 or c_hi < 0 or c_lo + c_hi != count:
             continue
-        _subdivide(params, lo, c_lo, depth + 1, tol, roots, unresolved)
-        _subdivide(params, hi, c_hi, depth + 1, tol, roots, unresolved)
+        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved)
+        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved)
         return
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
 
 
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
@@ -385,18 +526,23 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
 
     The box is nudged off boundary zeros, counted, recursively bisected
     (jittering split lines that land on zeros) and each isolated zero is
-    Newton-polished to |step| < tol.  The structural zero at -delta is
-    listed with structural=True; a genuine eigenvalue coinciding with it
-    appears as a separate non-structural root.  Unpolishable cells are
-    recorded on the result instead of raising.
+    Newton-polished to |step| < tol.  Counts are argument-principle sums
+    over edges sampled as count_zeros describes; a split samples only its
+    cut and hands each half the parent's edges, cut where the cut meets
+    them.  The whole call, nudges, splits and cluster probes included, may
+    take at most 1,000,000 contour samples and raises SampleBudgetExceeded
+    past that.  The structural zero at -delta is listed with
+    structural=True; a genuine eigenvalue coinciding with it appears as a
+    separate non-structural root.  Unpolishable cells are recorded on the
+    result instead of raising.  A tol that is not finite and > 0 raises
+    InvalidParameter.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    num_pair = _num_pair(params)
+    _check_tol(tol)
+    sampler = _Sampler(params)
     minus_delta = complex(-params.delta, 0.0)
 
     def attempt(box: ContourBox):
-        total = _winding_count(num_pair, box, params.tau)
+        total = _winding_count(sampler, sampler.num, box)
         inside = box.contains(minus_delta)
         deflated_total = total - (1 if inside else 0)
         if deflated_total < 0:
@@ -405,7 +551,7 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
             )
         roots: list[Root] = []
         unresolved: list[UnresolvedCell] = []
-        _subdivide(params, box, deflated_total, 0, tol, roots, unresolved)
+        _subdivide(sampler, box, None, deflated_total, 0, tol, roots, unresolved)
         return total, inside, roots, unresolved
 
     (total, inside, roots, unresolved), box = _nudged(attempt, box)
@@ -471,10 +617,13 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
 
     For beta = 0 the spectrum is exactly {-alpha} and no contour machinery
     runs.  Otherwise find_roots is applied over ``default_box`` and every
-    surviving root is verified to satisfy |char_fn| <= 1e-8.
+    surviving root is verified to satisfy |char_fn| <= 1e-8.  A sigma that
+    is not finite and >= 0, or a tol that is not finite and > 0, raises
+    InvalidParameter.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
+    _check_tol(tol)
     if params.beta == 0.0:
         box = ContourBox(-max(sigma, 1e-6), params.alpha + 1.0, -1.0, 1.0)
         roots: tuple[Root, ...] = ()
@@ -515,10 +664,11 @@ def spectral_bound(params: SystemParams, sigma: float) -> float | BelowThreshold
     """sup Re lambda over the spectrum, searched down to Re lambda = -sigma.
 
     Returns BelowThreshold(-sigma) when no eigenvalue lies in the searched
-    half-plane strip.
+    half-plane strip.  A sigma that is not finite and > 0 raises
+    InvalidParameter.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise InvalidParameter(f"sigma must be finite and > 0, got {sigma}")
     result = spectrum(params, sigma)
     if result.unresolved:
         raise SolverConsistencyError(

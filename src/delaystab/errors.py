@@ -41,6 +41,10 @@ class QuadratureNonInteger(DelayStabError):
     """A winding-number integral failed to round cleanly to an integer."""
 
 
+class SampleBudgetExceeded(DelayStabError):
+    """Contour counting needed more samples than one call may take."""
+
+
 class MaxDepthExceeded(DelayStabError):
     """Box subdivision hit the recursion depth limit before isolating zeros."""
 

@@ -118,10 +118,11 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
 
     Order: decay certificate, then the gain-threshold fast path (delta > 0
     only: a gain above the threshold oscillates for every delay), then a
-    spectral search with sigma = 1000*eps0 thresholded at +/- eps0.
+    spectral search with sigma = 1000*eps0 thresholded at +/- eps0.  An
+    eps0 that is not finite and > 0 raises InvalidParameter.
     """
-    if eps0 <= 0.0:
-        raise ValueError(f"eps0 must be > 0, got {eps0}")
+    if not 0.0 < eps0 < math.inf:
+        raise InvalidParameter(f"eps0 must be finite and > 0, got {eps0}")
     cert = decay_certificate(params)
     if cert is not None:
         return RegionLabel(
@@ -178,8 +179,8 @@ def sweep(
         raise ValueError("sweep ranges must be finite")
     if min(tau_range) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
-    if not eps0 > 0.0:
-        raise InvalidParameter(f"eps0 must be > 0, got {eps0}")
+    if not 0.0 < eps0 < math.inf:
+        raise InvalidParameter(f"eps0 must be finite and > 0, got {eps0}")
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     jobs = [

@@ -128,6 +128,15 @@ class TestClassify:
         assert code == 3
         assert out == "" and err.startswith("delaystab: ")
 
+    def test_sample_budget_is_numerical_failure(self, capsys):
+        # delta*l/f = -38 gives a search box about 1e9 high
+        argv = ["classify", "--alpha", "0.06258610018621615", "--beta", "17.677583434925197",
+                "--delta=-1.216998575191424", "--l", "3.454339200090323",
+                "--f", "0.10974200890988042", "--tau", "7.089619906245331"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == "" and "1000000 samples" in err
+
     def test_certificate_evidence(self, capsys):
         code, out, _ = run_cli(
             capsys, ["classify", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.2"]

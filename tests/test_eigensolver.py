@@ -19,8 +19,11 @@ from delaystab import (
     spectrum,
     threshold_gain,
 )
+from delaystab.errors import InvalidParameter, QuadratureNonInteger
 
 B0 = threshold_gain(1, 1, 1, 1)
+# _deflated_with_scale samples of spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
+SAMPLES_BETA10_TAU50 = 5806
 
 
 def random_params(rng, beta_range=(-4, 4), tau_max=2.0):
@@ -90,6 +93,74 @@ class TestCountZeros:
                 continue
             assert parts == whole
             done += 1
+
+    def test_non_finite_phase_total_is_typed(self):
+        # exp(-lambda*tau) overflows on this box, so every sample is NaN
+        p = SystemParams(1, 1, 1, 1, 1, 1)
+        with pytest.raises(QuadratureNonInteger):
+            count_zeros(p, ContourBox(-800, -799, -1, 1))
+
+
+class TestSharedEdges:
+    def test_split_counts_add_up_and_match_fresh_counts(self):
+        rng = np.random.default_rng(59)
+        checked = 0
+        for _ in range(8):
+            p = random_params(rng, tau_max=4.0)
+            cx, cy = rng.uniform(-1.5, 1.5, 2)
+            w, h = rng.uniform(0.5, 3.0, 2)
+            box = ContourBox(cx - w, cx + w, cy - h, cy + h)
+            sampler = es._Sampler(p)
+            try:
+                edges = es._box_edges(sampler, sampler.deflated, box)
+            except es._BoundaryHit:
+                continue
+            count = es._count(edges, box)
+            for frac in es._SPLIT_FRACTIONS:
+                halves = es._halves(sampler, box, edges, frac)
+                if halves is None:
+                    continue
+                (lo, lo_edges), (hi, hi_edges) = halves
+                c_lo, c_hi = es._count(lo_edges, lo), es._count(hi_edges, hi)
+                assert c_lo + c_hi == count
+                for child, c in ((lo, c_lo), (hi, c_hi)):
+                    # count_zeros counts char_num, which adds the zero at -delta
+                    structural = child.contains(complex(-p.delta, 0.0))
+                    assert c == count_zeros(p, child) - structural
+                checked += 1
+        assert checked >= 40
+
+    def test_cell_starts_match_the_array_grid(self):
+        rng = np.random.default_rng(61)
+        for _ in range(500):
+            x0, y0 = rng.uniform(-1e3, 1e3, 2)
+            w, h = 10.0 ** rng.uniform(-9, 3, 2)
+            box = ContourBox(x0, x0 + w, y0, y0 + h)
+            for n in (4, 8):
+                fracs = (np.arange(n) + 0.5) / n
+                expected = [box.center] + [
+                    complex(box.re_min + fx * box.width, box.im_min + fy * box.height)
+                    for fy in fracs
+                    for fx in fracs
+                ]
+                starts = list(es._cell_starts(box, n))
+                assert starts == expected
+                assert all(type(z) is complex for z in starts)
+
+    def test_deflated_samples_of_a_large_delay_spectrum(self, monkeypatch):
+        # Guards the sample count of the contour layer: splits sample only
+        # their cut, so resampling whole child perimeters shows up here.
+        samples = 0
+        deflated = es._deflated_with_scale
+
+        def counting(params, pts):
+            nonlocal samples
+            samples += len(pts)
+            return deflated(params, pts)
+
+        monkeypatch.setattr(es, "_deflated_with_scale", counting)
+        assert len(spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5).roots) == 57
+        assert 0 < samples < 1.5 * SAMPLES_BETA10_TAU50
 
 
 class TestFindRoots:
@@ -295,6 +366,18 @@ class TestSpectralBound:
         assert default_box(SystemParams(1, 2, -1, 1, 1, 1), 0.1).im_max > default_box(
             SystemParams(1, 2, 1, 1, 1, 1), 0.1
         ).im_max
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_and_tol_are_typed(self, bad):
+        p = SystemParams(1, 1, 1, 1, 1, 1)
+        with pytest.raises(InvalidParameter, match="sigma"):
+            spectrum(p, bad)
+        with pytest.raises(InvalidParameter, match="sigma"):
+            spectral_bound(p, bad)
+        with pytest.raises(InvalidParameter, match="tol"):
+            spectrum(p, 1e-6, tol=bad)
+        with pytest.raises(InvalidParameter, match="tol"):
+            find_roots(p, ContourBox(-1, 1, -1, 1), tol=bad)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):

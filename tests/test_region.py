@@ -29,6 +29,7 @@ from delaystab.errors import (
     NonPositiveF,
     NonPositiveL,
     QuadratureNonInteger,
+    SampleBudgetExceeded,
 )
 from delaystab.region import _scan_roots
 
@@ -210,10 +211,30 @@ class TestClassify:
         ],
     )
     def test_non_finite_winding_total_is_typed(self, point):
-        # delta < 0 with large l/f overflows exp on the search contour; the
-        # NaN phase total must surface as a typed error, not a bare ValueError
-        with pytest.raises(QuadratureNonInteger):
+        # delta < 0 with large l/f gives a search box about 1e9 high, whose
+        # edges overflow exp; the sampling rule asks for more samples than
+        # the budget before any NaN is evaluated
+        with pytest.raises(SampleBudgetExceeded):
             classify(SystemParams(*point))
+
+    @pytest.mark.parametrize("eps0", [math.nan, math.inf])
+    def test_non_finite_eps0_is_typed(self, eps0):
+        with pytest.raises(InvalidParameter, match="eps0"):
+            classify(SystemParams(1, 1, 1, 1, 1, 1), eps0=eps0)
+
+    def test_tall_box_is_labelled_or_over_budget(self):
+        # exp(-lambda*tau) turns about 6400 times along each vertical edge of
+        # this point's 4089-high search box; a capped sample count aliased
+        # there and counted -394 zeros of char_num
+        p = SystemParams(
+            0.9233432782774748, 16.547630508295555, -1.5431070851209603,
+            4.677097333045695, 0.5802692542351013, 9.766368483021132,
+        )
+        try:
+            result = classify(p)
+        except SampleBudgetExceeded:
+            return
+        assert result.label in Label
 
 
 class TestOscillationFastPath:
@@ -323,6 +344,7 @@ class TestSweep:
             ((-1.0, 1.0), 1e-8, NegativeTau),
             ((0.0, 1.0), 0.0, InvalidParameter),
             ((0.0, 1.0), math.nan, InvalidParameter),
+            ((0.0, 1.0), math.inf, InvalidParameter),
         ],
     )
     def test_delay_range_and_eps0_checked_at_entry(self, tau_range, eps0, error):
