@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PoleAtMinusAlpha
+from .errors import InvalidParameter, PoleAtMinusAlpha
 from .params import SystemParams
 
 # |w| below this evaluates phi by truncated series; the direct quotient
@@ -210,7 +210,7 @@ class ExclusionReport:
 def exclusions(params: SystemParams, tol: float = 1e-10) -> ExclusionReport:
     """Report whether -delta is an eigenvalue; requires beta != 0."""
     if params.beta == 0.0:
-        raise ValueError("exclusions requires beta != 0")
+        raise InvalidParameter("exclusions requires beta != 0")
     if params.delta == params.alpha:
         return ExclusionReport(
             minus_delta_is_eigen=False, minus_alpha_note=True, delta_equals_alpha=True

@@ -9,9 +9,12 @@ starts from 16 steps and a vertical one from 16 + height*(tau + l/f + 1):
 along Im lambda, exp(-lambda*tau) turns by tau per unit and exp(-w) by l/f.
 
 Boxes are bisected until each cell isolates one zero, which Newton then
-polishes.  A split samples only its cut: the two halves reuse the parent's
-edges, cut at the cut's end samples, and share the cut, one running it
-forward and the other reversed, so their counts add up to the parent's.
+polishes from one start: the cell's first contour moment, read off the edge
+samples it already has (Delves & Lyness, 1967).  A start that leaves the
+cell sends it back to be split.  A split samples only its cut: the two
+halves reuse the parent's edges, cut at the cut's end samples, and share
+the cut, one running it forward and the other reversed, so their counts add
+up to the parent's.
 Subdivision runs on the deflated numerator (char_num with its permanent
 structural zero at -delta divided out), so the structural zero never blocks
 isolation; totals are reconciled against the char_num winding count at the
@@ -23,7 +26,6 @@ SampleBudgetExceeded.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,9 +78,9 @@ class ContourBox:
     def __post_init__(self):
         values = (self.re_min, self.re_max, self.im_min, self.im_max)
         if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"box corners must be finite, got {values}")
+            raise InvalidParameter(f"box corners must be finite, got {values}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(f"degenerate box {values}")
+            raise InvalidParameter(f"degenerate box {values}")
 
     @property
     def width(self) -> float:
@@ -319,37 +321,36 @@ def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: 
     samples, and share the cut: lo runs it forward, hi reversed, so their
     counts add up to the parent's.
     """
-    bottom, right, top, left = edges
-    fn = sampler.deflated
     if box.width >= box.height:
+        # An upright cut: it crosses bottom and top and is lo's right side.
         mid = box.re_min + frac * box.width
         lo = ContourBox(box.re_min, mid, box.im_min, box.im_max)
         hi = ContourBox(mid, box.re_max, box.im_min, box.im_max)
-        [cut] = _edges(sampler, fn, [(complex(mid, box.im_min), complex(mid, box.im_max))])
-        if cut is None:
-            return None
-        crossed = (
-            _cut(sampler, fn, bottom, bottom.pts.real, mid, cut.pts[0], cut.vals[0]),
-            _cut(sampler, fn, top, top.pts.real, mid, cut.pts[-1], cut.vals[-1]),
-        )
-        if None in crossed:
-            return None
-        (bottom_lo, bottom_hi), (top_lo, top_hi) = crossed
-        return (lo, (bottom_lo, cut, top_lo, left)), (hi, (bottom_hi, right, top_hi, cut))
-    mid = box.im_min + frac * box.height
-    lo = ContourBox(box.re_min, box.re_max, box.im_min, mid)
-    hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
-    [cut] = _edges(sampler, fn, [(complex(box.re_min, mid), complex(box.re_max, mid))])
+        ends = (complex(mid, box.im_min), complex(mid, box.im_max))
+        crossed, replaced, coord = (_BOTTOM, _TOP), _RIGHT, np.real
+    else:
+        # A level cut: it crosses left and right and is lo's top side.
+        mid = box.im_min + frac * box.height
+        lo = ContourBox(box.re_min, box.re_max, box.im_min, mid)
+        hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
+        ends = (complex(box.re_min, mid), complex(box.re_max, mid))
+        crossed, replaced, coord = (_LEFT, _RIGHT), _TOP, np.imag
+    fn = sampler.deflated
+    [cut] = _edges(sampler, fn, [ends])
     if cut is None:
         return None
-    crossed = (
-        _cut(sampler, fn, left, left.pts.imag, mid, cut.pts[0], cut.vals[0]),
-        _cut(sampler, fn, right, right.pts.imag, mid, cut.pts[-1], cut.vals[-1]),
-    )
-    if None in crossed:
+    parts = [
+        _cut(sampler, fn, edges[side], coord(edges[side].pts), mid, cut.pts[end], cut.vals[end])
+        for side, end in zip(crossed, (0, -1))
+    ]
+    if None in parts:
         return None
-    (left_lo, left_hi), (right_lo, right_hi) = crossed
-    return (lo, (bottom, right_lo, cut, left_lo)), (hi, (cut, right_hi, top, left_hi))
+    lo_edges, hi_edges = list(edges), list(edges)
+    for side, (lo_part, hi_part) in zip(crossed, parts):
+        lo_edges[side], hi_edges[side] = lo_part, hi_part
+    # The cut is lo's replaced side and hi's opposite one, two sides round.
+    lo_edges[replaced] = hi_edges[(replaced + 2) % 4] = cut
+    return (lo, tuple(lo_edges)), (hi, tuple(hi_edges))
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -410,50 +411,60 @@ def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult
     return None
 
 
-def _cell_starts(box: ContourBox, n: int) -> Iterator[complex]:
-    """The center of box, then an n x n grid of cell centers, row by row."""
-    yield box.center
-    width, height = box.width, box.height
-    fracs = [(i + 0.5) / n for i in range(n)]
-    for fy in fracs:
-        im = box.im_min + fy * height
-        for fx in fracs:
-            yield complex(box.re_min + fx * width, im)
+@_quiet
+def _moment_start(box: ContourBox, edges: tuple[_Edge, ...] | None, count: int) -> complex:
+    """Where Newton starts in box: the mean of its count zeros, read off its
+    edges, or the center of the root cell, which has none yet.
+
+    The mean is the first contour moment over the count, (1/2pi i) of the
+    integral of z f'/f dz around box (Delves & Lyness, 1967).  Each step
+    adds its midpoint times its change of log f, ln|f| plus i times its
+    turn; bottom and right run counterclockwise, top and left against.
+    """
+    if edges is None:
+        return box.center
+    total = 0j
+    for side, edge in enumerate(edges):
+        mids = 0.5 * (edge.pts[:-1] + edge.pts[1:])
+        moment = complex(np.dot(mids, np.log(edge.vals[1:] / edge.vals[:-1])))
+        total += moment if side in (_BOTTOM, _RIGHT) else -moment
+    return total / (2j * math.pi * count)
 
 
-def _polish(sampler: _Sampler, box: ContourBox, count: int, tol: float) -> Root | None:
+def _polish(
+    sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...] | None, count: int, tol: float
+) -> Root | None:
     """Newton-polish the zero of multiplicity count isolated in box.
 
-    Newton runs from a grid of starts in the cell (8x8 for a simple zero,
-    4x4 for a cluster, after the center) and drops a start as soon as it
-    leaves the cell: the argument principle has already isolated the zero
-    there, and an escaped iterate would only find a neighboring cell's zero,
-    silently dropping this cell's own while keeping the totals balanced.
-    A cluster (count > 1) is accepted only if a probe box around the limit
-    still winds count times; the probe draws on the sampler's budget.
+    Newton runs once, from the mean of the cell's zeros that _moment_start
+    reads off its edges, and gives up as soon as it leaves the cell: the
+    argument principle has already isolated the zero there, and an escaped
+    iterate would only find a neighboring cell's zero, silently dropping
+    this cell's own while keeping the totals balanced.  None sends the
+    cell back to be split.  A cluster (count > 1) is accepted only if a
+    probe box around the limit still winds count times; the probe draws on
+    the sampler's budget.
     """
     params = sampler.params
-    for z0 in _cell_starts(box, 8 if count == 1 else 4):
-        hit = _newton(params, box, z0, tol, mult=count)
-        if hit is None:
-            continue
-        z, iters = hit
-        if count > 1:
-            r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
-            probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
-            try:
-                if _winding_count(sampler, sampler.deflated, probe) != count:
-                    continue
-            except (_BoundaryHit, QuadratureNonInteger):
-                continue
-        return Root(
-            lam=z,
-            residual=abs(char_num(params, z)),
-            newton_iters=iters,
-            structural=False,
-            multiplicity=count,
-        )
-    return None
+    hit = _newton(params, box, _moment_start(box, edges, count), tol, mult=count)
+    if hit is None:
+        return None
+    z, iters = hit
+    if count > 1:
+        r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
+        probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
+        try:
+            if _winding_count(sampler, sampler.deflated, probe) != count:
+                return None
+        except (_BoundaryHit, QuadratureNonInteger):
+            return None
+    return Root(
+        lam=z,
+        residual=abs(char_num(params, z)),
+        newton_iters=iters,
+        structural=False,
+        multiplicity=count,
+    )
 
 
 def _subdivide(
@@ -469,24 +480,26 @@ def _subdivide(
     """Isolate and polish the count zeros of the deflated numerator in box.
 
     edges are box's deflated edges; the root cell passes None and samples
-    its own only when it has to split.
+    its own only when it has to split.  Each isolated cell gets one Newton
+    start from _polish; a cell whose start escapes is split like any other,
+    so every further start is paid for by a split the sample budget meters.
     """
     if count == 0:
         return
     if count == 1:
-        root = _polish(sampler, box, 1, tol)
+        root = _polish(sampler, box, edges, 1, tol)
         if root is not None:
             roots.append(root)
             return
-        # Newton escaped the cell from every start; shrink the cell so a
-        # start lands inside the zero's basin, recording only at the cap.
+        # Newton escaped the cell from its start; split the cell so the
+        # halves' starts land nearer the zero, recording only at the cap.
         if depth >= _MAX_DEPTH:
             unresolved.append(UnresolvedCell(box, count))
             return
     else:
         cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
         if box.diameter <= cluster_size or depth >= _MAX_DEPTH:
-            root = _polish(sampler, box, count, tol)
+            root = _polish(sampler, box, edges, count, tol)
             if root is not None:
                 roots.append(root)
                 return

@@ -166,7 +166,7 @@ def sweep(
 
     grid_counts = (n_beta, n_tau), both >= 2.  A bad family, grid, range or
     eps0 raises before any node is classified: the family's SystemParams
-    error, NegativeTau for a tau_range below 0, ValueError otherwise.
+    error, NegativeTau for a tau_range below 0, InvalidParameter otherwise.
     Failures of single nodes are recorded on the node and do not stop the
     sweep.  With workers > 1 the nodes are classified in a process pool;
     output order is deterministic either way.
@@ -174,9 +174,9 @@ def sweep(
     _check_family(*fixed)
     n_beta, n_tau = grid_counts
     if n_beta < 2 or n_tau < 2:
-        raise ValueError(f"grid_counts must be >= 2 each, got {grid_counts}")
+        raise InvalidParameter(f"grid_counts must be >= 2 each, got {grid_counts}")
     if not all(map(math.isfinite, (*beta_range, *tau_range))):
-        raise ValueError("sweep ranges must be finite")
+        raise InvalidParameter("sweep ranges must be finite")
     if min(tau_range) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
     if not 0.0 < eps0 < math.inf:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary
+from .errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary, InvalidParameter
 from .params import SystemParams
 
 
@@ -30,14 +30,15 @@ class SimConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if int(self.nx) != self.nx or self.nx < 2:
-            raise ValueError(f"nx must be an integer >= 2, got {self.nx}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be > 0, got {self.t_final}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if int(self.output_stride) != self.output_stride or self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        if not (math.isfinite(self.nx) and int(self.nx) == self.nx and self.nx >= 2):
+            raise InvalidParameter(f"nx must be an integer >= 2, got {self.nx}")
+        if not 0.0 < self.t_final < math.inf:
+            raise InvalidParameter(f"t_final must be finite and > 0, got {self.t_final}")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvalidParameter(f"gamma must be finite and > 0, got {self.gamma}")
+        stride = self.output_stride
+        if not (math.isfinite(stride) and int(stride) == stride and stride >= 1):
+            raise InvalidParameter(f"output_stride must be an integer >= 1, got {stride}")
 
 
 @dataclass
@@ -212,8 +213,8 @@ def _history_weights(params: SystemParams, dt: float, n_tau: int) -> np.ndarray:
 def energy(state: SimState, params: SystemParams, gamma: float) -> float:
     """Composite-trapezoid energy: half the squared L2 norm of c, half the
     squared activation, plus the gamma-weighted history integral."""
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise InvalidParameter(f"gamma must be finite and > 0, got {gamma}")
     dx = params.l / (state.c.size - 1)
     value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
     value += 0.5 * state.a * state.a

@@ -1,7 +1,13 @@
 """The package's public names, written out so that adding or removing one
 shows up as a change to this file."""
 
+import math
+
+import pytest
+
 import delaystab
+from delaystab import ContourBox, SimConfig, SystemParams
+from delaystab.errors import InvalidParameter
 
 PUBLIC_NAMES = [
     "BelowThreshold",
@@ -64,3 +70,29 @@ def test_all_is_the_listed_names_in_sorted_order():
 def test_every_public_name_resolves():
     missing = [name for name in delaystab.__all__ if not hasattr(delaystab, name)]
     assert missing == []
+
+
+def _energy_with_gamma(gamma):
+    p = SystemParams(1, 1, 1, 1, 1, 0.3)
+    zero = delaystab.zero_fn
+    state = delaystab.init_state(p, SimConfig(10, 1.0, 1.0), zero, 0.0, zero)
+    return delaystab.energy(state, p, gamma)
+
+
+ONES = (1.0, 1.0, 1.0, 1.0)
+BAD_ARGUMENTS = {
+    "box-non-finite": lambda: ContourBox(0.0, 1.0, 0.0, math.nan),
+    "box-degenerate": lambda: ContourBox(1.0, 0.0, 0.0, 1.0),
+    "sweep-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (1, 5)),
+    "sweep-range": lambda: delaystab.sweep(ONES, (0, math.inf), (0, 1), (2, 2)),
+    "exclusions-zero-gain": lambda: delaystab.exclusions(SystemParams(1, 0, 2, 1, 1, 1)),
+    "energy-gamma": lambda: _energy_with_gamma(0.0),
+    "simconfig-nx": lambda: SimConfig(nx=1, t_final=1.0, gamma=0.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise_invalid_parameter(call):
+    # InvalidParameter is a ValueError, so callers catching that still work
+    with pytest.raises(InvalidParameter):
+        call()

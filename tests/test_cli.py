@@ -408,6 +408,27 @@ class TestSimulate:
         assert code == 2
 
 
+    @pytest.mark.parametrize("flag", ["--t-final", "--gamma"])
+    def test_infinite_time_or_weight_is_usage_error(self, capsys, flag):
+        argv = [
+            "simulate",
+            *ONES_FLAGS,
+            "--beta",
+            "0.5",
+            "--tau",
+            "0.3",
+            "--nx",
+            "10",
+            "--t-final",
+            "1",
+            flag,
+            "inf",
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
+
 class TestCertify:
     def test_applicable(self, capsys):
         code, out, _ = run_cli(

@@ -130,23 +130,6 @@ class TestSharedEdges:
                 checked += 1
         assert checked >= 40
 
-    def test_cell_starts_match_the_array_grid(self):
-        rng = np.random.default_rng(61)
-        for _ in range(500):
-            x0, y0 = rng.uniform(-1e3, 1e3, 2)
-            w, h = 10.0 ** rng.uniform(-9, 3, 2)
-            box = ContourBox(x0, x0 + w, y0, y0 + h)
-            for n in (4, 8):
-                fracs = (np.arange(n) + 0.5) / n
-                expected = [box.center] + [
-                    complex(box.re_min + fx * box.width, box.im_min + fy * box.height)
-                    for fy in fracs
-                    for fx in fracs
-                ]
-                starts = list(es._cell_starts(box, n))
-                assert starts == expected
-                assert all(type(z) is complex for z in starts)
-
     def test_deflated_samples_of_a_large_delay_spectrum(self, monkeypatch):
         # Guards the sample count of the contour layer: splits sample only
         # their cut, so resampling whole child perimeters shows up here.
@@ -255,9 +238,9 @@ class TestFindRoots:
         counts = []
         polish = es._polish
 
-        def spy(params, box, count, tol):
+        def spy(sampler, box, edges, count, tol):
             counts.append(count)
-            return polish(params, box, count, tol)
+            return polish(sampler, box, edges, count, tol)
 
         monkeypatch.setattr(es, "_polish", spy)
         result = find_roots(p, ContourBox(-3.3, -2.6, -0.4, 0.45), tol=1e-8)
@@ -266,6 +249,38 @@ class TestFindRoots:
         assert abs(root.lam + 3.0) <= 1e-7
         assert result.total_count == 2
         assert counts == [2]
+
+    def test_each_polish_makes_at_most_one_newton_start(self, monkeypatch):
+        calls = []
+        newton, polish = es._newton, es._polish
+
+        def counting_newton(*args, **kwargs):
+            calls[-1] += 1
+            return newton(*args, **kwargs)
+
+        def counting_polish(*args):
+            calls.append(0)
+            return polish(*args)
+
+        monkeypatch.setattr(es, "_newton", counting_newton)
+        monkeypatch.setattr(es, "_polish", counting_polish)
+        result = spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
+        assert len(result.roots) == 57 and result.unresolved == ()
+        assert len(calls) >= 57
+        assert max(calls) == 1
+
+    def test_moment_start_lands_next_to_the_zero(self):
+        # beta = 0: the deflated numerator is lambda + 1, zero at -1, which
+        # this box holds off its center
+        p = SystemParams(1, 0, 2, 1, 1, 1)
+        box = ContourBox(-1.3, -0.6, -0.25, 0.4)
+        sampler = es._Sampler(p)
+        edges = es._box_edges(sampler, sampler.deflated, box)
+        assert es._count(edges, box) == 1
+        start = es._moment_start(box, edges, 1)
+        assert box.contains(start)
+        assert abs(start + 1.0) < 1e-3 < abs(box.center + 1.0)
+        assert es._moment_start(box, None, 1) == box.center
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

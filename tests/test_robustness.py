@@ -12,6 +12,9 @@ from delaystab import RegionLabel, SystemParams, classify
 from delaystab.errors import DelayStabError
 
 BUDGET_S = 30.0
+# Labelled points of the corpus; the other 9 raise SampleBudgetExceeded.  A
+# solver change that loses labels fails here instead of passing unnoticed.
+MIN_LABELS = 291
 
 
 def corpus(n=300, seed=0):
@@ -30,6 +33,7 @@ def corpus(n=300, seed=0):
 
 def test_every_point_labelled_or_typed_within_budget():
     failures = []
+    labels = 0
     for i, p in enumerate(corpus()):
         start = time.perf_counter()
         try:
@@ -40,8 +44,11 @@ def test_every_point_labelled_or_typed_within_budget():
             failures.append(f"#{i} {p}: untyped {type(exc).__name__}: {exc}")
             continue
         elapsed = time.perf_counter() - start
-        if outcome is not None and not isinstance(outcome, RegionLabel):
+        if isinstance(outcome, RegionLabel):
+            labels += 1
+        elif outcome is not None:
             failures.append(f"#{i} {p}: returned {outcome!r}")
         if elapsed > BUDGET_S:
             failures.append(f"#{i} {p}: took {elapsed:.1f} s")
     assert not failures, "\n".join(failures)
+    assert labels >= MIN_LABELS

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from delaystab import SystemParams, simulator, spectral_bound
-from delaystab.errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary
+from delaystab.errors import (
+    DegenerateWindow,
+    HistoryMismatch,
+    IncompatibleBoundary,
+    InvalidParameter,
+)
 from delaystab.simulator import (
     EnergySample,
     EnergyTrace,
@@ -32,6 +37,14 @@ class TestSimConfig:
             SimConfig(nx=10, t_final=1.0, gamma=0.0)
         with pytest.raises(ValueError):
             SimConfig(nx=10, t_final=1.0, gamma=0.5, output_stride=0)
+
+    @pytest.mark.parametrize("field", ["nx", "t_final", "gamma", "output_stride"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_are_typed(self, field, bad):
+        fields = {"nx": 10, "t_final": 1.0, "gamma": 0.5, "output_stride": 1}
+        fields[field] = bad
+        with pytest.raises(InvalidParameter, match=field):
+            SimConfig(**fields)
 
 
 class TestInitState:
