@@ -3,8 +3,9 @@ simulations and decay certificates, serialized as CSV, JSON or SVG.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical flags produce byte-identical output; floats are written in their
-shortest round-trip form.  The DDE_THREADS environment variable caps the
-worker count used by ``sweep``.
+shortest round-trip form.  The DDE_THREADS environment variable, a positive
+integer, caps the worker count used by ``sweep``; the pool never has more
+processes than grid nodes or CPUs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from .eigensolver import BelowThreshold, spectrum
 from .errors import DelayStabError, InvalidParameter
-from .params import SystemParams, decay_certificate, eig_bound_radius
+from .params import SystemParams, _search_radius, decay_certificate
 from .region import Label, classify, sweep, trace_boundary
 from .simulator import SimConfig, run as run_sim, sine_profile, zero_fn
 
@@ -132,13 +133,23 @@ def _svg_doc(width, height, body: list[str]) -> str:
 
 
 class _Frame:
-    """Maps (tau, beta) data coordinates onto a fixed SVG plot frame."""
+    """Maps (tau, beta) data coordinates onto a fixed SVG plot frame.
+
+    A span narrower than 1e-12 is widened by 1 on each side, so a
+    one-value range still maps onto the frame.
+    """
 
     def __init__(self, tau_range, beta_range):
         self.width, self.height = 720, 540
         self.left, self.right, self.top, self.bottom = 70.0, 20.0, 20.0, 50.0
-        self.tau_lo, self.tau_hi = tau_range
-        self.beta_lo, self.beta_hi = beta_range
+        self.tau_lo, self.tau_hi = self._widened(*tau_range)
+        self.beta_lo, self.beta_hi = self._widened(*beta_range)
+
+    @staticmethod
+    def _widened(lo: float, hi: float) -> tuple[float, float]:
+        if abs(hi - lo) < 1e-12:
+            return lo - 1.0, hi + 1.0
+        return lo, hi
 
     @property
     def plot_w(self):
@@ -217,9 +228,7 @@ def _trace_svg(points) -> str:
         tau_hi = max(p.tau for p in points)
     else:
         beta_lo, beta_hi, tau_hi = -1.0, 1.0, 1.0
-    if beta_hi - beta_lo < 1e-12:
-        beta_lo, beta_hi = beta_lo - 1.0, beta_hi + 1.0
-    frame = _Frame((0.0, max(tau_hi, 1e-12)), (beta_lo, beta_hi))
+    frame = _Frame((0.0, tau_hi), (beta_lo, beta_hi))
     body = frame.axes()
     for p in points:
         body.append(
@@ -254,8 +263,12 @@ def _cmd_sweep(args) -> int:
     beta_range = _parse_range(args.beta_range)
     tau_range = _parse_range(args.tau_range)
     fixed = (args.alpha, args.delta, args.l, args.f)
-    workers = int(os.environ.get("DDE_THREADS", "1"))
-    nodes = sweep(fixed, beta_range, tau_range, (n_beta, n_tau), eps0=args.eps0, workers=workers)
+    threads = os.environ.get("DDE_THREADS", "1")
+    if not (threads.isdecimal() and int(threads) >= 1):
+        raise InvalidParameter(f"DDE_THREADS must be a positive integer, got {threads!r}")
+    nodes = sweep(
+        fixed, beta_range, tau_range, (n_beta, n_tau), eps0=args.eps0, workers=int(threads)
+    )
     header = ["tau", "beta", "label", "evidence", "max_real_part", "error"]
     rows = []
     for node in nodes:
@@ -281,7 +294,8 @@ def _cmd_trace_r0(args) -> int:
     fixed = (args.alpha, args.delta, args.l, args.f)
     omega_max = args.omega_max
     if omega_max is None:
-        omega_max = eig_bound_radius(10.0, args.delta) + 1.0
+        family = SystemParams(args.alpha, 10.0, args.delta, args.l, args.f, 0.0)
+        omega_max = _search_radius(family) + 1.0
     result = trace_boundary(fixed, args.tau_max, args.steps, omega_max)
     for tau, message in result.failures:
         print(f"trace-r0: tau={tau!r}: {message}", file=sys.stderr)
@@ -350,7 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_trace, with_beta_tau=False)
     p_trace.add_argument("--tau-max", type=float, default=10.0)
     p_trace.add_argument("--steps", type=int, default=500)
-    p_trace.add_argument("--omega-max", type=float, default=None)
+    p_trace.add_argument(
+        "--omega-max",
+        type=float,
+        default=None,
+        help="largest crossing frequency scanned; default: the eigenvalue "
+        "search radius at |beta| = 10, plus 1 (valid for every delta)",
+    )
     _add_output_flags(p_trace, formats=("csv", "json", "svg"))
     p_trace.set_defaults(handler=_cmd_trace_r0)
 

@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveAlpha,
     NonPositiveF,
     NonPositiveL,
+    QuadratureNonInteger,
 )
 
 # |delta*l/f| below this switches the threshold gain to its delta -> 0 limit,
@@ -80,13 +81,15 @@ class DecayCertificate:
     gamma_interval: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.gamma_interval
-        if not (lo < self.gamma <= hi):
-            raise InvalidParameter(
-                f"gamma={self.gamma} outside admissible interval ({lo}, {hi}]"
-            )
+        _check_gamma(self.gamma, self.gamma_interval)
         if not self.rate > 0.0:
             raise InvalidParameter(f"certificate rate must be > 0, got {self.rate}")
+
+
+def _check_gamma(gamma: float, interval: tuple[float, float]) -> None:
+    lo, hi = interval
+    if not (lo < gamma <= hi):
+        raise InvalidParameter(f"gamma={gamma} outside admissible interval ({lo}, {hi}]")
 
 
 def _check_family(alpha: float, delta: float, l: float, f: float) -> None:
@@ -115,8 +118,33 @@ def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
 
 
 def eig_bound_radius(beta: float, delta: float) -> float:
-    """Radius bounding |lambda| for every eigenvalue with Re lambda >= 0."""
+    """Radius bounding |lambda| for every eigenvalue with Re lambda >= 0 when
+    delta >= 0: the case that _search_radius, valid for every delta, reduces to."""
     return 0.5 * (abs(delta) + math.sqrt(delta * delta + 8.0 * abs(beta)))
+
+
+def _search_radius(params: SystemParams) -> float:
+    """Radius enclosing every eigenvalue with Re lambda >= 0, for any delta.
+
+    For delta >= 0 this is the closed-form eig_bound_radius.  For delta < 0
+    the |1 - exp(-(lambda+delta)l/f)| <= 2 step behind that formula fails,
+    so the bound is re-derived with the exact factor 1 + exp(-delta*l/f) > 2;
+    in exact arithmetic it is at least eig_bound_radius.  A radius that overflows
+    (below delta*l/f of about -708.4 at |beta| = 1) leaves no finite search
+    region and raises QuadratureNonInteger.  The spectrum box, the axis
+    crossing scan and the CLI's default trace window all search within it.
+    """
+    if params.delta >= 0.0:
+        radius = eig_bound_radius(params.beta, params.delta)
+    else:
+        try:
+            b = abs(params.beta) * (1.0 + math.exp(-params.delta * params.l / params.f))
+            radius = 0.5 * (abs(params.delta) + math.sqrt(params.delta**2 + 4.0 * b))
+        except OverflowError:
+            radius = math.inf
+    if radius == math.inf:
+        raise QuadratureNonInteger(f"search radius overflows for {params}")
+    return radius
 
 
 def monotonicity_margin(alpha: float, delta: float, l: float, f: float) -> float:
@@ -149,7 +177,8 @@ def decay_certificate(
 
     with gamma defaulting to f*exp(-tau), the right endpoint of the
     admissible interval.  Returns None when the conditions fail, which does
-    NOT imply instability.
+    NOT imply instability.  A gamma outside the interval raises
+    InvalidParameter.
     """
     damping = params.f * (2.0 * params.alpha - params.beta)
     if not damping > 1.0:
@@ -163,6 +192,7 @@ def decay_certificate(
     gamma_hi = params.f * math.exp(-params.tau)
     if gamma is None:
         gamma = gamma_hi
+    _check_gamma(gamma, (gamma_lo, gamma_hi))
     rate = min(
         0.5 * gamma,
         params.alpha - 0.5 * params.beta - 0.5 / gamma,

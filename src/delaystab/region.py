@@ -10,6 +10,8 @@ the band |max Re lambda| <= eps0.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -29,8 +31,8 @@ from .errors import (
 from .params import (
     SystemParams,
     _check_family,
+    _search_radius,
     decay_certificate,
-    eig_bound_radius,
     threshold_gain,
 )
 
@@ -166,10 +168,11 @@ def sweep(
 
     grid_counts = (n_beta, n_tau), both >= 2.  A bad family, grid, range or
     eps0 raises before any node is classified: the family's SystemParams
-    error, NegativeTau for a tau_range below 0, InvalidParameter otherwise.
-    Failures of single nodes are recorded on the node and do not stop the
-    sweep.  With workers > 1 the nodes are classified in a process pool;
-    output order is deterministic either way.
+    error, NegativeTau for a tau_range below 0, InvalidParameter otherwise,
+    also for workers that is not an integer >= 1.  Failures of single nodes
+    are recorded on the node and do not stop the sweep.  With workers > 1
+    the nodes are classified in a process pool of at most workers, node and
+    CPU count processes; output order is deterministic either way.
     """
     _check_family(*fixed)
     n_beta, n_tau = grid_counts
@@ -181,11 +184,14 @@ def sweep(
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
     if not 0.0 < eps0 < math.inf:
         raise InvalidParameter(f"eps0 must be finite and > 0, got {eps0}")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise InvalidParameter(f"workers must be an integer >= 1, got {workers!r}")
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     jobs = [
         (fixed, float(beta), float(tau), eps0) for beta in betas for tau in taus
     ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_classify_node, jobs, chunksize=8))
@@ -196,13 +202,14 @@ def _axis_gain(fixed, omega, tau):
     """Complex gain making i*omega an eigenvalue at delay tau (vectorized).
 
     Callers mask or reject entries whose returned denominator modulus is
-    below tolerance; those slots divide to non-finite values here.
+    below tolerance; those slots divide to non-finite values here, so each
+    public caller enters np.errstate(invalid="ignore", divide="ignore") once
+    around all of its calls.
     """
     alpha, delta, l, f = fixed
     iw = 1j * np.asarray(omega, dtype=float)
     den = 1.0 - np.exp(-(iw + delta) * l / f)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.exp(iw * tau) * (iw + alpha) * (iw + delta) / den
+    value = np.exp(iw * tau) * (iw + alpha) * (iw + delta) / den
     return value, np.abs(den)
 
 
@@ -220,14 +227,16 @@ def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
     eigenvalue at i*omega for this delay.  Odd in omega."""
     _check_family(*fixed)
-    return _axis_gain_scalar(fixed, omega, tau).imag
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _axis_gain_scalar(fixed, omega, tau).imag
 
 
 def beta_on_axis(fixed, omega: float, tau: float) -> float:
     """Real part of the axis gain; the gain that places an eigenvalue at
     i*omega once phase_residual vanishes there."""
     _check_family(*fixed)
-    return _axis_gain_scalar(fixed, omega, tau).real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _axis_gain_scalar(fixed, omega, tau).real
 
 
 def _scan_roots(fn, grid: np.ndarray, values: np.ndarray, valid=None) -> list[float]:
@@ -285,25 +294,26 @@ def trace_boundary(
     alpha, delta, l, f = fixed
     points: list[BoundaryPoint] = []
     failures: list[tuple[float, str]] = []
-    for p in range(num_tau):
-        tau = p * tau_max / (num_tau - 1)
-        try:
-            omegas = _omega_roots(fixed, tau, omega_max)
-        except (DelayStabError, ValueError) as exc:
-            failures.append((tau, str(exc)))
-            continue
-        for omega in omegas:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for p in range(num_tau):
+            tau = p * tau_max / (num_tau - 1)
             try:
-                beta = _axis_gain_scalar(fixed, omega, tau).real
-                params = SystemParams(alpha, beta, delta, l, f, tau)
-                residual = abs(char_fn(params, 1j * omega))
+                omegas = _omega_roots(fixed, tau, omega_max)
             except (DelayStabError, ValueError) as exc:
-                failures.append((tau, f"omega={omega}: {exc}"))
+                failures.append((tau, str(exc)))
                 continue
-            if residual <= _RESIDUAL_TOL:
-                points.append(BoundaryPoint(tau=tau, beta=beta, omega=omega, residual=residual))
-            else:
-                failures.append((tau, f"omega={omega}: residual {residual:.3e}"))
+            for omega in omegas:
+                try:
+                    beta = _axis_gain_scalar(fixed, omega, tau).real
+                    params = SystemParams(alpha, beta, delta, l, f, tau)
+                    residual = abs(char_fn(params, 1j * omega))
+                except (DelayStabError, ValueError) as exc:
+                    failures.append((tau, f"omega={omega}: {exc}"))
+                    continue
+                if residual <= _RESIDUAL_TOL:
+                    points.append(BoundaryPoint(tau=tau, beta=beta, omega=omega, residual=residual))
+                else:
+                    failures.append((tau, f"omega={omega}: residual {residual:.3e}"))
     return TraceResult(points=tuple(points), failures=tuple(failures))
 
 
@@ -313,9 +323,10 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
 
     Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
     beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined with
-    brentq; the quartic left side dominates beyond the scan ceiling, so the
-    list is finite.  Where the scan's moduli overflow (delta*l/f below about
-    -354 at |beta| = 1) it raises QuadratureNonInteger.
+    brentq up to the eigenvalue search radius plus 1, beyond which the
+    quartic left side dominates, so the list is finite.  Where the radius
+    or the scan's moduli overflow (delta*l/f below about -354 at |beta| = 1)
+    it raises QuadratureNonInteger.
     """
     alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
     x = delta * l / f
@@ -329,13 +340,9 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         )
         return lhs - rhs
 
+    ceiling = _search_radius(params) + 1.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            ceiling = eig_bound_radius(params.beta, params.delta) + 1.0
-            if delta < 0.0:
-                ceiling = max(
-                    ceiling, math.sqrt(abs(params.beta) * (1.0 + math.exp(-x))) + 1.0
-                )
             grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
             roots = _scan_roots(lambda w: float(mismatch(w)), grid, mismatch(grid))
             scale0 = delta**2 * alpha**2 + gain_sq * math.expm1(-x) ** 2 + 1.0

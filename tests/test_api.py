@@ -88,6 +88,9 @@ BAD_ARGUMENTS = {
     "exclusions-zero-gain": lambda: delaystab.exclusions(SystemParams(1, 0, 2, 1, 1, 1)),
     "energy-gamma": lambda: _energy_with_gamma(0.0),
     "simconfig-nx": lambda: SimConfig(nx=1, t_final=1.0, gamma=0.5),
+    "certificate-zero-gamma": lambda: delaystab.decay_certificate(
+        SystemParams(1, 0.5, 1, 1, 1, 0.3), gamma=0.0
+    ),
 }
 
 

@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from delaystab import SystemParams, threshold_gain
+from delaystab import SystemParams, TraceResult, axis_crossing_candidates, threshold_gain
+from delaystab import cli
 from delaystab.cli import main
 from delaystab.simulator import SimConfig, init_state, sine_profile, step, zero_fn
 
@@ -200,6 +201,36 @@ class TestSweep:
         _, parallel, _ = run_cli(capsys, argv)
         assert serial == parallel
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
+    def test_dde_threads_must_be_a_positive_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DDE_THREADS", value)
+        argv = ["sweep", *ONES_FLAGS, "--beta-range", "0:1", "--tau-range", "0:1", "--grid", "2x2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "DDE_THREADS" in err
+
+    @pytest.mark.parametrize(
+        "beta_range, tau_range, axis_labels",
+        [("1:1", "0:2", (">0<", ">1<", ">2<")), ("-2:3", "0:0", (">-1<", ">0<", ">1<"))],
+    )
+    def test_svg_one_value_range(self, capsys, beta_range, tau_range, axis_labels):
+        argv = [
+            "sweep",
+            *ONES_FLAGS,
+            "--beta-range",
+            beta_range,
+            "--tau-range",
+            tau_range,
+            "--grid",
+            "2x2",
+            "--format",
+            "svg",
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert out.startswith("<svg ") and out.count('fill="#') >= 4
+        assert all(label in out for label in axis_labels)
+
     def test_svg_output(self, capsys, tmp_path):
         out_path = tmp_path / "map.svg"
         argv = [
@@ -295,6 +326,45 @@ class TestTraceR0:
         assert len(zero_rows) == 5
         for r in zero_rows:
             assert float(r[2]) == pytest.approx(B0, abs=1e-8)
+
+    def test_default_window_finds_negative_decay_crossings(self, capsys):
+        argv = ["trace-r0", "--alpha", "0.5", "--delta=-0.8", "--l", "2", "--f", "1"]
+        code, out, _ = run_cli(capsys, [*argv, "--tau-max", "0.1", "--steps", "3"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 19
+        near = [
+            r
+            for r in rows
+            if float(r[0]) == 0.05
+            and abs(float(r[1]) - 6.1407) < 1e-3
+            and abs(float(r[2]) - 9.5303) < 1e-3
+        ]
+        assert len(near) == 1 and abs(float(near[0][2])) <= 10.0
+
+    @pytest.mark.parametrize(
+        "alpha, delta, l, f", [(0.5, -0.8, 2.0, 1.0), (2.0, -0.3, 3.0, 0.5), (1.0, -2.0, 1.0, 1.0)]
+    )
+    def test_default_window_covers_axis_candidates(self, capsys, monkeypatch, alpha, delta, l, f):
+        windows = []
+
+        def record_window(fixed, tau_max, num_tau, omega_max):
+            windows.append(omega_max)
+            return TraceResult(points=())
+
+        monkeypatch.setattr(cli, "trace_boundary", record_window)
+        flags = ["--alpha", repr(alpha), f"--delta={delta!r}", "--l", repr(l), "--f", repr(f)]
+        code, _, _ = run_cli(capsys, ["trace-r0", *flags])
+        assert code == 0
+        for beta in (10.0, -10.0):
+            omegas = axis_crossing_candidates(SystemParams(alpha, beta, delta, l, f, 0.0))
+            assert omegas and max(omegas) < windows[0]
+
+    def test_default_window_overflow_is_numerical_failure(self, capsys):
+        argv = ["trace-r0", *with_flag("--delta", "-709"), "--steps", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "search radius" in err
 
     def test_svg_dots(self, capsys):
         argv = [
@@ -448,6 +518,14 @@ class TestCertify:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0] == ["false", "", "", "", ""]
+
+    def test_zero_gamma_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["certify", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.3", "--gamma", "0"],
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "gamma" in err
 
     def test_gamma_override_out_of_range(self, capsys):
         code, _, _ = run_cli(

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from delaystab import region
 from delaystab import (
     BelowThreshold,
     Evidence,
@@ -331,6 +333,37 @@ class TestSweep:
         serial = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=1)
         parallel = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "workers, cpus, started",
+        [(100_000, 64, 4), (100_000, 3, 3), (2, 64, 2), (1, 64, None)],
+    )
+    def test_pool_capped_at_jobs_and_cpus(self, monkeypatch, workers, cpus, started):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(region, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        nodes = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=workers)
+        assert nodes == sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2))
+        assert pools == ([] if started is None else [started])
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(InvalidParameter, match="workers"):
+            sweep(ONES, (0.0, 1.0), (0.0, 1.0), (2, 2), workers=workers)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
