@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical flags produce byte-identical output; floats are written in their
 shortest round-trip form.  The DDE_THREADS environment variable, a positive
 integer, caps the worker count used by ``sweep``; the pool never has more
-processes than grid nodes or CPUs.
+processes than grid nodes or usable CPUs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from .eigensolver import BelowThreshold, spectrum
 from .errors import DelayStabError, InvalidParameter
-from .params import SystemParams, _search_radius, decay_certificate
+from .params import SystemParams, decay_certificate
 from .region import Label, classify, sweep, trace_boundary
 from .simulator import SimConfig, run as run_sim, sine_profile, zero_fn
 
@@ -292,11 +292,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trace_r0(args) -> int:
     fixed = (args.alpha, args.delta, args.l, args.f)
-    omega_max = args.omega_max
-    if omega_max is None:
-        family = SystemParams(args.alpha, 10.0, args.delta, args.l, args.f, 0.0)
-        omega_max = _search_radius(family) + 1.0
-    result = trace_boundary(fixed, args.tau_max, args.steps, omega_max)
+    result = trace_boundary(fixed, args.tau_max, args.steps, args.omega_max)
     for tau, message in result.failures:
         print(f"trace-r0: tau={tau!r}: {message}", file=sys.stderr)
     header = ["tau", "omega", "beta", "residual"]
@@ -369,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="largest crossing frequency scanned; default: the eigenvalue "
-        "search radius at |beta| = 10, plus 1 (valid for every delta)",
+        "search radius at |beta| = 10 plus 1, which holds every crossing with "
+        "|beta| <= 10; a window needing more than 65536 scan points exits 3",
     )
     _add_output_flags(p_trace, formats=("csv", "json", "svg"))
     p_trace.set_defaults(handler=_cmd_trace_r0)

@@ -593,7 +593,7 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
 
 def default_box(params: SystemParams, sigma: float) -> ContourBox:
     """Search box covering every eigenvalue with Re lambda >= -sigma."""
-    radius = _search_radius(params)
+    radius = _search_radius(params.beta, params.delta, params.l, params.f)
     return ContourBox(
         re_min=-sigma,
         re_max=radius + 1.0,

@@ -42,7 +42,7 @@ class QuadratureNonInteger(DelayStabError):
 
 
 class SampleBudgetExceeded(DelayStabError):
-    """Contour counting needed more samples than one call may take."""
+    """A contour count or a frequency scan needed more samples than one call may take."""
 
 
 class MaxDepthExceeded(DelayStabError):

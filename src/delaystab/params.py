@@ -123,7 +123,7 @@ def eig_bound_radius(beta: float, delta: float) -> float:
     return 0.5 * (abs(delta) + math.sqrt(delta * delta + 8.0 * abs(beta)))
 
 
-def _search_radius(params: SystemParams) -> float:
+def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
     """Radius enclosing every eigenvalue with Re lambda >= 0, for any delta.
 
     For delta >= 0 this is the closed-form eig_bound_radius.  For delta < 0
@@ -132,18 +132,20 @@ def _search_radius(params: SystemParams) -> float:
     in exact arithmetic it is at least eig_bound_radius.  A radius that overflows
     (below delta*l/f of about -708.4 at |beta| = 1) leaves no finite search
     region and raises QuadratureNonInteger.  The spectrum box, the axis
-    crossing scan and the CLI's default trace window all search within it.
+    crossing scan and the default trace window all search within it.
     """
-    if params.delta >= 0.0:
-        radius = eig_bound_radius(params.beta, params.delta)
+    if delta >= 0.0:
+        radius = eig_bound_radius(beta, delta)
     else:
         try:
-            b = abs(params.beta) * (1.0 + math.exp(-params.delta * params.l / params.f))
-            radius = 0.5 * (abs(params.delta) + math.sqrt(params.delta**2 + 4.0 * b))
+            b = abs(beta) * (1.0 + math.exp(-delta * l / f))
+            radius = 0.5 * (abs(delta) + math.sqrt(delta**2 + 4.0 * b))
         except OverflowError:
             radius = math.inf
     if radius == math.inf:
-        raise QuadratureNonInteger(f"search radius overflows for {params}")
+        raise QuadratureNonInteger(
+            f"search radius overflows at beta={beta}, delta*l/f={delta * l / f}"
+        )
     return radius
 
 

@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameter,
     NegativeTau,
     QuadratureNonInteger,
+    SampleBudgetExceeded,
 )
 from .params import (
     SystemParams,
@@ -37,6 +38,10 @@ from .params import (
 )
 
 _OMEGA_SCAN_POINTS = 4000
+# A trace scan takes this many points per expected gap between crossings,
+# and no more than the budget in all.
+_SCAN_POINTS_PER_GAP = 16
+_OMEGA_SCAN_BUDGET = 65536
 _OMEGA_XTOL = 1e-12
 _DENOM_TOL = 1e-14
 _RESIDUAL_TOL = 1e-8
@@ -172,7 +177,7 @@ def sweep(
     also for workers that is not an integer >= 1.  Failures of single nodes
     are recorded on the node and do not stop the sweep.  With workers > 1
     the nodes are classified in a process pool of at most workers, node and
-    CPU count processes; output order is deterministic either way.
+    usable CPU count processes; output order is deterministic either way.
     """
     _check_family(*fixed)
     n_beta, n_tau = grid_counts
@@ -191,52 +196,51 @@ def sweep(
     jobs = [
         (fixed, float(beta), float(tau), eps0) for beta in betas for tau in taus
     ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_classify_node, jobs, chunksize=8))
     return [_classify_node(job) for job in jobs]
 
 
-def _axis_gain(fixed, omega, tau):
-    """Complex gain making i*omega an eigenvalue at delay tau (vectorized).
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Callers mask or reject entries whose returned denominator modulus is
-    below tolerance; those slots divide to non-finite values here, so each
-    public caller enters np.errstate(invalid="ignore", divide="ignore") once
-    around all of its calls.
-    """
+
+def _axis_terms(fixed, omega, tau):
+    """Numerator and denominator of the complex gain making i*omega an
+    eigenvalue at delay tau (vectorized); the caller divides."""
     alpha, delta, l, f = fixed
     iw = 1j * np.asarray(omega, dtype=float)
     den = 1.0 - np.exp(-(iw + delta) * l / f)
-    value = np.exp(iw * tau) * (iw + alpha) * (iw + delta) / den
-    return value, np.abs(den)
+    return np.exp(iw * tau) * (iw + alpha) * (iw + delta), den
 
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     """Axis gain at one frequency, for a family the caller has checked."""
-    value, den = _axis_gain(fixed, omega, tau)
-    if den < _DENOM_TOL:
+    num, den = _axis_terms(fixed, omega, tau)
+    if abs(den) < _DENOM_TOL:
         raise DenominatorVanishes(
             f"axis gain denominator vanishes at omega={omega}, delta={fixed[1]}"
         )
-    return complex(value)
+    return complex(num / den)
 
 
 def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
     eigenvalue at i*omega for this delay.  Odd in omega."""
     _check_family(*fixed)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _axis_gain_scalar(fixed, omega, tau).imag
+    return _axis_gain_scalar(fixed, omega, tau).imag
 
 
 def beta_on_axis(fixed, omega: float, tau: float) -> float:
     """Real part of the axis gain; the gain that places an eigenvalue at
     i*omega once phase_residual vanishes there."""
     _check_family(*fixed)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _axis_gain_scalar(fixed, omega, tau).real
+    return _axis_gain_scalar(fixed, omega, tau).real
 
 
 def _scan_roots(fn, grid: np.ndarray, values: np.ndarray, valid=None) -> list[float]:
@@ -262,11 +266,14 @@ def _scan_roots(fn, grid: np.ndarray, values: np.ndarray, valid=None) -> list[fl
     return deduped
 
 
-def _omega_roots(fixed, tau: float, omega_max: float) -> list[float]:
-    grid = np.linspace(0.0, omega_max, _OMEGA_SCAN_POINTS)
-    values, dens = _axis_gain(fixed, grid, tau)
+def _omega_roots(fixed, tau: float, grid: np.ndarray) -> list[float]:
+    num, den = _axis_terms(fixed, grid, tau)
+    # Slots with a vanishing denominator divide to non-finite values; the
+    # valid mask drops them.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = (num / den).imag
     return _scan_roots(
-        lambda w: _axis_gain_scalar(fixed, w, tau).imag, grid, values.imag, dens >= _DENOM_TOL
+        lambda w: _axis_gain_scalar(fixed, w, tau).imag, grid, values, np.abs(den) >= _DENOM_TOL
     )
 
 
@@ -274,46 +281,63 @@ def trace_boundary(
     fixed: tuple[float, float, float, float],
     tau_max: float,
     num_tau: int,
-    omega_max: float,
+    omega_max: float | None = None,
 ) -> TraceResult:
     """Trace the oscillation boundary over a uniform delay grid.
 
     For each of num_tau delays spanning [0, tau_max], all real crossing
-    frequencies omega in [0, omega_max] are located by a 4000-point sign
-    scan refined with brentq, the matching gain is read off, and the point is
-    kept only if the characteristic residual at i*omega stays below 1e-8.
-    A bad family raises its SystemParams error, and a tau_max or omega_max
-    that is not finite and positive raises InvalidParameter, before any
-    delay is traced.  Failures at single delays are recorded and skipped.
+    frequencies omega in [0, omega_max] are located by a sign scan refined
+    with brentq, the matching gain is read off, and the point is kept only
+    if the characteristic residual at i*omega stays below 1e-8.  omega_max
+    defaults to the eigenvalue search radius at |beta| = 10 plus 1, which
+    holds every crossing with |beta| <= 10.  The gain's phase turns at about
+    tau + l/f per unit of omega, so crossings lie about pi/(tau + l/f) apart
+    or more; the scan takes 4000 points or 16 per such gap at tau_max,
+    whichever is more.
+
+    Before any delay is traced: a bad family raises its SystemParams error;
+    a tau_max or omega_max that is not finite and positive raises
+    InvalidParameter; a default window whose radius overflows raises
+    QuadratureNonInteger; and a window needing more than 65536 scan points
+    raises SampleBudgetExceeded, since a coarser scan would skip crossings.
+    Failures at single delays are recorded and skipped.
     """
     _check_family(*fixed)
     if not (0.0 < tau_max < math.inf) or num_tau < 2:
         raise InvalidParameter("need finite tau_max > 0 and num_tau >= 2")
+    alpha, delta, l, f = fixed
+    if omega_max is None:
+        omega_max = _search_radius(10.0, delta, l, f) + 1.0
     if not 0.0 < omega_max < math.inf:
         raise InvalidParameter(f"omega_max must be finite and > 0, got {omega_max}")
-    alpha, delta, l, f = fixed
+    needed = _SCAN_POINTS_PER_GAP * omega_max * (tau_max + l / f) / math.pi
+    if needed > _OMEGA_SCAN_BUDGET:
+        raise SampleBudgetExceeded(
+            f"omega_max={omega_max!r} at tau_max={tau_max!r} needs {needed:.3g} scan "
+            f"points, over the budget of {_OMEGA_SCAN_BUDGET}; pass a smaller omega_max"
+        )
+    grid = np.linspace(0.0, omega_max, max(_OMEGA_SCAN_POINTS, math.ceil(needed)))
     points: list[BoundaryPoint] = []
     failures: list[tuple[float, str]] = []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for p in range(num_tau):
-            tau = p * tau_max / (num_tau - 1)
+    for p in range(num_tau):
+        tau = p * tau_max / (num_tau - 1)
+        try:
+            omegas = _omega_roots(fixed, tau, grid)
+        except (DelayStabError, ValueError) as exc:
+            failures.append((tau, str(exc)))
+            continue
+        for omega in omegas:
             try:
-                omegas = _omega_roots(fixed, tau, omega_max)
+                beta = _axis_gain_scalar(fixed, omega, tau).real
+                params = SystemParams(alpha, beta, delta, l, f, tau)
+                residual = abs(char_fn(params, 1j * omega))
             except (DelayStabError, ValueError) as exc:
-                failures.append((tau, str(exc)))
+                failures.append((tau, f"omega={omega}: {exc}"))
                 continue
-            for omega in omegas:
-                try:
-                    beta = _axis_gain_scalar(fixed, omega, tau).real
-                    params = SystemParams(alpha, beta, delta, l, f, tau)
-                    residual = abs(char_fn(params, 1j * omega))
-                except (DelayStabError, ValueError) as exc:
-                    failures.append((tau, f"omega={omega}: {exc}"))
-                    continue
-                if residual <= _RESIDUAL_TOL:
-                    points.append(BoundaryPoint(tau=tau, beta=beta, omega=omega, residual=residual))
-                else:
-                    failures.append((tau, f"omega={omega}: residual {residual:.3e}"))
+            if residual <= _RESIDUAL_TOL:
+                points.append(BoundaryPoint(tau=tau, beta=beta, omega=omega, residual=residual))
+            else:
+                failures.append((tau, f"omega={omega}: residual {residual:.3e}"))
     return TraceResult(points=tuple(points), failures=tuple(failures))
 
 
@@ -340,7 +364,7 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         )
         return lhs - rhs
 
-    ceiling = _search_radius(params) + 1.0
+    ceiling = _search_radius(params.beta, delta, l, f) + 1.0
     try:
         with np.errstate(over="raise", invalid="raise"):
             grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)

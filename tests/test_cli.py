@@ -6,8 +6,7 @@ import re
 
 import pytest
 
-from delaystab import SystemParams, TraceResult, axis_crossing_candidates, threshold_gain
-from delaystab import cli
+from delaystab import SystemParams, axis_crossing_candidates, region, threshold_gain
 from delaystab.cli import main
 from delaystab.simulator import SimConfig, init_state, sine_profile, step, zero_fn
 
@@ -185,7 +184,7 @@ class TestSweep:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
-    def test_parallel_env_matches_serial(self, capsys, monkeypatch):
+    def test_parallel_env_matches_serial(self, capsys, monkeypatch, started_pools):
         argv = [
             "sweep",
             *ONES_FLAGS,
@@ -200,6 +199,7 @@ class TestSweep:
         monkeypatch.setenv("DDE_THREADS", "2")
         _, parallel, _ = run_cli(capsys, argv)
         assert serial == parallel
+        assert started_pools == [2]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
     def test_dde_threads_must_be_a_positive_integer(self, capsys, monkeypatch, value):
@@ -348,13 +348,13 @@ class TestTraceR0:
     def test_default_window_covers_axis_candidates(self, capsys, monkeypatch, alpha, delta, l, f):
         windows = []
 
-        def record_window(fixed, tau_max, num_tau, omega_max):
-            windows.append(omega_max)
-            return TraceResult(points=())
+        def record_window(fixed, tau, grid):
+            windows.append(grid[-1])
+            return []
 
-        monkeypatch.setattr(cli, "trace_boundary", record_window)
+        monkeypatch.setattr(region, "_omega_roots", record_window)
         flags = ["--alpha", repr(alpha), f"--delta={delta!r}", "--l", repr(l), "--f", repr(f)]
-        code, _, _ = run_cli(capsys, ["trace-r0", *flags])
+        code, _, _ = run_cli(capsys, ["trace-r0", *flags, "--steps", "2"])
         assert code == 0
         for beta in (10.0, -10.0):
             omegas = axis_crossing_candidates(SystemParams(alpha, beta, delta, l, f, 0.0))
@@ -365,6 +365,27 @@ class TestTraceR0:
         code, out, err = run_cli(capsys, argv)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "search radius" in err
+
+    def test_bad_tau_max_is_usage_error_before_the_default_window(self, capsys):
+        argv = ["trace-r0", *with_flag("--delta", "-800"), "--tau-max", "-1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "tau_max" in err
+
+    def test_default_window_too_wide_to_scan_asks_for_omega_max(self, capsys):
+        # delta*l/f = -20: the radius at |beta| = 10 is about 7e4, and a scan
+        # resolving crossings about pi/11 apart up to it would take 3.9e6 points.
+        argv = ["trace-r0", *with_flag("--delta", "-20"), "--steps", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "pass a smaller omega_max" in err
+        # The window of the delta >= 0 bound, eig_bound_radius(10, -20) + 1,
+        # still prints the 129 low-frequency crossings found with it before.
+        code, out, err = run_cli(capsys, [*argv, "--omega-max", "21.954451150103324"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 129
+        assert rows[3] == ["0.0", "8.36922239228329", "-3.766542835897717e-07", "2.2812429974665866e-16"]
 
     def test_svg_dots(self, capsys):
         argv = [

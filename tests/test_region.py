@@ -329,10 +329,11 @@ class TestSweep:
             (1.0, 2.0),
         ]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, started_pools):
         serial = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=1)
         parallel = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=2)
         assert serial == parallel
+        assert started_pools == [2]
 
     @pytest.mark.parametrize(
         "workers, cpus, started",
@@ -355,10 +356,15 @@ class TestSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(region, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(region, "_usable_cpus", lambda: cpus)
         nodes = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=workers)
         assert nodes == sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2))
         assert pools == ([] if started is None else [started])
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert region._usable_cpus() == 1
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
     def test_workers_must_be_a_positive_integer(self, workers):
@@ -444,6 +450,31 @@ class TestTraceBoundary:
     def test_limits_must_be_finite_and_positive(self, tau_max, omega_max):
         with pytest.raises(InvalidParameter):
             trace_boundary(ONES, tau_max, 3, omega_max)
+
+    def test_bad_delay_grid_is_reported_before_the_default_window(self):
+        # The default window's radius overflows for this family.
+        with pytest.raises(InvalidParameter):
+            trace_boundary((1.0, -800.0, 1.0, 1.0), -1.0, 3)
+
+    @pytest.mark.parametrize(
+        "fixed, tau_max, omega_max",
+        [((1.0, -20.0, 1.0, 1.0), 10.0, None), (ONES, 1.0, 1e5)],
+    )
+    def test_window_over_the_scan_budget_raises(self, fixed, tau_max, omega_max):
+        with pytest.raises(SampleBudgetExceeded, match="omega_max"):
+            trace_boundary(fixed, tau_max, 3, omega_max)
+
+    def test_scan_resolves_a_window_wider_than_4000_gaps(self):
+        # Crossings of this family lie about pi/(tau + l/f) = pi/10 apart, so
+        # the window holds some 4040 of them at tau <= 1e-3: a 4000-point
+        # scan would step over some, a scan with 16 points per gap keeps all.
+        omega_max = 1270.0
+        trace = trace_boundary((1.0, -2.0, 10.0, 1.0), 1e-3, 2, omega_max)
+        assert not trace.failures
+        for tau in (0.0, 1e-3):
+            omegas = [p.omega for p in trace.points if p.tau == tau]
+            gaps = np.diff([0.0, *omegas, omega_max])
+            assert len(omegas) > 4000 and gaps.max() < 1.5 * math.pi / 10.0
 
 
 class TestAxisCrossingCandidates:
