@@ -178,8 +178,9 @@ def _coupled(params: SystemParams, arr: np.ndarray):
     return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling)
 
 
-# The *_with_scale evaluators are only called from eigensolver's contour
-# sampling, which runs under _quiet.
+# _deflated_with_scale is the one function eigensolver's contour sampling
+# evaluates, under _quiet.  The package no longer calls _num_with_scale;
+# eigensolver imports it only because perfbench/tracing.py rebinds it there.
 def _num_with_scale(params: SystemParams, arr: np.ndarray):
     """char_num values plus a cancellation scale for on-zero detection."""
     q, size = _coupled(params, arr)
@@ -215,9 +216,11 @@ def exclusions(params: SystemParams, tol: float = 1e-10) -> ExclusionReport:
         return ExclusionReport(
             minus_delta_is_eigen=False, minus_alpha_note=True, delta_equals_alpha=True
         )
-    condition = 1.0 - params.beta * params.l * np.exp(params.delta * params.tau) / (
-        params.f * (params.alpha - params.delta)
-    )
+    # exp(delta*tau) overflows only where the condition is infinite, so
+    # -delta is then no eigenvalue.
+    with np.errstate(over="ignore"):
+        growth = np.exp(params.delta * params.tau)
+    condition = 1.0 - params.beta * params.l * growth / (params.f * (params.alpha - params.delta))
     return ExclusionReport(
         minus_delta_is_eigen=bool(abs(condition) <= tol),
         minus_alpha_note=True,

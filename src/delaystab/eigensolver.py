@@ -1,7 +1,7 @@
 """Zero location for the characteristic numerator by contour counting.
 
-The winding number of char_num around a rectangle gives the exact number of
-zeros inside (the argument principle).  A rectangle's count is the sum of
+The winding number of an entire function around a rectangle gives the exact
+number of its zeros inside (the argument principle).  A rectangle's count is the sum of
 the phase changes along its four edges, (bottom + right - top - left)/2pi.
 Each edge is a straight segment sampled in increasing coordinate and
 refined on its own until no step turns by pi/2 or more.  A horizontal edge
@@ -15,12 +15,12 @@ cell sends it back to be split.  A split samples only its cut: the two
 halves reuse the parent's edges, cut at the cut's end samples, and share
 the cut, one running it forward and the other reversed, so their counts add
 up to the parent's.
-Subdivision runs on the deflated numerator (char_num with its permanent
-structural zero at -delta divided out), so the structural zero never blocks
-isolation; totals are reconciled against the char_num winding count at the
-end.  Each count_zeros or find_roots call may take at most 1,000,000
-contour samples, across its nudges, splits and probes; past that it raises
-SampleBudgetExceeded.
+Only the deflated numerator is sampled: char_num with its structural zero
+at -delta divided out, so that zero never blocks isolation.  A box's
+char_num count is the deflated count plus one when the box holds -delta,
+and -delta on its boundary is a boundary hit.  Each count_zeros or
+find_roots call may take at most 1,000,000 contour samples, across its
+nudges, splits and probes; past that it raises SampleBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .characteristic import (
     _deflated,
     _deflated_prime,
     _deflated_with_scale,
-    _num_with_scale,
+    # Unused here; perfbench/tracing.py rebinds this name in this module.
+    _num_with_scale,  # noqa: F401
     _quiet,
     char_fn,
     char_num,
@@ -123,9 +124,10 @@ class UnresolvedCell:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots found in a box; total_count is the winding-number total of
-    char_num over the (possibly nudged) box and equals the sum of listed
-    multiplicities plus unresolved cell counts."""
+    """Roots found in a box; total_count is the deflated winding count over
+    the (possibly nudged) box plus the structural zero at -delta when the
+    box holds it, and equals the sum of listed multiplicities plus
+    unresolved cell counts."""
 
     roots: tuple[Root, ...]
     total_count: int
@@ -172,12 +174,9 @@ class _Sampler:
         self.rate = params.tau + params.l / params.f + 1.0
         self.left = _SAMPLE_BUDGET
 
-    # The evaluators are looked up as module globals on every call, so that
-    # rebinding them in this module (as a tracer does) reaches the sampler.
-    def num(self, pts: np.ndarray):
-        return _num_with_scale(self.params, pts)
-
-    def deflated(self, pts: np.ndarray):
+    # The evaluator is looked up as a module global on every call, so that
+    # rebinding it in this module (as a tracer does) reaches the sampler.
+    def sample(self, pts: np.ndarray):
         return _deflated_with_scale(self.params, pts)
 
     def charge(self, n: float) -> None:
@@ -195,7 +194,7 @@ def _on_zero(vals: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.abs(vals) <= _ON_ZERO_RTOL * scales
 
 
-def _refined(sampler: _Sampler, fn, pts: np.ndarray, vals: np.ndarray) -> _Edge | None:
+def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | None:
     """The segment through pts (values vals), its steps bisected until none
     turns by pi/2 or more.  None when a new sample lies on a zero or 64
     rounds do not settle it."""
@@ -206,7 +205,7 @@ def _refined(sampler: _Sampler, fn, pts: np.ndarray, vals: np.ndarray) -> _Edge 
             return _Edge(pts, vals, turns)
         sampler.charge(idx.size)
         mids = 0.5 * (pts[idx] + pts[idx + 1])
-        mvals, mscales = fn(mids)
+        mvals, mscales = sampler.sample(mids)
         if _on_zero(mvals, mscales).any():
             return None
         pts = np.insert(pts, idx + 1, mids)
@@ -214,11 +213,11 @@ def _refined(sampler: _Sampler, fn, pts: np.ndarray, vals: np.ndarray) -> _Edge 
     return None
 
 
-def _edges(sampler: _Sampler, fn, segments) -> list[_Edge | None]:
+def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     """The refined edges along segments, (start, stop) pairs, with None for
     each edge where a sample lies on a zero.  A horizontal edge starts from
     16 steps, a vertical one from 16 + height*rate, enough for the phase
-    speeds of the exponentials; all starting samples go to fn in one call."""
+    speeds of the exponentials; all starting samples are taken in one call."""
     lines = []
     for start, stop in segments:
         steps = _MIN_STEPS
@@ -226,7 +225,7 @@ def _edges(sampler: _Sampler, fn, segments) -> list[_Edge | None]:
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
         lines.append(np.linspace(start, stop, int(steps) + 1))
-    vals, scales = fn(np.concatenate(lines))
+    vals, scales = sampler.sample(np.concatenate(lines))
     on_zero = _on_zero(vals, scales)
     edges: list[_Edge | None] = []
     end = 0
@@ -235,12 +234,12 @@ def _edges(sampler: _Sampler, fn, segments) -> list[_Edge | None]:
         if on_zero[start:end].any():
             edges.append(None)
         else:
-            edges.append(_refined(sampler, fn, pts, vals[start:end]))
+            edges.append(_refined(sampler, pts, vals[start:end]))
     return edges
 
 
 @_quiet
-def _box_edges(sampler: _Sampler, fn, box: ContourBox) -> tuple[_Edge, ...]:
+def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge, ...]:
     """The bottom, right, top and left edges of box, each in increasing
     coordinate.  All four are sampled before _BoundaryHit is raised, so the
     hit names every side that touches a zero."""
@@ -248,7 +247,7 @@ def _box_edges(sampler: _Sampler, fn, box: ContourBox) -> tuple[_Edge, ...]:
     se = complex(box.re_max, box.im_min)
     nw = complex(box.re_min, box.im_max)
     ne = complex(box.re_max, box.im_max)
-    edges = tuple(_edges(sampler, fn, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
+    edges = tuple(_edges(sampler, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
     hits = frozenset(side for side, edge in enumerate(edges) if edge is None)
     if hits:
         raise _BoundaryHit(hits)
@@ -270,18 +269,24 @@ def _count(edges: tuple[_Edge, ...], box: ContourBox) -> int:
     return round(total)
 
 
-def _winding_count(sampler: _Sampler, fn, box: ContourBox) -> int:
-    """Exact zero count of fn inside box by the argument principle.
+def _counted(sampler: _Sampler, box: ContourBox) -> tuple[tuple[_Edge, ...], int, bool]:
+    """box's deflated edges, the deflated zeros inside it, and whether it
+    strictly holds the structural zero at -delta.  -delta on the boundary
+    is a _BoundaryHit on its sides; a negative count raises
+    SolverConsistencyError."""
+    x = -sampler.params.delta
+    inside = box.contains(complex(x, 0.0))
+    if not inside and box.re_min <= x <= box.re_max and box.im_min <= 0.0 <= box.im_max:
+        on = (box.im_min == 0.0, box.re_max == x, box.im_max == 0.0, box.re_min == x)
+        raise _BoundaryHit(frozenset(side for side, hit in enumerate(on) if hit))
+    edges = _box_edges(sampler, box)
+    count = _count(edges, box)
+    if count < 0:
+        raise SolverConsistencyError(f"deflated count {count} over {box} is negative")
+    return edges, count, inside
 
-    fn(points) must return (values, cancellation scales).  Raises
-    _BoundaryHit if any sample sits on a zero, QuadratureNonInteger if the
-    summed phase is not an integer multiple of 2*pi and SampleBudgetExceeded
-    when the sampler's budget runs out.
-    """
-    return _count(_box_edges(sampler, fn, box), box)
 
-
-def _cut(sampler: _Sampler, fn, edge: _Edge, coords: np.ndarray, x: float, point, value):
+def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, value):
     """edge split in two where its coordinate (coords) reaches x, at point:
     a sample of the cut edge, with value value.  Only the two new steps next
     to point are refined.  None when a new sample lies on a zero."""
@@ -289,7 +294,6 @@ def _cut(sampler: _Sampler, fn, edge: _Edge, coords: np.ndarray, x: float, point
     j = int(np.searchsorted(coords, x, "right"))
     seg = _refined(
         sampler,
-        fn,
         np.array([edge.pts[i - 1], point, edge.pts[j]]),
         np.array([edge.vals[i - 1], value, edge.vals[j]]),
     )
@@ -335,12 +339,11 @@ def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: 
         hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
         ends = (complex(box.re_min, mid), complex(box.re_max, mid))
         crossed, replaced, coord = (_LEFT, _RIGHT), _TOP, np.imag
-    fn = sampler.deflated
-    [cut] = _edges(sampler, fn, [ends])
+    [cut] = _edges(sampler, [ends])
     if cut is None:
         return None
     parts = [
-        _cut(sampler, fn, edges[side], coord(edges[side].pts), mid, cut.pts[end], cut.vals[end])
+        _cut(sampler, edges[side], coord(edges[side].pts), mid, cut.pts[end], cut.vals[end])
         for side, end in zip(crossed, (0, -1))
     ]
     if None in parts:
@@ -377,17 +380,20 @@ def _nudged(attempt, box: ContourBox):
 def count_zeros(params: SystemParams, box: ContourBox) -> int:
     """Number of zeros of char_num inside box, counted with multiplicity.
 
-    The count is the argument principle over the box's four edges, each
-    sampled on its own (vertical edges from 16 + height*(tau + l/f + 1)
+    The count is the winding count of the deflated numerator, char_num over
+    lambda + delta, plus the structural zero at -delta when box holds it.
+    The winding count is the argument principle over the box's four edges,
+    each sampled on its own (vertical edges from 16 + height*(tau + l/f + 1)
     steps) and refined until no step turns by pi/2 or more.  Zeros sitting
-    on the boundary make the winding number undefined; the box is grown by
-    1e-4*(1 + diameter) toward every offending edge, up to five times,
-    before BoundaryZero is raised.  The call, nudges included, may take at
-    most 1,000,000 contour samples; past that it raises
+    on the boundary, -delta included, make the count undefined; the box is
+    grown by 1e-4*(1 + diameter) toward every offending edge, up to five
+    times, before BoundaryZero is raised.  The call, nudges included, may
+    take at most 1,000,000 contour samples; past that it raises
     SampleBudgetExceeded.
     """
     sampler = _Sampler(params)
-    return _nudged(lambda b: _winding_count(sampler, sampler.num, b), box)[0]
+    (_, count, inside), _ = _nudged(lambda b: _counted(sampler, b), box)
+    return count + inside
 
 
 def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult: int = 1):
@@ -412,17 +418,14 @@ def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult
 
 
 @_quiet
-def _moment_start(box: ContourBox, edges: tuple[_Edge, ...] | None, count: int) -> complex:
-    """Where Newton starts in box: the mean of its count zeros, read off its
-    edges, or the center of the root cell, which has none yet.
+def _moment_start(box: ContourBox, edges: tuple[_Edge, ...], count: int) -> complex:
+    """Where Newton starts in box: the mean of its count zeros, read off its edges.
 
     The mean is the first contour moment over the count, (1/2pi i) of the
     integral of z f'/f dz around box (Delves & Lyness, 1967).  Each step
     adds its midpoint times its change of log f, ln|f| plus i times its
     turn; bottom and right run counterclockwise, top and left against.
     """
-    if edges is None:
-        return box.center
     total = 0j
     for side, edge in enumerate(edges):
         mids = 0.5 * (edge.pts[:-1] + edge.pts[1:])
@@ -432,7 +435,7 @@ def _moment_start(box: ContourBox, edges: tuple[_Edge, ...] | None, count: int) 
 
 
 def _polish(
-    sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...] | None, count: int, tol: float
+    sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], count: int, tol: float
 ) -> Root | None:
     """Newton-polish the zero of multiplicity count isolated in box.
 
@@ -454,7 +457,7 @@ def _polish(
         r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
         probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
         try:
-            if _winding_count(sampler, sampler.deflated, probe) != count:
+            if _count(_box_edges(sampler, probe), probe) != count:
                 return None
         except (_BoundaryHit, QuadratureNonInteger):
             return None
@@ -470,7 +473,7 @@ def _polish(
 def _subdivide(
     sampler: _Sampler,
     box: ContourBox,
-    edges: tuple[_Edge, ...] | None,
+    edges: tuple[_Edge, ...],
     count: int,
     depth: int,
     tol: float,
@@ -479,8 +482,7 @@ def _subdivide(
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
 
-    edges are box's deflated edges; the root cell passes None and samples
-    its own only when it has to split.  Each isolated cell gets one Newton
+    edges are box's deflated edges.  Each isolated cell gets one Newton
     start from _polish; a cell whose start escapes is split like any other,
     so every further start is paid for by a split the sample budget meters.
     """
@@ -509,8 +511,6 @@ def _subdivide(
                 )
             unresolved.append(UnresolvedCell(box, count))
             return
-    if edges is None:
-        edges = _box_edges(sampler, sampler.deflated, box)
     for frac in _SPLIT_FRACTIONS:
         halves = _halves(sampler, box, edges, frac)
         if halves is None:
@@ -537,35 +537,29 @@ def _check_tol(tol: float) -> None:
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
     """Locate every zero of char_num inside box.
 
-    The box is nudged off boundary zeros, counted, recursively bisected
+    The box is nudged off boundary zeros, counted once, recursively bisected
     (jittering split lines that land on zeros) and each isolated zero is
     Newton-polished to |step| < tol.  Counts are argument-principle sums
     over edges sampled as count_zeros describes; a split samples only its
     cut and hands each half the parent's edges, cut where the cut meets
     them.  The whole call, nudges, splits and cluster probes included, may
     take at most 1,000,000 contour samples and raises SampleBudgetExceeded
-    past that.  The structural zero at -delta is listed with
-    structural=True; a genuine eigenvalue coinciding with it appears as a
-    separate non-structural root.  Unpolishable cells are recorded on the
-    result instead of raising.  A tol that is not finite and > 0 raises
-    InvalidParameter.
+    past that.  The structural zero at -delta is counted and listed with
+    structural=True when the box holds it; a genuine eigenvalue coinciding
+    with it appears as a separate non-structural root.  Unpolishable cells
+    are recorded on the result instead of raising.  A tol that is not
+    finite and > 0 raises InvalidParameter.
     """
     _check_tol(tol)
     sampler = _Sampler(params)
     minus_delta = complex(-params.delta, 0.0)
 
     def attempt(box: ContourBox):
-        total = _winding_count(sampler, sampler.num, box)
-        inside = box.contains(minus_delta)
-        deflated_total = total - (1 if inside else 0)
-        if deflated_total < 0:
-            raise SolverConsistencyError(
-                f"char_num count {total} misses the structural zero in {box}"
-            )
+        edges, count, inside = _counted(sampler, box)
         roots: list[Root] = []
         unresolved: list[UnresolvedCell] = []
-        _subdivide(sampler, box, None, deflated_total, 0, tol, roots, unresolved)
-        return total, inside, roots, unresolved
+        _subdivide(sampler, box, edges, count, 0, tol, roots, unresolved)
+        return count + inside, inside, roots, unresolved
 
     (total, inside, roots, unresolved), box = _nudged(attempt, box)
     if inside:

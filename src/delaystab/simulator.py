@@ -101,30 +101,40 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
 
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
-    c_l_history(0) = c0(l).
+    c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
+    sample raises InvalidParameter.
     """
+    a = float(a0)
+    if not math.isfinite(a):
+        raise InvalidParameter(f"a0 must be finite, got {a!r}")
     dx = params.l / config.nx
     dt = dx / params.f
     x = np.arange(config.nx + 1) * dx
     c = np.array([float(c0(float(xj))) for xj in x])
-    if abs(c[0]) > 1e-12:
+    # Written so that NaN fails the tolerance checks.
+    if not abs(c[0]) <= 1e-12:
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
+    if not np.isfinite(c).all():
+        raise InvalidParameter("c0 must be finite on [0, l]")
     n_tau = round(params.tau / dt)
     tau_err = abs(n_tau * dt - params.tau)
     head = float(c_l_history(0.0))
-    if abs(head - c[-1]) > 1e-10:
+    if not abs(head - c[-1]) <= 1e-10:
         raise HistoryMismatch(
             f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}"
         )
     samples = [head]
     for k in range(1, n_tau + 1):
         samples.append(float(c_l_history(-min(k * dt, params.tau))))
+    history = np.array(samples)
+    if not np.isfinite(history).all():
+        raise InvalidParameter("c_l_history must be finite on [-tau, 0]")
     return SimState(
         t=0.0,
         step_index=0,
         c=c,
-        a=float(a0),
-        history=np.array(samples),
+        a=a,
+        history=history,
         dt=dt,
         n_tau=n_tau,
         tau_rounding_error=tau_err,

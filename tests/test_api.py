@@ -79,6 +79,15 @@ def _energy_with_gamma(gamma):
     return delaystab.energy(state, p, gamma)
 
 
+def _init_state(c0=delaystab.zero_fn, a0=0.0, history=delaystab.zero_fn):
+    p = SystemParams(1, 1, 1, 1, 1, 0.3)
+    return delaystab.init_state(p, SimConfig(10, 1.0, 1.0), c0, a0, history)
+
+
+def _nan_off_zero(x):
+    return 0.0 if x == 0.0 else math.nan
+
+
 ONES = (1.0, 1.0, 1.0, 1.0)
 BAD_ARGUMENTS = {
     "box-non-finite": lambda: ContourBox(0.0, 1.0, 0.0, math.nan),
@@ -91,6 +100,12 @@ BAD_ARGUMENTS = {
     "certificate-zero-gamma": lambda: delaystab.decay_certificate(
         SystemParams(1, 0.5, 1, 1, 1, 0.3), gamma=0.0
     ),
+    "init-state-a0-nan": lambda: _init_state(a0=math.nan),
+    "init-state-a0-inf": lambda: _init_state(a0=math.inf),
+    "init-state-c0-nan-at-inflow": lambda: _init_state(c0=lambda x: math.nan),
+    "init-state-c0-nan-inside": lambda: _init_state(c0=_nan_off_zero),
+    "init-state-history-nan-at-head": lambda: _init_state(history=lambda s: math.nan),
+    "init-state-history-nan-in-window": lambda: _init_state(history=_nan_off_zero),
 }
 
 

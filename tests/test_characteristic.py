@@ -254,6 +254,11 @@ class TestExclusions:
         report = exclusions(SystemParams(2, 0.5, 1, 1, 1, 0))
         assert not report.minus_delta_is_eigen
 
+    def test_overflowing_growth_is_no_eigenvalue_and_no_warning(self):
+        # exp(delta*tau) = exp(800) overflows; a RuntimeWarning fails the test
+        report = exclusions(SystemParams(1, 1, 800, 1, 1, 1))
+        assert not report.minus_delta_is_eigen
+
     def test_requires_nonzero_gain(self):
         with pytest.raises(ValueError):
             exclusions(SystemParams(1, 0, 1, 1, 1, 1))

@@ -520,6 +520,28 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_a0_is_usage_error(self, capsys, value):
+        argv = [
+            "simulate",
+            *ONES_FLAGS,
+            "--beta",
+            "0.5",
+            "--tau",
+            "0.3",
+            "--nx",
+            "10",
+            "--t-final",
+            "1",
+            "--a0",
+            value,
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "a0" in err
+
+
 class TestCertify:
     def test_applicable(self, capsys):
         code, out, _ = run_cli(

@@ -112,7 +112,7 @@ class TestSharedEdges:
             box = ContourBox(cx - w, cx + w, cy - h, cy + h)
             sampler = es._Sampler(p)
             try:
-                edges = es._box_edges(sampler, sampler.deflated, box)
+                edges = es._box_edges(sampler, box)
             except es._BoundaryHit:
                 continue
             count = es._count(edges, box)
@@ -144,6 +144,48 @@ class TestSharedEdges:
         monkeypatch.setattr(es, "_deflated_with_scale", counting)
         assert len(spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5).roots) == 57
         assert 0 < samples < 1.5 * SAMPLES_BETA10_TAU50
+
+    def test_no_box_is_sampled_twice(self, monkeypatch):
+        # The search box is counted and split from the same edges.
+        boxes = []
+        box_edges = es._box_edges
+
+        def spy(*args):
+            boxes.append(args[-1])
+            return box_edges(*args)
+
+        monkeypatch.setattr(es, "_box_edges", spy)
+        assert len(spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5).roots) == 57
+        assert boxes and len(set(boxes)) == len(boxes)
+
+    def test_char_num_is_never_sampled(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("char_num sampled on a contour")
+
+        monkeypatch.setattr(es, "_num_with_scale", boom)
+        p = SystemParams(2, 1, 1, 1, 1, 1)
+        box = ContourBox(-2.0, 1.0, -2.0, 2.0)
+        assert find_roots(p, box).total_count == count_zeros(p, box) == 2
+        assert spectrum(p, 1e-6).total_count == count_zeros(p, default_box(p, 1e-6))
+
+    @pytest.mark.parametrize(
+        "box, grown",
+        [
+            (ContourBox(-1.0, 1.0, -2.0, 2.0), "re_min"),
+            (ContourBox(-2.0, 1.0, 0.0, 2.0), "im_min"),
+        ],
+        ids=["left", "bottom"],
+    )
+    def test_minus_delta_on_an_edge_is_nudged_inside(self, box, grown):
+        # -delta = -1 lies on one side of box, which is grown past it
+        p = SystemParams(2, 1, 1, 1, 1, 1)
+        result = find_roots(p, box)
+        for side in ("re_min", "re_max", "im_min", "im_max"):
+            moved = getattr(result.box, side) != getattr(box, side)
+            assert moved == (side == grown)
+        [structural] = [r for r in result.roots if r.structural]
+        assert structural.lam == -1
+        assert result.total_count == count_zeros(p, result.box) == count_zeros(p, box) == 2
 
 
 class TestFindRoots:
@@ -275,12 +317,11 @@ class TestFindRoots:
         p = SystemParams(1, 0, 2, 1, 1, 1)
         box = ContourBox(-1.3, -0.6, -0.25, 0.4)
         sampler = es._Sampler(p)
-        edges = es._box_edges(sampler, sampler.deflated, box)
+        edges = es._box_edges(sampler, box)
         assert es._count(edges, box) == 1
         start = es._moment_start(box, edges, 1)
         assert box.contains(start)
         assert abs(start + 1.0) < 1e-3 < abs(box.center + 1.0)
-        assert es._moment_start(box, None, 1) == box.center
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -298,7 +339,7 @@ class TestSpectrum:
         def boom(*args, **kwargs):
             raise AssertionError("contour machinery invoked for beta = 0")
 
-        monkeypatch.setattr(es, "_winding_count", boom)
+        monkeypatch.setattr(es, "_box_edges", boom)
         result = spectrum(SystemParams(2, 0, 1, 1, 1, 1), 3.0)
         assert [r.lam for r in result.roots] == [-2 + 0j]
 
