@@ -10,17 +10,19 @@ phi(0) = 1.  The entire numerator
 
     char_num(lambda) = (lambda + alpha)*(lambda + delta)*char_fn(lambda)
 
-is what the contour machinery counts; it carries a structural zero at
-lambda = -delta that is an eigenvalue only under the condition reported by
-``exclusions``.  The public evaluators accept scalars or numpy arrays of
-lambda; Newton's private ``_deflated``/``_deflated_prime`` take one complex.
+carries a structural zero at lambda = -delta that is an eigenvalue only
+under the condition reported by ``exclusions``.  The contour machinery
+samples the deflated numerator char_num/(lambda + delta) instead, whose
+zeros are exactly the eigenvalues when beta != 0.  The public evaluators
+accept scalars or numpy arrays of lambda; Newton's private
+``_deflated``/``_deflated_prime`` take one complex.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +37,8 @@ _SERIES_SWITCH = 1e-6
 # series is good to ~8e-15 and the quotient to ~3e-11.
 _PRIME_SERIES_SWITCH = 5e-3
 _POLE_TOL = 1e-12
+# |condition| below this makes -delta an eigenvalue in ``exclusions``.
+_MINUS_DELTA_TOL = 1e-10
 
 
 def _quiet(fn):
@@ -48,8 +52,8 @@ def _quiet(fn):
     return wrapper
 
 
-# _phi and _phi_prime are only called from _quiet evaluators, which already
-# silence their overflow warnings.
+# _phi and _phi_prime are only called under an errstate that silences their
+# overflow warnings: that of a _quiet evaluator or of a contour count.
 def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w, entire, with the removable singularity at w = 0."""
     small = np.abs(w) < _SERIES_SWITCH
@@ -135,11 +139,6 @@ def char_fn(params: SystemParams, lam):
     return _maybe_scalar(val, scalar)
 
 
-def char_fn_no_delay(params: SystemParams, lam):
-    """Characteristic function of the delay-free (tau = 0) operator."""
-    return char_fn(replace(params, tau=0.0), lam)
-
-
 @_quiet
 def char_num(params: SystemParams, lam):
     """Entire numerator (lambda + alpha)(lambda + delta)*char_fn(lambda).
@@ -179,8 +178,9 @@ def _coupled(params: SystemParams, arr: np.ndarray):
 
 
 # _deflated_with_scale is the one function eigensolver's contour sampling
-# evaluates, under _quiet.  The package no longer calls _num_with_scale;
-# eigensolver imports it only because perfbench/tracing.py rebinds it there.
+# evaluates, under that module's errstate.  The package no longer calls
+# _num_with_scale; eigensolver imports it only because perfbench/tracing.py
+# rebinds it there.
 def _num_with_scale(params: SystemParams, arr: np.ndarray):
     """char_num values plus a cancellation scale for on-zero detection."""
     q, size = _coupled(params, arr)
@@ -198,31 +198,27 @@ class ExclusionReport:
 
     minus_delta_is_eigen : -delta is a genuine eigenvalue (the deflated
                            numerator vanishes there too)
-    minus_alpha_note     : -alpha is never an eigenvalue while beta != 0
     delta_equals_alpha   : degenerate case where the structural zero sits on
                            the pole; treated as excluded
     """
 
     minus_delta_is_eigen: bool
-    minus_alpha_note: bool
     delta_equals_alpha: bool
 
 
-def exclusions(params: SystemParams, tol: float = 1e-10) -> ExclusionReport:
-    """Report whether -delta is an eigenvalue; requires beta != 0."""
+def exclusions(params: SystemParams) -> ExclusionReport:
+    """Report whether -delta is an eigenvalue; requires beta != 0.  -alpha
+    is never one while beta != 0."""
     if params.beta == 0.0:
         raise InvalidParameter("exclusions requires beta != 0")
     if params.delta == params.alpha:
-        return ExclusionReport(
-            minus_delta_is_eigen=False, minus_alpha_note=True, delta_equals_alpha=True
-        )
+        return ExclusionReport(minus_delta_is_eigen=False, delta_equals_alpha=True)
     # exp(delta*tau) overflows only where the condition is infinite, so
     # -delta is then no eigenvalue.
     with np.errstate(over="ignore"):
         growth = np.exp(params.delta * params.tau)
     condition = 1.0 - params.beta * params.l * growth / (params.f * (params.alpha - params.delta))
     return ExclusionReport(
-        minus_delta_is_eigen=bool(abs(condition) <= tol),
-        minus_alpha_note=True,
+        minus_delta_is_eigen=bool(abs(condition) <= _MINUS_DELTA_TOL),
         delta_equals_alpha=False,
     )

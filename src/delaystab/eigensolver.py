@@ -1,4 +1,4 @@
-"""Zero location for the characteristic numerator by contour counting.
+"""Eigenvalue location by contour counting.
 
 The winding number of an entire function around a rectangle gives the exact
 number of its zeros inside (the argument principle).  A rectangle's count is the sum of
@@ -15,12 +15,12 @@ cell sends it back to be split.  A split samples only its cut: the two
 halves reuse the parent's edges, cut at the cut's end samples, and share
 the cut, one running it forward and the other reversed, so their counts add
 up to the parent's.
-Only the deflated numerator is sampled: char_num with its structural zero
-at -delta divided out, so that zero never blocks isolation.  A box's
-char_num count is the deflated count plus one when the box holds -delta,
-and -delta on its boundary is a boundary hit.  Each count_zeros or
-find_roots call may take at most 1,000,000 contour samples, across its
-nudges, splits and probes; past that it raises SampleBudgetExceeded.
+The function sampled is the deflated numerator, char_num with its
+structural zero at -delta divided out: an entire function whose zeros are
+exactly the eigenvalues (for beta != 0), so every count is a count of
+eigenvalues.  Each count_zeros or find_roots call may take at most
+1,000,000 contour samples, across its nudges, splits and probes; past that
+it raises SampleBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .characteristic import (
     _deflated_with_scale,
     # Unused here; perfbench/tracing.py rebinds this name in this module.
     _num_with_scale,  # noqa: F401
-    _quiet,
     char_fn,
     char_num,
 )
@@ -62,6 +61,10 @@ _NEWTON_MAXITER = 100
 _MIN_STEPS = 16                # initial steps of every edge
 _REFINE_ROUNDS = 64
 _SAMPLE_BUDGET = 1_000_000     # contour samples per count_zeros/find_roots call
+# Contour samples may reach lambda where exp overflows; the winding count
+# checks finiteness, so within a count_zeros or find_roots call the numpy
+# warnings are noise.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _SPLIT_FRACTIONS = (0.5, 0.55, 0.45, 0.6, 0.4, 0.35, 0.65)
 
 _BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
@@ -105,7 +108,12 @@ class ContourBox:
 
 @dataclass(frozen=True)
 class Root:
-    """One polished zero, counted with multiplicity."""
+    """One polished eigenvalue, counted with multiplicity.
+
+    structural is always False: every root the solver lists is an
+    eigenvalue.  The field stays for its readers: acceptance criterion 3,
+    the structural column of the eig CLI, and the benchmark tracer.
+    """
 
     lam: complex
     residual: float
@@ -124,9 +132,8 @@ class UnresolvedCell:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots found in a box; total_count is the deflated winding count over
-    the (possibly nudged) box plus the structural zero at -delta when the
-    box holds it, and equals the sum of listed multiplicities plus
+    """Eigenvalues found in a box; total_count is the winding count over the
+    (possibly nudged) box and equals the sum of listed multiplicities plus
     unresolved cell counts."""
 
     roots: tuple[Root, ...]
@@ -238,7 +245,6 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     return edges
 
 
-@_quiet
 def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge, ...]:
     """The bottom, right, top and left edges of box, each in increasing
     coordinate.  All four are sampled before _BoundaryHit is raised, so the
@@ -269,21 +275,14 @@ def _count(edges: tuple[_Edge, ...], box: ContourBox) -> int:
     return round(total)
 
 
-def _counted(sampler: _Sampler, box: ContourBox) -> tuple[tuple[_Edge, ...], int, bool]:
-    """box's deflated edges, the deflated zeros inside it, and whether it
-    strictly holds the structural zero at -delta.  -delta on the boundary
-    is a _BoundaryHit on its sides; a negative count raises
+def _counted(sampler: _Sampler, box: ContourBox) -> tuple[tuple[_Edge, ...], int]:
+    """box's edges and the eigenvalues inside it; a negative count raises
     SolverConsistencyError."""
-    x = -sampler.params.delta
-    inside = box.contains(complex(x, 0.0))
-    if not inside and box.re_min <= x <= box.re_max and box.im_min <= 0.0 <= box.im_max:
-        on = (box.im_min == 0.0, box.re_max == x, box.im_max == 0.0, box.re_min == x)
-        raise _BoundaryHit(frozenset(side for side, hit in enumerate(on) if hit))
     edges = _box_edges(sampler, box)
     count = _count(edges, box)
     if count < 0:
-        raise SolverConsistencyError(f"deflated count {count} over {box} is negative")
-    return edges, count, inside
+        raise SolverConsistencyError(f"winding count {count} over {box} is negative")
+    return edges, count
 
 
 def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, value):
@@ -314,10 +313,9 @@ def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, va
     )
 
 
-@_quiet
 def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
     """box cut across its longer side at frac, as ((lo, lo_edges), (hi,
-    hi_edges)) with the deflated edges of each half, or None when a new
+    hi_edges)) with the edges of each half, or None when a new
     sample lies on a zero.
 
     Only the cut is sampled anew, with its ends exactly on the split
@@ -378,22 +376,24 @@ def _nudged(attempt, box: ContourBox):
 
 
 def count_zeros(params: SystemParams, box: ContourBox) -> int:
-    """Number of zeros of char_num inside box, counted with multiplicity.
+    """Number of eigenvalues inside box, counted with multiplicity.
 
     The count is the winding count of the deflated numerator, char_num over
-    lambda + delta, plus the structural zero at -delta when box holds it.
-    The winding count is the argument principle over the box's four edges,
-    each sampled on its own (vertical edges from 16 + height*(tau + l/f + 1)
-    steps) and refined until no step turns by pi/2 or more.  Zeros sitting
-    on the boundary, -delta included, make the count undefined; the box is
-    grown by 1e-4*(1 + diameter) toward every offending edge, up to five
-    times, before BoundaryZero is raised.  The call, nudges included, may
-    take at most 1,000,000 contour samples; past that it raises
+    lambda + delta, whose zeros are exactly the eigenvalues when beta != 0
+    (-delta counts only when ``exclusions`` reports it an eigenvalue).  It
+    is the argument principle over the box's four edges, each sampled on
+    its own (vertical edges from 16 + height*(tau + l/f + 1) steps) and
+    refined until no step turns by pi/2 or more.  Zeros sitting on the
+    boundary make the count undefined; the box is grown by
+    1e-4*(1 + diameter) toward every offending edge, up to five times,
+    before BoundaryZero is raised.  The call, nudges included, may take at
+    most 1,000,000 contour samples; past that it raises
     SampleBudgetExceeded.
     """
     sampler = _Sampler(params)
-    (_, count, inside), _ = _nudged(lambda b: _counted(sampler, b), box)
-    return count + inside
+    with np.errstate(**_QUIET):
+        (_, count), _ = _nudged(lambda b: _counted(sampler, b), box)
+    return count
 
 
 def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult: int = 1):
@@ -417,7 +417,6 @@ def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult
     return None
 
 
-@_quiet
 def _moment_start(box: ContourBox, edges: tuple[_Edge, ...], count: int) -> complex:
     """Where Newton starts in box: the mean of its count zeros, read off its edges.
 
@@ -453,6 +452,9 @@ def _polish(
     if hit is None:
         return None
     z, iters = hit
+    if count == 1 and box.contains(z.conjugate()):
+        # Zeros come in conjugate pairs, so a cell's only zero is real.
+        z = complex(z.real, 0.0)
     if count > 1:
         r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
         probe = ContourBox(z.real - r, z.real + r, z.imag - r, z.imag + r)
@@ -482,7 +484,7 @@ def _subdivide(
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
 
-    edges are box's deflated edges.  Each isolated cell gets one Newton
+    edges are box's edges.  Each isolated cell gets one Newton
     start from _polish; a cell whose start escapes is split like any other,
     so every further start is paid for by a split the sample budget meters.
     """
@@ -535,7 +537,7 @@ def _check_tol(tol: float) -> None:
 
 
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
-    """Locate every zero of char_num inside box.
+    """Locate every eigenvalue inside box, the zeros that count_zeros counts.
 
     The box is nudged off boundary zeros, counted once, recursively bisected
     (jittering split lines that land on zeros) and each isolated zero is
@@ -544,33 +546,23 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     cut and hands each half the parent's edges, cut where the cut meets
     them.  The whole call, nudges, splits and cluster probes included, may
     take at most 1,000,000 contour samples and raises SampleBudgetExceeded
-    past that.  The structural zero at -delta is counted and listed with
-    structural=True when the box holds it; a genuine eigenvalue coinciding
-    with it appears as a separate non-structural root.  Unpolishable cells
-    are recorded on the result instead of raising.  A tol that is not
-    finite and > 0 raises InvalidParameter.
+    past that.  A root isolated in a cell that holds its conjugate is real
+    and listed with imaginary part exactly 0.  Unpolishable cells are
+    recorded on the result instead of raising.  A tol that is not finite
+    and > 0 raises InvalidParameter.
     """
     _check_tol(tol)
     sampler = _Sampler(params)
-    minus_delta = complex(-params.delta, 0.0)
 
     def attempt(box: ContourBox):
-        edges, count, inside = _counted(sampler, box)
+        edges, count = _counted(sampler, box)
         roots: list[Root] = []
         unresolved: list[UnresolvedCell] = []
         _subdivide(sampler, box, edges, count, 0, tol, roots, unresolved)
-        return count + inside, inside, roots, unresolved
+        return count, roots, unresolved
 
-    (total, inside, roots, unresolved), box = _nudged(attempt, box)
-    if inside:
-        roots.append(
-            Root(
-                lam=minus_delta,
-                residual=abs(char_num(params, minus_delta)),
-                newton_iters=0,
-                structural=True,
-            )
-        )
+    with np.errstate(**_QUIET):
+        (total, roots, unresolved), box = _nudged(attempt, box)
     found = sum(r.multiplicity for r in roots) + sum(c.count for c in unresolved)
     if found != total:
         raise SolverConsistencyError(
@@ -597,11 +589,11 @@ def default_box(params: SystemParams, sigma: float) -> ContourBox:
 
 
 def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
-    """All eigenvalues with Re lambda >= -sigma (structural zeros removed).
+    """All eigenvalues with Re lambda >= -sigma.
 
     For beta = 0 the spectrum is exactly {-alpha} and no contour machinery
     runs.  Otherwise find_roots is applied over ``default_box`` and every
-    surviving root is verified to satisfy |char_fn| <= 1e-8.  A sigma that
+    root it lists is verified to satisfy |char_fn| <= 1e-8.  A sigma that
     is not finite and >= 0, or a tol that is not finite and > 0, raises
     InvalidParameter.
     """
@@ -624,8 +616,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
         return RootSet(roots=roots, total_count=len(roots), box=box)
 
     result = find_roots(params, default_box(params, sigma), tol=tol)
-    genuine = tuple(r for r in result.roots if not r.structural)
-    for root in genuine:
+    for root in result.roots:
         try:
             g = abs(char_fn(params, root.lam))
         except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
@@ -636,12 +627,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             raise SolverConsistencyError(
                 f"root {root.lam} fails the characteristic residual check: {g}"
             )
-    return RootSet(
-        roots=genuine,
-        total_count=sum(r.multiplicity for r in genuine),
-        box=result.box,
-        unresolved=result.unresolved,
-    )
+    return result
 
 
 def spectral_bound(params: SystemParams, sigma: float) -> float | BelowThreshold:

@@ -149,24 +149,6 @@ def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
     return radius
 
 
-def monotonicity_margin(alpha: float, delta: float, l: float, f: float) -> float:
-    """Margin by which the real-axis gain map is increasing.
-
-    Returns exp(x) - 1 - x*alpha/(alpha + delta) with x = delta*l/f.  It is
-    positive for every admissible input, since exp(x) - 1 > x >
-    x*alpha/(alpha + delta); only round-off at x below about 1e-16 can give
-    a tiny negative value.  Requires alpha, delta, l, f > 0.
-    """
-    _check_family(alpha, delta, l, f)
-    if delta <= 0.0:
-        raise InvalidParameter("monotonicity_margin requires delta > 0")
-    try:
-        grown = math.expm1(delta * l / f)
-    except OverflowError:
-        return math.inf
-    return grown - (l / f) * alpha * delta / (alpha + delta)
-
-
 def decay_certificate(
     params: SystemParams, gamma: float | None = None
 ) -> DecayCertificate | None:

@@ -171,18 +171,19 @@ def sweep(
 ) -> list[SweepNode]:
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
-    grid_counts = (n_beta, n_tau), both >= 2.  A bad family, grid, range or
-    eps0 raises before any node is classified: the family's SystemParams
-    error, NegativeTau for a tau_range below 0, InvalidParameter otherwise,
-    also for workers that is not an integer >= 1.  Failures of single nodes
-    are recorded on the node and do not stop the sweep.  With workers > 1
-    the nodes are classified in a process pool of at most workers, node and
-    usable CPU count processes; output order is deterministic either way.
+    grid_counts = (n_beta, n_tau), both integers >= 2.  A bad family, grid,
+    range or eps0 raises before any node is classified: the family's
+    SystemParams error, NegativeTau for a tau_range below 0,
+    InvalidParameter otherwise, also for workers that is not an integer
+    >= 1.  Failures of single nodes are recorded on the node and do not
+    stop the sweep.  With workers > 1 the nodes are classified in a process
+    pool of at most workers, node and usable CPU count processes; output
+    order is deterministic either way.
     """
     _check_family(*fixed)
     n_beta, n_tau = grid_counts
-    if n_beta < 2 or n_tau < 2:
-        raise InvalidParameter(f"grid_counts must be >= 2 each, got {grid_counts}")
+    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
+        raise InvalidParameter(f"grid_counts must be integers >= 2, got {grid_counts}")
     if not all(map(math.isfinite, (*beta_range, *tau_range))):
         raise InvalidParameter("sweep ranges must be finite")
     if min(tau_range) < 0.0:
@@ -296,15 +297,18 @@ def trace_boundary(
     whichever is more.
 
     Before any delay is traced: a bad family raises its SystemParams error;
-    a tau_max or omega_max that is not finite and positive raises
-    InvalidParameter; a default window whose radius overflows raises
-    QuadratureNonInteger; and a window needing more than 65536 scan points
-    raises SampleBudgetExceeded, since a coarser scan would skip crossings.
-    Failures at single delays are recorded and skipped.
+    a tau_max or omega_max that is not finite and positive, or a num_tau
+    that is not an integer >= 2, raises InvalidParameter; a default window
+    whose radius overflows raises QuadratureNonInteger; and a window needing
+    more than 65536 scan points raises SampleBudgetExceeded, since a coarser
+    scan would skip crossings.  Failures at single delays are recorded and
+    skipped.
     """
     _check_family(*fixed)
-    if not (0.0 < tau_max < math.inf) or num_tau < 2:
-        raise InvalidParameter("need finite tau_max > 0 and num_tau >= 2")
+    if not (0.0 < tau_max < math.inf) or not (
+        isinstance(num_tau, numbers.Integral) and num_tau >= 2
+    ):
+        raise InvalidParameter("need finite tau_max > 0 and an integer num_tau >= 2")
     alpha, delta, l, f = fixed
     if omega_max is None:
         omega_max = _search_radius(10.0, delta, l, f) + 1.0

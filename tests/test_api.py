@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "axis_crossing_candidates",
     "beta_on_axis",
     "char_fn",
-    "char_fn_no_delay",
     "char_num",
     "char_num_prime",
     "classify",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "find_roots",
     "fit_decay_rate",
     "init_state",
-    "monotonicity_margin",
     "oscillation_fast_path",
     "phase_residual",
     "run",
@@ -94,6 +92,8 @@ BAD_ARGUMENTS = {
     "box-degenerate": lambda: ContourBox(1.0, 0.0, 0.0, 1.0),
     "sweep-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (1, 5)),
     "sweep-range": lambda: delaystab.sweep(ONES, (0, math.inf), (0, 1), (2, 2)),
+    "sweep-float-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (2.5, 3)),
+    "trace-float-steps": lambda: delaystab.trace_boundary(ONES, 10.0, 5.5),
     "exclusions-zero-gain": lambda: delaystab.exclusions(SystemParams(1, 0, 2, 1, 1, 1)),
     "energy-gamma": lambda: _energy_with_gamma(0.0),
     "simconfig-nx": lambda: SimConfig(nx=1, t_final=1.0, gamma=0.5),

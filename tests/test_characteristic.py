@@ -6,9 +6,9 @@ import pytest
 
 from delaystab import characteristic as ch
 from delaystab import (
+    ExclusionReport,
     SystemParams,
     char_fn,
-    char_fn_no_delay,
     char_num,
     char_num_prime,
     exclusions,
@@ -59,16 +59,6 @@ class TestCharFn:
         with pytest.raises(PoleAtMinusAlpha):
             char_fn(p, complex(-1.0 + 1e-14, 0))
         char_fn(p, -1.0 + 1e-6j)
-
-    def test_no_delay_variant_matches_tau_zero(self):
-        rng = np.random.default_rng(5)
-        p = random_params(rng)
-        p0 = SystemParams(p.alpha, p.beta, p.delta, p.l, p.f, 0.0)
-        for _ in range(100):
-            lam = random_lambda(rng, p)
-            a = char_fn_no_delay(p, lam)
-            b = char_fn(p0, lam)
-            assert abs(a - b) <= 1e-15 * (1 + abs(a))
 
     def test_removable_singularity_convention_value(self):
         p = SystemParams(2.0, 1.3, 0.8, 1.1, 0.9, 0.4)
@@ -234,9 +224,7 @@ class TestScalarEvaluators:
 class TestExclusions:
     def test_minus_delta_eigenvalue_condition_met(self):
         report = exclusions(SystemParams(2, 1, 1, 1, 1, 0))
-        assert report.minus_delta_is_eigen
-        assert report.minus_alpha_note
-        assert not report.delta_equals_alpha
+        assert report == ExclusionReport(minus_delta_is_eigen=True, delta_equals_alpha=False)
 
     def test_equal_rates_flagged_and_excluded(self):
         report = exclusions(SystemParams(1, 2, 1, 1, 1, 0.5))

@@ -59,10 +59,11 @@ class TestCountZeros:
         assert count_zeros(p, ContourBox(-1.5, 1, -1, 1)) == 1
 
     def test_boundary_zero_nudges_outward(self):
-        # the zero at -2 sits exactly on the requested edge; growing the box
-        # to restore a well-defined winding number pulls it inside
-        p = SystemParams(1, 0, 2, 1, 1, 1)
-        assert count_zeros(p, ContourBox(-2, 1, -1, 1)) == 2
+        # beta = 0: the eigenvalue -alpha = -2 sits exactly on the requested
+        # edge; growing the box to restore a well-defined winding number
+        # pulls it inside
+        p = SystemParams(2, 0, 1, 1, 1, 1)
+        assert count_zeros(p, ContourBox(-2, 1, -1, 1)) == 1
 
     def test_empty_right_half_plane(self):
         p = SystemParams(1, 0, 1, 1, 1, 1)
@@ -124,9 +125,7 @@ class TestSharedEdges:
                 c_lo, c_hi = es._count(lo_edges, lo), es._count(hi_edges, hi)
                 assert c_lo + c_hi == count
                 for child, c in ((lo, c_lo), (hi, c_hi)):
-                    # count_zeros counts char_num, which adds the zero at -delta
-                    structural = child.contains(complex(-p.delta, 0.0))
-                    assert c == count_zeros(p, child) - structural
+                    assert c == count_zeros(p, child)
                 checked += 1
         assert checked >= 40
 
@@ -165,39 +164,33 @@ class TestSharedEdges:
         monkeypatch.setattr(es, "_num_with_scale", boom)
         p = SystemParams(2, 1, 1, 1, 1, 1)
         box = ContourBox(-2.0, 1.0, -2.0, 2.0)
-        assert find_roots(p, box).total_count == count_zeros(p, box) == 2
+        assert find_roots(p, box).total_count == count_zeros(p, box) == 1
         assert spectrum(p, 1e-6).total_count == count_zeros(p, default_box(p, 1e-6))
 
     @pytest.mark.parametrize(
-        "box, grown",
-        [
-            (ContourBox(-1.0, 1.0, -2.0, 2.0), "re_min"),
-            (ContourBox(-2.0, 1.0, 0.0, 2.0), "im_min"),
-        ],
+        "box",
+        [ContourBox(-1.0, 1.0, -2.0, 2.0), ContourBox(-1.5, -0.8, 0.0, 2.0)],
         ids=["left", "bottom"],
     )
-    def test_minus_delta_on_an_edge_is_nudged_inside(self, box, grown):
-        # -delta = -1 lies on one side of box, which is grown past it
+    def test_minus_delta_on_an_edge_keeps_its_box(self, box):
+        # -delta = -1 lies on one side of box but is no eigenvalue here, and
+        # the deflated numerator is regular there, so nothing is nudged
         p = SystemParams(2, 1, 1, 1, 1, 1)
         result = find_roots(p, box)
-        for side in ("re_min", "re_max", "im_min", "im_max"):
-            moved = getattr(result.box, side) != getattr(box, side)
-            assert moved == (side == grown)
-        [structural] = [r for r in result.roots if r.structural]
-        assert structural.lam == -1
-        assert result.total_count == count_zeros(p, result.box) == count_zeros(p, box) == 2
+        assert result.box == box
+        assert not any(r.structural for r in result.roots)
+        assert result.total_count == count_zeros(p, box) == len(result.roots)
 
 
 class TestFindRoots:
     def test_polynomial_roots_and_flags(self):
+        # beta = 0: the only eigenvalue is -alpha = -1; -delta = -2 is none
         p = SystemParams(1, 0, 2, 1, 1, 1)
         result = find_roots(p, ContourBox(-3, 1, -1, 1))
-        lams = sorted(r.lam.real for r in result.roots)
-        assert lams == pytest.approx([-2.0, -1.0], abs=1e-12)
-        by_lam = {round(r.lam.real): r for r in result.roots}
-        assert by_lam[-2].structural
-        assert not by_lam[-1].structural
-        assert result.total_count == 2
+        [root] = result.roots
+        assert root.lam == pytest.approx(-1.0, abs=1e-12)
+        assert not root.structural
+        assert result.total_count == 1
         assert not result.unresolved
 
     def test_known_real_eigenvalue_polished(self):
@@ -209,13 +202,12 @@ class TestFindRoots:
         assert abs(char_fn(p, root.lam)) <= 1e-12
 
     def test_genuine_eigenvalue_at_minus_delta(self):
+        # exclusions reports -delta = -1 an eigenvalue here; it is listed once
         p = SystemParams(2, 1, 1, 1, 1, 0)
         result = find_roots(p, ContourBox(-1.7, -0.3, -0.6, 0.6))
-        structural = [r for r in result.roots if r.structural]
-        genuine = [r for r in result.roots if not r.structural]
-        assert len(structural) == 1 and abs(structural[0].lam + 1) == 0.0
-        assert len(genuine) == 1 and abs(genuine[0].lam + 1) <= 1e-8
-        assert result.total_count == 2
+        [root] = result.roots
+        assert abs(root.lam + 1) <= 1e-8 and not root.structural
+        assert result.total_count == 1
 
     def test_residual_invariant(self):
         rng = np.random.default_rng(31)
@@ -358,6 +350,18 @@ class TestSpectrum:
         result = spectrum(p, 1.0)
         assert all(not r.structural for r in result.roots)
         assert all(abs(char_fn(p, r.lam)) <= 1e-8 for r in result.roots)
+
+    def test_real_roots_are_exactly_real(self):
+        # Newton reaches the real root 0.38206819097433 from an off-axis
+        # moment start, and its last iterate is off the axis by about 1e-45
+        p = SystemParams(
+            0.2325208963116215, 3.06687210204778, -0.7832343153676794,
+            0.5808190927911019, 2.363262794248682, 0.6642864561929152,
+        )
+        lams = [r.lam for r in spectrum(p, 1e-6).roots]
+        real = [lam for lam in lams if abs(lam.imag) <= 1e-9]
+        assert any(abs(lam - 0.38206819097433) <= 1e-13 for lam in real)
+        assert all(lam.imag == 0.0 for lam in real)
 
     def test_conjugate_closure_of_output(self):
         p = SystemParams(1, -3, 1, 1, 1, 3)

@@ -8,7 +8,6 @@ from delaystab import (
     SystemParams,
     decay_certificate,
     eig_bound_radius,
-    monotonicity_margin,
     threshold_gain,
 )
 from delaystab.errors import (
@@ -112,34 +111,6 @@ class TestEigBoundRadius:
             sign_d = rng.choice([-1, 1])
             assert eig_bound_radius(sign_b * b1, d1) <= eig_bound_radius(sign_b * b2, d1)
             assert eig_bound_radius(b1, sign_d * d1) <= eig_bound_radius(b1, sign_d * d2)
-
-
-class TestMonotonicityMargin:
-    def test_all_ones_value(self):
-        assert monotonicity_margin(1, 1, 1, 1) == pytest.approx(
-            math.e - 1.0 - 0.5, rel=1e-14
-        )
-
-    def test_equal_rates_formula(self):
-        d = 0.8
-        expected = math.exp(d * 0.5 / 1.25) - 1.0 - (0.5 / 1.25) * d * d / (2 * d)
-        assert monotonicity_margin(d, d, 0.5, 1.25) == pytest.approx(expected, rel=1e-14)
-
-    def test_small_tube_limit_stays_positive(self):
-        # the exp(x) - 1 term always beats (l/f)*alpha*delta/(alpha+delta)
-        for l in (1e-6, 1e-3, 0.1):
-            assert monotonicity_margin(1, 1, l, 1) > 0
-
-    def test_positive_over_admissible_range(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            alpha, delta = rng.uniform(0.01, 50, 2)
-            l, f = rng.uniform(0.01, 50, 2)
-            assert monotonicity_margin(alpha, delta, l, f) > 0
-
-    def test_requires_positive_delta(self):
-        with pytest.raises(InvalidParameter):
-            monotonicity_margin(1, 0, 1, 1)
 
 
 class TestDecayCertificate:
