@@ -44,41 +44,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _bound_field(bound) -> object:
+def _label_fields(result) -> list:
+    """The label, evidence and max_real_part fields of a classification."""
+    bound = result.max_real_part
     if isinstance(bound, BelowThreshold):
-        return f"<{bound.threshold!r}"
-    return bound
+        bound = f"<{bound.threshold!r}"
+    return [result.label.value, result.evidence.value, bound]
 
 
-def _write_csv(stream, header, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(stream, command, header, rows) -> None:
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "command": command,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
-
-
-def _emit(args, command, header, rows, svg: str | None = None) -> None:
+def _emit(args, header, rows, draw=None) -> None:
+    """Write a handler's table to --output in --format; draw() makes the SVG
+    and is called only for --format svg, which argparse allows only for the
+    subcommands that pass it."""
     if args.format == "svg":
-        if svg is None:
-            raise InvalidParameter(f"--format svg is not valid for {command}")
-        text = svg
-    else:
+        text = draw()
+    elif args.format == "csv":
         buf = io.StringIO()
-        if args.format == "csv":
-            _write_csv(buf, header, rows)
-        else:
-            _write_json(buf, command, header, rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
         text = buf.getvalue()
+    else:
+        payload = {
+            "schema_version": _SCHEMA_VERSION,
+            "command": args.command,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
         return
@@ -142,6 +134,8 @@ class _Frame:
     def __init__(self, tau_range, beta_range):
         self.width, self.height = 720, 540
         self.left, self.right, self.top, self.bottom = 70.0, 20.0, 20.0, 50.0
+        self.plot_w = self.width - self.left - self.right
+        self.plot_h = self.height - self.top - self.bottom
         self.tau_lo, self.tau_hi = self._widened(*tau_range)
         self.beta_lo, self.beta_hi = self._widened(*beta_range)
 
@@ -150,14 +144,6 @@ class _Frame:
         if abs(hi - lo) < 1e-12:
             return lo - 1.0, hi + 1.0
         return lo, hi
-
-    @property
-    def plot_w(self):
-        return self.width - self.left - self.right
-
-    @property
-    def plot_h(self):
-        return self.height - self.top - self.bottom
 
     def x(self, tau: float) -> float:
         return self.left + (tau - self.tau_lo) / (self.tau_hi - self.tau_lo) * self.plot_w
@@ -238,7 +224,7 @@ def _trace_svg(points) -> str:
     return _svg_doc(frame.width, frame.height, body)
 
 
-def _cmd_eig(args) -> int:
+def _cmd_eig(args):
     params = _params_from(args)
     result = spectrum(params, args.sigma, tol=args.tol)
     header = ["re", "im", "residual", "structural"]
@@ -246,19 +232,15 @@ def _cmd_eig(args) -> int:
     for root in result.roots:
         for _ in range(root.multiplicity):
             rows.append([root.lam.real, root.lam.imag, root.residual, root.structural])
-    _emit(args, "eig", header, rows)
-    return 0
+    return header, rows
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     result = classify(_params_from(args), args.eps0)
-    header = ["label", "evidence", "max_real_part"]
-    rows = [[result.label.value, result.evidence.value, _bound_field(result.max_real_part)]]
-    _emit(args, "classify", header, rows)
-    return 0
+    return ["label", "evidence", "max_real_part"], [_label_fields(result)]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     n_tau, n_beta = _parse_grid(args.grid)
     beta_range = _parse_range(args.beta_range)
     tau_range = _parse_range(args.tau_range)
@@ -275,33 +257,21 @@ def _cmd_sweep(args) -> int:
         if node.result is None:
             rows.append([node.tau, node.beta, "", "", "", node.error or ""])
         else:
-            rows.append(
-                [
-                    node.tau,
-                    node.beta,
-                    node.result.label.value,
-                    node.result.evidence.value,
-                    _bound_field(node.result.max_real_part),
-                    "",
-                ]
-            )
-    svg = _sweep_svg(nodes, tau_range, beta_range, n_tau, n_beta)
-    _emit(args, "sweep", header, rows, svg=svg)
-    return 0
+            rows.append([node.tau, node.beta, *_label_fields(node.result), ""])
+    return header, rows, lambda: _sweep_svg(nodes, tau_range, beta_range, n_tau, n_beta)
 
 
-def _cmd_trace_r0(args) -> int:
+def _cmd_trace_r0(args):
     fixed = (args.alpha, args.delta, args.l, args.f)
     result = trace_boundary(fixed, args.tau_max, args.steps, args.omega_max)
     for tau, message in result.failures:
         print(f"trace-r0: tau={tau!r}: {message}", file=sys.stderr)
     header = ["tau", "omega", "beta", "residual"]
     rows = [[p.tau, p.omega, p.beta, p.residual] for p in result.points]
-    _emit(args, "trace-r0", header, rows, svg=_trace_svg(result.points))
-    return 0
+    return header, rows, lambda: _trace_svg(result.points)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     params = _params_from(args)
     gamma = args.gamma
     if gamma is None:
@@ -311,11 +281,10 @@ def _cmd_simulate(args) -> int:
     _, etrace = run_sim(params, config, c0, args.a0, zero_fn)
     header = ["t", "E", "a_sq", "c_l"]
     rows = [[s.t, s.energy, s.a_sq, s.c_l] for s in etrace.samples]
-    _emit(args, "simulate", header, rows)
-    return 0
+    return header, rows
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     params = _params_from(args)
     cert = decay_certificate(params, gamma=args.gamma)
     header = ["applicable", "gamma", "rate", "gamma_lo", "gamma_hi"]
@@ -323,8 +292,7 @@ def _cmd_certify(args) -> int:
         rows = [[False, None, None, None, None]]
     else:
         rows = [[True, cert.gamma, cert.rate, cert.gamma_interval[0], cert.gamma_interval[1]]]
-    _emit(args, "certify", header, rows)
-    return 0
+    return header, rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,14 +363,9 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
     # argparse mistakes "-5:5" for an option; splice range values onto their
     # flag with '=' so negative lower bounds parse.
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--beta-range", "--tau-range") and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in ("--beta-range", "--tau-range"):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
@@ -414,7 +377,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_range_flags(list(argv)))
     try:
-        return args.handler(args)
+        _emit(args, *args.handler(args))
+        return 0
     except InvalidParameter as exc:
         print(f"delaystab: {exc}", file=sys.stderr)
         return 2

@@ -155,7 +155,9 @@ def decay_certificate(
     """Exponential-decay certificate for the energy functional, if one exists.
 
     The certificate applies when f*(2*alpha - beta) > 1, delta > beta*l/2 > 0
-    and exp(tau) < f*(2*alpha - beta).  Its rate is
+    and exp(tau) < f*(2*alpha - beta), tested as tau < log(f*(2*alpha - beta))
+    so that a delay past exp's overflow (about 709.78) finds no certificate
+    instead of raising OverflowError.  Its rate is
 
         min(gamma/2, alpha - beta/2 - 1/(2*gamma), delta - beta*l/2)
 
@@ -169,7 +171,7 @@ def decay_certificate(
         return None
     if not (params.delta > 0.5 * params.beta * params.l > 0.0):
         return None
-    if not math.exp(params.tau) < damping:
+    if not params.tau < math.log(damping):
         return None
 
     gamma_lo = 1.0 / (2.0 * params.alpha - params.beta)

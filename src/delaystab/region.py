@@ -220,6 +220,17 @@ def _axis_terms(fixed, omega, tau):
     return np.exp(iw * tau) * (iw + alpha) * (iw + delta), den
 
 
+def _check_axis_gain(fixed) -> None:
+    """Raise QuadratureNonInteger where exp(-delta*l/f) overflows (delta*l/f
+    below about -709.78): the axis gain's denominator is then infinite and
+    the gain NaN at every frequency."""
+    _, delta, l, f = fixed
+    try:
+        math.exp(-delta * l / f)
+    except OverflowError:
+        raise QuadratureNonInteger(f"axis gain overflows at delta*l/f={delta * l / f}") from None
+
+
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     """Axis gain at one frequency, for a family the caller has checked."""
     num, den = _axis_terms(fixed, omega, tau)
@@ -232,15 +243,20 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
 
 def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
-    eigenvalue at i*omega for this delay.  Odd in omega."""
+    eigenvalue at i*omega for this delay.  Odd in omega.  Raises the
+    SystemParams error for a bad family, and QuadratureNonInteger below
+    delta*l/f of about -709.78, where exp(-delta*l/f) overflows."""
     _check_family(*fixed)
+    _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 
 def beta_on_axis(fixed, omega: float, tau: float) -> float:
     """Real part of the axis gain; the gain that places an eigenvalue at
-    i*omega once phase_residual vanishes there."""
+    i*omega once phase_residual vanishes there.  Raises as phase_residual
+    does."""
     _check_family(*fixed)
+    _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).real
 
 
@@ -299,10 +315,11 @@ def trace_boundary(
     Before any delay is traced: a bad family raises its SystemParams error;
     a tau_max or omega_max that is not finite and positive, or a num_tau
     that is not an integer >= 2, raises InvalidParameter; a default window
-    whose radius overflows raises QuadratureNonInteger; and a window needing
-    more than 65536 scan points raises SampleBudgetExceeded, since a coarser
-    scan would skip crossings.  Failures at single delays are recorded and
-    skipped.
+    whose radius overflows, or any window below delta*l/f of about -709.78,
+    where exp(-delta*l/f) overflows and the axis gain is NaN, raises
+    QuadratureNonInteger; and a window needing more than 65536 scan points
+    raises SampleBudgetExceeded, since a coarser scan would skip crossings.
+    Failures at single delays are recorded and skipped.
     """
     _check_family(*fixed)
     if not (0.0 < tau_max < math.inf) or not (
@@ -314,6 +331,7 @@ def trace_boundary(
         omega_max = _search_radius(10.0, delta, l, f) + 1.0
     if not 0.0 < omega_max < math.inf:
         raise InvalidParameter(f"omega_max must be finite and > 0, got {omega_max}")
+    _check_axis_gain(fixed)
     needed = _SCAN_POINTS_PER_GAP * omega_max * (tau_max + l / f) / math.pi
     if needed > _OMEGA_SCAN_BUDGET:
         raise SampleBudgetExceeded(

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from delaystab import SystemParams, axis_crossing_candidates, region, threshold_gain
+from delaystab import SystemParams, axis_crossing_candidates, cli, region, threshold_gain
 from delaystab.cli import main
 from delaystab.simulator import SimConfig, init_state, sine_profile, step, zero_fn
 
@@ -136,6 +136,14 @@ class TestClassify:
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == "" and "1000000 samples" in err
+
+    def test_delay_past_exp_overflow(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["classify", *ONES_FLAGS, "--beta", "0.5", "--tau", "800"]
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0][0] == "StableSteadyState"
 
     def test_certificate_evidence(self, capsys):
         code, out, _ = run_cli(
@@ -366,6 +374,13 @@ class TestTraceR0:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "search radius" in err
 
+    def test_overflowing_axis_gain_is_numerical_failure(self, capsys):
+        # delta*l/f = -800: exp(-delta*l/f) overflows and the axis gain is NaN
+        argv = ["trace-r0", *with_flag("--delta", "-800"), "--tau-max", "1", "--steps", "3"]
+        code, out, err = run_cli(capsys, [*argv, "--omega-max", "1"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "axis gain overflows" in err
+
     def test_bad_tau_max_is_usage_error_before_the_default_window(self, capsys):
         argv = ["trace-r0", *with_flag("--delta", "-800"), "--tau-max", "-1"]
         code, out, err = run_cli(capsys, argv)
@@ -562,6 +577,14 @@ class TestCertify:
         _, rows = parse_csv(out)
         assert rows[0] == ["false", "", "", "", ""]
 
+    def test_delay_past_exp_overflow_not_applicable(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["certify", *ONES_FLAGS, "--beta", "0.5", "--tau", "800"]
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0] == ["false", "", "", "", ""]
+
     def test_zero_gamma_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -607,3 +630,19 @@ class TestOutputFiles:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("delaystab: ")
         assert str(target) in err
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_svg_is_drawn_only_for_svg_format(self, capsys, monkeypatch, fmt):
+        def refuse(*args):
+            raise AssertionError(f"SVG drawn for --format {fmt}")
+
+        monkeypatch.setattr(cli, "_sweep_svg", refuse)
+        monkeypatch.setattr(cli, "_trace_svg", refuse)
+        for argv in (
+            ["sweep", *ONES_FLAGS, "--beta-range", "-1:1", "--tau-range", "0:1", "--grid", "2x2"],
+            ["trace-r0", *ONES_FLAGS, "--tau-max", "1", "--steps", "3", "--omega-max", "5"],
+        ):
+            code, out, err = run_cli(capsys, [*argv, "--format", fmt])
+            assert code == 0 and out and err == "", argv[0]

@@ -141,6 +141,15 @@ class TestDecayCertificate:
         # exp(tau) must stay below f*(2*alpha - beta) = 1.5
         assert decay_certificate(SystemParams(1, 0.5, 1, 1, 1, 0.5)) is None
         assert decay_certificate(SystemParams(1, 0.5, 1, 1, 1, 0.4)) is not None
+        # exp(800) overflows a float: the condition fails without raising
+        assert decay_certificate(SystemParams(1, 0.5, 1, 1, 1, 800)) is None
+
+    def test_log_form_of_delay_condition_matches_exp_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            p = SystemParams(1, rng.uniform(0, 1), 1, 1, 1, rng.uniform(0, 0.8))
+            damping = p.f * (2 * p.alpha - p.beta)
+            assert (decay_certificate(p) is not None) == (math.exp(p.tau) < damping)
 
     def test_gamma_override(self):
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)

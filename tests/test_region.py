@@ -98,6 +98,41 @@ class TestFarNegativeDecay:
         nodes = sweep((1.0, delta, 1.0, 1.0), (1.0, 2.0), (1.0, 2.0), (2, 2))
         assert all(node.result is None and node.error for node in nodes)
 
+    @pytest.mark.parametrize("delta", [-709.79, -800.0])
+    def test_overflowing_axis_gain_is_typed(self, delta, monkeypatch):
+        # exp(-delta*l/f) overflows, which made the axis gain NaN
+        fixed = (1.0, delta, 1.0, 1.0)
+        traced = []
+        monkeypatch.setattr(region, "_omega_roots", lambda *args: traced.append(args))
+        for call in (
+            lambda: phase_residual(fixed, 0.5, 1.0),
+            lambda: beta_on_axis(fixed, 0.5, 1.0),
+            lambda: trace_boundary(fixed, 1.0, 3, 1.0),
+        ):
+            with pytest.raises(QuadratureNonInteger, match="axis gain"):
+                call()
+        assert traced == []
+
+    def test_axis_gain_just_inside_the_exp_range_is_unchanged(self):
+        # values recorded before the overflow check was added
+        fixed = (1.0, -709.0, 1.0, 1.0)
+        assert phase_residual(fixed, 0.5, 1.0) == pytest.approx(9.589209538939218e-306, rel=1e-12)
+        assert beta_on_axis(fixed, 0.5, 1.0) == pytest.approx(1.0382629750854185e-306, rel=1e-12)
+        result = trace_boundary(fixed, 1.0, 3, 1.0)
+        assert len(result.points) == 3 and result.failures == ()
+
+
+class TestDelayPastExpOverflow:
+    # exp(tau) overflows a float above tau of about 709.78
+    def test_classify(self):
+        result = classify(SystemParams(1, 0.5, 1, 1, 1, 800))
+        assert result.label is Label.STABLE_STEADY_STATE
+
+    def test_sweep_labels_every_node(self):
+        nodes = sweep(ONES, (0.0, 0.8), (0.0, 800.0), (5, 5))
+        assert len(nodes) == 25
+        assert all(node.error is None and node.result is not None for node in nodes)
+
 
 class TestPhaseResidual:
     def test_zero_frequency_is_always_a_root(self):
