@@ -356,14 +356,15 @@ class TestTraceR0:
     def test_default_window_covers_axis_candidates(self, capsys, monkeypatch, alpha, delta, l, f):
         windows = []
 
-        def record_window(fixed, tau, grid):
+        def record_window(fn, grid, rows):
             windows.append(grid[-1])
-            return []
+            return [[] for _ in rows]
 
-        monkeypatch.setattr(region, "_omega_roots", record_window)
+        monkeypatch.setattr(region, "_scan_roots", record_window)
         flags = ["--alpha", repr(alpha), f"--delta={delta!r}", "--l", repr(l), "--f", repr(f)]
         code, _, _ = run_cli(capsys, ["trace-r0", *flags, "--steps", "2"])
         assert code == 0
+        monkeypatch.undo()  # axis_crossing_candidates scans with _scan_roots too
         for beta in (10.0, -10.0):
             omegas = axis_crossing_candidates(SystemParams(alpha, beta, delta, l, f, 0.0))
             assert omegas and max(omegas) < windows[0]
@@ -555,6 +556,21 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "a0" in err
+
+    def test_default_gamma_past_exp_underflow(self, capsys):
+        # f*exp(-tau) underflows to 0.0 above tau of about 745; the default
+        # weight is floored at the smallest positive float instead.
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "800"]
+        argv += ["--nx", "10", "--t-final", "0.1"]
+        # The energy's history weights exp(tau - age) still overflow past
+        # tau of about 709.78, a fault apart from the default gamma.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            code, out, err = run_cli(capsys, argv)
+            floored = run_cli(capsys, [*argv, "--gamma", "5e-324"])
+        assert code == 0 and "gamma" not in err
+        header, rows = parse_csv(out)
+        assert header == ["t", "E", "a_sq", "c_l"] and len(rows) == 2
+        assert floored[:2] == (0, out)
 
 
 class TestCertify:

@@ -15,6 +15,7 @@ from delaystab import (
     char_fn,
     classify,
     decay_certificate,
+    eig_bound_radius,
     oscillation_fast_path,
     phase_residual,
     spectrum,
@@ -103,7 +104,7 @@ class TestFarNegativeDecay:
         # exp(-delta*l/f) overflows, which made the axis gain NaN
         fixed = (1.0, delta, 1.0, 1.0)
         traced = []
-        monkeypatch.setattr(region, "_omega_roots", lambda *args: traced.append(args))
+        monkeypatch.setattr(region, "_axis_terms", lambda *args: traced.append(args))
         for call in (
             lambda: phase_residual(fixed, 0.5, 1.0),
             lambda: beta_on_axis(fixed, 0.5, 1.0),
@@ -112,6 +113,27 @@ class TestFarNegativeDecay:
             with pytest.raises(QuadratureNonInteger, match="axis gain"):
                 call()
         assert traced == []
+
+    @pytest.mark.parametrize("delta", [-709.5, -709.78])
+    def test_overflowing_axis_gain_division_is_typed(self, delta):
+        # exp(-delta*l/f) is finite, but numpy's complex division by the
+        # gain's denominator overflowed with a RuntimeWarning
+        fixed = (1.0, delta, 1.0, 1.0)
+        for call in (
+            lambda: phase_residual(fixed, 0.5, 1.0),
+            lambda: beta_on_axis(fixed, 0.5, 1.0),
+            lambda: trace_boundary(fixed, 1.0, 3, 5.0),
+        ):
+            with pytest.raises(QuadratureNonInteger, match="axis gain"):
+                call()
+
+    def test_axis_gain_below_the_division_cut_is_unchanged(self):
+        # values recorded before the division overflow check was added
+        fixed = (1.0, -709.3, 1.0, 1.0)
+        assert phase_residual(fixed, 0.5, 1.0) == 7.106867241488906e-306
+        assert beta_on_axis(fixed, 0.5, 1.0) == 7.69487467168371e-307
+        result = trace_boundary(fixed, 1.0, 3, 5.0)
+        assert len(result.points) == 10 and result.failures == ()
 
     def test_axis_gain_just_inside_the_exp_range_is_unchanged(self):
         # values recorded before the overflow check was added
@@ -540,18 +562,123 @@ class TestScanRoots:
     def test_grid_zero_masked_bracket_and_several_flips(self):
         grid = np.linspace(0.0, 10.0, 11)
         values = np.sin(grid)
-        valid = np.ones(grid.size, dtype=bool)
-        valid[6] = False  # drops the flip across 2*pi in [6, 7]
+        values[6] = math.nan  # drops the flip across 2*pi in [6, 7]
 
-        def fn(w):
-            assert not 6.0 <= w <= 7.0
-            return math.sin(w)
+        def fn(w, rows):
+            assert not np.any((6.0 <= w) & (w <= 7.0))
+            return np.sin(w)
 
-        roots = _scan_roots(fn, grid, values, valid)
+        (roots,) = _scan_roots(fn, grid, [values])
         assert roots[0] == 0.0
         assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
 
     def test_merges_roots_closer_than_merge_distance(self):
         grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
         values = np.array([-1.0, 0.0, 0.0, 1.0])
-        assert _scan_roots(math.sin, grid, values) == [1.0]
+        assert _scan_roots(lambda w, rows: np.sin(w), grid, [values]) == [[1.0]]
+
+    def test_rows_are_refined_together_and_kept_apart(self):
+        grid = np.linspace(0.5, 10.0, 20)
+        shifts = np.array([0.0, 0.25, 0.5])
+        calls = []
+
+        def fn(w, rows):
+            calls.append(w.size)
+            return np.sin(w + shifts[rows])
+
+        roots = _scan_roots(fn, grid, (np.sin(grid + s) for s in shifts))
+        for s, found in zip(shifts, roots):
+            assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
+        # one call steps the brackets of every row
+        assert calls[0] == 9 and len(calls) < 12
+
+
+def brentq_trace(fixed, tau_max, num_tau, omega_max):
+    """The trace as one brentq solve per bracket and one SystemParams and
+    scalar char_fn call per crossing, on the same scan grid: the oracle for
+    the batched trace.  Returns {tau: ([(omega, beta), ...], failures)}."""
+    from scipy.optimize import brentq
+
+    alpha, delta, l, f = fixed
+    needed = 16 * omega_max * (tau_max + l / f) / math.pi
+    grid = np.linspace(0.0, omega_max, max(4000, math.ceil(needed)))
+    out = {}
+    for p in range(num_tau):
+        tau = p * tau_max / (num_tau - 1)
+        num, den = region._axis_terms(fixed, grid, tau)
+        valid = np.abs(den) >= 1e-14
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = (num / den).imag
+        usable = valid & (values != 0.0)
+        negative = values < 0.0
+        flips = np.flatnonzero(usable[:-1] & usable[1:] & (negative[:-1] != negative[1:]))
+        roots = [float(w) for w in grid[valid & (values == 0.0)]]
+        for i in flips:
+            roots.append(brentq(
+                lambda w: region._axis_gain_scalar(fixed, w, tau).imag,
+                grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16,
+            ))
+        deduped = []
+        for omega in sorted(roots):
+            if not deduped or omega - deduped[-1] > 1e-9:
+                deduped.append(omega)
+        points, failures = [], []
+        for omega in deduped:
+            beta = region._axis_gain_scalar(fixed, omega, tau).real
+            try:
+                residual = abs(char_fn(SystemParams(alpha, beta, delta, l, f, tau), 1j * omega))
+            except DelayStabError:
+                residual = math.inf
+            (points if residual <= 1e-8 else failures).append((omega, beta))
+        out[tau] = (points, failures)
+    return out
+
+
+class TestTraceAgainstBrentq:
+    @pytest.mark.parametrize(
+        "fixed, tau_max, num_tau, omega_max, failing",
+        [
+            (ONES, 10.0, 41, 12.0, False),
+            # a 5093-point scan, finer than the default 4000
+            ((0.5, -1.0, 3.0, 1.0), 2.0, 5, 200.0, False),
+            # delta = 0: the gain has poles at omega = 2*pi*k, each a sign
+            # flip whose refined point fails the residual check
+            ((1.0, 0.0, 1.0, 1.0), 3.0, 7, 20.0, True),
+            # the omega = 0 crossing of every delay hits char_fn's pole at -alpha
+            ((1e-13, 1.0, 1.0, 1.0), 1.0, 3, 5.0, True),
+        ],
+        ids=["delta>0", "delta<0-fine-scan", "delta=0-poles", "pole-at-minus-alpha"],
+    )
+    def test_same_crossings_and_failures(self, fixed, tau_max, num_tau, omega_max, failing):
+        oracle = brentq_trace(fixed, tau_max, num_tau, omega_max)
+        trace = trace_boundary(fixed, tau_max, num_tau, omega_max)
+        assert [tau for tau, _ in trace.failures] == [
+            tau for tau, (_, failures) in oracle.items() for _ in failures
+        ]
+        for tau, (expected, failures) in oracle.items():
+            points = [p for p in trace.points if p.tau == tau]
+            assert len(points) == len(expected)
+            for point, (omega, beta) in zip(points, expected):
+                assert abs(point.omega - omega) <= 1e-12 * max(1.0, abs(omega))
+                assert abs(point.beta - beta) <= 1e-12 * max(1.0, abs(beta))
+            for (_, message), (omega, _) in zip(
+                [f for f in trace.failures if f[0] == tau], failures
+            ):
+                failed_at = float(message.split(":")[0].removeprefix("omega="))
+                assert abs(failed_at - omega) <= 1e-12 * max(1.0, omega)
+        assert bool(trace.failures) is failing
+
+    def test_call_counts(self, monkeypatch):
+        # One scalar gain call per brentq step would make 34,524 calls on
+        # this trace, and one char_fn call per crossing 5,500.
+        calls = {"_axis_terms": 0, "char_fn": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(region, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(region, name, counted)
+        trace = trace_boundary(ONES, 10.0, 500, eig_bound_radius(10.0, 1.0) + 1.0)
+        assert len(trace.points) == 5500 and trace.failures == ()
+        assert calls["_axis_terms"] <= 500 + 64
+        assert calls["char_fn"] <= 3

@@ -43,6 +43,7 @@ INVOCATIONS = [
     "trace-r0 --alpha 1 --delta -800 --l 1 --f 1 --tau-max -1",
     f"trace-r0 {ONES} --steps 3 --omega-max nan",
     f"simulate {POINT} --nx 1 --t-final 1",
+    f"simulate {ONES} --beta 0.5 --tau 800 --nx 10 --t-final 0.1",
     f"certify {ONES} --beta 1.5 --tau 0",
     f"certify {ONES} --beta 0.5 --tau 800",
     f"certify {POINT} --gamma 0",
