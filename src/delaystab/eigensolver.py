@@ -21,12 +21,24 @@ exactly the eigenvalues (for beta != 0), so every count is a count of
 eigenvalues.  Each count_zeros or find_roots call may take at most
 1,000,000 contour samples, across its nudges, splits and probes; past that
 it raises SampleBudgetExceeded.
+
+Every coefficient is real, so f(conj z) = conj f(z): the zeros are real or
+come in conjugate pairs.  A box symmetric about the real axis (im_min ==
+-im_max, as every default_box is) is searched in its upper half only.  Its
+bottom edge is the top's mirror image and each vertical edge the mirror of
+its upper half, so nothing below the axis is sampled.  A tall symmetric
+cell is cut at Im = +-h (h = im_max/64, moved like a split on a zero) into
+an upper part, its mirror and a symmetric strip, whose counts add up as
+2*upper + strip; the upper part is subdivided alone and each of its roots
+listed with its exact conjugate.  A wide symmetric cell takes an upright
+cut, which keeps both halves symmetric, so a symmetric cell with one zero
+holds a real one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -220,14 +232,40 @@ def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | No
     return None
 
 
+def _conj(edge: _Edge) -> _Edge:
+    """A horizontal edge's mirror image in the real axis."""
+    return _Edge(edge.pts.conj(), edge.vals.conj(), -edge.turns)
+
+
+def _whole(half: _Edge) -> _Edge:
+    """The vertical edge from -k to k whose upper half, from the real axis
+    up to k, is half: the lower half is its mirror image, run backwards."""
+    return _Edge(
+        np.concatenate((half.pts[:0:-1].conj(), half.pts)),
+        np.concatenate((half.vals[:0:-1].conj(), half.vals)),
+        np.concatenate((half.turns[::-1], half.turns)),
+    )
+
+
+def _upper(edge: _Edge) -> _Edge:
+    """The upper half of a vertical edge that _whole made."""
+    m = edge.turns.size // 2
+    return _Edge(edge.pts[m:], edge.vals[m:], edge.turns[m:])
+
+
 def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     """The refined edges along segments, (start, stop) pairs, with None for
     each edge where a sample lies on a zero.  A horizontal edge starts from
     16 steps, a vertical one from 16 + height*rate, enough for the phase
-    speeds of the exponentials; all starting samples are taken in one call."""
-    lines = []
+    speeds of the exponentials; all starting samples are taken in one call.
+    A vertical edge symmetric about the real axis is sampled from the axis
+    up and completed by its mirror image."""
+    lines, mirrored = [], []
     for start, stop in segments:
         steps = _MIN_STEPS
+        mirrored.append(start.real == stop.real and start.imag == -stop.imag)
+        if mirrored[-1]:
+            start = complex(start.real, 0.0)
         if start.real == stop.real:
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
@@ -236,24 +274,30 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     on_zero = _on_zero(vals, scales)
     edges: list[_Edge | None] = []
     end = 0
-    for pts in lines:
+    for pts, mirror in zip(lines, mirrored):
         start, end = end, end + pts.size
-        if on_zero[start:end].any():
-            edges.append(None)
-        else:
-            edges.append(_refined(sampler, pts, vals[start:end]))
+        edge = None
+        if not on_zero[start:end].any():
+            edge = _refined(sampler, pts, vals[start:end])
+        edges.append(_whole(edge) if mirror and edge is not None else edge)
     return edges
 
 
 def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge, ...]:
     """The bottom, right, top and left edges of box, each in increasing
     coordinate.  All four are sampled before _BoundaryHit is raised, so the
-    hit names every side that touches a zero."""
+    hit names every side that touches a zero.  A box symmetric about the
+    real axis is sampled above it only: its bottom is the top's mirror
+    image, so a hit on the top is one on the bottom too."""
     sw = complex(box.re_min, box.im_min)
     se = complex(box.re_max, box.im_min)
     nw = complex(box.re_min, box.im_max)
     ne = complex(box.re_max, box.im_max)
-    edges = tuple(_edges(sampler, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
+    if box.im_min == -box.im_max:
+        right, top, left = _edges(sampler, ((se, ne), (nw, ne), (sw, nw)))
+        edges = (None if top is None else _conj(top), right, top, left)
+    else:
+        edges = tuple(_edges(sampler, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
     hits = frozenset(side for side, edge in enumerate(edges) if edge is None)
     if hits:
         raise _BoundaryHit(hits)
@@ -321,37 +365,73 @@ def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: 
     Only the cut is sampled anew, with its ends exactly on the split
     coordinate.  The halves reuse the parent's edges, cut at the cut's end
     samples, and share the cut: lo runs it forward, hi reversed, so their
-    counts add up to the parent's.
+    counts add up to the parent's.  An upright cut of a symmetric box keeps
+    both halves symmetric: the cut is sampled above the axis (_edges), and
+    the bottom's halves are the top's mirror images.
     """
+    mirror = box.width >= box.height and box.im_min == -box.im_max
     if box.width >= box.height:
         # An upright cut: it crosses bottom and top and is lo's right side.
         mid = box.re_min + frac * box.width
         lo = ContourBox(box.re_min, mid, box.im_min, box.im_max)
         hi = ContourBox(mid, box.re_max, box.im_min, box.im_max)
         ends = (complex(mid, box.im_min), complex(mid, box.im_max))
-        crossed, replaced, coord = (_BOTTOM, _TOP), _RIGHT, np.real
+        crossed = ((_TOP, -1),) if mirror else ((_BOTTOM, 0), (_TOP, -1))
+        replaced, coord = _RIGHT, np.real
     else:
         # A level cut: it crosses left and right and is lo's top side.
         mid = box.im_min + frac * box.height
         lo = ContourBox(box.re_min, box.re_max, box.im_min, mid)
         hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
         ends = (complex(box.re_min, mid), complex(box.re_max, mid))
-        crossed, replaced, coord = (_LEFT, _RIGHT), _TOP, np.imag
+        crossed, replaced, coord = ((_LEFT, 0), (_RIGHT, -1)), _TOP, np.imag
     [cut] = _edges(sampler, [ends])
     if cut is None:
         return None
     parts = [
         _cut(sampler, edges[side], coord(edges[side].pts), mid, cut.pts[end], cut.vals[end])
-        for side, end in zip(crossed, (0, -1))
+        for side, end in crossed
     ]
     if None in parts:
         return None
     lo_edges, hi_edges = list(edges), list(edges)
-    for side, (lo_part, hi_part) in zip(crossed, parts):
+    for (side, _), (lo_part, hi_part) in zip(crossed, parts):
         lo_edges[side], hi_edges[side] = lo_part, hi_part
+    if mirror:
+        lo_edges[_BOTTOM], hi_edges[_BOTTOM] = _conj(lo_edges[_TOP]), _conj(hi_edges[_TOP])
     # The cut is lo's replaced side and hi's opposite one, two sides round.
     lo_edges[replaced] = hi_edges[(replaced + 2) % 4] = cut
     return (lo, tuple(lo_edges)), (hi, tuple(hi_edges))
+
+
+def _strip_cut(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
+    """A symmetric box cut at Im = +-h, h = frac*im_max/32, as ((upper,
+    upper_edges), (strip, strip_edges)), or None when a new sample lies on
+    a zero.  The part below -h is upper's mirror image, so box holds twice
+    upper's count plus strip's.
+
+    Only the cut at +h is sampled anew; the one at -h is its mirror image.
+    upper takes the top, the cut as its bottom and the sides' upper halves
+    cut at h; strip, symmetric itself, the cut as its top, its mirror as
+    its bottom and the sides below h with their mirror images.
+    """
+    h = frac * box.im_max / 32.0
+    [cut] = _edges(sampler, [(complex(box.re_min, h), complex(box.re_max, h))])
+    if cut is None:
+        return None
+    parts = []
+    for side, end in ((_RIGHT, -1), (_LEFT, 0)):
+        half = _upper(edges[side])
+        parts.append(_cut(sampler, half, half.pts.imag, h, cut.pts[end], cut.vals[end]))
+    if None in parts:
+        return None
+    (right_lo, right_hi), (left_lo, left_hi) = parts
+    upper = ContourBox(box.re_min, box.re_max, h, box.im_max)
+    strip = ContourBox(box.re_min, box.re_max, -h, h)
+    return (
+        (upper, (cut, right_hi, edges[_TOP], left_hi)),
+        (strip, (_conj(cut), _whole(right_lo), cut, _whole(left_lo))),
+    )
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -388,7 +468,10 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     1e-4*(1 + diameter) toward every offending edge, up to five times,
     before BoundaryZero is raised.  The call, nudges included, may take at
     most 1,000,000 contour samples; past that it raises
-    SampleBudgetExceeded.
+    SampleBudgetExceeded.  A box symmetric about the real axis is sampled
+    above it only: the bottom edge is the top's mirror image, each vertical
+    edge is sampled from the axis up and mirrored, and a zero on the top
+    grows top and bottom alike, so the box stays symmetric.
     """
     sampler = _Sampler(params)
     with np.errstate(**_QUIET):
@@ -452,8 +535,9 @@ def _polish(
     if hit is None:
         return None
     z, iters = hit
-    if count == 1 and box.contains(z.conjugate()):
-        # Zeros come in conjugate pairs, so a cell's only zero is real.
+    if box.contains(z.conjugate()):
+        # Zeros come in conjugate pairs, so the zeros of a cell that holds
+        # their conjugates too, polished as one, are real.
         z = complex(z.real, 0.0)
     if count > 1:
         r = max(0.6 * box.diameter, 1e3 * tol * (1.0 + abs(z)))
@@ -472,6 +556,14 @@ def _polish(
     )
 
 
+def _reflected(found: Root | UnresolvedCell) -> Root | UnresolvedCell:
+    """found's mirror image in the real axis."""
+    if isinstance(found, Root):
+        return replace(found, lam=found.lam.conjugate())
+    box = found.box
+    return replace(found, box=ContourBox(box.re_min, box.re_max, -box.im_max, -box.im_min))
+
+
 def _subdivide(
     sampler: _Sampler,
     box: ContourBox,
@@ -481,52 +573,50 @@ def _subdivide(
     tol: float,
     roots: list[Root],
     unresolved: list[UnresolvedCell],
+    mirrored: bool = False,
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
 
     edges are box's edges.  Each isolated cell gets one Newton
     start from _polish; a cell whose start escapes is split like any other,
     so every further start is paid for by a split the sample budget meters.
+    A tall symmetric box is cut by _strip_cut, any other by _halves.  In the
+    upper part of a strip cut, and so with mirrored set, every root and
+    unresolved cell is listed with its mirror image.
     """
     if count == 0:
         return
-    if count == 1:
-        root = _polish(sampler, box, edges, 1, tol)
-        if root is not None:
-            roots.append(root)
+    cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
+    if count == 1 or box.diameter <= cluster_size or depth >= _MAX_DEPTH:
+        found = _polish(sampler, box, edges, count, tol)
+        if found is None and count > 1 and depth >= _MAX_DEPTH:
+            raise MaxDepthExceeded(
+                f"could not isolate {count} zeros in {box} within depth {_MAX_DEPTH}"
+            )
+        if found is None and (count > 1 or depth >= _MAX_DEPTH):
+            found = UnresolvedCell(box, count)
+        if found is not None:
+            listed = roots if isinstance(found, Root) else unresolved
+            listed.extend((found, _reflected(found)) if mirrored else (found,))
             return
-        # Newton escaped the cell from its start; split the cell so the
-        # halves' starts land nearer the zero, recording only at the cap.
-        if depth >= _MAX_DEPTH:
-            unresolved.append(UnresolvedCell(box, count))
-            return
-    else:
-        cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
-        if box.diameter <= cluster_size or depth >= _MAX_DEPTH:
-            root = _polish(sampler, box, edges, count, tol)
-            if root is not None:
-                roots.append(root)
-                return
-            if depth >= _MAX_DEPTH:
-                raise MaxDepthExceeded(
-                    f"could not isolate {count} zeros in {box} within depth {_MAX_DEPTH}"
-                )
-            unresolved.append(UnresolvedCell(box, count))
-            return
+        # Newton escaped this one-zero cell from its start; split the cell
+        # so the halves' starts land nearer the zero.
+    strip = box.im_min == -box.im_max and box.height > box.width
     for frac in _SPLIT_FRACTIONS:
-        halves = _halves(sampler, box, edges, frac)
-        if halves is None:
+        parts = (_strip_cut if strip else _halves)(sampler, box, edges, frac)
+        if parts is None:
             continue
-        (lo, lo_edges), (hi, hi_edges) = halves
+        (lo, lo_edges), (hi, hi_edges) = parts
         try:
             c_lo = _count(lo_edges, lo)
             c_hi = _count(hi_edges, hi)
         except QuadratureNonInteger:
             continue
-        if c_lo < 0 or c_hi < 0 or c_lo + c_hi != count:
+        # A strip cut's lo is its upper part, which stands for its mirror too.
+        if c_lo < 0 or c_hi < 0 or (1 + strip) * c_lo + c_hi != count:
             continue
-        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved)
-        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved)
+        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved, mirrored or strip)
+        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved, mirrored)
         return
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
 
@@ -550,6 +640,16 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     and listed with imaginary part exactly 0.  Unpolishable cells are
     recorded on the result instead of raising.  A tol that is not finite
     and > 0 raises InvalidParameter.
+
+    A box symmetric about the real axis (im_min == -im_max) is searched in
+    its upper half only.  A tall symmetric cell, as the default box is, is
+    cut at Im = +-im_max/64 into an upper part, its mirror image and a
+    symmetric strip; a wide one is cut upright into two symmetric halves.
+    Only upper parts and symmetric cells are subdivided: each root of an
+    upper part is listed with its exact conjugate, and a symmetric cell
+    with one zero holds a real root.  The found zeros are reconciled with
+    the count over the whole box.  Roots are sorted by real part, then
+    imaginary part, so each pair lists -Im first.
     """
     _check_tol(tol)
     sampler = _Sampler(params)
@@ -592,10 +692,11 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     """All eigenvalues with Re lambda >= -sigma.
 
     For beta = 0 the spectrum is exactly {-alpha} and no contour machinery
-    runs.  Otherwise find_roots is applied over ``default_box`` and every
-    root it lists is verified to satisfy |char_fn| <= 1e-8.  A sigma that
-    is not finite and >= 0, or a tol that is not finite and > 0, raises
-    InvalidParameter.
+    runs.  Otherwise find_roots is applied over ``default_box``, which is
+    symmetric about the real axis and so searched in its upper half only,
+    and every root it lists is verified to satisfy |char_fn| <= 1e-8, all
+    in one array call.  A sigma that is not finite and >= 0, or a tol that
+    is not finite and > 0, raises InvalidParameter.
     """
     if not 0.0 <= sigma < math.inf:
         raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
@@ -616,17 +717,20 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
         return RootSet(roots=roots, total_count=len(roots), box=box)
 
     result = find_roots(params, default_box(params, sigma), tol=tol)
-    for root in result.roots:
-        try:
-            g = abs(char_fn(params, root.lam))
-        except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
-            raise SolverConsistencyError(
-                f"root {root.lam} collided with the pole at -alpha"
-            ) from exc
-        if g > 1e-8:
-            raise SolverConsistencyError(
-                f"root {root.lam} fails the characteristic residual check: {g}"
-            )
+    lams = np.array([root.lam for root in result.roots], dtype=complex)
+    try:
+        g = np.abs(char_fn(params, lams))
+    except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
+        raise SolverConsistencyError(
+            f"a root collided with the pole at {-params.alpha}"
+        ) from exc
+    failed = np.flatnonzero(g > 1e-8)
+    if failed.size:
+        first = failed[0]
+        raise SolverConsistencyError(
+            f"root {complex(lams[first])} fails the characteristic residual check: "
+            f"{float(g[first])}"
+        )
     return result
 
 

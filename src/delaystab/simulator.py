@@ -213,11 +213,14 @@ def _sq_integral(v: np.ndarray, weights: np.ndarray) -> float:
     return float((v * v).dot(weights))
 
 
-def _history_weights(params: SystemParams, dt: float, n_tau: int) -> np.ndarray:
-    """Trapezoid weights times exp(tau - age) over the newest-first delay
-    window, so the energy's history integral is a dot with z**2."""
+def _history_weights(params: SystemParams, gamma: float, dt: float, n_tau: int) -> np.ndarray:
+    """Trapezoid weights times gamma*exp(tau - age) over the newest-first
+    delay window, so the energy's gamma-weighted history integral is a dot
+    with z**2.  gamma enters the exponent as log(gamma): exp(tau - age)
+    alone overflows for tau above about 709.78, while with the default
+    gamma = f*exp(-tau) the weight is f*exp(-age)."""
     ages = np.arange(n_tau + 1) * dt
-    return _trapezoid_weights(n_tau + 1, dt) * np.exp(params.tau - ages)
+    return _trapezoid_weights(n_tau + 1, dt) * np.exp(math.log(gamma) + params.tau - ages)
 
 
 def energy(state: SimState, params: SystemParams, gamma: float) -> float:
@@ -229,8 +232,8 @@ def energy(state: SimState, params: SystemParams, gamma: float) -> float:
     value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
     value += 0.5 * state.a * state.a
     if state.n_tau >= 1:
-        weights = _history_weights(params, state.dt, state.n_tau)
-        value += 0.5 * gamma * _sq_integral(state.history, weights)
+        weights = _history_weights(params, gamma, state.dt, state.n_tau)
+        value += 0.5 * _sq_integral(state.history, weights)
     return value
 
 
@@ -281,7 +284,7 @@ def run(
     c, c_next = state.c, np.empty_like(state.c)
     a = state.a
     c_weights = _trapezoid_weights(c.size, params.l / config.nx)
-    history_weights = _history_weights(params, dt, n_tau) if n_tau >= 1 else None
+    history_weights = _history_weights(params, config.gamma, dt, n_tau) if n_tau >= 1 else None
     history_terms = np.zeros(len(outputs))
     flushed = 0
 
@@ -323,7 +326,7 @@ def run(
     flush(len(outputs))
 
     a_out = np.array(a_out)
-    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out + 0.5 * config.gamma * history_terms
+    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out + 0.5 * history_terms
     samples = tuple(
         map(
             EnergySample,

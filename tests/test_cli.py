@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -559,18 +560,22 @@ class TestSimulate:
 
     def test_default_gamma_past_exp_underflow(self, capsys):
         # f*exp(-tau) underflows to 0.0 above tau of about 745; the default
-        # weight is floored at the smallest positive float instead.
-        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "800"]
-        argv += ["--nx", "10", "--t-final", "0.1"]
-        # The energy's history weights exp(tau - age) still overflow past
-        # tau of about 709.78, a fault apart from the default gamma.
-        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-            code, out, err = run_cli(capsys, argv)
-            floored = run_cli(capsys, [*argv, "--gamma", "5e-324"])
-        assert code == 0 and "gamma" not in err
-        header, rows = parse_csv(out)
-        assert header == ["t", "E", "a_sq", "c_l"] and len(rows) == 2
-        assert floored[:2] == (0, out)
+        # weight is floored at the smallest positive float instead.  The
+        # history weights take gamma as log(gamma), so exp(tau - age) does
+        # not overflow past tau of about 709.78 either.
+        for tau in ("710", "800"):
+            argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", tau]
+            argv += ["--nx", "10", "--t-final", "0.1"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, argv)
+                floored = run_cli(capsys, [*argv, "--gamma", "5e-324"])
+            assert code == 0 and "gamma" not in err
+            header, rows = parse_csv(out)
+            assert header == ["t", "E", "a_sq", "c_l"] and len(rows) == 2
+            assert all(math.isfinite(float(row[1])) and float(row[1]) > 0 for row in rows)
+            if tau == "800":
+                assert floored[:2] == (0, out)
 
 
 class TestCertify:

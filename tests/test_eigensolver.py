@@ -19,11 +19,37 @@ from delaystab import (
     spectrum,
     threshold_gain,
 )
-from delaystab.errors import InvalidParameter, QuadratureNonInteger
+from delaystab.errors import InvalidParameter, QuadratureNonInteger, SampleBudgetExceeded
+from test_robustness import corpus
 
 B0 = threshold_gain(1, 1, 1, 1)
 # _deflated_with_scale samples of spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
 SAMPLES_BETA10_TAU50 = 5806
+BETA10_TAU50 = SystemParams(1, 10, 1, 1, 1, 50)
+# The first 40 points of the robustness corpus; #18 of them, with delta < 0,
+# exceeds the sample budget and is left out where a spectrum is needed.
+CORPUS_HEAD = corpus()[:40]
+
+
+def corpus_spectra():
+    spectra = []
+    for p in CORPUS_HEAD:
+        try:
+            spectra.append((p, spectrum(p, 1e-5)))
+        except SampleBudgetExceeded:
+            continue
+    assert len(spectra) >= 39
+    return spectra
+
+
+def matched(got, want):
+    """Largest relative distance of a root in want to its match in got."""
+    pool = [r.lam for r in got]
+    worst = 0.0
+    for r in want:
+        i = min(range(len(pool)), key=lambda k: abs(pool[k] - r.lam))
+        worst = max(worst, abs(pool.pop(i) - r.lam) / max(1.0, abs(r.lam)))
+    return worst
 
 
 def random_params(rng, beta_range=(-4, 4), tau_max=2.0):
@@ -145,17 +171,39 @@ class TestSharedEdges:
         assert 0 < samples < 1.5 * SAMPLES_BETA10_TAU50
 
     def test_no_box_is_sampled_twice(self, monkeypatch):
-        # The search box is counted and split from the same edges.
-        boxes = []
-        box_edges = es._box_edges
+        # The search box is counted and split from the same edges, and no
+        # edge or cut is sampled twice.
+        boxes, segments = [], []
+        box_edges, edges = es._box_edges, es._edges
 
-        def spy(*args):
+        def box_spy(*args):
             boxes.append(args[-1])
             return box_edges(*args)
 
-        monkeypatch.setattr(es, "_box_edges", spy)
-        assert len(spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5).roots) == 57
+        def edge_spy(sampler, segs):
+            segs = list(segs)
+            segments.extend(segs)
+            return edges(sampler, segs)
+
+        monkeypatch.setattr(es, "_box_edges", box_spy)
+        monkeypatch.setattr(es, "_edges", edge_spy)
+        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
         assert boxes and len(set(boxes)) == len(boxes)
+        assert segments and len(set(segments)) == len(segments)
+
+    def test_nothing_below_the_axis_is_sampled(self, monkeypatch):
+        # default_box is symmetric about the real axis: its lower half is
+        # the mirror image of its upper half.
+        lowest = []
+        deflated = es._deflated_with_scale
+
+        def spy(params, pts):
+            lowest.append(pts.imag.min())
+            return deflated(params, pts)
+
+        monkeypatch.setattr(es, "_deflated_with_scale", spy)
+        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
+        assert lowest and min(lowest) >= 0.0
 
     def test_char_num_is_never_sampled(self, monkeypatch):
         def boom(*args):
@@ -300,8 +348,49 @@ class TestFindRoots:
         monkeypatch.setattr(es, "_polish", counting_polish)
         result = spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
         assert len(result.roots) == 57 and result.unresolved == ()
-        assert len(calls) >= 57
+        # Each real root, and each conjugate pair, is polished at least once.
+        lams = [r.lam for r in result.roots]
+        real = sum(lam.imag == 0.0 for lam in lams)
+        pairs = sum(lam.imag > 0.0 for lam in lams)
+        assert real + 2 * pairs == 57
+        assert len(calls) >= real + pairs
         assert max(calls) == 1
+
+    def test_mirrored_search_matches_the_general_one(self):
+        # Moving im_min by one part in 2**40 makes the box non-symmetric, so
+        # it is searched in both halves; counts and roots must agree.
+        points = [BETA10_TAU50, *(p for p, _ in corpus_spectra()[:12])]
+        for p in points:
+            box = default_box(p, 1e-5)
+            shifted = ContourBox(box.re_min, box.re_max, box.im_min * (1 + 2**-40), box.im_max)
+            mirrored, general = find_roots(p, box), find_roots(p, shifted)
+            assert mirrored.total_count == general.total_count == count_zeros(p, box)
+            assert len(mirrored.roots) == len(general.roots)
+            assert matched(general.roots, mirrored.roots) <= 1e-12
+
+    def test_root_on_the_strip_cut_moves_the_cut(self, monkeypatch):
+        # The box's first strip cut, at Im = im_max/64, runs through a root;
+        # the cut moves to the next fraction and every root is still found.
+        p = BETA10_TAU50
+        z = min((r.lam for r in spectrum(p, 1e-5).roots if r.lam.imag > 0), key=abs)
+        box = ContourBox(z.real - 0.5, z.real + 0.5, -64.0 * z.imag, 64.0 * z.imag)
+        cuts = []
+        strip_cut = es._strip_cut
+
+        def spy(*args):
+            parts = strip_cut(*args)
+            cuts.append((args[-1], parts is None))
+            return parts
+
+        monkeypatch.setattr(es, "_strip_cut", spy)
+        result = find_roots(p, box)
+        assert cuts[0] == (0.5, True) and cuts[1] == (0.55, False)
+        shifted = ContourBox(box.re_min, box.re_max, box.im_min * (1 + 2**-40), box.im_max)
+        general = find_roots(p, shifted)
+        assert result.total_count == count_zeros(p, box) == general.total_count > 0
+        assert len(result.roots) == result.total_count and result.unresolved == ()
+        assert matched(general.roots, result.roots) <= 1e-12
+        assert min(abs(r.lam - z) for r in result.roots) <= 1e-12
 
     def test_moment_start_lands_next_to_the_zero(self):
         # beta = 0: the deflated numerator is lambda + 1, zero at -1, which
@@ -362,6 +451,26 @@ class TestSpectrum:
         real = [lam for lam in lams if abs(lam.imag) <= 1e-9]
         assert any(abs(lam - 0.38206819097433) <= 1e-13 for lam in real)
         assert all(lam.imag == 0.0 for lam in real)
+
+    def test_pairs_are_exact_conjugates_in_a_fixed_order(self):
+        # Each root of the upper half is listed with its exact conjugate,
+        # -Im first, and every real root has imaginary part exactly 0.
+        spectra = [(BETA10_TAU50, spectrum(BETA10_TAU50, 1e-5)), *corpus_spectra()]
+        assert len(spectra[0][1].roots) == 57
+        pairs = 0
+        for p, result in spectra:
+            lams = [r.lam for r in result.roots]
+            assert lams == sorted(lams, key=lambda lam: (lam.real, lam.imag))
+            for i, lam in enumerate(lams):
+                if abs(lam.imag) <= 1e-9 * (1.0 + abs(lam)):
+                    assert lam.imag == 0.0
+                elif lam.imag < 0.0:
+                    assert lams[i + 1] == lam.conjugate()
+                    pairs += 1
+                else:
+                    assert lams[i - 1] == lam.conjugate()
+            assert [r.lam for r in spectrum(p, 1e-5).roots] == lams
+        assert pairs > 100
 
     def test_conjugate_closure_of_output(self):
         p = SystemParams(1, -3, 1, 1, 1, 3)
