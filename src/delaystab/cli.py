@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -273,12 +272,10 @@ def _cmd_trace_r0(args):
 
 def _cmd_simulate(args):
     params = _params_from(args)
-    gamma = args.gamma
-    if gamma is None:
-        # f*exp(-tau) underflows to 0.0 above tau of about 745; the smallest
-        # positive float keeps the default weight admissible there.
-        gamma = max(params.f * math.exp(-params.tau), math.ulp(0.0))
-    config = SimConfig(nx=args.nx, t_final=args.t_final, gamma=gamma, output_stride=args.stride)
+    # No --gamma leaves SimConfig's default, f*exp(-tau), exact for every tau.
+    config = SimConfig(
+        nx=args.nx, t_final=args.t_final, gamma=args.gamma, output_stride=args.stride
+    )
     c0 = sine_profile(params.l) if args.c0 == "sine" else zero_fn
     _, etrace = run_sim(params, config, c0, args.a0, zero_fn)
     header = ["t", "E", "a_sq", "c_l"]

@@ -24,15 +24,18 @@ it raises SampleBudgetExceeded.
 
 Every coefficient is real, so f(conj z) = conj f(z): the zeros are real or
 come in conjugate pairs.  A box symmetric about the real axis (im_min ==
--im_max, as every default_box is) is searched in its upper half only.  Its
-bottom edge is the top's mirror image and each vertical edge the mirror of
-its upper half, so nothing below the axis is sampled.  A tall symmetric
-cell is cut at Im = +-h (h = im_max/64, moved like a split on a zero) into
-an upper part, its mirror and a symmetric strip, whose counts add up as
-2*upper + strip; the upper part is subdivided alone and each of its roots
-listed with its exact conjugate.  A wide symmetric cell takes an upright
-cut, which keeps both halves symmetric, so a symmetric cell with one zero
-holds a real one.
+-im_max, as every default_box is) is held as its upper half, the top and
+each side from the axis up, and nothing below the axis is sampled:
+_mirrored completes a box from its upper half, the bottom being the top's
+mirror image and each side its upper half preceded by that half's mirror
+image.  _split
+chooses every cut.  A symmetric cell is cut on its upper half by the same
+_halves as any other box and completed by _mirrored: a wide one upright,
+into two symmetric halves, so a symmetric cell with one zero holds a real
+one; a tall one level at Im = h (h = im_max/64, moved like a split on a
+zero), into the symmetric strip |Im| < h and the upper part above h, whose
+counts add up as strip + 2*upper.  The upper part is subdivided alone and
+its finds are conjugated once, where that cut is made.
 """
 
 from __future__ import annotations
@@ -257,15 +260,10 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     """The refined edges along segments, (start, stop) pairs, with None for
     each edge where a sample lies on a zero.  A horizontal edge starts from
     16 steps, a vertical one from 16 + height*rate, enough for the phase
-    speeds of the exponentials; all starting samples are taken in one call.
-    A vertical edge symmetric about the real axis is sampled from the axis
-    up and completed by its mirror image."""
-    lines, mirrored = [], []
+    speeds of the exponentials; all starting samples are taken in one call."""
+    lines = []
     for start, stop in segments:
         steps = _MIN_STEPS
-        mirrored.append(start.real == stop.real and start.imag == -stop.imag)
-        if mirrored[-1]:
-            start = complex(start.real, 0.0)
         if start.real == stop.real:
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
@@ -274,12 +272,12 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     on_zero = _on_zero(vals, scales)
     edges: list[_Edge | None] = []
     end = 0
-    for pts, mirror in zip(lines, mirrored):
+    for pts in lines:
         start, end = end, end + pts.size
         edge = None
         if not on_zero[start:end].any():
             edge = _refined(sampler, pts, vals[start:end])
-        edges.append(_whole(edge) if mirror and edge is not None else edge)
+        edges.append(edge)
     return edges
 
 
@@ -287,21 +285,23 @@ def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge, ...]:
     """The bottom, right, top and left edges of box, each in increasing
     coordinate.  All four are sampled before _BoundaryHit is raised, so the
     hit names every side that touches a zero.  A box symmetric about the
-    real axis is sampled above it only: its bottom is the top's mirror
-    image, so a hit on the top is one on the bottom too."""
-    sw = complex(box.re_min, box.im_min)
-    se = complex(box.re_max, box.im_min)
-    nw = complex(box.re_min, box.im_max)
-    ne = complex(box.re_max, box.im_max)
-    if box.im_min == -box.im_max:
-        right, top, left = _edges(sampler, ((se, ne), (nw, ne), (sw, nw)))
-        edges = (None if top is None else _conj(top), right, top, left)
+    real axis is sampled above it only, its top and each side from the axis
+    up, and completed by _mirrored; a hit on the top is one on the bottom."""
+    symmetric = box.im_min == -box.im_max
+    base = 0.0 if symmetric else box.im_min
+    sw, se = complex(box.re_min, base), complex(box.re_max, base)
+    nw, ne = complex(box.re_min, box.im_max), complex(box.re_max, box.im_max)
+    segments = ((sw, se), (se, ne), (nw, ne), (sw, nw))
+    if symmetric:
+        # No bottom is sampled; the top stands for it in the hit check.
+        right, top, left = _edges(sampler, segments[1:])
+        edges = (top, right, top, left)
     else:
-        edges = tuple(_edges(sampler, ((sw, se), (se, ne), (nw, ne), (sw, nw))))
+        edges = tuple(_edges(sampler, segments))
     hits = frozenset(side for side, edge in enumerate(edges) if edge is None)
     if hits:
         raise _BoundaryHit(hits)
-    return edges
+    return _mirrored(box, edges)[1] if symmetric else edges
 
 
 def _count(edges: tuple[_Edge, ...], box: ContourBox) -> int:
@@ -357,27 +357,23 @@ def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, va
     )
 
 
-def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
-    """box cut across its longer side at frac, as ((lo, lo_edges), (hi,
-    hi_edges)) with the edges of each half, or None when a new
-    sample lies on a zero.
+def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: bool):
+    """box cut upright or level at frac, as ((lo, lo_edges), (hi, hi_edges))
+    with the edges of each half, or None when a new sample lies on a zero.
 
     Only the cut is sampled anew, with its ends exactly on the split
     coordinate.  The halves reuse the parent's edges, cut at the cut's end
     samples, and share the cut: lo runs it forward, hi reversed, so their
-    counts add up to the parent's.  An upright cut of a symmetric box keeps
-    both halves symmetric: the cut is sampled above the axis (_edges), and
-    the bottom's halves are the top's mirror images.
+    counts add up to the parent's.  A side given as None (an upper half's
+    bottom, the real axis) is not cut and stays None.
     """
-    mirror = box.width >= box.height and box.im_min == -box.im_max
-    if box.width >= box.height:
+    if upright:
         # An upright cut: it crosses bottom and top and is lo's right side.
         mid = box.re_min + frac * box.width
         lo = ContourBox(box.re_min, mid, box.im_min, box.im_max)
         hi = ContourBox(mid, box.re_max, box.im_min, box.im_max)
         ends = (complex(mid, box.im_min), complex(mid, box.im_max))
-        crossed = ((_TOP, -1),) if mirror else ((_BOTTOM, 0), (_TOP, -1))
-        replaced, coord = _RIGHT, np.real
+        crossed, replaced, coord = ((_BOTTOM, 0), (_TOP, -1)), _RIGHT, np.real
     else:
         # A level cut: it crosses left and right and is lo's top side.
         mid = box.im_min + frac * box.height
@@ -385,6 +381,7 @@ def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: 
         hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
         ends = (complex(box.re_min, mid), complex(box.re_max, mid))
         crossed, replaced, coord = ((_LEFT, 0), (_RIGHT, -1)), _TOP, np.imag
+    crossed = [(side, end) for side, end in crossed if edges[side] is not None]
     [cut] = _edges(sampler, [ends])
     if cut is None:
         return None
@@ -397,41 +394,45 @@ def _halves(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: 
     lo_edges, hi_edges = list(edges), list(edges)
     for (side, _), (lo_part, hi_part) in zip(crossed, parts):
         lo_edges[side], hi_edges[side] = lo_part, hi_part
-    if mirror:
-        lo_edges[_BOTTOM], hi_edges[_BOTTOM] = _conj(lo_edges[_TOP]), _conj(hi_edges[_TOP])
     # The cut is lo's replaced side and hi's opposite one, two sides round.
     lo_edges[replaced] = hi_edges[(replaced + 2) % 4] = cut
     return (lo, tuple(lo_edges)), (hi, tuple(hi_edges))
 
 
-def _strip_cut(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
-    """A symmetric box cut at Im = +-h, h = frac*im_max/32, as ((upper,
-    upper_edges), (strip, strip_edges)), or None when a new sample lies on
-    a zero.  The part below -h is upper's mirror image, so box holds twice
-    upper's count plus strip's.
+def _mirrored(box: ContourBox, edges: tuple[_Edge | None, ...]):
+    """The box symmetric about the real axis whose upper half is box (im_min
+    0), with its edges completed from the upper half's right, top and left
+    (its bottom, the axis, is not used): the bottom is the top's mirror
+    image and each side the side's mirror image followed by the side."""
+    _, right, top, left = edges
+    whole = ContourBox(box.re_min, box.re_max, -box.im_max, box.im_max)
+    return whole, (_conj(top), _whole(right), top, _whole(left))
 
-    Only the cut at +h is sampled anew; the one at -h is its mirror image.
-    upper takes the top, the cut as its bottom and the sides' upper halves
-    cut at h; strip, symmetric itself, the cut as its top, its mirror as
-    its bottom and the sides below h with their mirror images.
+
+def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
+    """box cut in two at frac, as ((lo, lo_edges), (hi, hi_edges), paired),
+    or None when a new sample lies on a zero.  box holds lo's count plus
+    hi's, twice over when paired: hi then stands for its mirror image too.
+
+    A box symmetric about the real axis is cut on its upper half (its top
+    and each side from the axis up) by _halves, and the parts that touch
+    the axis are completed by _mirrored.  A wide one is cut upright at frac
+    into two symmetric halves; a tall one level at h = frac*im_max/32 into
+    the symmetric strip |Im| < h (lo) and the upper part above h (hi,
+    paired).  Any other box is cut across its longer side.
     """
-    h = frac * box.im_max / 32.0
-    [cut] = _edges(sampler, [(complex(box.re_min, h), complex(box.re_max, h))])
-    if cut is None:
-        return None
-    parts = []
-    for side, end in ((_RIGHT, -1), (_LEFT, 0)):
-        half = _upper(edges[side])
-        parts.append(_cut(sampler, half, half.pts.imag, h, cut.pts[end], cut.vals[end]))
-    if None in parts:
-        return None
-    (right_lo, right_hi), (left_lo, left_hi) = parts
-    upper = ContourBox(box.re_min, box.re_max, h, box.im_max)
-    strip = ContourBox(box.re_min, box.re_max, -h, h)
-    return (
-        (upper, (cut, right_hi, edges[_TOP], left_hi)),
-        (strip, (_conj(cut), _whole(right_lo), cut, _whole(left_lo))),
-    )
+    upright = box.width >= box.height
+    symmetric = box.im_min == -box.im_max
+    if symmetric:
+        box = ContourBox(box.re_min, box.re_max, 0.0, box.im_max)
+        edges = (None, _upper(edges[_RIGHT]), edges[_TOP], _upper(edges[_LEFT]))
+        # A level cut at h = frac*im_max/32, on a half im_max high.
+        frac = frac if upright else frac / 32.0
+    parts = _halves(sampler, box, edges, frac, upright)
+    if parts is None or not symmetric:
+        return None if parts is None else (*parts, False)
+    lo, hi = parts
+    return _mirrored(*lo), (_mirrored(*hi) if upright else hi), not upright
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -469,9 +470,9 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     before BoundaryZero is raised.  The call, nudges included, may take at
     most 1,000,000 contour samples; past that it raises
     SampleBudgetExceeded.  A box symmetric about the real axis is sampled
-    above it only: the bottom edge is the top's mirror image, each vertical
-    edge is sampled from the axis up and mirrored, and a zero on the top
-    grows top and bottom alike, so the box stays symmetric.
+    above it only, its top and each vertical edge from the axis up, and
+    completed by its mirror image; a zero on the top grows top and bottom
+    alike, so the box stays symmetric.
     """
     sampler = _Sampler(params)
     with np.errstate(**_QUIET):
@@ -556,14 +557,6 @@ def _polish(
     )
 
 
-def _reflected(found: Root | UnresolvedCell) -> Root | UnresolvedCell:
-    """found's mirror image in the real axis."""
-    if isinstance(found, Root):
-        return replace(found, lam=found.lam.conjugate())
-    box = found.box
-    return replace(found, box=ContourBox(box.re_min, box.re_max, -box.im_max, -box.im_min))
-
-
 def _subdivide(
     sampler: _Sampler,
     box: ContourBox,
@@ -573,16 +566,14 @@ def _subdivide(
     tol: float,
     roots: list[Root],
     unresolved: list[UnresolvedCell],
-    mirrored: bool = False,
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
 
     edges are box's edges.  Each isolated cell gets one Newton
     start from _polish; a cell whose start escapes is split like any other,
     so every further start is paid for by a split the sample budget meters.
-    A tall symmetric box is cut by _strip_cut, any other by _halves.  In the
-    upper part of a strip cut, and so with mirrored set, every root and
-    unresolved cell is listed with its mirror image.
+    Every cut is chosen by _split; the roots and unresolved cells found in
+    a paired part are listed once more, mirrored in the real axis.
     """
     if count == 0:
         return
@@ -596,27 +587,31 @@ def _subdivide(
         if found is None and (count > 1 or depth >= _MAX_DEPTH):
             found = UnresolvedCell(box, count)
         if found is not None:
-            listed = roots if isinstance(found, Root) else unresolved
-            listed.extend((found, _reflected(found)) if mirrored else (found,))
+            (roots if isinstance(found, Root) else unresolved).append(found)
             return
         # Newton escaped this one-zero cell from its start; split the cell
         # so the halves' starts land nearer the zero.
-    strip = box.im_min == -box.im_max and box.height > box.width
     for frac in _SPLIT_FRACTIONS:
-        parts = (_strip_cut if strip else _halves)(sampler, box, edges, frac)
+        parts = _split(sampler, box, edges, frac)
         if parts is None:
             continue
-        (lo, lo_edges), (hi, hi_edges) = parts
+        (lo, lo_edges), (hi, hi_edges), paired = parts
         try:
             c_lo = _count(lo_edges, lo)
             c_hi = _count(hi_edges, hi)
         except QuadratureNonInteger:
             continue
-        # A strip cut's lo is its upper part, which stands for its mirror too.
-        if c_lo < 0 or c_hi < 0 or (1 + strip) * c_lo + c_hi != count:
+        if c_lo < 0 or c_hi < 0 or c_lo + (1 + paired) * c_hi != count:
             continue
-        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved, mirrored or strip)
-        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved, mirrored)
+        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved)
+        n_roots, n_cells = len(roots), len(unresolved)
+        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved)
+        if paired:
+            roots.extend(replace(r, lam=r.lam.conjugate()) for r in roots[n_roots:])
+            unresolved.extend(
+                replace(c, box=ContourBox(c.box.re_min, c.box.re_max, -c.box.im_max, -c.box.im_min))
+                for c in unresolved[n_cells:]
+            )
         return
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
 
@@ -642,14 +637,16 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     and > 0 raises InvalidParameter.
 
     A box symmetric about the real axis (im_min == -im_max) is searched in
-    its upper half only.  A tall symmetric cell, as the default box is, is
-    cut at Im = +-im_max/64 into an upper part, its mirror image and a
-    symmetric strip; a wide one is cut upright into two symmetric halves.
-    Only upper parts and symmetric cells are subdivided: each root of an
-    upper part is listed with its exact conjugate, and a symmetric cell
-    with one zero holds a real root.  The found zeros are reconciled with
-    the count over the whole box.  Roots are sorted by real part, then
-    imaginary part, so each pair lists -Im first.
+    its upper half only: each symmetric cell is its upper half plus the
+    mirror image of it.  Its cuts are made on the upper half and completed
+    by mirroring.  A tall symmetric cell, as the default box is, is cut at
+    Im = im_max/64 into a symmetric strip and the upper part above it,
+    which stands for its mirror image too; a wide one is cut upright into
+    two symmetric halves.  Each root found in an upper part is listed with
+    its exact conjugate, and a symmetric cell with one zero holds a real
+    root.  The found zeros are reconciled with the count over the whole
+    box.  Roots are sorted by real part, then imaginary part, so each pair
+    lists -Im first.
     """
     _check_tol(tol)
     sampler = _Sampler(params)

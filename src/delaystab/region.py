@@ -178,16 +178,19 @@ def sweep(
 ) -> list[SweepNode]:
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
-    grid_counts = (n_beta, n_tau), both integers >= 2.  A bad family, grid,
-    range or eps0 raises before any node is classified: the family's
-    SystemParams error, NegativeTau for a tau_range below 0,
-    InvalidParameter otherwise, also for workers that is not an integer
-    >= 1.  Failures of single nodes are recorded on the node and do not
-    stop the sweep.  With workers > 1 the nodes are classified in a process
-    pool of at most workers, node and usable CPU count processes; output
-    order is deterministic either way.
+    grid_counts = (n_beta, n_tau), both integers >= 2, and each range is a
+    (start, stop) pair.  A bad family, grid, range or eps0 raises before
+    any node is classified: the family's SystemParams error, NegativeTau
+    for a tau_range below 0, InvalidParameter otherwise, also for workers
+    that is not an integer >= 1.  Failures of single nodes are recorded on
+    the node and do not stop the sweep.  With workers > 1 the nodes are
+    classified in a process pool of at most workers, node and usable CPU
+    count processes; output order is deterministic either way.
     """
     _check_family(*fixed)
+    pairs = (grid_counts, beta_range, tau_range)
+    if any(len(pair) != 2 for pair in pairs):
+        raise InvalidParameter(f"grid_counts and both ranges must be pairs, got {pairs}")
     n_beta, n_tau = grid_counts
     if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
         raise InvalidParameter(f"grid_counts must be integers >= 2, got {grid_counts}")
@@ -240,7 +243,10 @@ def _check_axis_gain(fixed) -> None:
 
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
-    """Axis gain at one frequency, for a family the caller has checked."""
+    """Axis gain at one frequency, for a family the caller has checked; a
+    non-finite omega or tau raises InvalidParameter."""
+    if not (math.isfinite(omega) and math.isfinite(tau)):
+        raise InvalidParameter(f"omega and tau must be finite, got {omega}, {tau}")
     num, den = _axis_terms(fixed, omega, tau)
     if abs(den) < _DENOM_TOL:
         raise DenominatorVanishes(
@@ -252,9 +258,10 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
 def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
     eigenvalue at i*omega for this delay.  Odd in omega.  Raises the
-    SystemParams error for a bad family, and QuadratureNonInteger below
+    SystemParams error for a bad family, QuadratureNonInteger below
     delta*l/f of about -709.43, where dividing by the gain's denominator,
-    about exp(-delta*l/f), overflows."""
+    about exp(-delta*l/f), overflows, and InvalidParameter for an omega or
+    tau that is not finite."""
     _check_family(*fixed)
     _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).imag

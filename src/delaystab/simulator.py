@@ -22,11 +22,12 @@ from .params import SystemParams
 @dataclass(frozen=True)
 class SimConfig:
     """Discretization choices: nx cells on [0, l], final time, energy
-    weight gamma and output stride (in steps)."""
+    weight gamma and output stride (in steps).  gamma None is the decay
+    certificate's weight f*exp(-tau), taken exactly for every tau."""
 
     nx: int
     t_final: float
-    gamma: float
+    gamma: float | None = None
     output_stride: int = 1
 
     def __post_init__(self):
@@ -34,7 +35,7 @@ class SimConfig:
             raise InvalidParameter(f"nx must be an integer >= 2, got {self.nx}")
         if not 0.0 < self.t_final < math.inf:
             raise InvalidParameter(f"t_final must be finite and > 0, got {self.t_final}")
-        if not 0.0 < self.gamma < math.inf:
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise InvalidParameter(f"gamma must be finite and > 0, got {self.gamma}")
         stride = self.output_stride
         if not (math.isfinite(stride) and int(stride) == stride and stride >= 1):
@@ -213,20 +214,25 @@ def _sq_integral(v: np.ndarray, weights: np.ndarray) -> float:
     return float((v * v).dot(weights))
 
 
-def _history_weights(params: SystemParams, gamma: float, dt: float, n_tau: int) -> np.ndarray:
+def _history_weights(
+    params: SystemParams, gamma: float | None, dt: float, n_tau: int
+) -> np.ndarray:
     """Trapezoid weights times gamma*exp(tau - age) over the newest-first
     delay window, so the energy's gamma-weighted history integral is a dot
-    with z**2.  gamma enters the exponent as log(gamma): exp(tau - age)
-    alone overflows for tau above about 709.78, while with the default
-    gamma = f*exp(-tau) the weight is f*exp(-age)."""
+    with z**2.  gamma enters the exponent as log(gamma) + tau: exp(tau - age)
+    alone overflows for tau above about 709.78.  gamma None stands for
+    f*exp(-tau), which underflows above tau of about 745; its log(gamma) +
+    tau is log(f), so its weight is f*exp(-age) for every tau."""
+    log_weight = math.log(params.f) if gamma is None else math.log(gamma) + params.tau
     ages = np.arange(n_tau + 1) * dt
-    return _trapezoid_weights(n_tau + 1, dt) * np.exp(math.log(gamma) + params.tau - ages)
+    return _trapezoid_weights(n_tau + 1, dt) * np.exp(log_weight - ages)
 
 
-def energy(state: SimState, params: SystemParams, gamma: float) -> float:
+def energy(state: SimState, params: SystemParams, gamma: float | None = None) -> float:
     """Composite-trapezoid energy: half the squared L2 norm of c, half the
-    squared activation, plus the gamma-weighted history integral."""
-    if not 0.0 < gamma < math.inf:
+    squared activation, plus the gamma-weighted history integral; gamma
+    None is f*exp(-tau), as in SimConfig."""
+    if gamma is not None and not 0.0 < gamma < math.inf:
         raise InvalidParameter(f"gamma must be finite and > 0, got {gamma}")
     dx = params.l / (state.c.size - 1)
     value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))

@@ -93,6 +93,12 @@ BAD_ARGUMENTS = {
     "sweep-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (1, 5)),
     "sweep-range": lambda: delaystab.sweep(ONES, (0, math.inf), (0, 1), (2, 2)),
     "sweep-float-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (2.5, 3)),
+    "sweep-three-grid-counts": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (2, 2, 2)),
+    "sweep-one-ended-range": lambda: delaystab.sweep(ONES, (-1,), (0, 1), (2, 2)),
+    "phase-residual-nan-omega": lambda: delaystab.phase_residual(ONES, math.nan, 1.0),
+    "phase-residual-inf-tau": lambda: delaystab.phase_residual(ONES, 0.5, math.inf),
+    "beta-on-axis-inf-omega": lambda: delaystab.beta_on_axis(ONES, math.inf, 1.0),
+    "beta-on-axis-nan-tau": lambda: delaystab.beta_on_axis(ONES, 0.5, math.nan),
     "trace-float-steps": lambda: delaystab.trace_boundary(ONES, 10.0, 5.5),
     "exclusions-zero-gain": lambda: delaystab.exclusions(SystemParams(1, 0, 2, 1, 1, 1)),
     "energy-gamma": lambda: _energy_with_gamma(0.0),

@@ -560,22 +560,24 @@ class TestSimulate:
 
     def test_default_gamma_past_exp_underflow(self, capsys):
         # f*exp(-tau) underflows to 0.0 above tau of about 745; the default
-        # weight is floored at the smallest positive float instead.  The
-        # history weights take gamma as log(gamma), so exp(tau - age) does
-        # not overflow past tau of about 709.78 either.
+        # weight is taken as log(gamma) + tau = log(f), exact for every tau,
+        # and exp(tau - age) does not overflow past tau of about 709.78
+        # either.  Up to t = 0.1 the delayed trace is the zero history at
+        # both delays, so tau = 800 gives the rows of tau = 710.
+        outputs = {}
         for tau in ("710", "800"):
             argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", tau]
             argv += ["--nx", "10", "--t-final", "0.1"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, out, err = run_cli(capsys, argv)
-                floored = run_cli(capsys, [*argv, "--gamma", "5e-324"])
             assert code == 0 and "gamma" not in err
             header, rows = parse_csv(out)
             assert header == ["t", "E", "a_sq", "c_l"] and len(rows) == 2
             assert all(math.isfinite(float(row[1])) and float(row[1]) > 0 for row in rows)
-            if tau == "800":
-                assert floored[:2] == (0, out)
+            outputs[tau] = rows
+        assert outputs["800"] == outputs["710"]
+        assert outputs["800"][1][1] == "0.6409643055730043"
 
 
 class TestCertify:

@@ -130,30 +130,50 @@ class TestCountZeros:
 
 class TestSharedEdges:
     def test_split_counts_add_up_and_match_fresh_counts(self):
+        # Besides a general box, each draw splits a wide and a tall box
+        # symmetric about the real axis.  A symmetric box is cut on its upper
+        # half: a wide one upright into two symmetric halves, a tall one into
+        # the symmetric strip (lo) and the upper part (hi), which is paired:
+        # it stands for its mirror image too, so it counts twice.
         rng = np.random.default_rng(59)
-        checked = 0
+        checked = {"general": 0, "upright": 0, "strip": 0}
         for _ in range(8):
             p = random_params(rng, tau_max=4.0)
             cx, cy = rng.uniform(-1.5, 1.5, 2)
             w, h = rng.uniform(0.5, 3.0, 2)
-            box = ContourBox(cx - w, cx + w, cy - h, cy + h)
-            sampler = es._Sampler(p)
-            try:
-                edges = es._box_edges(sampler, box)
-            except es._BoundaryHit:
-                continue
-            count = es._count(edges, box)
-            for frac in es._SPLIT_FRACTIONS:
-                halves = es._halves(sampler, box, edges, frac)
-                if halves is None:
+            boxes = (
+                ContourBox(cx - w, cx + w, cy - h, cy + h),
+                ContourBox(cx - w, cx + w, -h, h),
+                ContourBox(cx - h, cx + h, -w, w),
+            )
+            for box in boxes:
+                symmetric = box.im_min == -box.im_max
+                sampler = es._Sampler(p)
+                try:
+                    edges = es._box_edges(sampler, box)
+                except es._BoundaryHit:
                     continue
-                (lo, lo_edges), (hi, hi_edges) = halves
-                c_lo, c_hi = es._count(lo_edges, lo), es._count(hi_edges, hi)
-                assert c_lo + c_hi == count
-                for child, c in ((lo, c_lo), (hi, c_hi)):
-                    assert c == count_zeros(p, child)
-                checked += 1
-        assert checked >= 40
+                count = es._count(edges, box)
+                for frac in es._SPLIT_FRACTIONS:
+                    parts = es._split(sampler, box, edges, frac)
+                    if parts is None:
+                        continue
+                    (lo, lo_edges), (hi, hi_edges), paired = parts
+                    c_lo, c_hi = es._count(lo_edges, lo), es._count(hi_edges, hi)
+                    assert paired == (symmetric and box.height > box.width)
+                    if paired:
+                        assert lo.im_min == -lo.im_max and 0.0 < lo.im_max == hi.im_min
+                        assert c_lo + 2 * c_hi == count
+                    else:
+                        assert c_lo + c_hi == count
+                    if symmetric and not paired:
+                        assert lo.im_min == -lo.im_max and hi.im_min == -hi.im_max
+                    for child, c in ((lo, c_lo), (hi, c_hi)):
+                        assert c == count_zeros(p, child)
+                    kind = "strip" if paired else "upright" if symmetric else "general"
+                    checked[kind] += 1
+        assert min(checked.values()) >= 40
+
 
     def test_deflated_samples_of_a_large_delay_spectrum(self, monkeypatch):
         # Guards the sample count of the contour layer: splits sample only
@@ -375,14 +395,14 @@ class TestFindRoots:
         z = min((r.lam for r in spectrum(p, 1e-5).roots if r.lam.imag > 0), key=abs)
         box = ContourBox(z.real - 0.5, z.real + 0.5, -64.0 * z.imag, 64.0 * z.imag)
         cuts = []
-        strip_cut = es._strip_cut
+        split = es._split
 
         def spy(*args):
-            parts = strip_cut(*args)
+            parts = split(*args)
             cuts.append((args[-1], parts is None))
             return parts
 
-        monkeypatch.setattr(es, "_strip_cut", spy)
+        monkeypatch.setattr(es, "_split", spy)
         result = find_roots(p, box)
         assert cuts[0] == (0.5, True) and cuts[1] == (0.55, False)
         shifted = ContourBox(box.re_min, box.re_max, box.im_min * (1 + 2**-40), box.im_max)

@@ -266,6 +266,22 @@ class TestFlatRun:
         assert trace.states == ()
         assert len(etrace.samples) == 11
 
+    def test_default_gamma_is_the_certificate_weight(self):
+        # gamma None is f*exp(-tau); with f = 2 the two weights' exponents
+        # differ only in rounding.  Past tau of about 745, where f*exp(-tau)
+        # is 0.0, the default stays finite and exact.
+        p = SystemParams(1, 0.5, 1, 1, 2, 1.5)
+        given = SimConfig(nx=10, t_final=3.0, gamma=2 * math.exp(-1.5))
+        _, want = run(p, given, sine_profile(1.0), 1.0, zero_fn)
+        _, got = run(p, SimConfig(nx=10, t_final=3.0), sine_profile(1.0), 1.0, zero_fn)
+        for a, b in zip(got.samples, want.samples):
+            assert a.energy == pytest.approx(b.energy, rel=1e-14)
+        state = init_state(p, SimConfig(10, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        assert energy(state, p) == pytest.approx(energy(state, p, 2 * math.exp(-1.5)), rel=1e-14)
+        far = SystemParams(1, 0.5, 1, 1, 2, 800.0)
+        _, etrace = run(far, SimConfig(nx=10, t_final=0.5), sine_profile(1.0), 1.0, zero_fn)
+        assert all(0.0 < s.energy < 1.0 for s in etrace.samples)
+
     def test_memory_does_not_grow_with_the_run(self):
         # 20000 steps, 5 outputs: the outflow buffer holds n_tau + 1 + _BLOCK
         # samples, far fewer than one per step
