@@ -14,14 +14,19 @@ carries a structural zero at lambda = -delta that is an eigenvalue only
 under the condition reported by ``exclusions``.  The contour machinery
 samples the deflated numerator char_num/(lambda + delta) instead, whose
 zeros are exactly the eigenvalues when beta != 0.  The public evaluators
-accept scalars or numpy arrays of lambda; Newton's private
+accept scalars or numpy arrays of lambda and follow numpy's warning
+settings: where exp overflows they return inf or nan, with numpy's
+RuntimeWarning unless the caller silences it.  Newton's private
 ``_deflated``/``_deflated_prime`` take one complex.
+
+The feedback term beta*exp(-lambda*tau)*(l/f)*phi(w) is written once, in
+``_coupling``; region's axis gain is that term solved for beta at
+lambda = i*omega, built from the same ``_phi``.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +46,6 @@ _POLE_TOL = 1e-12
 _MINUS_DELTA_TOL = 1e-10
 
 
-def _quiet(fn):
-    # Contour samples may reach lambda where exp overflows; callers check
-    # finiteness, so the numpy warnings are just noise.
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
-# _phi and _phi_prime are only called under an errstate that silences their
-# overflow warnings: that of a _quiet evaluator or of a contour count.
 def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w, entire, with the removable singularity at w = 0."""
     small = np.abs(w) < _SERIES_SWITCH
@@ -122,7 +114,14 @@ def _check_pole(params: SystemParams, arr: np.ndarray) -> None:
         )
 
 
-@_quiet
+def _coupling(params: SystemParams, arr: np.ndarray) -> np.ndarray:
+    """The feedback term beta*exp(-lambda*tau)*(l/f)*phi(w) at every lambda
+    of arr."""
+    ratio = params.l / params.f
+    w = (arr + params.delta) * ratio
+    return params.beta * np.exp(-arr * params.tau) * ratio * _phi(w)
+
+
 def char_fn(params: SystemParams, lam):
     """Characteristic function; zeros (away from -alpha) are the eigenvalues.
 
@@ -132,14 +131,9 @@ def char_fn(params: SystemParams, lam):
     """
     arr, scalar = _as_complex(lam)
     _check_pole(params, arr)
-    w = (arr + params.delta) * (params.l / params.f)
-    val = 1.0 - params.beta * np.exp(-arr * params.tau) * (
-        params.l / params.f
-    ) * _phi(w) / (arr + params.alpha)
-    return _maybe_scalar(val, scalar)
+    return _maybe_scalar(1.0 - _coupling(params, arr) / (arr + params.alpha), scalar)
 
 
-@_quiet
 def char_num(params: SystemParams, lam):
     """Entire numerator (lambda + alpha)(lambda + delta)*char_fn(lambda).
 
@@ -149,15 +143,14 @@ def char_num(params: SystemParams, lam):
     arr, scalar = _as_complex(lam)
     # np.asarray keeps a scalar lambda's products in numpy's array loops;
     # numpy scalar arithmetic can round differently in the last bit.
-    val = (arr + params.delta) * np.asarray(_coupled(params, arr)[0])
+    val = (arr + params.delta) * np.asarray((arr + params.alpha) - _coupling(params, arr))
     return _maybe_scalar(val, scalar)
 
 
-@_quiet
 def char_num_prime(params: SystemParams, lam):
     """Analytic derivative of char_num."""
     arr, scalar = _as_complex(lam)
-    q = np.asarray(_coupled(params, arr)[0])
+    q = np.asarray((arr + params.alpha) - _coupling(params, arr))
     ratio = params.l / params.f
     w = (arr + params.delta) * ratio
     expl = np.exp(-arr * params.tau)
@@ -168,28 +161,12 @@ def char_num_prime(params: SystemParams, lam):
     return _maybe_scalar(val, scalar)
 
 
-def _coupled(params: SystemParams, arr: np.ndarray):
-    """Deflated numerator (lambda + alpha) - coupling, and the size
-    |lambda + alpha| + |coupling| of the terms that cancel in it."""
-    ratio = params.l / params.f
-    w = (arr + params.delta) * ratio
-    coupling = params.beta * np.exp(-arr * params.tau) * ratio * _phi(w)
-    return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling)
-
-
-# _deflated_with_scale is the one function eigensolver's contour sampling
-# evaluates, under that module's errstate.  The package no longer calls
-# _num_with_scale; eigensolver imports it only because perfbench/tracing.py
-# rebinds it there.
-def _num_with_scale(params: SystemParams, arr: np.ndarray):
-    """char_num values plus a cancellation scale for on-zero detection."""
-    q, size = _coupled(params, arr)
-    return (arr + params.delta) * q, np.abs(arr + params.delta) * size + 1.0
-
-
 def _deflated_with_scale(params: SystemParams, arr: np.ndarray):
-    q, size = _coupled(params, arr)
-    return q, size + 1.0
+    """The deflated numerator (lambda + alpha) - coupling, the one function
+    eigensolver's contour sampling evaluates, and 1 plus the size
+    |lambda + alpha| + |coupling| of the terms that cancel in it."""
+    coupling = _coupling(params, arr)
+    return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling) + 1.0
 
 
 @dataclass(frozen=True)

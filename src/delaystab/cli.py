@@ -358,23 +358,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    # argparse mistakes "-5:5" for an option; splice range values onto their
-    # flag with '=' so negative lower bounds parse.
-    merged = []
+def _is_number(token: str) -> bool:
+    """Whether token parses as a float or an A:B range of floats."""
+    try:
+        return len([float(part) for part in token.split(":")]) <= 2
+    except ValueError:
+        return False
+
+
+def _splice_negatives(argv: list[str]) -> list[str]:
+    # argparse mistakes "-1e-3", "-inf" or "-5:5" for an option; splice a
+    # negative number or range onto its flag with '=' so it parses.
+    spliced = []
     for token in argv:
-        if merged and merged[-1] in ("--beta-range", "--tau-range"):
-            merged[-1] += f"={token}"
+        prev = spliced[-1] if spliced else ""
+        if prev.startswith("--") and "=" not in prev and token[:1] == "-" and _is_number(token):
+            spliced[-1] += f"={token}"
         else:
-            merged.append(token)
-    return merged
+            spliced.append(token)
+    return spliced
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_range_flags(list(argv)))
+    args = parser.parse_args(_splice_negatives(list(argv)))
     try:
         _emit(args, *args.handler(args))
         return 0

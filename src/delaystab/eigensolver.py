@@ -50,8 +50,6 @@ from .characteristic import (
     _deflated,
     _deflated_prime,
     _deflated_with_scale,
-    # Unused here; perfbench/tracing.py rebinds this name in this module.
-    _num_with_scale,  # noqa: F401
     char_fn,
     char_num,
 )
@@ -64,7 +62,11 @@ from .errors import (
     SampleBudgetExceeded,
     SolverConsistencyError,
 )
-from .params import SystemParams, _search_radius
+from .params import SystemParams, _search_radius, _strip_radius
+
+# No evaluator has this name; it stays bound because perfbench/tracing.py
+# rebinds it in this module (functools.wraps accepts None).
+_num_with_scale = None
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -675,14 +677,20 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
 
 
 def default_box(params: SystemParams, sigma: float) -> ContourBox:
-    """Search box covering every eigenvalue with Re lambda >= -sigma."""
+    """Search box covering every eigenvalue with Re lambda >= -sigma.
+
+    re_max is the search radius of Re lambda >= 0 plus 1.  The half-height
+    is that radius plus sigma + 1, or the radius bounding |lambda| on
+    Re lambda >= -sigma (params._strip_radius) where that is larger, as it
+    can be once sigma*tau is of order one: there |exp(-lambda*tau)| reaches
+    exp(sigma*tau).  A half-height that overflows raises
+    SampleBudgetExceeded, as a box too tall to sample does.
+    """
     radius = _search_radius(params.beta, params.delta, params.l, params.f)
-    return ContourBox(
-        re_min=-sigma,
-        re_max=radius + 1.0,
-        im_min=-(radius + sigma + 1.0),
-        im_max=radius + sigma + 1.0,
-    )
+    half = max(radius + sigma + 1.0, _strip_radius(params, sigma))
+    if half == math.inf:
+        raise SampleBudgetExceeded(f"the search box for {params} at sigma={sigma!r} is unbounded")
+    return ContourBox(re_min=-sigma, re_max=radius + 1.0, im_min=-half, im_max=half)
 
 
 def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
@@ -692,35 +700,32 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     runs.  Otherwise find_roots is applied over ``default_box``, which is
     symmetric about the real axis and so searched in its upper half only,
     and every root it lists is verified to satisfy |char_fn| <= 1e-8, all
-    in one array call.  A sigma that is not finite and >= 0, or a tol that
-    is not finite and > 0, raises InvalidParameter.
+    in one array call.  The box grows with exp(sigma*tau), so a large
+    sigma*tau can raise SampleBudgetExceeded.  A sigma that is not finite
+    and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
     """
     if not 0.0 <= sigma < math.inf:
         raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
     _check_tol(tol)
-    if params.beta == 0.0:
-        box = ContourBox(-max(sigma, 1e-6), params.alpha + 1.0, -1.0, 1.0)
-        roots: tuple[Root, ...] = ()
-        if -params.alpha >= -sigma:
-            lam = complex(-params.alpha, 0.0)
-            roots = (
-                Root(
-                    lam=lam,
-                    residual=abs(char_num(params, lam)),
-                    newton_iters=0,
-                    structural=False,
-                ),
-            )
-        return RootSet(roots=roots, total_count=len(roots), box=box)
+    # Residuals silence an overflowing exp as find_roots's counts do.
+    with np.errstate(**_QUIET):
+        if params.beta == 0.0:
+            box = ContourBox(-max(sigma, 1e-6), params.alpha + 1.0, -1.0, 1.0)
+            roots: tuple[Root, ...] = ()
+            if -params.alpha >= -sigma:
+                lam = complex(-params.alpha, 0.0)
+                residual = abs(char_num(params, lam))
+                roots = (Root(lam=lam, residual=residual, newton_iters=0, structural=False),)
+            return RootSet(roots=roots, total_count=len(roots), box=box)
 
-    result = find_roots(params, default_box(params, sigma), tol=tol)
-    lams = np.array([root.lam for root in result.roots], dtype=complex)
-    try:
-        g = np.abs(char_fn(params, lams))
-    except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
-        raise SolverConsistencyError(
-            f"a root collided with the pole at {-params.alpha}"
-        ) from exc
+        result = find_roots(params, default_box(params, sigma), tol=tol)
+        lams = np.array([root.lam for root in result.roots], dtype=complex)
+        try:
+            g = np.abs(char_fn(params, lams))
+        except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
+            raise SolverConsistencyError(
+                f"a root collided with the pole at {-params.alpha}"
+            ) from exc
     failed = np.flatnonzero(g > 1e-8)
     if failed.size:
         first = failed[0]

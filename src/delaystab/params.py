@@ -149,6 +149,27 @@ def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
     return radius
 
 
+def _strip_radius(params: SystemParams, sigma: float) -> float:
+    """Radius enclosing every eigenvalue with Re lambda >= -sigma, sigma >= 0.
+
+    There |lambda + alpha| >= |lambda| - sigma, |lambda + delta| >=
+    |lambda| - |delta|, |exp(-lambda*tau)| <= exp(sigma*tau) and
+    |1 - exp(-(lambda + delta)*l/f)| <= 1 + exp((sigma - delta)*l/f), so
+    (|lambda| - sigma)(|lambda| - |delta|) <= b with b = |beta| times the
+    last two bounds, and |lambda| is at most the larger root,
+    (sigma + |delta| + sqrt((|delta| - sigma)**2 + 4b))/2.  At sigma = 0 and
+    delta < 0 this is _search_radius.  inf where it overflows.
+    """
+    d = abs(params.delta)
+    try:
+        b = abs(params.beta) * math.exp(sigma * params.tau) * (
+            1.0 + math.exp((sigma - params.delta) * params.l / params.f)
+        )
+    except OverflowError:
+        return math.inf
+    return 0.5 * (sigma + d + math.sqrt((d - sigma) ** 2 + 4.0 * b))
+
+
 def decay_certificate(
     params: SystemParams, gamma: float | None = None
 ) -> DecayCertificate | None:

@@ -9,6 +9,7 @@ the band |max Re lambda| <= eps0.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import os
@@ -23,7 +24,7 @@ import numpy as np
 # scipy.optimize.
 import scipy.optimize  # noqa: F401
 
-from .characteristic import char_fn
+from .characteristic import _phi, char_fn
 from .eigensolver import BelowThreshold, spectral_bound
 from .errors import (
     DelayStabError,
@@ -179,13 +180,14 @@ def sweep(
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
     grid_counts = (n_beta, n_tau), both integers >= 2, and each range is a
-    (start, stop) pair.  A bad family, grid, range or eps0 raises before
-    any node is classified: the family's SystemParams error, NegativeTau
-    for a tau_range below 0, InvalidParameter otherwise, also for workers
-    that is not an integer >= 1.  Failures of single nodes are recorded on
-    the node and do not stop the sweep.  With workers > 1 the nodes are
-    classified in a process pool of at most workers, node and usable CPU
-    count processes; output order is deterministic either way.
+    (start, stop) pair whose ends and span stop - start are finite.  A bad
+    family, grid, range or eps0 raises before any node is classified: the
+    family's SystemParams error, NegativeTau for a tau_range below 0,
+    InvalidParameter otherwise, also for workers that is not an integer
+    >= 1.  Failures of single nodes are recorded on the node and do not
+    stop the sweep.  With workers > 1 the nodes are classified in a process
+    pool of at most workers, node and usable CPU count processes; output
+    order is deterministic either way.
     """
     _check_family(*fixed)
     pairs = (grid_counts, beta_range, tau_range)
@@ -194,8 +196,9 @@ def sweep(
     n_beta, n_tau = grid_counts
     if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
         raise InvalidParameter(f"grid_counts must be integers >= 2, got {grid_counts}")
-    if not all(map(math.isfinite, (*beta_range, *tau_range))):
-        raise InvalidParameter("sweep ranges must be finite")
+    # hi - lo is finite iff both ends are and the span does not overflow.
+    if not all(math.isfinite(hi - lo) for lo, hi in (beta_range, tau_range)):
+        raise InvalidParameter("sweep ranges and their spans must be finite")
     if min(tau_range) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
     if not 0.0 < eps0 < math.inf:
@@ -221,20 +224,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _axis_terms(fixed, omega, tau):
-    """Numerator and denominator of the complex gain making i*omega an
-    eigenvalue at delay tau (vectorized); the caller divides."""
+def _axis_gain(fixed, omega):
+    """The delay-free factor G(omega) = (i*omega + alpha)/((l/f)*phi(w)),
+    w = (i*omega + delta)*l/f, of the gain exp(i*omega*tau)*G(omega) that
+    makes i*omega an eigenvalue at delay tau: char_fn's feedback term solved
+    for beta (vectorized).  G(0) is the threshold gain for every delta.
+    NaN where |(l/f)*phi(w)| < 1e-14, at the poles delta = 0,
+    omega = 2*pi*k*f/l, k != 0."""
     alpha, delta, l, f = fixed
     iw = 1j * np.asarray(omega, dtype=float)
-    den = 1.0 - np.exp(-(iw + delta) * l / f)
-    return np.exp(iw * tau) * (iw + alpha) * (iw + delta), den
+    den = (l / f) * _phi((iw + delta) * (l / f))
+    return np.where(np.abs(den) < _DENOM_TOL, np.nan, (iw + alpha) / den)
 
 
 def _check_axis_gain(fixed) -> None:
-    """Raise QuadratureNonInteger where dividing by the axis gain's
-    denominator can overflow (delta*l/f below about -709.43): numpy's complex
-    division scales by |den|^2 over its larger component, up to sqrt(2)*|den|,
-    and |den| <= 1 + exp(-delta*l/f)."""
+    """Raise QuadratureNonInteger below delta*l/f of about -709.43, the cut
+    where numpy's complex division by 1 - exp(-w), which scales by up to
+    sqrt(2)*|1 - exp(-w)| <= sqrt(2)*(1 + exp(-delta*l/f)), overflows; the
+    gain divides by (l/f)*phi(w) instead and keeps the same cut."""
     _, delta, l, f = fixed
     # The cap keeps math.exp from raising: exp(709.78) is finite, and
     # sqrt(2) times it is not.
@@ -247,21 +254,21 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     non-finite omega or tau raises InvalidParameter."""
     if not (math.isfinite(omega) and math.isfinite(tau)):
         raise InvalidParameter(f"omega and tau must be finite, got {omega}, {tau}")
-    num, den = _axis_terms(fixed, omega, tau)
-    if abs(den) < _DENOM_TOL:
+    gain = complex(np.exp(1j * omega * tau) * _axis_gain(fixed, omega))
+    if cmath.isnan(gain):
         raise DenominatorVanishes(
             f"axis gain denominator vanishes at omega={omega}, delta={fixed[1]}"
         )
-    return complex(num / den)
+    return gain
 
 
 def phase_residual(fixed, omega: float, tau: float) -> float:
     """Imaginary part of the axis gain; zero iff a real gain puts an
     eigenvalue at i*omega for this delay.  Odd in omega.  Raises the
     SystemParams error for a bad family, QuadratureNonInteger below
-    delta*l/f of about -709.43, where dividing by the gain's denominator,
-    about exp(-delta*l/f), overflows, and InvalidParameter for an omega or
-    tau that is not finite."""
+    delta*l/f of about -709.43 (_check_axis_gain), DenominatorVanishes at a
+    pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0), and
+    InvalidParameter for an omega or tau that is not finite."""
     _check_family(*fixed)
     _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).imag
@@ -352,22 +359,25 @@ def trace_boundary(
     brackets of all delays are refined together by _refine; the matching
     gain is read off, and the point is kept only if the characteristic
     residual at i*omega stays below 1e-8.  The scan samples the
-    delay-independent factor of the gain once; each delay turns it by
-    exp(i*omega*tau).  A sign flip across a pole of the gain (its
-    denominator below 1e-14) refines to a point near the pole, which the
-    residual check rejects.  omega_max defaults to the eigenvalue search
-    radius at |beta| = 10 plus 1, which holds every crossing with
-    |beta| <= 10.  The gain's phase turns at about tau + l/f per unit of
-    omega, so crossings lie about pi/(tau + l/f) apart or more; the scan
-    takes 4000 points or 16 per such gap at tau_max, whichever is more.
+    delay-independent factor _axis_gain once; each delay, in the scan and
+    in the refinement alike, turns it by exp(i*omega*tau).  A sign flip
+    across a pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0, where
+    the gain is NaN) refines to a point near the pole, which the residual
+    check rejects; omega = 0 at delta = 0 is the threshold branch, listed
+    at beta = threshold_gain for every delay.  omega_max defaults to the
+    eigenvalue search radius at |beta| = 10 plus 1, which holds every
+    crossing with |beta| <= 10.  The gain's phase turns at about tau + l/f
+    per unit of omega, so crossings lie about pi/(tau + l/f) apart or more;
+    the scan takes 4000 points or 16 per such gap at tau_max, whichever is
+    more.
 
     Before any delay is traced: a bad family raises its SystemParams error;
     a tau_max or omega_max that is not finite and positive, or a num_tau
     that is not an integer >= 2, raises InvalidParameter; a default window
-    whose radius overflows, or any window below delta*l/f of about -709.43,
-    where dividing by the gain's denominator overflows, raises
-    QuadratureNonInteger; and a window needing more than 65536 scan points
-    raises SampleBudgetExceeded, since a coarser scan would skip crossings.
+    whose radius overflows, or any window below delta*l/f of about -709.43
+    (_check_axis_gain), raises QuadratureNonInteger; and a window needing
+    more than 65536 scan points raises SampleBudgetExceeded, since a coarser
+    scan would skip crossings.
     A crossing whose gain is not finite, or whose residual fails, is
     recorded as a failure at its delay and skipped.
     """
@@ -392,19 +402,16 @@ def trace_boundary(
     taus = np.arange(num_tau) * tau_max / (num_tau - 1)
 
     def phase(omega, rows):
-        num, den = _axis_terms(fixed, omega, taus[rows])
-        return np.where(np.abs(den) < _DENOM_TOL, np.nan, (num / den).imag)
+        return (np.exp(1j * omega * taus[rows]) * _axis_gain(fixed, omega)).imag
 
-    num, den = _axis_terms(fixed, grid, 0.0)
-    # The gain is NaN where its denominator vanishes, on the grid and (phase)
-    # at an iterate, so the scan and the refinement both leave it out.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gain = np.where(np.abs(den) < _DENOM_TOL, np.nan, num / den)
-        scans = ((np.exp(1j * grid * tau) * gain).imag for tau in taus)
-        roots = _scan_roots(phase, grid, scans)
+    # The gain is NaN at its poles, on the grid and (phase) at an iterate,
+    # so the scan and the refinement both leave them out.
+    gain = _axis_gain(fixed, grid)
+    scans = ((np.exp(1j * grid * tau) * gain).imag for tau in taus)
+    roots = _scan_roots(phase, grid, scans)
     at = np.repeat(taus, [len(r) for r in roots])
     omegas = np.array([w for r in roots for w in r], dtype=float)
-    betas = np.divide(*_axis_terms(fixed, omegas, at)).real
+    betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
     # char_fn reads only these six fields, so arrays of beta and tau take
     # every crossing's residual in one call.
     family = SimpleNamespace(alpha=alpha, beta=betas, delta=delta, l=l, f=f, tau=at)
@@ -440,9 +447,12 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
     beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined by
     _refine up to the eigenvalue search radius plus 1, beyond which the
-    quartic left side dominates, so the list is finite.  Where the radius
-    or the scan's moduli overflow (delta*l/f below about -354 at |beta| = 1)
-    it raises QuadratureNonInteger.
+    quartic left side dominates, so the list is finite.  omega = 0 is
+    listed only when |beta| is the threshold gain within
+    1e-12*max(1, threshold gain), the modulus of the axis gain there; at
+    delta = 0 the equation holds at omega = 0 for every beta.
+    Where the radius or the scan's moduli overflow (delta*l/f below about
+    -354 at |beta| = 1) it raises QuadratureNonInteger.
     """
     alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
     x = delta * l / f
@@ -461,11 +471,12 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         with np.errstate(over="raise", invalid="raise"):
             grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
             (roots,) = _scan_roots(lambda w, _: mismatch(w), grid, [mismatch(grid)])
-            scale0 = delta**2 * alpha**2 + gain_sq * math.expm1(-x) ** 2 + 1.0
-            at_zero = abs(float(mismatch(0.0)))
     except (OverflowError, FloatingPointError) as exc:
         raise QuadratureNonInteger(f"axis modulus scan overflows for {params}") from exc
-    if at_zero <= 1e-12 * scale0:
+    # |G(0)| is the threshold gain, and the factor omega^2 + delta^2 makes
+    # omega = 0 solve the equation for every beta at delta = 0.
+    b0 = threshold_gain(alpha, delta, l, f)
+    if abs(abs(params.beta) - b0) <= 1e-12 * max(1.0, b0):
         # omega = 0 stands in for every root within the merge distance of it.
-        roots = [0.0] + [w for w in roots if w > 1e-9]
-    return roots
+        return [0.0] + [w for w in roots if w > 1e-9]
+    return [w for w in roots if w != 0.0]

@@ -11,6 +11,7 @@ energy only at the output steps, the history terms of a block at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,11 +272,19 @@ def run(
     (plus the final step).
 
     The states at those steps are kept only with keep_states=True.  Without
-    them the run holds O(nx + n_tau + outputs) floats at any length.
+    them the run holds O(nx + n_tau + outputs) floats at any length.  A
+    t_final of sys.maxsize steps or more raises InvalidParameter before
+    anything is allocated.
     """
+    # init_state's step is dt = (l/nx)/f.
+    steps = config.t_final / (params.l / config.nx / params.f) - 1e-9
+    if not steps < sys.maxsize:
+        raise InvalidParameter(
+            f"t_final={config.t_final!r} needs {steps:.3g} steps, more than a run can index"
+        )
     state = init_state(params, config, c0, a0, c_l_history)
     dt, n_tau = state.dt, state.n_tau
-    n_steps = max(1, math.ceil(config.t_final / dt - 1e-9))
+    n_steps = max(1, math.ceil(steps))
     outputs = list(range(0, n_steps + 1, config.output_stride))
     if outputs[-1] != n_steps:
         outputs.append(n_steps)

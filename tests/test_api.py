@@ -95,6 +95,7 @@ BAD_ARGUMENTS = {
     "sweep-float-grid": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (2.5, 3)),
     "sweep-three-grid-counts": lambda: delaystab.sweep(ONES, (0, 1), (0, 1), (2, 2, 2)),
     "sweep-one-ended-range": lambda: delaystab.sweep(ONES, (-1,), (0, 1), (2, 2)),
+    "sweep-range-span-overflows": lambda: delaystab.sweep(ONES, (1e308, -1e308), (0, 1), (2, 2)),
     "phase-residual-nan-omega": lambda: delaystab.phase_residual(ONES, math.nan, 1.0),
     "phase-residual-inf-tau": lambda: delaystab.phase_residual(ONES, 0.5, math.inf),
     "beta-on-axis-inf-omega": lambda: delaystab.beta_on_axis(ONES, math.inf, 1.0),

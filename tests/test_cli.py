@@ -146,6 +146,21 @@ class TestClassify:
         _, rows = parse_csv(out)
         assert rows[0][0] == "StableSteadyState"
 
+    @pytest.mark.parametrize("flag, value", [("--beta", "-1e-3"), ("--delta", "-1E-2")])
+    def test_negative_value_in_scientific_notation(self, capsys, flag, value):
+        argv = ["classify", *ONES_FLAGS, "--beta", "1", "--tau", "1"]
+        at = argv.index(flag) + 1
+        code, out, err = run_cli(capsys, [*argv[: at - 1], f"{flag}={value}", *argv[at + 1 :]])
+        assert code == 0 and err == ""
+        argv[at] = value
+        assert run_cli(capsys, argv) == (0, out, "")
+
+    def test_negative_infinity_is_a_usage_error(self, capsys):
+        argv = ["classify", *ONES_FLAGS, "--beta", "-inf", "--tau", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "beta must be finite" in err
+
     def test_certificate_evidence(self, capsys):
         code, out, _ = run_cli(
             capsys, ["classify", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.2"]
@@ -402,7 +417,7 @@ class TestTraceR0:
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
         assert len(rows) == 129
-        assert rows[3] == ["0.0", "8.36922239228329", "-3.766542835897717e-07", "2.2812429974665866e-16"]
+        assert rows[3] == ["0.0", "8.36922239228329", "-3.766542835897715e-07", "2.2812429974665866e-16"]
 
     def test_svg_dots(self, capsys):
         argv = [

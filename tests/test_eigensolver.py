@@ -523,6 +523,31 @@ class TestSpectrum:
                     assert abs(r.lam) <= radius + 1e-9
 
 
+class TestStripBox:
+    """default_box bounds every eigenvalue with Re lambda >= -sigma, also
+    where sigma*tau is of order one and |exp(-lambda*tau)| reaches
+    exp(sigma*tau)."""
+
+    def test_sigma_of_order_one_lists_every_eigenvalue(self):
+        p = SystemParams(1, 5, 1, 1, 1, 5)
+        box = default_box(p, 1.0)
+        assert sum(r.multiplicity for r in spectrum(p, 1.0).roots) == 51
+        # nothing lies between the box and one twice its height
+        above = ContourBox(box.re_min, box.re_max, box.im_max, 2.0 * box.im_max)
+        assert count_zeros(p, above) == 0
+
+    def test_small_sigma_keeps_the_box(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            p = random_params(rng, beta_range=(-10, 10), tau_max=20.0)
+            radius = es._search_radius(p.beta, p.delta, p.l, p.f)
+            assert default_box(p, 1e-5).im_max == radius + 1e-5 + 1.0
+
+    def test_overflowing_box_is_typed(self):
+        with pytest.raises(SampleBudgetExceeded, match="unbounded"):
+            spectrum(SystemParams(1, 1, 1, 1, 1, 800), 1.0)
+
+
 class TestSpectralBound:
     def test_zero_gain(self):
         assert spectral_bound(SystemParams(1, 0, 1, 1, 1, 1), 2.0) == pytest.approx(-1.0)

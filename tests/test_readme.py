@@ -1,6 +1,9 @@
-"""The README's command-line examples run and exit 0, so the README cannot
-drift from the CLI unnoticed."""
+"""The README's command-line examples run and exit 0, and its library
+example runs and prints the label its comment names, so the README cannot
+drift from the package unnoticed."""
 
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -64,3 +67,13 @@ def test_module_entry_point_exits_with_mains_code():
     )
     assert fail.returncode == 2 and fail.stdout == ""
     assert fail.stderr.startswith("delaystab: ") and "alpha" in fail.stderr
+
+
+def test_library_example_prints_its_label():
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    label_line = next(line for line in block.splitlines() if ".label" in line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines()[0] == label_line.split("#", 1)[1].strip()

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 
@@ -23,6 +24,7 @@ from delaystab import (
     threshold_gain,
     trace_boundary,
 )
+from delaystab.characteristic import _phi_scalar
 from delaystab.errors import (
     DelayStabError,
     InvalidParameter,
@@ -104,7 +106,7 @@ class TestFarNegativeDecay:
         # exp(-delta*l/f) overflows, which made the axis gain NaN
         fixed = (1.0, delta, 1.0, 1.0)
         traced = []
-        monkeypatch.setattr(region, "_axis_terms", lambda *args: traced.append(args))
+        monkeypatch.setattr(region, "_axis_gain", lambda *args: traced.append(args))
         for call in (
             lambda: phase_residual(fixed, 0.5, 1.0),
             lambda: beta_on_axis(fixed, 0.5, 1.0),
@@ -128,10 +130,11 @@ class TestFarNegativeDecay:
                 call()
 
     def test_axis_gain_below_the_division_cut_is_unchanged(self):
-        # values recorded before the division overflow check was added
+        # values recorded with the gain built from phi, below the cut of the
+        # division overflow check
         fixed = (1.0, -709.3, 1.0, 1.0)
-        assert phase_residual(fixed, 0.5, 1.0) == 7.106867241488906e-306
-        assert beta_on_axis(fixed, 0.5, 1.0) == 7.69487467168371e-307
+        assert phase_residual(fixed, 0.5, 1.0) == 7.106867241488903e-306
+        assert beta_on_axis(fixed, 0.5, 1.0) == 7.694874671683714e-307
         result = trace_boundary(fixed, 1.0, 3, 5.0)
         assert len(result.points) == 10 and result.failures == ()
 
@@ -188,8 +191,17 @@ class TestPhaseResidual:
     def test_denominator_guard(self):
         from delaystab.errors import DenominatorVanishes
 
+        # delta = 0: the gain has a pole at omega = 2*pi*k*f/l, k != 0
         with pytest.raises(DenominatorVanishes):
-            phase_residual((1.0, 0.0, 1.0, 1.0), 0.0, 1.0)
+            phase_residual((1.0, 0.0, 1.0, 1.0), 2.0 * math.pi, 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 7.5])
+    def test_zero_frequency_at_zero_delta_is_the_threshold_branch(self, tau):
+        # phi's removable singularity at w = 0 is no pole: the gain there is
+        # the threshold gain alpha*f/l
+        fixed = (1.0, 0.0, 1.0, 1.0)
+        assert beta_on_axis(fixed, 0.0, tau) == 1.0 == threshold_gain(*fixed)
+        assert phase_residual(fixed, 0.0, tau) == 0.0
 
 
 class TestBetaOnAxis:
@@ -534,10 +546,35 @@ class TestTraceBoundary:
             assert len(omegas) > 4000 and gaps.max() < 1.5 * math.pi / 10.0
 
 
+class TestZeroDecayTrace:
+    def test_one_threshold_crossing_per_delay(self):
+        # phi's removable singularity at omega = delta = 0 is the threshold
+        # branch beta = b0, no pole
+        fixed = (1.0, 0.0, 1.0, 1.0)
+        trace = trace_boundary(fixed, 3.0, 7, 20.0)
+        zero = [p for p in trace.points if p.omega == 0.0]
+        assert [p.tau for p in zero] == [0.5 * k for k in range(7)]
+        assert all(p.beta == threshold_gain(*fixed) == 1.0 for p in zero)
+
+
 class TestAxisCrossingCandidates:
     def test_zero_candidate_exactly_at_threshold_gain(self):
         p = SystemParams(1, B0, 1, 1, 1, 2.0)
         assert 0.0 in axis_crossing_candidates(p)
+
+    @pytest.mark.parametrize(
+        "beta, expected", [(0.1, []), (1.0, [0.0]), (3.0, [2.209984451270111])]
+    )
+    def test_zero_delta_lists_omega_zero_only_at_threshold_gain(self, beta, expected):
+        # |i*omega + delta|^2 vanishes at omega = delta = 0, so the modulus
+        # equation holds there for every beta; |beta| = b0 = 1 alone is a crossing
+        assert axis_crossing_candidates(SystemParams(1, beta, 0.0, 1, 1, 1)) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+    def test_tiny_delta_lists_no_zero_below_threshold_gain(self):
+        p = SystemParams(1, 1.0, 1e-7, 1, 1, 1)
+        assert 1.0 < threshold_gain(1, 1e-7, 1, 1) and axis_crossing_candidates(p) == []
 
     @pytest.mark.parametrize(
         "beta, delta", [(1.0, -355.0), (1.0, -1000.0), (20.0, -354.0), (20.0, -709.0)]
@@ -605,19 +642,21 @@ def brentq_trace(fixed, tau_max, num_tau, omega_max):
     out = {}
     for p in range(num_tau):
         tau = p * tau_max / (num_tau - 1)
-        num, den = region._axis_terms(fixed, grid, tau)
-        valid = np.abs(den) >= 1e-14
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = (num / den).imag
+        values = (np.exp(1j * grid * tau) * region._axis_gain(fixed, grid)).imag
+        valid = ~np.isnan(values)
+
+        def phase(w):
+            # unmasked, so a bracket across a pole closes on the pole itself
+            iw = 1j * w
+            gain = (iw + alpha) / (l / f * _phi_scalar((iw + delta) * (l / f)))
+            return (cmath.exp(iw * tau) * gain).imag
+
         usable = valid & (values != 0.0)
         negative = values < 0.0
         flips = np.flatnonzero(usable[:-1] & usable[1:] & (negative[:-1] != negative[1:]))
         roots = [float(w) for w in grid[valid & (values == 0.0)]]
         for i in flips:
-            roots.append(brentq(
-                lambda w: region._axis_gain_scalar(fixed, w, tau).imag,
-                grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16,
-            ))
+            roots.append(brentq(phase, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16))
         deduped = []
         for omega in sorted(roots):
             if not deduped or omega - deduped[-1] > 1e-9:
@@ -641,8 +680,8 @@ class TestTraceAgainstBrentq:
             (ONES, 10.0, 41, 12.0, False),
             # a 5093-point scan, finer than the default 4000
             ((0.5, -1.0, 3.0, 1.0), 2.0, 5, 200.0, False),
-            # delta = 0: the gain has poles at omega = 2*pi*k, each a sign
-            # flip whose refined point fails the residual check
+            # delta = 0: the gain has poles at omega = 2*pi*k, k != 0, each a
+            # sign flip whose refined point fails the residual check
             ((1.0, 0.0, 1.0, 1.0), 3.0, 7, 20.0, True),
             # the omega = 0 crossing of every delay hits char_fn's pole at -alpha
             ((1e-13, 1.0, 1.0, 1.0), 1.0, 3, 5.0, True),
@@ -671,7 +710,7 @@ class TestTraceAgainstBrentq:
     def test_call_counts(self, monkeypatch):
         # One scalar gain call per brentq step would make 34,524 calls on
         # this trace, and one char_fn call per crossing 5,500.
-        calls = {"_axis_terms": 0, "char_fn": 0}
+        calls = {"_axis_gain": 0, "char_fn": 0}
         for name in calls:
             def counted(*args, _fn=getattr(region, name), _name=name):
                 calls[_name] += 1
@@ -680,5 +719,5 @@ class TestTraceAgainstBrentq:
             monkeypatch.setattr(region, name, counted)
         trace = trace_boundary(ONES, 10.0, 500, eig_bound_radius(10.0, 1.0) + 1.0)
         assert len(trace.points) == 5500 and trace.failures == ()
-        assert calls["_axis_terms"] <= 500 + 64
+        assert calls["_axis_gain"] <= 500 + 64
         assert calls["char_fn"] <= 3

@@ -217,6 +217,15 @@ class TestRun:
             assert sample.c_l == state.c[-1]
             assert sample.energy >= 0.0
 
+    def test_step_count_past_the_index_range_raises_before_allocating(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("init_state called")
+
+        monkeypatch.setattr(simulator, "init_state", boom)
+        cfg = SimConfig(nx=10, t_final=1e300)
+        with pytest.raises(InvalidParameter, match="t_final"):
+            run(SystemParams(1, 1, 1, 1, 1, 0.3), cfg, sine_profile(1.0), 1.0, zero_fn)
+
 
 class TestFlatRun:
     # run's single loop against the public single-step API; blocks of 1 and
