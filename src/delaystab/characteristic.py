@@ -34,30 +34,38 @@ import numpy as np
 from .errors import InvalidParameter, PoleAtMinusAlpha
 from .params import SystemParams
 
-# |w| below this evaluates phi by truncated series; the direct quotient
-# loses relative accuracy through the 1 - exp(-w) cancellation.
-_SERIES_SWITCH = 1e-6
-# phi' switches later: its direct quotient cancels down to |w|^2/2, so just
-# above 1e-6 it keeps only about five digits.  At |w| = 5e-3 the five-term
-# series is good to ~8e-15 and the quotient to ~3e-11.
-_PRIME_SERIES_SWITCH = 5e-3
+# |w| below this evaluates phi and phi' by truncated series; the direct
+# quotients lose relative accuracy through the 1 - exp(-w) cancellation,
+# phi's by about 1e-16/|w| and phi''s, which cancels down to |w|^2/2, by
+# about 1e-16/|w|^2.  At |w| = 5e-3 phi's six-term series is good to ~3e-18
+# and its quotient to ~2e-14; phi''s five-term series to ~8e-15 and its
+# quotient to ~3e-11.
+_SERIES_SWITCH = 5e-3
 _POLE_TOL = 1e-12
 # |condition| below this makes -delta an eigenvalue in ``exclusions``.
 _MINUS_DELTA_TOL = 1e-10
 
 
+def _phi_series(w):
+    return 1.0 - w / 2.0 + w**2 / 6.0 - w**3 / 24.0 + w**4 / 120.0 - w**5 / 720.0
+
+
 def _phi(w: np.ndarray) -> np.ndarray:
-    """(1 - exp(-w))/w, entire, with the removable singularity at w = 0."""
+    """(1 - exp(-w))/w, entire, with the removable singularity at w = 0;
+    the series is evaluated only where |w| < _SERIES_SWITCH."""
+    w = np.asarray(w)
     small = np.abs(w) < _SERIES_SWITCH
     ws = np.where(small, 1.0, w)
-    direct = (1.0 - np.exp(-ws)) / ws
-    series = 1.0 - w / 2.0 + w**2 / 6.0 - w**3 / 24.0 + w**4 / 120.0
-    return np.where(small, series, direct)
+    # asarray keeps a 0-d result an array, so the series can be written in.
+    phi = np.asarray((1.0 - np.exp(-ws)) / ws)
+    if small.any():
+        phi[small] = _phi_series(w[small])
+    return phi
 
 
 def _phi_prime(w: np.ndarray) -> np.ndarray:
-    """Derivative of _phi, by series for |w| < _PRIME_SERIES_SWITCH."""
-    small = np.abs(w) < _PRIME_SERIES_SWITCH
+    """Derivative of _phi, by series for |w| < _SERIES_SWITCH."""
+    small = np.abs(w) < _SERIES_SWITCH
     ws = np.where(small, 1.0, w)
     direct = ((1.0 + ws) * np.exp(-ws) - 1.0) / (ws * ws)
     series = -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
@@ -78,12 +86,12 @@ def _maybe_scalar(value: np.ndarray, scalar: bool):
 # that as a failed start.
 def _phi_scalar(w: complex) -> complex:
     if abs(w) < _SERIES_SWITCH:
-        return 1.0 - w / 2.0 + w**2 / 6.0 - w**3 / 24.0 + w**4 / 120.0
+        return _phi_series(w)
     return (1.0 - cmath.exp(-w)) / w
 
 
 def _phi_prime_scalar(w: complex) -> complex:
-    if abs(w) < _PRIME_SERIES_SWITCH:
+    if abs(w) < _SERIES_SWITCH:
         return -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
     return ((1.0 + w) * cmath.exp(-w) - 1.0) / (w * w)
 

@@ -1,4 +1,4 @@
-"""Eigenvalue location by contour counting.
+"""Eigenvalue location by contour counting, and spectrum's prediction.
 
 The winding number of an entire function around a rectangle gives the exact
 number of its zeros inside (the argument principle).  A rectangle's count is the sum of
@@ -36,6 +36,14 @@ one; a tall one level at Im = h (h = im_max/64, moved like a split on a
 zero), into the symmetric strip |Im| < h and the upper part above h, whose
 counts add up as strip + 2*upper.  The upper part is subdivided alone and
 its finds are conjugated once, where that cut is made.
+
+spectrum predicts, then certifies.  It counts its box once; a count of
+two or more is first checked against a prediction: the eigenvalues of a
+Chebyshev collocation of the loop's infinitesimal generator (Breda, Maset
+& Vermiglio, 2005), each polished by Newton in the box.  When the distinct
+limits, a complex one counted with its conjugate, add up to the count,
+they are the spectrum and nothing is split.  Otherwise the box is
+subdivided from the edges already sampled, as find_roots does.
 """
 
 from __future__ import annotations
@@ -83,6 +91,13 @@ _SAMPLE_BUDGET = 1_000_000     # contour samples per count_zeros/find_roots call
 # warnings are noise.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _SPLIT_FRACTIONS = (0.5, 0.55, 0.45, 0.6, 0.4, 0.35, 0.65)
+# Collocation size of spectrum's prediction, N = ceil(0.2*H*(tau + l/f)) + 16
+# for a box of half-height H, doubled once and never past 256.
+_NODES_PER_SPAN = 0.2
+_MIN_NODES = 16
+_MAX_NODES = 256
+# Two Newton limits closer than this, relative to 1 + |z|, are one root.
+_SAME_ROOT = 1e-6
 
 _BOTTOM, _RIGHT, _TOP, _LEFT = range(4)
 
@@ -623,6 +638,117 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
 
 
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
+    eigenvalues of the Jacobi matrix and twice the squares of its
+    eigenvectors' first components (Golub & Welsch, 1969)."""
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _collocated(params: SystemParams, n: int) -> np.ndarray:
+    """Eigenvalues of the (n+1)x(n+1) Chebyshev collocation of the loop's
+    infinitesimal generator (Breda, Maset & Vermiglio, 2005).
+
+    The loop is a'(t) = -alpha*a(t) + beta * int_0^{l/f} exp(-delta*s)
+    a(t - tau - s) ds, whose characteristic function is the deflated
+    numerator.  Its state lives on [-(tau + l/f), 0], here on the n + 1
+    Chebyshev points, the first at 0.  Rows 1..n are the differentiation
+    matrix (Trefethen, 2000); row 0 is the equation, its integral an
+    n-point Gauss-Legendre rule weighted by exp(-delta*s) of barycentric
+    interpolation rows at -tau - s.  Empty when the matrix is not finite
+    (an overflowing weight, or a node that hits a Chebyshev point).
+    """
+    ratio = params.l / params.f
+    span = params.tau + ratio
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = (-1.0) ** np.arange(n + 1)
+    c[[0, -1]] *= 2.0
+    matrix = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    matrix -= np.diag(matrix.sum(axis=1))
+    matrix *= 2.0 / span
+    nodes, weights = _gauss_legendre(n)
+    s = 0.5 * ratio * (nodes + 1.0)
+    rows = 1.0 / (c * ((-params.tau - s)[:, None] - 0.5 * span * (x - 1.0)))
+    weights *= 0.5 * ratio * params.beta * np.exp(-params.delta * s)
+    matrix[0] = weights @ (rows / rows.sum(axis=1)[:, None])
+    matrix[0, 0] -= params.alpha
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError:
+        return np.empty(0, dtype=complex)
+
+
+def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
+    """The count eigenvalues in box, predicted by _collocated and polished
+    by Newton, or None when the distinct limits do not add up to count.
+
+    N = ceil(0.2*H*(tau + l/f)) + 16 for a box of half-height H, doubled
+    once, never past _MAX_NODES.  Newton runs, confined to box, from each
+    predicted eigenvalue with Im >= 0 and Re > re_min - 0.5.  A limit that
+    _SAME_ROOT puts on the real axis is polished again from its real part
+    and counts once, with imaginary part exactly 0; any other counts twice,
+    listed with its exact conjugate.
+    """
+    same = max(_SAME_ROOT, 1e3 * tol)    # relative to 1 + |z|
+    n = math.ceil(_NODES_PER_SPAN * box.im_max * (params.tau + params.l / params.f)) + _MIN_NODES
+    for size in (n, 2 * n):
+        if size > _MAX_NODES:
+            return None
+        guesses = _collocated(params, size)
+        limits: list[tuple[complex, int]] = []
+        for z0 in guesses[(guesses.imag >= 0.0) & (guesses.real > box.re_min - 0.5)]:
+            hit = _newton(params, box, complex(z0), tol)
+            if hit is not None and abs(hit[0].imag) <= same * (1.0 + abs(hit[0])):
+                # Newton stays on the real axis from a real start.
+                hit = _newton(params, box, complex(hit[0].real, 0.0), tol)
+            if hit is None:
+                continue
+            z = complex(hit[0].real, abs(hit[0].imag))
+            if all(abs(z - other) > same * (1.0 + abs(z)) for other, _ in limits):
+                limits.append((z, hit[1]))
+        if sum(1 + (z.imag != 0.0) for z, _ in limits) == count:
+            roots = []
+            for z, iters in limits:
+                root = Root(z, abs(char_num(params, z)), iters, structural=False)
+                roots += [root, replace(root, lam=z.conjugate())] if z.imag else [root]
+            return roots
+    return None
+
+
+def _located(params: SystemParams, box: ContourBox, tol: float, predict: bool) -> RootSet:
+    """find_roots, or with predict spectrum's search: a box with two or
+    more zeros is first tried by _predicted, and subdivided from the same
+    edges only when the prediction does not reconcile with its count.  A
+    box with one zero is polished from its moment, which needs no split."""
+    sampler = _Sampler(params)
+
+    def attempt(box: ContourBox):
+        edges, count = _counted(sampler, box)
+        roots = _predicted(params, box, count, tol) if predict and count > 1 else None
+        unresolved: list[UnresolvedCell] = []
+        if roots is None:
+            roots = []
+            _subdivide(sampler, box, edges, count, 0, tol, roots, unresolved)
+        return count, roots, unresolved
+
+    with np.errstate(**_QUIET):
+        (total, roots, unresolved), box = _nudged(attempt, box)
+    found = sum(r.multiplicity for r in roots) + sum(c.count for c in unresolved)
+    if found != total:
+        raise SolverConsistencyError(
+            f"subdivision found {found} zeros but the contour counted {total}"
+        )
+    roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
+    return RootSet(
+        roots=tuple(roots),
+        total_count=total,
+        box=box,
+        unresolved=tuple(unresolved),
+    )
+
+
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
     """Locate every eigenvalue inside box, the zeros that count_zeros counts.
 
@@ -651,29 +777,7 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     lists -Im first.
     """
     _check_tol(tol)
-    sampler = _Sampler(params)
-
-    def attempt(box: ContourBox):
-        edges, count = _counted(sampler, box)
-        roots: list[Root] = []
-        unresolved: list[UnresolvedCell] = []
-        _subdivide(sampler, box, edges, count, 0, tol, roots, unresolved)
-        return count, roots, unresolved
-
-    with np.errstate(**_QUIET):
-        (total, roots, unresolved), box = _nudged(attempt, box)
-    found = sum(r.multiplicity for r in roots) + sum(c.count for c in unresolved)
-    if found != total:
-        raise SolverConsistencyError(
-            f"subdivision found {found} zeros but the contour counted {total}"
-        )
-    roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    return RootSet(
-        roots=tuple(roots),
-        total_count=total,
-        box=box,
-        unresolved=tuple(unresolved),
-    )
+    return _located(params, box, tol, predict=False)
 
 
 def default_box(params: SystemParams, sigma: float) -> ContourBox:
@@ -697,10 +801,23 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     """All eigenvalues with Re lambda >= -sigma.
 
     For beta = 0 the spectrum is exactly {-alpha} and no contour machinery
-    runs.  Otherwise find_roots is applied over ``default_box``, which is
-    symmetric about the real axis and so searched in its upper half only,
-    and every root it lists is verified to satisfy |char_fn| <= 1e-8, all
-    in one array call.  The box grows with exp(sigma*tau), so a large
+    runs.  Otherwise ``default_box``, which is symmetric about the real
+    axis, is counted once (nudged off boundary zeros as count_zeros does).
+    A count of two or more is checked against a prediction: the
+    eigenvalues of an (N+1)x(N+1) Chebyshev collocation of the loop's
+    generator, N = ceil(0.2*H*(tau + l/f)) + 16 for the box's half-height
+    H, each with Im >= 0 and Re > -sigma - 0.5 polished by Newton confined
+    to the box.  A limit on the real axis is polished again from its real
+    part and counts once, with imaginary part exactly 0; any other counts
+    twice and is listed with its exact conjugate.  When the distinct
+    limits add up to the count they are the result, each root's
+    newton_iters being those of the run that gave its limit.  Otherwise N
+    is doubled once, never past 256, and then the box is searched as
+    find_roots searches it, from the edges already sampled and in its
+    upper half only; a double root or a missed one ends up there, and so
+    does a box with one eigenvalue, which is polished without a split.
+    Every root listed is verified to satisfy |char_fn| <= 1e-8, all in one
+    array call.  The box grows with exp(sigma*tau), so a large
     sigma*tau can raise SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
     """
@@ -718,7 +835,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
                 roots = (Root(lam=lam, residual=residual, newton_iters=0, structural=False),)
             return RootSet(roots=roots, total_count=len(roots), box=box)
 
-        result = find_roots(params, default_box(params, sigma), tol=tol)
+        result = _located(params, default_box(params, sigma), tol, predict=True)
         lams = np.array([root.lam for root in result.roots], dtype=complex)
         try:
             g = np.abs(char_fn(params, lams))

@@ -220,6 +220,22 @@ class TestScalarEvaluators:
             assert abs(ch._phi_prime_scalar(w) - ref) <= 1e-10 * abs(ref)
             assert abs(from_array - ref) <= 1e-10 * abs(ref)
 
+    @pytest.mark.parametrize("radius", [1e-7, 2e-6, 1e-4, 4.9e-3, 5.1e-3, 1.0])
+    def test_phi_against_mpmath(self, radius):
+        # both evaluators keep 13 digits on either side of the |w| = 5e-3
+        # series switch, in directions off and on both axes
+        mpmath = pytest.importorskip("mpmath")
+        angles = np.linspace(0.0, 2.0 * np.pi, 13)[:-1] + 0.1
+        ws = np.concatenate((radius * np.exp(1j * angles), [radius, -radius, 1j * radius]))
+        with mpmath.workdps(50):
+            refs = [
+                complex((1 - mpmath.exp(-mpmath.mpc(w.real, w.imag))) / mpmath.mpc(w.real, w.imag))
+                for w in ws.tolist()
+            ]
+        for w, from_array, ref in zip(ws.tolist(), ch._phi(ws).tolist(), refs):
+            assert abs(ch._phi_scalar(w) - ref) <= 1e-13 * abs(ref)
+            assert abs(from_array - ref) <= 1e-13 * abs(ref)
+
 
 class TestExclusions:
     def test_minus_delta_eigenvalue_condition_met(self):

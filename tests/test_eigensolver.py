@@ -23,9 +23,12 @@ from delaystab.errors import InvalidParameter, QuadratureNonInteger, SampleBudge
 from test_robustness import corpus
 
 B0 = threshold_gain(1, 1, 1, 1)
-# _deflated_with_scale samples of spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
-SAMPLES_BETA10_TAU50 = 5806
 BETA10_TAU50 = SystemParams(1, 10, 1, 1, 1, 50)
+# The contour search over spectrum's box for it: 57 roots, found by
+# subdivision (spectrum itself predicts them and makes no split).
+BOX_BETA10_TAU50 = default_box(BETA10_TAU50, 1e-5)
+# _deflated_with_scale samples of find_roots(BETA10_TAU50, BOX_BETA10_TAU50)
+SAMPLES_BETA10_TAU50 = 5806
 # The first 40 points of the robustness corpus; #18 of them, with delta < 0,
 # exceeds the sample budget and is left out where a spectrum is needed.
 CORPUS_HEAD = corpus()[:40]
@@ -187,7 +190,7 @@ class TestSharedEdges:
             return deflated(params, pts)
 
         monkeypatch.setattr(es, "_deflated_with_scale", counting)
-        assert len(spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5).roots) == 57
+        assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
         assert 0 < samples < 1.5 * SAMPLES_BETA10_TAU50
 
     def test_no_box_is_sampled_twice(self, monkeypatch):
@@ -207,7 +210,7 @@ class TestSharedEdges:
 
         monkeypatch.setattr(es, "_box_edges", box_spy)
         monkeypatch.setattr(es, "_edges", edge_spy)
-        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
+        assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
         assert boxes and len(set(boxes)) == len(boxes)
         assert segments and len(set(segments)) == len(segments)
 
@@ -222,18 +225,27 @@ class TestSharedEdges:
             return deflated(params, pts)
 
         monkeypatch.setattr(es, "_deflated_with_scale", spy)
-        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
+        assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
         assert lowest and min(lowest) >= 0.0
 
     def test_char_num_is_never_sampled(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("char_num sampled on a contour")
+        # Contours sample the deflated numerator; char_num only gives the
+        # residual of a listed root, one scalar at a time.
+        calls = []
+        num = es.char_num
 
-        monkeypatch.setattr(es, "_num_with_scale", boom)
+        def spy(params, lam):
+            calls.append(lam)
+            return num(params, lam)
+
+        monkeypatch.setattr(es, "char_num", spy)
         p = SystemParams(2, 1, 1, 1, 1, 1)
         box = ContourBox(-2.0, 1.0, -2.0, 2.0)
         assert find_roots(p, box).total_count == count_zeros(p, box) == 1
         assert spectrum(p, 1e-6).total_count == count_zeros(p, default_box(p, 1e-6))
+        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
+        assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
+        assert calls and all(np.ndim(lam) == 0 for lam in calls)
 
     @pytest.mark.parametrize(
         "box",
@@ -366,7 +378,7 @@ class TestFindRoots:
 
         monkeypatch.setattr(es, "_newton", counting_newton)
         monkeypatch.setattr(es, "_polish", counting_polish)
-        result = spectrum(SystemParams(1, 10, 1, 1, 1, 50), 1e-5)
+        result = find_roots(BETA10_TAU50, BOX_BETA10_TAU50)
         assert len(result.roots) == 57 and result.unresolved == ()
         # Each real root, and each conjugate pair, is polished at least once.
         lams = [r.lam for r in result.roots]
@@ -521,6 +533,120 @@ class TestSpectrum:
             for r in spectrum(p, 0.0).roots:
                 if r.lam.real >= 0:
                     assert abs(r.lam) <= radius + 1e-9
+
+
+class TestPredictedSpectrum:
+    """spectrum predicts the roots of a counted box by collocation, polishes
+    them by Newton and lists them when they add up to the count; otherwise
+    it subdivides, as find_roots does."""
+
+    def test_agrees_with_the_contour_search(self, monkeypatch):
+        # Points from the ranges of the benchmark's point queries, and two
+        # many-root spectra: 57 roots at tau = 50, 51 at sigma = 1.
+        rng = np.random.default_rng(67)
+        points = [
+            (
+                SystemParams(
+                    alpha=10.0 ** rng.uniform(-1, 1),
+                    beta=rng.uniform(-10, 10),
+                    delta=rng.uniform(-1, 3),
+                    l=10.0 ** rng.uniform(-0.5, 0.5),
+                    f=10.0 ** rng.uniform(-0.5, 0.5),
+                    tau=rng.uniform(0, 20),
+                ),
+                1e-6,
+            )
+            for _ in range(30)
+        ]
+        points += [(BETA10_TAU50, 1e-5), (SystemParams(1, 5, 1, 1, 1, 5), 1.0)]
+        contours = [find_roots(p, default_box(p, sigma)) for p, sigma in points]
+        splits = []
+        split = es._split
+        monkeypatch.setattr(es, "_split", lambda *args: splits.append(args) or split(*args))
+        unsplit = 0
+        for (p, sigma), contour in zip(points, contours):
+            before = len(splits)
+            result = spectrum(p, sigma)
+            unsplit += len(splits) == before
+            assert result.total_count == contour.total_count == len(result.roots)
+            assert len(contour.roots) == len(result.roots)
+            assert matched(contour.roots, result.roots) <= 1e-12
+        assert unsplit >= 28 and sum(len(c.roots) for c in contours) > 200
+
+    @pytest.mark.parametrize(
+        "p, n",
+        [(SystemParams(1, 3, 1, 1, 1, 5), 24), (SystemParams(2, -4, 0.5, 2, 1, 1), 24),
+         (BETA10_TAU50, 160)],
+    )
+    def test_collocation_is_spectrally_accurate(self, p, n):
+        # The generator's eigenvalues converge to the roots, not merely
+        # near enough for Newton to find them.
+        guesses = es._collocated(p, n)
+        for r in spectrum(p, 1e-5).roots:
+            assert np.abs(guesses - r.lam).min() <= 1e-12 * max(1.0, abs(r.lam))
+
+    @pytest.mark.parametrize("guess", ["nothing", "non-roots"])
+    def test_a_failed_prediction_falls_back(self, monkeypatch, guess):
+        # No prediction, or predictions that are not roots: the search falls
+        # back or still reconciles, and lists the contour search's roots.
+        collocated = es._collocated
+
+        def predictor(params, n):
+            if guess == "nothing":
+                return np.empty(0, dtype=complex)
+            return collocated(params, n) + 0.05
+
+        monkeypatch.setattr(es, "_collocated", predictor)
+        for p in (BETA10_TAU50, *(p for p, _ in corpus_spectra()[:6])):
+            result = spectrum(p, 1e-5)
+            contour = find_roots(p, default_box(p, 1e-5))
+            assert result.total_count == contour.total_count == len(result.roots)
+            assert matched(contour.roots, result.roots) <= 1e-12
+            if guess == "nothing":
+                assert result == contour
+
+    def test_repeated_and_off_axis_starts_still_reconcile(self, monkeypatch):
+        # Every prediction twice, real ones moved off the axis: each limit
+        # counts once, and a real one is polished again on the axis.
+        points = (BETA10_TAU50, SystemParams(1, 3, 1, 1, 1, 5))
+        contours = [find_roots(p, default_box(p, 1e-5)).roots for p in points]
+        collocated = es._collocated
+
+        def predictor(params, n):
+            guesses = collocated(params, n)
+            return np.repeat(guesses + 1e-3j * (guesses.imag == 0.0), 2)
+
+        def boom(*args):
+            raise AssertionError("spectrum split a box")
+
+        monkeypatch.setattr(es, "_collocated", predictor)
+        monkeypatch.setattr(es, "_split", boom)
+        for p, contour in zip(points, contours):
+            roots = spectrum(p, 1e-5).roots
+            assert len(roots) == len(contour) and any(r.lam.imag == 0.0 for r in roots)
+            assert [r.lam.imag == 0.0 for r in roots] == [r.lam.imag == 0.0 for r in contour]
+            assert matched(contour, roots) <= 1e-12
+
+    def test_collocation_over_the_cap_is_not_built(self, monkeypatch):
+        # Corpus point #85 asks for N = 2120 nodes, past the cap of 256.
+        p = corpus()[85]
+        box = default_box(p, 1e-5)
+        assert es._NODES_PER_SPAN * box.im_max * (p.tau + p.l / p.f) > es._MAX_NODES
+
+        def boom(*args):
+            raise AssertionError("eigvals called past the node cap")
+
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        result = spectrum(p, 1e-5)
+        assert sum(r.multiplicity for r in result.roots) == result.total_count > 0
+
+    def test_large_delay_spectrum_makes_no_split(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("spectrum split a box")
+
+        monkeypatch.setattr(es, "_split", boom)
+        result = spectrum(BETA10_TAU50, 1e-5)
+        assert len(result.roots) == result.total_count == 57
 
 
 class TestStripBox:

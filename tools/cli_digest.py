@@ -48,6 +48,7 @@ INVOCATIONS = [
     f"certify {ONES} --beta 0.5 --tau 800",
     f"certify {POINT} --gamma 0",
     f"eig {ONES} --beta 5 --tau 5 --sigma 1",
+    f"eig {ONES} --beta 10 --tau 50",
     f"classify {ONES} --tau 1 --beta -1e-3",
     "trace-r0 --alpha 1 --delta 0 --l 1 --f 1 --tau-max 1 --steps 3 --omega-max 5",
     f"sweep {ONES} --beta-range 1e308:-1e308 --tau-range 0:1 --grid 2x2",
