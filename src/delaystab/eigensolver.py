@@ -24,18 +24,18 @@ it raises SampleBudgetExceeded.
 
 Every coefficient is real, so f(conj z) = conj f(z): the zeros are real or
 come in conjugate pairs.  A box symmetric about the real axis (im_min ==
--im_max, as every default_box is) is held as its upper half, the top and
-each side from the axis up, and nothing below the axis is sampled:
-_mirrored completes a box from its upper half, the bottom being the top's
-mirror image and each side its upper half preceded by that half's mirror
-image.  _split
-chooses every cut.  A symmetric cell is cut on its upper half by the same
-_halves as any other box and completed by _mirrored: a wide one upright,
-into two symmetric halves, so a symmetric cell with one zero holds a real
-one; a tall one level at Im = h (h = im_max/64, moved like a split on a
-zero), into the symmetric strip |Im| < h and the upper part above h, whose
-counts add up as strip + 2*upper.  The upper part is subdivided alone and
-its finds are conjugated once, where that cut is made.
+-im_max, as every default_box is) is held as its upper half end to end:
+its edges are the top and each side from the axis up, with no bottom, and
+nothing below the axis is sampled or built.  Its count is
+2*(right - top - left)/2pi and its moment start Im(right - top -
+left)/(pi*count), exactly real.  _split chooses every cut.  A symmetric
+cell is cut on its upper half by the same _halves as any other box: a
+wide one upright, into two symmetric halves, so a symmetric cell with one
+zero holds a real one; a tall one level at Im = h (h = im_max/64, moved
+like a split on a zero), into the symmetric strip |Im| < h and the upper
+part above h, whose counts add up as strip + 2*upper.  The upper part is
+subdivided alone and its finds are conjugated once, where that cut is
+made.
 
 spectrum predicts, then certifies.  It counts its box once; a count of
 two or more is first checked against a prediction: the eigenvalues of a
@@ -252,27 +252,6 @@ def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | No
     return None
 
 
-def _conj(edge: _Edge) -> _Edge:
-    """A horizontal edge's mirror image in the real axis."""
-    return _Edge(edge.pts.conj(), edge.vals.conj(), -edge.turns)
-
-
-def _whole(half: _Edge) -> _Edge:
-    """The vertical edge from -k to k whose upper half, from the real axis
-    up to k, is half: the lower half is its mirror image, run backwards."""
-    return _Edge(
-        np.concatenate((half.pts[:0:-1].conj(), half.pts)),
-        np.concatenate((half.vals[:0:-1].conj(), half.vals)),
-        np.concatenate((half.turns[::-1], half.turns)),
-    )
-
-
-def _upper(edge: _Edge) -> _Edge:
-    """The upper half of a vertical edge that _whole made."""
-    m = edge.turns.size // 2
-    return _Edge(edge.pts[m:], edge.vals[m:], edge.turns[m:])
-
-
 def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     """The refined edges along segments, (start, stop) pairs, with None for
     each edge where a sample lies on a zero.  A horizontal edge starts from
@@ -298,37 +277,44 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     return edges
 
 
-def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge, ...]:
+def _box_edges(sampler: _Sampler, box: ContourBox) -> tuple[_Edge | None, ...]:
     """The bottom, right, top and left edges of box, each in increasing
     coordinate.  All four are sampled before _BoundaryHit is raised, so the
     hit names every side that touches a zero.  A box symmetric about the
-    real axis is sampled above it only, its top and each side from the axis
-    up, and completed by _mirrored; a hit on the top is one on the bottom."""
+    real axis is held as its upper half, (None, right, top, left): the top
+    and each side from the axis up, and no bottom, which would be the top's
+    mirror image; a hit on the top is one on the bottom."""
     symmetric = box.im_min == -box.im_max
     base = 0.0 if symmetric else box.im_min
     sw, se = complex(box.re_min, base), complex(box.re_max, base)
     nw, ne = complex(box.re_min, box.im_max), complex(box.re_max, box.im_max)
     segments = ((sw, se), (se, ne), (nw, ne), (sw, nw))
     if symmetric:
-        # No bottom is sampled; the top stands for it in the hit check.
-        right, top, left = _edges(sampler, segments[1:])
-        edges = (top, right, top, left)
+        edges = (None, *_edges(sampler, segments[1:]))
+        # The top stands for the bottom in the hit check.
+        checked = (edges[_TOP], *edges[1:])
     else:
-        edges = tuple(_edges(sampler, segments))
-    hits = frozenset(side for side, edge in enumerate(edges) if edge is None)
+        edges = checked = tuple(_edges(sampler, segments))
+    hits = frozenset(side for side, edge in enumerate(checked) if edge is None)
     if hits:
         raise _BoundaryHit(hits)
-    return _mirrored(box, edges)[1] if symmetric else edges
+    return edges
 
 
-def _count(edges: tuple[_Edge, ...], box: ContourBox) -> int:
+def _count(edges: tuple[_Edge | None, ...], box: ContourBox) -> int:
     """Zeros inside box from its edges, (bottom + right - top - left)/2pi.
 
+    A symmetric box held as its upper half (no bottom) counts
+    2*(right - top - left)/2pi: the mirrored bottom undoes the top's
+    turning, and each whole side turns twice as much as its upper half.
     Raises QuadratureNonInteger when the total is not finite or not within
     1e-3 of an integer.
     """
-    bottom, right, top, left = (float(edge.turns.sum()) for edge in edges)
-    total = (bottom + right - top - left) / _TWO_PI
+    right, top, left = (float(edges[side].turns.sum()) for side in (_RIGHT, _TOP, _LEFT))
+    if edges[_BOTTOM] is None:
+        total = (right - top - left) / math.pi
+    else:
+        total = (float(edges[_BOTTOM].turns.sum()) + right - top - left) / _TWO_PI
     if not math.isfinite(total) or abs(total - round(total)) > 1e-3:
         raise QuadratureNonInteger(
             f"winding integral {total!r} over {box} is not an integer"
@@ -416,40 +402,32 @@ def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: boo
     return (lo, tuple(lo_edges)), (hi, tuple(hi_edges))
 
 
-def _mirrored(box: ContourBox, edges: tuple[_Edge | None, ...]):
-    """The box symmetric about the real axis whose upper half is box (im_min
-    0), with its edges completed from the upper half's right, top and left
-    (its bottom, the axis, is not used): the bottom is the top's mirror
-    image and each side the side's mirror image followed by the side."""
-    _, right, top, left = edges
-    whole = ContourBox(box.re_min, box.re_max, -box.im_max, box.im_max)
-    return whole, (_conj(top), _whole(right), top, _whole(left))
-
-
-def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], frac: float):
+def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge | None, ...], frac: float):
     """box cut in two at frac, as ((lo, lo_edges), (hi, hi_edges), paired),
     or None when a new sample lies on a zero.  box holds lo's count plus
     hi's, twice over when paired: hi then stands for its mirror image too.
 
-    A box symmetric about the real axis is cut on its upper half (its top
-    and each side from the axis up) by _halves, and the parts that touch
-    the axis are completed by _mirrored.  A wide one is cut upright at frac
-    into two symmetric halves; a tall one level at h = frac*im_max/32 into
-    the symmetric strip |Im| < h (lo) and the upper part above h (hi,
-    paired).  Any other box is cut across its longer side.
+    A symmetric box, held as its upper half (no bottom edge), is cut on
+    that half by _halves, and the parts that touch the axis are named by
+    their symmetric boxes.  A wide one is cut upright at frac into two
+    symmetric halves; a tall one level at h = frac*im_max/32 into the
+    symmetric strip |Im| < h (lo) and the upper part above h (hi, paired).
+    Any other box is cut across its longer side.
     """
     upright = box.width >= box.height
-    symmetric = box.im_min == -box.im_max
+    symmetric = edges[_BOTTOM] is None
     if symmetric:
-        box = ContourBox(box.re_min, box.re_max, 0.0, box.im_max)
-        edges = (None, _upper(edges[_RIGHT]), edges[_TOP], _upper(edges[_LEFT]))
+        box = replace(box, im_min=0.0)
         # A level cut at h = frac*im_max/32, on a half im_max high.
         frac = frac if upright else frac / 32.0
     parts = _halves(sampler, box, edges, frac, upright)
     if parts is None or not symmetric:
         return None if parts is None else (*parts, False)
-    lo, hi = parts
-    return _mirrored(*lo), (_mirrored(*hi) if upright else hi), not upright
+    (lo, lo_edges), (hi, hi_edges) = parts
+    lo = replace(lo, im_min=-lo.im_max)
+    if upright:
+        hi = replace(hi, im_min=-hi.im_max)
+    return (lo, lo_edges), (hi, hi_edges), not upright
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -488,8 +466,8 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     most 1,000,000 contour samples; past that it raises
     SampleBudgetExceeded.  A box symmetric about the real axis is sampled
     above it only, its top and each vertical edge from the axis up, and
-    completed by its mirror image; a zero on the top grows top and bottom
-    alike, so the box stays symmetric.
+    counted from that half as 2*(right - top - left)/2pi; a zero on the top
+    grows top and bottom alike, so the box stays symmetric.
     """
     sampler = _Sampler(params)
     with np.errstate(**_QUIET):
@@ -518,19 +496,27 @@ def _newton(params: SystemParams, box: ContourBox, z0: complex, tol: float, mult
     return None
 
 
-def _moment_start(box: ContourBox, edges: tuple[_Edge, ...], count: int) -> complex:
+def _moment_start(box: ContourBox, edges: tuple[_Edge | None, ...], count: int) -> complex:
     """Where Newton starts in box: the mean of its count zeros, read off its edges.
 
     The mean is the first contour moment over the count, (1/2pi i) of the
     integral of z f'/f dz around box (Delves & Lyness, 1967).  Each step
     adds its midpoint times its change of log f, ln|f| plus i times its
-    turn; bottom and right run counterclockwise, top and left against.
+    turn; bottom and right run counterclockwise, top and left against.  A
+    symmetric box held as its upper half gives
+    Im(right - top - left)/(pi*count), which is real: the mirror image of
+    each half edge, run the other way, adds minus the conjugate of its
+    moment.
     """
     total = 0j
     for side, edge in enumerate(edges):
+        if edge is None:
+            continue
         mids = 0.5 * (edge.pts[:-1] + edge.pts[1:])
         moment = complex(np.dot(mids, np.log(edge.vals[1:] / edge.vals[:-1])))
         total += moment if side in (_BOTTOM, _RIGHT) else -moment
+    if edges[_BOTTOM] is None:
+        return complex(total.imag / (math.pi * count))
     return total / (2j * math.pi * count)
 
 
@@ -765,9 +751,9 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     and > 0 raises InvalidParameter.
 
     A box symmetric about the real axis (im_min == -im_max) is searched in
-    its upper half only: each symmetric cell is its upper half plus the
-    mirror image of it.  Its cuts are made on the upper half and completed
-    by mirroring.  A tall symmetric cell, as the default box is, is cut at
+    its upper half only: each symmetric cell is held, counted and cut as
+    its upper half, and its Newton start, the cell's first contour moment,
+    is real.  A tall symmetric cell, as the default box is, is cut at
     Im = im_max/64 into a symmetric strip and the upper part above it,
     which stands for its mirror image too; a wide one is cut upright into
     two symmetric halves.  Each root found in an upper part is listed with

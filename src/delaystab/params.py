@@ -12,6 +12,7 @@ Everything in this module is a pure function of the six coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -23,10 +24,6 @@ from .errors import (
     NonPositiveL,
     QuadratureNonInteger,
 )
-
-# |delta*l/f| below this switches the threshold gain to its delta -> 0 limit,
-# where 1 - exp(-x) has lost too many digits to stay meaningful.
-_DELTA_LIMIT_SWITCH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,15 +98,18 @@ def _check_family(alpha: float, delta: float, l: float, f: float) -> None:
 def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
     """Critical gain at which a zero-frequency eigenvalue appears.
 
-    Returns alpha*delta/(1 - exp(-delta*l/f)); the delta -> 0 limit alpha*f/l
-    is substituted once |delta*l/f| drops below 1e-9.  The value is also
-    evaluated for delta < 0, where the oscillation fast path does not use it;
-    below delta*l/f of about -709.78, where exp(-delta*l/f) overflows, it is
-    the limit 0.0.  Raises the SystemParams error for a bad family.
+    Returns alpha*delta/-expm1(-delta*l/f), exact to rounding however
+    small delta*l/f is.  Where delta*l/f is 0 or subnormal it returns the
+    delta -> 0 limit alpha*f/l, which is within 1e-308 of the exact value
+    there and, unlike a division by a subnormal, loses no digits.  The
+    value is also evaluated for delta < 0, where the oscillation fast path
+    does not use it; below delta*l/f of about -709.78, where
+    exp(-delta*l/f) overflows, it is the limit 0.0.  Raises the
+    SystemParams error for a bad family.
     """
     _check_family(alpha, delta, l, f)
     x = delta * l / f
-    if abs(x) < _DELTA_LIMIT_SWITCH:
+    if abs(x) < sys.float_info.min:
         return alpha * f / l
     try:
         return alpha * delta / -math.expm1(-x)

@@ -447,14 +447,24 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
     beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined by
     _refine up to the eigenvalue search radius plus 1, beyond which the
-    quartic left side dominates, so the list is finite.  omega = 0 is
-    listed only when |beta| is the threshold gain within
-    1e-12*max(1, threshold gain), the modulus of the axis gain there; at
-    delta = 0 the equation holds at omega = 0 for every beta.
-    Where the radius or the scan's moduli overflow (delta*l/f below about
-    -354 at |beta| = 1) it raises QuadratureNonInteger.
+    quartic left side dominates, so the list is finite.  For every real
+    delta the axis gain's modulus is at least sqrt(omega^2 + alpha^2)/I >=
+    b0, the threshold gain, where I = int_0^{l/f} exp(-delta*s) ds.  So
+    where b0 > 0 and |beta| is at most b0 + w, w = 1e-12*b0, nothing is
+    scanned: the list is [0.0] if |beta| >= b0 - w and empty otherwise,
+    0.0 standing for every root inside that window.  The window is
+    relative to b0, because only then does every root inside it lie next
+    to omega = 0.  At delta = 0 the equation holds at omega = 0 for every
+    beta, and above the window omega = 0 is not listed.  Where the radius
+    or the scan's moduli overflow (delta*l/f below about -354 at
+    |beta| = 1, and wherever b0 underflows to 0) it raises
+    QuadratureNonInteger.
     """
     alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
+    b0 = threshold_gain(alpha, delta, l, f)
+    window = 1e-12 * b0
+    if b0 > 0.0 and abs(params.beta) <= b0 + window:
+        return [0.0] if abs(params.beta) >= b0 - window else []
     x = delta * l / f
     gain_sq = params.beta * params.beta
 
@@ -473,10 +483,6 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
             (roots,) = _scan_roots(lambda w, _: mismatch(w), grid, [mismatch(grid)])
     except (OverflowError, FloatingPointError) as exc:
         raise QuadratureNonInteger(f"axis modulus scan overflows for {params}") from exc
-    # |G(0)| is the threshold gain, and the factor omega^2 + delta^2 makes
-    # omega = 0 solve the equation for every beta at delta = 0.
-    b0 = threshold_gain(alpha, delta, l, f)
-    if abs(abs(params.beta) - b0) <= 1e-12 * max(1.0, b0):
-        # omega = 0 stands in for every root within the merge distance of it.
-        return [0.0] + [w for w in roots if w > 1e-9]
+    # The factor omega^2 + delta^2 makes omega = 0 solve the equation for
+    # every beta at delta = 0.
     return [w for w in roots if w != 0.0]

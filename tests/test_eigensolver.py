@@ -436,6 +436,19 @@ class TestFindRoots:
         assert box.contains(start)
         assert abs(start + 1.0) < 1e-3 < abs(box.center + 1.0)
 
+    @pytest.mark.parametrize("beta, tau, sigma", [(2.0, 0.1, 1e-6), (3.0, 0.5, 0.5), (5.0, 0.1, 1.0)])
+    def test_symmetric_one_zero_cell_starts_on_the_axis(self, beta, tau, sigma):
+        # A symmetric cell with one zero holds a real one, and its moment
+        # start is real to the last bit (a whole-box sum rounds off the axis).
+        p = SystemParams(1, beta, 1, 1, 1, tau)
+        box = default_box(p, sigma)
+        edges = es._box_edges(es._Sampler(p), box)
+        assert box.im_min == -box.im_max and es._count(edges, box) == 1
+        start = es._moment_start(box, edges, 1)
+        assert start.imag == 0.0
+        [root] = spectrum(p, sigma).roots
+        assert root.lam.imag == 0.0 and abs(start - root.lam) < 1e-3
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             find_roots(SystemParams(1, 1, 1, 1, 1, 1), ContourBox(-1, 1, -1, 1), tol=0)

@@ -79,6 +79,24 @@ class TestThresholdGain:
                 1.3 * 1.1 / 0.7, rel=1e-6
             )
 
+    @pytest.mark.parametrize("x", [1e-12, -1e-12, 1e-10, -1e-10, 9e-10, -9e-10])
+    def test_small_delta_against_mpmath_and_axis_gain(self, x):
+        # delta*l/f = x: close to, but not at, the delta -> 0 limit, which
+        # is off by about x/2 in relative terms.
+        mpmath = pytest.importorskip("mpmath")
+        from delaystab.region import _axis_gain
+
+        alpha, l, f = 1.3, 0.7, 1.1
+        delta = x * f / l
+        value = threshold_gain(alpha, delta, l, f)
+        with mpmath.workdps(50):
+            a, d = mpmath.mpf(alpha), mpmath.mpf(delta)
+            exact = a * d / -mpmath.expm1(-d * mpmath.mpf(l) / mpmath.mpf(f))
+        assert abs(value - float(exact)) <= 1e-15 * float(exact)
+        # The axis gain at omega = 0 is the threshold gain for every delta.
+        axis = complex(_axis_gain((alpha, delta, l, f), 0.0))
+        assert axis.imag == 0.0 and axis.real == pytest.approx(value, rel=1e-15)
+
     def test_far_negative_decay_limit(self):
         # exp(-delta*l/f) overflows below delta*l/f of about -709.78; the
         # gain tends to 0 there

@@ -583,6 +583,31 @@ class TestAxisCrossingCandidates:
         with pytest.raises(QuadratureNonInteger):
             axis_crossing_candidates(SystemParams(1, beta, delta, 1, 1, 1))
 
+    def test_threshold_gain_lists_omega_zero_alone(self):
+        # |G(omega)| >= b0 with equality at omega = 0 only, so at |beta| = b0
+        # omega = 0 is the one candidate and below b0 there is none; a scan
+        # there would see rounding flip the sign of a double zero at 0.
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+            delta = rng.uniform(-1.0, 3.0)
+            l, f = 10.0 ** rng.uniform(-0.5, 0.5, 2)
+            b0 = threshold_gain(alpha, delta, l, f)
+            for beta in (b0, -b0):
+                assert axis_crossing_candidates(SystemParams(alpha, beta, delta, l, f, 1.0)) == [0.0]
+            assert axis_crossing_candidates(SystemParams(alpha, b0 / 2, delta, l, f, 1.0)) == []
+
+    def test_tiny_threshold_gain_keeps_far_crossings(self):
+        # At delta = -40, b0 = 1.7e-16: beta = 1e-13 is far above it, so
+        # omega = 0 is no root and the crossing near omega = 150 is, while
+        # beta = 0 is below it and has none.  Where b0 underflows to 0 the
+        # scan runs and its overflow is typed.
+        [omega] = axis_crossing_candidates(SystemParams(1, 1e-13, -40, 1, 1, 1))
+        assert omega == pytest.approx(150.83633685368784, rel=1e-9)
+        assert axis_crossing_candidates(SystemParams(1, 0, -40, 1, 1, 1)) == []
+        with pytest.raises(QuadratureNonInteger):
+            axis_crossing_candidates(SystemParams(1, 0, -1000, 1, 1, 1))
+
     def test_zero_gain_has_no_candidates(self):
         assert axis_crossing_candidates(SystemParams(1, 0, 1, 1, 1, 1)) == []
 
