@@ -65,5 +65,9 @@ class HistoryMismatch(InvalidParameter):
     """Delay history does not match the initial profile at the outflow end."""
 
 
+class SimulationOverflow(DelayStabError):
+    """A simulated energy left the floating-point range (inf or NaN)."""
+
+
 class DegenerateWindow(DelayStabError):
     """Too few samples inside the requested fit window."""

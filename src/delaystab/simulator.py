@@ -3,9 +3,12 @@
 The transport equation is integrated by the method of characteristics at
 unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
-boundary trace held over each step.  ``run`` keeps the outflow trace
-c(l, .) on the dt grid in one preallocated block buffer and evaluates the
-energy only at the output steps, the history terms of a block at once.
+boundary trace held over each step.  ``run`` writes the profile after each
+step as one row of a preallocated profile block and keeps c(l, .) on the dt
+grid in one block buffer.  It evaluates the energy only at the output steps:
+the c-integrals of a profile block's output rows as one matrix-vector
+product when the block fills, the history terms of a buffer block at once.
+A run whose energy leaves the floating-point range raises SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindow, HistoryMismatch, IncompatibleBoundary, InvalidParameter
+from .errors import (
+    DegenerateWindow,
+    HistoryMismatch,
+    IncompatibleBoundary,
+    InvalidParameter,
+    SimulationOverflow,
+)
 from .params import SystemParams
 
 
@@ -146,9 +155,10 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
 def _advance_fn(params: SystemParams, dt: float, n_tau: int):
     """The one-step update for this step size, its exponentials computed once.
 
-    advance(a, trace, k, c, out) reads the delayed samples from the
+    advance(a, trace, k, src, dst) reads the delayed samples from the
     oldest-first outflow trace, whose oldest entry still in the delay window
-    is trace[k]; it writes c at t + dt into out and returns a at t + dt.
+    is trace[k]; it writes c[1:] at t + dt into dst from src = c[:-1] at t
+    and returns a at t + dt.  c[0] at t + dt is the pinned inflow, 0.
     """
     alpha, beta = params.alpha, params.beta
     decay_a = math.exp(-alpha * dt)
@@ -162,7 +172,7 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
         gain_c = -math.expm1(-delta * dt)
     lagged = n_tau >= 1
 
-    def advance(a: float, trace: np.ndarray, k: int, c: np.ndarray, out: np.ndarray) -> float:
+    def advance(a: float, trace: np.ndarray, k: int, src: np.ndarray, dst: np.ndarray) -> float:
         # z(1, .) over [t, t+dt] spans the two oldest delay samples; their
         # average keeps the coupling second order (tau = 0 has only the head).
         if lagged:
@@ -171,10 +181,8 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
             delayed = trace.item(k)
         a_new = a * decay_a + delayed * gain_a / alpha
         a_mid = 0.5 * (a + a_new)
-        out[0] = 0.0
-        body = out[1:]
-        np.multiply(c[:-1], decay_c, out=body)
-        np.add(body, beta * a_mid * gain_c / delta, out=body)
+        np.multiply(src, decay_c, out=dst)
+        np.add(dst, beta * a_mid * gain_c / delta, out=dst)
         return a_new
 
     return advance
@@ -185,8 +193,8 @@ def step(state: SimState, params: SystemParams) -> SimState:
     integrated along the characteristic, then the exact activation update
     driven by the delayed trace averaged over the step."""
     advance = _advance_fn(params, state.dt, state.n_tau)
-    c_new = np.empty_like(state.c)
-    a_new = advance(state.a, state.history[::-1], 0, state.c, c_new)
+    c_new = np.zeros_like(state.c)
+    a_new = advance(state.a, state.history[::-1], 0, state.c[:-1], c_new[1:])
     history = np.empty_like(state.history)
     history[0] = c_new[-1]
     history[1:] = state.history[:-1]
@@ -258,6 +266,14 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
 # samples of c(l, .) whatever its length.
 _BLOCK = 4096
 
+# Steps per profile block: run writes the profile after each step as one row
+# of a preallocated block, behind row 0, which carries the state the block
+# starts from, and takes the c-integrals of the block's output rows at once
+# when it fills.  Large nx takes fewer steps per block, so that the block
+# (and its squares) holds at most _BLOCK_FLOATS floats up to nx = 32767.
+_ROWS = 127
+_BLOCK_FLOATS = 65_536
+
 
 def run(
     params: SystemParams,
@@ -274,7 +290,9 @@ def run(
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
     t_final of sys.maxsize steps or more raises InvalidParameter before
-    anything is allocated.
+    anything is allocated; a run whose energy leaves the floating-point
+    range raises SimulationOverflow naming the first output time at which it
+    is not finite.
     """
     # init_state's step is dt = (l/nx)/f.
     steps = config.t_final / (params.l / config.nx / params.f) - 1e-9
@@ -283,9 +301,10 @@ def run(
             f"t_final={config.t_final!r} needs {steps:.3g} steps, more than a run can index"
         )
     state = init_state(params, config, c0, a0, c_l_history)
-    dt, n_tau = state.dt, state.n_tau
+    dt, n_tau, width = state.dt, state.n_tau, state.c.size
     n_steps = max(1, math.ceil(steps))
-    outputs = list(range(0, n_steps + 1, config.output_stride))
+    stride = config.output_stride
+    outputs = list(range(0, n_steps + 1, stride))
     if outputs[-1] != n_steps:
         outputs.append(n_steps)
 
@@ -296,9 +315,15 @@ def run(
     buf = np.empty(n_tau + 1 + _BLOCK)
     buf[: n_tau + 1] = state.history[::-1]
     base = 0
-    c, c_next = state.c, np.empty_like(state.c)
-    a = state.a
-    c_weights = _trapezoid_weights(c.size, params.l / config.nx)
+    # block[i] is c after k0 + i steps, where row 0 carries step k0 over from
+    # the last block; squares holds the squares of the output rows.
+    rows = max(1, min(_ROWS, _BLOCK_FLOATS // width - 1))
+    block = np.zeros((rows + 1, width))
+    block[0] = state.c
+    squares = np.empty_like(block)
+    src = [row[:-1] for row in block[:-1]]
+    dst = [row[1:] for row in block[1:]]
+    c_weights = _trapezoid_weights(width, params.l / config.nx)
     history_weights = _history_weights(params, config.gamma, dt, n_tau) if n_tau >= 1 else None
     history_terms = np.zeros(len(outputs))
     flushed = 0
@@ -317,37 +342,68 @@ def run(
         history_terms[flushed:upto] = np.convolve(sq, history_weights, "valid")[starts - lo]
         flushed = upto
 
-    advance = _advance_fn(params, dt, n_tau)
     a_out, c_l, c_sq, states = [], [], [], []
-    done = 0
-    for i, stop in enumerate(outputs):
-        for k in range(done, stop):
-            if k - base == _BLOCK:
-                flush(i)
-                buf[: n_tau + 1] = buf[_BLOCK:]
-                base = k
-            a = advance(a, buf, k - base, c, c_next)
-            c, c_next = c_next, c
-            buf[k - base + n_tau + 1] = c[-1]
-        done = stop
-        a_out.append(a)
-        c_l.append(c.item(-1))
-        c_sq.append(_sq_integral(c, c_weights))
-        if keep_states:
-            window = buf[stop - base : stop - base + n_tau + 1][::-1].copy()
-            states.append(
-                SimState(stop * dt, stop, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
-            )
-    flush(len(outputs))
 
-    a_out = np.array(a_out)
-    energies = 0.5 * np.array(c_sq) + 0.5 * a_out * a_out + 0.5 * history_terms
+    def take(k0: int, picked: slice, a_rows: list) -> bool:
+        # record the outputs at block[picked]; False if a c-integral is not finite
+        chosen = block[picked]
+        m = len(chosen)
+        np.square(chosen, out=squares[:m])
+        integrals = squares[:m] @ c_weights
+        c_sq.extend(integrals.tolist())
+        c_l.extend(chosen[:, -1].tolist())
+        a_out.extend(a_rows[picked])
+        if keep_states:
+            for k, c, a in zip(range(k0, k0 + len(a_rows))[picked], chosen, a_rows[picked]):
+                window = buf[k - base : k - base + n_tau + 1][::-1].copy()
+                states.append(
+                    SimState(k * dt, k, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
+                )
+        return bool(np.isfinite(integrals).all())
+
+    advance = _advance_fn(params, dt, n_tau)
+    a = state.a
+    k0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k0 < n_steps:
+            if k0 - base == _BLOCK:
+                flush(len(c_sq))
+                buf[: n_tau + 1] = buf[_BLOCK:]
+                base = k0
+            n = min(rows, n_steps - k0, base + _BLOCK - k0)
+            a_rows = [a]
+            j = k0 - base
+            for i in range(n):
+                a = advance(a, buf, j + i, src[i], dst[i])
+                a_rows.append(a)
+                buf[j + i + n_tau + 1] = block.item(i + 1, -1)
+            # the outputs among steps k0 + 1 .. k0 + n, and step 0
+            first = stride - k0 % stride if k0 else 0
+            finite = take(k0, slice(first, n + 1, stride), a_rows)
+            if k0 + n == n_steps and n_steps % stride:
+                finite &= take(k0, slice(n, n + 1), a_rows)
+            block[0] = block[n]
+            k0 += n
+            # a non-finite activation makes every later energy non-finite
+            if not (finite and math.isfinite(a)):
+                break
+        flush(len(c_sq))
+        a_out = np.array(a_out)
+        a_sq = a_out * a_out
+        energies = 0.5 * np.array(c_sq) + 0.5 * a_sq + 0.5 * history_terms[: len(c_sq)]
+    # a run that stopped early has no energies past the block that failed
+    blown = np.flatnonzero(~np.isfinite(energies))
+    first_bad = blown[0] if blown.size else energies.size
+    if first_bad < len(outputs):
+        raise SimulationOverflow(
+            f"the energy left the floating-point range at t = {outputs[first_bad] * dt!r}"
+        )
     samples = tuple(
         map(
             EnergySample,
             [k * dt for k in outputs],
             energies.tolist(),
-            (a_out * a_out).tolist(),
+            a_sq.tolist(),
             c_l,
         )
     )
@@ -361,7 +417,8 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     """Least-squares slope of ln E over the window; rate is minus the slope.
 
     Returns a decayed-to-zero sentinel (rate = inf) when the window contains
-    non-positive energies; raises DegenerateWindow on fewer than 10 samples.
+    non-positive energies; raises DegenerateWindow on fewer than 10 samples
+    and SimulationOverflow on an energy that is inf or NaN.
     """
     t0, t1 = window
     ts, es = trace.times, trace.energies
@@ -369,6 +426,9 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     ts, es = ts[inside], es[inside]
     if ts.size < 10:
         raise DegenerateWindow(f"only {ts.size} samples in window [{t0}, {t1}]")
+    blown = ts[~np.isfinite(es)]
+    if blown.size:
+        raise SimulationOverflow(f"the energy is not finite at t = {blown[0].item()!r}")
     if np.any(es <= 0.0):
         return FitResult(rate=math.inf, r_squared=math.nan, decayed_to_zero=True)
     log_e = np.log(es)

@@ -26,6 +26,7 @@ PUBLIC_NAMES = [
     "SimConfig",
     "SimState",
     "SimTrace",
+    "SimulationOverflow",
     "SweepNode",
     "SystemParams",
     "TraceResult",

@@ -594,6 +594,17 @@ class TestSimulate:
         assert outputs["800"] == outputs["710"]
         assert outputs["800"][1][1] == "0.6409643055730043"
 
+    def test_overflowing_energy_is_numerical_failure(self, capsys):
+        # beta = -30 grows until the energy overflows at t = 241
+        argv = ["simulate", *ONES_FLAGS, "--beta", "-30", "--tau", "0.3"]
+        argv += ["--nx", "10", "--t-final", "2000", "--gamma", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "delaystab: the energy left the floating-point range at t = 241.0\n"
+
 
 class TestCertify:
     def test_applicable(self, capsys):

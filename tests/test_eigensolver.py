@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -706,6 +707,17 @@ class TestSpectralBound:
             lambda x: char_num(p, complex(x, 0)).real, 0.0, 2.0, xtol=1e-12
         )
         assert bound == pytest.approx(real_root, abs=1e-8)
+
+    def test_below_the_threshold_gain_is_stable_for_every_delay(self):
+        # |G(iw)| >= threshold_gain for every real w and delta, so no root
+        # reaches the imaginary axis while |beta| < b0: the band is stable
+        rng = random.Random(0)
+        for _ in range(100):
+            alpha, delta = 10 ** rng.uniform(-1, 1), rng.uniform(-1, 3)
+            l, f, tau = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.5, 0.5), rng.uniform(0, 20)
+            beta = rng.uniform(-0.999, 0.999) * threshold_gain(alpha, delta, l, f)
+            bound = spectral_bound(SystemParams(alpha, beta, delta, l, f, tau), 0.1)
+            assert isinstance(bound, BelowThreshold) or bound < 0.0, (alpha, beta, delta, l, f, tau)
 
     def test_default_box_geometry(self):
         p = SystemParams(1, 2, 1, 1, 1, 1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from delaystab.errors import (
     HistoryMismatch,
     IncompatibleBoundary,
     InvalidParameter,
+    SimulationOverflow,
 )
 from delaystab.simulator import (
     EnergySample,
@@ -228,9 +230,24 @@ class TestRun:
 
 
 class TestFlatRun:
-    # run's single loop against the public single-step API; blocks of 1 and
-    # 4 steps wrap the outflow buffer many times, also below n_tau = 5
-    @pytest.mark.parametrize("block", [None, 1, 4])
+    # run's single loop against the public single-step API.  Outflow buffers
+    # (_BLOCK) of 1 and 4 steps wrap many times, also below n_tau = 5;
+    # profile blocks (_ROWS) of 1 and 3 steps put outputs at every phase of
+    # a block edge, also with outputs at every step.
+    @pytest.mark.parametrize(
+        "patches, stride",
+        [
+            pytest.param({}, 5, id="None"),
+            pytest.param({"_BLOCK": 1}, 5, id="1"),
+            pytest.param({"_BLOCK": 4}, 5, id="4"),
+            pytest.param({}, 1, id="stride1"),
+            pytest.param({"_ROWS": 1}, 5, id="rows1"),
+            pytest.param({"_ROWS": 3}, 5, id="rows3"),
+            pytest.param({"_ROWS": 1}, 1, id="rows1-stride1"),
+            pytest.param({"_ROWS": 3}, 1, id="rows3-stride1"),
+            pytest.param({"_ROWS": 3, "_BLOCK": 4}, 5, id="rows3-4"),
+        ],
+    )
     @pytest.mark.parametrize(
         "p",
         [
@@ -240,20 +257,20 @@ class TestFlatRun:
             SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
         ],
     )
-    def test_states_match_step_loop(self, p, block, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(simulator, "_BLOCK", block)
-        cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=5)
+    def test_states_match_step_loop(self, p, patches, stride, monkeypatch):
+        for name, value in patches.items():
+            monkeypatch.setattr(simulator, name, value)
+        cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=stride)
         trace, etrace = run(p, cfg, sine_profile(p.l), 1.0, zero_fn, keep_states=True)
         state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
         n_steps = math.ceil(cfg.t_final / state.dt - 1e-9)
         expected = []
         for k in range(n_steps + 1):
-            if k % 5 == 0 or k == n_steps:  # n_steps is off the stride here
+            if k % stride == 0 or k == n_steps:
                 expected.append(state)
             if k < n_steps:
                 state = step(state, p)
-        assert n_steps % 5 != 0
+        assert stride == 1 or n_steps % stride != 0  # n_steps is off the stride
         assert len(trace.states) == len(etrace.samples) == len(expected)
         for got, want, sample in zip(trace.states, expected, etrace.samples):
             assert got.step_index == want.step_index
@@ -305,6 +322,61 @@ class TestFlatRun:
         assert [s.t for s in etrace.samples] == pytest.approx([0, 500, 1000, 1500, 2000])
         assert peak < 20_000 * 8
 
+    def test_profile_block_is_capped_at_large_nx(self):
+        # nx = 20000 fits two rows in _BLOCK_FLOATS, so 250 steps cross 125
+        # profile blocks; 128 rows would hold 2.6 million floats, and twice
+        # that with their squares
+        nx = 20_000
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        cfg = SimConfig(nx=nx, t_final=0.0125, gamma=1.0, output_stride=100)
+        tracemalloc.start()
+        try:
+            _, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.t for s in etrace.samples] == pytest.approx([0, 0.005, 0.01, 0.0125])
+        assert peak < (2 * simulator._BLOCK_FLOATS + 10 * (nx + 1)) * 8
+
+
+class TestOverflow:
+    # beta = -30 grows until the energy overflows at t = 241 (step 2410)
+    GROWING = SystemParams(1, -30, 1, 1, 1, 0.3)
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    def test_growing_run_names_the_first_non_finite_output(self, stride):
+        cfg = SimConfig(nx=10, t_final=2000, gamma=1, output_stride=stride)
+        first = math.ceil(2410 / stride) * stride * 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=f"t = {first!r}$"):
+                run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
+
+    def test_run_just_short_of_the_overflow_is_finite(self):
+        cfg = SimConfig(nx=10, t_final=240.9, gamma=1)
+        _, etrace = run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert np.isfinite(etrace.energies).all()
+        assert etrace.samples[-1].energy > 1e300
+
+    def test_run_stops_at_the_block_that_overflows(self, monkeypatch):
+        steps = []
+        make = simulator._advance_fn
+
+        def counting(*args):
+            advance = make(*args)
+
+            def counted(*step_args):
+                steps.append(None)
+                return advance(*step_args)
+
+            return counted
+
+        monkeypatch.setattr(simulator, "_advance_fn", counting)
+        cfg = SimConfig(nx=10, t_final=2000, gamma=1)
+        with pytest.raises(SimulationOverflow):
+            run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert 2410 <= len(steps) < 2410 + simulator._ROWS
+
 
 class TestFitDecayRate:
     def synthetic_trace(self, rate, t_max=20.0, n=201):
@@ -338,6 +410,16 @@ class TestFitDecayRate:
         assert ts.size == 111
         slope = np.polyfit(ts, np.log(es), 1)[0]
         assert fit_decay_rate(etrace, (t0, t1)).rate == -float(slope)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_energy_in_window_raises(self, bad):
+        trace = self.synthetic_trace(0.5)
+        samples = list(trace.samples)
+        samples[150:] = [EnergySample(s.t, bad, 0.0, 0.0) for s in samples[150:]]
+        trace = EnergyTrace(samples=tuple(samples))
+        with pytest.raises(SimulationOverflow, match=f"t = {samples[150].t!r}$"):
+            fit_decay_rate(trace, (0.0, 20.0))
+        assert fit_decay_rate(trace, (0.0, 10.0)).rate == pytest.approx(0.5, abs=1e-8)
 
     def test_window_too_small(self):
         with pytest.raises(DegenerateWindow):

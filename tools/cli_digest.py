@@ -53,6 +53,8 @@ INVOCATIONS = [
     "trace-r0 --alpha 1 --delta 0 --l 1 --f 1 --tau-max 1 --steps 3 --omega-max 5",
     f"sweep {ONES} --beta-range 1e308:-1e308 --tau-range 0:1 --grid 2x2",
     f"simulate {POINT} --nx 10 --t-final 1e300",
+    f"simulate {POINT} --nx 10 --t-final 50",
+    f"simulate {ONES} --beta -30 --tau 0.3 --nx 10 --t-final 2000 --gamma 1",
 ]
 
 
