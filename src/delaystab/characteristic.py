@@ -50,6 +50,10 @@ def _phi_series(w):
     return 1.0 - w / 2.0 + w**2 / 6.0 - w**3 / 24.0 + w**4 / 120.0 - w**5 / 720.0
 
 
+def _phi_prime_series(w):
+    return -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
+
+
 def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w, entire, with the removable singularity at w = 0;
     the series is evaluated only where |w| < _SERIES_SWITCH."""
@@ -68,8 +72,7 @@ def _phi_prime(w: np.ndarray) -> np.ndarray:
     small = np.abs(w) < _SERIES_SWITCH
     ws = np.where(small, 1.0, w)
     direct = ((1.0 + ws) * np.exp(-ws) - 1.0) / (ws * ws)
-    series = -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
-    return np.where(small, series, direct)
+    return np.where(small, _phi_prime_series(w), direct)
 
 
 def _as_complex(lam) -> tuple[np.ndarray, bool]:
@@ -92,7 +95,7 @@ def _phi_scalar(w: complex) -> complex:
 
 def _phi_prime_scalar(w: complex) -> complex:
     if abs(w) < _SERIES_SWITCH:
-        return -0.5 + w / 3.0 - w**2 / 8.0 + w**3 / 30.0 - w**4 / 144.0
+        return _phi_prime_series(w)
     return ((1.0 + w) * cmath.exp(-w) - 1.0) / (w * w)
 
 
@@ -115,13 +118,6 @@ def _deflated_prime(params: SystemParams, lam: complex) -> complex:
     )
 
 
-def _check_pole(params: SystemParams, arr: np.ndarray) -> None:
-    if np.any(np.abs(arr + params.alpha) < _POLE_TOL * (1.0 + abs(params.alpha))):
-        raise PoleAtMinusAlpha(
-            f"characteristic function has a pole at lambda = {-params.alpha}"
-        )
-
-
 def _coupling(params: SystemParams, arr: np.ndarray) -> np.ndarray:
     """The feedback term beta*exp(-lambda*tau)*(l/f)*phi(w) at every lambda
     of arr."""
@@ -138,7 +134,10 @@ def char_fn(params: SystemParams, lam):
     giving the convention value 1 - beta*l*exp(delta*tau)/(f*(alpha - delta)).
     """
     arr, scalar = _as_complex(lam)
-    _check_pole(params, arr)
+    if np.any(np.abs(arr + params.alpha) < _POLE_TOL * (1.0 + abs(params.alpha))):
+        raise PoleAtMinusAlpha(
+            f"characteristic function has a pole at lambda = {-params.alpha}"
+        )
     return _maybe_scalar(1.0 - _coupling(params, arr) / (arr + params.alpha), scalar)
 
 

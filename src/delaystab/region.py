@@ -250,8 +250,9 @@ def _check_axis_gain(fixed) -> None:
 
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
-    """Axis gain at one frequency, for a family the caller has checked; a
-    non-finite omega or tau raises InvalidParameter."""
+    """Axis gain at one frequency; raises as phase_residual does."""
+    _check_family(*fixed)
+    _check_axis_gain(fixed)
     if not (math.isfinite(omega) and math.isfinite(tau)):
         raise InvalidParameter(f"omega and tau must be finite, got {omega}, {tau}")
     gain = complex(np.exp(1j * omega * tau) * _axis_gain(fixed, omega))
@@ -269,8 +270,6 @@ def phase_residual(fixed, omega: float, tau: float) -> float:
     delta*l/f of about -709.43 (_check_axis_gain), DenominatorVanishes at a
     pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0), and
     InvalidParameter for an omega or tau that is not finite."""
-    _check_family(*fixed)
-    _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 
@@ -278,8 +277,6 @@ def beta_on_axis(fixed, omega: float, tau: float) -> float:
     """Real part of the axis gain; the gain that places an eigenvalue at
     i*omega once phase_residual vanishes there.  Raises as phase_residual
     does."""
-    _check_family(*fixed)
-    _check_axis_gain(fixed)
     return _axis_gain_scalar(fixed, omega, tau).real
 
 

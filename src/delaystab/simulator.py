@@ -81,17 +81,23 @@ class EnergySample:
     c_l: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTrace:
-    samples: tuple[EnergySample, ...]
+    """The energy and its two pointwise terms at each output time, as four
+    1-D float arrays of one length.  Equality is by identity: == over
+    arrays has no single truth value."""
+
+    times: np.ndarray
+    energies: np.ndarray
+    a_sq: np.ndarray
+    c_l: np.ndarray
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
+    def samples(self) -> tuple[EnergySample, ...]:
+        """The trace as one EnergySample of Python floats per output time,
+        built on each access."""
+        columns = (self.times, self.energies, self.a_sq, self.c_l)
+        return tuple(map(EnergySample, *(a.tolist() for a in columns)))
 
 
 @dataclass(frozen=True)
@@ -398,18 +404,9 @@ def run(
         raise SimulationOverflow(
             f"the energy left the floating-point range at t = {outputs[first_bad] * dt!r}"
         )
-    samples = tuple(
-        map(
-            EnergySample,
-            [k * dt for k in outputs],
-            energies.tolist(),
-            a_sq.tolist(),
-            c_l,
-        )
-    )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(samples=samples),
+        EnergyTrace(np.asarray(outputs) * dt, energies, a_sq, np.asarray(c_l)),
     )
 
 

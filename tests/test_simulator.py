@@ -14,7 +14,6 @@ from delaystab.errors import (
     SimulationOverflow,
 )
 from delaystab.simulator import (
-    EnergySample,
     EnergyTrace,
     SimConfig,
     energy,
@@ -219,6 +218,23 @@ class TestRun:
             assert sample.c_l == state.c[-1]
             assert sample.energy >= 0.0
 
+    def test_samples_are_the_four_arrays_as_floats(self):
+        # 25 steps at stride 4: the final step 25 is appended after step 24
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=2.5, gamma=1.0, output_stride=4)
+        trace, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
+        outputs = [s.step_index for s in trace.states]
+        assert outputs == [0, 4, 8, 12, 16, 20, 24, 25]
+        assert np.array_equal(etrace.times, np.asarray(outputs) * trace.states[0].dt)
+        columns = (etrace.times, etrace.energies, etrace.a_sq, etrace.c_l)
+        assert all(column.shape == (len(outputs),) for column in columns)
+        for i, sample in enumerate(etrace.samples):
+            assert (sample.t, sample.energy, sample.a_sq, sample.c_l) == tuple(
+                column[i] for column in columns
+            )
+            for value in (sample.t, sample.energy, sample.a_sq, sample.c_l):
+                assert type(value) is float
+
     def test_step_count_past_the_index_range_raises_before_allocating(self, monkeypatch):
         def boom(*args):
             raise AssertionError("init_state called")
@@ -381,11 +397,7 @@ class TestOverflow:
 class TestFitDecayRate:
     def synthetic_trace(self, rate, t_max=20.0, n=201):
         ts = np.linspace(0.0, t_max, n)
-        samples = tuple(
-            EnergySample(t=float(t), energy=math.exp(-rate * t), a_sq=0.0, c_l=0.0)
-            for t in ts
-        )
-        return EnergyTrace(samples=samples)
+        return EnergyTrace(ts, np.exp(-rate * ts), np.zeros(n), np.zeros(n))
 
     def test_exact_exponential(self):
         fit = fit_decay_rate(self.synthetic_trace(0.5), (0.0, 20.0))
@@ -414,10 +426,8 @@ class TestFitDecayRate:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_energy_in_window_raises(self, bad):
         trace = self.synthetic_trace(0.5)
-        samples = list(trace.samples)
-        samples[150:] = [EnergySample(s.t, bad, 0.0, 0.0) for s in samples[150:]]
-        trace = EnergyTrace(samples=tuple(samples))
-        with pytest.raises(SimulationOverflow, match=f"t = {samples[150].t!r}$"):
+        trace.energies[150:] = bad
+        with pytest.raises(SimulationOverflow, match=f"t = {trace.times[150].item()!r}$"):
             fit_decay_rate(trace, (0.0, 20.0))
         assert fit_decay_rate(trace, (0.0, 10.0)).rate == pytest.approx(0.5, abs=1e-8)
 

@@ -55,6 +55,10 @@ INVOCATIONS = [
     f"simulate {POINT} --nx 10 --t-final 1e300",
     f"simulate {POINT} --nx 10 --t-final 50",
     f"simulate {ONES} --beta -30 --tau 0.3 --nx 10 --t-final 2000 --gamma 1",
+    *(
+        f"simulate {POINT} --nx 10 --t-final 0.55 --stride 4 --format {fmt}"
+        for fmt in ("csv", "json")
+    ),
 ]
 
 
