@@ -279,7 +279,8 @@ def _cmd_simulate(args):
     c0 = sine_profile(params.l) if args.c0 == "sine" else zero_fn
     _, etrace = run_sim(params, config, c0, args.a0, zero_fn)
     header = ["t", "E", "a_sq", "c_l"]
-    rows = [[s.t, s.energy, s.a_sq, s.c_l] for s in etrace.samples]
+    columns = (etrace.times, etrace.energies, etrace.a_sq, etrace.c_l)
+    rows = list(zip(*(a.tolist() for a in columns)))
     return header, rows
 
 

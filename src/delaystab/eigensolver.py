@@ -43,11 +43,14 @@ Chebyshev collocation of the loop's infinitesimal generator (Breda, Maset
 & Vermiglio, 2005), each polished by Newton in the box.  When the distinct
 limits, a complex one counted with its conjugate, add up to the count,
 they are the spectrum and nothing is split.  Otherwise the box is
-subdivided from the edges already sampled, as find_roots does.
+subdivided from the edges already sampled, as find_roots does.  A
+collocation size N with N + 1 < count is skipped unbuilt, and the parts
+of a size that depend on N alone are built once per N per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -624,13 +627,24 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
-    eigenvalues of the Jacobi matrix and twice the squares of its
-    eigenvectors' first components (Golub & Welsch, 1969)."""
+@functools.cache
+def _nodes(n: int):
+    """The parts of an n-node collocation that depend on n alone, built on
+    first use and then shared, read-only: the n + 1 Chebyshev points x, the
+    barycentric signs c (ends doubled), and the nodes and weights of the
+    n-point Gauss-Legendre rule on [-1, 1], the eigenvalues of the Jacobi
+    matrix and twice the squares of its eigenvectors' first components
+    (Golub & Welsch, 1969).  n never exceeds _MAX_NODES, so the cache
+    holds O(n) floats for at most 241 sizes."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = (-1.0) ** np.arange(n + 1)
+    c[[0, -1]] *= 2.0
     k = np.arange(1.0, n)
     nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    parts = (x, c, nodes, 2.0 * vectors[0] ** 2)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _collocated(params: SystemParams, n: int) -> np.ndarray:
@@ -643,21 +657,19 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     Chebyshev points, the first at 0.  Rows 1..n are the differentiation
     matrix (Trefethen, 2000); row 0 is the equation, its integral an
     n-point Gauss-Legendre rule weighted by exp(-delta*s) of barycentric
-    interpolation rows at -tau - s.  Empty when the matrix is not finite
-    (an overflowing weight, or a node that hits a Chebyshev point).
+    interpolation rows at -tau - s.  The points, signs and rule come from
+    _nodes.  Empty when the matrix is not finite (an overflowing weight,
+    or a node that hits a Chebyshev point).
     """
     ratio = params.l / params.f
     span = params.tau + ratio
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = (-1.0) ** np.arange(n + 1)
-    c[[0, -1]] *= 2.0
+    x, c, nodes, weights = _nodes(n)
     matrix = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
     matrix -= np.diag(matrix.sum(axis=1))
     matrix *= 2.0 / span
-    nodes, weights = _gauss_legendre(n)
     s = 0.5 * ratio * (nodes + 1.0)
     rows = 1.0 / (c * ((-params.tau - s)[:, None] - 0.5 * span * (x - 1.0)))
-    weights *= 0.5 * ratio * params.beta * np.exp(-params.delta * s)
+    weights = weights * (0.5 * ratio * params.beta * np.exp(-params.delta * s))
     matrix[0] = weights @ (rows / rows.sum(axis=1)[:, None])
     matrix[0, 0] -= params.alpha
     try:
@@ -671,17 +683,22 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
     by Newton, or None when the distinct limits do not add up to count.
 
     N = ceil(0.2*H*(tau + l/f)) + 16 for a box of half-height H, doubled
-    once, never past _MAX_NODES.  Newton runs, confined to box, from each
-    predicted eigenvalue with Im >= 0 and Re > re_min - 0.5.  A limit that
-    _SAME_ROOT puts on the real axis is polished again from its real part
-    and counts once, with imaginary part exactly 0; any other counts twice,
-    listed with its exact conjugate.
+    once, never past _MAX_NODES.  A size with N + 1 < count is skipped
+    unbuilt: its N + 1 eigenvalues cannot add up to count, as a real limit
+    counts once and a complex one twice.  The parts of a size that depend
+    on N alone are built once per process (_nodes).  Newton runs, confined
+    to box, from each predicted eigenvalue with Im >= 0 and
+    Re > re_min - 0.5.  A limit that _SAME_ROOT puts on the real axis is
+    polished again from its real part and counts once, with imaginary part
+    exactly 0; any other counts twice, listed with its exact conjugate.
     """
     same = max(_SAME_ROOT, 1e3 * tol)    # relative to 1 + |z|
     n = math.ceil(_NODES_PER_SPAN * box.im_max * (params.tau + params.l / params.f)) + _MIN_NODES
     for size in (n, 2 * n):
         if size > _MAX_NODES:
             return None
+        if size + 1 < count:
+            continue
         guesses = _collocated(params, size)
         limits: list[tuple[complex, int]] = []
         for z0 in guesses[(guesses.imag >= 0.0) & (guesses.real > box.re_min - 0.5)]:
@@ -802,8 +819,9 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     find_roots searches it, from the edges already sampled and in its
     upper half only; a double root or a missed one ends up there, and so
     does a box with one eigenvalue, which is polished without a split.
-    Every root listed is verified to satisfy |char_fn| <= 1e-8, all in one
-    array call.  The box grows with exp(sigma*tau), so a large
+    A size with N + 1 below the count cannot add up to it and is skipped
+    unbuilt.  Every root listed is verified to satisfy |char_fn| <= 1e-8,
+    all in one array call.  The box grows with exp(sigma*tau), so a large
     sigma*tau can raise SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
     """

@@ -293,6 +293,10 @@ def run(
     """Integrate to t_final, recording the energy every output_stride steps
     (plus the final step).
 
+    The run takes ceil(t_final/dt - 1e-9) steps of dt = (l/nx)/f, at least
+    one, so its last output lies at t_final or up to one step past it:
+    t_final=0.55 at dt=0.1 ends at t = 0.6000000000000001.
+
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
     t_final of sys.maxsize steps or more raises InvalidParameter before

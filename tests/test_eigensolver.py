@@ -30,6 +30,12 @@ BETA10_TAU50 = SystemParams(1, 10, 1, 1, 1, 50)
 BOX_BETA10_TAU50 = default_box(BETA10_TAU50, 1e-5)
 # _deflated_with_scale samples of find_roots(BETA10_TAU50, BOX_BETA10_TAU50)
 SAMPLES_BETA10_TAU50 = 5806
+# 69 eigenvalues in spectrum's box, more than the first collocation size,
+# N = 64, can hold: spectrum builds only N = 128.
+COUNT69 = SystemParams(
+    3.1176520950873146, 4.11593677105726, -0.8464677180674761,
+    1.9512883749399508, 0.3343941848230898, 3.4034170806494646,
+)
 # The first 40 points of the robustness corpus; #18 of them, with delta < 0,
 # exceeds the sample budget and is left out where a spectrum is needed.
 CORPUS_HEAD = corpus()[:40]
@@ -661,6 +667,66 @@ class TestPredictedSpectrum:
         monkeypatch.setattr(es, "_split", boom)
         result = spectrum(BETA10_TAU50, 1e-5)
         assert len(result.roots) == result.total_count == 57
+
+
+def collocated_from_scratch(params, n):
+    """_collocated with every part built anew, none shared across calls."""
+    ratio = params.l / params.f
+    span = params.tau + ratio
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = (-1.0) ** np.arange(n + 1)
+    c[[0, -1]] *= 2.0
+    matrix = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    matrix -= np.diag(matrix.sum(axis=1))
+    matrix *= 2.0 / span
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = 2.0 * vectors[0] ** 2
+    s = 0.5 * ratio * (nodes + 1.0)
+    rows = 1.0 / (c * ((-params.tau - s)[:, None] - 0.5 * span * (x - 1.0)))
+    weights *= 0.5 * ratio * params.beta * np.exp(-params.delta * s)
+    matrix[0] = weights @ (rows / rows.sum(axis=1)[:, None])
+    matrix[0, 0] -= params.alpha
+    return np.linalg.eigvals(matrix)
+
+
+class TestCollocationSizes:
+    """The parts of a collocation that depend on its size alone are built
+    once per size, and a size that cannot hold the count is not built."""
+
+    @pytest.mark.parametrize("n", [16, 33, 128, 256])
+    def test_shared_parts_give_the_same_bits(self, n):
+        # Twice each, so the second call reads parts the first one used.
+        for p in (BETA10_TAU50, COUNT69, SystemParams(2, -4, 0.5, 2, 1, 1)) * 2:
+            assert np.array_equal(es._collocated(p, n), collocated_from_scratch(p, n))
+
+    @pytest.mark.parametrize("n", [16, 33, 128, 256])
+    def test_shared_parts_are_read_only(self, n):
+        for part in es._nodes(n):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+    def test_each_size_is_built_once(self, monkeypatch):
+        es._nodes.cache_clear()
+        built, used = [], []
+        eigh, collocated = np.linalg.eigh, es._collocated
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: built.append(len(a)) or eigh(a))
+        monkeypatch.setattr(es, "_collocated", lambda p, n: used.append(n) or collocated(p, n))
+        assert spectrum(BETA10_TAU50, 1e-5) == spectrum(BETA10_TAU50, 1e-5)
+        assert used == [78, 156] * 2 and sorted(built) == [78, 156]
+
+    def test_a_size_below_the_count_is_skipped(self, monkeypatch):
+        p = COUNT69
+        box = default_box(p, 1e-5)
+        assert math.ceil(es._NODES_PER_SPAN * box.im_max * (p.tau + p.l / p.f)) + 16 == 64
+        contour = find_roots(p, box)
+        used, collocated = [], es._collocated
+        monkeypatch.setattr(es, "_collocated", lambda q, n: used.append(n) or collocated(q, n))
+        result = spectrum(p, 1e-5)
+        assert used == [128]
+        assert result.total_count == contour.total_count == len(result.roots) == 69
+        assert matched(contour.roots, result.roots) <= 1e-12
 
 
 class TestStripBox:

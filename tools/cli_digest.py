@@ -59,6 +59,9 @@ INVOCATIONS = [
         f"simulate {POINT} --nx 10 --t-final 0.55 --stride 4 --format {fmt}"
         for fmt in ("csv", "json")
     ),
+    # 69 eigenvalues: the first collocation size, N = 64, is skipped.
+    "eig --alpha 3.1176520950873146 --beta 4.11593677105726 --delta=-0.8464677180674761"
+    " --l 1.9512883749399508 --f 0.3343941848230898 --tau 3.4034170806494646",
 ]
 
 
