@@ -3,12 +3,13 @@
 The transport equation is integrated by the method of characteristics at
 unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
-boundary trace held over each step.  ``run`` writes the profile after each
-step as one row of a preallocated profile block and keeps c(l, .) on the dt
-grid in one block buffer.  It evaluates the energy only at the output steps:
-the c-integrals of a profile block's output rows as one matrix-vector
-product when the block fills, the history terms of a buffer block at once.
-A run whose energy leaves the floating-point range raises SimulationOverflow.
+boundary trace held over each step.  ``run`` steps in blocks: it writes the
+profile after each step as one row of a preallocated block and c(l, .) on
+the dt grid into a buffer that holds those rows' delay windows.  When the
+block fills it evaluates the energy of its output rows at once, their
+c-integrals as one matrix-vector product and their history terms as one
+correlation, and both shift by the block's steps.  A run whose energy
+leaves the floating-point range raises SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -119,13 +120,19 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
-    sample raises InvalidParameter.
+    sample raises InvalidParameter, and so does a delay of sys.maxsize steps
+    or more, before any sample is taken.
     """
     a = float(a0)
     if not math.isfinite(a):
         raise InvalidParameter(f"a0 must be finite, got {a!r}")
     dx = params.l / config.nx
     dt = dx / params.f
+    delay_steps = params.tau / dt
+    if not delay_steps < sys.maxsize:
+        raise InvalidParameter(
+            f"tau={params.tau!r} spans {delay_steps:.3g} steps, more than a run can index"
+        )
     x = np.arange(config.nx + 1) * dx
     c = np.array([float(c0(float(xj))) for xj in x])
     # Written so that NaN fails the tolerance checks.
@@ -133,7 +140,7 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
     if not np.isfinite(c).all():
         raise InvalidParameter("c0 must be finite on [0, l]")
-    n_tau = round(params.tau / dt)
+    n_tau = round(delay_steps)
     tau_err = abs(n_tau * dt - params.tau)
     head = float(c_l_history(0.0))
     if not abs(head - c[-1]) <= 1e-10:
@@ -164,7 +171,9 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
     advance(a, trace, k, src, dst) reads the delayed samples from the
     oldest-first outflow trace, whose oldest entry still in the delay window
     is trace[k]; it writes c[1:] at t + dt into dst from src = c[:-1] at t
-    and returns a at t + dt.  c[0] at t + dt is the pinned inflow, 0.
+    and returns a at t + dt.  c[0] at t + dt is the pinned inflow, 0.  A
+    delta*dt below about -709.78, whose decay factor exp(-delta*dt) is past
+    the floating-point range, raises SimulationOverflow.
     """
     alpha, beta = params.alpha, params.beta
     decay_a = math.exp(-alpha * dt)
@@ -174,8 +183,13 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
         decay_c, gain_c, delta = 1.0, dt, 1.0
     else:
         delta = params.delta
-        decay_c = math.exp(-delta * dt)
-        gain_c = -math.expm1(-delta * dt)
+        try:
+            decay_c = math.exp(-delta * dt)
+            gain_c = -math.expm1(-delta * dt)
+        except OverflowError:
+            raise SimulationOverflow(
+                f"exp(-delta*dt) overflows at delta*dt = {delta * dt!r}"
+            ) from None
     lagged = n_tau >= 1
 
     def advance(a: float, trace: np.ndarray, k: int, src: np.ndarray, dst: np.ndarray) -> float:
@@ -268,15 +282,12 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
     return value
 
 
-# Steps per block of the outflow buffer; a run holds n_tau + 1 + _BLOCK
-# samples of c(l, .) whatever its length.
-_BLOCK = 4096
-
-# Steps per profile block: run writes the profile after each step as one row
-# of a preallocated block, behind row 0, which carries the state the block
-# starts from, and takes the c-integrals of the block's output rows at once
-# when it fills.  Large nx takes fewer steps per block, so that the block
-# (and its squares) holds at most _BLOCK_FLOATS floats up to nx = 32767.
+# Steps per block: run writes the profile after each step as one row of a
+# preallocated block, behind row 0, which carries the state the block starts
+# from, and c(l, .) into a buffer that holds the delay windows of those rows.
+# When the block fills it takes the energies of its output rows at once.
+# Large nx takes fewer steps per block, so that the block (and its squares)
+# holds at most _BLOCK_FLOATS floats up to nx = 32767.
 _ROWS = 127
 _BLOCK_FLOATS = 65_536
 
@@ -318,89 +329,72 @@ def run(
     if outputs[-1] != n_steps:
         outputs.append(n_steps)
 
-    # c(l, .) oldest first: buf[k - base + n_tau] is the outflow after k
-    # steps, and buf[k - base : k - base + n_tau + 1] is the delay window of
-    # that state.  When a block of steps fills buf, its last window moves to
-    # the front and base advances by _BLOCK.
-    buf = np.empty(n_tau + 1 + _BLOCK)
-    buf[: n_tau + 1] = state.history[::-1]
-    base = 0
     # block[i] is c after k0 + i steps, where row 0 carries step k0 over from
-    # the last block; squares holds the squares of the output rows.
+    # the last block; squares holds the squares of the output rows.  buf is
+    # c(l, .) oldest first, and buf[i : i + n_tau + 1] is the delay window of
+    # block[i]; both shift by the block's steps when it fills.
     rows = max(1, min(_ROWS, _BLOCK_FLOATS // width - 1))
     block = np.zeros((rows + 1, width))
     block[0] = state.c
     squares = np.empty_like(block)
     src = [row[:-1] for row in block[:-1]]
     dst = [row[1:] for row in block[1:]]
+    buf = np.empty(n_tau + 1 + rows)
+    buf[: n_tau + 1] = state.history[::-1]
     c_weights = _trapezoid_weights(width, params.l / config.nx)
     history_weights = _history_weights(params, config.gamma, dt, n_tau) if n_tau >= 1 else None
-    history_terms = np.zeros(len(outputs))
-    flushed = 0
-
-    def flush(upto: int) -> None:
-        # the history integrals of outputs[flushed:upto], whose windows are
-        # all in buf: one direct correlation from the first window to the
-        # last (a direct sum of positive terms keeps relative accuracy where
-        # an FFT would not)
-        nonlocal flushed
-        if history_weights is None or upto == flushed:
-            return
-        starts = np.array(outputs[flushed:upto]) - base
-        lo, hi = starts[0], starts[-1]
-        sq = buf[lo : hi + n_tau + 1] ** 2
-        history_terms[flushed:upto] = np.convolve(sq, history_weights, "valid")[starts - lo]
-        flushed = upto
-
-    a_out, c_l, c_sq, states = [], [], [], []
+    energies, a_sq, c_l, states = [], [], [], []
 
     def take(k0: int, picked: slice, a_rows: list) -> bool:
-        # record the outputs at block[picked]; False if a c-integral is not finite
-        chosen = block[picked]
-        m = len(chosen)
+        # record the outputs at block[picked]; False if an energy is not finite
+        at = range(len(a_rows))[picked]
+        if not at:
+            return True
+        chosen, a_sq_picked = block[picked], np.square(a_rows[picked])
+        m = len(at)
         np.square(chosen, out=squares[:m])
-        integrals = squares[:m] @ c_weights
-        c_sq.extend(integrals.tolist())
+        value = 0.5 * (squares[:m] @ c_weights) + 0.5 * a_sq_picked
+        if history_weights is not None:
+            # one direct correlation over the windows from the first output
+            # row to the last (a direct sum of positive terms keeps relative
+            # accuracy where an FFT would not)
+            sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
+            value += 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
+        energies.extend(value.tolist())
+        a_sq.extend(a_sq_picked.tolist())
         c_l.extend(chosen[:, -1].tolist())
-        a_out.extend(a_rows[picked])
         if keep_states:
-            for k, c, a in zip(range(k0, k0 + len(a_rows))[picked], chosen, a_rows[picked]):
-                window = buf[k - base : k - base + n_tau + 1][::-1].copy()
+            for i, c, a in zip(at, chosen, a_rows[picked]):
+                window = buf[i : i + n_tau + 1][::-1].copy()
+                k = k0 + i
                 states.append(
                     SimState(k * dt, k, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
                 )
-        return bool(np.isfinite(integrals).all())
+        return bool(np.isfinite(value).all())
 
     advance = _advance_fn(params, dt, n_tau)
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while k0 < n_steps:
-            if k0 - base == _BLOCK:
-                flush(len(c_sq))
-                buf[: n_tau + 1] = buf[_BLOCK:]
-                base = k0
-            n = min(rows, n_steps - k0, base + _BLOCK - k0)
+            n = min(rows, n_steps - k0)
             a_rows = [a]
-            j = k0 - base
             for i in range(n):
-                a = advance(a, buf, j + i, src[i], dst[i])
+                a = advance(a, buf, i, src[i], dst[i])
                 a_rows.append(a)
-                buf[j + i + n_tau + 1] = block.item(i + 1, -1)
+                buf[i + n_tau + 1] = block.item(i + 1, -1)
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
             finite = take(k0, slice(first, n + 1, stride), a_rows)
             if k0 + n == n_steps and n_steps % stride:
                 finite &= take(k0, slice(n, n + 1), a_rows)
             block[0] = block[n]
+            buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
             # a non-finite activation makes every later energy non-finite
             if not (finite and math.isfinite(a)):
                 break
-        flush(len(c_sq))
-        a_out = np.array(a_out)
-        a_sq = a_out * a_out
-        energies = 0.5 * np.array(c_sq) + 0.5 * a_sq + 0.5 * history_terms[: len(c_sq)]
+    energies = np.array(energies)
     # a run that stopped early has no energies past the block that failed
     blown = np.flatnonzero(~np.isfinite(energies))
     first_bad = blown[0] if blown.size else energies.size
@@ -410,7 +404,7 @@ def run(
         )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(np.asarray(outputs) * dt, energies, a_sq, np.asarray(c_l)),
+        EnergyTrace(np.asarray(outputs) * dt, energies, np.array(a_sq), np.asarray(c_l)),
     )
 
 

@@ -78,8 +78,8 @@ def _energy_with_gamma(gamma):
     return delaystab.energy(state, p, gamma)
 
 
-def _init_state(c0=delaystab.zero_fn, a0=0.0, history=delaystab.zero_fn):
-    p = SystemParams(1, 1, 1, 1, 1, 0.3)
+def _init_state(c0=delaystab.zero_fn, a0=0.0, history=delaystab.zero_fn, tau=0.3, f=1):
+    p = SystemParams(1, 1, 1, 1, f, tau)
     return delaystab.init_state(p, SimConfig(10, 1.0, 1.0), c0, a0, history)
 
 
@@ -114,6 +114,7 @@ BAD_ARGUMENTS = {
     "init-state-c0-nan-inside": lambda: _init_state(c0=_nan_off_zero),
     "init-state-history-nan-at-head": lambda: _init_state(history=lambda s: math.nan),
     "init-state-history-nan-in-window": lambda: _init_state(history=_nan_off_zero),
+    "init-state-delay-past-index-range": lambda: _init_state(tau=1e300, f=1e300),
 }
 
 

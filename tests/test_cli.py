@@ -605,6 +605,24 @@ class TestSimulate:
         assert out == ""
         assert err == "delaystab: the energy left the floating-point range at t = 241.0\n"
 
+    def test_decay_factor_past_the_float_range_is_numerical_failure(self, capsys):
+        # delta*dt = -1000 at dt = 0.1
+        argv = ["simulate", "--alpha", "1", "--delta=-1e4", "--l", "1", "--f", "1"]
+        argv += ["--beta", "0.5", "--tau", "0.3", "--nx", "10", "--t-final", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "delaystab: exp(-delta*dt) overflows at delta*dt = -1000.0\n"
+
+    def test_delay_past_the_index_range_is_usage_error(self, capsys):
+        # 1e301 delay steps: refused before any history sample is taken
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "1e300"]
+        argv += ["--nx", "10", "--t-final", "0.5"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "delaystab: tau=1e+300 spans 1e+301 steps, more than a run can index\n"
+
 
 class TestCertify:
     def test_applicable(self, capsys):

@@ -84,6 +84,23 @@ class TestInitState:
         state = init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 0.0, lambda s: s)
         assert list(state.history) == pytest.approx([0.0, -0.1, -0.2, -0.3], abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(1, 0.5, 1, 1, 1, 1e300),  # 1e301 delay steps
+            SystemParams(1, 0.5, 1, 1, 1e300, 1e300),  # tau/dt is inf
+        ],
+    )
+    def test_delay_past_the_index_range_raises_before_sampling(self, p):
+        def boom(x):
+            raise AssertionError("sampled")
+
+        with pytest.raises(InvalidParameter, match="^tau=1e[+]300 spans"):
+            init_state(p, SimConfig(10, 1.0), boom, 0.0, boom)
+        # a run short enough to pass the t_final guard fails the same way
+        with pytest.raises(InvalidParameter, match="^tau="):
+            run(p, SimConfig(10, 1e-300), boom, 0.0, boom)
+
 
 class TestStep:
     def test_decoupled_activation_decay_is_exact(self):
@@ -246,22 +263,19 @@ class TestRun:
 
 
 class TestFlatRun:
-    # run's single loop against the public single-step API.  Outflow buffers
-    # (_BLOCK) of 1 and 4 steps wrap many times, also below n_tau = 5;
-    # profile blocks (_ROWS) of 1 and 3 steps put outputs at every phase of
-    # a block edge, also with outputs at every step.
+    # run's single loop against the public single-step API.  Blocks (_ROWS)
+    # of 1 and 3 steps shift the outflow buffer many times, also below
+    # n_tau = 5, and put outputs at every phase of a block edge, also with
+    # outputs at every step.
     @pytest.mark.parametrize(
         "patches, stride",
         [
             pytest.param({}, 5, id="None"),
-            pytest.param({"_BLOCK": 1}, 5, id="1"),
-            pytest.param({"_BLOCK": 4}, 5, id="4"),
             pytest.param({}, 1, id="stride1"),
             pytest.param({"_ROWS": 1}, 5, id="rows1"),
             pytest.param({"_ROWS": 3}, 5, id="rows3"),
             pytest.param({"_ROWS": 1}, 1, id="rows1-stride1"),
             pytest.param({"_ROWS": 3}, 1, id="rows3-stride1"),
-            pytest.param({"_ROWS": 3, "_BLOCK": 4}, 5, id="rows3-4"),
         ],
     )
     @pytest.mark.parametrize(
@@ -325,7 +339,7 @@ class TestFlatRun:
         assert all(0.0 < s.energy < 1.0 for s in etrace.samples)
 
     def test_memory_does_not_grow_with_the_run(self):
-        # 20000 steps, 5 outputs: the outflow buffer holds n_tau + 1 + _BLOCK
+        # 20000 steps, 5 outputs: the outflow buffer holds n_tau + 1 + _ROWS
         # samples, far fewer than one per step
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
         cfg = SimConfig(nx=10, t_final=2000.0, gamma=1.0, output_stride=5000)
@@ -373,6 +387,17 @@ class TestOverflow:
         _, etrace = run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
         assert np.isfinite(etrace.energies).all()
         assert etrace.samples[-1].energy > 1e300
+
+    def test_decay_factor_past_the_float_range_is_simulation_overflow(self):
+        # delta*dt = -1000: exp(1000) is past the floating-point range
+        p = SystemParams(1, 0.5, -1e4, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0)
+        state = init_state(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        message = r"exp\(-delta\*dt\) overflows at delta\*dt = -1000.0$"
+        with pytest.raises(SimulationOverflow, match=message):
+            step(state, p)
+        with pytest.raises(SimulationOverflow, match=message):
+            run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
 
     def test_run_stops_at_the_block_that_overflows(self, monkeypatch):
         steps = []

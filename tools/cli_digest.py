@@ -62,6 +62,10 @@ INVOCATIONS = [
     # 69 eigenvalues: the first collocation size, N = 64, is skipped.
     "eig --alpha 3.1176520950873146 --beta 4.11593677105726 --delta=-0.8464677180674761"
     " --l 1.9512883749399508 --f 0.3343941848230898 --tau 3.4034170806494646",
+    # n_tau = 500: each delay window outlives three blocks of the run.
+    f"simulate {ONES} --beta 0.5 --tau 5 --nx 100 --t-final 3",
+    "simulate --alpha 1 --delta=-1e4 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 1",
+    f"simulate {ONES} --beta 0.5 --tau 1e300 --nx 10 --t-final 0.5",
 ]
 
 
