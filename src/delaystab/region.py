@@ -48,8 +48,8 @@ _OMEGA_SCAN_POINTS = 4000
 # and no more than the budget in all.
 _SCAN_POINTS_PER_GAP = 16
 _OMEGA_SCAN_BUDGET = 65536
-# Array rounds of the bracket refinement: a bracket around a root closes in
-# about 10, one across a pole of the gain may run to the cap.
+# Array rounds of the bracket refinement; a bracket around a simple root
+# closes in about 10.
 _REFINE_ROUNDS = 60
 _DENOM_TOL = 1e-14
 _RESIDUAL_TOL = 1e-8
@@ -224,29 +224,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _axis_factor(fixed, omega):
+    """The entire factor D(omega) = (l/f)*phi(w), w = (i*omega + delta)*l/f,
+    of char_fn's feedback term on the imaginary axis (vectorized).  It
+    vanishes only at delta = 0, omega = 2*pi*k*f/l, k != 0."""
+    _, delta, l, f = fixed
+    return (l / f) * _phi((1j * np.asarray(omega, dtype=float) + delta) * (l / f))
+
+
 def _axis_gain(fixed, omega):
-    """The delay-free factor G(omega) = (i*omega + alpha)/((l/f)*phi(w)),
-    w = (i*omega + delta)*l/f, of the gain exp(i*omega*tau)*G(omega) that
-    makes i*omega an eigenvalue at delay tau: char_fn's feedback term solved
-    for beta (vectorized).  G(0) is the threshold gain for every delta.
-    NaN where |(l/f)*phi(w)| < 1e-14, at the poles delta = 0,
-    omega = 2*pi*k*f/l, k != 0."""
-    alpha, delta, l, f = fixed
-    iw = 1j * np.asarray(omega, dtype=float)
-    den = (l / f) * _phi((iw + delta) * (l / f))
-    return np.where(np.abs(den) < _DENOM_TOL, np.nan, (iw + alpha) / den)
+    """The delay-free factor G(omega) = (i*omega + alpha)/D(omega) of the
+    gain exp(i*omega*tau)*G(omega) that makes i*omega an eigenvalue at
+    delay tau: char_fn's feedback term solved for beta (vectorized).  G(0)
+    is the threshold gain for every delta.  NaN where |D| < 1e-14, at the
+    poles delta = 0, omega = 2*pi*k*f/l, k != 0.  The scans sample D
+    itself, which has no poles."""
+    den = _axis_factor(fixed, omega)
+    return np.where(np.abs(den) < _DENOM_TOL, np.nan, (1j * np.asarray(omega) + fixed[0]) / den)
 
 
 def _check_axis_gain(fixed) -> None:
     """Raise QuadratureNonInteger below delta*l/f of about -709.43, the cut
     where numpy's complex division by 1 - exp(-w), which scales by up to
     sqrt(2)*|1 - exp(-w)| <= sqrt(2)*(1 + exp(-delta*l/f)), overflows; the
-    gain divides by (l/f)*phi(w) instead and keeps the same cut."""
+    gain divides by (l/f)*phi(w) instead and keeps the same cut.  It raises
+    too where (1 + exp(-delta*l/f))*(l/f)/max(1, -delta*l/f), a bound on
+    |D| = |(l/f)*phi(w)|, overflows, on a long tube: D itself would."""
     _, delta, l, f = fixed
+    x = delta * l / f
     # The cap keeps math.exp from raising: exp(709.78) is finite, and
     # sqrt(2) times it is not.
-    if math.sqrt(2.0) * (1.0 + math.exp(min(-delta * l / f, 709.78))) == math.inf:
-        raise QuadratureNonInteger(f"axis gain overflows at delta*l/f={delta * l / f}")
+    if (1.0 + math.exp(min(-x, 709.78))) * max(math.sqrt(2.0), l / f / max(1.0, -x)) == math.inf:
+        raise QuadratureNonInteger(f"axis gain overflows at delta*l/f={x}")
 
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
@@ -355,18 +364,20 @@ def trace_boundary(
     frequencies omega in [0, omega_max] are located by a sign scan, and the
     brackets of all delays are refined together by _refine; the matching
     gain is read off, and the point is kept only if the characteristic
-    residual at i*omega stays below 1e-8.  The scan samples the
-    delay-independent factor _axis_gain once; each delay, in the scan and
-    in the refinement alike, turns it by exp(i*omega*tau).  A sign flip
-    across a pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0, where
-    the gain is NaN) refines to a point near the pole, which the residual
-    check rejects; omega = 0 at delta = 0 is the threshold branch, listed
-    at beta = threshold_gain for every delay.  omega_max defaults to the
-    eigenvalue search radius at |beta| = 10 plus 1, which holds every
-    crossing with |beta| <= 10.  The gain's phase turns at about tau + l/f
-    per unit of omega, so crossings lie about pi/(tau + l/f) apart or more;
-    the scan takes 4000 points or 16 per such gap at tau_max, whichever is
-    more.
+    residual at i*omega stays below 1e-8.  The scan and the refinement
+    sample Im(exp(i*omega*tau)*(i*omega + alpha)*conj(D(omega)))/(alpha +
+    omega), |D|^2/(alpha + omega) times the gain's imaginary part, which
+    has the same sign, no poles and no overflow: the entire factor D
+    (_axis_factor) is sampled once, and each delay turns the product by
+    exp(i*omega*tau).  At a pole of the gain (delta = 0,
+    omega = 2*pi*k*f/l, k != 0) that function has a simple zero, which
+    refines like any other to a crossing whose gain is not finite; omega =
+    0 at delta = 0 is the threshold branch, listed at beta =
+    threshold_gain for every delay.  omega_max defaults to the eigenvalue
+    search radius at |beta| = 10 plus 1, which holds every crossing with
+    |beta| <= 10.  The gain's phase turns at about tau + l/f per unit of
+    omega, so crossings lie about pi/(tau + l/f) apart or more; the scan
+    takes 4000 points or 16 per such gap at tau_max, whichever is more.
 
     Before any delay is traced: a bad family raises its SystemParams error;
     a tau_max or omega_max that is not finite and positive, or a num_tau
@@ -398,14 +409,16 @@ def trace_boundary(
     grid = np.linspace(0.0, omega_max, max(_OMEGA_SCAN_POINTS, math.ceil(needed)))
     taus = np.arange(num_tau) * tau_max / (num_tau - 1)
 
-    def phase(omega, rows):
-        return (np.exp(1j * omega * taus[rows]) * _axis_gain(fixed, omega)).imag
+    def scaled(omega):
+        # |D|^2/(alpha + omega) times the gain: the same phase, no poles,
+        # and no larger than |D|
+        return (1j * omega + alpha) / (alpha + omega) * np.conj(_axis_factor(fixed, omega))
 
-    # The gain is NaN at its poles, on the grid and (phase) at an iterate,
-    # so the scan and the refinement both leave them out.
-    gain = _axis_gain(fixed, grid)
-    scans = ((np.exp(1j * grid * tau) * gain).imag for tau in taus)
-    roots = _scan_roots(phase, grid, scans)
+    def phase(omega, rows):
+        return (np.exp(1j * omega * taus[rows]) * scaled(omega)).imag
+
+    on_grid = scaled(grid)
+    roots = _scan_roots(phase, grid, ((np.exp(1j * grid * tau) * on_grid).imag for tau in taus))
     at = np.repeat(taus, [len(r) for r in roots])
     omegas = np.array([w for r in roots for w in r], dtype=float)
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
@@ -441,45 +454,50 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     """Non-negative frequencies where an imaginary-axis eigenvalue is
     possible on modulus grounds (delay-independent necessary condition).
 
-    Solves |i*omega + alpha|^2 |i*omega + delta|^2 =
-    beta^2 * |1 - exp(-(i*omega + delta) l/f)|^2 by a sign scan refined by
-    _refine up to the eigenvalue search radius plus 1, beyond which the
-    quartic left side dominates, so the list is finite.  For every real
+    Solves |i*omega + alpha| = |beta| |D(omega)|, D = (l/f)*phi(w) the
+    entire factor of the axis gain (_axis_factor), by a sign scan of their
+    difference refined by _refine up to the eigenvalue search radius plus
+    1, beyond which the left side dominates, so the list is finite.  The
+    scan takes 4000 points plus the turning points of cos(omega*l/f) in the
+    band where a root can lie, since |D| dips narrowly at every other one;
+    a band of more than 65536 raises SampleBudgetExceeded.  For every real
     delta the axis gain's modulus is at least sqrt(omega^2 + alpha^2)/I >=
     b0, the threshold gain, where I = int_0^{l/f} exp(-delta*s) ds.  So
     where b0 > 0 and |beta| is at most b0 + w, w = 1e-12*b0, nothing is
     scanned: the list is [0.0] if |beta| >= b0 - w and empty otherwise,
     0.0 standing for every root inside that window.  The window is
     relative to b0, because only then does every root inside it lie next
-    to omega = 0.  At delta = 0 the equation holds at omega = 0 for every
-    beta, and above the window omega = 0 is not listed.  Where the radius
-    or the scan's moduli overflow (delta*l/f below about -354 at
-    |beta| = 1, and wherever b0 underflows to 0) it raises
-    QuadratureNonInteger.
+    to omega = 0.  Above the window omega = 0 is no root, for every delta.
+    Below delta*l/f of about -709.43 (_check_axis_gain), and where the
+    search radius overflows (delta*l/f below about -708.4 at |beta| = 1),
+    it raises QuadratureNonInteger; where b0 underflows to 0 the scan runs.
     """
-    alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
-    b0 = threshold_gain(alpha, delta, l, f)
+    fixed = alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
+    beta, b0 = abs(params.beta), threshold_gain(*fixed)
     window = 1e-12 * b0
-    if b0 > 0.0 and abs(params.beta) <= b0 + window:
-        return [0.0] if abs(params.beta) >= b0 - window else []
-    x = delta * l / f
-    gain_sq = params.beta * params.beta
+    if b0 > 0.0 and beta <= b0 + window:
+        return [0.0] if beta >= b0 - window else []
+    _check_axis_gain(fixed)
+    m, e = math.frexp(beta)
 
-    def mismatch(omega):
-        omega = np.asarray(omega, dtype=float)
-        lhs = (omega**2 + alpha**2) * (omega**2 + delta**2)
-        rhs = gain_sq * (
-            1.0 + math.exp(-2.0 * x) - 2.0 * math.exp(-x) * np.cos(omega * l / f)
-        )
-        return lhs - rhs
+    def gap(omega, _rows=None):
+        # |i*omega + alpha| - beta*|D| times 2**-e, beta = m*2**e: exact, and
+        # it keeps beta*|D| from overflowing
+        return np.ldexp(np.abs(1j * omega + alpha), -e) - m * np.abs(_axis_factor(fixed, omega))
 
-    ceiling = _search_radius(params.beta, delta, l, f) + 1.0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            grid = np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS)
-            (roots,) = _scan_roots(lambda w, _: mismatch(w), grid, [mismatch(grid)])
-    except (OverflowError, FloatingPointError) as exc:
-        raise QuadratureNonInteger(f"axis modulus scan overflows for {params}") from exc
-    # The factor omega^2 + delta^2 makes omega = 0 solve the equation for
-    # every beta at delta = 0.
-    return [w for w in roots if w != 0.0]
+    # The gap is positive past the radius, and a relative 1e-12 past it by
+    # more than rounding: a root can lie within rounding of the radius.
+    ceiling = (_search_radius(beta, delta, l, f) + 1.0) * (1.0 + 1e-12)
+    # A root has |i*omega + alpha||i*omega + delta| = |beta||1 - exp(-w)| >=
+    # |beta||1 - exp(-delta*l/f)|, and the left side is below
+    # (omega + max(alpha, |delta|))^2: no root lies below start.
+    start = max(0.0, math.sqrt(beta * abs(math.expm1(-delta * l / f))) - max(alpha, abs(delta)))
+    # The gap's narrow bumps sit at the turning points of cos(omega*l/f);
+    # where those lie closer than the floats, the scan takes every float.
+    turn = max(math.pi * f / l, math.ulp(ceiling))
+    if (ceiling - start) / turn > _OMEGA_SCAN_BUDGET:
+        raise SampleBudgetExceeded(f"axis scan needs {(ceiling - start) / turn:.3g} points")
+    turns = np.arange(np.ceil(start / turn), ceiling / turn) * turn
+    grid = np.union1d(np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS), turns)
+    (roots,) = _scan_roots(gap, grid, [gap(grid)])
+    return roots

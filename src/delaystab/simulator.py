@@ -325,9 +325,6 @@ def run(
     dt, n_tau, width = state.dt, state.n_tau, state.c.size
     n_steps = max(1, math.ceil(steps))
     stride = config.output_stride
-    outputs = list(range(0, n_steps + 1, stride))
-    if outputs[-1] != n_steps:
-        outputs.append(n_steps)
 
     # block[i] is c after k0 + i steps, where row 0 carries step k0 over from
     # the last block; squares holds the squares of the output rows.  buf is
@@ -395,16 +392,18 @@ def run(
             if not (finite and math.isfinite(a)):
                 break
     energies = np.array(energies)
+    # output j is step min(j*stride, n_steps)
+    times = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps) * dt
     # a run that stopped early has no energies past the block that failed
     blown = np.flatnonzero(~np.isfinite(energies))
     first_bad = blown[0] if blown.size else energies.size
-    if first_bad < len(outputs):
+    if first_bad < times.size:
         raise SimulationOverflow(
-            f"the energy left the floating-point range at t = {outputs[first_bad] * dt!r}"
+            f"the energy left the floating-point range at t = {times[first_bad].item()!r}"
         )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(np.asarray(outputs) * dt, energies, np.array(a_sq), np.asarray(c_l)),
+        EnergyTrace(times, energies, np.array(a_sq), np.asarray(c_l)),
     )
 
 

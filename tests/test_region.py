@@ -129,6 +129,25 @@ class TestFarNegativeDecay:
             with pytest.raises(QuadratureNonInteger, match="axis gain"):
                 call()
 
+    def test_long_tube_whose_axis_factor_overflows_is_typed(self):
+        # delta*l/f = -709 is inside the cut, but |D| reaches about
+        # exp(709)/|delta| and overflowed with a RuntimeWarning
+        fixed = (1.0, -0.001, 709000.0, 1.0)
+        for call in (
+            lambda: phase_residual(fixed, 1e-3, 1.0),
+            lambda: beta_on_axis(fixed, 1e-3, 1.0),
+            lambda: trace_boundary(fixed, 1.0, 3, 1e-3),
+            lambda: axis_crossing_candidates(SystemParams(*fixed[:1], 0.1, *fixed[1:], 1.0)),
+        ):
+            with pytest.raises(QuadratureNonInteger, match="axis gain"):
+                call()
+
+    def test_large_alpha_next_to_the_cut_traces_without_overflow(self):
+        # (i*omega + alpha)*conj(D) overflows here; the scan divides it by
+        # alpha + omega first
+        result = trace_boundary((1e6, -709.4, 1.0, 1.0), 1.0, 3, 5.0)
+        assert len(result.points) == 9 and result.failures == ()
+
     def test_axis_gain_below_the_division_cut_is_unchanged(self):
         # values recorded with the gain built from phi, below the cut of the
         # division overflow check
@@ -547,6 +566,30 @@ class TestTraceBoundary:
 
 
 class TestZeroDecayTrace:
+    def test_pole_brackets_close_like_any_other(self, monkeypatch):
+        # The scan samples |D|^2 times the gain's phase, which has a simple
+        # zero at each pole of the gain: those brackets close within 30
+        # rounds (594 were still open there when the gain's own phase was
+        # refined), and each names its pole as a gain that is not finite.
+        live = []
+        refine = region._refine
+
+        def spy(fn, row, *bracket):
+            def counted(omega, rows):
+                live.append(omega.size)
+                return fn(omega, rows)
+
+            return refine(counted, row, *bracket)
+
+        monkeypatch.setattr(region, "_refine", spy)
+        trace = trace_boundary((1.0, 0.0, 1.0, 1.0), 10.0, 200, 20.0)
+        assert len(live) <= 30 and len(trace.failures) == 594
+        for _, message in trace.failures:
+            omega = float(message.split(":")[0].removeprefix("omega="))
+            k = round(omega / (2.0 * math.pi))
+            assert k != 0 and abs(omega - 2.0 * math.pi * k) <= 1e-12
+            assert message.endswith("beta must be finite, got nan")
+
     def test_one_threshold_crossing_per_delay(self):
         # phi's removable singularity at omega = delta = 0 is the threshold
         # branch beta = b0, no pole
@@ -576,12 +619,68 @@ class TestAxisCrossingCandidates:
         p = SystemParams(1, 1.0, 1e-7, 1, 1, 1)
         assert 1.0 < threshold_gain(1, 1e-7, 1, 1) and axis_crossing_candidates(p) == []
 
-    @pytest.mark.parametrize(
-        "beta, delta", [(1.0, -355.0), (1.0, -1000.0), (20.0, -354.0), (20.0, -709.0)]
-    )
+    @pytest.mark.parametrize("beta, delta", [(1.0, -1000.0), (20.0, -709.0)])
     def test_overflowing_scan_is_typed(self, beta, delta):
         with pytest.raises(QuadratureNonInteger):
             axis_crossing_candidates(SystemParams(1, beta, delta, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "beta, delta, l",
+        [
+            (1.0, -355.0, 1.0),
+            (20.0, -354.0, 1.0),
+            (2.0, -3.0, 25.0),
+            (5.0, -3.0, 25.0),
+            (1.0, -4.0, 20.0),
+        ],
+    )
+    def test_far_negative_decay_lists_its_one_root(self, beta, delta, l):
+        # The scan's moduli stay finite down to delta*l/f of about -709.43,
+        # so the first two answer where a quartic in omega overflowed.  At
+        # delta*l/f of -75 and -80 the one crossing lies within rounding of
+        # the search radius, where the sign of a scan ending at the radius
+        # is noise; the scan ends a relative 1e-12 past it.
+        mpmath = pytest.importorskip("mpmath")
+        [omega] = axis_crossing_candidates(SystemParams(1, beta, delta, l, 1, 1))
+
+        def gap(w):
+            w = mpmath.mpf(w)
+            z = (1j * w + delta) * l
+            return abs(1j * w + 1) * abs(1j * w + delta) - beta * abs(1 - mpmath.exp(-z))
+
+        with mpmath.workdps(60):
+            assert gap(omega * (1 - 1e-13)) < 0 < gap(omega * (1 + 1e-13))
+
+    @pytest.mark.parametrize(
+        "fixed, beta, count",
+        [
+            ((1.0, 0.0, 1000.0, 1.0), 10.0, 1405),
+            ((0.3, 0.0, 300.0, 1.0), -7.0, 355),
+            ((2.0, -0.002, 500.0, 0.7), 5.0, 261),
+        ],
+    )
+    def test_long_tube_matches_a_dense_scan(self, fixed, beta, count):
+        # |D| dips narrowly next to every other turning point of
+        # cos(omega*l/f); a fixed 4000-point grid stepped over most of those
+        # bumps (883, 293 and 249 listed).  The oracle counts the strict
+        # sign changes of |i*omega + alpha||i*omega + delta| -
+        # |beta||1 - exp(-w)| on 4,000,000 points, in chunks.
+        alpha, delta, l, f = fixed
+        omegas = axis_crossing_candidates(SystemParams(alpha, beta, delta, l, f, 1.0))
+        top = region._search_radius(beta, delta, l, f) + 1.0
+        x = delta * l / f
+        flips, last = 0, None
+        for chunk in np.array_split(np.linspace(0.0, top, 4_000_000), 20):
+            # |1 - exp(-w)|^2 = (1 - exp(-x))^2 + 4 exp(-x) sin^2(omega*l/(2f))
+            half = np.sin(chunk * l / (2.0 * f))
+            modulus = np.sqrt(np.expm1(-x) ** 2 + 4.0 * np.exp(-x) * half**2)
+            sign = np.sign(np.hypot(chunk, alpha) * np.hypot(chunk, delta) - abs(beta) * modulus)
+            if last is not None:
+                sign = np.concatenate(([last], sign))
+            flips += int(np.count_nonzero(sign[:-1] * sign[1:] < 0.0))
+            last = sign[-1]
+        assert len(omegas) == flips == count
+        assert omegas == sorted(omegas) and omegas[0] > 0.0
 
     def test_threshold_gain_lists_omega_zero_alone(self):
         # |G(omega)| >= b0 with equality at omega = 0 only, so at |beta| = b0

@@ -368,6 +368,26 @@ class TestFlatRun:
         assert [s.t for s in etrace.samples] == pytest.approx([0, 0.005, 0.01, 0.0125])
         assert peak < (2 * simulator._BLOCK_FLOATS + 10 * (nx + 1)) * 8
 
+    def test_nothing_per_output_is_held_before_the_first_step(self, monkeypatch):
+        # 1e6 steps at stride 1: a list of the output steps built up front
+        # peaked at 40 MB before the first step
+        class Stop(Exception):
+            pass
+
+        def refuse(*args):
+            raise Stop
+
+        monkeypatch.setattr(simulator, "_advance_fn", refuse)
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run(p, SimConfig(10, 1e5), sine_profile(1.0), 1.0, zero_fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestOverflow:
     # beta = -30 grows until the energy overflows at t = 241 (step 2410)

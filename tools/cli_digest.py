@@ -66,6 +66,8 @@ INVOCATIONS = [
     f"simulate {ONES} --beta 0.5 --tau 5 --nx 100 --t-final 3",
     "simulate --alpha 1 --delta=-1e4 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 1",
     f"simulate {ONES} --beta 0.5 --tau 1e300 --nx 10 --t-final 0.5",
+    # 594 sign flips across the poles of the gain, each reported on stderr.
+    "trace-r0 --alpha 1 --delta 0 --l 1 --f 1 --tau-max 10 --steps 200 --omega-max 20",
 ]
 
 
