@@ -290,25 +290,40 @@ def beta_on_axis(fixed, omega: float, tau: float) -> float:
 
 
 def _scan_roots(fn, grid: np.ndarray, rows) -> list[list[float]]:
-    """Roots of several functions over grid, given their sampled values.
+    """Roots of several functions over grid, given the signs of their samples.
 
-    rows yields the values of one function per row, and fn(omega, row)
-    evaluates them at arrays of frequencies and row indices.  Exact zeros on
-    the grid are kept as they are; every strict sign flip between
-    neighbouring samples is a bracket, and _refine refines the brackets of
-    all rows together.  NaN samples take part in neither.  Roots of a row
-    closer than 1e-9 are merged.  Returns each row's roots in increasing
-    order.
+    rows yields one function's signs on the grid per row (its values will
+    do), and fn(omega, row) evaluates the functions at arrays of
+    frequencies and row indices.  Exact zeros on the grid are kept as they
+    are; every strict sign flip between neighbouring samples is a bracket,
+    and NaN samples take part in neither.  The values at the ends of every
+    bracket come from fn, and _refine refines the brackets of all rows
+    together.  A row where fn does not give some bracket's ends strictly
+    opposite signs (a sign read within rounding of a root) is scanned again
+    by fn's own values over the whole grid.  Roots of a row closer than
+    1e-9 are merged.  Returns each row's roots in increasing order.
     """
-    found, brackets = [], []
-    for k, values in enumerate(rows):
+
+    def flips(values):
         sign = np.sign(values)
-        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-        found += [(k, w) for w in grid[values == 0.0].tolist()]
-        brackets.append((np.full(i.size, k), grid[i], grid[i + 1], values[i], values[i + 1]))
+        return grid[values == 0.0].tolist(), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+
+    scans = [flips(values) for values in rows]
+    row = np.repeat(np.arange(len(scans)), [i.size for _, i in scans])
+    i = np.concatenate([i for _, i in scans])
+    flo, fhi = fn(grid[i], row), fn(grid[i + 1], row)
+    again = np.unique(row[~(np.sign(flo) * np.sign(fhi) < 0.0)])
+    keep = ~np.isin(row, again)
+    brackets = [(row[keep], grid[i[keep]], grid[i[keep] + 1], flo[keep], fhi[keep])]
+    for k in again.tolist():
+        values = fn(grid, np.full(grid.size, k))
+        scans[k] = flips(values)
+        j = scans[k][1]
+        brackets.append((np.full(j.size, k), grid[j], grid[j + 1], values[j], values[j + 1]))
     row, *bracket = (np.concatenate(parts) for parts in zip(*brackets))
+    found = [(k, w) for k, (zeros, _) in enumerate(scans) for w in zeros]
     found += zip(row.tolist(), _refine(fn, row, *bracket).tolist())
-    roots: list[list[float]] = [[] for _ in brackets]
+    roots: list[list[float]] = [[] for _ in scans]
     for k, w in sorted(found):
         if not roots[k] or w - roots[k][-1] > 1e-9:
             roots[k].append(w)
@@ -365,11 +380,17 @@ def trace_boundary(
     brackets of all delays are refined together by _refine; the matching
     gain is read off, and the point is kept only if the characteristic
     residual at i*omega stays below 1e-8.  The scan and the refinement
-    sample Im(exp(i*omega*tau)*(i*omega + alpha)*conj(D(omega)))/(alpha +
-    omega), |D|^2/(alpha + omega) times the gain's imaginary part, which
-    has the same sign, no poles and no overflow: the entire factor D
-    (_axis_factor) is sampled once, and each delay turns the product by
-    exp(i*omega*tau).  At a pole of the gain (delta = 0,
+    work on Im(exp(i*omega*tau)*S(omega)), S = (i*omega + alpha)*conj(D(omega))
+    /(alpha + omega), which is |D|^2/(alpha + omega) times the gain's
+    imaginary part: the same sign, no poles and no overflow.  S, with the
+    entire factor D (_axis_factor), is sampled once.  The product is
+    |S|*sin(omega*tau + arg S), so the scan reads each delay's signs off
+    the parity of floor((omega*tau + arg S)/pi), a multiply-add and a floor
+    per sample with arg S/pi taken once; it is 0 at omega = 0 and wherever
+    S is.  Only the ends of the brackets it opens, and the refinement, take
+    the product itself, and a delay whose bracket ends do not have strictly
+    opposite signs (a phase within rounding of a multiple of pi) is scanned
+    again by the product (_scan_roots).  At a pole of the gain (delta = 0,
     omega = 2*pi*k*f/l, k != 0) that function has a simple zero, which
     refines like any other to a crossing whose gain is not finite; omega =
     0 at delta = 0 is the threshold branch, listed at beta =
@@ -417,8 +438,23 @@ def trace_boundary(
     def phase(omega, rows):
         return (np.exp(1j * omega * taus[rows]) * scaled(omega)).imag
 
+    # phase = |S| sin(omega*tau + arg S), S = scaled(omega), so its sign is
+    # (-1)^floor((omega*tau + arg S)/pi).  At omega = 0, where S is real, and
+    # where S is 0, every delay's phase is 0; where S is NaN it is NaN.
     on_grid = scaled(grid)
-    roots = _scan_roots(phase, grid, ((np.exp(1j * grid * tau) * on_grid).imag for tau in taus))
+    held = np.flatnonzero(np.isnan(on_grid) | (on_grid == 0.0) | (grid == 0.0))
+    held_signs = np.where(np.isnan(on_grid[held]), np.nan, 0.0)
+    arg = np.angle(on_grid) / np.pi
+    arg[held] = 0.0  # keeps NaN out of the integer cast
+    grid_pi = grid / np.pi
+
+    def signs(tau):
+        turns = np.floor(grid_pi * tau + arg).astype(np.int64)
+        sign = np.where(turns & 1, -1.0, 1.0)
+        sign[held] = held_signs
+        return sign
+
+    roots = _scan_roots(phase, grid, map(signs, taus.tolist()))
     at = np.repeat(taus, [len(r) for r in roots])
     omegas = np.array([w for r in roots for w in r], dtype=float)
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real

@@ -114,6 +114,12 @@ class FitResult:
     decayed_to_zero: bool = False
 
 
+# The delay history is sampled by one c_l_history call a step, and it and
+# run's outflow buffer each hold a float a step: 2**24 samples take about
+# 10 s to sample and 134 MB an array.
+_DELAY_SAMPLES = 2**24
+
+
 def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_history) -> SimState:
     """Sample the initial profile and delay history onto the step grid.
 
@@ -121,7 +127,8 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
     sample raises InvalidParameter, and so does a delay of sys.maxsize steps
-    or more, before any sample is taken.
+    or more, or one of _DELAY_SAMPLES steps or more, before any sample is
+    taken.
     """
     a = float(a0)
     if not math.isfinite(a):
@@ -133,6 +140,12 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         raise InvalidParameter(
             f"tau={params.tau!r} spans {delay_steps:.3g} steps, more than a run can index"
         )
+    n_tau = round(delay_steps)
+    if n_tau >= _DELAY_SAMPLES:
+        raise InvalidParameter(
+            f"tau={params.tau!r} spans {n_tau} steps, a delay window of more than "
+            f"{_DELAY_SAMPLES} samples"
+        )
     x = np.arange(config.nx + 1) * dx
     c = np.array([float(c0(float(xj))) for xj in x])
     # Written so that NaN fails the tolerance checks.
@@ -140,7 +153,6 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
     if not np.isfinite(c).all():
         raise InvalidParameter("c0 must be finite on [0, l]")
-    n_tau = round(delay_steps)
     tau_err = abs(n_tau * dt - params.tau)
     head = float(c_l_history(0.0))
     if not abs(head - c[-1]) <= 1e-10:

@@ -623,6 +623,18 @@ class TestSimulate:
         assert out == ""
         assert err == "delaystab: tau=1e+300 spans 1e+301 steps, more than a run can index\n"
 
+    def test_delay_window_past_the_memory_bound_is_usage_error(self, capsys):
+        # 1e9 delay steps: refused before any history sample is taken
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "1e8"]
+        argv += ["--nx", "10", "--t-final", "0.5"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "delaystab: tau=100000000.0 spans 1000000000 steps, a delay window of more than"
+            " 16777216 samples\n"
+        )
+
 
 class TestCertify:
     def test_applicable(self, capsys):

@@ -753,6 +753,173 @@ class TestScanRoots:
         # one call steps the brackets of every row
         assert calls[0] == 9 and len(calls) < 12
 
+    @staticmethod
+    def refined_brackets(monkeypatch):
+        """Spy on _refine: the list it appends a copy of every input to."""
+        seen = []
+        refine = region._refine
+
+        def spy(fn, *bracket):
+            seen.append([a.copy() for a in bracket])
+            return refine(fn, *bracket)
+
+        monkeypatch.setattr(region, "_refine", spy)
+        return seen
+
+    def test_nan_and_exact_zeros_of_a_sign_row_open_no_bracket(self, monkeypatch):
+        seen = self.refined_brackets(monkeypatch)
+        grid = np.linspace(0.0, 10.0, 11)
+        signs = np.sign(np.sin(grid))  # 0 at omega = 0
+        signs[6] = math.nan  # drops the flip across 2*pi in [6, 7]
+        (roots,) = _scan_roots(lambda w, rows: np.sin(w), grid, [signs])
+        ((row, lo, hi, flo, fhi),) = seen
+        assert lo.tolist() == [3.0, 9.0] and hi.tolist() == [4.0, 10.0]
+        assert flo.tolist() == np.sin([3.0, 9.0]).tolist()
+        assert roots[0] == 0.0
+        assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
+        # an exact zero between opposite signs is a root, and no bracket
+        seen.clear()
+        signs = np.array([1.0, 1.0, 0.0, -1.0, -1.0])
+        assert _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [signs]) == [[2.0]]
+        ((row, *_),) = seen
+        assert row.size == 0
+
+    def test_row_whose_ends_disagree_with_its_signs_is_rescanned(self, monkeypatch):
+        # Each row's sign next to its first root is read wrongly, as a sign
+        # within rounding of a root can be: the bracket it opens has ends
+        # of one sign, so that row is scanned again by fn over the grid.
+        seen = self.refined_brackets(monkeypatch)
+        grid = np.linspace(0.5, 10.0, 20)
+        shifts = np.array([0.0, 0.25, 0.5])
+        whole = []
+
+        def fn(w, rows):
+            if w.size == grid.size:
+                whole.append(rows.tolist())
+            return np.sin(w + shifts[rows])
+
+        rows = [np.sign(np.sin(grid + s)) for s in shifts]
+        rows[0][6] = 1.0  # sin(3.5) < 0
+        rows[1][5] = 1.0  # sin(3.25) < 0
+        roots = _scan_roots(fn, grid, rows)
+        assert sorted(r[0] for r in whole) == [0, 1]
+        assert all(set(r) == {r[0]} for r in whole)
+        ((row, lo, hi, flo, fhi),) = seen
+        assert np.all(np.sign(flo) * np.sign(fhi) < 0.0)
+        assert np.array_equal(flo, np.sin(lo + shifts[row]))
+        assert row.size == 9
+        for s, found in zip(shifts, roots):
+            assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
+
+
+def product_rows(fixed, grid, taus):
+    """Im(exp(i*omega*tau)*S(omega)) on the grid for each delay, S =
+    (i*omega + alpha)/(alpha + omega)*conj(D): the products whose signs the
+    trace reads from the phase's parity, sampled as products."""
+    alpha = fixed[0]
+    s = (1j * grid + alpha) / (alpha + grid) * np.conj(region._axis_factor(fixed, grid))
+    return [(np.exp(1j * grid * tau) * s).imag for tau in taus]
+
+
+def product_scan(fn, grid, rows):
+    """A sign scan of sampled values whose brackets carry those samples as
+    their end values, refined by _refine: the boundary trace's scan before
+    it read signs from the phase's parity."""
+    found, brackets = [], []
+    for k, values in enumerate(rows):
+        sign = np.sign(values)
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        found += [(k, w) for w in grid[values == 0.0].tolist()]
+        brackets.append((np.full(i.size, k), grid[i], grid[i + 1], values[i], values[i + 1]))
+    row, *bracket = (np.concatenate(parts) for parts in zip(*brackets))
+    found += zip(row.tolist(), region._refine(fn, row, *bracket).tolist())
+    roots = [[] for _ in brackets]
+    for k, w in sorted(found):
+        if not roots[k] or w - roots[k][-1] > 1e-9:
+            roots[k].append(w)
+    return roots
+
+
+def seeded_trace_families(count, seed=24):
+    """(fixed, tau_max, num_tau, omega_max) for count traces: a third each
+    with delta = 0 (omega_max 1 to 3 pole spacings 2*pi*f/l, so poles lie
+    on or within rounding of grid points), delta < 0 and delta > 0."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        alpha = 10.0 ** rng.uniform(-2.0, 1.0)
+        l, f = 10.0 ** rng.uniform(-0.5, 0.5, 2)
+        delta = (0.0, rng.uniform(-2.0, 0.0), rng.uniform(0.0, 3.0))[n % 3]
+        if delta == 0.0:
+            omega_max = 2.0 * math.pi * f / l * rng.integers(1, 4)
+        else:
+            omega_max = rng.uniform(2.0, 20.0)
+        yield (
+            (float(alpha), float(delta), float(l), float(f)),
+            float(rng.choice([0.5, 3.0, 10.0])),
+            int(rng.choice([2, 5, 17])),
+            float(omega_max),
+        )
+
+
+class TestParityScan:
+    def test_brackets_and_exact_zeros_are_the_products(self, monkeypatch):
+        # The trace reads each delay's signs from the parity of its phase;
+        # what reaches _refine, and each delay's exact zeros, must be what a
+        # scan of the sampled products gives, down to the last bit.
+        seen = {}
+        scan, refine = region._scan_roots, region._refine
+
+        def scan_spy(fn, grid, rows):
+            seen["grid"] = grid
+            seen["roots"] = scan(fn, grid, rows)
+            return seen["roots"]
+
+        def refine_spy(fn, *bracket):
+            seen["brackets"] = [a.copy() for a in bracket]
+            seen["refined"] = refine(fn, *bracket)
+            return seen["refined"]
+
+        monkeypatch.setattr(region, "_scan_roots", scan_spy)
+        monkeypatch.setattr(region, "_refine", refine_spy)
+        region_map = (ONES, 10.0, 500, eig_bound_radius(10.0, 1.0) + 1.0)
+        families = [region_map, *seeded_trace_families(201)]
+        zeros = brackets = 0
+        for fixed, tau_max, num_tau, omega_max in families:
+            trace_boundary(fixed, tau_max, num_tau, omega_max)
+            grid = seen["grid"]
+            row, lo, hi, flo, fhi = seen["brackets"]
+            taus = np.arange(num_tau) * tau_max / (num_tau - 1)
+            for k, values in enumerate(product_rows(fixed, grid, taus)):
+                sign = np.sign(values)
+                i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+                mine = row == k
+                assert np.array_equal(lo[mine], grid[i]) and np.array_equal(hi[mine], grid[i + 1])
+                assert np.array_equal(flo[mine], values[i])
+                assert np.array_equal(fhi[mine], values[i + 1])
+                expected = []
+                exact = grid[values == 0.0].tolist()
+                for w in sorted(exact + seen["refined"][mine].tolist()):
+                    if not expected or w - expected[-1] > 1e-9:
+                        expected.append(w)
+                assert seen["roots"][k] == expected
+                zeros += len(exact)
+                brackets += i.size
+        # every delay's omega = 0, and the brackets of the region map alone
+        assert zeros >= sum(family[2] for family in families) and brackets > 5500
+
+    def test_region_map_trace_is_the_product_scans_bit_for_bit(self, monkeypatch):
+        fixed, tau_max, num_tau = ONES, 10.0, 500
+        omega_max = eig_bound_radius(10.0, 1.0) + 1.0
+        trace = trace_boundary(fixed, tau_max, num_tau, omega_max)
+        taus = np.arange(num_tau) * tau_max / (num_tau - 1)
+
+        def by_product(fn, grid, rows):
+            return product_scan(fn, grid, product_rows(fixed, grid, taus))
+
+        monkeypatch.setattr(region, "_scan_roots", by_product)
+        assert len(trace.points) == 5500 and trace.failures == ()
+        assert repr(trace_boundary(fixed, tau_max, num_tau, omega_max)) == repr(trace)
+
 
 def brentq_trace(fixed, tau_max, num_tau, omega_max):
     """The trace as one brentq solve per bracket and one SystemParams and

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -100,6 +101,38 @@ class TestInitState:
         # a run short enough to pass the t_final guard fails the same way
         with pytest.raises(InvalidParameter, match="^tau="):
             run(p, SimConfig(10, 1e-300), boom, 0.0, boom)
+
+    def test_delay_window_past_the_memory_bound_raises_before_sampling(self):
+        # tau = 1e8 at dt = 0.1 spans 1e9 steps: minutes of sampling and tens
+        # of GB, refused before the first history call
+        calls = []
+
+        def spy(t):
+            calls.append(t)
+            return 0.0
+
+        p = SystemParams(1, 0.5, 1, 1, 1, 1e8)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match="^tau=100000000.0 spans 1000000000 steps"):
+            init_state(p, SimConfig(10, 1.0), zero_fn, 0.0, spy)
+        with pytest.raises(InvalidParameter, match="delay window of more than 16777216"):
+            run(p, SimConfig(10, 1.0), zero_fn, 0.0, spy)
+        assert time.perf_counter() - start < 0.5 and calls == []
+
+    def test_memory_bound_admits_its_last_window(self):
+        class Sampled(Exception):
+            pass
+
+        def stop(t):
+            raise Sampled
+
+        bound = simulator._DELAY_SAMPLES
+        with pytest.raises(Sampled):
+            init_state(SystemParams(1, 0.5, 1, 1, 1, (bound - 1) * 0.1), SimConfig(10, 1.0),
+                       zero_fn, 0.0, stop)
+        with pytest.raises(InvalidParameter, match="delay window"):
+            init_state(SystemParams(1, 0.5, 1, 1, 1, bound * 0.1), SimConfig(10, 1.0),
+                       zero_fn, 0.0, stop)
 
 
 class TestStep:

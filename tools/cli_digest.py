@@ -68,6 +68,11 @@ INVOCATIONS = [
     f"simulate {ONES} --beta 0.5 --tau 1e300 --nx 10 --t-final 0.5",
     # 594 sign flips across the poles of the gain, each reported on stderr.
     "trace-r0 --alpha 1 --delta 0 --l 1 --f 1 --tau-max 10 --steps 200 --omega-max 20",
+    # The README's trace: 500 delays, 5,500 crossings.
+    f"trace-r0 {ONES} --tau-max 10 --steps 500",
+    # 2**24 delay steps, the first delay window past the memory bound: exit
+    # 2.  A tree without the bound samples all of them, in about 6 s.
+    f"simulate {ONES} --beta 0.5 --tau 1677721.6 --nx 10 --t-final 0.5",
 ]
 
 
