@@ -794,7 +794,8 @@ def default_box(params: SystemParams, sigma: float) -> ContourBox:
     SampleBudgetExceeded, as a box too tall to sample does.
     """
     radius = _search_radius(params.beta, params.delta, params.l, params.f)
-    half = max(radius + sigma + 1.0, _strip_radius(params, sigma))
+    strip = _strip_radius(params.beta, params.delta, params.l, params.f, params.tau, sigma)
+    half = max(radius + sigma + 1.0, strip)
     if half == math.inf:
         raise SampleBudgetExceeded(f"the search box for {params} at sigma={sigma!r} is unbounded")
     return ContourBox(re_min=-sigma, re_max=radius + 1.0, im_min=-half, im_max=half)

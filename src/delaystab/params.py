@@ -128,20 +128,17 @@ def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
 
     For delta >= 0 this is the closed-form eig_bound_radius.  For delta < 0
     the |1 - exp(-(lambda+delta)l/f)| <= 2 step behind that formula fails,
-    so the bound is re-derived with the exact factor 1 + exp(-delta*l/f) > 2;
-    in exact arithmetic it is at least eig_bound_radius.  A radius that overflows
-    (below delta*l/f of about -708.4 at |beta| = 1) leaves no finite search
-    region and raises QuadratureNonInteger.  The spectrum box, the axis
-    crossing scan and the default trace window all search within it.
+    so the bound is _strip_radius at sigma = 0, with the exact factor
+    1 + exp(-delta*l/f) > 2 in its place; in exact arithmetic it is at least
+    eig_bound_radius.  A radius that overflows (below delta*l/f of about
+    -708.4 at |beta| = 1) leaves no finite search region and raises
+    QuadratureNonInteger.  The spectrum box, the axis crossing scan and the
+    default trace window all search within it.
     """
     if delta >= 0.0:
         radius = eig_bound_radius(beta, delta)
     else:
-        try:
-            b = abs(beta) * (1.0 + math.exp(-delta * l / f))
-            radius = 0.5 * (abs(delta) + math.sqrt(delta**2 + 4.0 * b))
-        except OverflowError:
-            radius = math.inf
+        radius = _strip_radius(beta, delta, l, f, 0.0, 0.0)
     if radius == math.inf:
         raise QuadratureNonInteger(
             f"search radius overflows at beta={beta}, delta*l/f={delta * l / f}"
@@ -149,22 +146,23 @@ def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
     return radius
 
 
-def _strip_radius(params: SystemParams, sigma: float) -> float:
-    """Radius enclosing every eigenvalue with Re lambda >= -sigma, sigma >= 0.
+def _strip_radius(
+    beta: float, delta: float, l: float, f: float, tau: float, sigma: float
+) -> float:
+    """Radius enclosing every eigenvalue with Re lambda >= -sigma, sigma >= 0,
+    of the point (beta, delta, l, f, tau) with any alpha > 0.
 
     There |lambda + alpha| >= |lambda| - sigma, |lambda + delta| >=
     |lambda| - |delta|, |exp(-lambda*tau)| <= exp(sigma*tau) and
     |1 - exp(-(lambda + delta)*l/f)| <= 1 + exp((sigma - delta)*l/f), so
     (|lambda| - sigma)(|lambda| - |delta|) <= b with b = |beta| times the
     last two bounds, and |lambda| is at most the larger root,
-    (sigma + |delta| + sqrt((|delta| - sigma)**2 + 4b))/2.  At sigma = 0 and
-    delta < 0 this is _search_radius.  inf where it overflows.
+    (sigma + |delta| + sqrt((|delta| - sigma)**2 + 4b))/2.  _search_radius
+    takes it at sigma = 0 for delta < 0.  inf where it overflows.
     """
-    d = abs(params.delta)
+    d = abs(delta)
     try:
-        b = abs(params.beta) * math.exp(sigma * params.tau) * (
-            1.0 + math.exp((sigma - params.delta) * params.l / params.f)
-        )
+        b = abs(beta) * math.exp(sigma * tau) * (1.0 + math.exp((sigma - delta) * l / f))
     except OverflowError:
         return math.inf
     return 0.5 * (sigma + d + math.sqrt((d - sigma) ** 2 + 4.0 * b))

@@ -134,10 +134,10 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
     Order: decay certificate, then the gain-threshold fast path (delta > 0
     only: a gain above the threshold oscillates for every delay), then a
     spectral search with sigma = 1000*eps0 thresholded at +/- eps0.  An
-    eps0 that is not finite and > 0 raises InvalidParameter.
+    eps0 that is not > 0, or whose sigma is not finite, raises
+    InvalidParameter before any evidence is looked at (_check_eps0).
     """
-    if not 0.0 < eps0 < math.inf:
-        raise InvalidParameter(f"eps0 must be finite and > 0, got {eps0}")
+    _check_eps0(eps0)
     cert = decay_certificate(params)
     if cert is not None:
         return RegionLabel(
@@ -157,6 +157,13 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
     if bound > eps0:
         return RegionLabel(Label.LIMIT_CYCLE_OSCILLATION, Evidence.SPECTRAL_SEARCH, bound)
     return RegionLabel(Label.BOUNDARY_BAND, Evidence.SPECTRAL_SEARCH, bound)
+
+
+def _check_eps0(eps0: float) -> None:
+    """Raise InvalidParameter for an eps0 that is not > 0 or whose search
+    sigma = 1000*eps0 is not finite (eps0 above about 1.8e305)."""
+    if not 0.0 < eps0 * 1e3 < math.inf:
+        raise InvalidParameter(f"eps0 must be > 0 and 1000*eps0 finite, got {eps0}")
 
 
 def _classify_node(args) -> SweepNode:
@@ -183,11 +190,11 @@ def sweep(
     (start, stop) pair whose ends and span stop - start are finite.  A bad
     family, grid, range or eps0 raises before any node is classified: the
     family's SystemParams error, NegativeTau for a tau_range below 0,
-    InvalidParameter otherwise, also for workers that is not an integer
-    >= 1.  Failures of single nodes are recorded on the node and do not
-    stop the sweep.  With workers > 1 the nodes are classified in a process
-    pool of at most workers, node and usable CPU count processes; output
-    order is deterministic either way.
+    InvalidParameter otherwise (for eps0, as classify would: _check_eps0),
+    also for workers that is not an integer >= 1.  Failures of single nodes
+    are recorded on the node and do not stop the sweep.  With workers > 1
+    the nodes are classified in a process pool of at most workers, node and
+    usable CPU count processes; output order is deterministic either way.
     """
     _check_family(*fixed)
     pairs = (grid_counts, beta_range, tau_range)
@@ -201,8 +208,7 @@ def sweep(
         raise InvalidParameter("sweep ranges and their spans must be finite")
     if min(tau_range) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
-    if not 0.0 < eps0 < math.inf:
-        raise InvalidParameter(f"eps0 must be finite and > 0, got {eps0}")
+    _check_eps0(eps0)
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise InvalidParameter(f"workers must be an integer >= 1, got {workers!r}")
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
@@ -289,7 +295,7 @@ def beta_on_axis(fixed, omega: float, tau: float) -> float:
     return _axis_gain_scalar(fixed, omega, tau).real
 
 
-def _scan_roots(fn, grid: np.ndarray, rows) -> list[list[float]]:
+def _scan_roots(fn, grid: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Roots of several functions over grid, given the signs of their samples.
 
     rows yields one function's signs on the grid per row (its values will
@@ -300,34 +306,35 @@ def _scan_roots(fn, grid: np.ndarray, rows) -> list[list[float]]:
     bracket come from fn, and _refine refines the brackets of all rows
     together.  A row where fn does not give some bracket's ends strictly
     opposite signs (a sign read within rounding of a root) is scanned again
-    by fn's own values over the whole grid.  Roots of a row closer than
-    1e-9 are merged.  Returns each row's roots in increasing order.
+    by fn's own values over the whole grid.  Returns the flat pair (row,
+    root) of arrays, sorted by row and then by root; a root within 1e-9 of
+    the previous root of its row is merged into it, so a chain of such
+    roots keeps only its first.
     """
 
-    def flips(values):
+    def flips(k, values):
+        # (row, index) of the exact zeros, then of the brackets' left ends
         sign = np.sign(values)
-        return grid[values == 0.0].tolist(), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        zeros, i = np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        return np.full(zeros.size, k), zeros, np.full(i.size, k), i
 
-    scans = [flips(values) for values in rows]
-    row = np.repeat(np.arange(len(scans)), [i.size for _, i in scans])
-    i = np.concatenate([i for _, i in scans])
+    zrow, zeros, row, i = map(np.concatenate, zip(*(flips(k, v) for k, v in enumerate(rows))))
     flo, fhi = fn(grid[i], row), fn(grid[i + 1], row)
     again = np.unique(row[~(np.sign(flo) * np.sign(fhi) < 0.0)])
-    keep = ~np.isin(row, again)
-    brackets = [(row[keep], grid[i[keep]], grid[i[keep] + 1], flo[keep], fhi[keep])]
+    keep, zkeep = ~np.isin(row, again), ~np.isin(zrow, again)
+    parts = [(zrow[zkeep], zeros[zkeep], row[keep], i[keep], flo[keep], fhi[keep])]
     for k in again.tolist():
         values = fn(grid, np.full(grid.size, k))
-        scans[k] = flips(values)
-        j = scans[k][1]
-        brackets.append((np.full(j.size, k), grid[j], grid[j + 1], values[j], values[j + 1]))
-    row, *bracket = (np.concatenate(parts) for parts in zip(*brackets))
-    found = [(k, w) for k, (zeros, _) in enumerate(scans) for w in zeros]
-    found += zip(row.tolist(), _refine(fn, row, *bracket).tolist())
-    roots: list[list[float]] = [[] for _ in scans]
-    for k, w in sorted(found):
-        if not roots[k] or w - roots[k][-1] > 1e-9:
-            roots[k].append(w)
-    return roots
+        *scan, j = flips(k, values)
+        parts.append((*scan, j, values[j], values[j + 1]))
+    zrow, zeros, row, i, flo, fhi = map(np.concatenate, zip(*parts))
+    refined = _refine(fn, row, grid[i], grid[i + 1], flo, fhi)
+    row, root = np.concatenate([zrow, row]), np.concatenate([grid[zeros], refined])
+    order = np.lexsort((root, row))
+    row, root = row[order], root[order]
+    kept = np.ones(row.size, dtype=bool)
+    kept[1:] = (row[1:] != row[:-1]) | (root[1:] - root[:-1] > 1e-9)
+    return row[kept], root[kept]
 
 
 def _refine(fn, row, lo, hi, flo, fhi) -> np.ndarray:
@@ -407,8 +414,13 @@ def trace_boundary(
     (_check_axis_gain), raises QuadratureNonInteger; and a window needing
     more than 65536 scan points raises SampleBudgetExceeded, since a coarser
     scan would skip crossings.
-    A crossing whose gain is not finite, or whose residual fails, is
-    recorded as a failure at its delay and skipped.
+    The crossings of all delays are one flat list in (tau, omega) order, and
+    one char_fn call on arrays of beta and tau takes every residual.  Only a
+    crossing whose batch residual is not finite (NaN: its gain is not
+    finite, or the batch met char_fn's pole at -alpha) is checked on its
+    own, by SystemParams and a scalar char_fn, whose error names its
+    failure.  A crossing whose gain is not finite, or whose residual fails,
+    is recorded as a failure at its delay and skipped.
     """
     _check_family(*fixed)
     if not (0.0 < tau_max < math.inf) or not (
@@ -454,9 +466,8 @@ def trace_boundary(
         sign[held] = held_signs
         return sign
 
-    roots = _scan_roots(phase, grid, map(signs, taus.tolist()))
-    at = np.repeat(taus, [len(r) for r in roots])
-    omegas = np.array([w for r in roots for w in r], dtype=float)
+    row, omegas = _scan_roots(phase, grid, map(signs, taus.tolist()))
+    at = taus[row]
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
     # char_fn reads only these six fields, so arrays of beta and tau take
     # every crossing's residual in one call.
@@ -465,24 +476,22 @@ def trace_boundary(
         residuals = np.abs(char_fn(family, 1j * omegas))
     except PoleAtMinusAlpha:
         residuals = np.full(betas.size, np.nan)
-    points, failures = [], []
-    crossings = zip(betas.tolist(), residuals.tolist())
-    for tau, omegas_at_tau in zip(taus.tolist(), roots):
-        for omega, (beta, residual) in zip(omegas_at_tau, crossings):
-            try:
-                # A NaN residual means a non-finite gain, or a batch that met
-                # char_fn's pole at -alpha: this crossing's own check names
-                # its failure, if it has one.
-                if not math.isfinite(residual):
-                    params = SystemParams(alpha, beta, delta, l, f, tau)
-                    residual = abs(char_fn(params, 1j * omega))
-            except (DelayStabError, ValueError) as exc:
-                failures.append((tau, f"omega={omega}: {exc}"))
-                continue
-            if residual <= _RESIDUAL_TOL:
-                points.append(BoundaryPoint(tau=tau, beta=beta, omega=omega, residual=residual))
-            else:
-                failures.append((tau, f"omega={omega}: residual {residual:.3e}"))
+    errors = {}
+    # A NaN residual means a non-finite gain, or a batch that met char_fn's
+    # pole at -alpha: that crossing's own check names its failure, if any.
+    for n in np.flatnonzero(~np.isfinite(residuals)).tolist():
+        omega = omegas[n].item()
+        try:
+            params = SystemParams(alpha, betas[n], delta, l, f, at[n])
+            residuals[n] = abs(char_fn(params, 1j * omega))
+        except (DelayStabError, ValueError) as exc:
+            errors[n] = f"omega={omega}: {exc}"
+    kept = residuals <= _RESIDUAL_TOL
+    points = map(BoundaryPoint, *(a[kept].tolist() for a in (at, betas, omegas, residuals)))
+    failures = [
+        (at[n].item(), errors.get(n, f"omega={omegas[n].item()}: residual {residuals[n]:.3e}"))
+        for n in np.flatnonzero(~kept).tolist()
+    ]
     return TraceResult(points=tuple(points), failures=tuple(failures))
 
 
@@ -535,5 +544,5 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         raise SampleBudgetExceeded(f"axis scan needs {(ceiling - start) / turn:.3g} points")
     turns = np.arange(np.ceil(start / turn), ceiling / turn) * turn
     grid = np.union1d(np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS), turns)
-    (roots,) = _scan_roots(gap, grid, [gap(grid)])
-    return roots
+    _, roots = _scan_roots(gap, grid, [gap(grid)])
+    return roots.tolist()

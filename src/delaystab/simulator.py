@@ -336,7 +336,8 @@ def run(
     state = init_state(params, config, c0, a0, c_l_history)
     dt, n_tau, width = state.dt, state.n_tau, state.c.size
     n_steps = max(1, math.ceil(steps))
-    stride = config.output_stride
+    # a stride of n_steps or more outputs step 0 and the last step alike
+    stride = min(config.output_stride, n_steps)
 
     # block[i] is c after k0 + i steps, where row 0 carries step k0 over from
     # the last block; squares holds the squares of the output rows.  buf is

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from delaystab import SystemParams, axis_crossing_candidates, cli, region, threshold_gain
@@ -374,7 +375,7 @@ class TestTraceR0:
 
         def record_window(fn, grid, rows):
             windows.append(grid[-1])
-            return [[] for _ in rows]
+            return np.zeros(0, dtype=int), np.zeros(0)
 
         monkeypatch.setattr(region, "_scan_roots", record_window)
         flags = ["--alpha", repr(alpha), f"--delta={delta!r}", "--l", repr(l), "--f", repr(f)]
@@ -460,6 +461,14 @@ class TestSimulate:
         assert len(rows) == 21
         assert float(rows[0][0]) == 0.0
         assert all(float(r[1]) > 0 for r in rows)
+
+    def test_stride_past_any_c_long_prints_the_rows_of_stride_10(self, capsys):
+        # 10 steps: any stride of 10 or more outputs steps 0 and 10
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.3", "--nx", "10"]
+        argv += ["--t-final", "1", "--stride"]
+        code, out, _ = run_cli(capsys, [*argv, "10"])
+        huge_code, huge_out, _ = run_cli(capsys, [*argv, str(10**20)])
+        assert code == huge_code == 0 and huge_out == out
 
     def test_fields_are_plain_floats_from_the_step_loop(self, capsys):
         argv = [

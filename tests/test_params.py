@@ -17,7 +17,9 @@ from delaystab.errors import (
     NonPositiveAlpha,
     NonPositiveF,
     NonPositiveL,
+    QuadratureNonInteger,
 )
+from delaystab.params import _search_radius
 
 
 class TestSystemParams:
@@ -129,6 +131,36 @@ class TestEigBoundRadius:
             sign_d = rng.choice([-1, 1])
             assert eig_bound_radius(sign_b * b1, d1) <= eig_bound_radius(sign_b * b2, d1)
             assert eig_bound_radius(b1, sign_d * d1) <= eig_bound_radius(b1, sign_d * d2)
+
+
+class TestSearchRadius:
+    @staticmethod
+    def closed_form(beta, delta, l, f):
+        """The delta < 0 radius written out on its own: inf where it overflows."""
+        try:
+            b = abs(beta) * (1.0 + math.exp(-delta * l / f))
+            return 0.5 * (abs(delta) + math.sqrt(delta**2 + 4.0 * b))
+        except OverflowError:
+            return math.inf
+
+    def test_negative_delta_is_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        raised = 0
+        for _ in range(20000):
+            delta = -(10.0 ** rng.uniform(-8.0, 3.0))
+            l, f = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(5e7))
+            beta, delta, l, f = map(float, (beta, delta, l, f))
+            expected = self.closed_form(beta, delta, l, f)
+            try:
+                radius = _search_radius(beta, delta, l, f)
+            except QuadratureNonInteger:
+                assert expected == math.inf
+                raised += 1
+                continue
+            assert radius == expected
+        # both sides of the overflow are drawn
+        assert 0 < raised < 20000 // 2
 
 
 class TestDecayCertificate:

@@ -478,6 +478,17 @@ class TestSweep:
         with pytest.raises(error):
             sweep(ONES, (0.0, 1.0), tau_range, (2, 2), eps0=eps0)
 
+    def test_eps0_whose_search_sigma_overflows_raises_before_any_node(self, monkeypatch):
+        # 1000*eps0 is inf: every node that reached the spectral search
+        # would fail on its sigma, and the ones a fast path decides would not
+        calls = []
+        monkeypatch.setattr(region, "classify", lambda *args: calls.append(args))
+        with pytest.raises(InvalidParameter, match="eps0"):
+            sweep(ONES, (-5.0, 5.0), (0.0, 10.0), (3, 3), eps0=1e308)
+        assert calls == []
+        with pytest.raises(InvalidParameter, match="eps0"):
+            classify(SystemParams(1, 1, 1, 1, 1, 1), 1e308)
+
 
 @pytest.fixture(scope="module")
 def short_trace():
@@ -719,6 +730,19 @@ class TestAxisCrossingCandidates:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def per_row(scan, count):
+    """_scan_roots' flat (row, root) pair as each of count rows' list of
+    roots."""
+    row, root = scan
+    return [root[row == k].tolist() for k in range(count)]
+
+
+def flat(roots):
+    """Each row's list of roots as _scan_roots' flat (row, root) pair."""
+    row = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    return row, np.array([w for r in roots for w in r], dtype=float)
+
+
 class TestScanRoots:
     def test_grid_zero_masked_bracket_and_several_flips(self):
         grid = np.linspace(0.0, 10.0, 11)
@@ -729,14 +753,14 @@ class TestScanRoots:
             assert not np.any((6.0 <= w) & (w <= 7.0))
             return np.sin(w)
 
-        (roots,) = _scan_roots(fn, grid, [values])
+        (roots,) = per_row(_scan_roots(fn, grid, [values]), 1)
         assert roots[0] == 0.0
         assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
 
     def test_merges_roots_closer_than_merge_distance(self):
         grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
         values = np.array([-1.0, 0.0, 0.0, 1.0])
-        assert _scan_roots(lambda w, rows: np.sin(w), grid, [values]) == [[1.0]]
+        assert per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [values]), 1) == [[1.0]]
 
     def test_rows_are_refined_together_and_kept_apart(self):
         grid = np.linspace(0.5, 10.0, 20)
@@ -747,7 +771,7 @@ class TestScanRoots:
             calls.append(w.size)
             return np.sin(w + shifts[rows])
 
-        roots = _scan_roots(fn, grid, (np.sin(grid + s) for s in shifts))
+        roots = per_row(_scan_roots(fn, grid, (np.sin(grid + s) for s in shifts)), 3)
         for s, found in zip(shifts, roots):
             assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
         # one call steps the brackets of every row
@@ -771,7 +795,7 @@ class TestScanRoots:
         grid = np.linspace(0.0, 10.0, 11)
         signs = np.sign(np.sin(grid))  # 0 at omega = 0
         signs[6] = math.nan  # drops the flip across 2*pi in [6, 7]
-        (roots,) = _scan_roots(lambda w, rows: np.sin(w), grid, [signs])
+        (roots,) = per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [signs]), 1)
         ((row, lo, hi, flo, fhi),) = seen
         assert lo.tolist() == [3.0, 9.0] and hi.tolist() == [4.0, 10.0]
         assert flo.tolist() == np.sin([3.0, 9.0]).tolist()
@@ -780,7 +804,7 @@ class TestScanRoots:
         # an exact zero between opposite signs is a root, and no bracket
         seen.clear()
         signs = np.array([1.0, 1.0, 0.0, -1.0, -1.0])
-        assert _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [signs]) == [[2.0]]
+        assert per_row(_scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [signs]), 1) == [[2.0]]
         ((row, *_),) = seen
         assert row.size == 0
 
@@ -801,7 +825,7 @@ class TestScanRoots:
         rows = [np.sign(np.sin(grid + s)) for s in shifts]
         rows[0][6] = 1.0  # sin(3.5) < 0
         rows[1][5] = 1.0  # sin(3.25) < 0
-        roots = _scan_roots(fn, grid, rows)
+        roots = per_row(_scan_roots(fn, grid, rows), 3)
         assert sorted(r[0] for r in whole) == [0, 1]
         assert all(set(r) == {r[0]} for r in whole)
         ((row, lo, hi, flo, fhi),) = seen
@@ -889,6 +913,7 @@ class TestParityScan:
             grid = seen["grid"]
             row, lo, hi, flo, fhi = seen["brackets"]
             taus = np.arange(num_tau) * tau_max / (num_tau - 1)
+            roots = per_row(seen["roots"], num_tau)
             for k, values in enumerate(product_rows(fixed, grid, taus)):
                 sign = np.sign(values)
                 i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
@@ -901,11 +926,23 @@ class TestParityScan:
                 for w in sorted(exact + seen["refined"][mine].tolist()):
                     if not expected or w - expected[-1] > 1e-9:
                         expected.append(w)
-                assert seen["roots"][k] == expected
+                assert roots[k] == expected
                 zeros += len(exact)
                 brackets += i.size
         # every delay's omega = 0, and the brackets of the region map alone
         assert zeros >= sum(family[2] for family in families) and brackets > 5500
+
+    def test_only_crossings_with_a_nan_batch_residual_are_checked_alone(self, monkeypatch):
+        # SystemParams is built in region only for a crossing's own check
+        built = []
+        monkeypatch.setattr(region, "SystemParams", lambda *a: built.append(a) or SystemParams(*a))
+        region_map = trace_boundary(ONES, 10.0, 500, eig_bound_radius(10.0, 1.0) + 1.0)
+        assert len(region_map.points) == 5500 and built == []
+        # char_fn's pole at -alpha lies at every omega = 0 crossing, so the
+        # batch residual is NaN and every crossing is checked alone
+        tiny = trace_boundary((1e-13, 1.0, 1.0, 1.0), 3.0, 5)
+        assert (len(built), len(tiny.points), len(tiny.failures)) == (23, 18, 5)
+        assert all("pole at lambda" in message for _, message in tiny.failures)
 
     def test_region_map_trace_is_the_product_scans_bit_for_bit(self, monkeypatch):
         fixed, tau_max, num_tau = ONES, 10.0, 500
@@ -914,7 +951,7 @@ class TestParityScan:
         taus = np.arange(num_tau) * tau_max / (num_tau - 1)
 
         def by_product(fn, grid, rows):
-            return product_scan(fn, grid, product_rows(fixed, grid, taus))
+            return flat(product_scan(fn, grid, product_rows(fixed, grid, taus)))
 
         monkeypatch.setattr(region, "_scan_roots", by_product)
         assert len(trace.points) == 5500 and trace.failures == ()

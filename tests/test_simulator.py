@@ -285,6 +285,17 @@ class TestRun:
             for value in (sample.t, sample.energy, sample.a_sq, sample.c_l):
                 assert type(value) is float
 
+    def test_stride_past_the_step_count_outputs_as_the_step_count(self):
+        # 10 steps; a stride of 10**20 does not fit a C long
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        traces = [
+            run(p, SimConfig(nx=10, t_final=1.0, output_stride=s), sine_profile(1.0), 1.0, zero_fn)[1]
+            for s in (10, 10**20)
+        ]
+        fields = [(t.times, t.energies, t.a_sq, t.c_l) for t in traces]
+        assert traces[0].times.tolist() == [0.0, 1.0]
+        assert all(np.array_equal(a, b) for a, b in zip(*fields))
+
     def test_step_count_past_the_index_range_raises_before_allocating(self, monkeypatch):
         def boom(*args):
             raise AssertionError("init_state called")

@@ -73,6 +73,13 @@ INVOCATIONS = [
     # 2**24 delay steps, the first delay window past the memory bound: exit
     # 2.  A tree without the bound samples all of them, in about 6 s.
     f"simulate {ONES} --beta 0.5 --tau 1677721.6 --nx 10 --t-final 0.5",
+    # char_fn's pole at -alpha lies at every omega = 0 crossing, so the batch
+    # residual fails and each of the 23 crossings is checked on its own.
+    "trace-r0 --alpha 1e-13 --delta 1 --l 1 --f 1 --tau-max 3 --steps 5",
+    # A stride past any C long: the run's two outputs, as at --stride 10.
+    f"simulate {POINT} --nx 10 --t-final 1 --stride 100000000000000000000",
+    # 1000*eps0 overflows: exit 2 before any node is classified.
+    f"sweep {ONES} --beta-range -5:5 --tau-range 0:10 --grid 3x3 --eps0 1e308",
 ]
 
 
