@@ -58,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characteristic import (
+    _POLE_TOL,
     _deflated,
     _deflated_prime,
     _deflated_with_scale,
@@ -68,7 +69,6 @@ from .errors import (
     BoundaryZero,
     InvalidParameter,
     MaxDepthExceeded,
-    PoleAtMinusAlpha,
     QuadratureNonInteger,
     SampleBudgetExceeded,
     SolverConsistencyError,
@@ -822,7 +822,9 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     does a box with one eigenvalue, which is polished without a split.
     A size with N + 1 below the count cannot add up to it and is skipped
     unbuilt.  Every root listed is verified to satisfy |char_fn| <= 1e-8,
-    all in one array call.  The box grows with exp(sigma*tau), so a large
+    all in one array call.  One within char_fn's pole tolerance of -alpha,
+    where char_fn raises, is verified by the deflated numerator instead:
+    its |value| is at most 1e-13 times its cancellation scale.  The box grows with exp(sigma*tau), so a large
     sigma*tau can raise SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
     """
@@ -842,12 +844,17 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
 
         result = _located(params, default_box(params, sigma), tol, predict=True)
         lams = np.array([root.lam for root in result.roots], dtype=complex)
-        try:
-            g = np.abs(char_fn(params, lams))
-        except PoleAtMinusAlpha as exc:  # pragma: no cover - structurally excluded
+        # char_fn refuses a root within its pole tolerance of -alpha: such a
+        # root must zero the deflated numerator at rounding level, as _on_zero
+        # reads a contour sample.
+        near = np.abs(lams + params.alpha) < _POLE_TOL * (1.0 + params.alpha)
+        if near.any() and not _on_zero(*_deflated_with_scale(params, lams[near])).all():
             raise SolverConsistencyError(
-                f"a root collided with the pole at {-params.alpha}"
-            ) from exc
+                f"a root within char_fn's pole tolerance of {-params.alpha} does not "
+                "zero the deflated numerator"
+            )
+        lams = lams[~near]
+        g = np.abs(char_fn(params, lams))
     failed = np.flatnonzero(g > 1e-8)
     if failed.size:
         first = failed[0]

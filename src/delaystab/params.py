@@ -163,9 +163,9 @@ def _strip_radius(
     d = abs(delta)
     try:
         b = abs(beta) * math.exp(sigma * tau) * (1.0 + math.exp((sigma - delta) * l / f))
+        return 0.5 * (sigma + d + math.sqrt((d - sigma) ** 2 + 4.0 * b))
     except OverflowError:
         return math.inf
-    return 0.5 * (sigma + d + math.sqrt((d - sigma) ** 2 + 4.0 * b))
 
 
 def decay_certificate(

@@ -295,41 +295,46 @@ def beta_on_axis(fixed, omega: float, tau: float) -> float:
     return _axis_gain_scalar(fixed, omega, tau).real
 
 
+def _flips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (zeros, lefts) index pair of sampled values: the exact zeros, and
+    the left end of every step between neighbours of strictly opposite
+    signs.  A NaN sample is in neither."""
+    sign = np.sign(values)
+    return np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+
+
 def _scan_roots(fn, grid: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of several functions over grid, given the signs of their samples.
+    """Roots of several functions over grid, given where each one's samples
+    vanish and change sign.
 
-    rows yields one function's signs on the grid per row (its values will
-    do), and fn(omega, row) evaluates the functions at arrays of
-    frequencies and row indices.  Exact zeros on the grid are kept as they
-    are; every strict sign flip between neighbouring samples is a bracket,
-    and NaN samples take part in neither.  The values at the ends of every
-    bracket come from fn, and _refine refines the brackets of all rows
-    together.  A row where fn does not give some bracket's ends strictly
-    opposite signs (a sign read within rounding of a root) is scanned again
-    by fn's own values over the whole grid.  Returns the flat pair (row,
-    root) of arrays, sorted by row and then by root; a root within 1e-9 of
-    the previous root of its row is merged into it, so a chain of such
-    roots keeps only its first.
+    rows yields one (zeros, lefts) pair of index arrays into grid per row,
+    as _flips reads them off sampled values: grid[zeros] are roots as they
+    are, and each step [grid[i], grid[i + 1]], i in lefts, is a bracket.
+    fn(omega, row) evaluates the functions at arrays of frequencies and row
+    indices.  The values at the ends of every bracket come from fn, and
+    _refine refines the brackets of all rows together.  A row where fn does
+    not give some bracket's ends strictly opposite signs (a pair read within
+    rounding of a root) is scanned again: its pair is _flips of fn's own
+    values over the whole grid, and its brackets' ends take those values.
+    Returns the flat pair (row, root) of arrays, sorted by row and then by
+    root; a root within 1e-9 of the previous root of its row is merged into
+    it, so a chain of such roots keeps only its first.
     """
-
-    def flips(k, values):
-        # (row, index) of the exact zeros, then of the brackets' left ends
-        sign = np.sign(values)
-        zeros, i = np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-        return np.full(zeros.size, k), zeros, np.full(i.size, k), i
-
-    zrow, zeros, row, i = map(np.concatenate, zip(*(flips(k, v) for k, v in enumerate(rows))))
+    zeros, lefts = map(list, zip(*rows))
+    row = np.repeat(np.arange(len(lefts)), [i.size for i in lefts])
+    i = np.concatenate(lefts)
     flo, fhi = fn(grid[i], row), fn(grid[i + 1], row)
-    again = np.unique(row[~(np.sign(flo) * np.sign(fhi) < 0.0)])
-    keep, zkeep = ~np.isin(row, again), ~np.isin(zrow, again)
-    parts = [(zrow[zkeep], zeros[zkeep], row[keep], i[keep], flo[keep], fhi[keep])]
+    again = np.unique(row[~((np.minimum(flo, fhi) < 0.0) & (np.maximum(flo, fhi) > 0.0))])
+    keep = ~np.isin(row, again)
+    parts = [(row[keep], i[keep], flo[keep], fhi[keep])]
     for k in again.tolist():
         values = fn(grid, np.full(grid.size, k))
-        *scan, j = flips(k, values)
-        parts.append((*scan, j, values[j], values[j + 1]))
-    zrow, zeros, row, i, flo, fhi = map(np.concatenate, zip(*parts))
+        zeros[k], j = _flips(values)
+        parts.append((np.full(j.size, k), j, values[j], values[j + 1]))
+    row, i, flo, fhi = map(np.concatenate, zip(*parts))
     refined = _refine(fn, row, grid[i], grid[i + 1], flo, fhi)
-    row, root = np.concatenate([zrow, row]), np.concatenate([grid[zeros], refined])
+    row = np.concatenate([np.repeat(np.arange(len(zeros)), [z.size for z in zeros]), row])
+    root = np.concatenate([grid[np.concatenate(zeros)], refined])
     order = np.lexsort((root, row))
     row, root = row[order], root[order]
     kept = np.ones(row.size, dtype=bool)
@@ -391,13 +396,16 @@ def trace_boundary(
     /(alpha + omega), which is |D|^2/(alpha + omega) times the gain's
     imaginary part: the same sign, no poles and no overflow.  S, with the
     entire factor D (_axis_factor), is sampled once.  The product is
-    |S|*sin(omega*tau + arg S), so the scan reads each delay's signs off
-    the parity of floor((omega*tau + arg S)/pi), a multiply-add and a floor
-    per sample with arg S/pi taken once; it is 0 at omega = 0 and wherever
-    S is.  Only the ends of the brackets it opens, and the refinement, take
-    the product itself, and a delay whose bracket ends do not have strictly
-    opposite signs (a phase within rounding of a multiple of pi) is scanned
-    again by the product (_scan_roots).  At a pole of the gain (delta = 0,
+    |S|*sin(omega*tau + arg S), so its sign is (-1)^floor((omega*tau +
+    arg S)/pi), a multiply-add and a floor per sample with arg S/pi taken
+    once.  The samples at omega = 0 and wherever S is 0 or NaN are held:
+    the product is 0 there, an exact zero of every delay, or NaN.  A flip,
+    the left end of a bracket, is a change of the turn count's parity
+    between neighbours that are not held.  Only the ends of the brackets
+    it opens, and the refinement, take the product itself, and a delay
+    whose bracket ends do not have strictly opposite signs (a phase within
+    rounding of a multiple of pi) is scanned again by the product
+    (_scan_roots).  At a pole of the gain (delta = 0,
     omega = 2*pi*k*f/l, k != 0) that function has a simple zero, which
     refines like any other to a crossing whose gain is not finite; omega =
     0 at delta = 0 is the threshold branch, listed at beta =
@@ -452,21 +460,21 @@ def trace_boundary(
 
     # phase = |S| sin(omega*tau + arg S), S = scaled(omega), so its sign is
     # (-1)^floor((omega*tau + arg S)/pi).  At omega = 0, where S is real, and
-    # where S is 0, every delay's phase is 0; where S is NaN it is NaN.
+    # where S is 0, every delay's phase is 0, and where S is NaN it is NaN:
+    # those columns are held, and no bracket has a held end.
     on_grid = scaled(grid)
-    held = np.flatnonzero(np.isnan(on_grid) | (on_grid == 0.0) | (grid == 0.0))
-    held_signs = np.where(np.isnan(on_grid[held]), np.nan, 0.0)
+    held = np.isnan(on_grid) | (on_grid == 0.0) | (grid == 0.0)
+    zeros = np.flatnonzero(held & ~np.isnan(on_grid))
+    free = ~(held[:-1] | held[1:])
     arg = np.angle(on_grid) / np.pi
-    arg[held] = 0.0  # keeps NaN out of the integer cast
     grid_pi = grid / np.pi
 
-    def signs(tau):
-        turns = np.floor(grid_pi * tau + arg).astype(np.int64)
-        sign = np.where(turns & 1, -1.0, 1.0)
-        sign[held] = held_signs
-        return sign
+    def flips(tau):
+        # the turn count changes parity where its step is odd
+        step = 0.5 * np.diff(np.floor(grid_pi * tau + arg))
+        return zeros, np.flatnonzero(free & (step != np.floor(step)))
 
-    row, omegas = _scan_roots(phase, grid, map(signs, taus.tolist()))
+    row, omegas = _scan_roots(phase, grid, map(flips, taus.tolist()))
     at = taus[row]
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
     # char_fn reads only these six fields, so arrays of beta and tau take
@@ -544,5 +552,5 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         raise SampleBudgetExceeded(f"axis scan needs {(ceiling - start) / turn:.3g} points")
     turns = np.arange(np.ceil(start / turn), ceiling / turn) * turn
     grid = np.union1d(np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS), turns)
-    _, roots = _scan_roots(gap, grid, [gap(grid)])
+    _, roots = _scan_roots(gap, grid, [_flips(gap(grid))])
     return roots.tolist()

@@ -120,21 +120,29 @@ class FitResult:
 _DELAY_SAMPLES = 2**24
 
 
+def _step_size(params: SystemParams, config: SimConfig) -> float:
+    """The step dt = (l/nx)/f of init_state and run; one that underflows to
+    0 raises InvalidParameter."""
+    dt = params.l / config.nx / params.f
+    if not dt > 0.0:
+        raise InvalidParameter(f"the step (l/nx)/f underflows to {dt!r}")
+    return dt
+
+
 def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_history) -> SimState:
     """Sample the initial profile and delay history onto the step grid.
 
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
-    sample raises InvalidParameter, and so does a delay of sys.maxsize steps
-    or more, or one of _DELAY_SAMPLES steps or more, before any sample is
-    taken.
+    sample raises InvalidParameter, and so does a step (l/nx)/f that
+    underflows to 0, a delay of sys.maxsize steps or more, or one of
+    _DELAY_SAMPLES steps or more, before any sample is taken.
     """
     a = float(a0)
     if not math.isfinite(a):
         raise InvalidParameter(f"a0 must be finite, got {a!r}")
-    dx = params.l / config.nx
-    dt = dx / params.f
+    dt = _step_size(params, config)
     delay_steps = params.tau / dt
     if not delay_steps < sys.maxsize:
         raise InvalidParameter(
@@ -146,7 +154,7 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
             f"tau={params.tau!r} spans {n_tau} steps, a delay window of more than "
             f"{_DELAY_SAMPLES} samples"
         )
-    x = np.arange(config.nx + 1) * dx
+    x = np.arange(config.nx + 1) * (params.l / config.nx)
     c = np.array([float(c0(float(xj))) for xj in x])
     # Written so that NaN fails the tolerance checks.
     if not abs(c[0]) <= 1e-12:
@@ -244,9 +252,11 @@ def step(state: SimState, params: SystemParams) -> SimState:
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Composite-trapezoid weights for n >= 2 samples spaced h apart."""
+    """Composite-trapezoid weights for n >= 1 samples spaced h apart; one
+    sample spans no width and weighs 0."""
     w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
+    w[0] -= 0.5 * h
+    w[-1] -= 0.5 * h
     return w
 
 
@@ -278,10 +288,8 @@ def energy(state: SimState, params: SystemParams, gamma: float | None = None) ->
     dx = params.l / (state.c.size - 1)
     value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
     value += 0.5 * state.a * state.a
-    if state.n_tau >= 1:
-        weights = _history_weights(params, gamma, state.dt, state.n_tau)
-        value += 0.5 * _sq_integral(state.history, weights)
-    return value
+    weights = _history_weights(params, gamma, state.dt, state.n_tau)
+    return value + 0.5 * _sq_integral(state.history, weights)
 
 
 def state_norm_sq(state: SimState, params: SystemParams) -> float:
@@ -327,8 +335,7 @@ def run(
     range raises SimulationOverflow naming the first output time at which it
     is not finite.
     """
-    # init_state's step is dt = (l/nx)/f.
-    steps = config.t_final / (params.l / config.nx / params.f) - 1e-9
+    steps = config.t_final / _step_size(params, config) - 1e-9
     if not steps < sys.maxsize:
         raise InvalidParameter(
             f"t_final={config.t_final!r} needs {steps:.3g} steps, more than a run can index"
@@ -352,7 +359,7 @@ def run(
     buf = np.empty(n_tau + 1 + rows)
     buf[: n_tau + 1] = state.history[::-1]
     c_weights = _trapezoid_weights(width, params.l / config.nx)
-    history_weights = _history_weights(params, config.gamma, dt, n_tau) if n_tau >= 1 else None
+    history_weights = _history_weights(params, config.gamma, dt, n_tau)
     energies, a_sq, c_l, states = [], [], [], []
 
     def take(k0: int, picked: slice, a_rows: list) -> bool:
@@ -364,12 +371,11 @@ def run(
         m = len(at)
         np.square(chosen, out=squares[:m])
         value = 0.5 * (squares[:m] @ c_weights) + 0.5 * a_sq_picked
-        if history_weights is not None:
-            # one direct correlation over the windows from the first output
-            # row to the last (a direct sum of positive terms keeps relative
-            # accuracy where an FFT would not)
-            sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
-            value += 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
+        # one direct correlation over the windows from the first output row
+        # to the last (a direct sum of positive terms keeps relative accuracy
+        # where an FFT would not)
+        sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
+        value += 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
         energies.extend(value.tolist())
         a_sq.extend(a_sq_picked.tolist())
         c_l.extend(chosen[:, -1].tolist())

@@ -462,6 +462,12 @@ class TestSimulate:
         assert float(rows[0][0]) == 0.0
         assert all(float(r[1]) > 0 for r in rows)
 
+    def test_step_that_underflows_is_bad_input(self, capsys):
+        argv = ["simulate", "--alpha", "1", "--beta", "0.5", "--delta", "1", "--l", "1e-320"]
+        argv += ["--f", "1e10", "--tau", "0.3", "--nx", "10", "--t-final", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and "underflows" in err
+
     def test_stride_past_any_c_long_prints_the_rows_of_stride_10(self, capsys):
         # 10 steps: any stride of 10 or more outputs steps 0 and 10
         argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.3", "--nx", "10"]

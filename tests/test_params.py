@@ -6,9 +6,12 @@ import pytest
 from delaystab import (
     DecayCertificate,
     SystemParams,
+    classify,
     decay_certificate,
     eig_bound_radius,
+    spectrum,
     threshold_gain,
+    trace_boundary,
 )
 from delaystab.errors import (
     InvalidParameter,
@@ -161,6 +164,43 @@ class TestSearchRadius:
             assert radius == expected
         # both sides of the overflow are drawn
         assert 0 < raised < 20000 // 2
+
+
+    def test_far_negative_delta_is_the_closed_form_raise_for_raise(self):
+        # |delta| past about 1.3e154 squares past the float range, and a
+        # small delta*l/f keeps the exponential finite: the square alone
+        # overflows, and the radius raises as an overflowing exponential does.
+        rng = np.random.default_rng(26)
+        raised = 0
+        for _ in range(20000):
+            delta = -(10.0 ** rng.uniform(-8.0, 300.0))
+            x = -rng.uniform(0.0, 700.0)
+            while x == 0.0:
+                x = -rng.uniform(0.0, 700.0)
+            f = 10.0 ** rng.uniform(-2.0, 2.0)
+            l = x / delta * f
+            beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, math.log10(5e7))
+            beta, delta, l, f = map(float, (beta, delta, l, f))
+            expected = self.closed_form(beta, delta, l, f)
+            try:
+                radius = _search_radius(beta, delta, l, f)
+            except QuadratureNonInteger:
+                assert expected == math.inf
+                raised += 1
+                continue
+            assert radius == expected
+        # the squares of about half the deltas overflow
+        assert 20000 // 4 < raised < 20000 * 3 // 4
+
+    def test_far_negative_delta_raises_at_every_entry_point(self):
+        params = SystemParams(1.0, 3.0, -1e200, 1e-200, 1.0, 1.0)
+        for call in (
+            lambda: classify(params),
+            lambda: spectrum(params, 1e-5),
+            lambda: trace_boundary((1.0, -1e200, 1e-200, 1.0), 10.0, 3),
+        ):
+            with pytest.raises(QuadratureNonInteger, match="search radius overflows"):
+                call()
 
 
 class TestDecayCertificate:

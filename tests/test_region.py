@@ -36,7 +36,7 @@ from delaystab.errors import (
     QuadratureNonInteger,
     SampleBudgetExceeded,
 )
-from delaystab.region import _scan_roots
+from delaystab.region import _flips, _scan_roots
 
 ONES = (1.0, 1.0, 1.0, 1.0)
 B0 = threshold_gain(1, 1, 1, 1)
@@ -239,6 +239,20 @@ class TestBetaOnAxis:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("beta", [1e-20, -1e-20])
+    def test_eigenvalue_within_the_pole_tolerance_of_minus_alpha_is_stable(self, beta):
+        # the eigenvalue lies within 1e-12*(1 + alpha) of -alpha, where
+        # char_fn refuses to evaluate: the deflated numerator checks it
+        result = classify(SystemParams(1e-7, beta, 1.0, 1.0, 1.0, 1.0))
+        assert result.label is Label.STABLE_STEADY_STATE
+        assert result.evidence is Evidence.SPECTRAL_SEARCH
+        assert result.max_real_part == pytest.approx(-1e-7, rel=1e-12)
+
+    def test_eigenvalue_within_the_pole_tolerance_inside_the_band(self):
+        result = classify(SystemParams(1e-9, 1e-14, 1.0, 1.0, 1.0, 0.5))
+        assert result.label is Label.BOUNDARY_BAND
+        assert result.max_real_part == pytest.approx(-1e-9, rel=1e-5)
+
     def test_stable_sample_point(self):
         label = classify(SystemParams(1, 1, 1, 1, 1, 1), eps0=1e-6)
         assert label.label is Label.STABLE_STEADY_STATE
@@ -753,14 +767,15 @@ class TestScanRoots:
             assert not np.any((6.0 <= w) & (w <= 7.0))
             return np.sin(w)
 
-        (roots,) = per_row(_scan_roots(fn, grid, [values]), 1)
+        (roots,) = per_row(_scan_roots(fn, grid, [_flips(values)]), 1)
         assert roots[0] == 0.0
         assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
 
     def test_merges_roots_closer_than_merge_distance(self):
         grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
         values = np.array([-1.0, 0.0, 0.0, 1.0])
-        assert per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [values]), 1) == [[1.0]]
+        scan = _scan_roots(lambda w, rows: np.sin(w), grid, [_flips(values)])
+        assert per_row(scan, 1) == [[1.0]]
 
     def test_rows_are_refined_together_and_kept_apart(self):
         grid = np.linspace(0.5, 10.0, 20)
@@ -771,7 +786,8 @@ class TestScanRoots:
             calls.append(w.size)
             return np.sin(w + shifts[rows])
 
-        roots = per_row(_scan_roots(fn, grid, (np.sin(grid + s) for s in shifts)), 3)
+        rows = (_flips(np.sin(grid + s)) for s in shifts)
+        roots = per_row(_scan_roots(fn, grid, rows), 3)
         for s, found in zip(shifts, roots):
             assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
         # one call steps the brackets of every row
@@ -795,7 +811,7 @@ class TestScanRoots:
         grid = np.linspace(0.0, 10.0, 11)
         signs = np.sign(np.sin(grid))  # 0 at omega = 0
         signs[6] = math.nan  # drops the flip across 2*pi in [6, 7]
-        (roots,) = per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [signs]), 1)
+        (roots,) = per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [_flips(signs)]), 1)
         ((row, lo, hi, flo, fhi),) = seen
         assert lo.tolist() == [3.0, 9.0] and hi.tolist() == [4.0, 10.0]
         assert flo.tolist() == np.sin([3.0, 9.0]).tolist()
@@ -804,7 +820,8 @@ class TestScanRoots:
         # an exact zero between opposite signs is a root, and no bracket
         seen.clear()
         signs = np.array([1.0, 1.0, 0.0, -1.0, -1.0])
-        assert per_row(_scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [signs]), 1) == [[2.0]]
+        scan = _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [_flips(signs)])
+        assert per_row(scan, 1) == [[2.0]]
         ((row, *_),) = seen
         assert row.size == 0
 
@@ -825,7 +842,7 @@ class TestScanRoots:
         rows = [np.sign(np.sin(grid + s)) for s in shifts]
         rows[0][6] = 1.0  # sin(3.5) < 0
         rows[1][5] = 1.0  # sin(3.25) < 0
-        roots = per_row(_scan_roots(fn, grid, rows), 3)
+        roots = per_row(_scan_roots(fn, grid, map(_flips, rows)), 3)
         assert sorted(r[0] for r in whole) == [0, 1]
         assert all(set(r) == {r[0]} for r in whole)
         ((row, lo, hi, flo, fhi),) = seen
@@ -931,6 +948,64 @@ class TestParityScan:
                 brackets += i.size
         # every delay's omega = 0, and the brackets of the region map alone
         assert zeros >= sum(family[2] for family in families) and brackets > 5500
+
+    @staticmethod
+    def parity_pairs_and_sign_rows(monkeypatch, families):
+        """Each delay's (zeros, lefts) pair as the trace hands it to
+        _scan_roots, with the sign row (-1)^floor((omega*tau + arg S)/pi),
+        0 where S is 0 or omega is 0 and NaN where S is NaN, sampled."""
+        seen = {}
+        scan = region._scan_roots
+
+        def scan_spy(fn, grid, rows):
+            seen["grid"], seen["rows"] = grid, list(rows)
+            return scan(fn, grid, seen["rows"])
+
+        monkeypatch.setattr(region, "_scan_roots", scan_spy)
+        for fixed, tau_max, num_tau, omega_max in families:
+            trace_boundary(fixed, tau_max, num_tau, omega_max)
+            grid, alpha = seen["grid"], fixed[0]
+            s = (1j * grid + alpha) / (alpha + grid) * np.conj(region._axis_factor(fixed, grid))
+            nan = np.isnan(s)
+            held = nan | (s == 0.0) | (grid == 0.0)
+            arg = np.where(held, 0.0, np.angle(s) / np.pi)
+            taus = np.arange(num_tau) * tau_max / (num_tau - 1)
+            assert len(seen["rows"]) == num_tau
+            for tau, pair in zip(taus.tolist(), seen["rows"]):
+                turns = np.floor(grid / np.pi * tau + arg).astype(np.int64)
+                signs = np.where(turns & 1, -1.0, 1.0)
+                signs[held] = np.where(nan[held], np.nan, 0.0)
+                yield pair, signs
+
+    def test_parity_pairs_are_the_flips_of_the_sign_rows(self, monkeypatch):
+        region_map = (ONES, 10.0, 500, eig_bound_radius(10.0, 1.0) + 1.0)
+        families = [region_map, *seeded_trace_families(150, seed=26)]
+        rows = 0
+        for (zeros, lefts), signs in self.parity_pairs_and_sign_rows(monkeypatch, families):
+            expected_zeros, expected_lefts = _flips(signs)
+            assert np.array_equal(zeros, expected_zeros) and np.array_equal(lefts, expected_lefts)
+            rows += 1
+        assert rows == sum(family[2] for family in families)
+
+    def test_columns_where_s_is_nan_or_zero_are_held(self, monkeypatch):
+        # S is NaN or 0 on the scan grid only within rounding of a pole, so
+        # a stand-in D puts NaN and 0 at fixed columns of the 4000-point grid.
+        factor = region._axis_factor
+
+        def holed(fixed, omega):
+            d = factor(fixed, omega)
+            if np.size(omega) == 4000:
+                d[1000::700], d[1350::700] = np.nan, 0.0
+            return d
+
+        monkeypatch.setattr(region, "_axis_factor", holed)
+        families = [(ONES, 10.0, 7, 5.0), ((0.5, -1.0, 2.0, 1.0), 3.0, 5, 8.0)]
+        for (zeros, lefts), signs in self.parity_pairs_and_sign_rows(monkeypatch, families):
+            assert zeros.tolist() == [0, *range(1350, 4000, 700)]
+            expected_zeros, expected_lefts = _flips(signs)
+            assert np.array_equal(zeros, expected_zeros) and np.array_equal(lefts, expected_lefts)
+            held = np.flatnonzero(np.isnan(signs) | (signs == 0.0))
+            assert not np.isin(lefts, held).any() and not np.isin(lefts + 1, held).any()
 
     def test_only_crossings_with_a_nan_batch_residual_are_checked_alone(self, monkeypatch):
         # SystemParams is built in region only for a crossing's own check

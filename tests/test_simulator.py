@@ -306,6 +306,19 @@ class TestRun:
             run(SystemParams(1, 1, 1, 1, 1, 0.3), cfg, sine_profile(1.0), 1.0, zero_fn)
 
 
+    def test_step_that_underflows_raises_before_any_sample(self):
+        # dt = (l/nx)/f = 1e-331 rounds to 0: a step count of t_final/0
+        def never(*args):
+            raise AssertionError("sampled")
+
+        params = SystemParams(1, 0.5, 1, 1e-320, 1e10, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0)
+        with pytest.raises(InvalidParameter, match="underflows"):
+            init_state(params, cfg, never, 0.0, never)
+        with pytest.raises(InvalidParameter, match="underflows"):
+            run(params, cfg, never, 0.0, never)
+
+
 class TestFlatRun:
     # run's single loop against the public single-step API.  Blocks (_ROWS)
     # of 1 and 3 steps shift the outflow buffer many times, also below

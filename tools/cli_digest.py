@@ -80,6 +80,14 @@ INVOCATIONS = [
     f"simulate {POINT} --nx 10 --t-final 1 --stride 100000000000000000000",
     # 1000*eps0 overflows: exit 2 before any node is classified.
     f"sweep {ONES} --beta-range -5:5 --tau-range 0:10 --grid 3x3 --eps0 1e308",
+    # delta**2 overflows and delta*l/f = -1 does not: the search radius
+    # overflows, exit 3.
+    "classify --alpha 1 --beta 3 --delta=-1e200 --l 1e-200 --f 1 --tau 1",
+    "trace-r0 --alpha 1 --delta=-1e200 --l 1e-200 --f 1 --steps 3",
+    # The eigenvalue lies within char_fn's pole tolerance of -alpha: exit 0.
+    "classify --alpha 1e-7 --beta 1e-20 --delta 1 --l 1 --f 1 --tau 1",
+    # dt = (l/nx)/f underflows to 0: exit 2 before any sample.
+    "simulate --alpha 1 --beta 0.5 --delta 1 --l 1e-320 --f 1e10 --tau 0.3 --nx 10 --t-final 1",
 ]
 
 
