@@ -115,95 +115,84 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n_tau, n_beta
 
 
-def _svg_doc(width, height, body: list[str]) -> str:
+_WIDTH, _HEIGHT = 720, 540
+_LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 20.0, 20.0, 50.0
+_PLOT_W = _WIDTH - _LEFT - _RIGHT
+_PLOT_H = _HEIGHT - _TOP - _BOTTOM
+
+
+def _svg(body: list[str]) -> str:
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-class _Frame:
-    """Maps (tau, beta) data coordinates onto a fixed SVG plot frame.
+def _frame(tau_range, beta_range):
+    """The maps x(tau) and y(beta) onto the plot frame, and the frame's axes
+    as SVG elements.
 
     A span narrower than 1e-12 is widened by 1 on each side, so a
     one-value range still maps onto the frame.
     """
+    (tau_lo, tau_hi), (beta_lo, beta_hi) = (
+        (lo - 1.0, hi + 1.0) if abs(hi - lo) < 1e-12 else (lo, hi)
+        for lo, hi in (tau_range, beta_range)
+    )
 
-    def __init__(self, tau_range, beta_range):
-        self.width, self.height = 720, 540
-        self.left, self.right, self.top, self.bottom = 70.0, 20.0, 20.0, 50.0
-        self.plot_w = self.width - self.left - self.right
-        self.plot_h = self.height - self.top - self.bottom
-        self.tau_lo, self.tau_hi = self._widened(*tau_range)
-        self.beta_lo, self.beta_hi = self._widened(*beta_range)
+    def x(tau: float) -> float:
+        return _LEFT + (tau - tau_lo) / (tau_hi - tau_lo) * _PLOT_W
 
-    @staticmethod
-    def _widened(lo: float, hi: float) -> tuple[float, float]:
-        if abs(hi - lo) < 1e-12:
-            return lo - 1.0, hi + 1.0
-        return lo, hi
+    def y(beta: float) -> float:
+        return _TOP + (beta_hi - beta) / (beta_hi - beta_lo) * _PLOT_H
 
-    def x(self, tau: float) -> float:
-        return self.left + (tau - self.tau_lo) / (self.tau_hi - self.tau_lo) * self.plot_w
-
-    def y(self, beta: float) -> float:
-        return self.top + (self.beta_hi - beta) / (self.beta_hi - self.beta_lo) * self.plot_h
-
-    def axes(self) -> list[str]:
-        parts = [
-            f'<rect x="{self.left:.2f}" y="{self.top:.2f}" width="{self.plot_w:.2f}" '
-            f'height="{self.plot_h:.2f}" fill="none" stroke="#000000" stroke-width="1"/>'
+    axes = [
+        f'<rect x="{_LEFT:.2f}" y="{_TOP:.2f}" width="{_PLOT_W:.2f}" '
+        f'height="{_PLOT_H:.2f}" fill="none" stroke="#000000" stroke-width="1"/>'
+    ]
+    for frac in (0.0, 0.5, 1.0):
+        tau = tau_lo + frac * (tau_hi - tau_lo)
+        beta = beta_lo + frac * (beta_hi - beta_lo)
+        axes += [
+            f'<text x="{x(tau):.2f}" y="{_HEIGHT - 28:.2f}" font-size="12" '
+            f'text-anchor="middle">{tau:.3g}</text>',
+            f'<text x="{_LEFT - 8:.2f}" y="{y(beta) + 4:.2f}" font-size="12" '
+            f'text-anchor="end">{beta:.3g}</text>',
         ]
-        for frac in (0.0, 0.5, 1.0):
-            tau = self.tau_lo + frac * (self.tau_hi - self.tau_lo)
-            beta = self.beta_lo + frac * (self.beta_hi - self.beta_lo)
-            parts.append(
-                f'<text x="{self.x(tau):.2f}" y="{self.height - 28:.2f}" font-size="12" '
-                f'text-anchor="middle">{tau:.3g}</text>'
-            )
-            parts.append(
-                f'<text x="{self.left - 8:.2f}" y="{self.y(beta) + 4:.2f}" font-size="12" '
-                f'text-anchor="end">{beta:.3g}</text>'
-            )
-        parts.append(
-            f'<text x="{self.left + self.plot_w / 2:.2f}" y="{self.height - 8:.2f}" '
-            f'font-size="14" text-anchor="middle">tau</text>'
-        )
-        parts.append(
-            f'<text x="16" y="{self.top + self.plot_h / 2:.2f}" font-size="14" '
-            f'text-anchor="middle" transform="rotate(-90 16 {self.top + self.plot_h / 2:.2f})">beta</text>'
-        )
-        return parts
+    axes += [
+        f'<text x="{_LEFT + _PLOT_W / 2:.2f}" y="{_HEIGHT - 8:.2f}" '
+        f'font-size="14" text-anchor="middle">tau</text>',
+        f'<text x="16" y="{_TOP + _PLOT_H / 2:.2f}" font-size="14" '
+        f'text-anchor="middle" transform="rotate(-90 16 {_TOP + _PLOT_H / 2:.2f})">beta</text>',
+    ]
+    return x, y, axes
 
 
 def _sweep_svg(nodes, tau_range, beta_range, n_tau, n_beta) -> str:
-    frame = _Frame(tau_range, beta_range)
-    cell_w = frame.plot_w / n_tau
-    cell_h = frame.plot_h / n_beta
+    cell_w = _PLOT_W / n_tau
+    cell_h = _PLOT_H / n_beta
     body = []
     for idx, node in enumerate(nodes):
         i_beta, i_tau = divmod(idx, n_tau)
         label = node.result.label.value if node.result else ""
         color = _SWEEP_COLORS.get(label, "#bbbbbb")
-        x = frame.left + i_tau * cell_w
-        y = frame.top + frame.plot_h - (i_beta + 1) * cell_h
+        x = _LEFT + i_tau * cell_w
+        y = _TOP + _PLOT_H - (i_beta + 1) * cell_h
         body.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '
             f'fill="{color}"/>'
         )
-    body.extend(frame.axes())
-    legend_y = frame.top + 6
+    body.extend(_frame(tau_range, beta_range)[2])
+    legend_y = _TOP + 6
     for label, color in list(_SWEEP_COLORS.items())[:3]:
-        body.append(
-            f'<rect x="{frame.left + 6:.2f}" y="{legend_y:.2f}" width="12" height="12" '
-            f'fill="{color}" stroke="#000000" stroke-width="0.5"/>'
-        )
-        body.append(
-            f'<text x="{frame.left + 22:.2f}" y="{legend_y + 10:.2f}" font-size="11">{label}</text>'
-        )
+        body += [
+            f'<rect x="{_LEFT + 6:.2f}" y="{legend_y:.2f}" width="12" height="12" '
+            f'fill="{color}" stroke="#000000" stroke-width="0.5"/>',
+            f'<text x="{_LEFT + 22:.2f}" y="{legend_y + 10:.2f}" font-size="11">{label}</text>',
+        ]
         legend_y += 16
-    return _svg_doc(frame.width, frame.height, body)
+    return _svg(body)
 
 
 def _trace_svg(points) -> str:
@@ -213,14 +202,10 @@ def _trace_svg(points) -> str:
         tau_hi = max(p.tau for p in points)
     else:
         beta_lo, beta_hi, tau_hi = -1.0, 1.0, 1.0
-    frame = _Frame((0.0, tau_hi), (beta_lo, beta_hi))
-    body = frame.axes()
+    x, y, body = _frame((0.0, tau_hi), (beta_lo, beta_hi))
     for p in points:
-        body.append(
-            f'<circle cx="{frame.x(p.tau):.2f}" cy="{frame.y(p.beta):.2f}" r="1.5" '
-            f'fill="#333333"/>'
-        )
-    return _svg_doc(frame.width, frame.height, body)
+        body.append(f'<circle cx="{x(p.tau):.2f}" cy="{y(p.beta):.2f}" r="1.5" fill="#333333"/>')
+    return _svg(body)
 
 
 def _cmd_eig(args):

@@ -242,11 +242,15 @@ def _axis_gain(fixed, omega):
     """The delay-free factor G(omega) = (i*omega + alpha)/D(omega) of the
     gain exp(i*omega*tau)*G(omega) that makes i*omega an eigenvalue at
     delay tau: char_fn's feedback term solved for beta (vectorized).  G(0)
-    is the threshold gain for every delta.  NaN where |D| < 1e-14, at the
-    poles delta = 0, omega = 2*pi*k*f/l, k != 0.  The scans sample D
-    itself, which has no poles."""
+    is the threshold gain for every delta.  NaN where |D| <= 1e-14*(l/f),
+    that is |phi(w)| <= 1e-14, at the poles delta = 0, omega = 2*pi*k*f/l,
+    k != 0: the test scales with D, so a short tube has no spurious poles
+    and a long one no missed ones.  The scans sample D itself, which has no
+    poles."""
+    alpha, _, l, f = fixed
     den = _axis_factor(fixed, omega)
-    return np.where(np.abs(den) < _DENOM_TOL, np.nan, (1j * np.asarray(omega) + fixed[0]) / den)
+    pole = np.abs(den) <= _DENOM_TOL * (l / f)
+    return np.where(pole, np.nan, (1j * np.asarray(omega) + alpha) / den)
 
 
 def _check_axis_gain(fixed) -> None:
@@ -283,8 +287,9 @@ def phase_residual(fixed, omega: float, tau: float) -> float:
     eigenvalue at i*omega for this delay.  Odd in omega.  Raises the
     SystemParams error for a bad family, QuadratureNonInteger below
     delta*l/f of about -709.43 (_check_axis_gain), DenominatorVanishes at a
-    pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0), and
-    InvalidParameter for an omega or tau that is not finite."""
+    pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0, recognised by
+    |phi(w)| <= 1e-14 whatever the tube's l/f), and InvalidParameter for an
+    omega or tau that is not finite."""
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 

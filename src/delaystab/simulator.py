@@ -122,10 +122,11 @@ _DELAY_SAMPLES = 2**24
 
 def _step_size(params: SystemParams, config: SimConfig) -> float:
     """The step dt = (l/nx)/f of init_state and run; one that underflows to
-    0 raises InvalidParameter."""
+    0 or overflows to inf raises InvalidParameter."""
     dt = params.l / config.nx / params.f
-    if not dt > 0.0:
-        raise InvalidParameter(f"the step (l/nx)/f underflows to {dt!r}")
+    if not 0.0 < dt < math.inf:
+        word = "underflows" if dt == 0.0 else "overflows"
+        raise InvalidParameter(f"the step (l/nx)/f {word} to {dt!r}")
     return dt
 
 
@@ -136,8 +137,9 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
     sample raises InvalidParameter, and so does a step (l/nx)/f that
-    underflows to 0, a delay of sys.maxsize steps or more, or one of
-    _DELAY_SAMPLES steps or more, before any sample is taken.
+    underflows to 0 or overflows to inf, a delay of sys.maxsize steps or
+    more, or one of _DELAY_SAMPLES steps or more, before any sample is
+    taken.
     """
     a = float(a0)
     if not math.isfinite(a):
@@ -359,7 +361,6 @@ def run(
     buf = np.empty(n_tau + 1 + rows)
     buf[: n_tau + 1] = state.history[::-1]
     c_weights = _trapezoid_weights(width, params.l / config.nx)
-    history_weights = _history_weights(params, config.gamma, dt, n_tau)
     energies, a_sq, c_l, states = [], [], [], []
 
     def take(k0: int, picked: slice, a_rows: list) -> bool:
@@ -392,6 +393,9 @@ def run(
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        # gamma*exp(tau) past the float range makes these weights inf with
+        # no RuntimeWarning; the first energy then fails the finite check
+        history_weights = _history_weights(params, config.gamma, dt, n_tau)
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
             a_rows = [a]

@@ -296,6 +296,23 @@ class TestSweep:
         assert code == 2
         assert "grid" in err
 
+    def test_range_of_three_parts_is_usage_error(self, capsys):
+        argv = ["sweep", *ONES_FLAGS, "--beta-range", "1:2:3", "--tau-range", "0:1"]
+        code, out, err = run_cli(capsys, [*argv, "--grid", "2x2"])
+        assert (code, out) == (2, "")
+        assert err == "delaystab: range must look like A:B, got '1:2:3'\n"
+
+    def test_failed_node_row_has_empty_labels_and_the_error(self, capsys):
+        argv = ["sweep", *with_flag("--delta", "-1000"), "--beta-range", "1:2"]
+        code, out, err = run_cli(capsys, [*argv, "--tau-range", "0:1", "--grid", "2x2"])
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert header[2:] == ["label", "evidence", "max_real_part", "error"]
+        assert [row[:2] for row in rows] == [["0.0", "1.0"], ["1.0", "1.0"], ["0.0", "2.0"], ["1.0", "2.0"]]
+        for row in rows:
+            assert row[2:5] == ["", "", ""]
+            assert row[5] == f"search radius overflows at beta={row[1]}, delta*l/f=-1000.0"
+
 
     @pytest.mark.parametrize("flag", ["--l", "--f"])
     def test_bad_family_is_usage_error(self, capsys, flag):
@@ -437,6 +454,30 @@ class TestTraceR0:
         assert code == 0
         assert '<circle ' in out and 'r="1.5"' in out
 
+    def test_empty_trace_draws_the_default_frame(self, capsys):
+        # every omega = 0 crossing hits char_fn's pole at -alpha, and the
+        # window holds no other: axes over tau in [0, 1], beta in [-1, 1]
+        argv = ["trace-r0", *with_flag("--alpha", "1e-300"), "--steps", "3", "--tau-max", "1"]
+        code, out, err = run_cli(capsys, [*argv, "--omega-max", "0.001", "--format", "svg"])
+        assert code == 0 and err.count("\n") == 3
+        assert out.startswith("<svg ") and out.endswith("</svg>\n")
+        assert "<circle" not in out and out.count("<rect ") == 1
+        labels = re.findall(r">([^<]+)</text>", out)
+        assert labels == ["0", "-1", "0.5", "0", "1", "1", "tau", "beta"]
+
+    def test_failures_are_stderr_lines(self, capsys):
+        # delta = 0: the gain has a pole at omega = 2*pi, a sign flip of the
+        # scan at every delay, each reported as one line
+        argv = ["trace-r0", *with_flag("--delta", "0"), "--tau-max", "1", "--steps", "3"]
+        code, out, err = run_cli(capsys, [*argv, "--omega-max", "8"])
+        assert code == 0
+        assert err.splitlines() == [
+            f"trace-r0: tau={tau}: omega={2.0 * math.pi!r}: beta must be finite, got nan"
+            for tau in ("0.0", "0.5", "1.0")
+        ]
+        _, rows = parse_csv(out)
+        assert len(rows) == 11 and all(row[2] != "nan" for row in rows)
+
 
 class TestSimulate:
     def test_csv_contract(self, capsys):
@@ -467,6 +508,14 @@ class TestSimulate:
         argv += ["--f", "1e10", "--tau", "0.3", "--nx", "10", "--t-final", "1"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "") and "underflows" in err
+
+    def test_step_that_overflows_is_bad_input(self, capsys):
+        argv = ["simulate", "--alpha", "1", "--beta", "0.5", "--delta", "1", "--l", "1e30"]
+        argv += ["--f", "1e-300", "--tau", "0.3", "--nx", "10", "--t-final", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", "delaystab: the step (l/nx)/f overflows to inf\n")
 
     def test_stride_past_any_c_long_prints_the_rows_of_stride_10(self, capsys):
         # 10 steps: any stride of 10 or more outputs steps 0 and 10

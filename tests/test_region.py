@@ -214,6 +214,21 @@ class TestPhaseResidual:
         with pytest.raises(DenominatorVanishes):
             phase_residual((1.0, 0.0, 1.0, 1.0), 2.0 * math.pi, 1.0)
 
+    @pytest.mark.parametrize("l", [1e-13, 1e-15, 1e-100, 1e-300])
+    def test_short_tube_has_poles_only_at_zero_delta(self, l):
+        # |D| = (l/f)*|phi(w)| is about l/f here: a pole is |phi(w)| <= 1e-14,
+        # so delta > 0 gives a finite gain at every frequency, the threshold
+        # branch included
+        fixed = (1.0, 1.0, l, 1.0)
+        for omega in (0.0, 0.7, 3.0):
+            assert math.isfinite(beta_on_axis(fixed, omega, 0.3))
+            assert math.isfinite(phase_residual(fixed, omega, 0.3))
+        trace = trace_boundary(fixed, 1.0, 3, 5.0)
+        assert len(trace.points) == 6 and not trace.failures
+        assert all(p.residual <= 1e-15 for p in trace.points)
+        zero = [p.beta for p in trace.points if p.omega == 0.0]
+        assert zero == pytest.approx([threshold_gain(*fixed)] * 3, rel=1e-12)
+
     @pytest.mark.parametrize("tau", [0.0, 1.0, 7.5])
     def test_zero_frequency_at_zero_delta_is_the_threshold_branch(self, tau):
         # phi's removable singularity at w = 0 is no pole: the gain there is
@@ -615,6 +630,18 @@ class TestZeroDecayTrace:
             assert k != 0 and abs(omega - 2.0 * math.pi * k) <= 1e-12
             assert message.endswith("beta must be finite, got nan")
 
+    @pytest.mark.parametrize("l, points", [(100.0, 99), (1000.0, 955)])
+    def test_every_pole_of_a_long_tube_is_a_gain_that_is_not_finite(self, l, points):
+        # |D| grows with l/f, and so does the pole test: no pole of the gain
+        # slips past it to fail the residual check instead
+        trace = trace_boundary((1.0, 0.0, l, 1.0), 1.0, 3, 2.0)
+        assert len(trace.points) == points and trace.failures
+        for _, message in trace.failures:
+            omega = float(message.split(":")[0].removeprefix("omega="))
+            k = round(omega * l / (2.0 * math.pi))
+            assert k != 0 and abs(omega - 2.0 * math.pi * k / l) <= 1e-12
+            assert message.endswith("beta must be finite, got nan")
+
     def test_one_threshold_crossing_per_delay(self):
         # phi's removable singularity at omega = delta = 0 is the threshold
         # branch beta = b0, no pole
@@ -643,6 +670,13 @@ class TestAxisCrossingCandidates:
     def test_tiny_delta_lists_no_zero_below_threshold_gain(self):
         p = SystemParams(1, 1.0, 1e-7, 1, 1, 1)
         assert 1.0 < threshold_gain(1, 1e-7, 1, 1) and axis_crossing_candidates(p) == []
+
+    def test_scan_past_the_budget_raises(self):
+        # the turning points of cos(omega*l/f) lie pi*1e-12 apart up to the
+        # search radius plus 1
+        p = SystemParams(1, 5, 1, 1e6, 1e-6, 0)
+        with pytest.raises(SampleBudgetExceeded, match=r"^axis scan needs 1\.1e\+12 points$"):
+            axis_crossing_candidates(p)
 
     @pytest.mark.parametrize("beta, delta", [(1.0, -1000.0), (20.0, -709.0)])
     def test_overflowing_scan_is_typed(self, beta, delta):

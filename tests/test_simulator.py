@@ -318,6 +318,29 @@ class TestRun:
         with pytest.raises(InvalidParameter, match="underflows"):
             run(params, cfg, never, 0.0, never)
 
+    def test_step_that_overflows_raises_before_any_sample(self):
+        # dt = (l/nx)/f = 1e329 rounds to inf: ages, weights and output
+        # times of inf*0 would be NaN
+        def never(*args):
+            raise AssertionError("sampled")
+
+        params = SystemParams(1, 0.5, 1, 1e30, 1e-300, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0)
+        with pytest.raises(InvalidParameter, match=r"^the step \(l/nx\)/f overflows to inf$"):
+            init_state(params, cfg, never, 0.0, never)
+        with pytest.raises(InvalidParameter, match=r"^the step \(l/nx\)/f overflows to inf$"):
+            run(params, cfg, never, 0.0, never)
+
+    def test_history_weight_past_the_float_range_warns_nothing(self):
+        # gamma*exp(tau) = exp(3000) overflows: the weights are inf, and the
+        # first energy is not finite, without a RuntimeWarning
+        params = SystemParams(1, 0.5, 1, 10000, 1, 3000)
+        cfg = SimConfig(nx=2, t_final=20000.0, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 0\.0$"):
+                run(params, cfg, sine_profile(10000.0), 1.0, zero_fn)
+
 
 class TestFlatRun:
     # run's single loop against the public single-step API.  Blocks (_ROWS)

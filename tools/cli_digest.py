@@ -88,6 +88,16 @@ INVOCATIONS = [
     "classify --alpha 1e-7 --beta 1e-20 --delta 1 --l 1 --f 1 --tau 1",
     # dt = (l/nx)/f underflows to 0: exit 2 before any sample.
     "simulate --alpha 1 --beta 0.5 --delta 1 --l 1e-320 --f 1e10 --tau 0.3 --nx 10 --t-final 1",
+    # dt = (l/nx)/f overflows to inf: exit 2 before any sample.
+    "simulate --alpha 1 --beta 0.5 --delta 1 --l 1e30 --f 1e-300 --tau 0.3 --nx 10 --t-final 1",
+    # gamma*exp(tau) = exp(3000) overflows: exit 3 at t = 0, no RuntimeWarning.
+    "simulate --alpha 1 --beta 0.5 --delta 1 --l 10000 --f 1 --nx 2 --tau 3000 --gamma 1"
+    " --t-final 20000",
+    # l/f = 1e-15: the gain has no pole at delta > 0, so every crossing is a row.
+    "trace-r0 --alpha 1 --delta 1 --l 1e-15 --f 1 --tau-max 1 --steps 3 --omega-max 5",
+    # No crossing: the SVG draws the default frame's axes alone.
+    "trace-r0 --alpha 1e-300 --delta 1 --l 1 --f 1 --steps 3 --tau-max 1 --omega-max 0.001"
+    " --format svg",
 ]
 
 
