@@ -250,7 +250,9 @@ def _axis_gain(fixed, omega):
     alpha, _, l, f = fixed
     den = _axis_factor(fixed, omega)
     pole = np.abs(den) <= _DENOM_TOL * (l / f)
-    return np.where(pole, np.nan, (1j * np.asarray(omega) + alpha) / den)
+    num = 1j * np.asarray(omega) + alpha
+    # divided off the poles alone: an l/f that underflows to 0 makes D 0
+    return np.divide(num, den, out=np.full(num.shape, np.nan, complex), where=~pole)
 
 
 def _check_axis_gain(fixed) -> None:

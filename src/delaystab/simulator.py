@@ -3,13 +3,16 @@
 The transport equation is integrated by the method of characteristics at
 unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
-boundary trace held over each step.  ``run`` steps in blocks: it writes the
-profile after each step as one row of a preallocated block and c(l, .) on
-the dt grid into a buffer that holds those rows' delay windows.  When the
-block fills it evaluates the energy of its output rows at once, their
-c-integrals as one matrix-vector product and their history terms as one
-correlation, and both shift by the block's steps.  A run whose energy
-leaves the floating-point range raises SimulationOverflow.
+boundary trace held over each step.  ``run`` integrates by the method of
+steps (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, OUP 2003): over a block of up to nx steps the profile is a
+closed form in the profile the block starts from and the steps' sources, so
+each step advances only the outlet and the activation, as floats, and c(l,
+.) goes into a buffer that holds the delay windows of the block's steps.
+When the block ends it evaluates the energies of its output steps at once,
+their c-integrals from prefix sums of the start profile and their history
+terms as one correlation, and the buffer shifts by the block's steps.  A
+run whose energy leaves the floating-point range raises SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -187,13 +192,20 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     )
 
 
-def _advance_fn(params: SystemParams, dt: float, n_tau: int):
-    """The one-step update for this step size, its exponentials computed once.
+def _march_fn(params: SystemParams, dt: float, n_tau: int):
+    """The n-step update for this step size, its exponentials computed once.
 
-    advance(a, trace, k, src, dst) reads the delayed samples from the
-    oldest-first outflow trace, whose oldest entry still in the delay window
-    is trace[k]; it writes c[1:] at t + dt into dst from src = c[:-1] at t
-    and returns a at t + dt.  c[0] at t + dt is the pinned inflow, 0.  A
+    march(c, a, lag, n) takes n <= nx steps from the profile c and the
+    activation a.  lag holds c(l, .) oldest first from the oldest delayed
+    sample the first step reads, through at least the second (the head
+    alone at n_tau = 0); march appends the n new outlet values to it.  Over
+    the n steps the profile has a closed form in c: with d = exp(-delta*dt),
+    the step's source s_i = beta*a_mid*(1 - d)/delta (dt at delta = 0) and
+    S_{i+1} = d*S_i + s_i, c_j after i steps is d**i*c[j-i] + S_i for
+    j >= i.  So each step is a few float operations on the outlet c[nx-i]
+    alone.  march returns the sources s_0..s_{n-1} and a flat table of
+    (a, d**i, S_i, F_i, c(l)) after each step i = 1..n, where F_i is the sum
+    of the squares of the i - 1 samples 0 < j < i fed after the start.  A
     delta*dt below about -709.78, whose decay factor exp(-delta*dt) is past
     the floating-point range, raises SimulationOverflow.
     """
@@ -202,11 +214,11 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
     gain_a = -math.expm1(-alpha * dt)
     if params.delta == 0.0:
         # the delta -> 0 limit of the update below; c*1.0 and x/1.0 are exact
-        decay_c, gain_c, delta = 1.0, dt, 1.0
+        d, gain_c, delta = 1.0, dt, 1.0
     else:
         delta = params.delta
         try:
-            decay_c = math.exp(-delta * dt)
+            d = math.exp(-delta * dt)
             gain_c = -math.expm1(-delta * dt)
         except OverflowError:
             raise SimulationOverflow(
@@ -214,37 +226,63 @@ def _advance_fn(params: SystemParams, dt: float, n_tau: int):
             ) from None
     lagged = n_tau >= 1
 
-    def advance(a: float, trace: np.ndarray, k: int, src: np.ndarray, dst: np.ndarray) -> float:
-        # z(1, .) over [t, t+dt] spans the two oldest delay samples; their
-        # average keeps the coupling second order (tau = 0 has only the head).
-        if lagged:
-            delayed = 0.5 * (trace.item(k) + trace.item(k + 1))
-        else:
-            delayed = trace.item(k)
-        a_new = a * decay_a + delayed * gain_a / alpha
-        a_mid = 0.5 * (a + a_new)
-        np.multiply(src, decay_c, out=dst)
-        np.add(dst, beta * a_mid * gain_c / delta, out=dst)
-        return a_new
+    def march(c: np.ndarray, a: float, lag: list, n: int) -> tuple[list, list]:
+        outlets = c[-1 - n : -1].tolist()
+        # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
+        p, acc, fresh_sq, fresh = 1.0, -0.0, 0.0, 0.0
+        table, sources = [], []
+        for i in range(n):
+            # z(1, .) over [t, t+dt] spans the two oldest delay samples;
+            # their average keeps the coupling second order (tau = 0 has
+            # only the head)
+            delayed = 0.5 * (lag[i] + lag[i + 1]) if lagged else lag[i]
+            a_new = a * decay_a + delayed * gain_a / alpha
+            s = beta * (0.5 * (a + a_new)) * gain_c / delta
+            # the sum of squares and the sum of the fed samples after step
+            # i + 1, which are s_i at j = 1 and d*c[j-1] + s_i at 1 < j <= i
+            fresh_sq = d * (d * fresh_sq + 2.0 * s * fresh) + i * s * s
+            fresh = d * fresh + i * s
+            p *= d
+            acc = acc * d + s
+            c_l = p * outlets[n - 1 - i] + acc
+            lag.append(c_l)
+            sources.append(s)
+            table += (a_new, p, acc, fresh_sq, c_l)
+            a = a_new
+        return table, sources
 
-    return advance
+    return march
+
+
+def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -> np.ndarray:
+    """The profile len(sources) steps after c, in march's closed form: d**i*c
+    shifted by i plus S_i, behind the fed samples sum_{m<j} d**m*s_{i-1-m} at
+    0 < j < i, with powers d**0, d**1, ...  One step is c[:-1]*d + s_0 behind
+    the pinned inflow, as step has always computed it."""
+    i = len(sources)
+    row = np.empty_like(c)
+    carried = row[i:]
+    np.multiply(c[: c.size - i], p, out=carried)
+    np.add(carried, acc, out=carried)
+    row[:i] = [0.0, *accumulate(map(mul, powers, reversed(sources[1:])))]
+    return row
 
 
 def step(state: SimState, params: SystemParams) -> SimState:
     """Advance one dt: exact advection/decay of c with the activation source
     integrated along the characteristic, then the exact activation update
     driven by the delayed trace averaged over the step."""
-    advance = _advance_fn(params, state.dt, state.n_tau)
-    c_new = np.zeros_like(state.c)
-    a_new = advance(state.a, state.history[::-1], 0, state.c[:-1], c_new[1:])
+    march = _march_fn(params, state.dt, state.n_tau)
+    lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
+    (a_new, p, acc, _, c_l), sources = march(state.c, state.a, lag, 1)
     history = np.empty_like(state.history)
-    history[0] = c_new[-1]
+    history[0] = c_l
     history[1:] = state.history[:-1]
     n = state.step_index + 1
     return SimState(
         t=n * state.dt,
         step_index=n,
-        c=c_new,
+        c=_profile(state.c, p, acc, [1.0], sources),
         a=a_new,
         history=history,
         dt=state.dt,
@@ -304,14 +342,11 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
     return value
 
 
-# Steps per block: run writes the profile after each step as one row of a
-# preallocated block, behind row 0, which carries the state the block starts
-# from, and c(l, .) into a buffer that holds the delay windows of those rows.
-# When the block fills it takes the energies of its output rows at once.
-# Large nx takes fewer steps per block, so that the block (and its squares)
-# holds at most _BLOCK_FLOATS floats up to nx = 32767.
+# Steps per block: run takes up to this many steps, and at most nx, from the
+# profile the block starts from, and takes the energies of its output rows
+# at once when the block ends.  The cap bounds the block's step records and
+# outflow buffer at large nx.
 _ROWS = 127
-_BLOCK_FLOATS = 65_536
 
 
 def run(
@@ -330,6 +365,17 @@ def run(
     one, so its last output lies at t_final or up to one step past it:
     t_final=0.55 at dt=0.1 ends at t = 0.6000000000000001.
 
+    It steps by the method of steps (Bellen & Zennaro, Numerical Methods for
+    Delay Differential Equations, OUP 2003): a block of n <= nx steps is a
+    closed form in the profile c it starts from, so only the outlet and the
+    activation are stepped, as floats, and no array is touched per step.
+    An output row's c-integral is d**i*(d**i*A2 + 2*S_i*A1) + S_i**2*(D+1)
+    over the D+1 = nx+1-i samples carried over from c, where A2 and A1 are
+    prefix sums of c**2 and c, plus the fed samples' F_i; the history term
+    is a direct correlation over the outputs' delay windows, and the next
+    block starts from the profile in closed form.  A block also stops where
+    d**n would leave the normal floating-point range.
+
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
     t_final of sys.maxsize steps or more raises InvalidParameter before
@@ -343,53 +389,81 @@ def run(
             f"t_final={config.t_final!r} needs {steps:.3g} steps, more than a run can index"
         )
     state = init_state(params, config, c0, a0, c_l_history)
-    dt, n_tau, width = state.dt, state.n_tau, state.c.size
+    dt, n_tau = state.dt, state.n_tau
     n_steps = max(1, math.ceil(steps))
     # a stride of n_steps or more outputs step 0 and the last step alike
     stride = min(config.output_stride, n_steps)
 
-    # block[i] is c after k0 + i steps, where row 0 carries step k0 over from
-    # the last block; squares holds the squares of the output rows.  buf is
-    # c(l, .) oldest first, and buf[i : i + n_tau + 1] is the delay window of
-    # block[i]; both shift by the block's steps when it fills.
-    rows = max(1, min(_ROWS, _BLOCK_FLOATS // width - 1))
-    block = np.zeros((rows + 1, width))
-    block[0] = state.c
-    squares = np.empty_like(block)
-    src = [row[:-1] for row in block[:-1]]
-    dst = [row[1:] for row in block[1:]]
+    # c is the profile after k0 steps.  buf is c(l, .) oldest first, and
+    # buf[i : i + n_tau + 1] is the delay window after k0 + i steps; it
+    # shifts by the block's steps when the block ends.  A block stops where
+    # d**n would leave the normal float range.
+    decay = abs(params.delta) * dt
+    rows = max(1, int(min(_ROWS, config.nx, 708.0 / decay if decay else _ROWS)))
+    c = state.c
     buf = np.empty(n_tau + 1 + rows)
     buf[: n_tau + 1] = state.history[::-1]
-    c_weights = _trapezoid_weights(width, params.l / config.nx)
+    h = params.l / config.nx
+    # the D + 1 = nx + 1 - i samples carried over from c after i steps
+    carried = np.arange(config.nx + 1, 0, -1.0)
+    # An energy below this bound has no sample whose square leaves the
+    # float range: c_j**2 <= 4*energy/h.
+    direct_above = sys.float_info.max * min(h, 1.0) / 8.0
     energies, a_sq, c_l, states = [], [], [], []
 
-    def take(k0: int, picked: slice, a_rows: list) -> bool:
-        # record the outputs at block[picked]; False if an energy is not finite
-        at = range(len(a_rows))[picked]
+    def take(k0: int, picked: slice) -> bool:
+        # record the outputs at table[picked], after i steps of the block
+        # from c; False if an energy is not finite
+        at = range(n + 1)[picked]
         if not at:
             return True
-        chosen, a_sq_picked = block[picked], np.square(a_rows[picked])
-        m = len(at)
-        np.square(chosen, out=squares[:m])
-        value = 0.5 * (squares[:m] @ c_weights) + 0.5 * a_sq_picked
+        a, p, acc, fresh_sq, outlet = table[picked].T
+        # sum_j c_j**2 over the samples carried over, d**i*c[q] + S_i at
+        # q <= D, from prefix sums of c**2 and c at D, plus the fed ones
+        value = p * (c * c).cumsum()[::-1][picked]
+        value += (acc + acc) * c.cumsum()[::-1][picked]
+        value *= p
+        value += acc * acc * carried[picked]
+        value -= 0.5 * outlet * outlet
+        value += fresh_sq
+        value *= 0.5 * h
+        a_sq_picked = a * a
+        value += 0.5 * a_sq_picked
         # one direct correlation over the windows from the first output row
         # to the last (a direct sum of positive terms keeps relative accuracy
         # where an FFT would not)
         sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
-        value += 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
-        energies.extend(value.tolist())
+        history_terms = 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
+        value += history_terms
+        values = value.tolist()
+        # the energies are not negative, so their sum bounds each of them
+        finite = -direct_above < sum(values) < direct_above
+        if not finite:
+            # Near the top of the float range an energy is the trapezoid sum
+            # of its squared profile, which leaves the range where a
+            # sample's square does.
+            weights = _trapezoid_weights(c.size, h)
+            for m in np.flatnonzero(~(np.abs(value) < direct_above)).tolist():
+                i = at[m]
+                row = _profile(c, p[m], acc[m], powers, sources[:i]) if i else c
+                value[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
+                value[m] += history_terms[m]
+            values = value.tolist()
+            finite = bool(np.isfinite(value).all())
+        energies.extend(values)
         a_sq.extend(a_sq_picked.tolist())
-        c_l.extend(chosen[:, -1].tolist())
+        c_l.extend(outlet.tolist())
         if keep_states:
-            for i, c, a in zip(at, chosen, a_rows[picked]):
+            for i, (a_i, p_i, acc_i, _, _) in zip(at, table[picked].tolist()):
                 window = buf[i : i + n_tau + 1][::-1].copy()
                 k = k0 + i
+                profile = _profile(c, p_i, acc_i, powers, sources[:i]) if i else c.copy()
                 states.append(
-                    SimState(k * dt, k, c.copy(), a, window, dt, n_tau, state.tau_rounding_error)
+                    SimState(k * dt, k, profile, a_i, window, dt, n_tau, state.tau_rounding_error)
                 )
-        return bool(np.isfinite(value).all())
+        return finite
 
-    advance = _advance_fn(params, dt, n_tau)
+    march = _march_fn(params, dt, n_tau)
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -398,17 +472,23 @@ def run(
         history_weights = _history_weights(params, config.gamma, dt, n_tau)
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
-            a_rows = [a]
-            for i in range(n):
-                a = advance(a, buf, i, src[i], dst[i])
-                a_rows.append(a)
-                buf[i + n_tau + 1] = block.item(i + 1, -1)
+            lag = buf[: min(n, n_tau) + 1].tolist()
+            steps_taken, sources = march(c, a, lag, n)
+            buf[n_tau + 1 : n_tau + 1 + n] = lag[-n:]
+            # row i is (a, d**i, S_i, F_i, c(l)) after i steps; row 0's F is
+            # -c[0]**2/2, since the carried-over sum weighs its inflow sample
+            # h where the trapezoid weighs it h/2
+            head = c.item(0)
+            table = np.array([a, 1.0, 0.0, -0.5 * head * head, c.item(-1), *steps_taken])
+            table = table.reshape(n + 1, 5)
+            powers = table[:, 1].tolist()
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
-            finite = take(k0, slice(first, n + 1, stride), a_rows)
+            finite = take(k0, slice(first, n + 1, stride))
             if k0 + n == n_steps and n_steps % stride:
-                finite &= take(k0, slice(n, n + 1), a_rows)
-            block[0] = block[n]
+                finite &= take(k0, slice(n, n + 1))
+            a = steps_taken[-5]
+            c = _profile(c, powers[n], steps_taken[-3], powers, sources)
             buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
             # a non-finite activation makes every later energy non-finite

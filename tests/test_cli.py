@@ -550,8 +550,9 @@ class TestSimulate:
             if k:
                 state = step(state, p)
             assert row[0] == repr(state.t)
-            assert row[2] == repr(state.a * state.a)
-            assert row[3] == repr(float(state.c[-1]))
+            # run sums each block's steps in closed form, step one at a time
+            assert float(row[2]) == pytest.approx(state.a * state.a, rel=1e-15)
+            assert float(row[3]) == pytest.approx(float(state.c[-1]), rel=1e-15, abs=1e-15)
         assert len(rows) == 21
 
     def test_zero_profile_flag(self, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ class TestFarNegativeDecay:
         assert beta_on_axis(fixed, 0.5, 1.0) == pytest.approx(1.0382629750854185e-306, rel=1e-12)
         result = trace_boundary(fixed, 1.0, 3, 1.0)
         assert len(result.points) == 3 and result.failures == ()
+
+    def test_axis_gain_of_a_tube_whose_l_over_f_underflows_warns_nothing(self):
+        # l/f = 1e-600 underflows to 0, so D is 0 and every sample a pole:
+        # the gain is NaN there without a division
+        fixed = (1.0, 1.0, 1e-300, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain = region._axis_gain(fixed, np.linspace(0.0, 5.0, 7))
+            result = trace_boundary(fixed, 1.0, 3, 5.0)
+        assert np.isnan(gain).all()
+        assert result.points == () and len(result.failures) == 12000
 
 
 class TestDelayPastExpOverflow:

@@ -342,11 +342,53 @@ class TestRun:
                 run(params, cfg, sine_profile(10000.0), 1.0, zero_fn)
 
 
+def exact_outputs(p, cfg, stride, mpmath):
+    """The states of step's discrete scheme at the outputs, in 50-digit
+    arithmetic from init_state's samples and the float coefficients step
+    computes: (c, a, history) per output, as lists of mpf."""
+    state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
+    dt, n_tau = state.dt, state.n_tau
+    mpf = mpmath.mpf
+    decay_a, gain_a = mpf(math.exp(-p.alpha * dt)), mpf(-math.expm1(-p.alpha * dt))
+    if p.delta == 0.0:
+        decay_c, gain_c, delta = mpf(1), mpf(dt), mpf(1)
+    else:
+        decay_c, gain_c = mpf(math.exp(-p.delta * dt)), mpf(-math.expm1(-p.delta * dt))
+        delta = mpf(p.delta)
+    alpha, beta = mpf(p.alpha), mpf(p.beta)
+    c, a = [mpf(x) for x in state.c], mpf(state.a)
+    history = [mpf(x) for x in state.history]  # newest first
+    n_steps = math.ceil(cfg.t_final / dt - 1e-9)
+    outputs = []
+    for k in range(n_steps + 1):
+        if k % stride == 0 or k == n_steps:
+            outputs.append((c, a, history))
+        delayed = (history[-1] + history[-2]) / 2 if n_tau else history[-1]
+        a_new = a * decay_a + delayed * gain_a / alpha
+        s = beta * (a + a_new) / 2 * gain_c / delta
+        c = [mpf(0)] + [x * decay_c + s for x in c[:-1]]
+        history = [c[-1]] + history[:-1]
+        a = a_new
+    return outputs
+
+
+def deviation(values, exact) -> float:
+    """The largest |value - exact| over two sequences of one length."""
+    return max(abs(float(x - y)) for x, y in zip(values, exact))
+
+
+# The largest deviation from exact_outputs of run or of a step loop on
+# TestFlatRun's runs, in units of the run's largest |c| (c and history) and
+# largest |a|; run reaches 3.2e-16 and the step loop 3.0e-16.
+EXACT_TOL = 1e-15
+
+
 class TestFlatRun:
-    # run's single loop against the public single-step API.  Blocks (_ROWS)
-    # of 1 and 3 steps shift the outflow buffer many times, also below
-    # n_tau = 5, and put outputs at every phase of a block edge, also with
-    # outputs at every step.
+    # run's block loop and a loop of the public single-step API, each
+    # against the same scheme in exact arithmetic.  Blocks (_ROWS) of 1 and
+    # 3 steps shift the outflow buffer many times, also below n_tau = 5, and
+    # put outputs at every phase of a block edge, also with outputs at every
+    # step.
     @pytest.mark.parametrize(
         "patches, stride",
         [
@@ -368,6 +410,7 @@ class TestFlatRun:
         ],
     )
     def test_states_match_step_loop(self, p, patches, stride, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
         for name, value in patches.items():
             monkeypatch.setattr(simulator, name, value)
         cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=stride)
@@ -381,19 +424,28 @@ class TestFlatRun:
             if k < n_steps:
                 state = step(state, p)
         assert stride == 1 or n_steps % stride != 0  # n_steps is off the stride
-        assert len(trace.states) == len(etrace.samples) == len(expected)
-        for got, want, sample in zip(trace.states, expected, etrace.samples):
-            assert got.step_index == want.step_index
-            assert got.t == want.t == sample.t
-            assert np.array_equal(got.c, want.c)
-            assert got.a == want.a
-            assert np.array_equal(got.history, want.history)
-            assert sample.a_sq == want.a * want.a
-            assert sample.c_l == want.c[-1]
-            ref = energy(want, p, cfg.gamma)
-            assert abs(sample.energy - ref) <= 1e-13 * ref
-            for value in (sample.t, sample.energy, sample.a_sq, sample.c_l, got.a):
-                assert type(value) is float
+        with mpmath.workdps(50):
+            exact = exact_outputs(p, cfg, stride, mpmath)
+            c_max = max(abs(x) for c, _, _ in exact for x in c)
+            a_max = max(abs(a) for _, a, _ in exact)
+            assert len(trace.states) == len(etrace.samples) == len(expected) == len(exact)
+            for got, want, sample, (c, a, history) in zip(
+                trace.states, expected, etrace.samples, exact
+            ):
+                assert got.step_index == want.step_index
+                assert got.t == want.t == sample.t
+                for state in (got, want):
+                    assert deviation(state.c, c) <= EXACT_TOL * c_max
+                    assert deviation([state.a], [a]) <= EXACT_TOL * a_max
+                    assert deviation(state.history, history) <= EXACT_TOL * c_max
+                assert sample.a_sq == got.a * got.a
+                assert sample.c_l == got.c[-1]
+                if got.step_index:
+                    assert got.history[0] == got.c[-1]
+                ref = energy(want, p, cfg.gamma)
+                assert abs(sample.energy - ref) <= 1e-13 * ref
+                for value in (sample.t, sample.energy, sample.a_sq, sample.c_l, got.a):
+                    assert type(value) is float
 
     def test_default_run_keeps_no_states(self):
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
@@ -432,10 +484,9 @@ class TestFlatRun:
         assert [s.t for s in etrace.samples] == pytest.approx([0, 500, 1000, 1500, 2000])
         assert peak < 20_000 * 8
 
-    def test_profile_block_is_capped_at_large_nx(self):
-        # nx = 20000 fits two rows in _BLOCK_FLOATS, so 250 steps cross 125
-        # profile blocks; 128 rows would hold 2.6 million floats, and twice
-        # that with their squares
+    def test_large_nx_holds_a_few_profiles(self):
+        # nx = 20000: a run holds a few profiles and their prefix sums, and
+        # a block's outflow buffer and step records, never a profile per step
         nx = 20_000
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
         cfg = SimConfig(nx=nx, t_final=0.0125, gamma=1.0, output_stride=100)
@@ -446,7 +497,7 @@ class TestFlatRun:
         finally:
             tracemalloc.stop()
         assert [s.t for s in etrace.samples] == pytest.approx([0, 0.005, 0.01, 0.0125])
-        assert peak < (2 * simulator._BLOCK_FLOATS + 10 * (nx + 1)) * 8
+        assert peak < (8 * (nx + 1) + 32 * simulator._ROWS) * 8
 
     def test_nothing_per_output_is_held_before_the_first_step(self, monkeypatch):
         # 1e6 steps at stride 1: a list of the output steps built up front
@@ -457,7 +508,7 @@ class TestFlatRun:
         def refuse(*args):
             raise Stop
 
-        monkeypatch.setattr(simulator, "_advance_fn", refuse)
+        monkeypatch.setattr(simulator, "_march_fn", refuse)
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
         tracemalloc.start()
         try:
@@ -501,22 +552,69 @@ class TestOverflow:
 
     def test_run_stops_at_the_block_that_overflows(self, monkeypatch):
         steps = []
-        make = simulator._advance_fn
+        make = simulator._march_fn
 
         def counting(*args):
-            advance = make(*args)
+            march = make(*args)
 
-            def counted(*step_args):
-                steps.append(None)
-                return advance(*step_args)
+            def counted(c, a, lag, n):
+                steps.extend([None] * n)
+                return march(c, a, lag, n)
 
             return counted
 
-        monkeypatch.setattr(simulator, "_advance_fn", counting)
+        monkeypatch.setattr(simulator, "_march_fn", counting)
         cfg = SimConfig(nx=10, t_final=2000, gamma=1)
         with pytest.raises(SimulationOverflow):
             run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
         assert 2410 <= len(steps) < 2410 + simulator._ROWS
+
+    def test_decay_factor_squared_past_the_float_range_stays_finite(self):
+        # delta*dt = -40: d**20 = exp(800) overflows while d**10*c does not;
+        # a block of nx = 10 steps keeps every energy finite, up to 2.87e110
+        p = SystemParams(1, 0.5, -400, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, etrace = run(p, cfg, lambda x: 1e-100 * math.sin(math.pi * x), 0.0, zero_fn)
+        assert np.isfinite(etrace.energies).all()
+        assert etrace.energies.max() == pytest.approx(2.87e110, rel=1e-3)
+
+    @pytest.mark.parametrize("delta", [-1000, -4000, -7000])
+    def test_zero_state_past_the_float_range_stays_zero(self, delta):
+        # delta*dt = -100, -400 and -700: d**10 is inf, and inf*0 would be
+        # NaN; the zero state stays exactly zero
+        p = SystemParams(1, 0, delta, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, etrace = run(p, cfg, zero_fn, 0.0, zero_fn)
+        assert etrace.energies.tolist() == [0.0] * 11
+
+    def test_tiny_decay_rate_runs_like_zero_decay(self):
+        # delta*dt = 1e-308: 708/(delta*dt), the block length at which d**n
+        # would leave the normal float range, is inf
+        p = SystemParams(1, 0.5, 1e-307, 1, 1, 0.3)
+        _, tiny = run(p, SimConfig(10, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        _, zero = run(SystemParams(1, 0.5, 0.0, 1, 1, 0.3), SimConfig(10, 1.0),
+                      sine_profile(1.0), 1.0, zero_fn)
+        assert tiny.energies.tolist() == pytest.approx(zero.energies.tolist(), rel=1e-15)
+
+    def test_decay_factor_zero_matches_the_step_loop(self):
+        # delta*dt = 1000: d = exp(-1000) is 0.0, so each profile is the
+        # last step's source behind the inflow, one step per block
+        p = SystemParams(1, 0.5, 1e4, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=3.0, gamma=1.0)
+        trace, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
+        state = init_state(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        for got, sample in zip(trace.states, etrace.samples):
+            assert np.array_equal(got.c, state.c) and got.a == state.a
+            assert np.array_equal(got.history, state.history)
+            # within a few roundings: energy's dot may sum in another order
+            assert sample.energy == pytest.approx(energy(state, p, 1.0), rel=1e-15)
+            state = step(state, p)
+        # the last energy as the profile-block run computed it
+        assert etrace.samples[-1].energy == pytest.approx(0.0012398431614528737, rel=1e-15)
 
 
 class TestFitDecayRate:

@@ -95,6 +95,14 @@ INVOCATIONS = [
     " --t-final 20000",
     # l/f = 1e-15: the gain has no pole at delta > 0, so every crossing is a row.
     "trace-r0 --alpha 1 --delta 1 --l 1e-15 --f 1 --tau-max 1 --steps 3 --omega-max 5",
+    # tau = 0: each step's delayed sample is the outlet of the step before.
+    f"simulate {ONES} --beta 0.5 --tau 0 --nx 10 --t-final 5",
+    # nx = 2: blocks of two steps.
+    f"simulate {POINT} --nx 2 --t-final 5",
+    # delta < 0: the profile grows along the tube.
+    "simulate --alpha 1 --delta=-0.7 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 5",
+    # The README-size run (nx = 400, n_tau = 2000) up to t = 20.
+    f"simulate {ONES} --beta 0.5 --tau 5 --nx 400 --t-final 20",
     # No crossing: the SVG draws the default frame's axes alone.
     "trace-r0 --alpha 1e-300 --delta 1 --l 1 --f 1 --steps 3 --tau-max 1 --omega-max 0.001"
     " --format svg",
