@@ -5,14 +5,15 @@ unit CFL (dt = dx/f), which makes advection and self-decay exact; the
 activation ODE uses its exact integrating-factor update with the delayed
 boundary trace held over each step.  ``run`` integrates by the method of
 steps (Bellen & Zennaro, Numerical Methods for Delay Differential
-Equations, OUP 2003): over a block of up to nx steps the profile is a
-closed form in the profile the block starts from and the steps' sources, so
-each step advances only the outlet and the activation, as floats, and c(l,
-.) goes into a buffer that holds the delay windows of the block's steps.
-When the block ends it evaluates the energies of its output steps at once,
-their c-integrals from prefix sums of the start profile and their history
-terms as one correlation, and the buffer shifts by the block's steps.  A
-run whose energy leaves the floating-point range raises SimulationOverflow.
+Equations, OUP 2003): over up to nx steps the profile is a closed form in
+the profile those steps start from and their sources, so each step advances
+only the outlet and the activation, as floats.  A block of steps chains such
+segments, and c(l, .) goes into a buffer that holds the delay windows of
+the block's steps.  When the block ends it evaluates the energies of its
+output steps at once, their c-integrals from prefix sums of the segments'
+start profiles and their history terms as one correlation, and the buffer
+shifts by the block's steps.  A run whose energy leaves the floating-point
+range raises SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
@@ -195,19 +196,23 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
 def _march_fn(params: SystemParams, dt: float, n_tau: int):
     """The n-step update for this step size, its exponentials computed once.
 
-    march(c, a, lag, n) takes n <= nx steps from the profile c and the
-    activation a.  lag holds c(l, .) oldest first from the oldest delayed
-    sample the first step reads, through at least the second (the head
-    alone at n_tau = 0); march appends the n new outlet values to it.  Over
-    the n steps the profile has a closed form in c: with d = exp(-delta*dt),
-    the step's source s_i = beta*a_mid*(1 - d)/delta (dt at delta = 0) and
-    S_{i+1} = d*S_i + s_i, c_j after i steps is d**i*c[j-i] + S_i for
-    j >= i.  So each step is a few float operations on the outlet c[nx-i]
-    alone.  march returns the sources s_0..s_{n-1} and a flat table of
-    (a, d**i, S_i, F_i, c(l)) after each step i = 1..n, where F_i is the sum
-    of the squares of the i - 1 samples 0 < j < i fed after the start.  A
-    delta*dt below about -709.78, whose decay factor exp(-delta*dt) is past
-    the floating-point range, raises SimulationOverflow.
+    march(c, a, lag, n) takes n steps from the profile c and the activation
+    a.  lag holds c(l, .) oldest first from the oldest delayed sample the
+    first step reads, through at least the second (the head alone at n_tau
+    = 0); march appends the n new outlet values to it.  The steps go in
+    segments of nx, each from the profile it starts from, which is c for
+    the first.  Over a segment the profile has a closed form in its start:
+    with d = exp(-delta*dt), the step's source s_i = beta*a_mid*(1 -
+    d)/delta (dt at delta = 0) and S_{r+1} = d*S_r + s_r, sample j after r
+    steps is d**r*start[j-r] + S_r for j >= r.  So each step is a few float
+    operations on the outlet start[nx-r] alone, and the next segment's
+    start is the samples fed over this one.  march returns a flat table of
+    (a, d**r, S_r, F_r, c(l)) after each step, where r counts the steps of
+    its segment, up to nx, and F_r is the sum of the squares of the r - 1
+    samples 0 < j < r fed in the segment; the sources s_0..s_{n-1}; and the
+    start of every segment after the first, as a list.  A delta*dt below
+    about -709.78, whose decay factor exp(-delta*dt) is past the
+    floating-point range, raises SimulationOverflow.
     """
     alpha, beta = params.alpha, params.beta
     decay_a = math.exp(-alpha * dt)
@@ -226,30 +231,42 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
             ) from None
     lagged = n_tau >= 1
 
-    def march(c: np.ndarray, a: float, lag: list, n: int) -> tuple[list, list]:
-        outlets = c[-1 - n : -1].tolist()
-        # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
-        p, acc, fresh_sq, fresh = 1.0, -0.0, 0.0, 0.0
-        table, sources = [], []
-        for i in range(n):
-            # z(1, .) over [t, t+dt] spans the two oldest delay samples;
-            # their average keeps the coupling second order (tau = 0 has
-            # only the head)
-            delayed = 0.5 * (lag[i] + lag[i + 1]) if lagged else lag[i]
-            a_new = a * decay_a + delayed * gain_a / alpha
-            s = beta * (0.5 * (a + a_new)) * gain_c / delta
-            # the sum of squares and the sum of the fed samples after step
-            # i + 1, which are s_i at j = 1 and d*c[j-1] + s_i at 1 < j <= i
-            fresh_sq = d * (d * fresh_sq + 2.0 * s * fresh) + i * s * s
-            fresh = d * fresh + i * s
-            p *= d
-            acc = acc * d + s
-            c_l = p * outlets[n - 1 - i] + acc
-            lag.append(c_l)
-            sources.append(s)
-            table += (a_new, p, acc, fresh_sq, c_l)
-            a = a_new
-        return table, sources
+    def march(c: np.ndarray, a: float, lag: list, n: int) -> tuple[list, list, list]:
+        nx = c.size - 1
+        m = min(n, nx)
+        powers = [1.0, *accumulate(repeat(d, m), mul)]
+        # after r + 1 steps of a segment the outlet holds start[nx - 1 - r]
+        outlets = c[nx - m : nx].tolist()[::-1]
+        table, sources, starts = [], [], []
+        i = 0
+        while i < n:
+            if i:
+                # the profile after i steps: the samples fed since the last
+                # start behind the pinned inflow, and the outlet
+                fed = accumulate(map(mul, powers, reversed(sources[i - nx + 1 :])))
+                starts.append([0.0, *fed, c_l])
+                outlets = starts[-1][-2::-1]
+            # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
+            acc, fresh_sq, fresh = -0.0, 0.0, 0.0
+            for r, p, outlet in zip(range(min(nx, n - i)), powers[1:], outlets):
+                # z(1, .) over [t, t+dt] spans the two oldest delay samples;
+                # their average keeps the coupling second order (tau = 0 has
+                # only the head)
+                delayed = 0.5 * (lag[i] + lag[i + 1]) if lagged else lag[i]
+                a_new = a * decay_a + delayed * gain_a / alpha
+                s = beta * (0.5 * (a + a_new)) * gain_c / delta
+                # the sum of squares and the sum of the fed samples after r +
+                # 1 steps, which are s at j = 1 and d*c[j-1] + s at 1 < j <= r
+                fresh_sq = d * (d * fresh_sq + 2.0 * s * fresh) + r * s * s
+                fresh = d * fresh + r * s
+                acc = acc * d + s
+                c_l = p * outlet + acc
+                lag.append(c_l)
+                sources.append(s)
+                table += (a_new, p, acc, fresh_sq, c_l)
+                a = a_new
+                i += 1
+        return table, sources, starts
 
     return march
 
@@ -274,7 +291,7 @@ def step(state: SimState, params: SystemParams) -> SimState:
     driven by the delayed trace averaged over the step."""
     march = _march_fn(params, state.dt, state.n_tau)
     lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
-    (a_new, p, acc, _, c_l), sources = march(state.c, state.a, lag, 1)
+    (a_new, p, acc, _, c_l), sources, _ = march(state.c, state.a, lag, 1)
     history = np.empty_like(state.history)
     history[0] = c_l
     history[1:] = state.history[:-1]
@@ -342,10 +359,10 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
     return value
 
 
-# Steps per block: run takes up to this many steps, and at most nx, from the
-# profile the block starts from, and takes the energies of its output rows
-# at once when the block ends.  The cap bounds the block's step records and
-# outflow buffer at large nx.
+# Steps per block: run takes up to this many steps, in segments of nx from
+# the profile each starts from, and takes the energies of its output rows at
+# once when the block ends.  The cap bounds the block's step records and
+# outflow buffer.
 _ROWS = 127
 
 
@@ -366,15 +383,19 @@ def run(
     t_final=0.55 at dt=0.1 ends at t = 0.6000000000000001.
 
     It steps by the method of steps (Bellen & Zennaro, Numerical Methods for
-    Delay Differential Equations, OUP 2003): a block of n <= nx steps is a
-    closed form in the profile c it starts from, so only the outlet and the
-    activation are stepped, as floats, and no array is touched per step.
-    An output row's c-integral is d**i*(d**i*A2 + 2*S_i*A1) + S_i**2*(D+1)
-    over the D+1 = nx+1-i samples carried over from c, where A2 and A1 are
-    prefix sums of c**2 and c, plus the fed samples' F_i; the history term
-    is a direct correlation over the outputs' delay windows, and the next
-    block starts from the profile in closed form.  A block also stops where
-    d**n would leave the normal floating-point range.
+    Delay Differential Equations, OUP 2003): a block of up to _ROWS steps
+    goes in segments of nx, each a closed form in the profile it starts
+    from, so only the outlet and the activation are stepped, as floats, and
+    no array is touched per step.  An output's c-integral, r steps into its
+    segment, is d**r*(d**r*A2 + 2*S_r*A1) + S_r**2*(D+1) over the D+1 =
+    nx+1-r samples carried over from the segment's start, where A2 and A1
+    are prefix sums of start**2 and start, plus the fed samples' F_r; the
+    history term is a direct correlation over the outputs' delay windows,
+    and the next block starts from the profile in closed form.  A block
+    also stops where d**n would leave the normal floating-point range.  An
+    output whose energy nears the top of that range, or, where delta < 0,
+    one small enough that a square which underflowed may weigh in it, is
+    summed directly from its profile.
 
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
@@ -398,18 +419,37 @@ def run(
     # buf[i : i + n_tau + 1] is the delay window after k0 + i steps; it
     # shifts by the block's steps when the block ends.  A block stops where
     # d**n would leave the normal float range.
+    nx = config.nx
     decay = abs(params.delta) * dt
-    rows = max(1, int(min(_ROWS, config.nx, 708.0 / decay if decay else _ROWS)))
+    rows = max(1, int(min(_ROWS, 708.0 / decay if decay else _ROWS)))
     c = state.c
     buf = np.empty(n_tau + 1 + rows)
     buf[: n_tau + 1] = state.history[::-1]
-    h = params.l / config.nx
-    # the D + 1 = nx + 1 - i samples carried over from c after i steps
-    carried = np.arange(config.nx + 1, 0, -1.0)
-    # An energy below this bound has no sample whose square leaves the
-    # float range: c_j**2 <= 4*energy/h.
+    h = params.l / nx
+    # An energy below direct_above has no sample whose square leaves the
+    # float range: c_j**2 <= 4*energy/h.  Where d > 1 (delta < 0), the
+    # squares and products in an energy's sums that underflowed, at most
+    # 4*(nx + 1), are each off by at most 2**-1074 and scaled up by at most
+    # p**2 = d**2r; an energy of at least below*p**2 lost less than a
+    # rounding to them.
     direct_above = sys.float_info.max * min(h, 1.0) / 8.0
+    below = (nx + 1) * h * 2.0**-1020 if params.delta < 0.0 else 0.0
+    # Step i of a block is r = i - b*nx steps into segment b = (i - 1)//nx
+    # (b = 0 at i = 0), whose D + 1 samples carried over are d**r*start[q] +
+    # S_r at q <= D = nx - r; their prefix sums are at b*(nx + 1) + D.
+    index = np.arange(rows + 1)
+    segment = np.maximum(index - 1, 0) // nx
+    depth = (segment + 1) * nx - index
+    prefix_at = segment * (nx + 1) + depth
+    carried = depth + 1.0
     energies, a_sq, c_l, states = [], [], [], []
+
+    def profile(i: int, p: float, acc: float) -> np.ndarray:
+        # the profile after i steps of the block, from its segment's start
+        if not i:
+            return c.copy()
+        b = (i - 1) // nx
+        return _profile(starts[b], p, acc, powers, sources[b * nx : i])
 
     def take(k0: int, picked: slice) -> bool:
         # record the outputs at table[picked], after i steps of the block
@@ -418,10 +458,11 @@ def run(
         if not at:
             return True
         a, p, acc, fresh_sq, outlet = table[picked].T
-        # sum_j c_j**2 over the samples carried over, d**i*c[q] + S_i at
-        # q <= D, from prefix sums of c**2 and c at D, plus the fed ones
-        value = p * (c * c).cumsum()[::-1][picked]
-        value += (acc + acc) * c.cumsum()[::-1][picked]
+        # sum_j c_j**2 over the samples carried over from prefix sums of
+        # start**2 and start, plus the fed ones
+        at_depth = prefix_at[picked]
+        value = p * np.square(starts).cumsum(axis=1).ravel()[at_depth]
+        value += (acc + acc) * starts.cumsum(axis=1).ravel()[at_depth]
         value *= p
         value += acc * acc * carried[picked]
         value -= 0.5 * outlet * outlet
@@ -438,14 +479,16 @@ def run(
         values = value.tolist()
         # the energies are not negative, so their sum bounds each of them
         finite = -direct_above < sum(values) < direct_above
-        if not finite:
-            # Near the top of the float range an energy is the trapezoid sum
-            # of its squared profile, which leaves the range where a
-            # sample's square does.
-            weights = _trapezoid_weights(c.size, h)
-            for m in np.flatnonzero(~(np.abs(value) < direct_above)).tolist():
-                i = at[m]
-                row = _profile(c, p[m], acc[m], powers, sources[:i]) if i else c
+        if below or not finite:
+            # An energy near the top of the float range, or one so small
+            # that a square which underflowed may weigh in it once d**r > 1
+            # scales it up, is the trapezoid sum of its squared profile: that
+            # sum leaves the range where a sample's square does, and squares
+            # each sample only once d**r has scaled it.
+            weights = _trapezoid_weights(nx + 1, h)
+            direct = ~((below * p * p <= value) & (value < direct_above))
+            for m in np.flatnonzero(direct).tolist():
+                row = profile(at[m], p[m], acc[m])
                 value[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
                 value[m] += history_terms[m]
             values = value.tolist()
@@ -457,9 +500,9 @@ def run(
             for i, (a_i, p_i, acc_i, _, _) in zip(at, table[picked].tolist()):
                 window = buf[i : i + n_tau + 1][::-1].copy()
                 k = k0 + i
-                profile = _profile(c, p_i, acc_i, powers, sources[:i]) if i else c.copy()
                 states.append(
-                    SimState(k * dt, k, profile, a_i, window, dt, n_tau, state.tau_rounding_error)
+                    SimState(k * dt, k, profile(i, p_i, acc_i), a_i, window, dt, n_tau,
+                             state.tau_rounding_error)
                 )
         return finite
 
@@ -473,22 +516,24 @@ def run(
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
             lag = buf[: min(n, n_tau) + 1].tolist()
-            steps_taken, sources = march(c, a, lag, n)
+            steps_taken, sources, later = march(c, a, lag, n)
             buf[n_tau + 1 : n_tau + 1 + n] = lag[-n:]
-            # row i is (a, d**i, S_i, F_i, c(l)) after i steps; row 0's F is
+            # the profiles the block's segments start from, c first
+            starts = np.array([c, *later])
+            # row i is (a, d**r, S_r, F_r, c(l)) after i steps; row 0's F is
             # -c[0]**2/2, since the carried-over sum weighs its inflow sample
             # h where the trapezoid weighs it h/2
             head = c.item(0)
             table = np.array([a, 1.0, 0.0, -0.5 * head * head, c.item(-1), *steps_taken])
             table = table.reshape(n + 1, 5)
-            powers = table[:, 1].tolist()
+            powers = table[: min(n, nx) + 1, 1].tolist()
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
             finite = take(k0, slice(first, n + 1, stride))
             if k0 + n == n_steps and n_steps % stride:
                 finite &= take(k0, slice(n, n + 1))
-            a = steps_taken[-5]
-            c = _profile(c, powers[n], steps_taken[-3], powers, sources)
+            a, p, acc = steps_taken[-5:-2]
+            c = profile(n, p, acc)
             buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
             # a non-finite activation makes every later energy non-finite

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -383,69 +384,96 @@ def deviation(values, exact) -> float:
 EXACT_TOL = 1e-15
 
 
+# run's block loop against a loop of the public single-step API, and both
+# against the same scheme in exact arithmetic.  Blocks (_ROWS) of 1 and 3
+# steps shift the outflow buffer many times, also below n_tau = 5, and put
+# outputs at every phase of a block edge, also with outputs at every step;
+# blocks of 21 and of 127 steps chain segments of nx = 16 steps, the first
+# ending part way through a segment.
+FLAT_BLOCKS = pytest.mark.parametrize(
+    "patches, stride",
+    [
+        pytest.param({}, 5, id="None"),
+        pytest.param({}, 1, id="stride1"),
+        pytest.param({"_ROWS": 1}, 5, id="rows1"),
+        pytest.param({"_ROWS": 3}, 5, id="rows3"),
+        pytest.param({"_ROWS": 1}, 1, id="rows1-stride1"),
+        pytest.param({"_ROWS": 3}, 1, id="rows3-stride1"),
+        pytest.param({"_ROWS": 21}, 5, id="rows21"),
+        pytest.param({"_ROWS": 21}, 1, id="rows21-stride1"),
+    ],
+)
+FLAT_PARAMS = pytest.mark.parametrize(
+    "p",
+    [
+        SystemParams(1, 0.5, 1, 1, 1, 0.3),
+        SystemParams(1, 0.5, 1, 1, 1, 0.0),  # n_tau == 0
+        SystemParams(1.3, 0.7, 0.0, 1, 1, 0.4),  # delta == 0
+        SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
+    ],
+)
+FLAT_CONFIG = dict(nx=16, t_final=3.0, gamma=0.7)
+
+
+def flat_run(p, patches, stride, monkeypatch):
+    """run's states and energies on a TestFlatRun case, and a step loop's
+    states at the same outputs."""
+    for name, value in patches.items():
+        monkeypatch.setattr(simulator, name, value)
+    cfg = SimConfig(**FLAT_CONFIG, output_stride=stride)
+    trace, etrace = run(p, cfg, sine_profile(p.l), 1.0, zero_fn, keep_states=True)
+    state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
+    n_steps = math.ceil(cfg.t_final / state.dt - 1e-9)
+    expected = []
+    for k in range(n_steps + 1):
+        if k % stride == 0 or k == n_steps:
+            expected.append(state)
+        if k < n_steps:
+            state = step(state, p)
+    assert stride == 1 or n_steps % stride != 0  # n_steps is off the stride
+    assert len(trace.states) == len(etrace.samples) == len(expected)
+    return trace, etrace, expected
+
+
 class TestFlatRun:
-    # run's block loop and a loop of the public single-step API, each
-    # against the same scheme in exact arithmetic.  Blocks (_ROWS) of 1 and
-    # 3 steps shift the outflow buffer many times, also below n_tau = 5, and
-    # put outputs at every phase of a block edge, also with outputs at every
-    # step.
-    @pytest.mark.parametrize(
-        "patches, stride",
-        [
-            pytest.param({}, 5, id="None"),
-            pytest.param({}, 1, id="stride1"),
-            pytest.param({"_ROWS": 1}, 5, id="rows1"),
-            pytest.param({"_ROWS": 3}, 5, id="rows3"),
-            pytest.param({"_ROWS": 1}, 1, id="rows1-stride1"),
-            pytest.param({"_ROWS": 3}, 1, id="rows3-stride1"),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "p",
-        [
-            SystemParams(1, 0.5, 1, 1, 1, 0.3),
-            SystemParams(1, 0.5, 1, 1, 1, 0.0),  # n_tau == 0
-            SystemParams(1.3, 0.7, 0.0, 1, 1, 0.4),  # delta == 0
-            SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
-        ],
-    )
+    @FLAT_BLOCKS
+    @FLAT_PARAMS
     def test_states_match_step_loop(self, p, patches, stride, monkeypatch):
+        trace, etrace, expected = flat_run(p, patches, stride, monkeypatch)
+        # each is within EXACT_TOL of the exact scheme (test below)
+        c_max = max(np.abs(state.c).max() for state in expected)
+        a_max = max(abs(state.a) for state in expected)
+        for got, want, sample in zip(trace.states, expected, etrace.samples):
+            assert got.step_index == want.step_index
+            assert got.t == want.t == sample.t
+            assert deviation(got.c, want.c) <= 2 * EXACT_TOL * c_max
+            assert deviation([got.a], [want.a]) <= 2 * EXACT_TOL * a_max
+            assert deviation(got.history, want.history) <= 2 * EXACT_TOL * c_max
+            assert sample.a_sq == got.a * got.a
+            assert sample.c_l == got.c[-1]
+            if got.step_index:
+                assert got.history[0] == got.c[-1]
+            ref = energy(want, p, FLAT_CONFIG["gamma"])
+            assert abs(sample.energy - ref) <= 1e-13 * ref
+            for value in (sample.t, sample.energy, sample.a_sq, sample.c_l, got.a):
+                assert type(value) is float
+
+    @FLAT_BLOCKS
+    @FLAT_PARAMS
+    def test_states_match_exact_scheme(self, p, patches, stride, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
-        for name, value in patches.items():
-            monkeypatch.setattr(simulator, name, value)
-        cfg = SimConfig(nx=16, t_final=3.0, gamma=0.7, output_stride=stride)
-        trace, etrace = run(p, cfg, sine_profile(p.l), 1.0, zero_fn, keep_states=True)
-        state = init_state(p, cfg, sine_profile(p.l), 1.0, zero_fn)
-        n_steps = math.ceil(cfg.t_final / state.dt - 1e-9)
-        expected = []
-        for k in range(n_steps + 1):
-            if k % stride == 0 or k == n_steps:
-                expected.append(state)
-            if k < n_steps:
-                state = step(state, p)
-        assert stride == 1 or n_steps % stride != 0  # n_steps is off the stride
+        trace, _, expected = flat_run(p, patches, stride, monkeypatch)
+        cfg = SimConfig(**FLAT_CONFIG, output_stride=stride)
         with mpmath.workdps(50):
             exact = exact_outputs(p, cfg, stride, mpmath)
             c_max = max(abs(x) for c, _, _ in exact for x in c)
             a_max = max(abs(a) for _, a, _ in exact)
-            assert len(trace.states) == len(etrace.samples) == len(expected) == len(exact)
-            for got, want, sample, (c, a, history) in zip(
-                trace.states, expected, etrace.samples, exact
-            ):
-                assert got.step_index == want.step_index
-                assert got.t == want.t == sample.t
+            assert len(exact) == len(expected)
+            for got, want, (c, a, history) in zip(trace.states, expected, exact):
                 for state in (got, want):
                     assert deviation(state.c, c) <= EXACT_TOL * c_max
                     assert deviation([state.a], [a]) <= EXACT_TOL * a_max
                     assert deviation(state.history, history) <= EXACT_TOL * c_max
-                assert sample.a_sq == got.a * got.a
-                assert sample.c_l == got.c[-1]
-                if got.step_index:
-                    assert got.history[0] == got.c[-1]
-                ref = energy(want, p, cfg.gamma)
-                assert abs(sample.energy - ref) <= 1e-13 * ref
-                for value in (sample.t, sample.energy, sample.a_sq, sample.c_l, got.a):
-                    assert type(value) is float
 
     def test_default_run_keeps_no_states(self):
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
@@ -569,16 +597,42 @@ class TestOverflow:
             run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
         assert 2410 <= len(steps) < 2410 + simulator._ROWS
 
-    def test_decay_factor_squared_past_the_float_range_stays_finite(self):
-        # delta*dt = -40: d**20 = exp(800) overflows while d**10*c does not;
-        # a block of nx = 10 steps keeps every energy finite, up to 2.87e110
-        p = SystemParams(1, 0.5, -400, 1, 1, 0.3)
-        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+    @pytest.mark.parametrize(
+        "delta, t_final, amplitude",
+        [(-400, 1.0, 1e-100), (-400, 1.0, 1e-170), (-60, 5.0, 1e-200)],
+        ids=["square-overflows", "square-underflows", "fed-square-underflows"],
+    )
+    def test_decay_factor_squared_past_the_float_range_stays_finite(
+        self, delta, t_final, amplitude
+    ):
+        # delta*dt = -40: d**20 = exp(800) overflows while d**10*c does not
+        # (the largest energy is 2.87e110 at 1e-100), and at 1e-170 c**2
+        # underflows to 0 while d**10*c is about 5e3.  delta*dt = -6 and a
+        # 1e-200 profile: the sources fed in start below 1e-154, so their
+        # squares underflow, and d**10 = exp(60) lifts them back into the
+        # normal range.  Every energy is finite and not negative, and within
+        # 1e-13 of a step loop's where that is normal; a subnormal energy
+        # keeps only a few digits.
+        p = SystemParams(1, 0.5, delta, 1, 1, 0.3)
+        cfg = SimConfig(nx=10, t_final=t_final, gamma=1.0)
+
+        def c0(x):
+            return amplitude * math.sin(math.pi * x)
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, etrace = run(p, cfg, lambda x: 1e-100 * math.sin(math.pi * x), 0.0, zero_fn)
+            _, etrace = run(p, cfg, c0, 0.0, zero_fn)
         assert np.isfinite(etrace.energies).all()
-        assert etrace.energies.max() == pytest.approx(2.87e110, rel=1e-3)
+        state = init_state(p, cfg, c0, 0.0, zero_fn)
+        normal = 0
+        for got in etrace.energies.tolist():
+            ref = energy(state, p, 1.0)
+            assert got >= 0.0
+            if ref >= sys.float_info.min:
+                assert abs(got - ref) <= 1e-13 * ref
+                normal += 1
+            state = step(state, p)
+        assert normal >= 10
 
     @pytest.mark.parametrize("delta", [-1000, -4000, -7000])
     def test_zero_state_past_the_float_range_stays_zero(self, delta):
