@@ -43,9 +43,13 @@ Chebyshev collocation of the loop's infinitesimal generator (Breda, Maset
 & Vermiglio, 2005), each polished by Newton in the box.  When the distinct
 limits, a complex one counted with its conjugate, add up to the count,
 they are the spectrum and nothing is split.  Otherwise the box is
-subdivided from the edges already sampled, as find_roots does.  A
-collocation size N with N + 1 < count is skipped unbuilt, and the parts
-of a size that depend on N alone are built once per N per process.
+subdivided from the edges already sampled, as find_roots does.  The first
+collocation size follows the count as well as the box's height, so its
+N + 1 eigenvalues can always add up to the count.  The parts of a size
+that depend on N alone are built once per N per process, and the
+eigenvalues of the last two (params, N) pairs are kept: a classify or
+spectral_bound followed by spectrum on the same point solves each
+eigenproblem once.
 """
 
 from __future__ import annotations
@@ -94,10 +98,12 @@ _SAMPLE_BUDGET = 1_000_000     # contour samples per count_zeros/find_roots call
 # warnings are noise.
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _SPLIT_FRACTIONS = (0.5, 0.55, 0.45, 0.6, 0.4, 0.35, 0.65)
-# Collocation size of spectrum's prediction, N = ceil(0.2*H*(tau + l/f)) + 16
-# for a box of half-height H, doubled once and never past 256.
+# Collocation size of spectrum's prediction, for a box of half-height H
+# holding count zeros: N = max(ceil(0.2*H*(tau + l/f)), ceil(1.5*count)) + 8,
+# doubled once and capped at 256; a first size past 256 is not built.
 _NODES_PER_SPAN = 0.2
-_MIN_NODES = 16
+_NODES_PER_ZERO = 1.5
+_MIN_NODES = 8
 _MAX_NODES = 256
 # Two Newton limits closer than this, relative to 1 + |z|, are one root.
 _SAME_ROOT = 1e-6
@@ -635,7 +641,7 @@ def _nodes(n: int):
     n-point Gauss-Legendre rule on [-1, 1], the eigenvalues of the Jacobi
     matrix and twice the squares of its eigenvectors' first components
     (Golub & Welsch, 1969).  n never exceeds _MAX_NODES, so the cache
-    holds O(n) floats for at most 241 sizes."""
+    holds O(n) floats for at most 246 sizes."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = (-1.0) ** np.arange(n + 1)
     c[[0, -1]] *= 2.0
@@ -647,9 +653,10 @@ def _nodes(n: int):
     return parts
 
 
+@functools.lru_cache(maxsize=2)
 def _collocated(params: SystemParams, n: int) -> np.ndarray:
     """Eigenvalues of the (n+1)x(n+1) Chebyshev collocation of the loop's
-    infinitesimal generator (Breda, Maset & Vermiglio, 2005).
+    infinitesimal generator (Breda, Maset & Vermiglio, 2005), read-only.
 
     The loop is a'(t) = -alpha*a(t) + beta * int_0^{l/f} exp(-delta*s)
     a(t - tau - s) ds, whose characteristic function is the deflated
@@ -659,7 +666,10 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     n-point Gauss-Legendre rule weighted by exp(-delta*s) of barycentric
     interpolation rows at -tau - s.  The points, signs and rule come from
     _nodes.  Empty when the matrix is not finite (an overflowing weight,
-    or a node that hits a Chebyshev point).
+    or a node that hits a Chebyshev point).  The eigenvalues of the last
+    two (params, n) pairs, a size and its doubling, are kept, so a second
+    query on the same point solves nothing; the array is read-only because
+    every caller shares it.
     """
     ratio = params.l / params.f
     span = params.tau + ratio
@@ -673,32 +683,37 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     matrix[0] = weights @ (rows / rows.sum(axis=1)[:, None])
     matrix[0, 0] -= params.alpha
     try:
-        return np.linalg.eigvals(matrix)
+        values = np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError:
-        return np.empty(0, dtype=complex)
+        values = np.empty(0, dtype=complex)
+    values.flags.writeable = False
+    return values
 
 
 def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
     """The count eigenvalues in box, predicted by _collocated and polished
     by Newton, or None when the distinct limits do not add up to count.
 
-    N = ceil(0.2*H*(tau + l/f)) + 16 for a box of half-height H, doubled
-    once, never past _MAX_NODES.  A size with N + 1 < count is skipped
-    unbuilt: its N + 1 eigenvalues cannot add up to count, as a real limit
-    counts once and a complex one twice.  The parts of a size that depend
-    on N alone are built once per process (_nodes).  Newton runs, confined
-    to box, from each predicted eigenvalue with Im >= 0 and
+    N = max(ceil(0.2*H*(tau + l/f)), ceil(1.5*count)) + 8 for a box of
+    half-height H, then 2N, capped at _MAX_NODES; an N past the cap is not
+    built.  The count term leaves room for the N + 1 eigenvalues to add up
+    to count, a real limit counting once and a complex one twice, with
+    spare ones to resolve the top of a dense cluster.  The parts of a size
+    that depend on N alone are built once per process (_nodes), and a
+    repeated (params, N) is not solved again (_collocated).  Newton runs,
+    confined to box, from each predicted eigenvalue with Im >= 0 and
     Re > re_min - 0.5.  A limit that _SAME_ROOT puts on the real axis is
     polished again from its real part and counts once, with imaginary part
     exactly 0; any other counts twice, listed with its exact conjugate.
     """
     same = max(_SAME_ROOT, 1e3 * tol)    # relative to 1 + |z|
-    n = math.ceil(_NODES_PER_SPAN * box.im_max * (params.tau + params.l / params.f)) + _MIN_NODES
-    for size in (n, 2 * n):
-        if size > _MAX_NODES:
-            return None
-        if size + 1 < count:
-            continue
+    n = _MIN_NODES + max(
+        math.ceil(_NODES_PER_SPAN * box.im_max * (params.tau + params.l / params.f)),
+        math.ceil(_NODES_PER_ZERO * count),
+    )
+    if n > _MAX_NODES:
+        return None
+    for size in sorted({n, min(2 * n, _MAX_NODES)}):
         guesses = _collocated(params, size)
         limits: list[tuple[complex, int]] = []
         for z0 in guesses[(guesses.imag >= 0.0) & (guesses.real > box.re_min - 0.5)]:
@@ -809,19 +824,22 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     axis, is counted once (nudged off boundary zeros as count_zeros does).
     A count of two or more is checked against a prediction: the
     eigenvalues of an (N+1)x(N+1) Chebyshev collocation of the loop's
-    generator, N = ceil(0.2*H*(tau + l/f)) + 16 for the box's half-height
-    H, each with Im >= 0 and Re > -sigma - 0.5 polished by Newton confined
-    to the box.  A limit on the real axis is polished again from its real
-    part and counts once, with imaginary part exactly 0; any other counts
-    twice and is listed with its exact conjugate.  When the distinct
-    limits add up to the count they are the result, each root's
-    newton_iters being those of the run that gave its limit.  Otherwise N
-    is doubled once, never past 256, and then the box is searched as
-    find_roots searches it, from the edges already sampled and in its
-    upper half only; a double root or a missed one ends up there, and so
-    does a box with one eigenvalue, which is polished without a split.
-    A size with N + 1 below the count cannot add up to it and is skipped
-    unbuilt.  Every root listed is verified to satisfy |char_fn| <= 1e-8,
+    generator, N = max(ceil(0.2*H*(tau + l/f)), ceil(1.5*count)) + 8 for
+    the box's half-height H, each with Im >= 0 and Re > -sigma - 0.5
+    polished by Newton confined to the box.  A limit on the real axis is
+    polished again from its real part and counts once, with imaginary part
+    exactly 0; any other counts twice and is listed with its exact
+    conjugate.  When the distinct limits add up to the count they are the
+    result, each root's newton_iters being those of the run that gave its
+    limit.  Otherwise N is doubled once, capped at 256 (an N past 256 is
+    not built), and then the box is searched as find_roots searches it,
+    from the edges already sampled and in its upper half only; a double
+    root or a missed one ends up there, and so does a box with one
+    eigenvalue, which is polished without a split.  The eigenvalues of the
+    last two collocations are kept, keyed by params and N, so spectrum
+    after a classify or spectral_bound of the same point that built the
+    same N solves no eigenproblem.  Every root listed is verified to
+    satisfy |char_fn| <= 1e-8,
     all in one array call.  One within char_fn's pole tolerance of -alpha,
     where char_fn raises, is verified by the deflated numerator instead:
     its |value| is at most 1e-13 times its cancellation scale.  The box grows with exp(sigma*tau), so a large

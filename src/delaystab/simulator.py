@@ -163,7 +163,7 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
             f"{_DELAY_SAMPLES} samples"
         )
     x = np.arange(config.nx + 1) * (params.l / config.nx)
-    c = np.array([float(c0(float(xj))) for xj in x])
+    c = np.fromiter((float(c0(float(xj))) for xj in x), float, count=config.nx + 1)
     # Written so that NaN fails the tolerance checks.
     if not abs(c[0]) <= 1e-12:
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")

@@ -9,9 +9,11 @@ import delaystab.eigensolver as es
 from delaystab import (
     BelowThreshold,
     ContourBox,
+    Evidence,
     SystemParams,
     char_fn,
     char_num,
+    classify,
     count_zeros,
     default_box,
     eig_bound_radius,
@@ -30,8 +32,8 @@ BETA10_TAU50 = SystemParams(1, 10, 1, 1, 1, 50)
 BOX_BETA10_TAU50 = default_box(BETA10_TAU50, 1e-5)
 # _deflated_with_scale samples of find_roots(BETA10_TAU50, BOX_BETA10_TAU50)
 SAMPLES_BETA10_TAU50 = 5806
-# 69 eigenvalues in spectrum's box, more than the first collocation size,
-# N = 64, can hold: spectrum builds only N = 128.
+# 69 eigenvalues in spectrum's box, more than the box's height alone sizes
+# a collocation for (N = 56): the count sizes its one collocation, N = 112.
 COUNT69 = SystemParams(
     3.1176520950873146, 4.11593677105726, -0.8464677180674761,
     1.9512883749399508, 0.3343941848230898, 3.4034170806494646,
@@ -648,7 +650,8 @@ class TestPredictedSpectrum:
             assert matched(contour, roots) <= 1e-12
 
     def test_collocation_over_the_cap_is_not_built(self, monkeypatch):
-        # Corpus point #85 asks for N = 2120 nodes, past the cap of 256.
+        # Corpus point #85 (3,334 zeros) asks for N = 5009 nodes, past the cap
+        # of 256; its height alone asks for more than 256 too.
         p = corpus()[85]
         box = default_box(p, 1e-5)
         assert es._NODES_PER_SPAN * box.im_max * (p.tau + p.l / p.f) > es._MAX_NODES
@@ -692,7 +695,8 @@ def collocated_from_scratch(params, n):
 
 class TestCollocationSizes:
     """The parts of a collocation that depend on its size alone are built
-    once per size, and a size that cannot hold the count is not built."""
+    once per size, the first size holds the count, and the last two
+    (point, size) pairs are solved once."""
 
     @pytest.mark.parametrize("n", [16, 33, 128, 256])
     def test_shared_parts_give_the_same_bits(self, n):
@@ -708,25 +712,47 @@ class TestCollocationSizes:
                 part[0] = 0.0
 
     def test_each_size_is_built_once(self, monkeypatch):
+        # 57 eigenvalues: N = 8 + ceil(1.5*57) = 94, and no doubling.
         es._nodes.cache_clear()
+        es._collocated.cache_clear()
         built, used = [], []
         eigh, collocated = np.linalg.eigh, es._collocated
         monkeypatch.setattr(np.linalg, "eigh", lambda a: built.append(len(a)) or eigh(a))
         monkeypatch.setattr(es, "_collocated", lambda p, n: used.append(n) or collocated(p, n))
-        assert spectrum(BETA10_TAU50, 1e-5) == spectrum(BETA10_TAU50, 1e-5)
-        assert used == [78, 156] * 2 and sorted(built) == [78, 156]
+        first = spectrum(BETA10_TAU50, 1e-5)
+        # Solved anew, so the second call reaches _nodes again.
+        collocated.cache_clear()
+        assert first == spectrum(BETA10_TAU50, 1e-5)
+        assert used == [94] * 2 and built == [94]
 
-    def test_a_size_below_the_count_is_skipped(self, monkeypatch):
+    def test_the_count_sizes_the_first_collocation(self, monkeypatch):
         p = COUNT69
         box = default_box(p, 1e-5)
-        assert math.ceil(es._NODES_PER_SPAN * box.im_max * (p.tau + p.l / p.f)) + 16 == 64
+        assert math.ceil(es._NODES_PER_SPAN * box.im_max * (p.tau + p.l / p.f)) + 8 == 56
         contour = find_roots(p, box)
         used, collocated = [], es._collocated
         monkeypatch.setattr(es, "_collocated", lambda q, n: used.append(n) or collocated(q, n))
         result = spectrum(p, 1e-5)
-        assert used == [128]
+        assert used == [112]
         assert result.total_count == contour.total_count == len(result.roots) == 69
         assert matched(contour.roots, result.roots) <= 1e-12
+
+    def test_a_repeated_point_is_solved_once(self, monkeypatch):
+        es._collocated.cache_clear()
+        solved, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a) - 1) or eigvals(a))
+        label = classify(COUNT69)
+        assert label.evidence is Evidence.SPECTRAL_SEARCH
+        assert spectrum(COUNT69, 1e-6).total_count == 69
+        assert solved == [112]
+        assert spectrum(BETA10_TAU50, 1e-6).total_count == 57
+        assert solved == [112, 94]
+        values = es._collocated(COUNT69, 112)
+        assert solved == [112, 94]
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        assert np.array_equal(values, collocated_from_scratch(COUNT69, 112))
 
 
 class TestStripBox:

@@ -514,18 +514,24 @@ class TestFlatRun:
 
     def test_large_nx_holds_a_few_profiles(self):
         # nx = 20000: a run holds a few profiles and their prefix sums, and
-        # a block's outflow buffer and step records, never a profile per step
+        # a block's outflow buffer and step records, never a profile per step;
+        # the initial state holds the grid and the profile, and no list of
+        # the profile's samples
         nx = 20_000
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
         cfg = SimConfig(nx=nx, t_final=0.0125, gamma=1.0, output_stride=100)
         tracemalloc.start()
         try:
+            init_state(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+            sampled = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             _, etrace = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [s.t for s in etrace.samples] == pytest.approx([0, 0.005, 0.01, 0.0125])
-        assert peak < (8 * (nx + 1) + 32 * simulator._ROWS) * 8
+        assert sampled < 3 * (nx + 1) * 8
+        assert peak < (7 * (nx + 1) + 32 * simulator._ROWS) * 8
 
     def test_nothing_per_output_is_held_before_the_first_step(self, monkeypatch):
         # 1e6 steps at stride 1: a list of the output steps built up front
