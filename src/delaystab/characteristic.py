@@ -20,8 +20,9 @@ RuntimeWarning unless the caller silences it.  Newton's private
 ``_deflated``/``_deflated_prime`` take one complex.
 
 The feedback term beta*exp(-lambda*tau)*(l/f)*phi(w) is written once, in
-``_coupling``; region's axis gain is that term solved for beta at
-lambda = i*omega, built from the same ``_phi``.
+``_feedback``, whose pieces ``_coupling`` multiplies and
+``_coupling_and_prime`` also differentiates; region's axis gain is that
+term solved for beta at lambda = i*omega, built from the same ``_phi``.
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ def _phi_prime_series(w):
 
 def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w, entire, with the removable singularity at w = 0;
-    the series is evaluated only where |w| < _SERIES_SWITCH."""
+    the series is evaluated only where |w| < _SERIES_SWITCH.  When no |w| is
+    below the switch, the quotient is taken of w itself, with no copy and no
+    series mask; its values are those of the masked path bit for bit."""
     w = np.asarray(w)
     small = np.abs(w) < _SERIES_SWITCH
+    if not small.any():
+        return np.asarray((1.0 - np.exp(-w)) / w)
     ws = np.where(small, 1.0, w)
     # asarray keeps a 0-d result an array, so the series can be written in.
     phi = np.asarray((1.0 - np.exp(-ws)) / ws)
@@ -118,12 +123,29 @@ def _deflated_prime(params: SystemParams, lam: complex) -> complex:
     )
 
 
+def _feedback(params: SystemParams, arr: np.ndarray):
+    """w = (lambda + delta)*l/f, beta*exp(-lambda*tau)*(l/f) and phi(w) at
+    every lambda of arr; the feedback term is the product of the last two."""
+    ratio = params.l / params.f
+    w = (arr + params.delta) * ratio
+    return w, params.beta * np.exp(-arr * params.tau) * ratio, _phi(w)
+
+
 def _coupling(params: SystemParams, arr: np.ndarray) -> np.ndarray:
     """The feedback term beta*exp(-lambda*tau)*(l/f)*phi(w) at every lambda
     of arr."""
+    _, gain, phi = _feedback(params, arr)
+    return gain * phi
+
+
+def _coupling_and_prime(params: SystemParams, arr: np.ndarray):
+    """The feedback term at every lambda of arr, and the derivative
+    1 - beta*exp(-lambda*tau)*(l/f)*((l/f)*phi'(w) - tau*phi(w)) of the
+    deflated numerator there, from one exp(-lambda*tau) and one phi(w);
+    _deflated_prime is its scalar form."""
+    w, gain, phi = _feedback(params, arr)
     ratio = params.l / params.f
-    w = (arr + params.delta) * ratio
-    return params.beta * np.exp(-arr * params.tau) * ratio * _phi(w)
+    return gain * phi, 1.0 - gain * (ratio * _phi_prime(w) - params.tau * phi)
 
 
 def char_fn(params: SystemParams, lam):
@@ -157,14 +179,9 @@ def char_num(params: SystemParams, lam):
 def char_num_prime(params: SystemParams, lam):
     """Analytic derivative of char_num."""
     arr, scalar = _as_complex(lam)
-    q = np.asarray((arr + params.alpha) - _coupling(params, arr))
-    ratio = params.l / params.f
-    w = (arr + params.delta) * ratio
-    expl = np.exp(-arr * params.tau)
-    qp = np.asarray(
-        1.0 - params.beta * expl * ratio * (ratio * _phi_prime(w) - params.tau * _phi(w))
-    )
-    val = q + (arr + params.delta) * qp
+    coupling, prime = _coupling_and_prime(params, arr)
+    q = np.asarray((arr + params.alpha) - coupling)
+    val = q + (arr + params.delta) * np.asarray(prime)
     return _maybe_scalar(val, scalar)
 
 

@@ -50,6 +50,11 @@ that depend on N alone are built once per N per process, and the
 eigenvalues of the last two (params, N) pairs are kept: a classify or
 spectral_bound followed by spectrum on the same point solves each
 eigenproblem once.
+
+A search carries its polished zeros as bare limits (the zero, its Newton
+iterations and its multiplicity) and lists them as Roots once, at its end:
+every residual |char_num| comes from one array call over the listed roots,
+and a conjugate is built with its partner's iterations.
 """
 
 from __future__ import annotations
@@ -154,6 +159,9 @@ class Root:
     structural is always False: every root the solver lists is an
     eigenvalue.  The field stays for its readers: acceptance criterion 3,
     the structural column of the eig CLI, and the benchmark tracer.
+    residual is |char_num(lam)|, taken with every other root of the same
+    search in one array call; it may differ in its last bit from a call on
+    lam alone.
     """
 
     lam: complex
@@ -189,6 +197,27 @@ class BelowThreshold:
     far as the box reached."""
 
     threshold: float
+
+
+class _Limit(NamedTuple):
+    """A polished zero before its residual: each search takes the residuals
+    of all its limits from one char_num call when it lists them as Roots."""
+
+    lam: complex
+    newton_iters: int
+    multiplicity: int
+
+
+def _rooted(params: SystemParams, limits) -> tuple[Root, ...]:
+    """limits as Roots, each residual |char_num| at its lam, all from one
+    array call over the limits in their order."""
+    if not limits:
+        return ()
+    residuals = np.abs(char_num(params, [limit.lam for limit in limits])).tolist()
+    return tuple(
+        Root(lam, residual, iters, False, mult)
+        for (lam, iters, mult), residual in zip(limits, residuals)
+    )
 
 
 class _BoundaryHit(Exception):
@@ -256,9 +285,25 @@ def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | No
         mvals, mscales = sampler.sample(mids)
         if _on_zero(mvals, mscales).any():
             return None
-        pts = np.insert(pts, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, mvals)
+        pts, vals = _inserted(idx, (pts, mids), (vals, mvals))
     return None
+
+
+def _inserted(idx: np.ndarray, *pairs) -> list[np.ndarray]:
+    """Each pair (old, new) as one array with new[k] right after
+    old[idx[k]], as np.insert(old, idx + 1, new) gives it, for sorted,
+    distinct idx.  One index map serves every pair: new[k] lands at
+    idx[k] + k + 1, and old fills the rest in order."""
+    at = idx + np.arange(1, idx.size + 1)
+    kept = np.ones(pairs[0][0].size + idx.size, dtype=bool)
+    kept[at] = False
+    merged = []
+    for old, new in pairs:
+        out = np.empty(kept.size, dtype=old.dtype)
+        out[at] = new
+        out[kept] = old
+        merged.append(out)
+    return merged
 
 
 def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
@@ -531,7 +576,7 @@ def _moment_start(box: ContourBox, edges: tuple[_Edge | None, ...], count: int) 
 
 def _polish(
     sampler: _Sampler, box: ContourBox, edges: tuple[_Edge, ...], count: int, tol: float
-) -> Root | None:
+) -> _Limit | None:
     """Newton-polish the zero of multiplicity count isolated in box.
 
     Newton runs once, from the mean of the cell's zeros that _moment_start
@@ -560,13 +605,7 @@ def _polish(
                 return None
         except (_BoundaryHit, QuadratureNonInteger):
             return None
-    return Root(
-        lam=z,
-        residual=abs(char_num(params, z)),
-        newton_iters=iters,
-        structural=False,
-        multiplicity=count,
-    )
+    return _Limit(z, iters, count)
 
 
 def _subdivide(
@@ -576,7 +615,7 @@ def _subdivide(
     count: int,
     depth: int,
     tol: float,
-    roots: list[Root],
+    roots: list[_Limit],
     unresolved: list[UnresolvedCell],
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
@@ -599,7 +638,7 @@ def _subdivide(
         if found is None and (count > 1 or depth >= _MAX_DEPTH):
             found = UnresolvedCell(box, count)
         if found is not None:
-            (roots if isinstance(found, Root) else unresolved).append(found)
+            (unresolved if isinstance(found, UnresolvedCell) else roots).append(found)
             return
         # Newton escaped this one-zero cell from its start; split the cell
         # so the halves' starts land nearer the zero.
@@ -619,9 +658,11 @@ def _subdivide(
         n_roots, n_cells = len(roots), len(unresolved)
         _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved)
         if paired:
-            roots.extend(replace(r, lam=r.lam.conjugate()) for r in roots[n_roots:])
+            roots.extend(_Limit(z.conjugate(), iters, m) for z, iters, m in roots[n_roots:])
             unresolved.extend(
-                replace(c, box=ContourBox(c.box.re_min, c.box.re_max, -c.box.im_max, -c.box.im_min))
+                UnresolvedCell(
+                    ContourBox(c.box.re_min, c.box.re_max, -c.box.im_max, -c.box.im_min), c.count
+                )
                 for c in unresolved[n_cells:]
             )
         return
@@ -729,8 +770,9 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
         if sum(1 + (z.imag != 0.0) for z, _ in limits) == count:
             roots = []
             for z, iters in limits:
-                root = Root(z, abs(char_num(params, z)), iters, structural=False)
-                roots += [root, replace(root, lam=z.conjugate())] if z.imag else [root]
+                roots.append(_Limit(z, iters, 1))
+                if z.imag:
+                    roots.append(_Limit(z.conjugate(), iters, 1))
             return roots
     return None
 
@@ -760,7 +802,7 @@ def _located(params: SystemParams, box: ContourBox, tol: float, predict: bool) -
         )
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return RootSet(
-        roots=tuple(roots),
+        roots=_rooted(params, roots),
         total_count=total,
         box=box,
         unresolved=tuple(unresolved),
@@ -839,11 +881,13 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     last two collocations are kept, keyed by params and N, so spectrum
     after a classify or spectral_bound of the same point that built the
     same N solves no eigenproblem.  Every root listed is verified to
-    satisfy |char_fn| <= 1e-8,
-    all in one array call.  One within char_fn's pole tolerance of -alpha,
-    where char_fn raises, is verified by the deflated numerator instead:
-    its |value| is at most 1e-13 times its cancellation scale.  The box grows with exp(sigma*tau), so a large
-    sigma*tau can raise SampleBudgetExceeded.  A sigma that is not finite
+    satisfy |char_fn| <= 1e-8, all in one array call, and its residual
+    |char_num| is taken in one more; an empty result is returned with no
+    such call.  A root within char_fn's pole tolerance of -alpha, where
+    char_fn raises, is verified by the deflated numerator instead: its
+    |value| is at most 1e-13 times its cancellation scale.  The box grows
+    with exp(sigma*tau), so a large sigma*tau can raise
+    SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
     """
     if not 0.0 <= sigma < math.inf:
@@ -853,14 +897,13 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     with np.errstate(**_QUIET):
         if params.beta == 0.0:
             box = ContourBox(-max(sigma, 1e-6), params.alpha + 1.0, -1.0, 1.0)
-            roots: tuple[Root, ...] = ()
-            if -params.alpha >= -sigma:
-                lam = complex(-params.alpha, 0.0)
-                residual = abs(char_num(params, lam))
-                roots = (Root(lam=lam, residual=residual, newton_iters=0, structural=False),)
+            limits = [_Limit(complex(-params.alpha, 0.0), 0, 1)] if -params.alpha >= -sigma else []
+            roots = _rooted(params, limits)
             return RootSet(roots=roots, total_count=len(roots), box=box)
 
         result = _located(params, default_box(params, sigma), tol, predict=True)
+        if not result.roots:
+            return result
         lams = np.array([root.lam for root in result.roots], dtype=complex)
         # char_fn refuses a root within its pole tolerance of -alpha: such a
         # root must zero the deflated numerator at rounding level, as _on_zero

@@ -237,6 +237,48 @@ class TestScalarEvaluators:
             assert abs(from_array - ref) <= 1e-13 * abs(ref)
 
 
+class TestPhiPaths:
+    # _phi skips its mask where no |w| is below the series switch; one
+    # small-|w| element appended sends the same elements down the masked path.
+    SMALL = 1e-4
+
+    def ws(self):
+        rng = np.random.default_rng(73)
+        radii = 10.0 ** rng.uniform(np.log10(ch._SERIES_SWITCH), 2.0, 200)
+        ws = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
+        return np.concatenate((ws, [ch._SERIES_SWITCH, -ch._SERIES_SWITCH, 3.0, -3.0, 3j]))
+
+    def test_one_dimensional_input_matches_the_masked_path(self):
+        ws = self.ws()
+        masked = ch._phi(np.append(ws, self.SMALL))
+        assert np.array_equal(ch._phi(ws), masked[:-1])
+        assert masked[-1] == ch._phi_series(self.SMALL)
+
+    def test_zero_dimensional_input_matches_the_masked_path(self):
+        for w in self.ws().tolist():
+            value = ch._phi(np.asarray(w))
+            assert isinstance(value, np.ndarray) and value.ndim == 0
+            assert value == ch._phi(np.array([w, self.SMALL]))[0]
+
+    def test_char_num_prime_is_the_product_rule_bit_for_bit(self):
+        # exp(-lambda*tau) and phi(w) are shared by the feedback term and the
+        # derivative; the product rule written out in full gives the same bits
+        rng = np.random.default_rng(74)
+        for p in (SystemParams(1, 3, 1, 1, 1, 1), SystemParams(0.5, -2, -0.7, 2, 0.5, 4)):
+            arr = np.concatenate(
+                (rng.uniform(-3, 3, 16) + 1j * rng.uniform(-20, 20, 16), [-p.delta + 1e-6])
+            )
+            ratio = p.l / p.f
+            w = (arr + p.delta) * ratio
+            q = (arr + p.alpha) - p.beta * np.exp(-arr * p.tau) * ratio * ch._phi(w)
+            qp = 1.0 - p.beta * np.exp(-arr * p.tau) * ratio * (
+                ratio * ch._phi_prime(w) - p.tau * ch._phi(w)
+            )
+            assert np.array_equal(char_num_prime(p, arr), q + (arr + p.delta) * qp)
+            for lam in arr[:4].tolist():
+                assert char_num_prime(p, lam) == complex(char_num_prime(p, np.asarray(lam)))
+
+
 class TestExclusions:
     def test_minus_delta_eigenvalue_condition_met(self):
         report = exclusions(SystemParams(2, 1, 1, 1, 1, 0))

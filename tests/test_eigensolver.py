@@ -202,6 +202,17 @@ class TestSharedEdges:
         assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
         assert 0 < samples < 1.5 * SAMPLES_BETA10_TAU50
 
+    @pytest.mark.parametrize("picked", [0, 1, 7, 39])
+    def test_refinement_inserts_as_np_insert_does(self, picked):
+        rng = np.random.default_rng(picked)
+        pts = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+        vals = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+        idx = np.sort(rng.choice(39, picked, replace=False))
+        mids, mvals = 0.5 * (pts[idx] + pts[idx + 1]), rng.uniform(-1, 1, picked) + 0j
+        got = es._inserted(idx, (pts, mids), (vals, mvals))
+        for out, old, new in zip(got, (pts, vals), (mids, mvals)):
+            assert np.array_equal(out, np.insert(old, idx + 1, new))
+
     def test_no_box_is_sampled_twice(self, monkeypatch):
         # The search box is counted and split from the same edges, and no
         # edge or cut is sampled twice.
@@ -239,22 +250,29 @@ class TestSharedEdges:
 
     def test_char_num_is_never_sampled(self, monkeypatch):
         # Contours sample the deflated numerator; char_num only gives the
-        # residual of a listed root, one scalar at a time.
+        # residuals of a search's listed roots, all in one call.
         calls = []
         num = es.char_num
 
         def spy(params, lam):
-            calls.append(lam)
+            calls.append(list(lam))
             return num(params, lam)
 
         monkeypatch.setattr(es, "char_num", spy)
         p = SystemParams(2, 1, 1, 1, 1, 1)
         box = ContourBox(-2.0, 1.0, -2.0, 2.0)
-        assert find_roots(p, box).total_count == count_zeros(p, box) == 1
-        assert spectrum(p, 1e-6).total_count == count_zeros(p, default_box(p, 1e-6))
-        assert len(spectrum(BETA10_TAU50, 1e-5).roots) == 57
-        assert len(find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots) == 57
-        assert calls and all(np.ndim(lam) == 0 for lam in calls)
+        results = [
+            find_roots(p, box),
+            spectrum(p, 1e-6),
+            spectrum(BETA10_TAU50, 1e-5),
+            find_roots(BETA10_TAU50, BOX_BETA10_TAU50),
+        ]
+        assert results[0].total_count == count_zeros(p, box) == 1
+        assert results[1].total_count == count_zeros(p, default_box(p, 1e-6))
+        assert len(results[2].roots) == len(results[3].roots) == 57
+        # A search with no root makes no call.
+        assert calls == [[r.lam for r in result.roots] for result in results if result.roots]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "box",
@@ -545,6 +563,15 @@ class TestSpectrum:
             if lam.imag != 0.0:
                 assert min(abs(other - lam.conjugate()) for other in lams) <= 1e-9 * (1 + abs(lam))
 
+    def test_an_empty_spectrum_is_not_checked(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("residual evaluated for an empty spectrum")
+
+        monkeypatch.setattr(es, "char_fn", boom)
+        monkeypatch.setattr(es, "char_num", boom)
+        p = SystemParams(2, 1, 1, 1, 1, 1)
+        assert spectrum(p, 1e-6).roots == () == spectrum(SystemParams(1, 0, 1, 1, 1, 1), 0.5).roots
+
     def test_bound_radius_respected_for_nonnegative_decay(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
@@ -555,6 +582,46 @@ class TestSpectrum:
             for r in spectrum(p, 0.0).roots:
                 if r.lam.real >= 0:
                     assert abs(r.lam) <= radius + 1e-9
+
+
+README_LIBRARY = SystemParams(1, 1, 1, 1, 1, 1)
+
+
+class TestResiduals:
+    # Every search takes its roots' residuals from one char_num call over
+    # the listed roots, and a conjugate is listed with its partner's
+    # residual and Newton iterations.
+    @pytest.mark.parametrize(
+        "params, search",
+        [
+            (README_LIBRARY, lambda p: spectrum(p, 2.0)),
+            (SystemParams(1, 2, 1, 1, 1, 1), lambda p: spectrum(p, 1e-6)),
+            (BETA10_TAU50, lambda p: spectrum(p, 1e-5)),
+            (BETA10_TAU50, lambda p: find_roots(p, BOX_BETA10_TAU50)),
+        ],
+        ids=["readme-library", "readme-eig", "beta10-tau50", "find-roots-subdivided"],
+    )
+    def test_one_array_call_gives_every_residual(self, params, search):
+        roots = search(params).roots
+        lams = np.array([r.lam for r in roots])
+        assert [r.residual for r in roots] == np.abs(char_num(params, lams)).tolist()
+        by_lam = {r.lam: r for r in roots}
+        for r in roots:
+            partner = by_lam[r.lam.conjugate()]
+            assert (partner.residual, partner.newton_iters) == (r.residual, r.newton_iters)
+
+    def test_the_cases_hold_pairs_and_a_subdivision(self, monkeypatch):
+        assert any(r.lam.imag for r in spectrum(README_LIBRARY, 2.0).roots)
+        splits = []
+        split = es._split
+
+        def spy(*args):
+            splits.append(args[1])
+            return split(*args)
+
+        monkeypatch.setattr(es, "_split", spy)
+        roots = find_roots(BETA10_TAU50, BOX_BETA10_TAU50).roots
+        assert splits and sum(r.lam.imag > 0 for r in roots) > 20
 
 
 class TestPredictedSpectrum:

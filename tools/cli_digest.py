@@ -1,16 +1,24 @@
 """Print a short digest of the CLI's output for a fixed list of invocations.
 
-Each line holds the arguments and the first 12 hex digits of the SHA-256 of
-(exit code, stdout, stderr), with the src directory's path in a warning's
-file name written as "src".  Running it on two checkouts and diffing the
-outputs shows which invocations changed.  Run from the repository root:
+Each line holds two hashes and the arguments.  The first is the first 12
+hex digits of the SHA-256 of (exit code, stdout, stderr), with the src
+directory's path in a warning's file name written as "src".  The second is
+the same with every `residual` CSV column and JSON key dropped from stdout,
+so it equals the first where the output has none.  Running it on two
+checkouts and diffing the outputs shows which invocations changed, and a
+change in the first hash alone is a residual that moved while every root and
+crossing stayed put.  BLAS is pinned to one thread, as in the benchmark:
+the collocation's eigenvalues round differently with the thread count.  Run
+from the repository root:
 
     python3 tools/cli_digest.py [src directory]
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
 import os
 import sys
 import warnings
@@ -110,6 +118,31 @@ INVOCATIONS = [
 ]
 
 
+def without_residuals(stdout: str) -> str:
+    """stdout with the `residual` key of every JSON row, or the `residual`
+    column of a CSV table, dropped; any other output as it is."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(stdout)))
+        if not rows or "residual" not in rows[0]:
+            return stdout
+        col = rows[0].index("residual")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(r[:col] + r[col + 1 :] for r in rows)
+        return out.getvalue()
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not (rows and isinstance(rows[0], dict) and "residual" in rows[0]):
+        return stdout
+    for row in rows:
+        del row["residual"]
+    return json.dumps(doc, indent=2)
+
+
+def short_hash(code, stdout: str, stderr: str) -> str:
+    return hashlib.sha256(repr((code, stdout, stderr)).encode()).hexdigest()[:12]
+
+
 def digest(main, line: str, src: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     # catch_warnings resets the once-per-location registry, so every
@@ -122,11 +155,14 @@ def digest(main, line: str, src: str) -> str:
                 code = exc.code
             except Exception as exc:  # an uncaught error is an outcome too
                 code, err = type(exc).__name__, io.StringIO(str(exc))
-    payload = repr((code, out.getvalue(), err.getvalue().replace(src, "src"))).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    stdout, stderr = out.getvalue(), err.getvalue().replace(src, "src")
+    return f"{short_hash(code, stdout, stderr)}  {short_hash(code, without_residuals(stdout), stderr)}"
 
 
 if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     src = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src")
     sys.path.insert(0, src)
     from delaystab.cli import main

@@ -8,7 +8,10 @@ diffing the outputs shows which sets a change relabelled.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
 (1, 1, 1, 1) on the benchmark's 20x20 grid and on a 50x50 grid of the same
 ranges, the 300-point robustness corpus and a seeded set of 200 points with
-delta < 0.  Run from the repository root:
+delta < 0.  BLAS is pinned to one thread before numpy loads, as in the
+benchmark: the collocation's eigenvalues, and with them the last bits of a
+max_real_part, round differently with the thread count, so only digests
+made with the same thread count compare.  Run from the repository root:
 
     python3 tools/label_digest.py [src directory]
 """
@@ -71,6 +74,9 @@ def digest(points) -> str:
 
 
 if __name__ == "__main__":
+    # One BLAS thread, set before numpy loads.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path[:0] = [
         os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src"),
         os.path.join(ROOT, "perfbench"),
