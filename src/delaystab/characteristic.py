@@ -189,8 +189,9 @@ def _deflated_with_scale(params: SystemParams, arr: np.ndarray):
     """The deflated numerator (lambda + alpha) - coupling, the one function
     eigensolver's contour sampling evaluates, and 1 plus the size
     |lambda + alpha| + |coupling| of the terms that cancel in it."""
+    shifted = arr + params.alpha
     coupling = _coupling(params, arr)
-    return (arr + params.alpha) - coupling, np.abs(arr + params.alpha) + np.abs(coupling) + 1.0
+    return shifted - coupling, np.abs(shifted) + np.abs(coupling) + 1.0
 
 
 @dataclass(frozen=True)

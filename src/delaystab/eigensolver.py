@@ -4,9 +4,11 @@ The winding number of an entire function around a rectangle gives the exact
 number of its zeros inside (the argument principle).  A rectangle's count is the sum of
 the phase changes along its four edges, (bottom + right - top - left)/2pi.
 Each edge is a straight segment sampled in increasing coordinate and
-refined on its own until no step turns by pi/2 or more.  A horizontal edge
-starts from 16 steps and a vertical one from 16 + height*(tau + l/f + 1):
-along Im lambda, exp(-lambda*tau) turns by tau per unit and exp(-w) by l/f.
+refined until no step turns by pi/2 or more.  A horizontal edge starts
+from 16 steps and a vertical one from 16 + height*(tau + l/f + 1): along
+Im lambda, exp(-lambda*tau) turns by tau per unit and exp(-w) by l/f.  A
+box's starting samples are taken in one call and their turns in one pass;
+only an edge with a steep step is refined further, on its own.
 
 Boxes are bisected until each cell isolates one zero, which Newton then
 polishes from one start: the cell's first contour moment, read off the edge
@@ -46,7 +48,8 @@ they are the spectrum and nothing is split.  Otherwise the box is
 subdivided from the edges already sampled, as find_roots does.  The first
 collocation size follows the count as well as the box's height, so its
 N + 1 eigenvalues can always add up to the count.  The parts of a size
-that depend on N alone are built once per N per process, and the
+that depend on N alone, the differentiation matrix among them, are built
+once per N per process, and the
 eigenvalues of the last two (params, N) pairs are kept: a classify or
 spectral_bound followed by spectrum on the same point solves each
 eigenproblem once.
@@ -54,7 +57,8 @@ eigenproblem once.
 A search carries its polished zeros as bare limits (the zero, its Newton
 iterations and its multiplicity) and lists them as Roots once, at its end:
 every residual |char_num| comes from one array call over the listed roots,
-and a conjugate is built with its partner's iterations.
+and a conjugate is built with its partner's iterations.  spectrum's check
+|char_fn| <= 1e-8 is read off those residuals.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ from .errors import (
 )
 from .params import SystemParams, _search_radius, _strip_radius
 
-# No evaluator has this name; it stays bound because perfbench/tracing.py
-# rebinds it in this module (functools.wraps accepts None).
+# No evaluator has this name, and char_fn is not called here; both stay
+# bound because perfbench/tracing.py rebinds them in this module
+# (functools.wraps accepts None).
 _num_with_scale = None
 
 _TWO_PI = 2.0 * math.pi
@@ -271,12 +276,18 @@ def _on_zero(vals: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.abs(vals) <= _ON_ZERO_RTOL * scales
 
 
-def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | None:
-    """The segment through pts (values vals), its steps bisected until none
-    turns by pi/2 or more.  None when a new sample lies on a zero or 64
-    rounds do not settle it."""
+def _turns(vals: np.ndarray) -> np.ndarray:
+    """The phase change of each step, from vals[i] to vals[i + 1]."""
+    return np.angle(vals[1:] / vals[:-1])
+
+
+def _refined(
+    sampler: _Sampler, pts: np.ndarray, vals: np.ndarray, turns: np.ndarray
+) -> _Edge | None:
+    """The segment through pts (values vals, step turns turns), its steps
+    bisected until none turns by pi/2 or more.  None when a new sample lies
+    on a zero or 64 rounds do not settle it."""
     for _ in range(_REFINE_ROUNDS):
-        turns = np.angle(vals[1:] / vals[:-1])
         idx = np.flatnonzero(np.abs(turns) >= _HALF_PI)
         if idx.size == 0:
             return _Edge(pts, vals, turns)
@@ -286,6 +297,7 @@ def _refined(sampler: _Sampler, pts: np.ndarray, vals: np.ndarray) -> _Edge | No
         if _on_zero(mvals, mscales).any():
             return None
         pts, vals = _inserted(idx, (pts, mids), (vals, mvals))
+        turns = _turns(vals)
     return None
 
 
@@ -306,27 +318,47 @@ def _inserted(idx: np.ndarray, *pairs) -> list[np.ndarray]:
     return merged
 
 
+def _line(start: complex, stop: complex, n: int) -> np.ndarray:
+    """np.linspace(start, stop, n) for n >= 2, bit for bit: the same step,
+    products and end, without its wrapper's fixed cost.  A step that
+    underflows to 0 is left to linspace, which then divides last."""
+    step = np.complex128(stop - start) / (n - 1)
+    if step == 0:
+        return np.linspace(start, stop, n)
+    pts = np.arange(n, dtype=complex) * step
+    pts += start
+    pts[-1] = stop
+    return pts
+
+
 def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
     """The refined edges along segments, (start, stop) pairs, with None for
     each edge where a sample lies on a zero.  A horizontal edge starts from
     16 steps, a vertical one from 16 + height*rate, enough for the phase
-    speeds of the exponentials; all starting samples are taken in one call."""
+    speeds of the exponentials.  All starting samples are taken in one
+    call, and their turns and steep steps found in one pass over it (the
+    step across two edges' junction is never read); only an edge with a
+    steep step is refined."""
     lines = []
     for start, stop in segments:
         steps = _MIN_STEPS
         if start.real == stop.real:
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
-        lines.append(np.linspace(start, stop, int(steps) + 1))
+        lines.append(_line(start, stop, int(steps) + 1))
     vals, scales = sampler.sample(np.concatenate(lines))
     on_zero = _on_zero(vals, scales)
+    turns = _turns(vals)
+    steep = np.abs(turns) >= _HALF_PI
     edges: list[_Edge | None] = []
     end = 0
     for pts in lines:
         start, end = end, end + pts.size
         edge = None
         if not on_zero[start:end].any():
-            edge = _refined(sampler, pts, vals[start:end])
+            edge = _Edge(pts, vals[start:end], turns[start : end - 1])
+            if steep[start : end - 1].any():
+                edge = _refined(sampler, *edge)
         edges.append(edge)
     return edges
 
@@ -392,11 +424,8 @@ def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, va
     to point are refined.  None when a new sample lies on a zero."""
     i = int(np.searchsorted(coords, x, "left"))
     j = int(np.searchsorted(coords, x, "right"))
-    seg = _refined(
-        sampler,
-        np.array([edge.pts[i - 1], point, edge.pts[j]]),
-        np.array([edge.vals[i - 1], value, edge.vals[j]]),
-    )
+    vals = np.array([edge.vals[i - 1], value, edge.vals[j]])
+    seg = _refined(sampler, np.array([edge.pts[i - 1], point, edge.pts[j]]), vals, _turns(vals))
     if seg is None:
         return None
     k = int(np.flatnonzero(seg.pts == point)[0])
@@ -511,8 +540,8 @@ def count_zeros(params: SystemParams, box: ContourBox) -> int:
     The count is the winding count of the deflated numerator, char_num over
     lambda + delta, whose zeros are exactly the eigenvalues when beta != 0
     (-delta counts only when ``exclusions`` reports it an eigenvalue).  It
-    is the argument principle over the box's four edges, each sampled on
-    its own (vertical edges from 16 + height*(tau + l/f + 1) steps) and
+    is the argument principle over the box's four edges, sampled together
+    (vertical edges from 16 + height*(tau + l/f + 1) steps) and each
     refined until no step turns by pi/2 or more.  Zeros sitting on the
     boundary make the count undefined; the box is grown by
     1e-4*(1 + diameter) toward every offending edge, up to five times,
@@ -678,17 +707,22 @@ def _check_tol(tol: float) -> None:
 def _nodes(n: int):
     """The parts of an n-node collocation that depend on n alone, built on
     first use and then shared, read-only: the n + 1 Chebyshev points x, the
-    barycentric signs c (ends doubled), and the nodes and weights of the
-    n-point Gauss-Legendre rule on [-1, 1], the eigenvalues of the Jacobi
-    matrix and twice the squares of its eigenvectors' first components
-    (Golub & Welsch, 1969).  n never exceeds _MAX_NODES, so the cache
-    holds O(n) floats for at most 246 sizes."""
+    barycentric signs c (ends doubled), the differentiation matrix on [-1, 1]
+    (Trefethen, 2000), c_i/(c_j*(x_i - x_j)) off the diagonal and minus each
+    row's sum on it, and the nodes and weights of the n-point Gauss-Legendre
+    rule on [-1, 1], the eigenvalues of the Jacobi matrix and twice the
+    squares of its eigenvectors' first components (Golub & Welsch, 1969).
+    The matrix makes the cache O(n^2) floats per size: 0.29 MB for the 24
+    sizes a point-queries pass of the benchmark builds, and about 45.5 MB
+    if a process builds every size a search can (11 to _MAX_NODES = 256)."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = (-1.0) ** np.arange(n + 1)
     c[[0, -1]] *= 2.0
+    diff = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    diff -= np.diag(diff.sum(axis=1))
     k = np.arange(1.0, n)
     nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    parts = (x, c, nodes, 2.0 * vectors[0] ** 2)
+    parts = (x, c, diff, nodes, 2.0 * vectors[0] ** 2)
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -705,19 +739,18 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     Chebyshev points, the first at 0.  Rows 1..n are the differentiation
     matrix (Trefethen, 2000); row 0 is the equation, its integral an
     n-point Gauss-Legendre rule weighted by exp(-delta*s) of barycentric
-    interpolation rows at -tau - s.  The points, signs and rule come from
-    _nodes.  Empty when the matrix is not finite (an overflowing weight,
-    or a node that hits a Chebyshev point).  The eigenvalues of the last
+    interpolation rows at -tau - s.  The points, signs, differentiation
+    matrix on [-1, 1] and rule come from _nodes; rows 1..n are that matrix
+    scaled by 2/(tau + l/f).  Empty when the matrix is not finite (an
+    overflowing weight, or a node that hits a Chebyshev point).  The eigenvalues of the last
     two (params, n) pairs, a size and its doubling, are kept, so a second
     query on the same point solves nothing; the array is read-only because
     every caller shares it.
     """
     ratio = params.l / params.f
     span = params.tau + ratio
-    x, c, nodes, weights = _nodes(n)
-    matrix = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
-    matrix -= np.diag(matrix.sum(axis=1))
-    matrix *= 2.0 / span
+    x, c, diff, nodes, weights = _nodes(n)
+    matrix = diff * (2.0 / span)
     s = 0.5 * ratio * (nodes + 1.0)
     rows = 1.0 / (c * ((-params.tau - s)[:, None] - 0.5 * span * (x - 1.0)))
     weights = weights * (0.5 * ratio * params.beta * np.exp(-params.delta * s))
@@ -881,11 +914,12 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     last two collocations are kept, keyed by params and N, so spectrum
     after a classify or spectral_bound of the same point that built the
     same N solves no eigenproblem.  Every root listed is verified to
-    satisfy |char_fn| <= 1e-8, all in one array call, and its residual
-    |char_num| is taken in one more; an empty result is returned with no
-    such call.  A root within char_fn's pole tolerance of -alpha, where
-    char_fn raises, is verified by the deflated numerator instead: its
-    |value| is at most 1e-13 times its cancellation scale.  The box grows
+    satisfy |char_fn| <= 1e-8, read off its residual |char_num| (taken for
+    all roots in one array call) as |char_num|/(|lambda + alpha|*|lambda +
+    delta|); a root at -delta, where both are 0, passes.  An empty result
+    is returned with no such call.  A root within char_fn's pole tolerance
+    of -alpha, where char_fn raises, is verified by the deflated numerator
+    instead: its |value| is at most 1e-13 times its cancellation scale.  The box grows
     with exp(sigma*tau), so a large sigma*tau can raise
     SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
@@ -902,26 +936,30 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             return RootSet(roots=roots, total_count=len(roots), box=box)
 
         result = _located(params, default_box(params, sigma), tol, predict=True)
-        if not result.roots:
-            return result
-        lams = np.array([root.lam for root in result.roots], dtype=complex)
+        near, failed = [], []
+        for root in result.roots:
+            shifted = abs(root.lam + params.alpha)
+            if shifted < _POLE_TOL * (1.0 + params.alpha):
+                near.append(root.lam)
+                continue
+            # |char_fn| = |char_num|/(|lambda + alpha|*|lambda + delta|); at
+            # -delta both sides of this test are 0, and the root passes.
+            scale = shifted * abs(root.lam + params.delta)
+            if root.residual > 1e-8 * scale:
+                failed.append((root, scale))
         # char_fn refuses a root within its pole tolerance of -alpha: such a
         # root must zero the deflated numerator at rounding level, as _on_zero
         # reads a contour sample.
-        near = np.abs(lams + params.alpha) < _POLE_TOL * (1.0 + params.alpha)
-        if near.any() and not _on_zero(*_deflated_with_scale(params, lams[near])).all():
+        if near and not _on_zero(*_deflated_with_scale(params, np.array(near))).all():
             raise SolverConsistencyError(
                 f"a root within char_fn's pole tolerance of {-params.alpha} does not "
                 "zero the deflated numerator"
             )
-        lams = lams[~near]
-        g = np.abs(char_fn(params, lams))
-    failed = np.flatnonzero(g > 1e-8)
-    if failed.size:
-        first = failed[0]
+    if failed:
+        root, scale = failed[0]
         raise SolverConsistencyError(
-            f"root {complex(lams[first])} fails the characteristic residual check: "
-            f"{float(g[first])}"
+            f"root {root.lam} fails the characteristic residual check: |char_num| "
+            f"{root.residual} > 1e-8*|lambda + alpha|*|lambda + delta| = 1e-8*{scale}"
         )
     return result
 

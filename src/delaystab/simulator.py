@@ -285,11 +285,21 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     return row
 
 
+# The march step last built, for the params object (by identity: equal
+# params can differ in the sign of a zero), dt and n_tau it was built for.
+_step_march = (None, None, None, None)
+
+
 def step(state: SimState, params: SystemParams) -> SimState:
     """Advance one dt: exact advection/decay of c with the activation source
     integrated along the characteristic, then the exact activation update
-    driven by the delayed trace averaged over the step."""
-    march = _march_fn(params, state.dt, state.n_tau)
+    driven by the delayed trace averaged over the step.  A loop of steps on
+    one params object and step size builds its update once."""
+    global _step_march
+    built_for, dt, n_tau, march = _step_march
+    if built_for is not params or dt != state.dt or n_tau != state.n_tau:
+        march = _march_fn(params, state.dt, state.n_tau)
+        _step_march = (params, state.dt, state.n_tau, march)
     lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
     (a_new, p, acc, _, c_l), sources, _ = march(state.c, state.a, lag, 1)
     history = np.empty_like(state.history)

@@ -22,7 +22,13 @@ from delaystab import (
     spectrum,
     threshold_gain,
 )
-from delaystab.errors import InvalidParameter, QuadratureNonInteger, SampleBudgetExceeded
+from delaystab.characteristic import exclusions
+from delaystab.errors import (
+    InvalidParameter,
+    QuadratureNonInteger,
+    SampleBudgetExceeded,
+    SolverConsistencyError,
+)
 from test_robustness import corpus
 
 B0 = threshold_gain(1, 1, 1, 1)
@@ -287,6 +293,133 @@ class TestSharedEdges:
         assert result.box == box
         assert not any(r.structural for r in result.roots)
         assert result.total_count == count_zeros(p, box) == len(result.roots)
+
+
+def box_segments(box):
+    """The (start, stop) pairs of box's bottom, right, top and left edges,
+    as _box_edges lays out a box that is not held as its upper half."""
+    sw, se = complex(box.re_min, box.im_min), complex(box.re_max, box.im_min)
+    nw, ne = complex(box.re_min, box.im_max), complex(box.re_max, box.im_max)
+    return ((sw, se), (se, ne), (nw, ne), (sw, nw))
+
+
+def edges_one_by_one(sampler, segments):
+    """_edges as a loop over its edges: each line from np.linspace, all
+    first samples in one call, and every edge that touches no zero handed
+    to _refined with its own turns.  Also returns how many edges refinement
+    lengthened."""
+    lines = []
+    for start, stop in segments:
+        steps = es._MIN_STEPS
+        if start.real == stop.real:
+            steps += (stop.imag - start.imag) * sampler.rate
+        sampler.charge(steps + 1)
+        lines.append(np.linspace(start, stop, int(steps) + 1))
+    vals, scales = sampler.sample(np.concatenate(lines))
+    on_zero = es._on_zero(vals, scales)
+    edges, end, lengthened = [], 0, 0
+    for pts in lines:
+        start, end = end, end + pts.size
+        edge = None
+        if not on_zero[start:end].any():
+            edge_vals = vals[start:end]
+            edge = es._refined(sampler, pts, edge_vals, np.angle(edge_vals[1:] / edge_vals[:-1]))
+            lengthened += edge is not None and edge.pts.size > pts.size
+        edges.append(edge)
+    return edges, lengthened
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestEdgeLayer:
+    """_edges builds its lines without np.linspace and finds the first
+    round's turns and steep steps over all its edges at once; every sample,
+    turn, on-zero None and budget charge is that of a per-edge loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lines_are_linspace_to_the_bit(self, seed):
+        rng = random.Random(seed)
+        spans = [1e-300, 2.0**-52, 1e-3, 1.0, 37.5, 1e12, 1e300]
+        for _ in range(40):
+            fixed = rng.choice([-0.0, 0.0, rng.uniform(-50, 50), 10 ** rng.uniform(-300, 300)])
+            lo = rng.choice([-0.0, rng.uniform(-100, 100), -rng.choice(spans)])
+            hi = lo + rng.choice(spans) * rng.uniform(1, 2)
+            n = rng.choice([2, 17, rng.randrange(2, 5000)])
+            for start, stop in ((complex(fixed, lo), complex(fixed, hi)),
+                                (complex(lo, fixed), complex(hi, fixed))):
+                assert np.array_equal(bits(es._line(start, stop, n)),
+                                      bits(np.linspace(start, stop, n)))
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (complex(-0.0, 0.0), complex(-0.0, 5e-324)),      # the step underflows
+            (complex(1.0, -1e-320), complex(1.0, 1e-320)),
+            (complex(-0.0, -1e307), complex(-0.0, 1e307)),
+            (complex(-1e307, 3.0), complex(1e307, 3.0)),
+        ],
+        ids=["subnormal-span", "tiny-span", "huge-vertical", "huge-horizontal"],
+    )
+    def test_extreme_lines_are_linspace_to_the_bit(self, start, stop):
+        for n in (2, 17, 1000):
+            assert np.array_equal(bits(es._line(start, stop, n)), bits(np.linspace(start, stop, n)))
+
+    def test_edges_match_the_per_edge_loop(self):
+        # Symmetric search boxes (three segments) and the same boxes moved
+        # off the axis (four); several of them have edges that refine.
+        cases = []
+        for p in CORPUS_HEAD[:17]:
+            try:
+                box = default_box(p, 1e-5)
+            except SampleBudgetExceeded:
+                continue
+            upper = box_segments(ContourBox(box.re_min, box.re_max, 0.0, box.im_max))[1:]
+            shifted = ContourBox(box.re_min, box.re_max, box.im_min * 0.9, box.im_max)
+            cases += [(p, upper), (p, box_segments(shifted))]
+        # The deflated numerator of beta = 0 is lambda + 1: the bottom
+        # edge's fifth sample lies on its zero, and that edge is None.
+        beta0 = SystemParams(1, 0, 2, 1, 1, 1)
+        cases.append((beta0, box_segments(ContourBox(-1.5, 0.5, 0.0, 1.0))))
+        lengthened, none_seen = 0, False
+        for p, segments in cases:
+            got_sampler, want_sampler = es._Sampler(p), es._Sampler(p)
+            with np.errstate(**es._QUIET):
+                got = es._edges(got_sampler, segments)
+                want, grew = edges_one_by_one(want_sampler, segments)
+            lengthened += grew
+            assert got_sampler.left == want_sampler.left
+            assert [edge is None for edge in got] == [edge is None for edge in want]
+            none_seen |= None in got
+            for g, w in zip(got, want):
+                if g is not None:
+                    for field in ("pts", "vals", "turns"):
+                        assert np.array_equal(bits(getattr(g, field)), bits(getattr(w, field)))
+        assert none_seen and lengthened >= 5
+
+    @pytest.mark.parametrize("side", range(4))
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_a_steep_end_step_is_refined(self, monkeypatch, side, step):
+        # A zero just outside the unit box, next to the first or the last
+        # step of one edge, turns that step alone by nearly pi.
+        p = SystemParams(1, 0, 2, 1, 1, 0)
+        segments = box_segments(ContourBox(0.0, 1.0, 0.0, 1.0))
+        start, stop = segments[side]
+        steps = es._MIN_STEPS + (stop.imag - start.imag) * es._Sampler(p).rate
+        line = np.linspace(start, stop, int(steps) + 1)
+        outward = (-1j, 1.0, 1j, -1.0)[side]
+        zero = 0.5 * (line[step] + line[step - 1 if step else 1]) + 1e-3 * outward
+        monkeypatch.setattr(
+            es, "_deflated_with_scale", lambda params, pts: (pts - zero, np.abs(pts) + 1.0)
+        )
+        got_sampler, want_sampler = es._Sampler(p), es._Sampler(p)
+        got = es._edges(got_sampler, segments)
+        want, lengthened = edges_one_by_one(want_sampler, segments)
+        assert lengthened == 1 and got_sampler.left == want_sampler.left
+        for g, w in zip(got, want):
+            for field in ("pts", "vals", "turns"):
+                assert np.array_equal(bits(getattr(g, field)), bits(getattr(w, field)))
 
 
 class TestFindRoots:
@@ -624,6 +757,46 @@ class TestResiduals:
         assert splits and sum(r.lam.imag > 0 for r in roots) > 20
 
 
+class TestResidualCheck:
+    """spectrum verifies |char_fn| <= 1e-8 at each root from its residual,
+    as |char_num|/(|lambda + alpha|*|lambda + delta|), with no second
+    evaluation."""
+
+    @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
+    def test_the_check_reads_the_residual(self, monkeypatch, factor, fails):
+        # Each residual forced to factor * 1e-8 * |lambda + alpha|*|lambda + delta|.
+        p = BETA10_TAU50
+
+        def forced(params, lams):
+            lams = np.asarray(lams)
+            return factor * 1e-8 * np.abs(lams + params.alpha) * np.abs(lams + params.delta)
+
+        monkeypatch.setattr(es, "char_num", forced)
+        monkeypatch.setattr(es, "char_fn", None)
+        if fails:
+            with pytest.raises(SolverConsistencyError, match="fails the characteristic residual"):
+                spectrum(p, 1e-5)
+        else:
+            assert len(spectrum(p, 1e-5).roots) == 57
+
+    def test_a_root_at_minus_delta_passes(self):
+        # exclusions reports -delta = -1 an eigenvalue: the condition
+        # 1 - beta*l*exp(delta*tau)/(f*(alpha - delta)) is 0.
+        p = SystemParams(2, math.exp(-0.5), 1, 1, 1, 0.5)
+        assert exclusions(p).minus_delta_is_eigen
+        roots = spectrum(p, 1.5).roots
+        assert any(abs(r.lam + 1.0) <= 1e-12 for r in roots)
+
+    def test_a_root_exactly_at_minus_delta_passes(self, monkeypatch):
+        # char_num and lambda + delta are both 0 there.
+        p = SystemParams(2, math.exp(-0.5), 1, 1, 1, 0.5)
+        box = default_box(p, 1.5)
+        listed = es.RootSet(es._rooted(p, [es._Limit(complex(-1.0, 0.0), 3, 1)]), 1, box)
+        assert listed.roots[0].residual == 0.0
+        monkeypatch.setattr(es, "_located", lambda *args, **kwargs: listed)
+        assert spectrum(p, 1.5) is listed
+
+
 class TestPredictedSpectrum:
     """spectrum predicts the roots of a counted box by collocation, polishes
     them by Newton and lists them when they add up to the count; otherwise
@@ -777,6 +950,13 @@ class TestCollocationSizes:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = 0.0
+
+    @pytest.mark.parametrize("n", [11, 16, 33, 128, 256])
+    def test_shared_matrix_is_the_inline_formula(self, n):
+        x, c, diff, _, _ = es._nodes(n)
+        matrix = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+        matrix -= np.diag(matrix.sum(axis=1))
+        assert np.array_equal(diff, matrix) and not diff.flags.writeable
 
     def test_each_size_is_built_once(self, monkeypatch):
         # 57 eigenvalues: N = 8 + ceil(1.5*57) = 94, and no doubling.

@@ -189,6 +189,43 @@ class TestStep:
             errors.append(abs(finals[nx].a - finals[2 * nx].a))
         assert errors[1] <= errors[0] / 1.8
 
+    def test_a_loop_on_one_params_builds_its_update_once(self, monkeypatch):
+        built = []
+        make = simulator._march_fn
+        monkeypatch.setattr(simulator, "_march_fn", lambda *args: built.append(args) or make(*args))
+        monkeypatch.setattr(simulator, "_step_march", (None, None, None, None))
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        state = init_state(p, SimConfig(20, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        for _ in range(10):
+            state = step(state, p)
+        assert built == [(p, state.dt, state.n_tau)]
+        # An equal params object that is another object, and another step
+        # size, each build anew.
+        step(state, SystemParams(1, 0.5, 1, 1, 1, 0.3))
+        finer = init_state(p, SimConfig(40, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        step(finer, p)
+        assert len(built) == 3 and built[-1] == (p, finer.dt, finer.n_tau)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0, -0.0, -2.0])
+    def test_a_reused_update_steps_as_a_fresh_one(self, beta):
+        # One loop reuses its update but for a step with other params now
+        # and then; the other builds it anew each step, from a new object.
+        p, other = SystemParams(1, beta, 1, 1, 1, 0.3), SystemParams(1, -beta, 0.5, 1, 1, 0.3)
+        state = init_state(p, SimConfig(20, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        reused = [state]
+        for k in range(30):
+            reused.append(step(reused[-1], p))
+            if k % 7 == 3:
+                step(reused[-1], other)
+        fresh = [state]
+        for _ in range(30):
+            fresh.append(step(fresh[-1], SystemParams(1, beta, 1, 1, 1, 0.3)))
+        for got, want in zip(reused, fresh):
+            assert got.c.tobytes() == want.c.tobytes()
+            assert got.history.tobytes() == want.history.tobytes()
+            assert math.copysign(1.0, got.a) == math.copysign(1.0, want.a)
+            assert (got.a, got.t, got.step_index) == (want.a, want.t, want.step_index)
+
     def test_linearity(self):
         p = SystemParams(1, 1.5, 0.5, 1, 1, 0.4)
         cfg = SimConfig(nx=25, t_final=2.0, gamma=1.0, output_stride=5)

@@ -1,10 +1,16 @@
-"""Print one line per fixed point set: the labels `classify` gives it.
+"""Print two lines per fixed point set: the labels `classify` gives it, and
+the spectra `spectrum` finds there.
 
-Each line holds the set's name and size, the count of each
+The labels line holds the set's name and size, the count of each
 (label, evidence) pair and of each error class, and the first 12 hex digits
 of two SHA-256 hashes over the points in order: one of the labels (or error
-classes), one of repr(max_real_part).  Running it on two checkouts and
-diffing the outputs shows which sets a change relabelled.  The sets are the
+classes), one of repr(max_real_part).  The spectra line holds the number of
+roots that spectrum(p, 1e-6) lists over the set, the count of each error
+class, and one hash over every root's repr(lam), repr(residual),
+newton_iters and multiplicity, point by point; a point whose classify
+raised is not searched again and enters the hash as that error's class.
+Running it on two checkouts and diffing the outputs shows which sets a
+change relabelled, and which moved a root or residual bit.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
 (1, 1, 1, 1) on the benchmark's 20x20 grid and on a 50x50 grid of the same
 ranges, the 300-point robustness corpus and a seeded set of 200 points with
@@ -55,22 +61,40 @@ def short_hash(items) -> str:
     return hashlib.sha256("\n".join(items).encode()).hexdigest()[:12]
 
 
-def digest(points) -> str:
-    counts = collections.Counter()
-    labels, bounds = [], []
+def digest(points) -> tuple[str, str]:
+    """The labels line and the spectra line of points, after the set's name."""
+    counts, errors = collections.Counter(), collections.Counter()
+    labels, bounds, spectra = [], [], []
+    n_roots = 0
     for p in points:
         try:
             result = classify(p)
         except DelayStabError as exc:
             label, bound = type(exc).__name__, None
+            spectra.append(label)
+            errors[label] += 1
         else:
             label = f"{result.label.value}/{result.evidence.value}"
             bound = result.max_real_part
+            try:
+                roots = spectrum(p, 1e-6).roots
+            except DelayStabError as exc:
+                spectra.append(type(exc).__name__)
+                errors[type(exc).__name__] += 1
+            else:
+                n_roots += len(roots)
+                spectra.append(" ".join(
+                    f"{r.lam!r} {r.residual!r} {r.newton_iters} {r.multiplicity}" for r in roots
+                ))
         counts[label] += 1
         labels.append(label)
         bounds.append(repr(bound))
     pairs = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    return f"{len(points)} {pairs} labels {short_hash(labels)} max_real_part {short_hash(bounds)}"
+    failed = "".join(f" {k}={v}" for k, v in sorted(errors.items()))
+    return (
+        f"{len(points)} {pairs} labels {short_hash(labels)} max_real_part {short_hash(bounds)}",
+        f"{n_roots} roots{failed} spectra {short_hash(spectra)}",
+    )
 
 
 if __name__ == "__main__":
@@ -83,7 +107,7 @@ if __name__ == "__main__":
         os.path.join(ROOT, "tests"),
     ]
     import numpy as np
-    from delaystab import SystemParams, classify
+    from delaystab import SystemParams, classify, spectrum
     from delaystab.errors import DelayStabError
     from test_robustness import corpus
     from workloads import FAMILY, SWEEP_BETA, SWEEP_TAU, point_queries_inputs
@@ -96,4 +120,6 @@ if __name__ == "__main__":
         "negative-delta": negative_delta(),
     }
     for name, points in sets.items():
-        print(f"{name}  {digest(points)}")
+        labels, spectra = digest(points)
+        print(f"{name}  {labels}")
+        print(f"{name}  {spectra}")
