@@ -49,10 +49,17 @@ subdivided from the edges already sampled, as find_roots does.  The first
 collocation size follows the count as well as the box's height, so its
 N + 1 eigenvalues can always add up to the count.  The parts of a size
 that depend on N alone, the differentiation matrix among them, are built
-once per N per process, and the
-eigenvalues of the last two (params, N) pairs are kept: a classify or
-spectral_bound followed by spectrum on the same point solves each
-eigenproblem once.
+once per N per process, and the eigenvalues of the last two (params, N)
+pairs are kept.
+
+spectrum keeps its last search.  A later query on the same params object
+and tol whose box lies inside that search's (a smaller sigma, as
+spectrum(p, 1e-6) after classify(p) asks) is answered from it with no
+count, collocation, Newton or residual call, unless the search left a
+cell unresolved or a root of it lies within the nudge pad of the new box's
+boundary, where a fresh search could have grown its box.  A served root
+is the kept search's, so it can differ from a fresh search's in its last
+bits.
 
 A search carries its polished zeros as bare limits (the zero, its Newton
 iterations and its multiplicity) and lists them as Roots once, at its end:
@@ -743,9 +750,11 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     matrix on [-1, 1] and rule come from _nodes; rows 1..n are that matrix
     scaled by 2/(tau + l/f).  Empty when the matrix is not finite (an
     overflowing weight, or a node that hits a Chebyshev point).  The eigenvalues of the last
-    two (params, n) pairs, a size and its doubling, are kept, so a second
-    query on the same point solves nothing; the array is read-only because
-    every caller shares it.
+    two (params, n) pairs, a size and its doubling, are kept, so a fresh
+    search of an equal point that builds the same n solves nothing (spectrum
+    answers most repeated queries from its kept search, but not one whose
+    root lies within its box's nudge pad, nor one on an equal but distinct
+    params object); the array is read-only because every caller shares it.
     """
     ratio = params.l / params.f
     span = params.tau + ratio
@@ -891,6 +900,41 @@ def default_box(params: SystemParams, sigma: float) -> ContourBox:
     return ContourBox(re_min=-sigma, re_max=radius + 1.0, im_min=-half, im_max=half)
 
 
+# The last search spectrum ran, as (params, tol, RootSet), the params object
+# compared by identity (as simulator.step keys its march); None after a
+# search that raised.
+_kept = None
+
+
+def _served(params: SystemParams, box: ContourBox, tol: float) -> RootSet | None:
+    """The eigenvalues in box from the kept search, or None when spectrum
+    must search afresh, as its docstring lists.  A root's margin is its
+    least distance (per coordinate) inside box, negative outside, so
+    |margin| <= pad puts it within the pad of box's boundary."""
+    if _kept is None:
+        return None
+    kept_params, kept_tol, kept = _kept
+    outer = kept.box
+    if (
+        kept_params is not params
+        or kept_tol != tol
+        or kept.unresolved
+        or not outer.re_min <= box.re_min < box.re_max <= outer.re_max
+        or not outer.im_min <= box.im_min < box.im_max <= outer.im_max
+    ):
+        return None
+    pad = _NUDGE_FACTOR * (1.0 + box.diameter)
+    roots = []
+    for root in kept.roots:
+        z = root.lam
+        margin = min(z.real - box.re_min, box.re_max - z.real, z.imag - box.im_min, box.im_max - z.imag)
+        if abs(margin) <= pad:
+            return None
+        if margin > 0.0:
+            roots.append(root)
+    return RootSet(roots=tuple(roots), total_count=sum(r.multiplicity for r in roots), box=box)
+
+
 def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     """All eigenvalues with Re lambda >= -sigma.
 
@@ -911,9 +955,24 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     from the edges already sampled and in its upper half only; a double
     root or a missed one ends up there, and so does a box with one
     eigenvalue, which is polished without a split.  The eigenvalues of the
-    last two collocations are kept, keyed by params and N, so spectrum
-    after a classify or spectral_bound of the same point that built the
-    same N solves no eigenproblem.  Every root listed is verified to
+    last two collocations are kept, keyed by params and N.
+
+    The last search spectrum ran is kept, with its params object and tol,
+    and a query on the same object (compared by identity) and tol is
+    answered from it when its box lies inside the kept one, as it does for
+    any sigma no larger than the kept search's, the kept search left no
+    cell unresolved, and no kept root lies within the nudge pad 1e-4*(1 +
+    diameter) of the new box's boundary.  The answer lists the kept roots
+    strictly inside the new box, as they were listed (residuals and Newton
+    iterations included), its total_count their multiplicities and its box
+    the new default box; no count, collocation, Newton or residual call is
+    made.  So classify or spectral_bound, then spectrum on the same object
+    with a smaller sigma, searches once.  A served root can differ from a
+    fresh search's in its last bits.  Any other query searches afresh,
+    and only a fresh search replaces the kept one (a search that raises
+    leaves none).
+
+    Every root a fresh search lists is verified to
     satisfy |char_fn| <= 1e-8, read off its residual |char_num| (taken for
     all roots in one array call) as |char_num|/(|lambda + alpha|*|lambda +
     delta|); a root at -delta, where both are 0, passes.  An empty result
@@ -927,6 +986,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     if not 0.0 <= sigma < math.inf:
         raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
     _check_tol(tol)
+    global _kept
     # Residuals silence an overflowing exp as find_roots's counts do.
     with np.errstate(**_QUIET):
         if params.beta == 0.0:
@@ -935,7 +995,12 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             roots = _rooted(params, limits)
             return RootSet(roots=roots, total_count=len(roots), box=box)
 
-        result = _located(params, default_box(params, sigma), tol, predict=True)
+        box = default_box(params, sigma)
+        result = _served(params, box, tol)
+        if result is not None:
+            return result
+        _kept = None
+        result = _located(params, box, tol, predict=True)
         near, failed = [], []
         for root in result.roots:
             shifted = abs(root.lam + params.alpha)
@@ -961,6 +1026,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             f"root {root.lam} fails the characteristic residual check: |char_num| "
             f"{root.residual} > 1e-8*|lambda + alpha|*|lambda + delta| = 1e-8*{scale}"
         )
+    _kept = (params, tol, result)
     return result
 
 

@@ -210,9 +210,12 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
     (a, d**r, S_r, F_r, c(l)) after each step, where r counts the steps of
     its segment, up to nx, and F_r is the sum of the squares of the r - 1
     samples 0 < j < r fed in the segment; the sources s_0..s_{n-1}; and the
-    start of every segment after the first, as a list.  A delta*dt below
-    about -709.78, whose decay factor exp(-delta*dt) is past the
-    floating-point range, raises SimulationOverflow.
+    start of every segment after the first, as a list.  march.advance(c,
+    a, history) is the same formulas at n = 1, for step: the profile,
+    activation and newest-first delay window one step after c, a and
+    history, bit for bit what march and _profile give at n = 1.  A
+    delta*dt below about -709.78, whose decay factor exp(-delta*dt) is past
+    the floating-point range, raises SimulationOverflow.
     """
     alpha, beta = params.alpha, params.beta
     decay_a = math.exp(-alpha * dt)
@@ -268,6 +271,24 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
                 i += 1
         return table, sources, starts
 
+    def advance(c: np.ndarray, a: float, history: np.ndarray):
+        # march's step at r = 0: S_1 = -0.0*d + s_0 is s_0, and the outlet
+        # d*c[nx-1] + s_0 is the new profile's last sample
+        lag = history[-2:].tolist()
+        delayed = 0.5 * (lag[-1] + lag[0]) if lagged else lag[-1]
+        a_new = a * decay_a + delayed * gain_a / alpha
+        s = beta * (0.5 * (a + a_new)) * gain_c / delta
+        row = np.empty_like(c)
+        row[0] = 0.0
+        carried = row[1:]
+        np.multiply(c[:-1], d, out=carried)
+        carried += s
+        window = np.empty_like(history)
+        window[0] = row[-1]
+        window[1:] = history[:-1]
+        return row, a_new, window
+
+    march.advance = advance
     return march
 
 
@@ -275,7 +296,7 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     """The profile len(sources) steps after c, in march's closed form: d**i*c
     shifted by i plus S_i, behind the fed samples sum_{m<j} d**m*s_{i-1-m} at
     0 < j < i, with powers d**0, d**1, ...  One step is c[:-1]*d + s_0 behind
-    the pinned inflow, as step has always computed it."""
+    the pinned inflow, as march.advance computes it for step."""
     i = len(sources)
     row = np.empty_like(c)
     carried = row[i:]
@@ -285,8 +306,9 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     return row
 
 
-# The march step last built, for the params object (by identity: equal
-# params can differ in the sign of a zero), dt and n_tau it was built for.
+# The one-step update (march.advance) last built, for the params object
+# (by identity: equal params can differ in the sign of a zero), dt and
+# n_tau it was built for.
 _step_march = (None, None, None, None)
 
 
@@ -296,21 +318,17 @@ def step(state: SimState, params: SystemParams) -> SimState:
     driven by the delayed trace averaged over the step.  A loop of steps on
     one params object and step size builds its update once."""
     global _step_march
-    built_for, dt, n_tau, march = _step_march
+    built_for, dt, n_tau, advance = _step_march
     if built_for is not params or dt != state.dt or n_tau != state.n_tau:
-        march = _march_fn(params, state.dt, state.n_tau)
-        _step_march = (params, state.dt, state.n_tau, march)
-    lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
-    (a_new, p, acc, _, c_l), sources, _ = march(state.c, state.a, lag, 1)
-    history = np.empty_like(state.history)
-    history[0] = c_l
-    history[1:] = state.history[:-1]
+        advance = _march_fn(params, state.dt, state.n_tau).advance
+        _step_march = (params, state.dt, state.n_tau, advance)
+    c, a, history = advance(state.c, state.a, state.history)
     n = state.step_index + 1
     return SimState(
         t=n * state.dt,
         step_index=n,
-        c=_profile(state.c, p, acc, [1.0], sources),
-        a=a_new,
+        c=c,
+        a=a,
         history=history,
         dt=state.dt,
         n_tau=state.n_tau,

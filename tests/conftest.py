@@ -2,7 +2,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from delaystab import region
+from delaystab import eigensolver, region
+
+
+@pytest.fixture(autouse=True)
+def no_kept_search(monkeypatch):
+    """Each test starts with no kept spectral search, so a query on a shared
+    params object searches afresh, whatever an earlier test searched."""
+    monkeypatch.setattr(eigensolver, "_kept", None)
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
+import dataclasses
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +28,13 @@ from delaystab import (
 )
 from delaystab.characteristic import exclusions
 from delaystab.errors import (
+    DelayStabError,
     InvalidParameter,
     QuadratureNonInteger,
     SampleBudgetExceeded,
     SolverConsistencyError,
 )
-from test_robustness import corpus
+from test_robustness import corpus, negative_delta
 
 B0 = threshold_gain(1, 1, 1, 1)
 BETA10_TAU50 = SystemParams(1, 10, 1, 1, 1, 50)
@@ -967,9 +972,10 @@ class TestCollocationSizes:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: built.append(len(a)) or eigh(a))
         monkeypatch.setattr(es, "_collocated", lambda p, n: used.append(n) or collocated(p, n))
         first = spectrum(BETA10_TAU50, 1e-5)
-        # Solved anew, so the second call reaches _nodes again.
+        # Solved anew, so the second call reaches _nodes again; an equal
+        # but distinct object is searched afresh.
         collocated.cache_clear()
-        assert first == spectrum(BETA10_TAU50, 1e-5)
+        assert first == spectrum(dataclasses.replace(BETA10_TAU50), 1e-5)
         assert used == [94] * 2 and built == [94]
 
     def test_the_count_sizes_the_first_collocation(self, monkeypatch):
@@ -990,7 +996,9 @@ class TestCollocationSizes:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a) - 1) or eigvals(a))
         label = classify(COUNT69)
         assert label.evidence is Evidence.SPECTRAL_SEARCH
-        assert spectrum(COUNT69, 1e-6).total_count == 69
+        # An equal but distinct object is searched afresh (classify's search
+        # is kept for COUNT69 itself) and finds the same (point, N) solved.
+        assert spectrum(dataclasses.replace(COUNT69), 1e-6).total_count == 69
         assert solved == [112]
         assert spectrum(BETA10_TAU50, 1e-6).total_count == 57
         assert solved == [112, 94]
@@ -1000,6 +1008,145 @@ class TestCollocationSizes:
         with pytest.raises(ValueError):
             values[0] = 0.0
         assert np.array_equal(values, collocated_from_scratch(COUNT69, 112))
+
+
+def searched(monkeypatch):
+    """The boxes of the searches spectrum runs afresh, by a spy on _located."""
+    boxes, located = [], es._located
+
+    def spy(params, box, *args, **kwargs):
+        boxes.append(box)
+        return located(params, box, *args, **kwargs)
+
+    monkeypatch.setattr(es, "_located", spy)
+    return boxes
+
+
+def point_queries():
+    """The 80 points of the benchmark's point-queries workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.point_queries_inputs(0)
+
+
+def margin(z, box):
+    """How far z lies inside box, per coordinate; negative outside."""
+    return min(z.real - box.re_min, box.re_max - z.real, z.imag - box.im_min, box.im_max - z.imag)
+
+
+class TestKeptSearch:
+    """spectrum answers a query on the params object and tol of its last
+    search, whose box lies inside that search's, from that search."""
+
+    def test_classify_then_spectrum_searches_once(self, monkeypatch):
+        boxes = searched(monkeypatch)
+        assert classify(COUNT69).evidence is Evidence.SPECTRAL_SEARCH
+        result = spectrum(COUNT69, 1e-6)
+        assert boxes == [default_box(COUNT69, 1e-5)]
+        assert result.box == default_box(COUNT69, 1e-6) and not result.unresolved
+        assert result.total_count == len(result.roots) == 69
+        # The same query again is served from the same search.
+        assert spectrum(COUNT69, 1e-6) == result and len(boxes) == 1
+
+    def test_a_narrower_box_lists_the_kept_roots_inside_it(self, monkeypatch):
+        # 51 eigenvalues with Re lambda >= -1, 5 of them with Re lambda >= -1e-6.
+        p = SystemParams(1, 5, 1, 1, 1, 5)
+        assert spectrum(p, 1.0).total_count == 51
+        boxes = searched(monkeypatch)
+        served = spectrum(p, 1e-6)
+        fresh = spectrum(dataclasses.replace(p), 1e-6)
+        assert boxes == [default_box(p, 1e-6)]
+        assert served.total_count == fresh.total_count == len(served.roots) == 5
+        assert served.box == fresh.box
+        assert matched(fresh.roots, served.roots) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "case", ["equal-object", "other-tol", "larger-sigma", "unresolved-cell", "root-in-pad"]
+    )
+    def test_a_fresh_search(self, monkeypatch, case):
+        p, sigma, tol = COUNT69, 1e-6, 1e-12
+        if case == "root-in-pad":
+            # 2 of its 57 roots lie 8.0e-4 inside the box, within the pad
+            # of 1.4e-3.
+            p, sigma = BETA10_TAU50, 1e-5
+        kept = spectrum(p, 1e-5)
+        if case == "equal-object":
+            p = dataclasses.replace(p)
+        elif case == "other-tol":
+            tol = 1e-11
+        elif case == "larger-sigma":
+            sigma = 1e-4
+        elif case == "unresolved-cell":
+            cell = es.UnresolvedCell(ContourBox(1.0, 1.5, 1.0, 1.5), 1)
+            kept = dataclasses.replace(kept, total_count=kept.total_count + 1, unresolved=(cell,))
+            monkeypatch.setattr(es, "_kept", (p, tol, kept))
+        else:
+            box = default_box(p, sigma)
+            pad = es._NUDGE_FACTOR * (1.0 + box.diameter)
+            assert min(abs(margin(r.lam, box)) for r in kept.roots) <= pad
+        boxes = searched(monkeypatch)
+        result = spectrum(p, sigma, tol)
+        assert boxes == [default_box(p, sigma)]
+        # Only a fresh search replaces the entry.
+        assert es._kept == (p, tol, result)
+
+    def test_a_search_that_raises_keeps_nothing(self, monkeypatch):
+        spectrum(COUNT69, 1e-5)
+
+        def boom(*args, **kwargs):
+            raise SolverConsistencyError("boom")
+
+        monkeypatch.setattr(es, "_located", boom)
+        with pytest.raises(SolverConsistencyError):
+            spectrum(dataclasses.replace(COUNT69), 1e-5)
+        assert es._kept is None
+
+    @pytest.mark.parametrize("points", ["point-queries", "negative-delta"])
+    def test_a_served_spectrum_matches_a_fresh_one(self, monkeypatch, points):
+        # The order of the benchmark and the label digest: classify, then
+        # spectrum(p, 1e-6); the fresh search is of an equal object.
+        boxes = searched(monkeypatch)
+        served = 0
+        for p in point_queries() if points == "point-queries" else negative_delta():
+            try:
+                classify(p)
+            except DelayStabError:
+                pass
+            searches = len(boxes)
+            answers = []
+            for q in (p, dataclasses.replace(p)):
+                try:
+                    answers.append(spectrum(q, 1e-6))
+                except DelayStabError as exc:
+                    answers.append(type(exc))
+            got, fresh = answers
+            served += len(boxes) == searches + 1
+            if isinstance(fresh, type) or isinstance(got, type):
+                assert got is fresh
+                continue
+            assert (got.total_count, got.box, got.unresolved) == (
+                fresh.total_count, fresh.box, fresh.unresolved
+            )
+            assert [(r.multiplicity, r.newton_iters) for r in got.roots] == [
+                (r.multiplicity, r.newton_iters) for r in fresh.roots
+            ]
+            for a, b in zip(got.roots, fresh.roots):
+                assert abs(a.lam - b.lam) <= 1e-15 * max(1.0, abs(b.lam))
+        # 58 of 80 and 178 of 200 when this was written
+        assert served >= (50 if points == "point-queries" else 150)
+
+    def test_the_entry_holds_one_search(self, monkeypatch):
+        other = SystemParams(1, -4, 1, 1, 1, 4)
+        for p in (COUNT69, other):
+            assert classify(p).evidence is Evidence.SPECTRAL_SEARCH
+        boxes = searched(monkeypatch)
+        spectrum(COUNT69, 1e-6)
+        assert boxes == [default_box(COUNT69, 1e-6)]
+        assert es._kept[0] is COUNT69
 
 
 class TestStripBox:

@@ -31,6 +31,23 @@ def corpus(n=300, seed=0):
     return points
 
 
+def negative_delta(n=200, seed=29):
+    """A seeded set of points with delta < 0, over the benchmark's point
+    query ranges of the other coordinates."""
+    rng = random.Random(seed)
+    return [
+        SystemParams(
+            alpha=10 ** rng.uniform(-1, 1),
+            beta=rng.uniform(-10, 10),
+            delta=-rng.uniform(1e-3, 1),
+            l=10 ** rng.uniform(-0.5, 0.5),
+            f=10 ** rng.uniform(-0.5, 0.5),
+            tau=rng.uniform(0, 20),
+        )
+        for _ in range(n)
+    ]
+
+
 def test_every_point_labelled_or_typed_within_budget():
     failures = []
     labels = 0

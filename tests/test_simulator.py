@@ -226,6 +226,32 @@ class TestStep:
             assert math.copysign(1.0, got.a) == math.copysign(1.0, want.a)
             assert (got.a, got.t, got.step_index) == (want.a, want.t, want.step_index)
 
+    @pytest.mark.parametrize(
+        "p, nx",
+        [
+            (SystemParams(1, 0.5, 1, 1, 1, 0.3), 20),
+            (SystemParams(1, 0.5, 1, 1, 1, 0.0), 16),  # n_tau == 0
+            (SystemParams(1.3, 0.7, 0.0, 1, 1, 0.4), 16),  # delta == 0
+            (SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3), 16),
+            (SystemParams(1, -0.0, 2, 1, 1, 0.3), 10),
+            (SystemParams(2, 8.0, 1, 1, 1, 5.0), 100),
+        ],
+    )
+    def test_a_step_is_march_at_one_step(self, p, nx):
+        # step's one-step form against march and _profile at n = 1, bit for
+        # bit, from a history that is not zero
+        state = init_state(p, SimConfig(nx, 1.0, 1.0), sine_profile(p.l), 1.0, lambda s: 0.1 * s)
+        march = simulator._march_fn(p, state.dt, state.n_tau)
+        for _ in range(60):
+            lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
+            (a, power, acc, _, c_l), sources, _ = march(state.c, state.a, lag, 1)
+            c = simulator._profile(state.c, power, acc, [1.0], sources)
+            history = np.concatenate(([c_l], state.history[:-1]))
+            state = step(state, p)
+            assert state.c.view(np.int64).tolist() == c.view(np.int64).tolist()
+            assert state.history.view(np.int64).tolist() == history.view(np.int64).tolist()
+            assert np.float64(state.a).view(np.int64) == np.float64(a).view(np.int64)
+
     def test_linearity(self):
         p = SystemParams(1, 1.5, 0.5, 1, 1, 0.4)
         cfg = SimConfig(nx=25, t_final=2.0, gamma=1.0, output_stride=5)

@@ -1,4 +1,4 @@
-"""Print two lines per fixed point set: the labels `classify` gives it, and
+"""Print three lines per fixed point set: the labels `classify` gives it, and
 the spectra `spectrum` finds there.
 
 The labels line holds the set's name and size, the count of each
@@ -9,6 +9,11 @@ roots that spectrum(p, 1e-6) lists over the set, the count of each error
 class, and one hash over every root's repr(lam), repr(residual),
 newton_iters and multiplicity, point by point; a point whose classify
 raised is not searched again and enters the hash as that error's class.
+The reuse line counts the points whose spectrum(p, 1e-6) was answered from
+the search classify kept (none on a tree that keeps no search), the points
+among them whose answer differs from a fresh search's (of an equal params
+object) in any root or residual bit, and the largest root difference
+|lam - fresh|/max(1, |fresh|) among them.
 Running it on two checkouts and diffing the outputs shows which sets a
 change relabelled, and which moved a root or residual bit.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
@@ -23,9 +28,9 @@ made with the same thread count compare.  Run from the repository root:
 """
 
 import collections
+import dataclasses
 import hashlib
 import os
-import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,30 +47,30 @@ def grid(n: int):
     return [SystemParams(alpha, float(b), delta, l, f, float(t)) for b in betas for t in taus]
 
 
-def negative_delta(n=200, seed=29):
-    rng = random.Random(seed)
-    return [
-        SystemParams(
-            alpha=10 ** rng.uniform(-1, 1),
-            beta=rng.uniform(-10, 10),
-            delta=-rng.uniform(1e-3, 1),
-            l=10 ** rng.uniform(-0.5, 0.5),
-            f=10 ** rng.uniform(-0.5, 0.5),
-            tau=rng.uniform(0, 20),
-        )
-        for _ in range(n)
-    ]
-
-
 def short_hash(items) -> str:
     return hashlib.sha256("\n".join(items).encode()).hexdigest()[:12]
 
 
-def digest(points) -> tuple[str, str]:
-    """The labels line and the spectra line of points, after the set's name."""
+def fresh_difference(served, p) -> tuple[bool, float]:
+    """Whether the roots served differ from those of a fresh
+    spectrum(p, 1e-6) of an equal params object in any root or residual
+    bit, and their largest relative root difference (inf when their root
+    counts differ)."""
+    fresh = spectrum(dataclasses.replace(p), 1e-6).roots
+    if len(fresh) != len(served):
+        return True, float("inf")
+    differs = [(r.lam, r.residual) for r in served] != [(r.lam, r.residual) for r in fresh]
+    return differs, max(
+        (abs(a.lam - b.lam) / max(1.0, abs(b.lam)) for a, b in zip(served, fresh)), default=0.0
+    )
+
+
+def digest(points) -> tuple[str, str, str]:
+    """The labels, spectra and reuse lines of points, after the set's name."""
     counts, errors = collections.Counter(), collections.Counter()
     labels, bounds, spectra = [], [], []
-    n_roots = 0
+    n_roots = served = differ = 0
+    worst = 0.0
     for p in points:
         try:
             result = classify(p)
@@ -76,6 +81,7 @@ def digest(points) -> tuple[str, str]:
         else:
             label = f"{result.label.value}/{result.evidence.value}"
             bound = result.max_real_part
+            kept = getattr(eigensolver, "_kept", None)
             try:
                 roots = spectrum(p, 1e-6).roots
             except DelayStabError as exc:
@@ -86,6 +92,13 @@ def digest(points) -> tuple[str, str]:
                 spectra.append(" ".join(
                     f"{r.lam!r} {r.residual!r} {r.newton_iters} {r.multiplicity}" for r in roots
                 ))
+                # A fresh search replaces the kept entry; a served query
+                # leaves the one classify made for p.
+                if kept is not None and kept[0] is p and eigensolver._kept is kept:
+                    served += 1
+                    differs, diff = fresh_difference(roots, p)
+                    differ += differs
+                    worst = max(worst, diff)
         counts[label] += 1
         labels.append(label)
         bounds.append(repr(bound))
@@ -94,6 +107,7 @@ def digest(points) -> tuple[str, str]:
     return (
         f"{len(points)} {pairs} labels {short_hash(labels)} max_real_part {short_hash(bounds)}",
         f"{n_roots} roots{failed} spectra {short_hash(spectra)}",
+        f"reuse {served} served {differ} differ max_root_diff {worst:.1e}",
     )
 
 
@@ -107,9 +121,9 @@ if __name__ == "__main__":
         os.path.join(ROOT, "tests"),
     ]
     import numpy as np
-    from delaystab import SystemParams, classify, spectrum
+    from delaystab import SystemParams, classify, eigensolver, spectrum
     from delaystab.errors import DelayStabError
-    from test_robustness import corpus
+    from test_robustness import corpus, negative_delta
     from workloads import FAMILY, SWEEP_BETA, SWEEP_TAU, point_queries_inputs
 
     sets = {
@@ -120,6 +134,5 @@ if __name__ == "__main__":
         "negative-delta": negative_delta(),
     }
     for name, points in sets.items():
-        labels, spectra = digest(points)
-        print(f"{name}  {labels}")
-        print(f"{name}  {spectra}")
+        for line in digest(points):
+            print(f"{name}  {line}")
