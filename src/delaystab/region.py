@@ -51,6 +51,12 @@ _OMEGA_SCAN_BUDGET = 65536
 # Array rounds of the bracket refinement; a bracket around a simple root
 # closes in about 10.
 _REFINE_ROUNDS = 60
+# The flip scan (_odd_steps): its slack on a turn count, in units of pi; the
+# cost of a candidate interval, in samples of a scan of every delay; and the
+# intervals or samples it takes at a time.
+_TURN_SLACK = 1e-9
+_STEP_COST = 8
+_BLOCK = 1 << 14
 _DENOM_TOL = 1e-14
 _RESIDUAL_TOL = 1e-8
 
@@ -310,38 +316,42 @@ def _flips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def _scan_roots(fn, grid: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+def _scan_roots(
+    fn, grid: np.ndarray, zeros, lefts, sampled=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Roots of several functions over grid, given where each one's samples
     vanish and change sign.
 
-    rows yields one (zeros, lefts) pair of index arrays into grid per row,
-    as _flips reads them off sampled values: grid[zeros] are roots as they
-    are, and each step [grid[i], grid[i + 1]], i in lefts, is a bracket.
-    fn(omega, row) evaluates the functions at arrays of frequencies and row
-    indices.  The values at the ends of every bracket come from fn, and
-    _refine refines the brackets of all rows together.  A row where fn does
-    not give some bracket's ends strictly opposite signs (a pair read within
-    rounding of a root) is scanned again: its pair is _flips of fn's own
-    values over the whole grid, and its brackets' ends take those values.
-    Returns the flat pair (row, root) of arrays, sorted by row and then by
-    root; a root within 1e-9 of the previous root of its row is merged into
-    it, so a chain of such roots keeps only its first.
+    zeros and lefts are flat (row, index) pairs of index arrays into grid,
+    as _flips reads them off each row's sampled values: grid[index] of a
+    zero is a root of its row as it is, and each step [grid[i], grid[i + 1]]
+    of a left i is a bracket of its row.  fn(omega, row) evaluates the
+    functions at arrays of frequencies and row indices, and sampled(i, row)
+    gives fn's values at grid[i], the same bits, from samples already taken
+    (fn(grid[i], row) when sampled is None).  The values at the ends of
+    every bracket come from sampled, and _refine refines the brackets of all
+    rows together.  A row where these do not give some bracket's ends
+    strictly opposite signs (a pair read within rounding of a root) is
+    scanned again: its zeros and lefts are _flips of its values over the
+    whole grid, and its brackets' ends take those values.  Returns the flat
+    pair (row, root) of arrays, sorted by row and then by root; a root
+    within 1e-9 of the previous root of its row is merged into it, so a
+    chain of such roots keeps only its first.
     """
-    zeros, lefts = map(list, zip(*rows))
-    row = np.repeat(np.arange(len(lefts)), [i.size for i in lefts])
-    i = np.concatenate(lefts)
-    flo, fhi = fn(grid[i], row), fn(grid[i + 1], row)
+    sampled = sampled or (lambda i, row: fn(grid[i], row))
+    (zrow, zero), (row, i) = zeros, lefts
+    flo, fhi = sampled(i, row), sampled(i + 1, row)
     again = np.unique(row[~((np.minimum(flo, fhi) < 0.0) & (np.maximum(flo, fhi) > 0.0))])
-    keep = ~np.isin(row, again)
-    parts = [(row[keep], i[keep], flo[keep], fhi[keep])]
+    keep, kept = ~np.isin(row, again), ~np.isin(zrow, again)
+    parts = [(zrow[kept], zero[kept], row[keep], i[keep], flo[keep], fhi[keep])]
     for k in again.tolist():
-        values = fn(grid, np.full(grid.size, k))
-        zeros[k], j = _flips(values)
-        parts.append((np.full(j.size, k), j, values[j], values[j + 1]))
-    row, i, flo, fhi = map(np.concatenate, zip(*parts))
+        values = sampled(np.arange(grid.size), np.full(grid.size, k))
+        z, j = _flips(values)
+        parts.append((np.full(z.size, k), z, np.full(j.size, k), j, values[j], values[j + 1]))
+    zrow, zero, row, i, flo, fhi = map(np.concatenate, zip(*parts))
     refined = _refine(fn, row, grid[i], grid[i + 1], flo, fhi)
-    row = np.concatenate([np.repeat(np.arange(len(zeros)), [z.size for z in zeros]), row])
-    root = np.concatenate([grid[np.concatenate(zeros)], refined])
+    row = np.concatenate([zrow, row])
+    root = np.concatenate([grid[zero], refined])
     order = np.lexsort((root, row))
     row, root = row[order], root[order]
     kept = np.ones(row.size, dtype=bool)
@@ -371,7 +381,7 @@ def _refine(fn, row, lo, hi, flo, fhi) -> np.ndarray:
         a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
         ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            c = np.clip(b - fb * (b - a) / (fb - fa), a + ulp, b - ulp)
+            c = np.minimum(np.maximum(b - fb * (b - a) / (fb - fa), a + ulp), b - ulp)
         c = np.where((k % 3 == 2) | np.isnan(c), a + 0.5 * (b - a), c)
         fc = fn(c, row[live])
         finite = ~np.isnan(fc)
@@ -384,6 +394,121 @@ def _refine(fn, row, lo, hi, flo, fhi) -> np.ndarray:
         moved[live] = np.where(to_lo, 1, -1)
         live = live[finite & (fc != 0.0) & (hi[live] - lo[live] > 2.0 * ulp)]
     return np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Each item's place in its group, for groups of the given sizes laid
+    end to end."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - sizes, sizes)
+
+
+def _odd_steps(grid_pi, arg, free, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Every delay's flips as one flat (row, left) pair, sorted by row and
+    then by left: the free steps j across which the turn count
+    floor(grid_pi*tau + arg), the float expression at tau = taus[row],
+    changes parity.
+
+    Step j's two counts are the floors of the lines u(tau) = grid_pi[j]*tau
+    + arg[j] and v(tau) = grid_pi[j + 1]*tau + arg[j + 1] - e, where the
+    even e nearest arg[j + 1] - arg[j] brings v next to u and leaves the
+    parity as it is.  Both lines rise with tau, so an integer m lies between
+    them only for the delays between the tau where u reaches m and the tau
+    where v does, and where no integer lies between them the floors agree.
+    The candidates of a step are the delays in those intervals, one per
+    integer that its lines cross over the delay range, each interval
+    widened by _TURN_SLACK on both lines; only the candidates are evaluated
+    as floats, and the odd ones kept (a candidate of two overlapping
+    intervals once).  The scan budget bounds omega*tau/pi by 4096, so a
+    float count is within about 1e-12 of its line, far inside the slack,
+    and no flip is missed.
+
+    An interval costs about _STEP_COST samples of a scan of every delay.
+    So a step whose lines rise by more than 1/_STEP_COST from one delay to
+    the next, which would need more than one interval per _STEP_COST
+    delays, takes every delay instead; so does a step whose lines rise by
+    less than the slack, whose intervals would be wide, and so does every
+    step when those with intervals would make less than a block of
+    samples.  These steps are scanned together, a block of delays at a
+    time, as the turn counts on the columns they span, so no step costs
+    much more than in a scan of every delay.  Both parts go in blocks of
+    about _BLOCK intervals or samples, and their temporaries stay under
+    about 1 MB.
+    """
+    n, tau_max = taus.size, taus[-1]
+    # the steps from lo to hi - 1 rise by between the slack and 1/_STEP_COST
+    rises = np.array([_TURN_SLACK, 1.0 / _STEP_COST])
+    lo, hi = np.searchsorted(grid_pi, rises * (n - 1) / tau_max)
+    heavy = free.copy()
+    keys = [np.zeros(0, np.int64)]
+    # a lean part smaller than a block would save less than its setup costs
+    if (hi - lo) * n > _BLOCK:
+        step = lo + np.flatnonzero(free[lo : hi - 1])
+        heavy[step] = False
+        keys += _lean_flips(grid_pi, arg, taus, step)
+    keys += _dense_flips(grid_pi, arg, taus, heavy)
+    keys = np.concatenate(keys)
+    # stable, as lexsort's: numpy's default int64 sort would map about 0.4 MB
+    # more of its library into every process that traces
+    keys.sort(kind="stable")
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], grid_pi.size)
+
+
+def _lean_flips(grid_pi, arg, taus, step):
+    """The flips of the given steps, by their candidate intervals
+    (_odd_steps), as keys row*grid_pi.size + left, a block at a time."""
+    n, tau_max = taus.size, taus[-1]
+    a, a1, b = grid_pi[step], grid_pi[step + 1], arg[step]
+    b1 = arg[step + 1] - 2.0 * np.round(0.5 * (arg[step + 1] - b))
+    first = np.ceil(np.minimum(b, b1) - 2.0 * _TURN_SLACK)
+    count = np.floor(np.maximum(a * tau_max + b, a1 * tau_max + b1) + 2.0 * _TURN_SLACK) - first
+    count = count.astype(np.int64) + 1
+    # the delay index where each line reaches the integer first, and the
+    # delays from one integer to the next
+    per_u, per_v = (n - 1) / (a * tau_max), (n - 1) / (a1 * tau_max)
+    at_u, at_v = (first - b) * per_u, (first - b1) * per_v
+    slack = _TURN_SLACK * per_u
+    rows = max(1, _BLOCK // max(1, count.max(initial=0)))
+    for r in range(0, step.size, rows):
+        block = slice(r, r + rows)
+        # integers down, steps across
+        m = np.arange(count[block].max())[:, None]
+        u = at_u[block] + m * per_u[block]
+        v = at_v[block] + m * per_v[block]
+        enter = np.minimum(u, v) - slack[block]
+        leave = np.maximum(u, v) + slack[block]
+        # an interval holds a delay where the floor of its end is not
+        # below its start; integers past the last leave the delay range
+        q, p = np.divmod(np.flatnonzero(np.floor(leave) >= enter), enter.shape[1])
+        start = np.maximum(np.ceil(enter[q, p]), 0.0).astype(np.int64)
+        width = np.maximum(np.minimum(np.floor(leave[q, p]), n - 1.0) + 1.0 - start, 0.0)
+        width = width.astype(np.int64)
+        k = np.repeat(start, width) + _offsets(width)
+        j = np.repeat(step[block][p], width)
+        tau = taus[k]
+        turns = np.floor(grid_pi[j + 1] * tau + arg[j + 1]) - np.floor(grid_pi[j] * tau + arg[j])
+        odd = (turns.astype(np.int64) & 1).astype(bool)
+        yield k[odd] * grid_pi.size + j[odd]
+
+
+def _dense_flips(grid_pi, arg, taus, heavy):
+    """The flips of the heavy steps at every delay, as keys
+    row*grid_pi.size + left: the turn counts on the columns the steps span,
+    a block of delays at a time."""
+    cols = np.flatnonzero(heavy)
+    if not cols.size:
+        return
+    lo, hi = cols[0], cols[-1] + 2
+    rows = max(1, _BLOCK // (hi - lo))
+    for r in range(0, taus.size, rows):
+        turns = np.multiply.outer(taus[r : r + rows], grid_pi[lo:hi])
+        turns += arg[lo:hi]
+        parity = np.floor(turns, out=turns).astype(np.int64)
+        parity &= 1
+        k, j = np.divmod(np.flatnonzero(parity[:, 1:] != parity[:, :-1]), hi - lo - 1)
+        j += lo
+        keep = heavy[j]
+        yield (k[keep] + r) * grid_pi.size + j[keep]
 
 
 def trace_boundary(
@@ -404,15 +529,20 @@ def trace_boundary(
     imaginary part: the same sign, no poles and no overflow.  S, with the
     entire factor D (_axis_factor), is sampled once.  The product is
     |S|*sin(omega*tau + arg S), so its sign is (-1)^floor((omega*tau +
-    arg S)/pi), a multiply-add and a floor per sample with arg S/pi taken
-    once.  The samples at omega = 0 and wherever S is 0 or NaN are held:
-    the product is 0 there, an exact zero of every delay, or NaN.  A flip,
-    the left end of a bracket, is a change of the turn count's parity
-    between neighbours that are not held.  Only the ends of the brackets
-    it opens, and the refinement, take the product itself, and a delay
-    whose bracket ends do not have strictly opposite signs (a phase within
-    rounding of a multiple of pi) is scanned again by the product
-    (_scan_roots).  At a pole of the gain (delta = 0,
+    arg S)/pi), with arg S/pi taken once.  The samples at omega = 0 and
+    wherever S is 0 or NaN are held: the product is 0 there, an exact zero
+    of every delay, or NaN.  A flip, the left end of a bracket, is a change
+    of that turn count's parity between neighbours that are not held.  The
+    flips are found a grid step at a time, not a delay at a time
+    (_odd_steps): a step's two turn counts are straight lines in tau, so
+    their parities can differ only at the delays next to where one of them
+    crosses an integer, and only those candidates are evaluated, by the
+    same float expression; a step that would need more candidates than a
+    scan of every delay takes every delay.  Only the ends of the brackets
+    the flips open, taken from the samples of S, and the refinement, take
+    the product itself, and a delay whose bracket ends do not have strictly
+    opposite signs (a phase within rounding of a multiple of pi) is scanned
+    again by the product (_scan_roots).  At a pole of the gain (delta = 0,
     omega = 2*pi*k*f/l, k != 0) that function has a simple zero, which
     refines like any other to a crossing whose gain is not finite; omega =
     0 at delta = 0 is the threshold branch, listed at beta =
@@ -468,20 +598,23 @@ def trace_boundary(
     # phase = |S| sin(omega*tau + arg S), S = scaled(omega), so its sign is
     # (-1)^floor((omega*tau + arg S)/pi).  At omega = 0, where S is real, and
     # where S is 0, every delay's phase is 0, and where S is NaN it is NaN:
-    # those columns are held, and no bracket has a held end.
+    # those columns are held, and no bracket has a held end; their arg is
+    # taken as 0, so the flip scan meets no NaN.
     on_grid = scaled(grid)
     held = np.isnan(on_grid) | (on_grid == 0.0) | (grid == 0.0)
-    zeros = np.flatnonzero(held & ~np.isnan(on_grid))
+    zero = np.flatnonzero(held & ~np.isnan(on_grid))
     free = ~(held[:-1] | held[1:])
-    arg = np.angle(on_grid) / np.pi
-    grid_pi = grid / np.pi
+    arg = np.where(held, 0.0, np.angle(on_grid) / np.pi)
+    zeros = (np.repeat(np.arange(num_tau), zero.size), np.tile(zero, num_tau))
 
-    def flips(tau):
-        # the turn count changes parity where its step is odd
-        step = 0.5 * np.diff(np.floor(grid_pi * tau + arg))
-        return zeros, np.flatnonzero(free & (step != np.floor(step)))
+    def sampled(i, rows):
+        # phase at grid[i], from the samples of S
+        return (np.exp(1j * grid[i] * taus[rows]) * on_grid[i]).imag
 
-    row, omegas = _scan_roots(phase, grid, map(flips, taus.tolist()))
+    # the flips go straight in, so nothing holds them past the scan
+    row, omegas = _scan_roots(
+        phase, grid, zeros, _odd_steps(grid / np.pi, arg, free, taus), sampled
+    )
     at = taus[row]
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
     # char_fn reads only these six fields, so arrays of beta and tau take
@@ -559,5 +692,8 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
         raise SampleBudgetExceeded(f"axis scan needs {(ceiling - start) / turn:.3g} points")
     turns = np.arange(np.ceil(start / turn), ceiling / turn) * turn
     grid = np.union1d(np.linspace(0.0, ceiling, _OMEGA_SCAN_POINTS), turns)
-    _, roots = _scan_roots(gap, grid, [_flips(gap(grid))])
+    values = gap(grid)
+    zero, left = _flips(values)
+    rows = (np.zeros_like(zero), zero), (np.zeros_like(left), left)
+    _, roots = _scan_roots(gap, grid, *rows, lambda i, _: values[i])
     return roots.tolist()

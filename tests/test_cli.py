@@ -390,7 +390,7 @@ class TestTraceR0:
     def test_default_window_covers_axis_candidates(self, capsys, monkeypatch, alpha, delta, l, f):
         windows = []
 
-        def record_window(fn, grid, rows):
+        def record_window(fn, grid, *rows):
             windows.append(grid[-1])
             return np.zeros(0, dtype=int), np.zeros(0)
 

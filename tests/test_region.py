@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -803,6 +804,18 @@ def flat(roots):
     return row, np.array([w for r in roots for w in r], dtype=float)
 
 
+def flat_rows(pairs):
+    """Each row's (zeros, lefts) pair of index arrays, in row order, as
+    _scan_roots' flat zeros and lefts: two (row, index) pairs."""
+    zeros, lefts = zip(*pairs)
+
+    def rows(arrays):
+        row = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+        return row, np.concatenate(arrays).astype(np.int64)
+
+    return rows(zeros), rows(lefts)
+
+
 class TestScanRoots:
     def test_grid_zero_masked_bracket_and_several_flips(self):
         grid = np.linspace(0.0, 10.0, 11)
@@ -813,14 +826,14 @@ class TestScanRoots:
             assert not np.any((6.0 <= w) & (w <= 7.0))
             return np.sin(w)
 
-        (roots,) = per_row(_scan_roots(fn, grid, [_flips(values)]), 1)
+        (roots,) = per_row(_scan_roots(fn, grid, *flat_rows([_flips(values)])), 1)
         assert roots[0] == 0.0
         assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
 
     def test_merges_roots_closer_than_merge_distance(self):
         grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
         values = np.array([-1.0, 0.0, 0.0, 1.0])
-        scan = _scan_roots(lambda w, rows: np.sin(w), grid, [_flips(values)])
+        scan = _scan_roots(lambda w, rows: np.sin(w), grid, *flat_rows([_flips(values)]))
         assert per_row(scan, 1) == [[1.0]]
 
     def test_rows_are_refined_together_and_kept_apart(self):
@@ -833,7 +846,7 @@ class TestScanRoots:
             return np.sin(w + shifts[rows])
 
         rows = (_flips(np.sin(grid + s)) for s in shifts)
-        roots = per_row(_scan_roots(fn, grid, rows), 3)
+        roots = per_row(_scan_roots(fn, grid, *flat_rows(rows)), 3)
         for s, found in zip(shifts, roots):
             assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
         # one call steps the brackets of every row
@@ -857,7 +870,8 @@ class TestScanRoots:
         grid = np.linspace(0.0, 10.0, 11)
         signs = np.sign(np.sin(grid))  # 0 at omega = 0
         signs[6] = math.nan  # drops the flip across 2*pi in [6, 7]
-        (roots,) = per_row(_scan_roots(lambda w, rows: np.sin(w), grid, [_flips(signs)]), 1)
+        scan = _scan_roots(lambda w, rows: np.sin(w), grid, *flat_rows([_flips(signs)]))
+        (roots,) = per_row(scan, 1)
         ((row, lo, hi, flo, fhi),) = seen
         assert lo.tolist() == [3.0, 9.0] and hi.tolist() == [4.0, 10.0]
         assert flo.tolist() == np.sin([3.0, 9.0]).tolist()
@@ -866,7 +880,7 @@ class TestScanRoots:
         # an exact zero between opposite signs is a root, and no bracket
         seen.clear()
         signs = np.array([1.0, 1.0, 0.0, -1.0, -1.0])
-        scan = _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), [_flips(signs)])
+        scan = _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), *flat_rows([_flips(signs)]))
         assert per_row(scan, 1) == [[2.0]]
         ((row, *_),) = seen
         assert row.size == 0
@@ -888,7 +902,7 @@ class TestScanRoots:
         rows = [np.sign(np.sin(grid + s)) for s in shifts]
         rows[0][6] = 1.0  # sin(3.5) < 0
         rows[1][5] = 1.0  # sin(3.25) < 0
-        roots = per_row(_scan_roots(fn, grid, map(_flips, rows)), 3)
+        roots = per_row(_scan_roots(fn, grid, *flat_rows(map(_flips, rows))), 3)
         assert sorted(r[0] for r in whole) == [0, 1]
         assert all(set(r) == {r[0]} for r in whole)
         ((row, lo, hi, flo, fhi),) = seen
@@ -956,9 +970,9 @@ class TestParityScan:
         seen = {}
         scan, refine = region._scan_roots, region._refine
 
-        def scan_spy(fn, grid, rows):
+        def scan_spy(fn, grid, *rows):
             seen["grid"] = grid
-            seen["roots"] = scan(fn, grid, rows)
+            seen["roots"] = scan(fn, grid, *rows)
             return seen["roots"]
 
         def refine_spy(fn, *bracket):
@@ -1003,9 +1017,9 @@ class TestParityScan:
         seen = {}
         scan = region._scan_roots
 
-        def scan_spy(fn, grid, rows):
-            seen["grid"], seen["rows"] = grid, list(rows)
-            return scan(fn, grid, seen["rows"])
+        def scan_spy(fn, grid, zeros, lefts, *rest):
+            seen["grid"], seen["rows"] = grid, (zeros, lefts)
+            return scan(fn, grid, zeros, lefts, *rest)
 
         monkeypatch.setattr(region, "_scan_roots", scan_spy)
         for fixed, tau_max, num_tau, omega_max in families:
@@ -1016,8 +1030,12 @@ class TestParityScan:
             held = nan | (s == 0.0) | (grid == 0.0)
             arg = np.where(held, 0.0, np.angle(s) / np.pi)
             taus = np.arange(num_tau) * tau_max / (num_tau - 1)
-            assert len(seen["rows"]) == num_tau
-            for tau, pair in zip(taus.tolist(), seen["rows"]):
+            (zrow, zero), (row, left) = seen["rows"]
+            # every delay has its omega = 0 zero, and the lefts come sorted
+            assert np.array_equal(np.unique(zrow), np.arange(num_tau))
+            assert np.all(np.diff(row * grid.size + left) > 0) and row.max(initial=0) < num_tau
+            pairs = [(zero[zrow == k], left[row == k]) for k in range(num_tau)]
+            for tau, pair in zip(taus.tolist(), pairs):
                 turns = np.floor(grid / np.pi * tau + arg).astype(np.int64)
                 signs = np.where(turns & 1, -1.0, 1.0)
                 signs[held] = np.where(nan[held], np.nan, 0.0)
@@ -1071,12 +1089,137 @@ class TestParityScan:
         trace = trace_boundary(fixed, tau_max, num_tau, omega_max)
         taus = np.arange(num_tau) * tau_max / (num_tau - 1)
 
-        def by_product(fn, grid, rows):
+        def by_product(fn, grid, *rows):
             return flat(product_scan(fn, grid, product_rows(fixed, grid, taus)))
 
         monkeypatch.setattr(region, "_scan_roots", by_product)
         assert len(trace.points) == 5500 and trace.failures == ()
         assert repr(trace_boundary(fixed, tau_max, num_tau, omega_max)) == repr(trace)
+
+    @staticmethod
+    def scan_parts(monkeypatch):
+        """Spy on the flip scan's two parts: the steps that each is given."""
+        given = {"lean": 0, "dense": 0}
+        lean, dense = region._lean_flips, region._dense_flips
+
+        def lean_spy(grid_pi, arg, taus, step):
+            given["lean"] += step.size
+            return lean(grid_pi, arg, taus, step)
+
+        def dense_spy(grid_pi, arg, taus, heavy):
+            given["dense"] += int(heavy.sum())
+            return dense(grid_pi, arg, taus, heavy)
+
+        monkeypatch.setattr(region, "_lean_flips", lean_spy)
+        monkeypatch.setattr(region, "_dense_flips", dense_spy)
+        return given
+
+    def assert_pairs_are_the_sign_rows(self, monkeypatch, families):
+        """Each delay's pair against its sampled sign row; returns the
+        number of lefts of each family's tau = 0 row."""
+        pairs = list(self.parity_pairs_and_sign_rows(monkeypatch, families))
+        for (zeros, lefts), signs in pairs:
+            expected_zeros, expected_lefts = _flips(signs)
+            assert np.array_equal(zeros, expected_zeros) and np.array_equal(lefts, expected_lefts)
+        firsts = np.cumsum([0] + [family[2] for family in families[:-1]])
+        return [pairs[k][0][1].size for k in firsts]
+
+    def test_tau_zero_rows_and_two_delays(self, monkeypatch):
+        # At tau = 0 the turn count is floor(arg S/pi), which flips where S
+        # crosses the real axis; with num_tau = 2 the delays are 0 and
+        # tau_max alone.
+        families = [
+            ((0.5, -1.0, 2.0, 1.0), 30.0, 2, 10.0),
+            (ONES, 10.0, 2, 6.0),
+            ((0.5, -1.0, 2.0, 1.0), 3.0, 60, 8.0),
+        ]
+        assert self.assert_pairs_are_the_sign_rows(monkeypatch, families) == [6, 0, 5]
+
+    def test_few_delays_over_a_wide_window_scan_every_delay(self, monkeypatch):
+        # Steps whose lines cross more than one integer per _STEP_COST
+        # delays take every delay; the 40-delay window splits between the
+        # two parts, and three delays over a wide window leave none lean.
+        given = self.scan_parts(monkeypatch)
+        self.assert_pairs_are_the_sign_rows(monkeypatch, [(ONES, 30.0, 3, 20.0)])
+        assert given == {"lean": 0, "dense": 3998}
+        given.update(lean=0, dense=0)
+        self.assert_pairs_are_the_sign_rows(monkeypatch, [(ONES, 10.0, 40, None)])
+        assert given["lean"] > 900 and given["dense"] > 2900
+
+    def test_phase_that_jumps_by_about_pi_between_neighbours(self, monkeypatch):
+        # A stand-in D turned by 0.97*pi or pi on bands of the 4000-point
+        # grid: across each band edge the two lines of a step lie about a
+        # unit apart, where a step's candidate intervals are wide and can
+        # overlap; the bands sit in both parts of the scan.
+        factor = region._axis_factor
+
+        def turned(fixed, omega):
+            d = factor(fixed, omega)
+            if np.size(omega) == 4000:
+                d[500:900] *= np.exp(0.97j * np.pi)
+                d[1500:1501] *= -1.0
+                d[2000:2400] *= np.exp(-0.99j * np.pi)
+                d[3900:3950] *= -1.0
+            return d
+
+        monkeypatch.setattr(region, "_axis_factor", turned)
+        given = self.scan_parts(monkeypatch)
+        self.assert_pairs_are_the_sign_rows(monkeypatch, [(ONES, 10.0, 60, 3.0)])
+        assert given["lean"] > 3000 and given["dense"] > 0
+
+    def test_turn_counts_exactly_on_integers(self):
+        # Dyadic slopes, delays and phases make grid_pi*tau + arg exact, so
+        # turn counts sit exactly on integers, at the edge of the candidate
+        # intervals.  Columns 1-4 rise by less than the slack and those from
+        # 3000 by more than 1/_STEP_COST a delay: both take every delay.
+        rng = np.random.default_rng(33)
+        j = np.arange(4000)
+        grid_pi = np.where(j < 3000, j / 2.0**14, j / 2.0**8)
+        grid_pi[1:5] = np.arange(1, 5) * 1e-12
+        taus = np.arange(64) * 15.75 / 63  # k/4, exactly
+        arg = rng.integers(-(2**16), 2**16 + 1, j.size) / 2.0**16
+        arg[::3] = 0.25  # runs of smooth phase between the jumps
+        cols = rng.choice(np.arange(5, 3000), 600, replace=False)
+        x = grid_pi[cols] * taus[rng.integers(0, 64, cols.size)]
+        arg[cols] = np.round(x) - x
+        # steps whose lines lie 1 - 2**-35 apart, each just below an
+        # integer at one delay: the delay lies in two candidate intervals
+        close = rng.choice(np.arange(5, 2999, 3), 20, replace=False)
+        tau = taus[rng.integers(1, 64, close.size)]
+        x = grid_pi[close] * tau
+        arg[close] = np.floor(x) - x - 2.0**-34
+        arg[close + 1] = arg[close] + 1.0 - 2.0**-35 - (grid_pi[close + 1] - grid_pi[close]) * tau
+        held = rng.random(j.size) < 0.02
+        held[0] = True
+        held[close] = held[close + 1] = False
+        arg[held] = 0.0
+        free = ~(held[:-1] | held[1:])
+        turns = np.multiply.outer(taus, grid_pi) + arg
+        assert np.count_nonzero((turns == np.floor(turns))[:, 5:-1] & free[5:]) > 600
+        row, left = region._odd_steps(grid_pi, arg, free, taus)
+        expected = []
+        for k, tau in enumerate(taus.tolist()):
+            step = 0.5 * np.diff(np.floor(grid_pi * tau + arg))
+            expected.append(k * j.size + np.flatnonzero(free & (step != np.floor(step))))
+        assert np.array_equal(row * j.size + left, np.concatenate(expected))
+        assert row.size > 50000
+
+    @pytest.mark.parametrize(
+        "args, bound_mb",
+        # The README's trace, and three delays over a window whose steps
+        # each cross about 95 integers
+        [((ONES, 10.0, 500), 2.5), ((ONES, 30.0, 3, 20.0), 1.0)],
+        ids=["readme", "dense-steps"],
+    )
+    def test_peak_memory_of_a_trace(self, args, bound_mb):
+        trace_boundary(*args)
+        tracemalloc.start()
+        try:
+            trace_boundary(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 def brentq_trace(fixed, tau_max, num_tau, omega_max):

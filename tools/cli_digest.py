@@ -112,6 +112,12 @@ INVOCATIONS = [
     "simulate --alpha 1 --delta=-0.7 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 5",
     # The README-size run (nx = 400, n_tau = 2000) up to t = 20.
     f"simulate {ONES} --beta 0.5 --tau 5 --nx 400 --t-final 20",
+    # Three delays over a wide window: each grid step crosses about 95
+    # integers of its turn count, more than there are delays, so the flip
+    # scan takes every delay of every step.
+    f"trace-r0 {ONES} --tau-max 30 --steps 3 --omega-max 20",
+    # delta < 0 over 300 delays: the flip scan's candidate intervals.
+    "trace-r0 --alpha 1 --delta=-0.8 --l 1 --f 1 --tau-max 10 --steps 300",
     # No crossing: the SVG draws the default frame's axes alone.
     "trace-r0 --alpha 1e-300 --delta 1 --l 1 --f 1 --steps 3 --tau-max 1 --omega-max 0.001"
     " --format svg",

@@ -1,5 +1,6 @@
-"""Print three lines per fixed point set: the labels `classify` gives it, and
-the spectra `spectrum` finds there.
+"""Print three lines per fixed point set, the labels `classify` gives it and
+the spectra `spectrum` finds there, and a last line that checks the boundary
+trace against the labels on either side of each crossing.
 
 The labels line holds the set's name and size, the count of each
 (label, evidence) pair and of each error class, and the first 12 hex digits
@@ -14,6 +15,12 @@ the search classify kept (none on a tree that keeps no search), the points
 among them whose answer differs from a fresh search's (of an equal params
 object) in any root or residual bit, and the largest root difference
 |lam - fresh|/max(1, |fresh|) among them.
+A last line, boundary, ties the boundary trace to the labels: at each
+omega > 0 crossing (tau, beta) of the region-map trace (500 delays of the
+family (1, 1, 1, 1)), classify labels the points at beta*(1 - 1e-3) and
+beta*(1 + 1e-3), just inside and just past the crossing's gain; the line
+counts the crossings by that (inside, past) pair of labels (or error
+classes) and hashes the pairs in trace order.
 Running it on two checkouts and diffing the outputs shows which sets a
 change relabelled, and which moved a root or residual bit.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
@@ -111,6 +118,29 @@ def digest(points) -> tuple[str, str, str]:
     )
 
 
+def label_of(p) -> str:
+    try:
+        return classify(p).label.value
+    except DelayStabError as exc:
+        return type(exc).__name__
+
+
+def boundary() -> str:
+    """The boundary line: each omega > 0 crossing's (inside, past) labels."""
+    alpha, delta, l, f = FAMILY
+    trace = trace_boundary(FAMILY, TRACE_TAU_MAX, TRACE_NUM_TAU, region_map_inputs(0))
+    pairs = [
+        ">".join(
+            label_of(SystemParams(alpha, c.beta * (1.0 + side), delta, l, f, c.tau))
+            for side in (-1e-3, 1e-3)
+        )
+        for c in trace.points
+        if c.omega > 0.0
+    ]
+    counts = " ".join(f"{k}={v}" for k, v in sorted(collections.Counter(pairs).items()))
+    return f"{len(pairs)} crossings {counts} labels {short_hash(pairs)}"
+
+
 if __name__ == "__main__":
     # One BLAS thread, set before numpy loads.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -121,10 +151,18 @@ if __name__ == "__main__":
         os.path.join(ROOT, "tests"),
     ]
     import numpy as np
-    from delaystab import SystemParams, classify, eigensolver, spectrum
+    from delaystab import SystemParams, classify, eigensolver, spectrum, trace_boundary
     from delaystab.errors import DelayStabError
     from test_robustness import corpus, negative_delta
-    from workloads import FAMILY, SWEEP_BETA, SWEEP_TAU, point_queries_inputs
+    from workloads import (
+        FAMILY,
+        SWEEP_BETA,
+        SWEEP_TAU,
+        TRACE_NUM_TAU,
+        TRACE_TAU_MAX,
+        point_queries_inputs,
+        region_map_inputs,
+    )
 
     sets = {
         "point-queries": point_queries_inputs(0),
@@ -136,3 +174,4 @@ if __name__ == "__main__":
     for name, points in sets.items():
         for line in digest(points):
             print(f"{name}  {line}")
+    print(f"boundary  {boundary()}")
