@@ -67,8 +67,7 @@ def _phi(w: np.ndarray) -> np.ndarray:
     ws = np.where(small, 1.0, w)
     # asarray keeps a 0-d result an array, so the series can be written in.
     phi = np.asarray((1.0 - np.exp(-ws)) / ws)
-    if small.any():
-        phi[small] = _phi_series(w[small])
+    phi[small] = _phi_series(w[small])
     return phi
 
 

@@ -49,17 +49,16 @@ subdivided from the edges already sampled, as find_roots does.  The first
 collocation size follows the count as well as the box's height, so its
 N + 1 eigenvalues can always add up to the count.  The parts of a size
 that depend on N alone, the differentiation matrix among them, are built
-once per N per process, and the eigenvalues of the last two (params, N)
-pairs are kept.
+once per N per process; each collocation's eigenvalues are solved anew.
 
-spectrum keeps its last search.  A later query on the same params object
-and tol whose box lies inside that search's (a smaller sigma, as
-spectrum(p, 1e-6) after classify(p) asks) is answered from it with no
-count, collocation, Newton or residual call, unless the search left a
-cell unresolved or a root of it lies within the nudge pad of the new box's
-boundary, where a fresh search could have grown its box.  A served root
-is the kept search's, so it can differ from a fresh search's in its last
-bits.
+spectrum keeps its last search, the one result this module remembers
+between calls.  A later query on the same params object and tol whose box
+lies inside that search's (a smaller sigma, as spectrum(p, 1e-6) after
+classify(p) asks) is answered from it with no count, collocation, Newton
+or residual call, unless the search left a cell unresolved or a root of it
+lies so near the new box's boundary that a fresh search could place it
+differently (_served).  A served root is the kept search's, so it can
+differ from a fresh search's in its last bits.
 
 A search carries its polished zeros as bare limits (the zero, its Newton
 iterations and its multiplicity) and lists them as Roots once, at its end:
@@ -735,10 +734,9 @@ def _nodes(n: int):
     return parts
 
 
-@functools.lru_cache(maxsize=2)
 def _collocated(params: SystemParams, n: int) -> np.ndarray:
     """Eigenvalues of the (n+1)x(n+1) Chebyshev collocation of the loop's
-    infinitesimal generator (Breda, Maset & Vermiglio, 2005), read-only.
+    infinitesimal generator (Breda, Maset & Vermiglio, 2005).
 
     The loop is a'(t) = -alpha*a(t) + beta * int_0^{l/f} exp(-delta*s)
     a(t - tau - s) ds, whose characteristic function is the deflated
@@ -749,12 +747,7 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     interpolation rows at -tau - s.  The points, signs, differentiation
     matrix on [-1, 1] and rule come from _nodes; rows 1..n are that matrix
     scaled by 2/(tau + l/f).  Empty when the matrix is not finite (an
-    overflowing weight, or a node that hits a Chebyshev point).  The eigenvalues of the last
-    two (params, n) pairs, a size and its doubling, are kept, so a fresh
-    search of an equal point that builds the same n solves nothing (spectrum
-    answers most repeated queries from its kept search, but not one whose
-    root lies within its box's nudge pad, nor one on an equal but distinct
-    params object); the array is read-only because every caller shares it.
+    overflowing weight, or a node that hits a Chebyshev point).
     """
     ratio = params.l / params.f
     span = params.tau + ratio
@@ -766,11 +759,9 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
     matrix[0] = weights @ (rows / rows.sum(axis=1)[:, None])
     matrix[0, 0] -= params.alpha
     try:
-        values = np.linalg.eigvals(matrix)
+        return np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError:
-        values = np.empty(0, dtype=complex)
-    values.flags.writeable = False
-    return values
+        return np.empty(0, dtype=complex)
 
 
 def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
@@ -782,8 +773,7 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
     built.  The count term leaves room for the N + 1 eigenvalues to add up
     to count, a real limit counting once and a complex one twice, with
     spare ones to resolve the top of a dense cluster.  The parts of a size
-    that depend on N alone are built once per process (_nodes), and a
-    repeated (params, N) is not solved again (_collocated).  Newton runs,
+    that depend on N alone are built once per process (_nodes).  Newton runs,
     confined to box, from each predicted eigenvalue with Im >= 0 and
     Re > re_min - 0.5.  A limit that _SAME_ROOT puts on the real axis is
     polished again from its real part and counts once, with imaginary part
@@ -901,16 +891,31 @@ def default_box(params: SystemParams, sigma: float) -> ContourBox:
 
 
 # The last search spectrum ran, as (params, tol, RootSet), the params object
-# compared by identity (as simulator.step keys its march); None after a
-# search that raised.
+# compared by identity (equal params can differ in the sign of a zero); None
+# after a search that raised.
 _kept = None
 
 
 def _served(params: SystemParams, box: ContourBox, tol: float) -> RootSet | None:
     """The eigenvalues in box from the kept search, or None when spectrum
-    must search afresh, as its docstring lists.  A root's margin is its
-    least distance (per coordinate) inside box, negative outside, so
-    |margin| <= pad puts it within the pad of box's boundary."""
+    must search afresh, as its docstring lists.
+
+    A fresh search of box lists the same zeros as the kept one unless one
+    of them lies so near box's boundary that the two could place it on
+    different sides.  Two things move a zero's side.  The fresh search
+    grows its box (_grow) only when a boundary sample counts as a zero,
+    |f| <= 1e-13*scale (_on_zero), and Newton leaves each limit within
+    about tol of its zero.  Near a zero z of multiplicity m, |f| grows like
+    |f^(m)(z)|/m! * r^m with the distance r, and the cancellation scale
+    over that derivative is about 1 + |z|, so the on-zero band around z
+    reaches r ~ (1e-13)**(1/m)*(1 + |z|).  A root is therefore kept clear
+    of the boundary by the pad (1e3*max(tol, 1e-13))**(1/m)*(1 + |z|), the
+    factor 1e3 covering the loose constants: 1e-9*(1 + |z|) for a simple
+    root at tol = 1e-12, and about 3.2e-5*(1 + |z|) for a double one.  A
+    root's margin is its least distance (per coordinate) inside box,
+    negative outside, so |margin| <= pad puts it within the pad of box's
+    boundary.
+    """
     if _kept is None:
         return None
     kept_params, kept_tol, kept = _kept
@@ -923,12 +928,12 @@ def _served(params: SystemParams, box: ContourBox, tol: float) -> RootSet | None
         or not outer.im_min <= box.im_min < box.im_max <= outer.im_max
     ):
         return None
-    pad = _NUDGE_FACTOR * (1.0 + box.diameter)
+    band = 1e3 * max(tol, _ON_ZERO_RTOL)
     roots = []
     for root in kept.roots:
         z = root.lam
         margin = min(z.real - box.re_min, box.re_max - z.real, z.imag - box.im_min, box.im_max - z.imag)
-        if abs(margin) <= pad:
+        if abs(margin) <= band ** (1.0 / root.multiplicity) * (1.0 + abs(z)):
             return None
         if margin > 0.0:
             roots.append(root)
@@ -954,15 +959,16 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     not built), and then the box is searched as find_roots searches it,
     from the edges already sampled and in its upper half only; a double
     root or a missed one ends up there, and so does a box with one
-    eigenvalue, which is polished without a split.  The eigenvalues of the
-    last two collocations are kept, keyed by params and N.
+    eigenvalue, which is polished without a split.
 
     The last search spectrum ran is kept, with its params object and tol,
     and a query on the same object (compared by identity) and tol is
     answered from it when its box lies inside the kept one, as it does for
     any sigma no larger than the kept search's, the kept search left no
-    cell unresolved, and no kept root lies within the nudge pad 1e-4*(1 +
-    diameter) of the new box's boundary.  The answer lists the kept roots
+    cell unresolved, and no kept root lies within its pad of the new box's
+    boundary: (1e3*max(tol, 1e-13))**(1/m)*(1 + |lambda|) for a root of
+    multiplicity m, 1e-9*(1 + |lambda|) for a simple one at the default
+    tol (_served derives it).  The answer lists the kept roots
     strictly inside the new box, as they were listed (residuals and Newton
     iterations included), its total_count their multiplicities and its box
     the new default box; no count, collocation, Newton or residual call is

@@ -13,7 +13,6 @@ import cmath
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -224,6 +223,9 @@ def sweep(
     ]
     workers = min(workers, len(jobs), _usable_cpus())
     if workers > 1:
+        # imported here, so that a process that starts no pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_classify_node, jobs, chunksize=8))
     return [_classify_node(job) for job in jobs]
@@ -316,9 +318,7 @@ def _flips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def _scan_roots(
-    fn, grid: np.ndarray, zeros, lefts, sampled=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _scan_roots(fn, grid: np.ndarray, zeros, lefts, sampled) -> tuple[np.ndarray, np.ndarray]:
     """Roots of several functions over grid, given where each one's samples
     vanish and change sign.
 
@@ -327,18 +327,16 @@ def _scan_roots(
     zero is a root of its row as it is, and each step [grid[i], grid[i + 1]]
     of a left i is a bracket of its row.  fn(omega, row) evaluates the
     functions at arrays of frequencies and row indices, and sampled(i, row)
-    gives fn's values at grid[i], the same bits, from samples already taken
-    (fn(grid[i], row) when sampled is None).  The values at the ends of
-    every bracket come from sampled, and _refine refines the brackets of all
-    rows together.  A row where these do not give some bracket's ends
-    strictly opposite signs (a pair read within rounding of a root) is
-    scanned again: its zeros and lefts are _flips of its values over the
-    whole grid, and its brackets' ends take those values.  Returns the flat
-    pair (row, root) of arrays, sorted by row and then by root; a root
-    within 1e-9 of the previous root of its row is merged into it, so a
-    chain of such roots keeps only its first.
+    gives fn's values at grid[i], the same bits, from samples already
+    taken.  The values at the ends of every bracket come from sampled, and
+    _refine refines the brackets of all rows together.  A row where these
+    do not give some bracket's ends strictly opposite signs (a pair read
+    within rounding of a root) is scanned again: its zeros and lefts are
+    _flips of its values over the whole grid, and its brackets' ends take
+    those values.  Returns the flat pair (row, root) of arrays, sorted by
+    row and then by root; a root within 1e-9 of the previous root of its
+    row is merged into it, so a chain of such roots keeps only its first.
     """
-    sampled = sampled or (lambda i, row: fn(grid[i], row))
     (zrow, zero), (row, i) = zeros, lefts
     flo, fhi = sampled(i, row), sampled(i + 1, row)
     again = np.unique(row[~((np.minimum(flo, fhi) < 0.0) & (np.maximum(flo, fhi) > 0.0))])

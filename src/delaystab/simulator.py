@@ -193,8 +193,29 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     )
 
 
+def _rates(params: SystemParams, dt: float) -> tuple[float, float, float, float, float]:
+    """The factors of one step dt, as (exp(-alpha*dt), 1 - exp(-alpha*dt),
+    d, gain_c, delta): d = exp(-delta*dt) and gain_c = 1 - d, so that a
+    step's source is beta*a_mid*gain_c/delta.  At delta = 0 they are that
+    source's limit, d = 1, gain_c = dt and delta = 1 (c*1.0 and x/1.0 are
+    exact).  A delta*dt below about -709.78, whose decay factor
+    exp(-delta*dt) is past the floating-point range, raises
+    SimulationOverflow."""
+    decay_a = math.exp(-params.alpha * dt)
+    gain_a = -math.expm1(-params.alpha * dt)
+    delta = params.delta
+    if delta == 0.0:
+        return decay_a, gain_a, 1.0, dt, 1.0
+    try:
+        return decay_a, gain_a, math.exp(-delta * dt), -math.expm1(-delta * dt), delta
+    except OverflowError:
+        raise SimulationOverflow(
+            f"exp(-delta*dt) overflows at delta*dt = {delta * dt!r}"
+        ) from None
+
+
 def _march_fn(params: SystemParams, dt: float, n_tau: int):
-    """The n-step update for this step size, its exponentials computed once.
+    """The n-step update for this step size, its factors (_rates) computed once.
 
     march(c, a, lag, n) takes n steps from the profile c and the activation
     a.  lag holds c(l, .) oldest first from the oldest delayed sample the
@@ -210,28 +231,11 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
     (a, d**r, S_r, F_r, c(l)) after each step, where r counts the steps of
     its segment, up to nx, and F_r is the sum of the squares of the r - 1
     samples 0 < j < r fed in the segment; the sources s_0..s_{n-1}; and the
-    start of every segment after the first, as a list.  march.advance(c,
-    a, history) is the same formulas at n = 1, for step: the profile,
-    activation and newest-first delay window one step after c, a and
-    history, bit for bit what march and _profile give at n = 1.  A
-    delta*dt below about -709.78, whose decay factor exp(-delta*dt) is past
-    the floating-point range, raises SimulationOverflow.
+    start of every segment after the first, as a list.  step is the same
+    formulas at n = 1.
     """
     alpha, beta = params.alpha, params.beta
-    decay_a = math.exp(-alpha * dt)
-    gain_a = -math.expm1(-alpha * dt)
-    if params.delta == 0.0:
-        # the delta -> 0 limit of the update below; c*1.0 and x/1.0 are exact
-        d, gain_c, delta = 1.0, dt, 1.0
-    else:
-        delta = params.delta
-        try:
-            d = math.exp(-delta * dt)
-            gain_c = -math.expm1(-delta * dt)
-        except OverflowError:
-            raise SimulationOverflow(
-                f"exp(-delta*dt) overflows at delta*dt = {delta * dt!r}"
-            ) from None
+    decay_a, gain_a, d, gain_c, delta = _rates(params, dt)
     lagged = n_tau >= 1
 
     def march(c: np.ndarray, a: float, lag: list, n: int) -> tuple[list, list, list]:
@@ -271,24 +275,6 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
                 i += 1
         return table, sources, starts
 
-    def advance(c: np.ndarray, a: float, history: np.ndarray):
-        # march's step at r = 0: S_1 = -0.0*d + s_0 is s_0, and the outlet
-        # d*c[nx-1] + s_0 is the new profile's last sample
-        lag = history[-2:].tolist()
-        delayed = 0.5 * (lag[-1] + lag[0]) if lagged else lag[-1]
-        a_new = a * decay_a + delayed * gain_a / alpha
-        s = beta * (0.5 * (a + a_new)) * gain_c / delta
-        row = np.empty_like(c)
-        row[0] = 0.0
-        carried = row[1:]
-        np.multiply(c[:-1], d, out=carried)
-        carried += s
-        window = np.empty_like(history)
-        window[0] = row[-1]
-        window[1:] = history[:-1]
-        return row, a_new, window
-
-    march.advance = advance
     return march
 
 
@@ -296,7 +282,7 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     """The profile len(sources) steps after c, in march's closed form: d**i*c
     shifted by i plus S_i, behind the fed samples sum_{m<j} d**m*s_{i-1-m} at
     0 < j < i, with powers d**0, d**1, ...  One step is c[:-1]*d + s_0 behind
-    the pinned inflow, as march.advance computes it for step."""
+    the pinned inflow, as step computes it."""
     i = len(sources)
     row = np.empty_like(c)
     carried = row[i:]
@@ -306,33 +292,31 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     return row
 
 
-# The one-step update (march.advance) last built, for the params object
-# (by identity: equal params can differ in the sign of a zero), dt and
-# n_tau it was built for.
-_step_march = (None, None, None, None)
-
-
 def step(state: SimState, params: SystemParams) -> SimState:
     """Advance one dt: exact advection/decay of c with the activation source
     integrated along the characteristic, then the exact activation update
-    driven by the delayed trace averaged over the step.  A loop of steps on
-    one params object and step size builds its update once."""
-    global _step_march
-    built_for, dt, n_tau, advance = _step_march
-    if built_for is not params or dt != state.dt or n_tau != state.n_tau:
-        advance = _march_fn(params, state.dt, state.n_tau).advance
-        _step_march = (params, state.dt, state.n_tau, advance)
-    c, a, history = advance(state.c, state.a, state.history)
+    driven by the delayed trace averaged over the step.  It is march's step
+    at r = 0, bit for bit what march and _profile give at n = 1: S_1 =
+    -0.0*d + s_0 is s_0, and the outlet d*c[nx-1] + s_0 is the new
+    profile's last sample."""
+    decay_a, gain_a, d, gain_c, delta = _rates(params, state.dt)
+    a, history = state.a, state.history
+    lag = history[-2:].tolist()
+    delayed = 0.5 * (lag[-1] + lag[0]) if state.n_tau >= 1 else lag[-1]
+    a_new = a * decay_a + delayed * gain_a / params.alpha
+    s = params.beta * (0.5 * (a + a_new)) * gain_c / delta
+    c = np.empty(state.c.size)
+    c[0] = 0.0
+    carried = c[1:]
+    np.multiply(state.c[:-1], d, carried)
+    carried += s
+    window = np.empty(history.size)
+    window[0] = c[-1]
+    window[1:] = history[:-1]
     n = state.step_index + 1
+    # Positional, in field order: a dataclass call by keyword is slower.
     return SimState(
-        t=n * state.dt,
-        step_index=n,
-        c=c,
-        a=a,
-        history=history,
-        dt=state.dt,
-        n_tau=state.n_tau,
-        tau_rounding_error=state.tau_rounding_error,
+        n * state.dt, n, c, a_new, window, state.dt, state.n_tau, state.tau_rounding_error
     )
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -28,5 +29,6 @@ def started_pools(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(region, "ProcessPoolExecutor", RecordingPool)
+    # sweep imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes

@@ -940,8 +940,7 @@ def collocated_from_scratch(params, n):
 
 class TestCollocationSizes:
     """The parts of a collocation that depend on its size alone are built
-    once per size, the first size holds the count, and the last two
-    (point, size) pairs are solved once."""
+    once per size and shared, and the first size holds the count."""
 
     @pytest.mark.parametrize("n", [16, 33, 128, 256])
     def test_shared_parts_give_the_same_bits(self, n):
@@ -966,15 +965,13 @@ class TestCollocationSizes:
     def test_each_size_is_built_once(self, monkeypatch):
         # 57 eigenvalues: N = 8 + ceil(1.5*57) = 94, and no doubling.
         es._nodes.cache_clear()
-        es._collocated.cache_clear()
         built, used = [], []
         eigh, collocated = np.linalg.eigh, es._collocated
         monkeypatch.setattr(np.linalg, "eigh", lambda a: built.append(len(a)) or eigh(a))
         monkeypatch.setattr(es, "_collocated", lambda p, n: used.append(n) or collocated(p, n))
         first = spectrum(BETA10_TAU50, 1e-5)
-        # Solved anew, so the second call reaches _nodes again; an equal
-        # but distinct object is searched afresh.
-        collocated.cache_clear()
+        # An equal but distinct object is searched afresh and collocated
+        # again, from the parts the first search built.
         assert first == spectrum(dataclasses.replace(BETA10_TAU50), 1e-5)
         assert used == [94] * 2 and built == [94]
 
@@ -989,25 +986,6 @@ class TestCollocationSizes:
         assert used == [112]
         assert result.total_count == contour.total_count == len(result.roots) == 69
         assert matched(contour.roots, result.roots) <= 1e-12
-
-    def test_a_repeated_point_is_solved_once(self, monkeypatch):
-        es._collocated.cache_clear()
-        solved, eigvals = [], np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(len(a) - 1) or eigvals(a))
-        label = classify(COUNT69)
-        assert label.evidence is Evidence.SPECTRAL_SEARCH
-        # An equal but distinct object is searched afresh (classify's search
-        # is kept for COUNT69 itself) and finds the same (point, N) solved.
-        assert spectrum(dataclasses.replace(COUNT69), 1e-6).total_count == 69
-        assert solved == [112]
-        assert spectrum(BETA10_TAU50, 1e-6).total_count == 57
-        assert solved == [112, 94]
-        values = es._collocated(COUNT69, 112)
-        assert solved == [112, 94]
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-        assert np.array_equal(values, collocated_from_scratch(COUNT69, 112))
 
 
 def searched(monkeypatch):
@@ -1033,9 +1011,13 @@ def point_queries():
     return module.point_queries_inputs(0)
 
 
-def margin(z, box):
-    """How far z lies inside box, per coordinate; negative outside."""
-    return min(z.real - box.re_min, box.re_max - z.real, z.imag - box.im_min, box.im_max - z.imag)
+def with_root(kept, box, inside, multiplicity):
+    """kept with one more root of multiplicity, listed last: the real
+    lambda that lies inside to the right of box's left edge."""
+    root = es.Root(complex(box.re_min + inside, 0.0), 0.0, 1, False, multiplicity)
+    return dataclasses.replace(
+        kept, roots=(*kept.roots, root), total_count=kept.total_count + multiplicity
+    )
 
 
 class TestKeptSearch:
@@ -1065,14 +1047,12 @@ class TestKeptSearch:
         assert matched(fresh.roots, served.roots) <= 1e-15
 
     @pytest.mark.parametrize(
-        "case", ["equal-object", "other-tol", "larger-sigma", "unresolved-cell", "root-in-pad"]
+        "case",
+        ["equal-object", "other-tol", "larger-sigma", "unresolved-cell", "root-in-pad",
+         "double-root-in-pad"],
     )
     def test_a_fresh_search(self, monkeypatch, case):
         p, sigma, tol = COUNT69, 1e-6, 1e-12
-        if case == "root-in-pad":
-            # 2 of its 57 roots lie 8.0e-4 inside the box, within the pad
-            # of 1.4e-3.
-            p, sigma = BETA10_TAU50, 1e-5
         kept = spectrum(p, 1e-5)
         if case == "equal-object":
             p = dataclasses.replace(p)
@@ -1085,14 +1065,29 @@ class TestKeptSearch:
             kept = dataclasses.replace(kept, total_count=kept.total_count + 1, unresolved=(cell,))
             monkeypatch.setattr(es, "_kept", (p, tol, kept))
         else:
-            box = default_box(p, sigma)
-            pad = es._NUDGE_FACTOR * (1.0 + box.diameter)
-            assert min(abs(margin(r.lam, box)) for r in kept.roots) <= pad
+            # A simple root 1e-10 inside the box, within its pad of
+            # 1e-9*(1 + |z|); a double one 1e-6 inside, past a simple
+            # root's pad but within its own, (1e-9)**(1/2)*(1 + |z|) = 3.2e-5.
+            inside, multiplicity = (1e-10, 1) if case == "root-in-pad" else (1e-6, 2)
+            kept = with_root(kept, default_box(p, sigma), inside, multiplicity)
+            monkeypatch.setattr(es, "_kept", (p, tol, kept))
         boxes = searched(monkeypatch)
         result = spectrum(p, sigma, tol)
         assert boxes == [default_box(p, sigma)]
         # Only a fresh search replaces the entry.
         assert es._kept == (p, tol, result)
+
+    def test_a_root_outside_its_pad_is_served(self, monkeypatch):
+        # A simple root 1e-4*(1 + diameter) inside the box, far past its
+        # pad: a fixed pad of that size sent such queries to search again.
+        p, sigma = COUNT69, 1e-6
+        box = default_box(p, sigma)
+        kept = with_root(spectrum(p, 1e-5), box, 1e-4 * (1.0 + box.diameter), 1)
+        monkeypatch.setattr(es, "_kept", (p, 1e-12, kept))
+        boxes = searched(monkeypatch)
+        result = spectrum(p, sigma)
+        assert boxes == [] and kept.roots[-1] in result.roots
+        assert result.total_count == len(result.roots) == 70
 
     def test_a_search_that_raises_keeps_nothing(self, monkeypatch):
         spectrum(COUNT69, 1e-5)
@@ -1110,12 +1105,13 @@ class TestKeptSearch:
         # The order of the benchmark and the label digest: classify, then
         # spectrum(p, 1e-6); the fresh search is of an equal object.
         boxes = searched(monkeypatch)
-        served = 0
+        searched_by_classify = served = 0
         for p in point_queries() if points == "point-queries" else negative_delta():
             try:
                 classify(p)
             except DelayStabError:
                 pass
+            searched_by_classify += es._kept is not None and es._kept[0] is p
             searches = len(boxes)
             answers = []
             for q in (p, dataclasses.replace(p)):
@@ -1136,8 +1132,8 @@ class TestKeptSearch:
             ]
             for a, b in zip(got.roots, fresh.roots):
                 assert abs(a.lam - b.lam) <= 1e-15 * max(1.0, abs(b.lam))
-        # 58 of 80 and 178 of 200 when this was written
-        assert served >= (50 if points == "point-queries" else 150)
+        # Every spectrum that follows a classify that searched is served.
+        assert served == searched_by_classify == (62 if points == "point-queries" else 200)
 
     def test_the_entry_holds_one_search(self, monkeypatch):
         other = SystemParams(1, -4, 1, 1, 1, 4)

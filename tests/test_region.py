@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import math
 import os
 import tracemalloc
@@ -485,7 +486,7 @@ class TestSweep:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(region, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(region, "_usable_cpus", lambda: cpus)
         nodes = sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2), workers=workers)
         assert nodes == sweep(ONES, (-2.0, 2.0), (0.0, 2.0), (2, 2))
@@ -816,6 +817,12 @@ def flat_rows(pairs):
     return rows(zeros), rows(lefts)
 
 
+def scanned(fn, grid, pairs):
+    """_scan_roots of fn over grid, from each row's (zeros, lefts) pair, its
+    samples at grid[i] taken by fn."""
+    return _scan_roots(fn, grid, *flat_rows(pairs), lambda i, row: fn(grid[i], row))
+
+
 class TestScanRoots:
     def test_grid_zero_masked_bracket_and_several_flips(self):
         grid = np.linspace(0.0, 10.0, 11)
@@ -826,14 +833,14 @@ class TestScanRoots:
             assert not np.any((6.0 <= w) & (w <= 7.0))
             return np.sin(w)
 
-        (roots,) = per_row(_scan_roots(fn, grid, *flat_rows([_flips(values)])), 1)
+        (roots,) = per_row(scanned(fn, grid, [_flips(values)]), 1)
         assert roots[0] == 0.0
         assert roots[1:] == pytest.approx([math.pi, 3.0 * math.pi], abs=1e-12)
 
     def test_merges_roots_closer_than_merge_distance(self):
         grid = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
         values = np.array([-1.0, 0.0, 0.0, 1.0])
-        scan = _scan_roots(lambda w, rows: np.sin(w), grid, *flat_rows([_flips(values)]))
+        scan = scanned(lambda w, rows: np.sin(w), grid, [_flips(values)])
         assert per_row(scan, 1) == [[1.0]]
 
     def test_rows_are_refined_together_and_kept_apart(self):
@@ -846,7 +853,7 @@ class TestScanRoots:
             return np.sin(w + shifts[rows])
 
         rows = (_flips(np.sin(grid + s)) for s in shifts)
-        roots = per_row(_scan_roots(fn, grid, *flat_rows(rows)), 3)
+        roots = per_row(scanned(fn, grid, rows), 3)
         for s, found in zip(shifts, roots):
             assert found == pytest.approx([k * math.pi - s for k in (1, 2, 3)], abs=1e-14)
         # one call steps the brackets of every row
@@ -870,7 +877,7 @@ class TestScanRoots:
         grid = np.linspace(0.0, 10.0, 11)
         signs = np.sign(np.sin(grid))  # 0 at omega = 0
         signs[6] = math.nan  # drops the flip across 2*pi in [6, 7]
-        scan = _scan_roots(lambda w, rows: np.sin(w), grid, *flat_rows([_flips(signs)]))
+        scan = scanned(lambda w, rows: np.sin(w), grid, [_flips(signs)])
         (roots,) = per_row(scan, 1)
         ((row, lo, hi, flo, fhi),) = seen
         assert lo.tolist() == [3.0, 9.0] and hi.tolist() == [4.0, 10.0]
@@ -880,7 +887,7 @@ class TestScanRoots:
         # an exact zero between opposite signs is a root, and no bracket
         seen.clear()
         signs = np.array([1.0, 1.0, 0.0, -1.0, -1.0])
-        scan = _scan_roots(lambda w, rows: 2.0 - w, np.arange(5.0), *flat_rows([_flips(signs)]))
+        scan = scanned(lambda w, rows: 2.0 - w, np.arange(5.0), [_flips(signs)])
         assert per_row(scan, 1) == [[2.0]]
         ((row, *_),) = seen
         assert row.size == 0
@@ -902,7 +909,7 @@ class TestScanRoots:
         rows = [np.sign(np.sin(grid + s)) for s in shifts]
         rows[0][6] = 1.0  # sin(3.5) < 0
         rows[1][5] = 1.0  # sin(3.25) < 0
-        roots = per_row(_scan_roots(fn, grid, *flat_rows(map(_flips, rows))), 3)
+        roots = per_row(scanned(fn, grid, map(_flips, rows)), 3)
         assert sorted(r[0] for r in whole) == [0, 1]
         assert all(set(r) == {r[0]} for r in whole)
         ((row, lo, hi, flo, fhi),) = seen

@@ -189,23 +189,6 @@ class TestStep:
             errors.append(abs(finals[nx].a - finals[2 * nx].a))
         assert errors[1] <= errors[0] / 1.8
 
-    def test_a_loop_on_one_params_builds_its_update_once(self, monkeypatch):
-        built = []
-        make = simulator._march_fn
-        monkeypatch.setattr(simulator, "_march_fn", lambda *args: built.append(args) or make(*args))
-        monkeypatch.setattr(simulator, "_step_march", (None, None, None, None))
-        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
-        state = init_state(p, SimConfig(20, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
-        for _ in range(10):
-            state = step(state, p)
-        assert built == [(p, state.dt, state.n_tau)]
-        # An equal params object that is another object, and another step
-        # size, each build anew.
-        step(state, SystemParams(1, 0.5, 1, 1, 1, 0.3))
-        finer = init_state(p, SimConfig(40, 1.0, 1.0), sine_profile(1.0), 1.0, zero_fn)
-        step(finer, p)
-        assert len(built) == 3 and built[-1] == (p, finer.dt, finer.n_tau)
-
     @pytest.mark.parametrize("beta", [0.5, 0.0, -0.0, -2.0])
     def test_a_reused_update_steps_as_a_fresh_one(self, beta):
         # One loop reuses its update but for a step with other params now

@@ -11,10 +11,12 @@ class, and one hash over every root's repr(lam), repr(residual),
 newton_iters and multiplicity, point by point; a point whose classify
 raised is not searched again and enters the hash as that error's class.
 The reuse line counts the points whose spectrum(p, 1e-6) was answered from
-the search classify kept (none on a tree that keeps no search), the points
-among them whose answer differs from a fresh search's (of an equal params
-object) in any root or residual bit, and the largest root difference
-|lam - fresh|/max(1, |fresh|) among them.
+the search classify kept (none on a tree that keeps no search), out of the
+points where classify ran a search that it kept, so a query that searches
+twice shows as served < searched; then the points among them whose answer
+differs from a fresh search's (of an equal params object) in any root or
+residual bit, and the largest root difference |lam - fresh|/max(1, |fresh|)
+among them.
 A last line, boundary, ties the boundary trace to the labels: at each
 omega > 0 crossing (tau, beta) of the region-map trace (500 delays of the
 family (1, 1, 1, 1)), classify labels the points at beta*(1 - 1e-3) and
@@ -76,7 +78,7 @@ def digest(points) -> tuple[str, str, str]:
     """The labels, spectra and reuse lines of points, after the set's name."""
     counts, errors = collections.Counter(), collections.Counter()
     labels, bounds, spectra = [], [], []
-    n_roots = served = differ = 0
+    n_roots = searched = served = differ = 0
     worst = 0.0
     for p in points:
         try:
@@ -89,6 +91,7 @@ def digest(points) -> tuple[str, str, str]:
             label = f"{result.label.value}/{result.evidence.value}"
             bound = result.max_real_part
             kept = getattr(eigensolver, "_kept", None)
+            searched += kept is not None and kept[0] is p
             try:
                 roots = spectrum(p, 1e-6).roots
             except DelayStabError as exc:
@@ -114,7 +117,7 @@ def digest(points) -> tuple[str, str, str]:
     return (
         f"{len(points)} {pairs} labels {short_hash(labels)} max_real_part {short_hash(bounds)}",
         f"{n_roots} roots{failed} spectra {short_hash(spectra)}",
-        f"reuse {served} served {differ} differ max_root_diff {worst:.1e}",
+        f"reuse {served} of {searched} served {differ} differ max_root_diff {worst:.1e}",
     )
 
 
