@@ -13,10 +13,12 @@ only an edge with a steep step is refined further, on its own.
 Boxes are bisected until each cell isolates one zero, which Newton then
 polishes from one start: the cell's first contour moment, read off the edge
 samples it already has (Delves & Lyness, 1967).  A start that leaves the
-cell sends it back to be split.  A split samples only its cut: the two
-halves reuse the parent's edges, cut at the cut's end samples, and share
-the cut, one running it forward and the other reversed, so their counts add
-up to the parent's.
+cell sends it back to be split; a cell that cannot be split further (more
+than one zero at the cluster size, or any cell at depth 40) raises
+MaxDepthExceeded, so a search lists every zero it counted or raises.  A
+split samples only its cut: the two halves reuse the parent's edges, cut
+at the cut's end samples, and share the cut, one running it forward and
+the other reversed, so their counts add up to the parent's.
 The function sampled is the deflated numerator, char_num with its
 structural zero at -delta divided out: an entire function whose zeros are
 exactly the eigenvalues (for beta != 0), so every count is a count of
@@ -55,10 +57,10 @@ spectrum keeps its last search, the one result this module remembers
 between calls.  A later query on the same params object and tol whose box
 lies inside that search's (a smaller sigma, as spectrum(p, 1e-6) after
 classify(p) asks) is answered from it with no count, collocation, Newton
-or residual call, unless the search left a cell unresolved or a root of it
-lies so near the new box's boundary that a fresh search could place it
-differently (_served).  A served root is the kept search's, so it can
-differ from a fresh search's in its last bits.
+or residual call, unless a root of it lies so near the new box's boundary
+that a fresh search could place it differently (_served).  A served root
+is the kept search's, so it can differ from a fresh search's in its last
+bits.
 
 A search carries its polished zeros as bare limits (the zero, its Newton
 iterations and its multiplicity) and lists them as Roots once, at its end:
@@ -183,23 +185,19 @@ class Root:
 
 
 @dataclass(frozen=True)
-class UnresolvedCell:
-    """A counted cell whose zeros could not be polished."""
-
-    box: ContourBox
-    count: int
-
-
-@dataclass(frozen=True)
 class RootSet:
     """Eigenvalues found in a box; total_count is the winding count over the
-    (possibly nudged) box and equals the sum of listed multiplicities plus
-    unresolved cell counts."""
+    (possibly nudged) box and equals the sum of listed multiplicities.
+
+    unresolved is always (): a search that cannot polish a counted cell
+    raises MaxDepthExceeded.  The field stays for its readers: acceptance
+    criterion 7 and the benchmark's checks.
+    """
 
     roots: tuple[Root, ...]
     total_count: int
     box: ContourBox
-    unresolved: tuple[UnresolvedCell, ...] = ()
+    unresolved: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -651,14 +649,15 @@ def _subdivide(
     depth: int,
     tol: float,
     roots: list[_Limit],
-    unresolved: list[UnresolvedCell],
 ) -> None:
     """Isolate and polish the count zeros of the deflated numerator in box.
 
     edges are box's edges.  Each isolated cell gets one Newton
     start from _polish; a cell whose start escapes is split like any other,
     so every further start is paid for by a split the sample budget meters.
-    Every cut is chosen by _split; the roots and unresolved cells found in
+    A cell that cannot be split further, one with more than one zero at
+    the cluster size or any cell at depth 40, raises MaxDepthExceeded when
+    _polish fails on it.  Every cut is chosen by _split; the roots found in
     a paired part are listed once more, mirrored in the real axis.
     """
     if count == 0:
@@ -666,15 +665,13 @@ def _subdivide(
     cluster_size = max(100.0 * tol, 1e-8) * (1.0 + abs(box.center))
     if count == 1 or box.diameter <= cluster_size or depth >= _MAX_DEPTH:
         found = _polish(sampler, box, edges, count, tol)
-        if found is None and count > 1 and depth >= _MAX_DEPTH:
-            raise MaxDepthExceeded(
-                f"could not isolate {count} zeros in {box} within depth {_MAX_DEPTH}"
-            )
-        if found is None and (count > 1 or depth >= _MAX_DEPTH):
-            found = UnresolvedCell(box, count)
         if found is not None:
-            (unresolved if isinstance(found, UnresolvedCell) else roots).append(found)
+            roots.append(found)
             return
+        if count > 1 or depth >= _MAX_DEPTH:
+            raise MaxDepthExceeded(
+                f"could not polish the {count} zeros counted in cell {box} at depth {depth}"
+            )
         # Newton escaped this one-zero cell from its start; split the cell
         # so the halves' starts land nearer the zero.
     for frac in _SPLIT_FRACTIONS:
@@ -689,17 +686,11 @@ def _subdivide(
             continue
         if c_lo < 0 or c_hi < 0 or c_lo + (1 + paired) * c_hi != count:
             continue
-        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots, unresolved)
-        n_roots, n_cells = len(roots), len(unresolved)
-        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots, unresolved)
+        _subdivide(sampler, lo, lo_edges, c_lo, depth + 1, tol, roots)
+        n_roots = len(roots)
+        _subdivide(sampler, hi, hi_edges, c_hi, depth + 1, tol, roots)
         if paired:
             roots.extend(_Limit(z.conjugate(), iters, m) for z, iters, m in roots[n_roots:])
-            unresolved.extend(
-                UnresolvedCell(
-                    ContourBox(c.box.re_min, c.box.re_max, -c.box.im_max, -c.box.im_min), c.count
-                )
-                for c in unresolved[n_cells:]
-            )
         return
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
 
@@ -819,26 +810,20 @@ def _located(params: SystemParams, box: ContourBox, tol: float, predict: bool) -
     def attempt(box: ContourBox):
         edges, count = _counted(sampler, box)
         roots = _predicted(params, box, count, tol) if predict and count > 1 else None
-        unresolved: list[UnresolvedCell] = []
         if roots is None:
             roots = []
-            _subdivide(sampler, box, edges, count, 0, tol, roots, unresolved)
-        return count, roots, unresolved
+            _subdivide(sampler, box, edges, count, 0, tol, roots)
+        return count, roots
 
     with np.errstate(**_QUIET):
-        (total, roots, unresolved), box = _nudged(attempt, box)
-    found = sum(r.multiplicity for r in roots) + sum(c.count for c in unresolved)
+        (total, roots), box = _nudged(attempt, box)
+    found = sum(r.multiplicity for r in roots)
     if found != total:
         raise SolverConsistencyError(
             f"subdivision found {found} zeros but the contour counted {total}"
         )
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    return RootSet(
-        roots=_rooted(params, roots),
-        total_count=total,
-        box=box,
-        unresolved=tuple(unresolved),
-    )
+    return RootSet(roots=_rooted(params, roots), total_count=total, box=box)
 
 
 def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> RootSet:
@@ -852,9 +837,12 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     them.  The whole call, nudges, splits and cluster probes included, may
     take at most 1,000,000 contour samples and raises SampleBudgetExceeded
     past that.  A root isolated in a cell that holds its conjugate is real
-    and listed with imaginary part exactly 0.  Unpolishable cells are
-    recorded on the result instead of raising.  A tol that is not finite
-    and > 0 raises InvalidParameter.
+    and listed with imaginary part exactly 0.  Every zero counted is listed,
+    or the call raises: a cell whose zeros cannot be polished and that
+    cannot be split further, one holding more than one zero within the
+    cluster size max(100*tol, 1e-8)*(1 + |center|) or any cell at depth
+    40, raises MaxDepthExceeded naming the cell, its count and its depth.
+    A tol that is not finite and > 0 raises InvalidParameter.
 
     A box symmetric about the real axis (im_min == -im_max) is searched in
     its upper half only: each symmetric cell is held, counted and cut as
@@ -923,7 +911,6 @@ def _served(params: SystemParams, box: ContourBox, tol: float) -> RootSet | None
     if (
         kept_params is not params
         or kept_tol != tol
-        or kept.unresolved
         or not outer.re_min <= box.re_min < box.re_max <= outer.re_max
         or not outer.im_min <= box.im_min < box.im_max <= outer.im_max
     ):
@@ -959,16 +946,18 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     not built), and then the box is searched as find_roots searches it,
     from the edges already sampled and in its upper half only; a double
     root or a missed one ends up there, and so does a box with one
-    eigenvalue, which is polished without a split.
+    eigenvalue, which is polished without a split.  A cell that search
+    cannot polish raises MaxDepthExceeded, as in find_roots: the result
+    lists every eigenvalue counted.
 
     The last search spectrum ran is kept, with its params object and tol,
     and a query on the same object (compared by identity) and tol is
     answered from it when its box lies inside the kept one, as it does for
-    any sigma no larger than the kept search's, the kept search left no
-    cell unresolved, and no kept root lies within its pad of the new box's
-    boundary: (1e3*max(tol, 1e-13))**(1/m)*(1 + |lambda|) for a root of
-    multiplicity m, 1e-9*(1 + |lambda|) for a simple one at the default
-    tol (_served derives it).  The answer lists the kept roots
+    any sigma no larger than the kept search's, and no kept root lies
+    within its pad of the new box's boundary:
+    (1e3*max(tol, 1e-13))**(1/m)*(1 + |lambda|) for a root of multiplicity
+    m, 1e-9*(1 + |lambda|) for a simple one at the default tol (_served
+    derives it).  The answer lists the kept roots
     strictly inside the new box, as they were listed (residuals and Newton
     iterations included), its total_count their multiplicities and its box
     the new default box; no count, collocation, Newton or residual call is
@@ -1046,10 +1035,6 @@ def spectral_bound(params: SystemParams, sigma: float) -> float | BelowThreshold
     if not 0.0 < sigma < math.inf:
         raise InvalidParameter(f"sigma must be finite and > 0, got {sigma}")
     result = spectrum(params, sigma)
-    if result.unresolved:
-        raise SolverConsistencyError(
-            f"{len(result.unresolved)} cells left unresolved; bound unreliable"
-        )
     if not result.roots:
         return BelowThreshold(-sigma)
     return max(r.lam.real for r in result.roots)

@@ -46,7 +46,8 @@ class SampleBudgetExceeded(DelayStabError):
 
 
 class MaxDepthExceeded(DelayStabError):
-    """Box subdivision hit the recursion depth limit before isolating zeros."""
+    """Box subdivision reached a cell it could neither polish nor split
+    further: more than one zero at the cluster size, or any cell at depth 40."""
 
 
 class SolverConsistencyError(DelayStabError):

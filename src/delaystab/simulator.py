@@ -40,7 +40,8 @@ from .params import SystemParams
 class SimConfig:
     """Discretization choices: nx cells on [0, l], final time, energy
     weight gamma and output stride (in steps).  gamma None is the decay
-    certificate's weight f*exp(-tau), taken exactly for every tau."""
+    certificate's weight f*exp(-tau), taken exactly for every tau.  nx and
+    output_stride are stored as int, so 10.0 is taken as 10."""
 
     nx: int
     t_final: float
@@ -57,6 +58,8 @@ class SimConfig:
         stride = self.output_stride
         if not (math.isfinite(stride) and int(stride) == stride and stride >= 1):
             raise InvalidParameter(f"output_stride must be an integer >= 1, got {stride}")
+        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "output_stride", int(stride))
 
 
 @dataclass
@@ -122,7 +125,8 @@ class FitResult:
 
 # The delay history is sampled by one c_l_history call a step, and it and
 # run's outflow buffer each hold a float a step: 2**24 samples take about
-# 10 s to sample and 134 MB an array.
+# 10 s to sample and 134 MB an array.  The profile's nx + 1 samples are
+# bounded alike.
 _DELAY_SAMPLES = 2**24
 
 
@@ -142,14 +146,18 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
-    sample raises InvalidParameter, and so does a step (l/nx)/f that
-    underflows to 0 or overflows to inf, a delay of sys.maxsize steps or
-    more, or one of _DELAY_SAMPLES steps or more, before any sample is
-    taken.
+    sample raises InvalidParameter, and so does an nx of _DELAY_SAMPLES or
+    more, a step (l/nx)/f that underflows to 0 or overflows to inf, a delay
+    of sys.maxsize steps or more, or one of _DELAY_SAMPLES steps or more,
+    before any sample is taken.
     """
     a = float(a0)
     if not math.isfinite(a):
         raise InvalidParameter(f"a0 must be finite, got {a!r}")
+    if config.nx >= _DELAY_SAMPLES:
+        raise InvalidParameter(
+            f"nx={config.nx} asks for a profile of more than {_DELAY_SAMPLES} samples"
+        )
     dt = _step_size(params, config)
     delay_steps = params.tau / dt
     if not delay_steps < sys.maxsize:

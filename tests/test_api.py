@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "SweepNode",
     "SystemParams",
     "TraceResult",
-    "UnresolvedCell",
     "axis_crossing_candidates",
     "beta_on_axis",
     "char_fn",

@@ -88,6 +88,17 @@ class TestEig:
             assert code == 3, command
             assert "contour" in err
 
+    def test_unpolishable_cell_is_numerical_failure(self, capsys):
+        # At tol = 1e-8 two simple eigenvalues near -3, 2.1e-6 apart, share a
+        # cell too small to split that Newton cannot polish: no partial list.
+        argv = ["eig", "--alpha", "1.4768116880880315", "--beta=-0.4768116880884702"]
+        argv += ["--delta", "1", "--l", "1", "--f", "1", "--tau", "0", "--sigma", "3.5"]
+        code, out, err = run_cli(capsys, [*argv, "--tol", "1e-8"])
+        assert (code, out) == (3, "")
+        assert re.search(r"the 2 zeros counted in cell ContourBox\(.*\) at depth \d+$", err)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(parse_csv(out)[1]) == 2
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -502,6 +513,13 @@ class TestSimulate:
         assert len(rows) == 21
         assert float(rows[0][0]) == 0.0
         assert all(float(r[1]) > 0 for r in rows)
+
+    def test_profile_past_the_memory_bound_is_bad_input(self, capsys):
+        # nx + 1 = 1e13 profile samples: exit 2 before any is allocated.
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "0"]
+        argv += ["--nx", "10000000000000", "--t-final", "1e-9"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and "nx=10000000000000" in err
 
     def test_step_that_underflows_is_bad_input(self, capsys):
         argv = ["simulate", "--alpha", "1", "--beta", "0.5", "--delta", "1", "--l", "1e-320"]

@@ -30,6 +30,7 @@ from delaystab.characteristic import exclusions
 from delaystab.errors import (
     DelayStabError,
     InvalidParameter,
+    MaxDepthExceeded,
     QuadratureNonInteger,
     SampleBudgetExceeded,
     SolverConsistencyError,
@@ -501,8 +502,8 @@ class TestFindRoots:
             p = random_params(rng)
             box = ContourBox(-2.0, 2.0, -2.5, 2.5)
             result = find_roots(p, box)
-            found = sum(r.multiplicity for r in result.roots)
-            assert found + sum(c.count for c in result.unresolved) == result.total_count
+            assert sum(r.multiplicity for r in result.roots) == result.total_count
+            assert result.unresolved == ()
             assert count_zeros(p, result.box) == result.total_count
 
     def test_double_zero_polished_as_cluster(self, monkeypatch):
@@ -528,6 +529,18 @@ class TestFindRoots:
         assert abs(root.lam + 3.0) <= 1e-7
         assert result.total_count == 2
         assert counts == [2]
+
+    def test_an_unpolishable_cluster_raises(self):
+        # 4.4e-13 below the double zero's alpha the zeros near -3 are simple,
+        # 2.1e-6 apart: at tol = 1e-8 they share a cell within the cluster
+        # size, 1e-6*(1 + |center|), that Newton cannot polish as a double
+        # zero and that is not split further.
+        p = SystemParams(1.4768116880880315, -0.4768116880884702, 1.0, 1.0, 1.0, 0.0)
+        cell = r"the 2 zeros counted in cell ContourBox\(re_min=-3\.0.*\) at depth \d+$"
+        with pytest.raises(MaxDepthExceeded, match=cell):
+            find_roots(p, ContourBox(-3.3, -2.6, -0.4, 0.45), tol=1e-8)
+        [a, b] = find_roots(p, ContourBox(-3.3, -2.6, -0.4, 0.45)).roots
+        assert a.lam.real < -3.0 < b.lam.real
 
     def test_each_polish_makes_at_most_one_newton_start(self, monkeypatch):
         calls = []
@@ -1048,8 +1061,7 @@ class TestKeptSearch:
 
     @pytest.mark.parametrize(
         "case",
-        ["equal-object", "other-tol", "larger-sigma", "unresolved-cell", "root-in-pad",
-         "double-root-in-pad"],
+        ["equal-object", "other-tol", "larger-sigma", "root-in-pad", "double-root-in-pad"],
     )
     def test_a_fresh_search(self, monkeypatch, case):
         p, sigma, tol = COUNT69, 1e-6, 1e-12
@@ -1060,10 +1072,6 @@ class TestKeptSearch:
             tol = 1e-11
         elif case == "larger-sigma":
             sigma = 1e-4
-        elif case == "unresolved-cell":
-            cell = es.UnresolvedCell(ContourBox(1.0, 1.5, 1.0, 1.5), 1)
-            kept = dataclasses.replace(kept, total_count=kept.total_count + 1, unresolved=(cell,))
-            monkeypatch.setattr(es, "_kept", (p, tol, kept))
         else:
             # A simple root 1e-10 inside the box, within its pad of
             # 1e-9*(1 + |z|); a double one 1e-6 inside, past a simple

@@ -50,6 +50,22 @@ class TestSimConfig:
             SimConfig(**fields)
 
 
+    def test_integral_floats_run_as_ints(self):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        config = SimConfig(nx=10.0, t_final=1.0, output_stride=2.0)
+        assert type(config.nx) is int and type(config.output_stride) is int
+        runs = [
+            run(p, cfg, sine_profile(1.0), 1.0, zero_fn, keep_states=True)
+            for cfg in (config, SimConfig(nx=10, t_final=1.0, output_stride=2))
+        ]
+        (trace, etrace), (want_trace, want_etrace) = runs
+        for column in ("times", "energies", "a_sq", "c_l"):
+            assert getattr(etrace, column).tobytes() == getattr(want_etrace, column).tobytes()
+        assert len(trace.states) == len(want_trace.states) == 6
+        for state, want in zip(trace.states, want_trace.states):
+            assert state.c.tobytes() == want.c.tobytes() and state.a == want.a
+
+
 class TestInitState:
     def test_zero_profile(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)

@@ -121,6 +121,10 @@ INVOCATIONS = [
     # No crossing: the SVG draws the default frame's axes alone.
     "trace-r0 --alpha 1e-300 --delta 1 --l 1 --f 1 --steps 3 --tau-max 1 --omega-max 0.001"
     " --format svg",
+    # Two simple eigenvalues near -3, 2.1e-6 apart, share a cell at the
+    # cluster size of tol = 1e-8 that Newton cannot polish: exit 3, no rows.
+    "eig --alpha 1.4768116880880315 --beta=-0.4768116880884702 --delta 1 --l 1 --f 1 --tau 0"
+    " --sigma 3.5 --tol 1e-8",
 ]
 
 

@@ -1,6 +1,7 @@
 """Print three lines per fixed point set, the labels `classify` gives it and
-the spectra `spectrum` finds there, and a last line that checks the boundary
-trace against the labels on either side of each crossing.
+the spectra `spectrum` finds there, a line that checks the boundary trace
+against the labels on either side of each crossing, and a last line of
+spectra near a double eigenvalue.
 
 The labels line holds the set's name and size, the count of each
 (label, evidence) pair and of each error class, and the first 12 hex digits
@@ -23,6 +24,14 @@ family (1, 1, 1, 1)), classify labels the points at beta*(1 - 1e-3) and
 beta*(1 + 1e-3), just inside and just past the crossing's gain; the line
 counts the crossings by that (inside, past) pair of labels (or error
 classes) and hashes the pairs in trace order.
+The degenerate line runs spectrum(p, 3.5) near the double eigenvalue -3 of
+(alpha0, beta0, 1, 1, 1, 0), the family of the eigensolver tests'
+double-zero case: at the 90 points alpha0 +- 10**k, k = -16..-2, with tau
+in {0, 1e-3, 0.05}.  It counts them by outcome, ok or the error class, and
+hashes the roots as the spectra lines do, or the error class, point by
+point.  These searches reach the solver's give-up paths: a split that
+fails at every fraction restarts the search on a box nudged outward, and
+BoundaryZero ends it once the nudges run out.
 Running it on two checkouts and diffing the outputs shows which sets a
 change relabelled, and which moved a root or residual bit.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
@@ -39,6 +48,7 @@ made with the same thread count compare.  Run from the repository root:
 import collections
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -58,6 +68,11 @@ def grid(n: int):
 
 def short_hash(items) -> str:
     return hashlib.sha256("\n".join(items).encode()).hexdigest()[:12]
+
+
+def listed(roots) -> str:
+    """Each root's repr(lam), repr(residual), newton_iters and multiplicity."""
+    return " ".join(f"{r.lam!r} {r.residual!r} {r.newton_iters} {r.multiplicity}" for r in roots)
 
 
 def fresh_difference(served, p) -> tuple[bool, float]:
@@ -99,9 +114,7 @@ def digest(points) -> tuple[str, str, str]:
                 errors[type(exc).__name__] += 1
             else:
                 n_roots += len(roots)
-                spectra.append(" ".join(
-                    f"{r.lam!r} {r.residual!r} {r.newton_iters} {r.multiplicity}" for r in roots
-                ))
+                spectra.append(listed(roots))
                 # A fresh search replaces the kept entry; a served query
                 # leaves the one classify made for p.
                 if kept is not None and kept[0] is p and eigensolver._kept is kept:
@@ -144,6 +157,29 @@ def boundary() -> str:
     return f"{len(pairs)} crossings {counts} labels {short_hash(pairs)}"
 
 
+def degenerate() -> str:
+    """The degenerate line: spectrum(p, 3.5) around a double eigenvalue."""
+    # The deflated numerator lambda + alpha - beta*phi(lambda + 1) and its
+    # derivative both vanish at lambda = -3 (w = lambda + 1 = -2).
+    w = -2.0
+    phi = -math.expm1(-w) / w
+    beta = 1.0 / (((1.0 + w) * math.exp(-w) - 1.0) / (w * w))
+    alpha = beta * phi + 3.0
+    outcomes, spectra = collections.Counter(), []
+    for tau in (0.0, 1e-3, 0.05):
+        for k in range(-16, -1):
+            for sign in (-1.0, 1.0):
+                p = SystemParams(alpha + sign * 10.0**k, beta, 1.0, 1.0, 1.0, tau)
+                try:
+                    outcome, item = "ok", listed(spectrum(p, 3.5).roots)
+                except DelayStabError as exc:
+                    outcome = item = type(exc).__name__
+                outcomes[outcome] += 1
+                spectra.append(item)
+    counts = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+    return f"{len(spectra)} {counts} spectra {short_hash(spectra)}"
+
+
 if __name__ == "__main__":
     # One BLAS thread, set before numpy loads.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -178,3 +214,4 @@ if __name__ == "__main__":
         for line in digest(points):
             print(f"{name}  {line}")
     print(f"boundary  {boundary()}")
+    print(f"degenerate  {degenerate()}")
