@@ -16,9 +16,11 @@ samples it already has (Delves & Lyness, 1967).  A start that leaves the
 cell sends it back to be split; a cell that cannot be split further (more
 than one zero at the cluster size, or any cell at depth 40) raises
 MaxDepthExceeded, so a search lists every zero it counted or raises.  A
-split samples only its cut: the two halves reuse the parent's edges, cut
-at the cut's end samples, and share the cut, one running it forward and
-the other reversed, so their counts add up to the parent's.
+split samples only its cut: the two halves reuse the parent's edges and
+share the cut, one running it forward and the other reversed, so their
+counts add up to the parent's.  Each edge the cut crosses takes the cut's
+end sample into its samples, is refined as any edge is (_refined), which
+bisects only the two new steps next to that sample, and is parted there.
 The function sampled is the deflated numerator, char_num with its
 structural zero at -delta divided out: an entire function whose zeros are
 exactly the eigenvalues (for beta != 0), so every count is a count of
@@ -32,14 +34,15 @@ come in conjugate pairs.  A box symmetric about the real axis (im_min ==
 its edges are the top and each side from the axis up, with no bottom, and
 nothing below the axis is sampled or built.  Its count is
 2*(right - top - left)/2pi and its moment start Im(right - top -
-left)/(pi*count), exactly real.  _split chooses every cut.  A symmetric
-cell is cut on its upper half by the same _halves as any other box: a
-wide one upright, into two symmetric halves, so a symmetric cell with one
-zero holds a real one; a tall one level at Im = h (h = im_max/64, moved
-like a split on a zero), into the symmetric strip |Im| < h and the upper
-part above h, whose counts add up as strip + 2*upper.  The upper part is
-subdivided alone and its finds are conjugated once, where that cut is
-made.
+left)/(pi*count), exactly real.  _split chooses every cut, and _halves
+makes it, on a symmetric cell as on any other box: it cuts a cell held as
+its upper half from the real axis itself.  A wide one is cut upright, by
+a cut from the axis up, into two symmetric halves, so a symmetric cell
+with one zero holds a real one; a tall one level at Im = h (h =
+im_max/64, moved like a split on a zero), into the symmetric strip
+(-h, h) and the upper part (h, im_max), whose counts add up as strip +
+2*upper.  The upper part is subdivided alone and its finds are conjugated
+once, where that cut is made.
 
 spectrum predicts, then certifies.  It counts its box once; a count of
 two or more is first checked against a prediction: the eigenvalues of a
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -424,27 +427,19 @@ def _counted(sampler: _Sampler, box: ContourBox) -> tuple[tuple[_Edge, ...], int
 
 def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, value):
     """edge split in two where its coordinate (coords) reaches x, at point:
-    a sample of the cut edge, with value value.  Only the two new steps next
-    to point are refined.  None when a new sample lies on a zero."""
+    a sample of the cut edge, with value value, spliced in place of any
+    sample at x.  The spliced edge is refined by _refined, which bisects only
+    the two new steps next to point.  None when a new sample lies on a zero."""
     i = int(np.searchsorted(coords, x, "left"))
     j = int(np.searchsorted(coords, x, "right"))
-    vals = np.array([edge.vals[i - 1], value, edge.vals[j]])
-    seg = _refined(sampler, np.array([edge.pts[i - 1], point, edge.pts[j]]), vals, _turns(vals))
-    if seg is None:
+    vals = np.concatenate((edge.vals[:i], [value], edge.vals[j:]))
+    pts = np.concatenate((edge.pts[:i], [point], edge.pts[j:]))
+    whole = _refined(sampler, pts, vals, _turns(vals))
+    if whole is None:
         return None
-    k = int(np.flatnonzero(seg.pts == point)[0])
-    return (
-        _Edge(
-            np.concatenate((edge.pts[: i - 1], seg.pts[: k + 1])),
-            np.concatenate((edge.vals[: i - 1], seg.vals[: k + 1])),
-            np.concatenate((edge.turns[: i - 1], seg.turns[:k])),
-        ),
-        _Edge(
-            np.concatenate((seg.pts[k:], edge.pts[j + 1 :])),
-            np.concatenate((seg.vals[k:], edge.vals[j + 1 :])),
-            np.concatenate((seg.turns[k:], edge.turns[j:])),
-        ),
-    )
+    k = int(np.flatnonzero(whole.pts == point)[0])
+    lo = _Edge(whole.pts[: k + 1], whole.vals[: k + 1], whole.turns[:k])
+    return lo, _Edge(whole.pts[k:], whole.vals[k:], whole.turns[k:])
 
 
 def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: bool):
@@ -454,20 +449,25 @@ def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: boo
     Only the cut is sampled anew, with its ends exactly on the split
     coordinate.  The halves reuse the parent's edges, cut at the cut's end
     samples, and share the cut: lo runs it forward, hi reversed, so their
-    counts add up to the parent's.  A side given as None (an upper half's
-    bottom, the real axis) is not cut and stays None.
+    counts add up to the parent's.  A box held as its upper half (bottom
+    None, the real axis) is cut from the axis itself, and its bottom stays
+    None: an upright cut runs from the axis up, between two symmetric
+    halves, and a level cut at h = frac*im_max gives the symmetric strip
+    lo = (-h, h) and the upper part hi = (h, im_max).
     """
+    symmetric = edges[_BOTTOM] is None
+    base = 0.0 if symmetric else box.im_min
     if upright:
         # An upright cut: it crosses bottom and top and is lo's right side.
         mid = box.re_min + frac * box.width
         lo = ContourBox(box.re_min, mid, box.im_min, box.im_max)
         hi = ContourBox(mid, box.re_max, box.im_min, box.im_max)
-        ends = (complex(mid, box.im_min), complex(mid, box.im_max))
+        ends = (complex(mid, base), complex(mid, box.im_max))
         crossed, replaced, coord = ((_BOTTOM, 0), (_TOP, -1)), _RIGHT, np.real
     else:
         # A level cut: it crosses left and right and is lo's top side.
-        mid = box.im_min + frac * box.height
-        lo = ContourBox(box.re_min, box.re_max, box.im_min, mid)
+        mid = base + frac * (box.im_max - base)
+        lo = ContourBox(box.re_min, box.re_max, -mid if symmetric else box.im_min, mid)
         hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
         ends = (complex(box.re_min, mid), complex(box.re_max, mid))
         crossed, replaced, coord = ((_LEFT, 0), (_RIGHT, -1)), _TOP, np.imag
@@ -494,27 +494,15 @@ def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge | None, ...], 
     or None when a new sample lies on a zero.  box holds lo's count plus
     hi's, twice over when paired: hi then stands for its mirror image too.
 
-    A symmetric box, held as its upper half (no bottom edge), is cut on
-    that half by _halves, and the parts that touch the axis are named by
-    their symmetric boxes.  A wide one is cut upright at frac into two
-    symmetric halves; a tall one level at h = frac*im_max/32 into the
-    symmetric strip |Im| < h (lo) and the upper part above h (hi, paired).
-    Any other box is cut across its longer side.
+    Every box is cut by _halves across its longer side.  A symmetric box,
+    held as its upper half (no bottom edge), cut upright at frac gives two
+    symmetric halves; cut level, it is cut at h = frac*im_max/32 into the
+    symmetric strip |Im| < h (lo) and the upper part above h (hi), paired.
     """
     upright = box.width >= box.height
-    symmetric = edges[_BOTTOM] is None
-    if symmetric:
-        box = replace(box, im_min=0.0)
-        # A level cut at h = frac*im_max/32, on a half im_max high.
-        frac = frac if upright else frac / 32.0
-    parts = _halves(sampler, box, edges, frac, upright)
-    if parts is None or not symmetric:
-        return None if parts is None else (*parts, False)
-    (lo, lo_edges), (hi, hi_edges) = parts
-    lo = replace(lo, im_min=-lo.im_max)
-    if upright:
-        hi = replace(hi, im_min=-hi.im_max)
-    return (lo, lo_edges), (hi, hi_edges), not upright
+    paired = edges[_BOTTOM] is None and not upright
+    parts = _halves(sampler, box, edges, frac / 32.0 if paired else frac, upright)
+    return None if parts is None else (*parts, paired)
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:

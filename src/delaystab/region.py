@@ -318,7 +318,7 @@ def _flips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(values == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def _scan_roots(fn, grid: np.ndarray, zeros, lefts, sampled) -> tuple[np.ndarray, np.ndarray]:
+def _scan_roots(fn, grid: np.ndarray, zeros, lefts) -> tuple[np.ndarray, np.ndarray]:
     """Roots of several functions over grid, given where each one's samples
     vanish and change sign.
 
@@ -326,24 +326,23 @@ def _scan_roots(fn, grid: np.ndarray, zeros, lefts, sampled) -> tuple[np.ndarray
     as _flips reads them off each row's sampled values: grid[index] of a
     zero is a root of its row as it is, and each step [grid[i], grid[i + 1]]
     of a left i is a bracket of its row.  fn(omega, row) evaluates the
-    functions at arrays of frequencies and row indices, and sampled(i, row)
-    gives fn's values at grid[i], the same bits, from samples already
-    taken.  The values at the ends of every bracket come from sampled, and
-    _refine refines the brackets of all rows together.  A row where these
-    do not give some bracket's ends strictly opposite signs (a pair read
-    within rounding of a root) is scanned again: its zeros and lefts are
-    _flips of its values over the whole grid, and its brackets' ends take
-    those values.  Returns the flat pair (row, root) of arrays, sorted by
-    row and then by root; a root within 1e-9 of the previous root of its
-    row is merged into it, so a chain of such roots keeps only its first.
+    functions at arrays of frequencies and row indices; it gives the values
+    at the ends of every bracket, and _refine refines the brackets of all
+    rows together.  A row where these do not give some bracket's ends
+    strictly opposite signs (a pair read within rounding of a root) is
+    scanned again: its zeros and lefts are _flips of fn's values over the
+    whole grid, and its brackets' ends take those values.  Returns the flat
+    pair (row, root) of arrays, sorted by row and then by root; a root
+    within 1e-9 of the previous root of its row is merged into it, so a
+    chain of such roots keeps only its first.
     """
     (zrow, zero), (row, i) = zeros, lefts
-    flo, fhi = sampled(i, row), sampled(i + 1, row)
+    flo, fhi = fn(grid[i], row), fn(grid[i + 1], row)
     again = np.unique(row[~((np.minimum(flo, fhi) < 0.0) & (np.maximum(flo, fhi) > 0.0))])
     keep, kept = ~np.isin(row, again), ~np.isin(zrow, again)
     parts = [(zrow[kept], zero[kept], row[keep], i[keep], flo[keep], fhi[keep])]
     for k in again.tolist():
-        values = sampled(np.arange(grid.size), np.full(grid.size, k))
+        values = fn(grid, np.full(grid.size, k))
         z, j = _flips(values)
         parts.append((np.full(z.size, k), z, np.full(j.size, k), j, values[j], values[j + 1]))
     zrow, zero, row, i, flo, fhi = map(np.concatenate, zip(*parts))
@@ -537,10 +536,10 @@ def trace_boundary(
     crosses an integer, and only those candidates are evaluated, by the
     same float expression; a step that would need more candidates than a
     scan of every delay takes every delay.  Only the ends of the brackets
-    the flips open, taken from the samples of S, and the refinement, take
-    the product itself, and a delay whose bracket ends do not have strictly
-    opposite signs (a phase within rounding of a multiple of pi) is scanned
-    again by the product (_scan_roots).  At a pole of the gain (delta = 0,
+    the flips open and the refinement take the product itself, both from
+    the one function _scan_roots is given, and a delay whose bracket ends
+    do not have strictly opposite signs (a phase within rounding of a
+    multiple of pi) is scanned again by it.  At a pole of the gain (delta = 0,
     omega = 2*pi*k*f/l, k != 0) that function has a simple zero, which
     refines like any other to a crossing whose gain is not finite; omega =
     0 at delta = 0 is the threshold branch, listed at beta =
@@ -604,15 +603,8 @@ def trace_boundary(
     free = ~(held[:-1] | held[1:])
     arg = np.where(held, 0.0, np.angle(on_grid) / np.pi)
     zeros = (np.repeat(np.arange(num_tau), zero.size), np.tile(zero, num_tau))
-
-    def sampled(i, rows):
-        # phase at grid[i], from the samples of S
-        return (np.exp(1j * grid[i] * taus[rows]) * on_grid[i]).imag
-
     # the flips go straight in, so nothing holds them past the scan
-    row, omegas = _scan_roots(
-        phase, grid, zeros, _odd_steps(grid / np.pi, arg, free, taus), sampled
-    )
+    row, omegas = _scan_roots(phase, grid, zeros, _odd_steps(grid / np.pi, arg, free, taus))
     at = taus[row]
     betas = (np.exp(1j * omegas * at) * _axis_gain(fixed, omegas)).real
     # char_fn reads only these six fields, so arrays of beta and tau take
@@ -693,5 +685,5 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     values = gap(grid)
     zero, left = _flips(values)
     rows = (np.zeros_like(zero), zero), (np.zeros_like(left), left)
-    _, roots = _scan_roots(gap, grid, *rows, lambda i, _: values[i])
+    _, roots = _scan_roots(gap, grid, *rows)
     return roots.tolist()

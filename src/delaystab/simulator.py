@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 
 import numpy as np
@@ -36,12 +36,22 @@ from .errors import (
 from .params import SystemParams
 
 
+# The delay history is sampled by one c_l_history call a step, and it and
+# run's outflow buffer each hold a float a step: 2**24 samples take about
+# 10 s to sample and 134 MB an array.  The profile's nx + 1 samples are
+# bounded alike, by SimConfig.
+_DELAY_SAMPLES = 2**24
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Discretization choices: nx cells on [0, l], final time, energy
     weight gamma and output stride (in steps).  gamma None is the decay
-    certificate's weight f*exp(-tau), taken exactly for every tau.  nx and
-    output_stride are stored as int, so 10.0 is taken as 10."""
+    certificate's weight f*exp(-tau), taken exactly for every tau.  nx is
+    an integer from 2 to below _DELAY_SAMPLES (2**24) and output_stride one
+    of 1 or more; both are stored as int, so 10.0 is taken as 10.  Each is
+    range-checked before its integrality, so an integer past the float
+    range raises InvalidParameter, not OverflowError."""
 
     nx: int
     t_final: float
@@ -49,16 +59,21 @@ class SimConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.nx) and int(self.nx) == self.nx and self.nx >= 2):
-            raise InvalidParameter(f"nx must be an integer >= 2, got {self.nx}")
+        nx = self.nx
+        if nx >= _DELAY_SAMPLES:
+            raise InvalidParameter(
+                f"nx={nx} asks for a profile of more than {_DELAY_SAMPLES} samples"
+            )
+        if not 2 <= nx or int(nx) != nx:
+            raise InvalidParameter(f"nx must be an integer >= 2, got {nx}")
         if not 0.0 < self.t_final < math.inf:
             raise InvalidParameter(f"t_final must be finite and > 0, got {self.t_final}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise InvalidParameter(f"gamma must be finite and > 0, got {self.gamma}")
         stride = self.output_stride
-        if not (math.isfinite(stride) and int(stride) == stride and stride >= 1):
+        if not 1 <= stride < math.inf or int(stride) != stride:
             raise InvalidParameter(f"output_stride must be an integer >= 1, got {stride}")
-        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "nx", int(nx))
         object.__setattr__(self, "output_stride", int(stride))
 
 
@@ -123,13 +138,6 @@ class FitResult:
     decayed_to_zero: bool = False
 
 
-# The delay history is sampled by one c_l_history call a step, and it and
-# run's outflow buffer each hold a float a step: 2**24 samples take about
-# 10 s to sample and 134 MB an array.  The profile's nx + 1 samples are
-# bounded alike.
-_DELAY_SAMPLES = 2**24
-
-
 def _step_size(params: SystemParams, config: SimConfig) -> float:
     """The step dt = (l/nx)/f of init_state and run; one that underflows to
     0 or overflows to inf raises InvalidParameter."""
@@ -146,18 +154,14 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
-    sample raises InvalidParameter, and so does an nx of _DELAY_SAMPLES or
-    more, a step (l/nx)/f that underflows to 0 or overflows to inf, a delay
-    of sys.maxsize steps or more, or one of _DELAY_SAMPLES steps or more,
-    before any sample is taken.
+    sample raises InvalidParameter, and so does a step (l/nx)/f that
+    underflows to 0 or overflows to inf, a delay of sys.maxsize steps or
+    more, or one of _DELAY_SAMPLES steps or more, before any sample is
+    taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)
     """
     a = float(a0)
     if not math.isfinite(a):
         raise InvalidParameter(f"a0 must be finite, got {a!r}")
-    if config.nx >= _DELAY_SAMPLES:
-        raise InvalidParameter(
-            f"nx={config.nx} asks for a profile of more than {_DELAY_SAMPLES} samples"
-        )
     dt = _step_size(params, config)
     delay_steps = params.tau / dt
     if not delay_steps < sys.maxsize:
@@ -183,10 +187,8 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         raise HistoryMismatch(
             f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}"
         )
-    samples = [head]
-    for k in range(1, n_tau + 1):
-        samples.append(float(c_l_history(-min(k * dt, params.tau))))
-    history = np.array(samples)
+    window = (float(c_l_history(-min(k * dt, params.tau))) for k in range(1, n_tau + 1))
+    history = np.fromiter(chain((head,), window), float, count=n_tau + 1)
     if not np.isfinite(history).all():
         raise InvalidParameter("c_l_history must be finite on [-tau, 0]")
     return SimState(

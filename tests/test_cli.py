@@ -521,6 +521,22 @@ class TestSimulate:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "") and "nx=10000000000000" in err
 
+    @pytest.mark.parametrize("flag, field", [("--nx", "nx="), ("--stride", "output_stride")])
+    def test_integer_past_the_float_range_is_bad_input(self, capsys, flag, field):
+        # 1 followed by 400 zeros for nx, and its negative for the stride
+        value = str(10**400) if flag == "--nx" else str(-(10**400))
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.3", "--t-final", "1"]
+        argv += ["--nx", "10", f"{flag}={value}"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and field in err and "Traceback" not in err
+
+    def test_stride_past_the_float_range_outputs_the_ends(self, capsys):
+        argv = ["simulate", *ONES_FLAGS, "--beta", "0.5", "--tau", "0.3", "--t-final", "1"]
+        argv += ["--nx", "10", "--stride", str(10**400)]
+        code, out, _ = run_cli(capsys, argv)
+        _, rows = parse_csv(out)
+        assert code == 0 and [float(row[0]) for row in rows] == [0.0, 1.0]
+
     def test_step_that_underflows_is_bad_input(self, capsys):
         argv = ["simulate", "--alpha", "1", "--beta", "0.5", "--delta", "1", "--l", "1e-320"]
         argv += ["--f", "1e10", "--tau", "0.3", "--nx", "10", "--t-final", "1"]

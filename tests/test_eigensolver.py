@@ -115,6 +115,27 @@ class TestCountZeros:
         p = SystemParams(2, 0, 1, 1, 1, 1)
         assert count_zeros(p, ContourBox(-2, 1, -1, 1)) == 1
 
+    def test_nudges_give_up_with_boundary_zero(self):
+        # an attempt that hits a zero on the top every time: each try grows
+        # the top alone by 1e-4*(1 + diameter), and after the last one the
+        # call raises, naming the box it would have grown to next
+        tried = []
+
+        def attempt(box):
+            tried.append(box)
+            raise es._BoundaryHit(frozenset({es._TOP}))
+
+        box = ContourBox(-1.0, 2.0, -0.5, 3.0)
+        with pytest.raises(es.BoundaryZero) as raised:
+            es._nudged(attempt, box)
+        expected = [box]
+        for _ in range(es._MAX_NUDGES + 1):
+            last = expected[-1]
+            pad = es._NUDGE_FACTOR * (1.0 + last.diameter)
+            expected.append(dataclasses.replace(last, im_max=last.im_max + pad))
+        assert len(tried) == es._MAX_NUDGES + 1 and tried == expected[:-1]
+        assert str(expected[-1]) in str(raised.value)
+
     def test_empty_right_half_plane(self):
         p = SystemParams(1, 0, 1, 1, 1, 1)
         assert count_zeros(p, ContourBox(0, 1, -1, 1)) == 0

@@ -820,7 +820,7 @@ def flat_rows(pairs):
 def scanned(fn, grid, pairs):
     """_scan_roots of fn over grid, from each row's (zeros, lefts) pair, its
     samples at grid[i] taken by fn."""
-    return _scan_roots(fn, grid, *flat_rows(pairs), lambda i, row: fn(grid[i], row))
+    return _scan_roots(fn, grid, *flat_rows(pairs))
 
 
 class TestScanRoots:

@@ -49,6 +49,30 @@ class TestSimConfig:
         with pytest.raises(InvalidParameter, match=field):
             SimConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "field, bad", [("nx", 10**400), ("nx", -(10**400)), ("output_stride", -(10**400))]
+    )
+    def test_integers_past_the_float_range_are_typed(self, field, bad):
+        # each field is range-checked before math would convert it to a float
+        fields = {"nx": 10, "t_final": 1.0, "output_stride": 1}
+        fields[field] = bad
+        with pytest.raises(InvalidParameter, match=field):
+            SimConfig(**fields)
+
+    def test_nx_is_bounded_when_the_config_is_built(self):
+        bound = simulator._DELAY_SAMPLES
+        assert SimConfig(nx=bound - 1, t_final=1.0).nx == bound - 1
+        with pytest.raises(InvalidParameter, match=f"nx={bound}"):
+            SimConfig(nx=bound, t_final=1.0)
+        with pytest.raises(InvalidParameter, match="nx="):
+            SimConfig(nx=float(bound), t_final=1.0)
+
+    def test_a_stride_past_the_float_range_outputs_the_ends(self):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        _, etrace = run(p, SimConfig(nx=10, t_final=1.0, output_stride=10**400),
+                        sine_profile(1.0), 1.0, zero_fn)
+        assert etrace.times.tolist() == [0.0, 1.0]
+
 
     def test_integral_floats_run_as_ints(self):
         p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
@@ -594,6 +618,19 @@ class TestFlatRun:
         assert [s.t for s in etrace.samples] == pytest.approx([0, 0.005, 0.01, 0.0125])
         assert sampled < 3 * (nx + 1) * 8
         assert peak < (7 * (nx + 1) + 32 * simulator._ROWS) * 8
+
+    def test_long_delay_window_holds_no_list_of_samples(self):
+        # n_tau = 250,000: the history is sampled straight into its array;
+        # a list of its samples first took about 2.2 times the array
+        p = SystemParams(1, 0.5, 1, 1, 1, 2.5e4)
+        tracemalloc.start()
+        try:
+            state = init_state(p, SimConfig(nx=10, t_final=1.0), zero_fn, 0.0, zero_fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.n_tau == 250_000
+        assert peak < 1.5 * state.history.nbytes
 
     def test_nothing_per_output_is_held_before_the_first_step(self, monkeypatch):
         # 1e6 steps at stride 1: a list of the output steps built up front
