@@ -34,9 +34,9 @@ come in conjugate pairs.  A box symmetric about the real axis (im_min ==
 its edges are the top and each side from the axis up, with no bottom, and
 nothing below the axis is sampled or built.  Its count is
 2*(right - top - left)/2pi and its moment start Im(right - top -
-left)/(pi*count), exactly real.  _split chooses every cut, and _halves
-makes it, on a symmetric cell as on any other box: it cuts a cell held as
-its upper half from the real axis itself.  A wide one is cut upright, by
+left)/(pi*count), exactly real.  _split chooses and makes every cut, on
+a symmetric cell as on any other box: it cuts a cell held as its upper
+half from the real axis itself.  A wide one is cut upright, by
 a cut from the axis up, into two symmetric halves, so a symmetric cell
 with one zero holds a real one; a tall one level at Im = h (h =
 im_max/64, moved like a split on a zero), into the symmetric strip
@@ -254,7 +254,10 @@ class _Edge(NamedTuple):
 
 class _Sampler:
     """Contour sampling for one public call: the parameter point, the sample
-    density of vertical edges and the sample budget all its counts share."""
+    density of vertical edges and the sample budget all its counts share.
+    The samples themselves come from _deflated_with_scale, looked up as a
+    module global on every call, so that rebinding it in this module (as a
+    tracer does) reaches every count."""
 
     def __init__(self, params: SystemParams):
         self.params = params
@@ -262,11 +265,6 @@ class _Sampler:
         # exp(-w) by l/f, and the rest by about one.
         self.rate = params.tau + params.l / params.f + 1.0
         self.left = _SAMPLE_BUDGET
-
-    # The evaluator is looked up as a module global on every call, so that
-    # rebinding it in this module (as a tracer does) reaches the sampler.
-    def sample(self, pts: np.ndarray):
-        return _deflated_with_scale(self.params, pts)
 
     def charge(self, n: float) -> None:
         """Take n samples from the budget, before they are allocated."""
@@ -300,7 +298,7 @@ def _refined(
             return _Edge(pts, vals, turns)
         sampler.charge(idx.size)
         mids = 0.5 * (pts[idx] + pts[idx + 1])
-        mvals, mscales = sampler.sample(mids)
+        mvals, mscales = _deflated_with_scale(sampler.params, mids)
         if _on_zero(mvals, mscales).any():
             return None
         pts, vals = _inserted(idx, (pts, mids), (vals, mvals))
@@ -353,7 +351,7 @@ def _edges(sampler: _Sampler, segments) -> list[_Edge | None]:
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
         lines.append(_line(start, stop, int(steps) + 1))
-    vals, scales = sampler.sample(np.concatenate(lines))
+    vals, scales = _deflated_with_scale(sampler.params, np.concatenate(lines))
     on_zero = _on_zero(vals, scales)
     turns = _turns(vals)
     steep = np.abs(turns) >= _HALF_PI
@@ -442,9 +440,11 @@ def _cut(sampler: _Sampler, edge: _Edge, coords: np.ndarray, x: float, point, va
     return lo, _Edge(whole.pts[k:], whole.vals[k:], whole.turns[k:])
 
 
-def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: bool):
-    """box cut upright or level at frac, as ((lo, lo_edges), (hi, hi_edges))
-    with the edges of each half, or None when a new sample lies on a zero.
+def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge | None, ...], frac: float):
+    """box cut in two at frac across its longer side, as ((lo, lo_edges),
+    (hi, hi_edges), paired), or None when a new sample lies on a zero.  box
+    holds lo's count plus hi's, twice over when paired: hi then stands for
+    its mirror image too.
 
     Only the cut is sampled anew, with its ends exactly on the split
     coordinate.  The halves reuse the parent's edges, cut at the cut's end
@@ -452,11 +452,13 @@ def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: boo
     counts add up to the parent's.  A box held as its upper half (bottom
     None, the real axis) is cut from the axis itself, and its bottom stays
     None: an upright cut runs from the axis up, between two symmetric
-    halves, and a level cut at h = frac*im_max gives the symmetric strip
-    lo = (-h, h) and the upper part hi = (h, im_max).
+    halves, and a level cut at h = frac*im_max/32 gives the symmetric strip
+    lo = (-h, h) and the upper part hi = (h, im_max), paired.
     """
     symmetric = edges[_BOTTOM] is None
     base = 0.0 if symmetric else box.im_min
+    upright = box.width >= box.height
+    paired = symmetric and not upright
     if upright:
         # An upright cut: it crosses bottom and top and is lo's right side.
         mid = box.re_min + frac * box.width
@@ -466,7 +468,7 @@ def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: boo
         crossed, replaced, coord = ((_BOTTOM, 0), (_TOP, -1)), _RIGHT, np.real
     else:
         # A level cut: it crosses left and right and is lo's top side.
-        mid = base + frac * (box.im_max - base)
+        mid = base + (frac / 32.0 if paired else frac) * (box.im_max - base)
         lo = ContourBox(box.re_min, box.re_max, -mid if symmetric else box.im_min, mid)
         hi = ContourBox(box.re_min, box.re_max, mid, box.im_max)
         ends = (complex(box.re_min, mid), complex(box.re_max, mid))
@@ -486,23 +488,7 @@ def _halves(sampler: _Sampler, box: ContourBox, edges, frac: float, upright: boo
         lo_edges[side], hi_edges[side] = lo_part, hi_part
     # The cut is lo's replaced side and hi's opposite one, two sides round.
     lo_edges[replaced] = hi_edges[(replaced + 2) % 4] = cut
-    return (lo, tuple(lo_edges)), (hi, tuple(hi_edges))
-
-
-def _split(sampler: _Sampler, box: ContourBox, edges: tuple[_Edge | None, ...], frac: float):
-    """box cut in two at frac, as ((lo, lo_edges), (hi, hi_edges), paired),
-    or None when a new sample lies on a zero.  box holds lo's count plus
-    hi's, twice over when paired: hi then stands for its mirror image too.
-
-    Every box is cut by _halves across its longer side.  A symmetric box,
-    held as its upper half (no bottom edge), cut upright at frac gives two
-    symmetric halves; cut level, it is cut at h = frac*im_max/32 into the
-    symmetric strip |Im| < h (lo) and the upper part above h (hi), paired.
-    """
-    upright = box.width >= box.height
-    paired = edges[_BOTTOM] is None and not upright
-    parts = _halves(sampler, box, edges, frac / 32.0 if paired else frac, upright)
-    return None if parts is None else (*parts, paired)
+    return (lo, tuple(lo_edges)), (hi, tuple(hi_edges)), paired
 
 
 def _grow(box: ContourBox, edges: frozenset[int]) -> ContourBox:
@@ -645,8 +631,8 @@ def _subdivide(
     so every further start is paid for by a split the sample budget meters.
     A cell that cannot be split further, one with more than one zero at
     the cluster size or any cell at depth 40, raises MaxDepthExceeded when
-    _polish fails on it.  Every cut is chosen by _split; the roots found in
-    a paired part are listed once more, mirrored in the real axis.
+    _polish fails on it.  Every cut is chosen and made by _split; the roots
+    found in a paired part are listed once more, mirrored in the real axis.
     """
     if count == 0:
         return
@@ -745,7 +731,8 @@ def _collocated(params: SystemParams, n: int) -> np.ndarray:
 
 def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
     """The count eigenvalues in box, predicted by _collocated and polished
-    by Newton, or None when the distinct limits do not add up to count.
+    by Newton, as _Limits, or None when the distinct limits do not add up
+    to count.
 
     N = max(ceil(0.2*H*(tau + l/f)), ceil(1.5*count)) + 8 for a box of
     half-height H, then 2N, capped at _MAX_NODES; an N past the cap is not
@@ -756,7 +743,10 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
     confined to box, from each predicted eigenvalue with Im >= 0 and
     Re > re_min - 0.5.  A limit that _SAME_ROOT puts on the real axis is
     polished again from its real part and counts once, with imaginary part
-    exactly 0; any other counts twice, listed with its exact conjugate.
+    exactly 0; any other counts twice, listed with its exact conjugate right
+    after it, both with its Newton iterations.  A limit within _SAME_ROOT of
+    an earlier one with Im >= 0 is that one again and is dropped, so the
+    limits are distinct and their number is the sum that must match count.
     """
     same = max(_SAME_ROOT, 1e3 * tol)    # relative to 1 + |z|
     n = _MIN_NODES + max(
@@ -767,7 +757,7 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
         return None
     for size in sorted({n, min(2 * n, _MAX_NODES)}):
         guesses = _collocated(params, size)
-        limits: list[tuple[complex, int]] = []
+        limits: list[_Limit] = []
         for z0 in guesses[(guesses.imag >= 0.0) & (guesses.real > box.re_min - 0.5)]:
             hit = _newton(params, box, complex(z0), tol)
             if hit is not None and abs(hit[0].imag) <= same * (1.0 + abs(hit[0])):
@@ -776,23 +766,30 @@ def _predicted(params: SystemParams, box: ContourBox, count: int, tol: float):
             if hit is None:
                 continue
             z = complex(hit[0].real, abs(hit[0].imag))
-            if all(abs(z - other) > same * (1.0 + abs(z)) for other, _ in limits):
-                limits.append((z, hit[1]))
-        if sum(1 + (z.imag != 0.0) for z, _ in limits) == count:
-            roots = []
-            for z, iters in limits:
-                roots.append(_Limit(z, iters, 1))
+            # Only the limits with Im >= 0 are compared; each conjugate
+            # follows its partner.
+            upper = (other.lam for other in limits if other.lam.imag >= 0.0)
+            if all(abs(z - other) > same * (1.0 + abs(z)) for other in upper):
+                limits.append(_Limit(z, hit[1], 1))
                 if z.imag:
-                    roots.append(_Limit(z.conjugate(), iters, 1))
-            return roots
+                    limits.append(_Limit(z.conjugate(), hit[1], 1))
+        if len(limits) == count:
+            return limits
     return None
 
 
 def _located(params: SystemParams, box: ContourBox, tol: float, predict: bool) -> RootSet:
     """find_roots, or with predict spectrum's search: a box with two or
     more zeros is first tried by _predicted, and subdivided from the same
-    edges only when the prediction does not reconcile with its count.  A
-    box with one zero is polished from its moment, which needs no split."""
+    edges only when the prediction does not add up to its count.  A box
+    with one zero is polished from its moment, which needs no split.
+
+    Prediction and subdivision hand over the same record, a list of
+    _Limits, whose multiplicities add up to the count by construction:
+    _predicted returns only limits that do, and _subdivide lists exactly
+    each cell's count, a paired part's finds once more, mirrored.  A nudged
+    restart begins a fresh list.  So no sum is checked here; the tests
+    check it."""
     sampler = _Sampler(params)
 
     def attempt(box: ContourBox):
@@ -805,11 +802,6 @@ def _located(params: SystemParams, box: ContourBox, tol: float, predict: bool) -
 
     with np.errstate(**_QUIET):
         (total, roots), box = _nudged(attempt, box)
-    found = sum(r.multiplicity for r in roots)
-    if found != total:
-        raise SolverConsistencyError(
-            f"subdivision found {found} zeros but the contour counted {total}"
-        )
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return RootSet(roots=_rooted(params, roots), total_count=total, box=box)
 
@@ -840,9 +832,9 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     which stands for its mirror image too; a wide one is cut upright into
     two symmetric halves.  Each root found in an upper part is listed with
     its exact conjugate, and a symmetric cell with one zero holds a real
-    root.  The found zeros are reconciled with the count over the whole
-    box.  Roots are sorted by real part, then imaginary part, so each pair
-    lists -Im first.
+    root.  The listed multiplicities add up to total_count, the count over
+    the whole (possibly nudged) box, by construction.  Roots are sorted by
+    real part, then imaginary part, so each pair lists -Im first.
     """
     _check_tol(tol)
     return _located(params, box, tol, predict=False)
@@ -958,10 +950,13 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     Every root a fresh search lists is verified to
     satisfy |char_fn| <= 1e-8, read off its residual |char_num| (taken for
     all roots in one array call) as |char_num|/(|lambda + alpha|*|lambda +
-    delta|); a root at -delta, where both are 0, passes.  An empty result
-    is returned with no such call.  A root within char_fn's pole tolerance
-    of -alpha, where char_fn raises, is verified by the deflated numerator
-    instead: its |value| is at most 1e-13 times its cancellation scale.  The box grows
+    delta|); a root at -delta, where both are 0, passes.  The roots are
+    checked in their listed order, and the first that fails raises
+    SolverConsistencyError naming it.  An empty result is returned with no
+    such call.  A root within char_fn's pole tolerance of -alpha, where
+    char_fn raises, is verified by the deflated numerator instead, after
+    the other roots: its |value| is at most 1e-13 times its cancellation
+    scale, or SolverConsistencyError is raised.  The box grows
     with exp(sigma*tau), so a large sigma*tau can raise
     SampleBudgetExceeded.  A sigma that is not finite
     and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
@@ -984,7 +979,7 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             return result
         _kept = None
         result = _located(params, box, tol, predict=True)
-        near, failed = [], []
+        near = []
         for root in result.roots:
             shifted = abs(root.lam + params.alpha)
             if shifted < _POLE_TOL * (1.0 + params.alpha):
@@ -994,7 +989,10 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
             # -delta both sides of this test are 0, and the root passes.
             scale = shifted * abs(root.lam + params.delta)
             if root.residual > 1e-8 * scale:
-                failed.append((root, scale))
+                raise SolverConsistencyError(
+                    f"root {root.lam} fails the characteristic residual check: |char_num| "
+                    f"{root.residual} > 1e-8*|lambda + alpha|*|lambda + delta| = 1e-8*{scale}"
+                )
         # char_fn refuses a root within its pole tolerance of -alpha: such a
         # root must zero the deflated numerator at rounding level, as _on_zero
         # reads a contour sample.
@@ -1003,12 +1001,6 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
                 f"a root within char_fn's pole tolerance of {-params.alpha} does not "
                 "zero the deflated numerator"
             )
-    if failed:
-        root, scale = failed[0]
-        raise SolverConsistencyError(
-            f"root {root.lam} fails the characteristic residual check: |char_num| "
-            f"{root.residual} > 1e-8*|lambda + alpha|*|lambda + delta| = 1e-8*{scale}"
-        )
     _kept = (params, tol, result)
     return result
 

@@ -1,4 +1,25 @@
-"""Exception hierarchy shared by all delaystab modules."""
+"""Exception hierarchy shared by all delaystab modules, and the one way
+their messages show a value."""
+
+
+# Python 3.11 and later refuse to write an int of more than 4300 digits in
+# decimal.  An int past this many bits (about 4214 digits) is shown by its
+# bit length, on every version.
+_LONG_BITS = 14_000
+
+
+def _shown(value, show=str) -> str:
+    """show(value) for an error message, with every int past _LONG_BITS,
+    alone or an item of a (nested) tuple or list, shown by its sign and bit
+    length, not converted in full."""
+    if isinstance(value, int) and abs(value).bit_length() > _LONG_BITS:
+        return f"{'-' if value < 0 else ''}<an integer of {abs(value).bit_length()} bits>"
+    if type(value) in (tuple, list):
+        items = ", ".join(_shown(item, repr) for item in value)
+        if type(value) is list:
+            return f"[{items}]"
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return show(value)
 
 
 class DelayStabError(Exception):

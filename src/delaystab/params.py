@@ -38,7 +38,8 @@ class SystemParams:
     tau   : feedback delay, >= 0
 
     Construction validates ranges and finiteness; instances are immutable
-    and safe to share across threads.
+    and safe to share across threads.  An integer past the float range is
+    not finite as a field: it raises NonFiniteField, as inf does.
     """
 
     alpha: float
@@ -50,7 +51,12 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "delta", "l", "f", "tau"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:
+                raise NonFiniteField(
+                    f"{name} must be finite, got a value past the float range"
+                ) from None
             if not math.isfinite(value):
                 raise NonFiniteField(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

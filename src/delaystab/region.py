@@ -33,6 +33,7 @@ from .errors import (
     PoleAtMinusAlpha,
     QuadratureNonInteger,
     SampleBudgetExceeded,
+    _shown,
 )
 from .params import (
     SystemParams,
@@ -204,10 +205,10 @@ def sweep(
     _check_family(*fixed)
     pairs = (grid_counts, beta_range, tau_range)
     if any(len(pair) != 2 for pair in pairs):
-        raise InvalidParameter(f"grid_counts and both ranges must be pairs, got {pairs}")
+        raise InvalidParameter(f"grid_counts and both ranges must be pairs, got {_shown(pairs)}")
     n_beta, n_tau = grid_counts
     if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
-        raise InvalidParameter(f"grid_counts must be integers >= 2, got {grid_counts}")
+        raise InvalidParameter(f"grid_counts must be integers >= 2, got {_shown(grid_counts)}")
     # hi - lo is finite iff both ends are and the span does not overflow.
     if not all(math.isfinite(hi - lo) for lo, hi in (beta_range, tau_range)):
         raise InvalidParameter("sweep ranges and their spans must be finite")
@@ -215,7 +216,7 @@ def sweep(
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
     _check_eps0(eps0)
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise InvalidParameter(f"workers must be an integer >= 1, got {workers!r}")
+        raise InvalidParameter(f"workers must be an integer >= 1, got {_shown(workers, repr)}")
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     jobs = [

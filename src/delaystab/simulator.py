@@ -32,6 +32,7 @@ from .errors import (
     IncompatibleBoundary,
     InvalidParameter,
     SimulationOverflow,
+    _shown,
 )
 from .params import SystemParams
 
@@ -51,7 +52,9 @@ class SimConfig:
     an integer from 2 to below _DELAY_SAMPLES (2**24) and output_stride one
     of 1 or more; both are stored as int, so 10.0 is taken as 10.  Each is
     range-checked before its integrality, so an integer past the float
-    range raises InvalidParameter, not OverflowError."""
+    range raises InvalidParameter, not OverflowError.  t_final and a gamma
+    given must be > 0 and at most the largest float, so an integer past the
+    float range raises InvalidParameter too."""
 
     nx: int
     t_final: float
@@ -62,17 +65,18 @@ class SimConfig:
         nx = self.nx
         if nx >= _DELAY_SAMPLES:
             raise InvalidParameter(
-                f"nx={nx} asks for a profile of more than {_DELAY_SAMPLES} samples"
+                f"nx={_shown(nx)} asks for a profile of more than {_DELAY_SAMPLES} samples"
             )
         if not 2 <= nx or int(nx) != nx:
-            raise InvalidParameter(f"nx must be an integer >= 2, got {nx}")
-        if not 0.0 < self.t_final < math.inf:
-            raise InvalidParameter(f"t_final must be finite and > 0, got {self.t_final}")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise InvalidParameter(f"gamma must be finite and > 0, got {self.gamma}")
+            raise InvalidParameter(f"nx must be an integer >= 2, got {_shown(nx)}")
+        # For a float, <= the largest float is < inf; an int past it is refused.
+        if not 0.0 < self.t_final <= sys.float_info.max:
+            raise InvalidParameter(f"t_final must be finite and > 0, got {_shown(self.t_final)}")
+        if self.gamma is not None and not 0.0 < self.gamma <= sys.float_info.max:
+            raise InvalidParameter(f"gamma must be finite and > 0, got {_shown(self.gamma)}")
         stride = self.output_stride
         if not 1 <= stride < math.inf or int(stride) != stride:
-            raise InvalidParameter(f"output_stride must be an integer >= 1, got {stride}")
+            raise InvalidParameter(f"output_stride must be an integer >= 1, got {_shown(stride)}")
         object.__setattr__(self, "nx", int(nx))
         object.__setattr__(self, "output_stride", int(stride))
 

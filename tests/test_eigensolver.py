@@ -28,6 +28,7 @@ from delaystab import (
 )
 from delaystab.characteristic import exclusions
 from delaystab.errors import (
+    BoundaryZero,
     DelayStabError,
     InvalidParameter,
     MaxDepthExceeded,
@@ -85,6 +86,16 @@ def random_params(rng, beta_range=(-4, 4), tau_max=2.0):
         f=rng.uniform(0.3, 2.0),
         tau=rng.uniform(0.0, tau_max),
     )
+
+
+def double_zero_params(alpha_shift=0.0, tau=0.0):
+    """tau = 0, delta = l = f = 1: the deflated numerator is
+    lambda + alpha - beta*phi(lambda + 1), and at alpha_shift = 0 these beta,
+    alpha make both it and its derivative vanish at lambda = -3."""
+    w = -2.0
+    phi = -math.expm1(-w) / w
+    beta = 1.0 / (((1.0 + w) * math.exp(-w) - 1.0) / (w * w))
+    return SystemParams(beta * phi + 3.0 + alpha_shift, beta, 1.0, 1.0, 1.0, tau)
 
 
 class TestContourBox:
@@ -342,7 +353,7 @@ def edges_one_by_one(sampler, segments):
             steps += (stop.imag - start.imag) * sampler.rate
         sampler.charge(steps + 1)
         lines.append(np.linspace(start, stop, int(steps) + 1))
-    vals, scales = sampler.sample(np.concatenate(lines))
+    vals, scales = es._deflated_with_scale(sampler.params, np.concatenate(lines))
     on_zero = es._on_zero(vals, scales)
     edges, end, lengthened = [], 0, 0
     for pts in lines:
@@ -528,14 +539,7 @@ class TestFindRoots:
             assert count_zeros(p, result.box) == result.total_count
 
     def test_double_zero_polished_as_cluster(self, monkeypatch):
-        # tau = 0, delta = l = f = 1: the deflated numerator is
-        # lambda + alpha - beta*phi(lambda + 1); these beta, alpha make both
-        # it and its derivative vanish at lambda = -3
-        w = -2.0
-        phi = -math.expm1(-w) / w
-        phi_prime = ((1.0 + w) * math.exp(-w) - 1.0) / (w * w)
-        beta = 1.0 / phi_prime
-        p = SystemParams(beta * phi + 3.0, beta, 1.0, 1.0, 1.0, 0.0)
+        p = double_zero_params()
         counts = []
         polish = es._polish
 
@@ -834,6 +838,20 @@ class TestResidualCheck:
         assert listed.roots[0].residual == 0.0
         monkeypatch.setattr(es, "_located", lambda *args, **kwargs: listed)
         assert spectrum(p, 1.5) is listed
+
+    def test_the_first_root_that_fails_is_named(self, monkeypatch):
+        # Roots are checked in their listed order, and the first that fails
+        # the residual check raises at once, before the roots within char_fn's
+        # pole tolerance of -alpha are checked: -1 + 1e-14 below does not
+        # zero the deflated numerator either.
+        p = SystemParams(1, 2, 1, 1, 1, 1)
+        box = default_box(p, 1.5)
+        limits = [es._Limit(complex(-1.0 + 1e-14, 0.0), 3, 1), es._Limit(0.5 + 0j, 3, 1),
+                  es._Limit(0.75 + 0j, 3, 1)]
+        listed = es.RootSet(es._rooted(p, limits), 3, box)
+        monkeypatch.setattr(es, "_located", lambda *args, **kwargs: listed)
+        with pytest.raises(SolverConsistencyError, match=r"^root \(0\.5\+0j\) fails"):
+            spectrum(p, 1.5)
 
 
 class TestPredictedSpectrum:
@@ -1172,6 +1190,156 @@ class TestKeptSearch:
         spectrum(COUNT69, 1e-6)
         assert boxes == [default_box(COUNT69, 1e-6)]
         assert es._kept[0] is COUNT69
+
+
+class TestCountInvariant:
+    """The multiplicities a search lists add up to its count by
+    construction, with no check at run time: _predicted returns only limits
+    that add up to the count, _subdivide lists exactly each cell's count (a
+    paired part's finds once more, mirrored), and a nudged restart begins a
+    fresh list.  On searches that subdivide and searches near a double
+    eigenvalue, the sum, total_count and a fresh count_zeros over the
+    result's box agree."""
+
+    def test_subdivided_default_boxes(self, monkeypatch):
+        # Every corpus and negative-delta point whose spectrum(p, 1e-5) calls
+        # _split: corpus #83, #85, #99, #127, #140 and #248 (217 to 3,334
+        # zeros, most past the collocation's cap) and negative-delta #60.
+        splits = []
+        split = es._split
+        monkeypatch.setattr(es, "_split", lambda *args: splits.append(args) or split(*args))
+        points = [corpus()[i] for i in (83, 85, 99, 127, 140, 248)] + [negative_delta()[60]]
+        for p in points:
+            before = len(splits)
+            result = spectrum(p, 1e-5)
+            assert len(splits) > before
+            assert (
+                sum(r.multiplicity for r in result.roots)
+                == result.total_count
+                == count_zeros(p, result.box)
+                > 200
+            )
+
+    def test_near_a_double_eigenvalue(self):
+        # The label digest's degenerate set: alpha0 +- 10**k, k = -16..-2,
+        # at three delays.  Its 8 points within 1e-16 of alpha0 raise
+        # BoundaryZero (ROADMAP item 17); the other 82 list their roots.
+        listed = 0
+        for tau in (0.0, 1e-3, 0.05):
+            for k in range(-16, -1):
+                for sign in (-1.0, 1.0):
+                    p = double_zero_params(sign * 10.0**k, tau)
+                    try:
+                        result = spectrum(p, 3.5)
+                    except BoundaryZero:
+                        continue
+                    listed += 1
+                    total = sum(r.multiplicity for r in result.roots)
+                    assert total == result.total_count == count_zeros(p, result.box) > 0
+        assert listed == 82
+
+
+class TestGiveUpBranches:
+    """The branches where the search gives a start, a cluster, a prediction
+    or a cut up, each forced on one call."""
+
+    CELL = ContourBox(-3.3, -2.6, -0.4, 0.45)
+
+    def double_zero_cell(self):
+        p = double_zero_params()
+        sampler = es._Sampler(p)
+        edges = es._box_edges(sampler, self.CELL)
+        assert es._count(edges, self.CELL) == 2
+        return sampler, edges
+
+    def test_a_cluster_is_polished_when_its_probe_agrees(self):
+        sampler, edges = self.double_zero_cell()
+        limit = es._polish(sampler, self.CELL, edges, 2, 1e-8)
+        assert limit.multiplicity == 2 and abs(limit.lam + 3.0) <= 1e-7
+
+    def test_a_cluster_whose_probe_counts_otherwise_is_refused(self, monkeypatch):
+        sampler, edges = self.double_zero_cell()
+        monkeypatch.setattr(es, "_count", lambda edges, box: 3)
+        assert es._polish(sampler, self.CELL, edges, 2, 1e-8) is None
+
+    @pytest.mark.parametrize("where", ["edges", "count"])
+    def test_a_cluster_whose_probe_meets_a_zero_is_refused(self, monkeypatch, where):
+        sampler, edges = self.double_zero_cell()
+
+        def hit(*args):
+            raise es._BoundaryHit(frozenset({es._TOP}))
+
+        def non_integer(*args):
+            raise QuadratureNonInteger("forced")
+
+        if where == "edges":
+            monkeypatch.setattr(es, "_box_edges", hit)
+        else:
+            monkeypatch.setattr(es, "_count", non_integer)
+        assert es._polish(sampler, self.CELL, edges, 2, 1e-8) is None
+
+    def test_newton_gives_up_where_the_derivative_vanishes(self, monkeypatch):
+        values = []
+        monkeypatch.setattr(es, "_deflated_prime", lambda params, z: 0j)
+        monkeypatch.setattr(es, "_deflated", lambda params, z: values.append(z) or 1.0)
+        box = ContourBox(-1.0, 1.0, -1.0, 1.0)
+        assert es._newton(SystemParams(1, 1, 1, 1, 1, 1), box, 0.25 + 0.25j, 1e-12) is None
+        assert values == []
+
+    def test_newton_gives_up_after_its_last_iteration(self, monkeypatch):
+        # Each step jumps between 0.25 and 0.45, inside the box and never
+        # shorter than tol.
+        steps = []
+        monkeypatch.setattr(es, "_deflated_prime", lambda params, z: 1.0)
+        monkeypatch.setattr(es, "_deflated", lambda params, z: steps.append(z) or 2.0 * (z - 0.35))
+        box = ContourBox(-1.0, 1.0, -1.0, 1.0)
+        assert es._newton(SystemParams(1, 1, 1, 1, 1, 1), box, 0.25 + 0j, 1e-12) is None
+        assert len(steps) == es._NEWTON_MAXITER
+
+    def test_a_collocation_whose_eigenvalues_fail_predicts_nothing(self, monkeypatch):
+        p = SystemParams(1, 3, 1, 1, 1, 5)
+        contour = find_roots(p, default_box(p, 1e-5))
+        assert contour.total_count > 2
+
+        def failing(matrix):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        empty = es._collocated(p, 16)
+        assert empty.size == 0 and empty.dtype == complex
+        # spectrum then subdivides, as find_roots does
+        assert spectrum(p, 1e-5) == contour
+
+    def test_a_cut_whose_crossed_edge_refines_onto_a_zero_fails(self, monkeypatch):
+        # A made-up function of Re lambda alone, exp(i*g): g is 0 on the
+        # edges' first samples but 3 at the upright cut, Re = 1.1 at frac
+        # 0.55, so the cut's end sample makes two steep steps of the bottom
+        # and top edges, and their refinement samples Re = 1.05, where the
+        # function counts as a zero.
+        def sampled(params, pts, zero_at=1.05):
+            g = 3.0 * np.exp(-(((pts.real - 1.1) / 0.01) ** 2))
+            scales = np.where(pts.real == zero_at, 1e14, 1.0)
+            return np.exp(1j * g), scales
+
+        monkeypatch.setattr(es, "_deflated_with_scale", sampled)
+        p = SystemParams(1, 1, 1, 1, 1, 0)
+        box = ContourBox(0.0, 2.0, -0.5, 0.7)
+        sampler = es._Sampler(p)
+        edges = es._box_edges(sampler, box)
+        assert es._count(edges, box) == 0
+        bottom = edges[es._BOTTOM]
+        assert (bottom.pts.real == 1.0).any() and not (bottom.pts.real == 1.05).any()
+        cut = es._edges(sampler, [(complex(1.1, -0.5), complex(1.1, 0.7))])[0]
+        assert es._cut(sampler, bottom, bottom.pts.real, 1.1, cut.pts[0], cut.vals[0]) is None
+        assert es._split(sampler, box, edges, 0.55) is None
+        # With no zero there, the same cut parts both edges and the halves
+        # count 0 each.
+        monkeypatch.setattr(
+            es, "_deflated_with_scale", lambda params, pts: sampled(params, pts, zero_at=None)
+        )
+        (lo, lo_edges), (hi, hi_edges), paired = es._split(sampler, box, edges, 0.55)
+        assert not paired and lo.re_max == hi.re_min == 1.1
+        assert es._count(lo_edges, lo) == es._count(hi_edges, hi) == 0
 
 
 class TestStripBox:

@@ -54,6 +54,17 @@ class TestSystemParams:
         with pytest.raises(NonFiniteField):
             SystemParams(1, 1, math.inf, 1, 1, 1)
 
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integers_past_the_float_range_are_not_finite(self, field, sign):
+        # float() of such an int raises OverflowError; the field is typed as
+        # inf is.
+        values = [1, 0.5, 1, 1, 1, 0]
+        values[field] = sign * 10**400
+        name = ("alpha", "beta", "delta", "l", "f", "tau")[field]
+        with pytest.raises(NonFiniteField, match=f"^{name} must be finite"):
+            SystemParams(*values)
+
     def test_negative_delta_and_beta_allowed(self):
         SystemParams(1, -3, -0.5, 1, 1, 0)
 

@@ -71,8 +71,9 @@ class TestFamilyValidation:
             ((1.0, 1.0, 0.0, 1.0), NonPositiveL),
             ((1.0, 1.0, 1.0, 0.0), NonPositiveF),
             ((1.0, math.nan, 1.0, 1.0), NonFiniteField),
+            ((1.0, 10**400, 1.0, 1.0), NonFiniteField),
         ],
-        ids=["alpha", "l", "f", "delta-nan"],
+        ids=["alpha", "l", "f", "delta-nan", "delta-past-the-float-range"],
     )
     def test_every_entry_point_raises_the_systemparams_error(self, fixed, error):
         alpha, delta, l, f = fixed
@@ -501,6 +502,22 @@ class TestSweep:
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(InvalidParameter, match="workers"):
             sweep(ONES, (0.0, 1.0), (0.0, 1.0), (2, 2), workers=workers)
+
+    @pytest.mark.parametrize(
+        "grid_counts, workers, shown",
+        [
+            ((-(10**5000), 2), 1, r"grid_counts .* got \(-<an integer of 16610 bits>, 2\)$"),
+            ((10**5000, 2, 3), 1, r"pairs, got \(\(<an integer of 16610 bits>, 2, 3\), "),
+            ([2, -(10**5000)], 1, r"grid_counts .* got \[2, -<an integer of 16610 bits>\]$"),
+            ((2, 2), -(10**5000), r"workers .* got -<an integer of 16610 bits>$"),
+        ],
+        ids=["grid-count", "grid-triple", "grid-list", "workers"],
+    )
+    def test_an_integer_too_long_to_print_is_shown_by_its_bits(self, grid_counts, workers, shown):
+        # str() of an int past 4300 digits raises ValueError on Python 3.11
+        # and later; the message must not.
+        with pytest.raises(InvalidParameter, match=shown):
+            sweep(ONES, (0, 1), (0, 1), grid_counts, workers=workers)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

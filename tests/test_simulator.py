@@ -59,6 +59,29 @@ class TestSimConfig:
         with pytest.raises(InvalidParameter, match=field):
             SimConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("nx", 10**5000), ("nx", -(10**5000)), ("output_stride", -(10**5000)),
+         ("t_final", 10**5000), ("gamma", 10**5000)],
+        ids=["nx", "negative-nx", "output-stride", "t-final", "gamma"],
+    )
+    def test_an_integer_too_long_to_print_is_shown_by_its_bits(self, field, bad):
+        # str() of an int past 4300 digits raises ValueError on Python 3.11
+        # and later; the message must not.
+        fields = {"nx": 10, "t_final": 1.0, "output_stride": 1}
+        fields[field] = bad
+        sign = "-" if bad < 0 else ""
+        with pytest.raises(InvalidParameter, match=f"{field}.*{sign}<an integer of 16610 bits>"):
+            SimConfig(**fields)
+
+    @pytest.mark.parametrize("field", ["t_final", "gamma"])
+    def test_a_time_or_weight_past_the_float_range_is_refused(self, field):
+        fields = {"nx": 10, "t_final": 1.0, field: 10**400}
+        with pytest.raises(InvalidParameter, match=f"^{field} must be finite and > 0"):
+            SimConfig(**fields)
+        fields[field] = sys.float_info.max
+        assert getattr(SimConfig(**fields), field) == sys.float_info.max
+
     def test_nx_is_bounded_when_the_config_is_built(self):
         bound = simulator._DELAY_SAMPLES
         assert SimConfig(nx=bound - 1, t_final=1.0).nx == bound - 1
