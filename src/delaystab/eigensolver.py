@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +96,7 @@ from .errors import (
     QuadratureNonInteger,
     SampleBudgetExceeded,
     SolverConsistencyError,
+    _real,
 )
 from .params import SystemParams, _search_radius, _strip_radius
 
@@ -142,11 +143,10 @@ class ContourBox:
     im_max: float
 
     def __post_init__(self):
-        values = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidParameter(f"box corners must be finite, got {values}")
+        for name in ("re_min", "re_max", "im_min", "im_max"):
+            _real(name, getattr(self, name))
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise InvalidParameter(f"degenerate box {values}")
+            raise InvalidParameter(f"degenerate box {astuple(self)}")
 
     @property
     def width(self) -> float:
@@ -669,11 +669,6 @@ def _subdivide(
     raise _BoundaryHit(frozenset({_BOTTOM, _RIGHT, _TOP, _LEFT}))
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise InvalidParameter(f"tol must be finite and > 0, got {tol}")
-
-
 @functools.cache
 def _nodes(n: int):
     """The parts of an n-node collocation that depend on n alone, built on
@@ -822,7 +817,9 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     cannot be split further, one holding more than one zero within the
     cluster size max(100*tol, 1e-8)*(1 + |center|) or any cell at depth
     40, raises MaxDepthExceeded naming the cell, its count and its depth.
-    A tol that is not finite and > 0 raises InvalidParameter.
+    A tol that is not finite and > 0 raises InvalidParameter before any
+    sample (errors._real: NonFiniteField for NaN, inf or an int past the
+    float range).
 
     A box symmetric about the real axis (im_min == -im_max) is searched in
     its upper half only: each symmetric cell is held, counted and cut as
@@ -836,8 +833,7 @@ def find_roots(params: SystemParams, box: ContourBox, tol: float = 1e-12) -> Roo
     the whole (possibly nudged) box, by construction.  Roots are sorted by
     real part, then imaginary part, so each pair lists -Im first.
     """
-    _check_tol(tol)
-    return _located(params, box, tol, predict=False)
+    return _located(params, box, _real("tol", tol, 0), predict=False)
 
 
 def default_box(params: SystemParams, sigma: float) -> ContourBox:
@@ -848,8 +844,11 @@ def default_box(params: SystemParams, sigma: float) -> ContourBox:
     Re lambda >= -sigma (params._strip_radius) where that is larger, as it
     can be once sigma*tau is of order one: there |exp(-lambda*tau)| reaches
     exp(sigma*tau).  A half-height that overflows raises
-    SampleBudgetExceeded, as a box too tall to sample does.
+    SampleBudgetExceeded, as a box too tall to sample does.  A sigma that
+    is not finite and >= 0 raises InvalidParameter (errors._real:
+    NonFiniteField for NaN, inf or an int past the float range).
     """
+    sigma = _real("sigma", sigma, 0, closed=True)
     radius = _search_radius(params.beta, params.delta, params.l, params.f)
     strip = _strip_radius(params.beta, params.delta, params.l, params.f, params.tau, sigma)
     half = max(radius + sigma + 1.0, strip)
@@ -959,11 +958,12 @@ def spectrum(params: SystemParams, sigma: float, tol: float = 1e-12) -> RootSet:
     scale, or SolverConsistencyError is raised.  The box grows
     with exp(sigma*tau), so a large sigma*tau can raise
     SampleBudgetExceeded.  A sigma that is not finite
-    and >= 0, or a tol that is not finite and > 0, raises InvalidParameter.
+    and >= 0, or a tol that is not finite and > 0, raises InvalidParameter
+    before any sample (errors._real: NonFiniteField for NaN, inf or an int
+    past the float range).
     """
-    if not 0.0 <= sigma < math.inf:
-        raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
-    _check_tol(tol)
+    sigma = _real("sigma", sigma, 0, closed=True)
+    tol = _real("tol", tol, 0)
     global _kept
     # Residuals silence an overflowing exp as find_roots's counts do.
     with np.errstate(**_QUIET):
@@ -1012,8 +1012,7 @@ def spectral_bound(params: SystemParams, sigma: float) -> float | BelowThreshold
     half-plane strip.  A sigma that is not finite and > 0 raises
     InvalidParameter.
     """
-    if not 0.0 < sigma < math.inf:
-        raise InvalidParameter(f"sigma must be finite and > 0, got {sigma}")
+    sigma = _real("sigma", sigma, 0)
     result = spectrum(params, sigma)
     if not result.roots:
         return BelowThreshold(-sigma)

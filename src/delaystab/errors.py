@@ -1,11 +1,21 @@
 """Exception hierarchy shared by all delaystab modules, and the one way
-their messages show a value."""
+their messages show a value and admit a caller's real number."""
+
+import math
 
 
 # Python 3.11 and later refuse to write an int of more than 4300 digits in
 # decimal.  An int past this many bits (about 4214 digits) is shown by its
 # bit length, on every version.
 _LONG_BITS = 14_000
+
+# The most samples, delays or grid nodes one call may ask for.  The
+# simulator's delay history is sampled by one c_l_history call a step, and
+# it and run's outflow buffer each hold a float a step: 2**24 samples take
+# about 10 s to sample and 134 MB an array.  SimConfig bounds the profile's
+# nx + 1 samples alike, sweep its grid's nodes and trace_boundary its
+# delays, each refused before any array is built.
+_DELAY_SAMPLES = 2**24
 
 
 def _shown(value, show=str) -> str:
@@ -20,6 +30,28 @@ def _shown(value, show=str) -> str:
             return f"[{items}]"
         return f"({items},)" if len(value) == 1 else f"({items})"
     return show(value)
+
+
+def _real(name: str, value, low: float | None = None, closed: bool = False) -> float:
+    """value as a float, the one rule that admits a caller's real number.
+
+    It must be finite, and with a low bound > low (>= low where closed).
+    Anything not finite, an int past the float range included, raises
+    NonFiniteField; a finite value below the bound raises InvalidParameter.
+    The message, built only then, reads "{name} must be finite[ and > low],
+    got {value}", with such an int shown as "a value past the float range"
+    (or by its bit length, as _shown shows it).
+    """
+    try:
+        real = float(value)
+        finite = math.isfinite(real)
+    except OverflowError:
+        real, finite = _shown(value, lambda _: "a value past the float range"), False
+    if finite and (low is None or (real >= low if closed else real > low)):
+        return real
+    bound = "" if low is None else f" and {'>=' if closed else '>'} {low}"
+    error = InvalidParameter if finite else NonFiniteField
+    raise error(f"{name} must be finite{bound}, got {real}")
 
 
 class DelayStabError(Exception):
@@ -47,7 +79,7 @@ class NegativeTau(InvalidParameter):
 
 
 class NonFiniteField(InvalidParameter):
-    pass
+    """A real argument is NaN, infinite or an int past the float range."""
 
 
 class PoleAtMinusAlpha(DelayStabError):

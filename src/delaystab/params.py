@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from .errors import (
     InvalidParameter,
     NegativeTau,
-    NonFiniteField,
     NonPositiveAlpha,
     NonPositiveF,
     NonPositiveL,
     QuadratureNonInteger,
+    _real,
 )
 
 
@@ -37,9 +37,10 @@ class SystemParams:
     f     : transport speed, > 0 (every closed form below divides by f)
     tau   : feedback delay, >= 0
 
-    Construction validates ranges and finiteness; instances are immutable
-    and safe to share across threads.  An integer past the float range is
-    not finite as a field: it raises NonFiniteField, as inf does.
+    Construction validates ranges and finiteness, and stores each field as
+    a float; instances are immutable and safe to share across threads.  A
+    field that is not finite (NaN, inf or an int past the float range)
+    raises NonFiniteField (errors._real).
     """
 
     alpha: float
@@ -51,15 +52,7 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "delta", "l", "f", "tau"):
-            try:
-                value = float(getattr(self, name))
-            except OverflowError:
-                raise NonFiniteField(
-                    f"{name} must be finite, got a value past the float range"
-                ) from None
-            if not math.isfinite(value):
-                raise NonFiniteField(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.alpha <= 0.0:
             raise NonPositiveAlpha(f"alpha must be > 0, got {self.alpha}")
         if self.l <= 0.0:
@@ -188,9 +181,12 @@ def decay_certificate(
 
     with gamma defaulting to f*exp(-tau), the right endpoint of the
     admissible interval.  Returns None when the conditions fail, which does
-    NOT imply instability.  A gamma outside the interval raises
-    InvalidParameter.
+    NOT imply instability.  A gamma that is not finite raises
+    NonFiniteField before any condition is tested (errors._real); a finite
+    one outside the interval raises InvalidParameter.
     """
+    if gamma is not None:
+        gamma = _real("gamma", gamma)
     damping = params.f * (2.0 * params.alpha - params.beta)
     if not damping > 1.0:
         return None

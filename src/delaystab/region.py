@@ -33,6 +33,8 @@ from .errors import (
     PoleAtMinusAlpha,
     QuadratureNonInteger,
     SampleBudgetExceeded,
+    _DELAY_SAMPLES,
+    _real,
     _shown,
 )
 from .params import (
@@ -127,11 +129,13 @@ def oscillation_fast_path(fixed: tuple[float, float, float, float], beta: float)
     delay, and False when the test cannot decide.  On the real axis
     char_fn(x) is real, equals 1 - beta/b0 < 0 at x = 0 and tends to 1 as
     x -> +inf, so a positive real eigenvalue exists whatever the delay.
+    A beta that is not finite (NaN, inf or an int past the float range)
+    raises NonFiniteField (errors._real).
     """
     alpha, delta, l, f = fixed
     if delta <= 0.0:
         raise InvalidParameter("oscillation fast path requires delta > 0")
-    return bool(beta > threshold_gain(alpha, delta, l, f))
+    return bool(_real("beta", beta) > threshold_gain(alpha, delta, l, f))
 
 
 def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
@@ -166,9 +170,10 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
 
 
 def _check_eps0(eps0: float) -> None:
-    """Raise InvalidParameter for an eps0 that is not > 0 or whose search
-    sigma = 1000*eps0 is not finite (eps0 above about 1.8e305)."""
-    if not 0.0 < eps0 * 1e3 < math.inf:
+    """Raise InvalidParameter for an eps0 that is not finite and > 0
+    (errors._real) or whose search sigma = 1000*eps0 is not finite (eps0
+    above about 1.8e305)."""
+    if _real("eps0", eps0, 0) * 1e3 == math.inf:
         raise InvalidParameter(f"eps0 must be > 0 and 1000*eps0 finite, got {eps0}")
 
 
@@ -192,15 +197,18 @@ def sweep(
 ) -> list[SweepNode]:
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
-    grid_counts = (n_beta, n_tau), both integers >= 2, and each range is a
-    (start, stop) pair whose ends and span stop - start are finite.  A bad
-    family, grid, range or eps0 raises before any node is classified: the
-    family's SystemParams error, NegativeTau for a tau_range below 0,
-    InvalidParameter otherwise (for eps0, as classify would: _check_eps0),
-    also for workers that is not an integer >= 1.  Failures of single nodes
-    are recorded on the node and do not stop the sweep.  With workers > 1
-    the nodes are classified in a process pool of at most workers, node and
-    usable CPU count processes; output order is deterministic either way.
+    grid_counts = (n_beta, n_tau), both integers >= 2 with n_beta*n_tau at
+    most 2**24 (_DELAY_SAMPLES) nodes, and each range is a (start, stop)
+    pair whose ends (admitted by errors._real) and span stop - start are
+    finite.  A bad family, grid, range or eps0 raises before any array is
+    built or node classified: the family's SystemParams error, NegativeTau
+    for a tau_range below 0, NonFiniteField for a range end that is not
+    finite, InvalidParameter otherwise (for eps0, as classify would:
+    _check_eps0), also for workers that is not an integer >= 1.  Failures
+    of single nodes are recorded on the node and do not stop the sweep.
+    With workers > 1 the nodes are classified in a process pool of at most
+    workers, node and usable CPU count processes; output order is
+    deterministic either way.
     """
     _check_family(*fixed)
     pairs = (grid_counts, beta_range, tau_range)
@@ -209,8 +217,14 @@ def sweep(
     n_beta, n_tau = grid_counts
     if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
         raise InvalidParameter(f"grid_counts must be integers >= 2, got {_shown(grid_counts)}")
-    # hi - lo is finite iff both ends are and the span does not overflow.
-    if not all(math.isfinite(hi - lo) for lo, hi in (beta_range, tau_range)):
+    # n_beta*n_tau > _DELAY_SAMPLES, written so that no product overflows
+    if n_beta > _DELAY_SAMPLES // n_tau:
+        raise InvalidParameter(
+            f"grid_counts={_shown(grid_counts)} asks for more than {_DELAY_SAMPLES} nodes"
+        )
+    ranges = (("beta_range", beta_range), ("tau_range", tau_range))
+    # each end is admitted as a float, and the span of two can still overflow
+    if not all(math.isfinite(_real(name, hi) - _real(name, lo)) for name, (lo, hi) in ranges):
         raise InvalidParameter("sweep ranges and their spans must be finite")
     if min(tau_range) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
@@ -283,8 +297,7 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     """Axis gain at one frequency; raises as phase_residual does."""
     _check_family(*fixed)
     _check_axis_gain(fixed)
-    if not (math.isfinite(omega) and math.isfinite(tau)):
-        raise InvalidParameter(f"omega and tau must be finite, got {omega}, {tau}")
+    omega, tau = _real("omega", omega), _real("tau", tau)
     gain = complex(np.exp(1j * omega * tau) * _axis_gain(fixed, omega))
     if cmath.isnan(gain):
         raise DenominatorVanishes(
@@ -300,7 +313,8 @@ def phase_residual(fixed, omega: float, tau: float) -> float:
     delta*l/f of about -709.43 (_check_axis_gain), DenominatorVanishes at a
     pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0, recognised by
     |phi(w)| <= 1e-14 whatever the tube's l/f), and InvalidParameter for an
-    omega or tau that is not finite."""
+    omega or tau that is not finite (errors._real: NonFiniteField for NaN,
+    inf or an int past the float range)."""
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 
@@ -551,12 +565,13 @@ def trace_boundary(
     takes 4000 points or 16 per such gap at tau_max, whichever is more.
 
     Before any delay is traced: a bad family raises its SystemParams error;
-    a tau_max or omega_max that is not finite and positive, or a num_tau
-    that is not an integer >= 2, raises InvalidParameter; a default window
-    whose radius overflows, or any window below delta*l/f of about -709.43
-    (_check_axis_gain), raises QuadratureNonInteger; and a window needing
-    more than 65536 scan points raises SampleBudgetExceeded, since a coarser
-    scan would skip crossings.
+    a tau_max or omega_max that is not finite and positive (errors._real:
+    NonFiniteField where it is not finite), or a num_tau that is not an
+    integer from 2 to 2**24 (_DELAY_SAMPLES), raises InvalidParameter; a
+    default window whose radius overflows, or any window below delta*l/f
+    of about -709.43 (_check_axis_gain), raises QuadratureNonInteger; and a
+    window needing more than 65536 scan points raises SampleBudgetExceeded,
+    since a coarser scan would skip crossings.
     The crossings of all delays are one flat list in (tau, omega) order, and
     one char_fn call on arrays of beta and tau takes every residual.  Only a
     crossing whose batch residual is not finite (NaN: its gain is not
@@ -566,15 +581,18 @@ def trace_boundary(
     is recorded as a failure at its delay and skipped.
     """
     _check_family(*fixed)
-    if not (0.0 < tau_max < math.inf) or not (
-        isinstance(num_tau, numbers.Integral) and num_tau >= 2
-    ):
+    tau_max = _real("tau_max", tau_max, 0)
+    if not (isinstance(num_tau, numbers.Integral) and num_tau >= 2):
         raise InvalidParameter("need finite tau_max > 0 and an integer num_tau >= 2")
+    if num_tau > _DELAY_SAMPLES:
+        raise InvalidParameter(
+            f"num_tau={_shown(num_tau)} asks for more than {_DELAY_SAMPLES} delays"
+        )
     alpha, delta, l, f = fixed
     if omega_max is None:
         omega_max = _search_radius(10.0, delta, l, f) + 1.0
-    if not 0.0 < omega_max < math.inf:
-        raise InvalidParameter(f"omega_max must be finite and > 0, got {omega_max}")
+    else:
+        omega_max = _real("omega_max", omega_max, 0)
     _check_axis_gain(fixed)
     needed = _SCAN_POINTS_PER_GAP * omega_max * (tau_max + l / f) / math.pi
     if needed > _OMEGA_SCAN_BUDGET:

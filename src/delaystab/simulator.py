@@ -32,16 +32,11 @@ from .errors import (
     IncompatibleBoundary,
     InvalidParameter,
     SimulationOverflow,
+    _DELAY_SAMPLES,
+    _real,
     _shown,
 )
 from .params import SystemParams
-
-
-# The delay history is sampled by one c_l_history call a step, and it and
-# run's outflow buffer each hold a float a step: 2**24 samples take about
-# 10 s to sample and 134 MB an array.  The profile's nx + 1 samples are
-# bounded alike, by SimConfig.
-_DELAY_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,9 @@ class SimConfig:
     of 1 or more; both are stored as int, so 10.0 is taken as 10.  Each is
     range-checked before its integrality, so an integer past the float
     range raises InvalidParameter, not OverflowError.  t_final and a gamma
-    given must be > 0 and at most the largest float, so an integer past the
-    float range raises InvalidParameter too."""
+    given are admitted by errors._real, finite and > 0, and stored as
+    floats: one that is not finite (NaN, inf or an int past the float
+    range) raises NonFiniteField."""
 
     nx: int
     t_final: float
@@ -69,11 +65,9 @@ class SimConfig:
             )
         if not 2 <= nx or int(nx) != nx:
             raise InvalidParameter(f"nx must be an integer >= 2, got {_shown(nx)}")
-        # For a float, <= the largest float is < inf; an int past it is refused.
-        if not 0.0 < self.t_final <= sys.float_info.max:
-            raise InvalidParameter(f"t_final must be finite and > 0, got {_shown(self.t_final)}")
-        if self.gamma is not None and not 0.0 < self.gamma <= sys.float_info.max:
-            raise InvalidParameter(f"gamma must be finite and > 0, got {_shown(self.gamma)}")
+        object.__setattr__(self, "t_final", _real("t_final", self.t_final, 0))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
         stride = self.output_stride
         if not 1 <= stride < math.inf or int(stride) != stride:
             raise InvalidParameter(f"output_stride must be an integer >= 1, got {_shown(stride)}")
@@ -157,15 +151,15 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
 
     c0 maps [0, l] to the initial concentration (c0(0) must vanish) and
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
-    c_l_history(0) = c0(l).  A non-finite a0, profile sample or history
-    sample raises InvalidParameter, and so does a step (l/nx)/f that
+    c_l_history(0) = c0(l).  An a0 that is not finite raises
+    NonFiniteField (errors._real).  A profile or history sample that is not
+    finite, an int past the float range included, raises InvalidParameter,
+    and so does a step (l/nx)/f that
     underflows to 0 or overflows to inf, a delay of sys.maxsize steps or
     more, or one of _DELAY_SAMPLES steps or more, before any sample is
     taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)
     """
-    a = float(a0)
-    if not math.isfinite(a):
-        raise InvalidParameter(f"a0 must be finite, got {a!r}")
+    a = _real("a0", a0)
     dt = _step_size(params, config)
     delay_steps = params.tau / dt
     if not delay_steps < sys.maxsize:
@@ -179,20 +173,26 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
             f"{_DELAY_SAMPLES} samples"
         )
     x = np.arange(config.nx + 1) * (params.l / config.nx)
-    c = np.fromiter((float(c0(float(xj))) for xj in x), float, count=config.nx + 1)
+    # float() raises OverflowError on a sample that is an int past the float
+    # range: one that is not finite, as NaN and inf are.
+    try:
+        c = np.fromiter((float(c0(float(xj))) for xj in x), float, count=config.nx + 1)
+    except OverflowError:
+        raise InvalidParameter("c0 must be finite on [0, l]") from None
     # Written so that NaN fails the tolerance checks.
     if not abs(c[0]) <= 1e-12:
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
     if not np.isfinite(c).all():
         raise InvalidParameter("c0 must be finite on [0, l]")
     tau_err = abs(n_tau * dt - params.tau)
-    head = float(c_l_history(0.0))
-    if not abs(head - c[-1]) <= 1e-10:
-        raise HistoryMismatch(
-            f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}"
-        )
-    window = (float(c_l_history(-min(k * dt, params.tau))) for k in range(1, n_tau + 1))
-    history = np.fromiter(chain((head,), window), float, count=n_tau + 1)
+    try:
+        head = float(c_l_history(0.0))
+        if not abs(head - c[-1]) <= 1e-10:
+            raise HistoryMismatch(f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}")
+        window = (float(c_l_history(-min(k * dt, params.tau))) for k in range(1, n_tau + 1))
+        history = np.fromiter(chain((head,), window), float, count=n_tau + 1)
+    except OverflowError:
+        raise InvalidParameter("c_l_history must be finite on [-tau, 0]") from None
     if not np.isfinite(history).all():
         raise InvalidParameter("c_l_history must be finite on [-tau, 0]")
     return SimState(
@@ -365,14 +365,22 @@ def _history_weights(
 def energy(state: SimState, params: SystemParams, gamma: float | None = None) -> float:
     """Composite-trapezoid energy: half the squared L2 norm of c, half the
     squared activation, plus the gamma-weighted history integral; gamma
-    None is f*exp(-tau), as in SimConfig."""
-    if gamma is not None and not 0.0 < gamma < math.inf:
-        raise InvalidParameter(f"gamma must be finite and > 0, got {gamma}")
+    None is f*exp(-tau), as in SimConfig.  A gamma that is not finite and
+    > 0 raises InvalidParameter (errors._real).  An energy past the
+    floating-point range, from a gamma*exp(tau) or a sample that squares
+    past it, raises SimulationOverflow naming state.t, as run does, with no
+    RuntimeWarning."""
+    if gamma is not None:
+        gamma = _real("gamma", gamma, 0)
     dx = params.l / (state.c.size - 1)
-    value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
-    value += 0.5 * state.a * state.a
-    weights = _history_weights(params, gamma, state.dt, state.n_tau)
-    return value + 0.5 * _sq_integral(state.history, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
+        value += 0.5 * state.a * state.a
+        weights = _history_weights(params, gamma, state.dt, state.n_tau)
+        value += 0.5 * _sq_integral(state.history, weights)
+    if not math.isfinite(value):
+        raise SimulationOverflow(f"the energy left the floating-point range at t = {state.t!r}")
+    return value
 
 
 def state_norm_sq(state: SimState, params: SystemParams) -> float:

@@ -519,6 +519,20 @@ class TestSweep:
         with pytest.raises(InvalidParameter, match=shown):
             sweep(ONES, (0, 1), (0, 1), grid_counts, workers=workers)
 
+    def test_nodes_past_the_bound_are_refused(self, monkeypatch):
+        # n_beta*n_tau > 2**24, refused before numpy is asked for the grid
+        assert region._DELAY_SAMPLES == 2**24
+        shown = rf"grid_counts=\(2, {2**60}\) asks for more than 16777216 nodes$"
+        with pytest.raises(InvalidParameter, match=shown):
+            sweep(ONES, (0, 1), (0, 1), (2, 2**60))
+        # the bound itself is admitted, one more node is not
+        monkeypatch.setattr(region, "_DELAY_SAMPLES", 6)
+        for grid_counts in ((2, 3), (3, 2)):
+            assert len(sweep(ONES, (0, 1), (0, 1), grid_counts)) == 6
+        for grid_counts in ((2, 4), (4, 2), (3, 3)):
+            with pytest.raises(InvalidParameter, match="more than 6 nodes$"):
+                sweep(ONES, (0, 1), (0, 1), grid_counts)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep(ONES, (0, 1), (0, 1), (1, 5))
@@ -609,6 +623,18 @@ class TestTraceBoundary:
     def test_limits_must_be_finite_and_positive(self, tau_max, omega_max):
         with pytest.raises(InvalidParameter):
             trace_boundary(ONES, tau_max, 3, omega_max)
+
+    def test_delays_past_the_bound_are_refused(self, monkeypatch):
+        # before numpy is asked for an array of num_tau delays
+        assert region._DELAY_SAMPLES == 2**24
+        shown = f"num_tau={2**60} asks for more than 16777216 delays$"
+        with pytest.raises(InvalidParameter, match=shown):
+            trace_boundary(ONES, 1.0, 2**60, 5.0)
+        # the bound itself is admitted, one more delay is not
+        monkeypatch.setattr(region, "_DELAY_SAMPLES", 4)
+        assert len({p.tau for p in trace_boundary(ONES, 1.0, 4, 5.0).points}) == 4
+        with pytest.raises(InvalidParameter, match="num_tau=5 asks for more than 4 delays$"):
+            trace_boundary(ONES, 1.0, 5, 5.0)
 
     def test_bad_delay_grid_is_reported_before_the_default_window(self):
         # The default window's radius overflows for this family.

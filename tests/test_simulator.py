@@ -351,6 +351,32 @@ class TestEnergy:
         assert energy(state, p, 0.7) == pytest.approx(ref_energy, rel=1e-14)
         assert state_norm_sq(state, p) == pytest.approx(ref_norm, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "gamma, tau", [(1.7e308, 0.3), (1.0, 800.0)], ids=["gamma", "gamma-exp-tau"]
+    )
+    def test_a_weight_past_the_float_range_raises_overflow(self, gamma, tau):
+        # gamma*exp(tau) overflows: inf weights times a zero history were NaN
+        p = SystemParams(1, 0.5, 1, 1, 1, tau)
+        state = init_state(p, SimConfig(10, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 0\.0$"):
+                energy(state, p, gamma)
+
+    @pytest.mark.parametrize("where", ["c", "a", "history"])
+    def test_a_sample_that_squares_past_the_float_range_raises_overflow(self, where):
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        state = init_state(p, SimConfig(10, 1.0), sine_profile(1.0), 1.0, zero_fn)
+        state.t = 2.5
+        if where == "a":
+            state.a = 1e200
+        else:
+            getattr(state, where)[-1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 2\.5$"):
+                energy(state, p, 1.0)
+
     def test_gamma_validation(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)
         state = init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 0.0, zero_fn)

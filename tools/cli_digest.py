@@ -125,6 +125,18 @@ INVOCATIONS = [
     # cluster size of tol = 1e-8 that Newton cannot polish: exit 3, no rows.
     "eig --alpha 1.4768116880880315 --beta=-0.4768116880884702 --delta 1 --l 1 --f 1 --tau 0"
     " --sigma 3.5 --tol 1e-8",
+    # One real number per admission site the CLI reaches, each refused:
+    # exit 2 before any search, scan or step.
+    f"eig {POINT} --sigma inf",
+    f"eig {POINT} --tol nan",
+    f"classify {POINT} --eps0 -1",
+    f"sweep {ONES} --beta-range -2:2 --tau-range 0:inf --grid 3x3",
+    f"trace-r0 {ONES} --tau-max 1 --steps 3 --omega-max inf",
+    f"simulate {POINT} --nx 10 --t-final 0.5 --gamma inf",
+    f"simulate {POINT} --nx 10 --t-final 0.5 --a0 nan",
+    f"certify {POINT} --gamma nan",
+    # 2**60 delays by 2 gains: refused before any array is built, exit 2.
+    f"sweep {ONES} --beta-range -2:2 --tau-range 0:2 --grid 1152921504606846976x2",
 ]
 
 
