@@ -118,7 +118,14 @@ def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
 
 def eig_bound_radius(beta: float, delta: float) -> float:
     """Radius bounding |lambda| for every eigenvalue with Re lambda >= 0 when
-    delta >= 0: the case that _search_radius, valid for every delta, reduces to."""
+    delta >= 0: the case that _search_radius, valid for every delta, reduces
+    to.  beta or delta that is not finite (NaN, +-inf or an int past the
+    float range) raises NonFiniteField (errors._real)."""
+    return _bound_radius(_real("beta", beta), _real("delta", delta))
+
+
+def _bound_radius(beta: float, delta: float) -> float:
+    """eig_bound_radius of two admitted floats."""
     return 0.5 * (abs(delta) + math.sqrt(delta * delta + 8.0 * abs(beta)))
 
 
@@ -135,7 +142,7 @@ def _search_radius(beta: float, delta: float, l: float, f: float) -> float:
     default trace window all search within it.
     """
     if delta >= 0.0:
-        radius = eig_bound_radius(beta, delta)
+        radius = _bound_radius(beta, delta)
     else:
         radius = _strip_radius(beta, delta, l, f, 0.0, 0.0)
     if radius == math.inf:

@@ -6,14 +6,18 @@ activation ODE uses its exact integrating-factor update with the delayed
 boundary trace held over each step.  ``run`` integrates by the method of
 steps (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, OUP 2003): over up to nx steps the profile is a closed form in
-the profile those steps start from and their sources, so each step advances
-only the outlet and the activation, as floats.  A block of steps chains such
-segments, and c(l, .) goes into a buffer that holds the delay windows of
-the block's steps.  When the block ends it evaluates the energies of its
-output steps at once, their c-integrals from prefix sums of the segments'
-start profiles and their history terms as one correlation, and the buffer
-shifts by the block's steps.  A run whose energy leaves the floating-point
-range raises SimulationOverflow.
+the profile those steps start from and their sources, so a step advances
+only the outlet and the activation.  Over up to n_tau steps the delayed
+input is already known, so a window of that many steps is linear
+recurrences with known inputs: one that spans _BREAK_EVEN steps or more is
+solved as arrays, each recurrence one running sum of scaled terms, and a
+shorter one is stepped as floats.  A block of steps chains such segments,
+and c(l, .) goes into a buffer that holds the delay windows of the block's
+steps.  When the block ends it evaluates the energies of its output steps
+at once, their c-integrals from prefix sums of the segments' start profiles
+and their history terms as one correlation, and the buffer shifts by the
+block's steps.  A run whose energy leaves the floating-point range raises
+SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import mul
 
 import numpy as np
@@ -228,52 +232,172 @@ def _rates(params: SystemParams, dt: float) -> tuple[float, float, float, float,
         ) from None
 
 
-def _march_fn(params: SystemParams, dt: float, n_tau: int):
-    """The n-step update for this step size, its factors (_rates) computed once.
+# A window of at least this many steps is taken as arrays, a shorter one
+# as floats: below it the closed forms' numpy calls cost more than the float
+# steps they replace (one march call of 40 steps took 40.5 us as arrays and
+# 37.6 us as floats, of 48 steps 41.2 and 43.6 us; 2 shared cores).
+_BREAK_EVEN = 44
 
-    march(c, a, lag, n) takes n steps from the profile c and the activation
-    a.  lag holds c(l, .) oldest first from the oldest delayed sample the
-    first step reads, through at least the second (the head alone at n_tau
-    = 0); march appends the n new outlet values to it.  The steps go in
-    segments of nx, each from the profile it starts from, which is c for
-    the first.  Over a segment the profile has a closed form in its start:
-    with d = exp(-delta*dt), the step's source s_i = beta*a_mid*(1 -
-    d)/delta (dt at delta = 0) and S_{r+1} = d*S_r + s_r, sample j after r
-    steps is d**r*start[j-r] + S_r for j >= r.  So each step is a few float
-    operations on the outlet start[nx-r] alone, and the next segment's
-    start is the samples fed over this one.  march returns a flat table of
-    (a, d**r, S_r, F_r, c(l)) after each step, where r counts the steps of
-    its segment, up to nx, and F_r is the sum of the squares of the r - 1
-    samples 0 < j < r fed in the segment; the sources s_0..s_{n-1}; and the
-    start of every segment after the first, as a list.  step is the same
-    formulas at n = 1.
+# A window spans at most this many e-folds of q = exp(-alpha*dt) and of d**2,
+# so q**-L and d**-2L stay below exp(354), about 1.3e153: a closed form's
+# partial sum is at most that factor above a value whose square is finite.
+_WINDOW_RANGE = 354.0
+
+
+def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
+    """The n-step update for this step size.  Its factors (_rates), the
+    powers of d over a segment of up to longest steps and the scaled powers
+    of its windows are computed once.
+
+    march(c, a, buf, n) takes n steps from the profile c and the activation
+    a.  buf holds c(l, .) oldest first, buf[i : i + n_tau + 1] the delay
+    window after i steps; march writes the outlet after step i to
+    buf[n_tau + 1 + i].  The steps go in segments of nx (at most longest),
+    each from the profile it starts from, which is c for the first.  Over a
+    segment the profile has a closed form in its start: with d =
+    exp(-delta*dt), the step's source s_i = beta*a_mid*(1 - d)/delta (dt at
+    delta = 0) and S_{r+1} = d*S_r + s_r, sample j after r steps is
+    d**r*start[j-r] + S_r for j >= r.  So a step needs only the outlet
+    start[nx-r], and the next segment's start is the samples fed over this
+    one.
+
+    A segment goes in windows of at most n_tau steps (method of steps): the
+    delayed samples a window reads were all written before it starts, so
+    the activation, S, and the sum and the sum of squares of the fed samples
+    follow linear recurrences with known inputs.  A window of _BREAK_EVEN
+    steps or more solves each as one running sum of scaled terms
+    (_running_sums): a_k = q**k*(a_0 +
+    sum_{j<k} g_j*q**-(j+1)) with q = exp(-alpha*dt) and g_j the step's
+    delayed input times (1 - q)/alpha, and S, the fed sum and the fed sum of
+    squares alike with the factors d, d and d**2.  A shorter window, and a
+    segment whose windows would all be shorter (n_tau or nx below
+    _BREAK_EVEN, or the _WINDOW_RANGE cap), is stepped as floats; step is
+    those float formulas at n = 1.
+
+    march returns the (n + 1, 5) table of (a, d**r, S_r, F_r, c(l)) after 0
+    to n steps, where r counts the steps of its segment, up to nx, and F_r
+    is the sum of the squares of the r - 1 samples 0 < j < r fed in the
+    segment (row 0's F is -c[0]**2/2, since the carried-over sum weighs its
+    inflow sample h where the trapezoid weighs it h/2); the sources
+    s_0..s_{n-1}; and the start of every segment, c first, as the rows of
+    one array.
     """
     alpha, beta = params.alpha, params.beta
     decay_a, gain_a, d, gain_c, delta = _rates(params, dt)
     lagged = n_tau >= 1
+    # d**0 .. d**longest as successive products
+    powers = np.full(longest + 1, d)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)
+    power_list = powers.tolist()
+    rate = max(alpha, 2.0 * abs(params.delta)) * dt
+    span = int(min(n_tau, longest, _WINDOW_RANGE / rate if rate else math.inf))
+    windows = span >= _BREAK_EVEN
+    if windows:
+        # each power to within a rounding, not by successive products whose
+        # roundings drift one way
+        ramp = np.arange(span + 1.0)
+        q_powers = decay_a**ramp
+        q_inverse = 1.0 / q_powers[1:]
+        d_powers = d**ramp
+        d_inverse = 1.0 / d_powers[1:]
+        d_squares = d_powers * d_powers
 
-    def march(c: np.ndarray, a: float, lag: list, n: int) -> tuple[list, list, list]:
+    def march(c: np.ndarray, a: float, buf: np.ndarray, n: int):
         nx = c.size - 1
-        m = min(n, nx)
-        powers = [1.0, *accumulate(repeat(d, m), mul)]
-        # after r + 1 steps of a segment the outlet holds start[nx - 1 - r]
-        outlets = c[nx - m : nx].tolist()[::-1]
-        table, sources, starts = [], [], []
-        i = 0
-        while i < n:
-            if i:
+        table = np.empty((n + 1, 5))
+        head = c.item(0)
+        table[0] = (a, 1.0, 0.0, -0.5 * head * head, c.item(-1))
+        flat = table.reshape(-1)
+        sources = np.empty(n)
+        starts = np.empty((-(-n // nx), nx + 1))
+        starts[0] = start = c
+        # Steps taken as floats go into lists, from block step base on:
+        # rows of the table, sources, and lag, c(l, .) from buf[base] on.
+        # Without windows the lists span the block, each segment's start is
+        # built from them, and they go into the arrays once at its end; with
+        # windows they go in after each segment, whose start is built from
+        # the sources array.
+        base, rows, fed, later = 0, [], [], []
+        if not windows:
+            # after r + 1 steps of a segment the outlet holds start[nx - 1 - r]
+            outlets = c[nx - min(n, nx) : nx].tolist()[::-1]
+            lag = buf[: min(n, n_tau) + 1].tolist()
+        for b in range(starts.shape[0]):
+            i, end = b * nx, min(b * nx + nx, n)
+            if b and windows:
                 # the profile after i steps: the samples fed since the last
                 # start behind the pinned inflow, and the outlet
-                fed = accumulate(map(mul, powers, reversed(sources[i - nx + 1 :])))
-                starts.append([0.0, *fed, c_l])
-                outlets = starts[-1][-2::-1]
+                start = starts[b]
+                start[0] = 0.0
+                np.cumsum(powers[: nx - 1] * sources[i - 1 : i - nx : -1], out=start[1:nx])
+                start[nx] = table[i, 4]
+            elif b:
+                start = [0.0, *accumulate(map(mul, power_list, reversed(fed[i - nx + 1 :]))), c_l]
+                later.append(start)
+                outlets = start[-2::-1]
             # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
-            acc, fresh_sq, fresh = -0.0, 0.0, 0.0
-            for r, p, outlet in zip(range(min(nx, n - i)), powers[1:], outlets):
+            acc, fresh, fresh_sq = -0.0, 0.0, 0.0
+            r = 0
+            while windows and (steps := min(span, end - i)) >= _BREAK_EVEN:
+                # a after 0..steps steps, from its scaled partial sums;
+                # g and s round as the float step's formulas do, term by
+                # term, where one factor for all terms would bias them
+                x = np.empty(steps + 1)
+                x[0] = a
+                g = np.add(buf[i : i + steps], buf[i + 1 : i + steps + 1], out=x[1:])
+                g *= 0.5
+                g *= gain_a
+                g /= alpha
+                g *= q_inverse[:steps]
+                _running_sums(x)
+                x *= q_powers[: steps + 1]
+                s = x[:-1] + x[1:]
+                s *= 0.5
+                s *= beta
+                s *= gain_c
+                s /= delta
+                # rows S, fed sum and fed sum of squares, each over the
+                # powers of d (d**2 for the squares) of its window step;
+                # the squares gain s_j*(2*fresh_j + r_j*s_j), which over
+                # d**2(j+1) is Y_j*(phi_j + phi_{j+1}) with Y_j =
+                # s_j/d**(j+1) and phi the scaled fed sums
+                scaled = s * d_inverse[:steps]
+                sums = np.empty((3, steps + 1))
+                sums[0, 0], sums[1, 0], sums[2, 0] = acc, fresh, fresh_sq
+                sums[0, 1:] = scaled
+                np.multiply(scaled, ramp[:steps] + r, out=sums[1, 1:])
+                _running_sums(sums[:2])
+                np.add(sums[1, :-1], sums[1, 1:], out=sums[2, 1:])
+                sums[2, 1:] *= scaled
+                _running_sums(sums[2])
+                sums[:2] *= d_powers[: steps + 1]
+                sums[2] *= d_squares[: steps + 1]
+                window = table[i + 1 : i + steps + 1]
+                window[:, 0] = x[1:]
+                window[:, 1] = powers[r + 1 : r + steps + 1]
+                window[:, 2:4] = sums[::2, 1:].T
+                outlet = window[:, 4]
+                np.multiply(window[:, 1], start[nx - r - steps : nx - r][::-1], out=outlet)
+                outlet += sums[0, 1:]
+                buf[n_tau + 1 + i : n_tau + 1 + i + steps] = outlet
+                sources[i : i + steps] = s
+                a = x.item(-1)
+                acc, fresh, fresh_sq = sums[:, -1].tolist()
+                i += steps
+                r += steps
+            if i == end:
+                continue
+            if windows:
+                base = i
+                outlets = start[nx - r - (end - i) : nx - r][::-1].tolist()
+                lag = buf[i : i + min(end - i, n_tau) + 1].tolist()
+            k = i - base
+            for r, p, outlet in zip(range(r, r + end - i), power_list[r + 1 :], outlets):
                 # z(1, .) over [t, t+dt] spans the two oldest delay samples;
                 # their average keeps the coupling second order (tau = 0 has
                 # only the head)
-                delayed = 0.5 * (lag[i] + lag[i + 1]) if lagged else lag[i]
+                delayed = 0.5 * (lag[k] + lag[k + 1]) if lagged else lag[k]
                 a_new = a * decay_a + delayed * gain_a / alpha
                 s = beta * (0.5 * (a + a_new)) * gain_c / delta
                 # the sum of squares and the sum of the fed samples after r +
@@ -283,16 +407,37 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int):
                 acc = acc * d + s
                 c_l = p * outlet + acc
                 lag.append(c_l)
-                sources.append(s)
-                table += (a_new, p, acc, fresh_sq, c_l)
+                fed.append(s)
+                rows += (a_new, p, acc, fresh_sq, c_l)
                 a = a_new
-                i += 1
+                k += 1
+            if windows or end == n:
+                flat[5 * (base + 1) : 5 * (end + 1)] = rows
+                sources[base:end] = fed
+                buf[n_tau + 1 + base : n_tau + 1 + end] = lag[base - end :]
+                rows, fed = [], []
+        if later:
+            starts[1:] = later
         return table, sources, starts
 
     return march
 
 
-def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -> np.ndarray:
+def _running_sums(x: np.ndarray) -> None:
+    """Replace x by its running sums along its last axis, each within about
+    a rounding of the exact sum.  A plain cumsum of terms of one size drifts
+    one way, a rounding per term; here each partial sum's rounding is found
+    (FastTwoSum, exact while the sum before it is the larger, as in the
+    closed forms' sums of small terms) and their running sum added back."""
+    lost = x[..., 1:].copy()
+    np.add.accumulate(x, axis=-1, out=x)
+    after = x[..., 1:]
+    lost -= after - x[..., :-1]
+    np.add.accumulate(lost, axis=-1, out=lost)
+    after += lost
+
+
+def _profile(c: np.ndarray, p: float, acc: float, powers, sources: np.ndarray) -> np.ndarray:
     """The profile len(sources) steps after c, in march's closed form: d**i*c
     shifted by i plus S_i, behind the fed samples sum_{m<j} d**m*s_{i-1-m} at
     0 < j < i, with powers d**0, d**1, ...  One step is c[:-1]*d + s_0 behind
@@ -302,7 +447,8 @@ def _profile(c: np.ndarray, p: float, acc: float, powers: list, sources: list) -
     carried = row[i:]
     np.multiply(c[: c.size - i], p, out=carried)
     np.add(carried, acc, out=carried)
-    row[:i] = [0.0, *accumulate(map(mul, powers, reversed(sources[1:])))]
+    row[0] = 0.0
+    np.cumsum(np.multiply(powers[: i - 1], sources[:0:-1]), out=row[1:i])
     return row
 
 
@@ -384,20 +530,26 @@ def energy(state: SimState, params: SystemParams, gamma: float | None = None) ->
 
 
 def state_norm_sq(state: SimState, params: SystemParams) -> float:
-    """Squared natural norm of the full state (c, a, delayed trace)."""
+    """Squared natural norm of the full state (c, a, delayed trace).  A norm
+    past the floating-point range raises SimulationOverflow naming state.t,
+    as energy does, with no RuntimeWarning."""
     dx = params.l / (state.c.size - 1)
-    value = _sq_integral(state.c, _trapezoid_weights(state.c.size, dx)) + state.a * state.a
-    if state.n_tau >= 1:
-        weights = _trapezoid_weights(state.n_tau + 1, 1.0 / state.n_tau)
-        value += params.f * params.tau * _sq_integral(state.history, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _sq_integral(state.c, _trapezoid_weights(state.c.size, dx)) + state.a * state.a
+        if state.n_tau >= 1:
+            weights = _trapezoid_weights(state.n_tau + 1, 1.0 / state.n_tau)
+            value += params.f * params.tau * _sq_integral(state.history, weights)
+    if not math.isfinite(value):
+        raise SimulationOverflow(f"the state norm left the floating-point range at t = {state.t!r}")
     return value
 
 
 # Steps per block: run takes up to this many steps, in segments of nx from
 # the profile each starts from, and takes the energies of its output rows at
-# once when the block ends.  The cap bounds the block's step records and
-# outflow buffer.
-_ROWS = 127
+# once when the block ends.  The cap bounds the block's step records (an
+# array of five floats a step) and outflow buffer; a longer block spreads
+# the block's own numpy calls over more steps and lets a window run longer.
+_ROWS = 255
 
 
 def run(
@@ -419,8 +571,10 @@ def run(
     It steps by the method of steps (Bellen & Zennaro, Numerical Methods for
     Delay Differential Equations, OUP 2003): a block of up to _ROWS steps
     goes in segments of nx, each a closed form in the profile it starts
-    from, so only the outlet and the activation are stepped, as floats, and
-    no array is touched per step.  An output's c-integral, r steps into its
+    from, so only the outlet and the activation are stepped; a segment goes
+    in windows of up to n_tau steps, each solved as arrays where it spans
+    _BREAK_EVEN steps or more and stepped as floats where it does not
+    (_march_fn).  An output's c-integral, r steps into its
     segment, is d**r*(d**r*A2 + 2*S_r*A1) + S_r**2*(D+1) over the D+1 =
     nx+1-r samples carried over from the segment's start, where A2 and A1
     are prefix sums of start**2 and start, plus the fed samples' F_r; the
@@ -540,7 +694,7 @@ def run(
                 )
         return finite
 
-    march = _march_fn(params, dt, n_tau)
+    march = _march_fn(params, dt, n_tau, min(rows, nx))
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -549,24 +703,14 @@ def run(
         history_weights = _history_weights(params, config.gamma, dt, n_tau)
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
-            lag = buf[: min(n, n_tau) + 1].tolist()
-            steps_taken, sources, later = march(c, a, lag, n)
-            buf[n_tau + 1 : n_tau + 1 + n] = lag[-n:]
-            # the profiles the block's segments start from, c first
-            starts = np.array([c, *later])
-            # row i is (a, d**r, S_r, F_r, c(l)) after i steps; row 0's F is
-            # -c[0]**2/2, since the carried-over sum weighs its inflow sample
-            # h where the trapezoid weighs it h/2
-            head = c.item(0)
-            table = np.array([a, 1.0, 0.0, -0.5 * head * head, c.item(-1), *steps_taken])
-            table = table.reshape(n + 1, 5)
-            powers = table[: min(n, nx) + 1, 1].tolist()
+            table, sources, starts = march(c, a, buf, n)
+            powers = table[: min(n, nx) + 1, 1]
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
             finite = take(k0, slice(first, n + 1, stride))
             if k0 + n == n_steps and n_steps % stride:
                 finite &= take(k0, slice(n, n + 1))
-            a, p, acc = steps_taken[-5:-2]
+            a, p, acc = table[n, :3].tolist()
             c = profile(n, p, acc)
             buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
@@ -594,9 +738,12 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
 
     Returns a decayed-to-zero sentinel (rate = inf) when the window contains
     non-positive energies; raises DegenerateWindow on fewer than 10 samples
-    and SimulationOverflow on an energy that is inf or NaN.
+    and SimulationOverflow on an energy that is inf or NaN.  Each end is a
+    float or +-inf; NaN, or an int past the float range, raises
+    NonFiniteField (errors._real).
     """
-    t0, t1 = window
+    t0, t1 = (end if end in (-math.inf, math.inf) else _real(f"{name}, if not +-inf,", end)
+              for name, end in zip(("the window start", "the window end"), window))
     ts, es = trace.times, trace.energies
     inside = (t0 <= ts) & (ts <= t1)
     ts, es = ts[inside], es[inside]

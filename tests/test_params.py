@@ -146,6 +146,25 @@ class TestEigBoundRadius:
             assert eig_bound_radius(sign_b * b1, d1) <= eig_bound_radius(sign_b * b2, d1)
             assert eig_bound_radius(b1, sign_d * d1) <= eig_bound_radius(b1, sign_d * d2)
 
+    @pytest.mark.parametrize(
+        "beta, delta, name, shown",
+        [
+            (10**400, 1.0, "beta", "a value past the float range"),
+            (math.nan, 1.0, "beta", "nan"),
+            (1.0, math.inf, "delta", "inf"),
+            (1.0, -(10**400), "delta", "a value past the float range"),
+        ],
+    )
+    def test_an_argument_that_is_not_finite_is_typed(self, beta, delta, name, shown):
+        with pytest.raises(NonFiniteField, match=f"^{name} must be finite, got {shown}$"):
+            eig_bound_radius(beta, delta)
+
+    def test_finite_floats_give_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for beta, delta in rng.uniform(-1e3, 1e3, (200, 2)).tolist() + [(0.0, -0.0), (1e308, 1.0)]:
+            want = 0.5 * (abs(delta) + math.sqrt(delta * delta + 8.0 * abs(beta)))
+            assert eig_bound_radius(beta, delta) == want
+
 
 class TestSearchRadius:
     @staticmethod

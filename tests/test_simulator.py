@@ -13,6 +13,7 @@ from delaystab.errors import (
     HistoryMismatch,
     IncompatibleBoundary,
     InvalidParameter,
+    NonFiniteField,
     SimulationOverflow,
 )
 from delaystab.simulator import (
@@ -287,11 +288,13 @@ class TestStep:
         # step's one-step form against march and _profile at n = 1, bit for
         # bit, from a history that is not zero
         state = init_state(p, SimConfig(nx, 1.0, 1.0), sine_profile(p.l), 1.0, lambda s: 0.1 * s)
-        march = simulator._march_fn(p, state.dt, state.n_tau)
+        march = simulator._march_fn(p, state.dt, state.n_tau, 1)
         for _ in range(60):
-            lag = state.history[::-1][: min(1, state.n_tau) + 1].tolist()
-            (a, power, acc, _, c_l), sources, _ = march(state.c, state.a, lag, 1)
-            c = simulator._profile(state.c, power, acc, [1.0], sources)
+            buf = np.append(state.history[::-1], np.nan)
+            table, sources, _ = march(state.c, state.a, buf, 1)
+            a, power, acc, _, c_l = table[1].tolist()
+            assert buf[-1] == c_l
+            c = simulator._profile(state.c, power, acc, table[:, 1], sources)
             history = np.concatenate(([c_l], state.history[:-1]))
             state = step(state, p)
             assert state.c.view(np.int64).tolist() == c.view(np.int64).tolist()
@@ -376,6 +379,17 @@ class TestEnergy:
             warnings.simplefilter("error")
             with pytest.raises(SimulationOverflow, match=r"at t = 2\.5$"):
                 energy(state, p, 1.0)
+
+    def test_a_state_norm_past_the_float_range_raises_overflow(self):
+        # a0 = 1e200 squares past the range: as energy, no inf and no warning
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        state = init_state(p, SimConfig(10, 1.0), sine_profile(1.0), 1e200, zero_fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 0\.0$"):
+                energy(state, p)
+            with pytest.raises(SimulationOverflow, match=r"^the state norm .* at t = 0\.0$"):
+                state_norm_sq(state, p)
 
     def test_gamma_validation(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)
@@ -515,7 +529,8 @@ def deviation(values, exact) -> float:
 
 # The largest deviation from exact_outputs of run or of a step loop on
 # TestFlatRun's runs, in units of the run's largest |c| (c and history) and
-# largest |a|; run reaches 3.2e-16 and the step loop 3.0e-16.
+# largest |a|; run reaches 3.2e-16, 6.0e-16 with every window taken as
+# arrays, and the step loop 3.0e-16.
 EXACT_TOL = 1e-15
 
 
@@ -523,8 +538,12 @@ EXACT_TOL = 1e-15
 # against the same scheme in exact arithmetic.  Blocks (_ROWS) of 1 and 3
 # steps shift the outflow buffer many times, also below n_tau = 5, and put
 # outputs at every phase of a block edge, also with outputs at every step;
-# blocks of 21 and of 127 steps chain segments of nx = 16 steps, the first
-# ending part way through a segment.
+# blocks of 21 and of _ROWS steps chain segments of nx = 16 steps, the
+# first ending part way through a segment.  A _BREAK_EVEN of 1 takes every
+# window of up to n_tau steps as arrays: windows end part way through a
+# segment (n_tau = 5 or 6), at a segment's end and at a block's; at tau = 2
+# (n_tau = 32) each window is a whole segment, and at alpha*dt = 125 the
+# _WINDOW_RANGE cap cuts them to 2 steps.  (n_tau = 0 has no window.)
 FLAT_BLOCKS = pytest.mark.parametrize(
     "patches, stride",
     [
@@ -536,6 +555,12 @@ FLAT_BLOCKS = pytest.mark.parametrize(
         pytest.param({"_ROWS": 3}, 1, id="rows3-stride1"),
         pytest.param({"_ROWS": 21}, 5, id="rows21"),
         pytest.param({"_ROWS": 21}, 1, id="rows21-stride1"),
+        pytest.param({"_BREAK_EVEN": 1}, 5, id="arrays"),
+        pytest.param({"_BREAK_EVEN": 1}, 1, id="arrays-stride1"),
+        pytest.param({"_BREAK_EVEN": 1, "_ROWS": 1}, 1, id="arrays-rows1-stride1"),
+        pytest.param({"_BREAK_EVEN": 1, "_ROWS": 3}, 5, id="arrays-rows3"),
+        pytest.param({"_BREAK_EVEN": 1, "_ROWS": 21}, 5, id="arrays-rows21"),
+        pytest.param({"_BREAK_EVEN": 1, "_ROWS": 21}, 1, id="arrays-rows21-stride1"),
     ],
 )
 FLAT_PARAMS = pytest.mark.parametrize(
@@ -545,6 +570,8 @@ FLAT_PARAMS = pytest.mark.parametrize(
         SystemParams(1, 0.5, 1, 1, 1, 0.0),  # n_tau == 0
         SystemParams(1.3, 0.7, 0.0, 1, 1, 0.4),  # delta == 0
         SystemParams(0.5, -2, -0.7, 2, 0.5, 1.3),
+        SystemParams(1, 0.5, 1, 1, 1, 2.0),  # a delay of two segments
+        SystemParams(2000, 0.5, 1, 1, 1, 0.4),  # alpha*dt = 125
     ],
 )
 FLAT_CONFIG = dict(nx=16, t_final=3.0, gamma=0.7)
@@ -700,6 +727,73 @@ class TestFlatRun:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def window_lengths(monkeypatch) -> list:
+    """The steps of each window run takes as arrays from now on, one entry
+    per running sum (three a window)."""
+    lengths = []
+    running_sums = simulator._running_sums
+
+    def spy(x):
+        lengths.append(x.shape[-1] - 1)
+        running_sums(x)
+
+    monkeypatch.setattr(simulator, "_running_sums", spy)
+    return lengths
+
+
+class TestWindows:
+    def test_a_long_delay_takes_windows_as_arrays_and_matches_the_loop(self, monkeypatch):
+        # nx = 64 and n_tau = 128 reach _BREAK_EVEN: each segment is one
+        # window of arrays, against the float loop (a _BREAK_EVEN of inf)
+        p = SystemParams(1, 0.5, 1, 1, 1, 2.0)
+        cfg = SimConfig(nx=64, t_final=30.0, gamma=0.7)
+        lengths = window_lengths(monkeypatch)
+        _, arrays = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert lengths and min(lengths) >= simulator._BREAK_EVEN
+        monkeypatch.setattr(simulator, "_BREAK_EVEN", math.inf)
+        lengths.clear()
+        _, loop = run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert lengths == []
+        assert np.max(np.abs(arrays.energies - loop.energies) / loop.energies) <= 1e-13
+        for window in ((5.0, 30.0), (10.0, 20.0)):
+            want = fit_decay_rate(loop, window).rate
+            assert abs(fit_decay_rate(arrays, window).rate - want) <= 1e-12 * want
+
+    def test_a_growing_profile_caps_the_window(self, monkeypatch):
+        # delta*dt = -40: d**2 = exp(80), so the _WINDOW_RANGE cap cuts the
+        # windows to 4 steps (d**-8 = exp(-320)), below n_tau = nx = 10.
+        # Every state is within a few roundings of a step loop's and every
+        # energy within 1e-14 of energy() on it, also past 1e140.
+        monkeypatch.setattr(simulator, "_BREAK_EVEN", 1)
+        p = SystemParams(1, 0.5, -400, 1, 1, 1.0)
+        cfg = SimConfig(nx=10, t_final=1.0, gamma=1.0)
+
+        def c0(x):
+            return 1e-100 * math.sin(math.pi * x)
+
+        def history(s):
+            return -1e-100 * s
+
+        lengths = window_lengths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, etrace = run(p, cfg, c0, 1e-100, history, keep_states=True)
+        assert max(lengths) == 4
+        states = [init_state(p, cfg, c0, 1e-100, history)]
+        for _ in range(10):
+            states.append(step(states[-1], p))
+        c_max = max(np.abs(state.c).max() for state in states)
+        a_max = max(abs(state.a) for state in states)
+        assert len(trace.states) == len(states)
+        for got, want, value in zip(trace.states, states, etrace.energies.tolist()):
+            assert deviation(got.c, want.c) <= 2 * EXACT_TOL * c_max
+            assert deviation(got.history, want.history) <= 2 * EXACT_TOL * c_max
+            assert deviation([got.a], [want.a]) <= 2 * EXACT_TOL * a_max
+            ref = energy(want, p, 1.0)
+            assert abs(value - ref) <= 1e-14 * ref
+        assert etrace.energies[-1] > 1e140
 
 
 class TestOverflow:
@@ -861,6 +955,26 @@ class TestFitDecayRate:
         with pytest.raises(SimulationOverflow, match=f"t = {trace.times[150].item()!r}$"):
             fit_decay_rate(trace, (0.0, 20.0))
         assert fit_decay_rate(trace, (0.0, 10.0)).rate == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "window, end, shown",
+        [
+            ((0.0, 10**400), "end", "a value past the float range"),
+            ((0.0, math.nan), "end", "nan"),
+            ((math.nan, 20.0), "start", "nan"),
+            ((-(10**400), 20.0), "start", "a value past the float range"),
+        ],
+    )
+    def test_a_window_end_neither_a_float_nor_infinite_is_typed(self, window, end, shown):
+        message = f"^the window {end}, if not [+]-inf, must be finite, got {shown}$"
+        with pytest.raises(NonFiniteField, match=message):
+            fit_decay_rate(self.synthetic_trace(0.5), window)
+
+    def test_infinite_window_ends_take_every_sample(self):
+        trace = self.synthetic_trace(0.5)
+        want = fit_decay_rate(trace, (0.0, 20.0))
+        assert fit_decay_rate(trace, (0.0, math.inf)) == want
+        assert fit_decay_rate(trace, (-math.inf, math.inf)) == want
 
     def test_window_too_small(self):
         with pytest.raises(DegenerateWindow):

@@ -1,13 +1,15 @@
 """Print a short digest of the CLI's output for a fixed list of invocations.
 
-Each line holds two hashes and the arguments.  The first is the first 12
+Each line holds three hashes and the arguments.  The first is the first 12
 hex digits of the SHA-256 of (exit code, stdout, stderr), with the src
 directory's path in a warning's file name written as "src".  The second is
 the same with every `residual` CSV column and JSON key dropped from stdout,
-so it equals the first where the output has none.  Running it on two
-checkouts and diffing the outputs shows which invocations changed, and a
+so it equals the first where the output has none.  The third is the second
+with every number in stdout rounded to 12 significant digits.  Running it on
+two checkouts and diffing the outputs shows which invocations changed: a
 change in the first hash alone is a residual that moved while every root and
-crossing stayed put.  BLAS is pinned to one thread, as in the benchmark:
+crossing stayed put, and a change in the first two alone is a move in the
+last digits of a number.  BLAS is pinned to one thread, as in the benchmark:
 the collocation's eigenvalues round differently with the thread count.  Run
 from the repository root:
 
@@ -20,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -71,7 +74,8 @@ INVOCATIONS = [
     # height, which asks for 56.
     "eig --alpha 3.1176520950873146 --beta 4.11593677105726 --delta=-0.8464677180674761"
     " --l 1.9512883749399508 --f 0.3343941848230898 --tau 3.4034170806494646",
-    # n_tau = 500: each delay window outlives three blocks of the run.
+    # n_tau = 500: each delay window spans about two blocks of the run, and
+    # each segment goes as one window of arrays.
     f"simulate {ONES} --beta 0.5 --tau 5 --nx 100 --t-final 3",
     "simulate --alpha 1 --delta=-1e4 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 1",
     f"simulate {ONES} --beta 0.5 --tau 1e300 --nx 10 --t-final 0.5",
@@ -110,7 +114,8 @@ INVOCATIONS = [
     f"simulate {POINT} --nx 2 --t-final 5",
     # delta < 0: the profile grows along the tube.
     "simulate --alpha 1 --delta=-0.7 --l 1 --f 1 --beta 0.5 --tau 0.3 --nx 10 --t-final 5",
-    # The README-size run (nx = 400, n_tau = 2000) up to t = 20.
+    # The README-size run (nx = 400, n_tau = 2000) up to t = 20: blocks of
+    # 255 steps, each one window of arrays.
     f"simulate {ONES} --beta 0.5 --tau 5 --nx 400 --t-final 20",
     # Three delays over a wide window: each grid step crosses about 95
     # integers of its turn count, more than there are delays, so the flip
@@ -161,6 +166,16 @@ def without_residuals(stdout: str) -> str:
     return json.dumps(doc, indent=2)
 
 
+# A decimal number as the CLI writes one: in a CSV field, a JSON value or an
+# SVG attribute.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def rounded(stdout: str) -> str:
+    """stdout with every number rounded to 12 significant digits."""
+    return NUMBER.sub(lambda m: format(float(m.group()), ".12g"), stdout)
+
+
 def short_hash(code, stdout: str, stderr: str) -> str:
     return hashlib.sha256(repr((code, stdout, stderr)).encode()).hexdigest()[:12]
 
@@ -178,7 +193,9 @@ def digest(main, line: str, src: str) -> str:
             except Exception as exc:  # an uncaught error is an outcome too
                 code, err = type(exc).__name__, io.StringIO(str(exc))
     stdout, stderr = out.getvalue(), err.getvalue().replace(src, "src")
-    return f"{short_hash(code, stdout, stderr)}  {short_hash(code, without_residuals(stdout), stderr)}"
+    kept = without_residuals(stdout)
+    hashes = (short_hash(code, out, stderr) for out in (stdout, kept, rounded(kept)))
+    return "  ".join(hashes)
 
 
 if __name__ == "__main__":
