@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import mul
+from itertools import chain
 
 import numpy as np
 
@@ -259,7 +258,7 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
     delta = 0) and S_{r+1} = d*S_r + s_r, sample j after r steps is
     d**r*start[j-r] + S_r for j >= r.  So a step needs only the outlet
     start[nx-r], and the next segment's start is the samples fed over this
-    one.
+    one, one running sum over the sources array.
 
     A segment goes in windows of at most n_tau steps (method of steps): the
     delayed samples a window reads were all written before it starts, so
@@ -271,8 +270,9 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
     delayed input times (1 - q)/alpha, and S, the fed sum and the fed sum of
     squares alike with the factors d, d and d**2.  A shorter window, and a
     segment whose windows would all be shorter (n_tau or nx below
-    _BREAK_EVEN, or the _WINDOW_RANGE cap), is stepped as floats; step is
-    those float formulas at n = 1.
+    _BREAK_EVEN, or the _WINDOW_RANGE cap), is stepped as floats, whose
+    results go into the arrays when their segment ends; step is those float
+    formulas at n = 1.
 
     march returns the (n + 1, 5) table of (a, d**r, S_r, F_r, c(l)) after 0
     to n steps, where r counts the steps of its segment, up to nx, and F_r
@@ -292,8 +292,7 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
     power_list = powers.tolist()
     rate = max(alpha, 2.0 * abs(params.delta)) * dt
     span = int(min(n_tau, longest, _WINDOW_RANGE / rate if rate else math.inf))
-    windows = span >= _BREAK_EVEN
-    if windows:
+    if span >= _BREAK_EVEN:
         # each power to within a rounding, not by successive products whose
         # roundings drift one way
         ramp = np.arange(span + 1.0)
@@ -310,36 +309,21 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
         table[0] = (a, 1.0, 0.0, -0.5 * head * head, c.item(-1))
         flat = table.reshape(-1)
         sources = np.empty(n)
-        starts = np.empty((-(-n // nx), nx + 1))
+        # every start after c has its inflow sample pinned to 0
+        starts = np.zeros((-(-n // nx), nx + 1))
         starts[0] = start = c
-        # Steps taken as floats go into lists, from block step base on:
-        # rows of the table, sources, and lag, c(l, .) from buf[base] on.
-        # Without windows the lists span the block, each segment's start is
-        # built from them, and they go into the arrays once at its end; with
-        # windows they go in after each segment, whose start is built from
-        # the sources array.
-        base, rows, fed, later = 0, [], [], []
-        if not windows:
-            # after r + 1 steps of a segment the outlet holds start[nx - 1 - r]
-            outlets = c[nx - min(n, nx) : nx].tolist()[::-1]
-            lag = buf[: min(n, n_tau) + 1].tolist()
         for b in range(starts.shape[0]):
             i, end = b * nx, min(b * nx + nx, n)
-            if b and windows:
+            if b:
                 # the profile after i steps: the samples fed since the last
                 # start behind the pinned inflow, and the outlet
                 start = starts[b]
-                start[0] = 0.0
-                np.cumsum(powers[: nx - 1] * sources[i - 1 : i - nx : -1], out=start[1:nx])
+                np.add.accumulate(powers[: nx - 1] * sources[i - 1 : i - nx : -1], out=start[1:nx])
                 start[nx] = table[i, 4]
-            elif b:
-                start = [0.0, *accumulate(map(mul, power_list, reversed(fed[i - nx + 1 :]))), c_l]
-                later.append(start)
-                outlets = start[-2::-1]
             # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
             acc, fresh, fresh_sq = -0.0, 0.0, 0.0
             r = 0
-            while windows and (steps := min(span, end - i)) >= _BREAK_EVEN:
+            while (steps := min(span, end - i)) >= _BREAK_EVEN:
                 # a after 0..steps steps, from its scaled partial sums;
                 # g and s round as the float step's formulas do, term by
                 # term, where one factor for all terms would bias them
@@ -388,11 +372,12 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
                 r += steps
             if i == end:
                 continue
-            if windows:
-                base = i
-                outlets = start[nx - r - (end - i) : nx - r][::-1].tolist()
-                lag = buf[i : i + min(end - i, n_tau) + 1].tolist()
-            k = i - base
+            # the float steps' table rows, sources and c(l, .) from buf[i] on,
+            # as lists that go into the arrays when the segment ends
+            rows, fed = [], []
+            outlets = start[nx - r - (end - i) : nx - r][::-1].tolist()
+            lag = buf[i : i + min(end - i, n_tau) + 1].tolist()
+            k = 0
             for r, p, outlet in zip(range(r, r + end - i), power_list[r + 1 :], outlets):
                 # z(1, .) over [t, t+dt] spans the two oldest delay samples;
                 # their average keeps the coupling second order (tau = 0 has
@@ -411,13 +396,9 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
                 rows += (a_new, p, acc, fresh_sq, c_l)
                 a = a_new
                 k += 1
-            if windows or end == n:
-                flat[5 * (base + 1) : 5 * (end + 1)] = rows
-                sources[base:end] = fed
-                buf[n_tau + 1 + base : n_tau + 1 + end] = lag[base - end :]
-                rows, fed = [], []
-        if later:
-            starts[1:] = later
+            flat[5 * (i + 1) : 5 * (end + 1)] = rows
+            sources[i:end] = fed
+            buf[n_tau + 1 + i : n_tau + 1 + end] = lag[i - end :]
         return table, sources, starts
 
     return march
@@ -738,10 +719,13 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
 
     Returns a decayed-to-zero sentinel (rate = inf) when the window contains
     non-positive energies; raises DegenerateWindow on fewer than 10 samples
-    and SimulationOverflow on an energy that is inf or NaN.  Each end is a
-    float or +-inf; NaN, or an int past the float range, raises
-    NonFiniteField (errors._real).
+    and SimulationOverflow on an energy that is inf or NaN.  The window is a
+    pair (start, end), and one of any other length raises InvalidParameter.
+    Each end is a float or +-inf; NaN, or an int past the float range,
+    raises NonFiniteField (errors._real).
     """
+    if len(window) != 2:
+        raise InvalidParameter(f"the window must be a pair (start, end), got {_shown(window)}")
     t0, t1 = (end if end in (-math.inf, math.inf) else _real(f"{name}, if not +-inf,", end)
               for name, end in zip(("the window start", "the window end"), window))
     ts, es = trace.times, trace.energies

@@ -301,6 +301,36 @@ class TestStep:
             assert state.history.view(np.int64).tolist() == history.view(np.int64).tolist()
             assert np.float64(state.a).view(np.int64) == np.float64(a).view(np.int64)
 
+    @pytest.mark.parametrize(
+        "nx, n_tau, n",
+        [
+            (40, 12, 255),  # float steps only
+            (50, 60, 250),  # a window of arrays spans each segment
+            (100, 60, 255),  # a window of arrays, then float steps
+        ],
+    )
+    def test_each_segment_starts_from_the_closed_form(self, nx, n_tau, n):
+        # march's segment starts, built from its sources, against _profile
+        # over the segment before, bit for bit; c0(0) = 1e-13 puts a
+        # non-zero inflow sample into the outlet that ends the first segment
+        p = SystemParams(1, 0.5, 1, 1, 1, n_tau / nx)
+        c0 = sine_profile(1.0)
+        state = init_state(p, SimConfig(nx, 1.0), lambda x: 1e-13 + c0(x), 1.0, lambda s: 0.1 * s)
+        assert state.n_tau == n_tau and state.c[0] == 1e-13
+        march = simulator._march_fn(p, state.dt, n_tau, nx)
+        buf = np.empty(n_tau + 1 + n)
+        buf[: n_tau + 1] = state.history[::-1]
+        table, sources, starts = march(state.c, state.a, buf, n)
+        powers = table[: nx + 1, 1]
+        assert len(starts) == -(-n // nx) >= 3
+        assert np.array_equal(starts[0], state.c)
+        for b in range(1, len(starts)):
+            want = simulator._profile(
+                starts[b - 1], table[b * nx, 1], table[b * nx, 2], powers,
+                sources[(b - 1) * nx : b * nx],
+            )
+            assert np.array_equal(starts[b], want)
+
     def test_linearity(self):
         p = SystemParams(1, 1.5, 0.5, 1, 1, 0.4)
         cfg = SimConfig(nx=25, t_final=2.0, gamma=1.0, output_stride=5)
@@ -969,6 +999,17 @@ class TestFitDecayRate:
         message = f"^the window {end}, if not [+]-inf, must be finite, got {shown}$"
         with pytest.raises(NonFiniteField, match=message):
             fit_decay_rate(self.synthetic_trace(0.5), window)
+
+    def test_a_window_that_is_not_a_pair_is_refused(self):
+        # three ends or one are refused, not fitted over the first two or
+        # left to fail unpacking
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        _, etrace = run(p, SimConfig(10, 5.0), sine_profile(1.0), 1.0, zero_fn)
+        for window, shown in (((0, 1, 2), r"\(0, 1, 2\)"), ((0,), r"\(0,\)")):
+            message = f"^the window must be a pair \\(start, end\\), got {shown}$"
+            with pytest.raises(InvalidParameter, match=message):
+                fit_decay_rate(etrace, window)
+        assert fit_decay_rate(etrace, [0, 5]) == fit_decay_rate(etrace, (0.0, 5.0))
 
     def test_infinite_window_ends_take_every_sample(self):
         trace = self.synthetic_trace(0.5)
