@@ -15,9 +15,10 @@ shorter one is stepped as floats.  A block of steps chains such segments,
 and c(l, .) goes into a buffer that holds the delay windows of the block's
 steps.  When the block ends it evaluates the energies of its output steps
 at once, their c-integrals from prefix sums of the segments' start profiles
-and their history terms as one correlation, and the buffer shifts by the
-block's steps.  A run whose energy leaves the floating-point range raises
-SimulationOverflow.
+and their history terms from the part of the delay window they all share,
+summed once, and two edges of one running sum each, and the buffer shifts
+by the block's steps.  A run whose energy leaves the floating-point range
+raises SimulationOverflow.
 """
 
 from __future__ import annotations
@@ -240,6 +241,7 @@ _BREAK_EVEN = 44
 # A window spans at most this many e-folds of q = exp(-alpha*dt) and of d**2,
 # so q**-L and d**-2L stay below exp(354), about 1.3e153: a closed form's
 # partial sum is at most that factor above a value whose square is finite.
+# run's history edge sums scale their squares by at most exp(354) alike.
 _WINDOW_RANGE = 354.0
 
 
@@ -558,10 +560,18 @@ def run(
     (_march_fn).  An output's c-integral, r steps into its
     segment, is d**r*(d**r*A2 + 2*S_r*A1) + S_r**2*(D+1) over the D+1 =
     nx+1-r samples carried over from the segment's start, where A2 and A1
-    are prefix sums of start**2 and start, plus the fed samples' F_r; the
-    history term is a direct correlation over the outputs' delay windows,
-    and the next block starts from the profile in closed form.  A block
-    also stops where d**n would leave the normal floating-point range.  An
+    are prefix sums of start**2 and start, plus the fed samples' F_r.  The
+    history terms weigh the squared outflow by gamma*exp(tau - age), so
+    over the core of the delay window that every output's window holds
+    inside its ends an output j steps after the block's first takes
+    exp(-j*dt) times the first's core sum: one dot per block, plus the
+    newest and the oldest samples as two running sums over the outputs'
+    span, every part a sum of positive terms.  Where the windows share no
+    core (n_tau <= 2*span + 2), where exp(span*dt) would pass
+    exp(_WINDOW_RANGE), or where a scaled term leaves the float range, the
+    history terms are one direct correlation over the outputs' windows.
+    The next block starts from the profile in closed form.  A block also
+    stops where d**n would leave the normal floating-point range.  An
     output whose energy nears the top of that range, or, where delta < 0,
     one small enough that a square which underflowed may weigh in it, is
     summed directly from its profile.
@@ -611,6 +621,11 @@ def run(
     depth = (segment + 1) * nx - index
     prefix_at = segment * (nx + 1) + depth
     carried = depth + 1.0
+    # exp(-u*dt) over a block's steps, up to _WINDOW_RANGE e-folds, for the
+    # history terms
+    ramp = np.arange(int(min(rows, _WINDOW_RANGE / dt)) + 1) * dt
+    shrink = np.exp(-ramp)
+    # the output columns, one array per block
     energies, a_sq, c_l, states = [], [], [], []
 
     def profile(i: int, p: float, acc: float) -> np.ndarray:
@@ -619,6 +634,35 @@ def run(
             return c.copy()
         b = (i - 1) // nx
         return _profile(starts[b], p, acc, powers, sources[b * nx : i])
+
+    def history(at: range, shared: bool) -> np.ndarray:
+        # half the gamma-weighted history integral of each output at, each a
+        # sum of positive terms (where an FFT would lose relative accuracy)
+        span = at[-1] - at[0]
+        sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
+        if not (shared and n_tau > 2 * span + 2 and span < shrink.size):
+            # one direct correlation over the outputs' windows
+            return 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
+        # Output j steps after the first weighs sq[k] by oldest_first[k - j]:
+        # exp(-j*dt) times the first output's weight over the core span < k
+        # < n_tau that every window holds inside its ends, so the core is one
+        # dot.  Either edge is its half-weighted end sample plus one running
+        # sum of squares times exp(j*dt) times their weights: the newest
+        # samples, n_tau <= k < n_tau + j, and the oldest, j < k <= span,
+        # summed from the newest down.  A scaled term is no smaller than the
+        # term it stands for, so it leaves the float range only upwards,
+        # where take correlates directly.
+        edges = np.zeros((2, span + 1))
+        np.multiply(edge_weights[0, 1 : span + 1], sq[n_tau : n_tau + span], out=edges[0, 1:])
+        np.multiply(edge_weights[1, :span][::-1], sq[1 : span + 1][::-1], out=edges[1, 1:])
+        _running_sums(edges)
+        terms = edges[0, :: at.step] + edges[1, ::-1][:: at.step]
+        terms += sq[span + 1 : n_tau].dot(oldest_first[span + 1 : n_tau])
+        terms *= shrink[: span + 1 : at.step]
+        terms += sq[n_tau : n_tau + span + 1 : at.step] * oldest_first[n_tau]
+        terms += sq[: span + 1 : at.step] * oldest_first[0]
+        terms *= 0.5
+        return terms
 
     def take(k0: int, picked: slice) -> bool:
         # record the outputs at table[picked], after i steps of the block
@@ -639,32 +683,29 @@ def run(
         value *= 0.5 * h
         a_sq_picked = a * a
         value += 0.5 * a_sq_picked
-        # one direct correlation over the windows from the first output row
-        # to the last (a direct sum of positive terms keeps relative accuracy
-        # where an FFT would not)
-        sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
-        history_terms = 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
-        value += history_terms
-        values = value.tolist()
+        history_terms = history(at, True)
+        total = value + history_terms
         # the energies are not negative, so their sum bounds each of them
-        finite = -direct_above < sum(values) < direct_above
+        finite = -direct_above < total.sum() < direct_above
         if below or not finite:
+            if not finite:
+                history_terms = history(at, False)
+                total = value + history_terms
             # An energy near the top of the float range, or one so small
             # that a square which underflowed may weigh in it once d**r > 1
             # scales it up, is the trapezoid sum of its squared profile: that
             # sum leaves the range where a sample's square does, and squares
             # each sample only once d**r has scaled it.
             weights = _trapezoid_weights(nx + 1, h)
-            direct = ~((below * p * p <= value) & (value < direct_above))
+            direct = ~((below * p * p <= total) & (total < direct_above))
             for m in np.flatnonzero(direct).tolist():
                 row = profile(at[m], p[m], acc[m])
-                value[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
-                value[m] += history_terms[m]
-            values = value.tolist()
-            finite = bool(np.isfinite(value).all())
-        energies.extend(values)
-        a_sq.extend(a_sq_picked.tolist())
-        c_l.extend(outlet.tolist())
+                total[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
+                total[m] += history_terms[m]
+            finite = bool(np.isfinite(total).all())
+        energies.append(total)
+        a_sq.append(a_sq_picked)
+        c_l.append(outlet.copy())
         if keep_states:
             for i, (a_i, p_i, acc_i, _, _) in zip(at, table[picked].tolist()):
                 window = buf[i : i + n_tau + 1][::-1].copy()
@@ -682,6 +723,11 @@ def run(
         # gamma*exp(tau) past the float range makes these weights inf with
         # no RuntimeWarning; the first energy then fails the finite check
         history_weights = _history_weights(params, config.gamma, dt, n_tau)
+        oldest_first = history_weights[::-1].copy()
+        # the weights next to a window's newest and oldest ends times
+        # exp(u*dt), for the history's edge sums
+        if n_tau > 2:
+            edge_weights = np.outer(oldest_first[[n_tau - 1, 1]], np.exp(ramp))
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
             table, sources, starts = march(c, a, buf, n)
@@ -698,7 +744,7 @@ def run(
             # a non-finite activation makes every later energy non-finite
             if not (finite and math.isfinite(a)):
                 break
-    energies = np.array(energies)
+    energies = np.concatenate(energies)
     # output j is step min(j*stride, n_steps)
     times = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps) * dt
     # a run that stopped early has no energies past the block that failed
@@ -710,16 +756,18 @@ def run(
         )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(times, energies, np.array(a_sq), np.asarray(c_l)),
+        EnergyTrace(times, energies, np.concatenate(a_sq), np.concatenate(c_l)),
     )
 
 
 def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult:
     """Least-squares slope of ln E over the window; rate is minus the slope.
 
-    Returns a decayed-to-zero sentinel (rate = inf) when the window contains
-    non-positive energies; raises DegenerateWindow on fewer than 10 samples
-    and SimulationOverflow on an energy that is inf or NaN.  The window is a
+    The slope is the closed-form least-squares line through the centred
+    times and log energies.  Returns a decayed-to-zero sentinel (rate = inf)
+    when the window contains non-positive energies; raises DegenerateWindow
+    on fewer than 10 samples or samples all at one time, and
+    SimulationOverflow on an energy that is inf or NaN.  The window is a
     pair (start, end), and one of any other length raises InvalidParameter.
     Each end is a float or +-inf; NaN, or an int past the float range,
     raises NonFiniteField (errors._real).
@@ -733,18 +781,27 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     ts, es = ts[inside], es[inside]
     if ts.size < 10:
         raise DegenerateWindow(f"only {ts.size} samples in window [{t0}, {t1}]")
+    if ts.min() == ts.max():
+        raise DegenerateWindow(
+            f"all {ts.size} samples in window [{t0}, {t1}] are at t = {ts[0].item()!r}"
+        )
     blown = ts[~np.isfinite(es)]
     if blown.size:
         raise SimulationOverflow(f"the energy is not finite at t = {blown[0].item()!r}")
     if np.any(es <= 0.0):
         return FitResult(rate=math.inf, r_squared=math.nan, decayed_to_zero=True)
-    log_e = np.log(es)
-    slope, intercept = np.polyfit(ts, log_e, 1)
-    resid = log_e - (slope * ts + intercept)
-    total = log_e - log_e.mean()
-    denom = float(total @ total)
-    r_sq = 1.0 if denom == 0.0 else 1.0 - float(resid @ resid) / denom
-    return FitResult(rate=-float(slope), r_squared=r_sq)
+    # the least-squares line through the centred times and log energies,
+    # its sums numpy's pairwise ones: a multithreaded BLAS dot of 16,001
+    # samples took about 8 ms a call on a shared 2-core host, where these
+    # take microseconds
+    x = ts - ts.mean()
+    y = np.log(es)
+    y -= y.mean()
+    slope = float((x * y).sum() / (x * x).sum())
+    resid = y - slope * x
+    denom = float((y * y).sum())
+    r_sq = 1.0 if denom == 0.0 else 1.0 - float((resid * resid).sum()) / denom
+    return FitResult(rate=-slope, r_squared=r_sq)
 
 
 def sine_profile(l: float):

@@ -826,6 +826,107 @@ class TestWindows:
         assert etrace.energies[-1] > 1e140
 
 
+def correlations(monkeypatch) -> list:
+    """The number of outputs of each direct correlation of history terms
+    run takes from now on, one entry a block."""
+    calls = []
+    convolve = np.convolve
+
+    def spy(a, v, mode):
+        calls.append(a.size - v.size + 1)
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    return calls
+
+
+class TestHistoryTerm:
+    # nx = 20 and 800 steps: n_tau = 800 or 1000 is past 2*span + 2 for a
+    # block's 255 outputs, so each block sums the core its windows share
+    # once and adds two edges; at stride 300 a block holds one output (span
+    # 0)
+    @pytest.mark.parametrize("stride", [1, 7, 300])
+    @pytest.mark.parametrize(
+        "p, amplitude, slope",
+        [
+            (SystemParams(1, 0.5, 1, 1, 1, 40.0), 1.0, -1.0),
+            # dt*n_tau = 0.5: the oldest samples, from a history that grows
+            # into the past, weigh exp(-0.5) of the newest
+            (SystemParams(1, 0.5, 1, 1, 100, 0.5), 1.0, -1.0),
+            # delta*dt = -3: the profile's squares underflow at a segment's
+            # start and d**20 = exp(60) lifts them back, so outputs up to
+            # 1e-256 are summed from their profiles
+            (SystemParams(1, 0.5, -60, 1, 1, 40.0), 1e-160, 0.0),
+        ],
+        ids=["decaying", "short-delay", "growing-profile"],
+    )
+    def test_core_and_edges_match_the_direct_sum(self, p, amplitude, slope, stride, monkeypatch):
+        calls = correlations(monkeypatch)
+        summed = []
+        sq_integral = simulator._sq_integral
+
+        def counted(*args):
+            summed.append(args)
+            return sq_integral(*args)
+
+        monkeypatch.setattr(simulator, "_sq_integral", counted)
+        cfg = SimConfig(nx=20, t_final=800 / (20 * p.f), gamma=0.7, output_stride=stride)
+
+        def c0(x):
+            return amplitude * math.sin(math.pi * x)
+
+        def history(s):
+            return slope * s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, etrace = run(p, cfg, c0, amplitude, history, keep_states=True)
+        assert calls == []
+        # the outputs summed from their profiles, at delta < 0 only
+        assert bool(summed) == (p.delta < 0.0)
+        assert len(trace.states) == etrace.energies.size == -(-800 // stride) + 1
+        # every energy but the few whose squares are subnormal (in the
+        # reference too), at t = 0 and at the first segments' starts
+        refs = [energy(state, p, 0.7) for state in trace.states]
+        normal = [(value, ref) for value, ref in zip(etrace.energies.tolist(), refs)
+                  if ref >= 1e-300]
+        assert len(normal) >= len(refs) - 3
+        for value, ref in normal:
+            assert abs(value - ref) <= 1e-14 * ref
+        assert etrace.c_l.base is None
+
+    def test_a_span_past_the_float_range_correlates_directly(self, monkeypatch):
+        # dt = 2: the first block's 256 outputs span 510 e-folds of exp(dt),
+        # past _WINDOW_RANGE, though n_tau = 550 is past 2*255 + 2; the
+        # second block's 45 outputs span 88 and take the core and edges
+        calls = correlations(monkeypatch)
+        p = SystemParams(1e-3, 5e-4, 1e-3, 20, 1, 1100.0)
+        cfg = SimConfig(nx=10, t_final=600.0)
+        trace, etrace = run(p, cfg, sine_profile(20.0), 1.0, zero_fn, keep_states=True)
+        assert calls == [256]
+        for state, value in zip(trace.states, etrace.energies.tolist()):
+            ref = energy(state, p)
+            assert abs(value - ref) <= 1e-14 * ref
+
+    def test_a_weight_past_the_float_range_raises_overflow(self):
+        # gamma*exp(tau) = exp(800): every energy is inf, the first at t = 0
+        p = SystemParams(1, 0.5, 1, 1, 1, 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 0\.0$"):
+                run(p, SimConfig(20, 1.0, gamma=1.0), sine_profile(1.0), 1.0, zero_fn)
+
+    def test_a_scaled_edge_past_the_float_range_leaves_the_energy_finite(self):
+        # an edge's squares times exp(u*dt) overflow before the energy
+        # does: the run still overflows first at t = 62.0, as by direct
+        # correlation, where the scaled edges alone would at t = 31.1
+        p = SystemParams(1, -30, 1, 1, 1, 30.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=r"at t = 62\.0$"):
+                run(p, SimConfig(20, 400.0, gamma=1.0), zero_fn, 1e145, zero_fn)
+
+
 class TestOverflow:
     # beta = -30 grows until the energy overflows at t = 241 (step 2410)
     GROWING = SystemParams(1, -30, 1, 1, 1, 0.3)
@@ -975,8 +1076,50 @@ class TestFitDecayRate:
         ts = np.array([s.t for s in etrace.samples if t0 <= s.t <= t1])
         es = np.array([s.energy for s in etrace.samples if t0 <= s.t <= t1])
         assert ts.size == 111
-        slope = np.polyfit(ts, np.log(es), 1)[0]
-        assert fit_decay_rate(etrace, (t0, t1)).rate == -float(slope)
+        selected = EnergyTrace(ts, es, np.zeros(ts.size), np.zeros(ts.size))
+        want = fit_decay_rate(selected, (-math.inf, math.inf))
+        assert fit_decay_rate(etrace, (t0, t1)) == want
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            # the benchmark's two rings, gamma the certificate weight
+            (SystemParams(1, 0.5, 1, 1, 1, 0.3), SimConfig(100, 200.0), (50.0, 200.0)),
+            (SystemParams(1, 0.5, 1, 1, 1, 5.0), SimConfig(400, 50.0), (10.0, 50.0)),
+            None,
+        ],
+        ids=["small-ring", "large-ring", "synthetic"],
+    )
+    def test_the_closed_form_line_is_polyfit_to_rounding(self, ring):
+        # the centred closed form and numpy's least squares differ only in
+        # their roundings
+        if ring is None:
+            cases = [(self.synthetic_trace(rate), (0.0, 20.0)) for rate in (0.5, 1e-3, 20.0)]
+            cases.append((self.synthetic_trace(0.05, t_max=1e4, n=5001), (100.0, 9e3)))
+        else:
+            p, cfg, window = ring
+            cases = [(run(p, cfg, sine_profile(1.0), 1.0, zero_fn)[1], window)]
+        for trace, (t0, t1) in cases:
+            inside = (t0 <= trace.times) & (trace.times <= t1)
+            ts, log_e = trace.times[inside], np.log(trace.energies[inside])
+            slope, intercept = np.polyfit(ts, log_e, 1)
+            resid = log_e - (slope * ts + intercept)
+            total = log_e - log_e.mean()
+            fit = fit_decay_rate(trace, (t0, t1))
+            assert abs(fit.rate + slope) <= 1e-13 * abs(slope)
+            r_sq = 1.0 - (resid @ resid) / (total @ total)
+            assert abs(fit.r_squared - r_sq) <= 1e-13
+
+    def test_a_window_whose_times_are_all_equal_is_degenerate(self):
+        # twelve samples at one time span no line, also where their mean
+        # rounds off them (twelve 0.1s), and no warning is raised
+        for t in (1.0, 0.1):
+            trace = EnergyTrace(np.full(12, t), np.exp(-np.arange(12.0)), np.zeros(12),
+                                np.zeros(12))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateWindow, match=f"are at t = {t!r}$"):
+                    fit_decay_rate(trace, (-math.inf, math.inf))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_energy_in_window_raises(self, bad):

@@ -1,7 +1,8 @@
 """Print three lines per fixed point set, the labels `classify` gives it and
 the spectra `spectrum` finds there, a line that checks the boundary trace
-against the labels on either side of each crossing, and a last line of
-spectra near a double eigenvalue.
+against the labels on either side of each crossing, a line of spectra near
+a double eigenvalue, and a last line that checks simulated decay rates
+against the spectrum.
 
 The labels line holds the set's name and size, the count of each
 (label, evidence) pair and of each error class, and the first 12 hex digits
@@ -32,6 +33,15 @@ hashes the roots as the spectra lines do, or the error class, point by
 point.  These searches reach the solver's give-up paths: a split that
 fails at every fraction restarts the search on a box nudged outward, and
 BoundaryZero ends it once the nudges run out.
+The decay line ties the simulator to the spectrum: at each point of the
+point-queries set that classify labels stable, the fitted decay rate of
+run's energy, fit_decay_rate over [T/2, T], against -2*max Re lambda over
+the roots of spectrum(p, sigma), sigma doubled from 1/8 up to 16 until it
+lists a root.  Each run has nx = 20, the sine profile, a0 = 1 and a zero
+history, and runs to T = 80/rate, where the energy has fallen by about
+exp(-80); the line counts the ratios within 2% of 1 and those outside,
+each error class (and no_root, a point whose spectrum listed no root up to
+sigma = 16), and hashes the ratios to 6 significant digits, point by point.
 Running it on two checkouts and diffing the outputs shows which sets a
 change relabelled, and which moved a root or residual bit.  The sets are the
 80 points of the benchmark's point-queries workload, the region-map family
@@ -180,6 +190,48 @@ def degenerate() -> str:
     return f"{len(spectra)} {counts} spectra {short_hash(spectra)}"
 
 
+# The decay line's runs: ring size, e-folds of the energy to the end of the
+# run, the bound on |ratio - 1|, and the spectrum's first and last sigma.
+DECAY_NX = 20
+DECAY_EFOLDS = 80.0
+DECAY_RTOL = 0.02
+DECAY_SIGMA = 0.125
+DECAY_SIGMA_MAX = 16.0
+
+
+def decay(points) -> str:
+    """The decay line: each stable point's fitted rate over its spectrum's."""
+    outcomes, ratios = collections.Counter(), []
+    for p in points:
+        if label_of(p) != "StableSteadyState":
+            continue
+        try:
+            sigma, roots = DECAY_SIGMA, ()
+            while not roots and sigma <= DECAY_SIGMA_MAX:
+                roots = spectrum(p, sigma).roots
+                sigma *= 2.0
+            if not roots:
+                outcome = item = "no_root"
+            else:
+                rate = -2.0 * max(r.lam.real for r in roots)
+                t_final = DECAY_EFOLDS / rate
+                _, trace = run(p, SimConfig(DECAY_NX, t_final), sine_profile(p.l), 1.0, zero_fn)
+                ratio = fit_decay_rate(trace, (0.5 * t_final, t_final)).rate / rate
+                outcome = "within" if abs(ratio - 1.0) <= DECAY_RTOL else "outside"
+                item = f"{ratio:.6g}"
+        except DelayStabError as exc:
+            outcome = item = type(exc).__name__
+        outcomes[outcome] += 1
+        ratios.append(item)
+    failed = "".join(
+        f" {k}={v}" for k, v in sorted(outcomes.items()) if k not in ("within", "outside")
+    )
+    return (
+        f"{len(ratios)} stable nx={DECAY_NX} within {DECAY_RTOL:.0%}={outcomes['within']} "
+        f"outside={outcomes['outside']}{failed} ratios {short_hash(ratios)}"
+    )
+
+
 if __name__ == "__main__":
     # One BLAS thread, set before numpy loads.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -190,7 +242,18 @@ if __name__ == "__main__":
         os.path.join(ROOT, "tests"),
     ]
     import numpy as np
-    from delaystab import SystemParams, classify, eigensolver, spectrum, trace_boundary
+    from delaystab import (
+        SimConfig,
+        SystemParams,
+        classify,
+        eigensolver,
+        fit_decay_rate,
+        run,
+        sine_profile,
+        spectrum,
+        trace_boundary,
+        zero_fn,
+    )
     from delaystab.errors import DelayStabError
     from test_robustness import corpus, negative_delta
     from workloads import (
@@ -215,3 +278,4 @@ if __name__ == "__main__":
             print(f"{name}  {line}")
     print(f"boundary  {boundary()}")
     print(f"degenerate  {degenerate()}")
+    print(f"decay  {decay(sets['point-queries'])}")
