@@ -144,7 +144,7 @@ class ContourBox:
 
     def __post_init__(self):
         for name in ("re_min", "re_max", "im_min", "im_max"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise InvalidParameter(f"degenerate box {astuple(self)}")
 

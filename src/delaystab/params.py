@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveL,
     QuadratureNonInteger,
     _real,
+    _shown,
 )
 
 
@@ -88,10 +89,15 @@ def _check_gamma(gamma: float, interval: tuple[float, float]) -> None:
         raise InvalidParameter(f"gamma={gamma} outside admissible interval ({lo}, {hi}]")
 
 
-def _check_family(alpha: float, delta: float, l: float, f: float) -> None:
-    """Raise the SystemParams error of a bad family (alpha, delta, l, f);
-    beta = tau = 0 are placeholders."""
-    SystemParams(alpha, 0.0, delta, l, f, 0.0)
+def _family(fixed) -> tuple[float, float, float, float]:
+    """fixed = (alpha, delta, l, f), admitted by SystemParams' rules and
+    returned as four floats (beta = tau = 0 are placeholders).  A bad item
+    raises its SystemParams error; a tuple of another length, or anything
+    that is not a tuple, raises InvalidParameter."""
+    if not (isinstance(fixed, tuple) and len(fixed) == 4):
+        raise InvalidParameter(f"fixed must be a tuple (alpha, delta, l, f), got {_shown(fixed)}")
+    p = SystemParams(fixed[0], 0.0, *fixed[1:], 0.0)
+    return p.alpha, p.delta, p.l, p.f
 
 
 def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
@@ -104,9 +110,13 @@ def threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
     value is also evaluated for delta < 0, where the oscillation fast path
     does not use it; below delta*l/f of about -709.78, where
     exp(-delta*l/f) overflows, it is the limit 0.0.  Raises the
-    SystemParams error for a bad family.
+    SystemParams error for a bad family (_family).
     """
-    _check_family(alpha, delta, l, f)
+    return _threshold_gain(*_family((alpha, delta, l, f)))
+
+
+def _threshold_gain(alpha: float, delta: float, l: float, f: float) -> float:
+    """threshold_gain of an admitted family."""
     x = delta * l / f
     if abs(x) < sys.float_info.min:
         return alpha * f / l

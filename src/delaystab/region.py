@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -34,15 +33,16 @@ from .errors import (
     QuadratureNonInteger,
     SampleBudgetExceeded,
     _DELAY_SAMPLES,
+    _count,
     _real,
     _shown,
 )
 from .params import (
     SystemParams,
-    _check_family,
+    _family,
     _search_radius,
+    _threshold_gain,
     decay_certificate,
-    threshold_gain,
 )
 
 _OMEGA_SCAN_POINTS = 4000
@@ -129,13 +129,14 @@ def oscillation_fast_path(fixed: tuple[float, float, float, float], beta: float)
     delay, and False when the test cannot decide.  On the real axis
     char_fn(x) is real, equals 1 - beta/b0 < 0 at x = 0 and tends to 1 as
     x -> +inf, so a positive real eigenvalue exists whatever the delay.
-    A beta that is not finite (NaN, inf or an int past the float range)
-    raises NonFiniteField (errors._real).
+    A bad family raises as threshold_gain does (params._family); a beta
+    that is not finite (NaN, inf or an int past the float range) raises
+    NonFiniteField (errors._real).
     """
-    alpha, delta, l, f = fixed
+    alpha, delta, l, f = _family(fixed)
     if delta <= 0.0:
         raise InvalidParameter("oscillation fast path requires delta > 0")
-    return bool(_real("beta", beta) > threshold_gain(alpha, delta, l, f))
+    return bool(_real("beta", beta) > _threshold_gain(alpha, delta, l, f))
 
 
 def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
@@ -145,9 +146,9 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
     only: a gain above the threshold oscillates for every delay), then a
     spectral search with sigma = 1000*eps0 thresholded at +/- eps0.  An
     eps0 that is not > 0, or whose sigma is not finite, raises
-    InvalidParameter before any evidence is looked at (_check_eps0).
+    InvalidParameter before any evidence is looked at (_eps0).
     """
-    _check_eps0(eps0)
+    eps0 = _eps0(eps0)
     cert = decay_certificate(params)
     if cert is not None:
         return RegionLabel(
@@ -169,12 +170,14 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
     return RegionLabel(Label.BOUNDARY_BAND, Evidence.SPECTRAL_SEARCH, bound)
 
 
-def _check_eps0(eps0: float) -> None:
-    """Raise InvalidParameter for an eps0 that is not finite and > 0
+def _eps0(eps0) -> float:
+    """eps0 as a float; InvalidParameter for one that is not finite and > 0
     (errors._real) or whose search sigma = 1000*eps0 is not finite (eps0
     above about 1.8e305)."""
-    if _real("eps0", eps0, 0) * 1e3 == math.inf:
+    eps0 = _real("eps0", eps0, 0)
+    if eps0 * 1e3 == math.inf:
         raise InvalidParameter(f"eps0 must be > 0 and 1000*eps0 finite, got {eps0}")
+    return eps0
 
 
 def _classify_node(args) -> SweepNode:
@@ -197,42 +200,41 @@ def sweep(
 ) -> list[SweepNode]:
     """Classify a (beta, tau) grid; row-major with beta as the outer index.
 
-    grid_counts = (n_beta, n_tau), both integers >= 2 with n_beta*n_tau at
-    most 2**24 (_DELAY_SAMPLES) nodes, and each range is a (start, stop)
-    pair whose ends (admitted by errors._real) and span stop - start are
-    finite.  A bad family, grid, range or eps0 raises before any array is
-    built or node classified: the family's SystemParams error, NegativeTau
-    for a tau_range below 0, NonFiniteField for a range end that is not
-    finite, InvalidParameter otherwise (for eps0, as classify would:
-    _check_eps0), also for workers that is not an integer >= 1.  Failures
-    of single nodes are recorded on the node and do not stop the sweep.
+    grid_counts = (n_beta, n_tau), both counts >= 2 (errors._count) with
+    n_beta*n_tau at most 2**24 (_DELAY_SAMPLES) nodes, and each range is a
+    (start, stop) pair whose ends (admitted by errors._real) and whose
+    span, stop minus start, are finite.  A bad family, grid, range or eps0
+    raises before any array is built or node classified: the family's
+    error (params._family), NegativeTau for a tau_range below 0,
+    NonFiniteField for a range end or count that is not finite,
+    InvalidParameter otherwise (for eps0, as classify would: _eps0), also
+    for workers that is not a count >= 1.  Failures of single nodes are
+    recorded on the node and do not stop the sweep.
     With workers > 1 the nodes are classified in a process pool of at most
     workers, node and usable CPU count processes; output order is
     deterministic either way.
     """
-    _check_family(*fixed)
+    fixed = _family(fixed)
     pairs = (grid_counts, beta_range, tau_range)
     if any(len(pair) != 2 for pair in pairs):
         raise InvalidParameter(f"grid_counts and both ranges must be pairs, got {_shown(pairs)}")
-    n_beta, n_tau = grid_counts
-    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in grid_counts):
-        raise InvalidParameter(f"grid_counts must be integers >= 2, got {_shown(grid_counts)}")
+    n_beta, n_tau = (_count(name, n, 2) for name, n in zip(("n_beta", "n_tau"), grid_counts))
     # n_beta*n_tau > _DELAY_SAMPLES, written so that no product overflows
     if n_beta > _DELAY_SAMPLES // n_tau:
         raise InvalidParameter(
             f"grid_counts={_shown(grid_counts)} asks for more than {_DELAY_SAMPLES} nodes"
         )
     ranges = (("beta_range", beta_range), ("tau_range", tau_range))
+    beta_ends, tau_ends = ([_real(name, end) for end in pair] for name, pair in ranges)
     # each end is admitted as a float, and the span of two can still overflow
-    if not all(math.isfinite(_real(name, hi) - _real(name, lo)) for name, (lo, hi) in ranges):
+    if not all(math.isfinite(hi - lo) for lo, hi in (beta_ends, tau_ends)):
         raise InvalidParameter("sweep ranges and their spans must be finite")
-    if min(tau_range) < 0.0:
+    if min(tau_ends) < 0.0:
         raise NegativeTau(f"tau_range must be >= 0, got {tau_range}")
-    _check_eps0(eps0)
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
-        raise InvalidParameter(f"workers must be an integer >= 1, got {_shown(workers, repr)}")
-    betas = np.linspace(beta_range[0], beta_range[1], n_beta)
-    taus = np.linspace(tau_range[0], tau_range[1], n_tau)
+    eps0 = _eps0(eps0)
+    workers = _count("workers", workers, 1)
+    betas = np.linspace(*beta_ends, n_beta)
+    taus = np.linspace(*tau_ends, n_tau)
     jobs = [
         (fixed, float(beta), float(tau), eps0) for beta in betas for tau in taus
     ]
@@ -295,7 +297,7 @@ def _check_axis_gain(fixed) -> None:
 
 def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     """Axis gain at one frequency; raises as phase_residual does."""
-    _check_family(*fixed)
+    fixed = _family(fixed)
     _check_axis_gain(fixed)
     omega, tau = _real("omega", omega), _real("tau", tau)
     gain = complex(np.exp(1j * omega * tau) * _axis_gain(fixed, omega))
@@ -564,10 +566,11 @@ def trace_boundary(
     omega, so crossings lie about pi/(tau + l/f) apart or more; the scan
     takes 4000 points or 16 per such gap at tau_max, whichever is more.
 
-    Before any delay is traced: a bad family raises its SystemParams error;
-    a tau_max or omega_max that is not finite and positive (errors._real:
-    NonFiniteField where it is not finite), or a num_tau that is not an
-    integer from 2 to 2**24 (_DELAY_SAMPLES), raises InvalidParameter; a
+    Before any delay is traced: a bad family raises its error
+    (params._family); a tau_max or omega_max that is not finite and
+    positive (errors._real: NonFiniteField where it is not finite), or a
+    num_tau that is not a count from 2 to 2**24 (_DELAY_SAMPLES,
+    errors._count), raises InvalidParameter; a
     default window whose radius overflows, or any window below delta*l/f
     of about -709.43 (_check_axis_gain), raises QuadratureNonInteger; and a
     window needing more than 65536 scan points raises SampleBudgetExceeded,
@@ -580,15 +583,9 @@ def trace_boundary(
     failure.  A crossing whose gain is not finite, or whose residual fails,
     is recorded as a failure at its delay and skipped.
     """
-    _check_family(*fixed)
+    fixed = alpha, delta, l, f = _family(fixed)
     tau_max = _real("tau_max", tau_max, 0)
-    if not (isinstance(num_tau, numbers.Integral) and num_tau >= 2):
-        raise InvalidParameter("need finite tau_max > 0 and an integer num_tau >= 2")
-    if num_tau > _DELAY_SAMPLES:
-        raise InvalidParameter(
-            f"num_tau={_shown(num_tau)} asks for more than {_DELAY_SAMPLES} delays"
-        )
-    alpha, delta, l, f = fixed
+    num_tau = _count("num_tau", num_tau, 2, _DELAY_SAMPLES)
     if omega_max is None:
         omega_max = _search_radius(10.0, delta, l, f) + 1.0
     else:
@@ -675,7 +672,7 @@ def axis_crossing_candidates(params: SystemParams) -> list[float]:
     it raises QuadratureNonInteger; where b0 underflows to 0 the scan runs.
     """
     fixed = alpha, delta, l, f = params.alpha, params.delta, params.l, params.f
-    beta, b0 = abs(params.beta), threshold_gain(*fixed)
+    beta, b0 = abs(params.beta), _threshold_gain(*fixed)
     window = 1e-12 * b0
     if b0 > 0.0 and beta <= b0 + window:
         return [0.0] if beta >= b0 - window else []

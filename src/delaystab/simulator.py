@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .errors import (
     InvalidParameter,
     SimulationOverflow,
     _DELAY_SAMPLES,
+    _count,
     _real,
     _shown,
 )
@@ -48,13 +48,11 @@ class SimConfig:
     """Discretization choices: nx cells on [0, l], final time, energy
     weight gamma and output stride (in steps).  gamma None is the decay
     certificate's weight f*exp(-tau), taken exactly for every tau.  nx is
-    an integer from 2 to below _DELAY_SAMPLES (2**24) and output_stride one
-    of 1 or more; both are stored as int, so 10.0 is taken as 10.  Each is
-    range-checked before its integrality, so an integer past the float
-    range raises InvalidParameter, not OverflowError.  t_final and a gamma
-    given are admitted by errors._real, finite and > 0, and stored as
-    floats: one that is not finite (NaN, inf or an int past the float
-    range) raises NonFiniteField."""
+    a count from 2 to below _DELAY_SAMPLES (2**24) and output_stride one of
+    1 or more, each admitted by errors._count and stored as int, so 10.0 is
+    taken as 10.  t_final and a gamma given are admitted by errors._real,
+    finite and > 0, and stored as floats: one that is not finite (NaN, inf
+    or an int past the float range) raises NonFiniteField."""
 
     nx: int
     t_final: float
@@ -62,21 +60,11 @@ class SimConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        nx = self.nx
-        if nx >= _DELAY_SAMPLES:
-            raise InvalidParameter(
-                f"nx={_shown(nx)} asks for a profile of more than {_DELAY_SAMPLES} samples"
-            )
-        if not 2 <= nx or int(nx) != nx:
-            raise InvalidParameter(f"nx must be an integer >= 2, got {_shown(nx)}")
+        object.__setattr__(self, "nx", _count("nx", self.nx, 2, _DELAY_SAMPLES - 1))
         object.__setattr__(self, "t_final", _real("t_final", self.t_final, 0))
         if self.gamma is not None:
             object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
-        stride = self.output_stride
-        if not 1 <= stride < math.inf or int(stride) != stride:
-            raise InvalidParameter(f"output_stride must be an integer >= 1, got {_shown(stride)}")
-        object.__setattr__(self, "nx", int(nx))
-        object.__setattr__(self, "output_stride", int(stride))
+        object.__setattr__(self, "output_stride", _count("output_stride", self.output_stride, 1))
 
 
 @dataclass
@@ -150,6 +138,20 @@ def _step_size(params: SystemParams, config: SimConfig) -> float:
     return dt
 
 
+# _sample takes this many samples at a time: a block's list of floats stays
+# near 130 kB however long the profile or delay window is.
+_SAMPLE_BLOCK = 4096
+
+
+def _sample(fn, points: np.ndarray) -> np.ndarray:
+    """points with each replaced by fn(point), fn called once a point on a
+    Python float, from the first; a block of _SAMPLE_BLOCK points at a time,
+    so no list of them all is held."""
+    for block in np.split(points, range(_SAMPLE_BLOCK, points.size, _SAMPLE_BLOCK)):
+        block[:] = list(map(fn, block.tolist()))
+    return points
+
+
 def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_history) -> SimState:
     """Sample the initial profile and delay history onto the step grid.
 
@@ -158,29 +160,26 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history(0) = c0(l).  An a0 that is not finite raises
     NonFiniteField (errors._real).  A profile or history sample that is not
     finite, an int past the float range included, raises InvalidParameter,
-    and so does a step (l/nx)/f that
-    underflows to 0 or overflows to inf, a delay of sys.maxsize steps or
-    more, or one of _DELAY_SAMPLES steps or more, before any sample is
-    taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)
+    and so does a step (l/nx)/f that underflows to 0 or overflows to inf,
+    or a delay that rounds to _DELAY_SAMPLES steps or more, before any
+    sample is taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)
+    Each function is called once per sample, on Python floats (_sample):
+    c0 from x = 0 up, c_l_history from 0 back to -tau.
     """
     a = _real("a0", a0)
     dt = _step_size(params, config)
     delay_steps = params.tau / dt
-    if not delay_steps < sys.maxsize:
+    # round() takes half to even, so this is round(delay_steps) < _DELAY_SAMPLES
+    if not delay_steps < _DELAY_SAMPLES - 0.5:
         raise InvalidParameter(
-            f"tau={params.tau!r} spans {delay_steps:.3g} steps, more than a run can index"
+            f"tau={params.tau!r} spans {delay_steps:.10g} steps, a delay window of more "
+            f"than {_DELAY_SAMPLES} samples"
         )
     n_tau = round(delay_steps)
-    if n_tau >= _DELAY_SAMPLES:
-        raise InvalidParameter(
-            f"tau={params.tau!r} spans {n_tau} steps, a delay window of more than "
-            f"{_DELAY_SAMPLES} samples"
-        )
-    x = np.arange(config.nx + 1) * (params.l / config.nx)
-    # float() raises OverflowError on a sample that is an int past the float
+    # numpy raises OverflowError on a sample that is an int past the float
     # range: one that is not finite, as NaN and inf are.
     try:
-        c = np.fromiter((float(c0(float(xj))) for xj in x), float, count=config.nx + 1)
+        c = _sample(c0, np.arange(config.nx + 1) * (params.l / config.nx))
     except OverflowError:
         raise InvalidParameter("c0 must be finite on [0, l]") from None
     # Written so that NaN fails the tolerance checks.
@@ -188,27 +187,22 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
         raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
     if not np.isfinite(c).all():
         raise InvalidParameter("c0 must be finite on [0, l]")
-    tau_err = abs(n_tau * dt - params.tau)
+    # the sample times 0, -dt, ..., -n_tau*dt, the last clipped to -tau, each
+    # replaced by its sample after the head's has been checked
+    history = np.arange(n_tau + 1, dtype=float)
+    history *= -dt
+    np.maximum(history, -params.tau, out=history)
     try:
-        head = float(c_l_history(0.0))
+        history[0] = head = float(c_l_history(0.0))
         if not abs(head - c[-1]) <= 1e-10:
             raise HistoryMismatch(f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}")
-        window = (float(c_l_history(-min(k * dt, params.tau))) for k in range(1, n_tau + 1))
-        history = np.fromiter(chain((head,), window), float, count=n_tau + 1)
+        _sample(c_l_history, history[1:])
     except OverflowError:
         raise InvalidParameter("c_l_history must be finite on [-tau, 0]") from None
     if not np.isfinite(history).all():
         raise InvalidParameter("c_l_history must be finite on [-tau, 0]")
-    return SimState(
-        t=0.0,
-        step_index=0,
-        c=c,
-        a=a,
-        history=history,
-        dt=dt,
-        n_tau=n_tau,
-        tau_rounding_error=tau_err,
-    )
+    # positional, in field order, as step and run build their states
+    return SimState(0.0, 0, c, a, history, dt, n_tau, abs(n_tau * dt - params.tau))
 
 
 def _rates(params: SystemParams, dt: float) -> tuple[float, float, float, float, float]:
@@ -473,19 +467,22 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def _sq_integral(v: np.ndarray, weights: np.ndarray) -> float:
-    """Quadrature of v**2 with the given weights, as one dot product."""
-    return float((v * v).dot(weights))
+    """Quadrature of v**2 with the given weights, numpy's pairwise sum of
+    the products: no BLAS dot, which a multithreaded BLAS runs threaded past
+    about 10,000 samples."""
+    return float((v * v * weights).sum())
 
 
 def _history_weights(
     params: SystemParams, gamma: float | None, dt: float, n_tau: int
 ) -> np.ndarray:
     """Trapezoid weights times gamma*exp(tau - age) over the newest-first
-    delay window, so the energy's gamma-weighted history integral is a dot
-    with z**2.  gamma enters the exponent as log(gamma) + tau: exp(tau - age)
-    alone overflows for tau above about 709.78.  gamma None stands for
-    f*exp(-tau), which underflows above tau of about 745; its log(gamma) +
-    tau is log(f), so its weight is f*exp(-age) for every tau."""
+    delay window, so the energy's gamma-weighted history integral is the
+    sum of z**2 times them.  gamma enters the exponent as log(gamma) + tau:
+    exp(tau - age) alone overflows for tau above about 709.78.  gamma None
+    stands for f*exp(-tau), which underflows above tau of about 745; its
+    log(gamma) + tau is log(f), so its weight is f*exp(-age) for every
+    tau."""
     log_weight = math.log(params.f) if gamma is None else math.log(gamma) + params.tau
     ages = np.arange(n_tau + 1) * dt
     return _trapezoid_weights(n_tau + 1, dt) * np.exp(log_weight - ages)
@@ -564,7 +561,7 @@ def run(
     history terms weigh the squared outflow by gamma*exp(tau - age), so
     over the core of the delay window that every output's window holds
     inside its ends an output j steps after the block's first takes
-    exp(-j*dt) times the first's core sum: one dot per block, plus the
+    exp(-j*dt) times the first's core sum: one sum per block, plus the
     newest and the oldest samples as two running sums over the outputs'
     span, every part a sum of positive terms.  Where the windows share no
     core (n_tau <= 2*span + 2), where exp(span*dt) would pass
@@ -646,7 +643,7 @@ def run(
         # Output j steps after the first weighs sq[k] by oldest_first[k - j]:
         # exp(-j*dt) times the first output's weight over the core span < k
         # < n_tau that every window holds inside its ends, so the core is one
-        # dot.  Either edge is its half-weighted end sample plus one running
+        # sum.  Either edge is its half-weighted end sample plus one running
         # sum of squares times exp(j*dt) times their weights: the newest
         # samples, n_tau <= k < n_tau + j, and the oldest, j < k <= span,
         # summed from the newest down.  A scaled term is no smaller than the
@@ -657,7 +654,7 @@ def run(
         np.multiply(edge_weights[1, :span][::-1], sq[1 : span + 1][::-1], out=edges[1, 1:])
         _running_sums(edges)
         terms = edges[0, :: at.step] + edges[1, ::-1][:: at.step]
-        terms += sq[span + 1 : n_tau].dot(oldest_first[span + 1 : n_tau])
+        terms += (sq[span + 1 : n_tau] * oldest_first[span + 1 : n_tau]).sum()
         terms *= shrink[: span + 1 : at.step]
         terms += sq[n_tau : n_tau + span + 1 : at.step] * oldest_first[n_tau]
         terms += sq[: span + 1 : at.step] * oldest_first[0]
@@ -774,8 +771,10 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     """
     if len(window) != 2:
         raise InvalidParameter(f"the window must be a pair (start, end), got {_shown(window)}")
-    t0, t1 = (end if end in (-math.inf, math.inf) else _real(f"{name}, if not +-inf,", end)
-              for name, end in zip(("the window start", "the window end"), window))
+    t0, t1 = (
+        float(end) if end in (-math.inf, math.inf) else _real(f"{name}, if not +-inf,", end)
+        for name, end in zip(("the window start", "the window end"), window)
+    )
     ts, es = trace.times, trace.energies
     inside = (t0 <= ts) & (ts <= t1)
     ts, es = ts[inside], es[inside]

@@ -506,9 +506,15 @@ class TestSweep:
     @pytest.mark.parametrize(
         "grid_counts, workers, shown",
         [
-            ((-(10**5000), 2), 1, r"grid_counts .* got \(-<an integer of 16610 bits>, 2\)$"),
+            (
+                (-(10**5000), 2), 1,
+                r"^n_beta must be an integer >= 2, got -<an integer of 16610 bits>$",
+            ),
             ((10**5000, 2, 3), 1, r"pairs, got \(\(<an integer of 16610 bits>, 2, 3\), "),
-            ([2, -(10**5000)], 1, r"grid_counts .* got \[2, -<an integer of 16610 bits>\]$"),
+            (
+                [2, -(10**5000)], 1,
+                r"^n_tau must be an integer >= 2, got -<an integer of 16610 bits>$",
+            ),
             ((2, 2), -(10**5000), r"workers .* got -<an integer of 16610 bits>$"),
         ],
         ids=["grid-count", "grid-triple", "grid-list", "workers"],
@@ -627,13 +633,14 @@ class TestTraceBoundary:
     def test_delays_past_the_bound_are_refused(self, monkeypatch):
         # before numpy is asked for an array of num_tau delays
         assert region._DELAY_SAMPLES == 2**24
-        shown = f"num_tau={2**60} asks for more than 16777216 delays$"
+        shown = f"^num_tau must be an integer from 2 to 16777216, got {2**60}$"
         with pytest.raises(InvalidParameter, match=shown):
             trace_boundary(ONES, 1.0, 2**60, 5.0)
         # the bound itself is admitted, one more delay is not
         monkeypatch.setattr(region, "_DELAY_SAMPLES", 4)
         assert len({p.tau for p in trace_boundary(ONES, 1.0, 4, 5.0).points}) == 4
-        with pytest.raises(InvalidParameter, match="num_tau=5 asks for more than 4 delays$"):
+        shown = "^num_tau must be an integer from 2 to 4, got 5$"
+        with pytest.raises(InvalidParameter, match=shown):
             trace_boundary(ONES, 1.0, 5, 5.0)
 
     def test_bad_delay_grid_is_reported_before_the_default_window(self):

@@ -86,9 +86,10 @@ class TestSimConfig:
     def test_nx_is_bounded_when_the_config_is_built(self):
         bound = simulator._DELAY_SAMPLES
         assert SimConfig(nx=bound - 1, t_final=1.0).nx == bound - 1
-        with pytest.raises(InvalidParameter, match=f"nx={bound}"):
+        shown = f"^nx must be an integer from 2 to {bound - 1}, got {bound}"
+        with pytest.raises(InvalidParameter, match=f"{shown}$"):
             SimConfig(nx=bound, t_final=1.0)
-        with pytest.raises(InvalidParameter, match="nx="):
+        with pytest.raises(InvalidParameter, match=rf"{shown}\.0$"):
             SimConfig(nx=float(bound), t_final=1.0)
 
     def test_a_stride_past_the_float_range_outputs_the_ends(self):
@@ -144,6 +145,42 @@ class TestInitState:
         state = init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 1.0, zero_fn)
         assert state.n_tau == 3
         assert state.tau_rounding_error == pytest.approx(abs(3 * 0.1 - 0.314), abs=1e-15)
+
+    def test_a_mismatched_head_is_refused_before_the_window_is_sampled(self):
+        calls = []
+
+        def history(s):
+            calls.append(s)
+            return 0.5
+
+        p = SystemParams(1, 1, 1, 1, 1, 0.3)
+        with pytest.raises(HistoryMismatch):
+            init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 1.0, history)
+        assert calls == [0.0]
+
+    def test_each_sample_is_taken_once_in_order_on_a_python_float(self):
+        # The loops the block sampling replaced are the reference: the same
+        # calls in the same order on the same floats, over more than one
+        # block of the delay window (n_tau = 4,500).
+        xs, ss = [], []
+
+        def c0(x):
+            xs.append(x)
+            return 0.0
+
+        def history(s):
+            ss.append(s)
+            return 0.0
+
+        p = SystemParams(1, 1, 1, 1, 1, 0.9)
+        config = SimConfig(5000, 1.0)
+        state = init_state(p, config, c0, 0.0, history)
+        dt = state.dt
+        assert state.n_tau > simulator._SAMPLE_BLOCK
+        assert xs == [float(x) for x in np.arange(config.nx + 1) * (p.l / config.nx)]
+        assert ss == [0.0] + [-min(k * dt, p.tau) for k in range(1, state.n_tau + 1)]
+        assert {type(t) for t in xs + ss} == {float}
+        assert math.copysign(1.0, ss[0]) == 1.0
 
     def test_history_sampled_on_step_grid(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)

@@ -142,6 +142,12 @@ INVOCATIONS = [
     f"certify {POINT} --gamma nan",
     # 2**60 delays by 2 gains: refused before any array is built, exit 2.
     f"sweep {ONES} --beta-range -2:2 --tau-range 0:2 --grid 1152921504606846976x2",
+    # One count per admission site the CLI reaches, each refused: exit 2
+    # before any array is built.
+    f"trace-r0 {ONES} --tau-max 1 --steps 1 --omega-max 5",
+    f"simulate {POINT} --nx 10 --t-final 0.5 --stride 0",
+    f"sweep {ONES} --beta-range -2:2 --tau-range 0:2 --grid 1x3",
+    f"simulate {POINT} --nx 16777216 --t-final 0.5",
 ]
 
 
