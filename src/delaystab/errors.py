@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all delaystab modules, and the one way
-their messages show a value and admit a caller's real number or count."""
+their messages show a value and admit a caller's real number, count or
+pair."""
 
 import math
 import numbers
@@ -76,6 +77,18 @@ def _count(name: str, value, low: int, high: int | None = None) -> int:
         return int(count)
     bound = f">= {low}" if high is None else f"from {low} to {high}"
     raise InvalidParameter(f"{name} must be an integer {bound}, got {_shown(value)}")
+
+
+def _pair(name: str, value) -> tuple:
+    """value's two items, the one rule that admits a caller's pair: a
+    tuple, list, array or other iterable of exactly two items.  Anything
+    else (None, a number, one item or three) raises InvalidParameter
+    reading "{name} must be a pair, got {value}"."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be a pair, got {_shown(value)}") from None
+    return first, second
 
 
 class DelayStabError(Exception):

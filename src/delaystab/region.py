@@ -34,6 +34,7 @@ from .errors import (
     SampleBudgetExceeded,
     _DELAY_SAMPLES,
     _count,
+    _pair,
     _real,
     _shown,
 )
@@ -156,8 +157,9 @@ def classify(params: SystemParams, eps0: float = 1e-8) -> RegionLabel:
             Evidence.DECAY_CERTIFICATE,
             BelowThreshold(-0.5 * cert.rate),
         )
-    if params.delta > 0.0 and oscillation_fast_path(
-        (params.alpha, params.delta, params.l, params.f), params.beta
+    # oscillation_fast_path's comparison, on the family params holds
+    if params.delta > 0.0 and params.beta > _threshold_gain(
+        params.alpha, params.delta, params.l, params.f
     ):
         return RegionLabel(
             Label.LIMIT_CYCLE_OSCILLATION, Evidence.GAIN_THRESHOLD_ALL_TAU, None
@@ -203,7 +205,8 @@ def sweep(
     grid_counts = (n_beta, n_tau), both counts >= 2 (errors._count) with
     n_beta*n_tau at most 2**24 (_DELAY_SAMPLES) nodes, and each range is a
     (start, stop) pair whose ends (admitted by errors._real) and whose
-    span, stop minus start, are finite.  A bad family, grid, range or eps0
+    span, stop minus start, are finite; each of the three is admitted as a
+    pair by errors._pair.  A bad family, grid, range or eps0
     raises before any array is built or node classified: the family's
     error (params._family), NegativeTau for a tau_range below 0,
     NonFiniteField for a range end or count that is not finite,
@@ -215,17 +218,15 @@ def sweep(
     deterministic either way.
     """
     fixed = _family(fixed)
-    pairs = (grid_counts, beta_range, tau_range)
-    if any(len(pair) != 2 for pair in pairs):
-        raise InvalidParameter(f"grid_counts and both ranges must be pairs, got {_shown(pairs)}")
-    n_beta, n_tau = (_count(name, n, 2) for name, n in zip(("n_beta", "n_tau"), grid_counts))
+    counts = _pair("grid_counts", grid_counts)
+    n_beta, n_tau = (_count(name, n, 2) for name, n in zip(("n_beta", "n_tau"), counts))
     # n_beta*n_tau > _DELAY_SAMPLES, written so that no product overflows
     if n_beta > _DELAY_SAMPLES // n_tau:
         raise InvalidParameter(
             f"grid_counts={_shown(grid_counts)} asks for more than {_DELAY_SAMPLES} nodes"
         )
     ranges = (("beta_range", beta_range), ("tau_range", tau_range))
-    beta_ends, tau_ends = ([_real(name, end) for end in pair] for name, pair in ranges)
+    beta_ends, tau_ends = ([_real(name, x) for x in _pair(name, pair)] for name, pair in ranges)
     # each end is admitted as a float, and the span of two can still overflow
     if not all(math.isfinite(hi - lo) for lo, hi in (beta_ends, tau_ends)):
         raise InvalidParameter("sweep ranges and their spans must be finite")

@@ -37,8 +37,8 @@ from .errors import (
     SimulationOverflow,
     _DELAY_SAMPLES,
     _count,
+    _pair,
     _real,
-    _shown,
 )
 from .params import SystemParams
 
@@ -143,12 +143,21 @@ def _step_size(params: SystemParams, config: SimConfig) -> float:
 _SAMPLE_BLOCK = 4096
 
 
-def _sample(fn, points: np.ndarray) -> np.ndarray:
+def _sample(fn, points: np.ndarray, refused: str) -> np.ndarray:
     """points with each replaced by fn(point), fn called once a point on a
     Python float, from the first; a block of _SAMPLE_BLOCK points at a time,
-    so no list of them all is held."""
+    so no list of them all is held.  A sample that numpy cannot store as a
+    float, an int past the float range (OverflowError) or a complex
+    (TypeError), raises InvalidParameter(refused); an error that fn raises
+    itself propagates as it is."""
     for block in np.split(points, range(_SAMPLE_BLOCK, points.size, _SAMPLE_BLOCK)):
-        block[:] = list(map(fn, block.tolist()))
+        samples = list(map(fn, block.tolist()))
+        try:
+            block[:] = samples
+        except (OverflowError, TypeError):
+            raise InvalidParameter(refused) from None
+        # so that this block's samples are not held while the next are built
+        del samples
     return points
 
 
@@ -159,12 +168,14 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  An a0 that is not finite raises
     NonFiniteField (errors._real).  A profile or history sample that is not
-    finite, an int past the float range included, raises InvalidParameter,
-    and so does a step (l/nx)/f that underflows to 0 or overflows to inf,
-    or a delay that rounds to _DELAY_SAMPLES steps or more, before any
-    sample is taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)
-    Each function is called once per sample, on Python floats (_sample):
-    c0 from x = 0 up, c_l_history from 0 back to -tau.
+    a finite real, an int past the float range or a complex included,
+    raises InvalidParameter, and so does a step (l/nx)/f that underflows to
+    0 or overflows to inf, or a delay that rounds to _DELAY_SAMPLES steps
+    or more, before any sample is taken.  (SimConfig refuses an nx of
+    _DELAY_SAMPLES or more.)  A sample that is a str numpy parses as a
+    float, such as "0.5", is taken as that float.  Each function is called
+    once per sample, on Python floats (_sample): c0 from x = 0 up,
+    c_l_history from 0 back to -tau.
     """
     a = _real("a0", a0)
     dt = _step_size(params, config)
@@ -176,31 +187,26 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
             f"than {_DELAY_SAMPLES} samples"
         )
     n_tau = round(delay_steps)
-    # numpy raises OverflowError on a sample that is an int past the float
-    # range: one that is not finite, as NaN and inf are.
-    try:
-        c = _sample(c0, np.arange(config.nx + 1) * (params.l / config.nx))
-    except OverflowError:
-        raise InvalidParameter("c0 must be finite on [0, l]") from None
+    refused = "c0 must be finite on [0, l]"
+    c = _sample(c0, np.arange(config.nx + 1) * (params.l / config.nx), refused)
     # Written so that NaN fails the tolerance checks.
     if not abs(c[0]) <= 1e-12:
-        raise IncompatibleBoundary(f"c0(0) = {c[0]!r} violates c(0, t) = 0")
+        raise IncompatibleBoundary(f"c0(0) = {c.item(0)!r} violates c(0, t) = 0")
     if not np.isfinite(c).all():
-        raise InvalidParameter("c0 must be finite on [0, l]")
-    # the sample times 0, -dt, ..., -n_tau*dt, the last clipped to -tau, each
-    # replaced by its sample after the head's has been checked
-    history = np.arange(n_tau + 1, dtype=float)
-    history *= -dt
+        raise InvalidParameter(refused)
+    # the sample times 0, -dt, ..., -n_tau*dt (the head +0.0), the last
+    # clipped to -tau, each replaced by its sample after the head's has been
+    # checked
+    history = np.arange(0.0, -n_tau - 1.0, -1.0)
+    history *= dt
     np.maximum(history, -params.tau, out=history)
-    try:
-        history[0] = head = float(c_l_history(0.0))
-        if not abs(head - c[-1]) <= 1e-10:
-            raise HistoryMismatch(f"c_l_history(0) = {head!r} but c0(l) = {c[-1]!r}")
-        _sample(c_l_history, history[1:])
-    except OverflowError:
-        raise InvalidParameter("c_l_history must be finite on [-tau, 0]") from None
+    refused = "c_l_history must be finite on [-tau, 0]"
+    head = _sample(c_l_history, history[:1], refused).item()
+    if not abs(head - c[-1]) <= 1e-10:
+        raise HistoryMismatch(f"c_l_history(0) = {head!r} but c0(l) = {c.item(-1)!r}")
+    _sample(c_l_history, history[1:], refused)
     if not np.isfinite(history).all():
-        raise InvalidParameter("c_l_history must be finite on [-tau, 0]")
+        raise InvalidParameter(refused)
     # positional, in field order, as step and run build their states
     return SimState(0.0, 0, c, a, history, dt, n_tau, abs(n_tau * dt - params.tau))
 
@@ -240,9 +246,11 @@ _WINDOW_RANGE = 354.0
 
 
 def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
-    """The n-step update for this step size.  Its factors (_rates), the
-    powers of d over a segment of up to longest steps and the scaled powers
-    of its windows are computed once.
+    """The n-step update for this step size, as (march, powers): powers
+    holds d**0 .. d**longest, each within a rounding, not successive
+    products whose roundings drift one way, and march and run read every
+    power of d from it.  The factors (_rates), those powers and the scaled
+    powers of the windows are computed once.
 
     march(c, a, buf, n) takes n steps from the profile c and the activation
     a.  buf holds c(l, .) oldest first, buf[i : i + n_tau + 1] the delay
@@ -270,39 +278,33 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
     results go into the arrays when their segment ends; step is those float
     formulas at n = 1.
 
-    march returns the (n + 1, 5) table of (a, d**r, S_r, F_r, c(l)) after 0
-    to n steps, where r counts the steps of its segment, up to nx, and F_r
-    is the sum of the squares of the r - 1 samples 0 < j < r fed in the
-    segment (row 0's F is -c[0]**2/2, since the carried-over sum weighs its
-    inflow sample h where the trapezoid weighs it h/2); the sources
-    s_0..s_{n-1}; and the start of every segment, c first, as the rows of
-    one array.
+    march returns the (n + 1, 4) table of (a, S_r, F_r, c(l)) after 0 to n
+    steps, where r counts the steps of its segment, up to nx, so that a row's
+    power is the power table's entry r, and F_r is the sum of the squares of
+    the r - 1 samples 0 < j < r fed in the segment (row 0's F is
+    -c[0]**2/2, since the carried-over sum weighs its inflow sample h where
+    the trapezoid weighs it h/2); the sources s_0..s_{n-1}; and the start of
+    every segment, c first, as the rows of one array.
     """
     alpha, beta = params.alpha, params.beta
     decay_a, gain_a, d, gain_c, delta = _rates(params, dt)
     lagged = n_tau >= 1
-    # d**0 .. d**longest as successive products
-    powers = np.full(longest + 1, d)
-    powers[0] = 1.0
-    np.multiply.accumulate(powers, out=powers)
+    ramp = np.arange(longest + 1.0)
+    powers = d**ramp
     power_list = powers.tolist()
     rate = max(alpha, 2.0 * abs(params.delta)) * dt
     span = int(min(n_tau, longest, _WINDOW_RANGE / rate if rate else math.inf))
     if span >= _BREAK_EVEN:
-        # each power to within a rounding, not by successive products whose
-        # roundings drift one way
-        ramp = np.arange(span + 1.0)
-        q_powers = decay_a**ramp
+        q_powers = decay_a ** ramp[: span + 1]
         q_inverse = 1.0 / q_powers[1:]
-        d_powers = d**ramp
-        d_inverse = 1.0 / d_powers[1:]
-        d_squares = d_powers * d_powers
+        d_inverse = 1.0 / powers[1 : span + 1]
+        d_squares = np.square(powers[: span + 1])
 
     def march(c: np.ndarray, a: float, buf: np.ndarray, n: int):
         nx = c.size - 1
-        table = np.empty((n + 1, 5))
+        table = np.empty((n + 1, 4))
         head = c.item(0)
-        table[0] = (a, 1.0, 0.0, -0.5 * head * head, c.item(-1))
+        table[0] = (a, 0.0, -0.5 * head * head, c.item(-1))
         flat = table.reshape(-1)
         sources = np.empty(n)
         # every start after c has its inflow sample pinned to 0
@@ -315,7 +317,7 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
                 # start behind the pinned inflow, and the outlet
                 start = starts[b]
                 np.add.accumulate(powers[: nx - 1] * sources[i - 1 : i - nx : -1], out=start[1:nx])
-                start[nx] = table[i, 4]
+                start[nx] = table[i, 3]
             # S starts at -0.0, so that S_1 = -0.0*d + s_0 is s_0 to the bit
             acc, fresh, fresh_sq = -0.0, 0.0, 0.0
             r = 0
@@ -351,14 +353,14 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
                 np.add(sums[1, :-1], sums[1, 1:], out=sums[2, 1:])
                 sums[2, 1:] *= scaled
                 _running_sums(sums[2])
-                sums[:2] *= d_powers[: steps + 1]
+                sums[:2] *= powers[: steps + 1]
                 sums[2] *= d_squares[: steps + 1]
                 window = table[i + 1 : i + steps + 1]
                 window[:, 0] = x[1:]
-                window[:, 1] = powers[r + 1 : r + steps + 1]
-                window[:, 2:4] = sums[::2, 1:].T
-                outlet = window[:, 4]
-                np.multiply(window[:, 1], start[nx - r - steps : nx - r][::-1], out=outlet)
+                window[:, 1:3] = sums[::2, 1:].T
+                outlet = window[:, 3]
+                carried = start[nx - r - steps : nx - r][::-1]
+                np.multiply(powers[r + 1 : r + steps + 1], carried, out=outlet)
                 outlet += sums[0, 1:]
                 buf[n_tau + 1 + i : n_tau + 1 + i + steps] = outlet
                 sources[i : i + steps] = s
@@ -389,15 +391,15 @@ def _march_fn(params: SystemParams, dt: float, n_tau: int, longest: int):
                 c_l = p * outlet + acc
                 lag.append(c_l)
                 fed.append(s)
-                rows += (a_new, p, acc, fresh_sq, c_l)
+                rows += (a_new, acc, fresh_sq, c_l)
                 a = a_new
                 k += 1
-            flat[5 * (i + 1) : 5 * (end + 1)] = rows
+            flat[4 * (i + 1) : 4 * (end + 1)] = rows
             sources[i:end] = fed
             buf[n_tau + 1 + i : n_tau + 1 + end] = lag[i - end :]
         return table, sources, starts
 
-    return march
+    return march, powers
 
 
 def _running_sums(x: np.ndarray) -> None:
@@ -414,15 +416,15 @@ def _running_sums(x: np.ndarray) -> None:
     after += lost
 
 
-def _profile(c: np.ndarray, p: float, acc: float, powers, sources: np.ndarray) -> np.ndarray:
-    """The profile len(sources) steps after c, in march's closed form: d**i*c
-    shifted by i plus S_i, behind the fed samples sum_{m<j} d**m*s_{i-1-m} at
-    0 < j < i, with powers d**0, d**1, ...  One step is c[:-1]*d + s_0 behind
-    the pinned inflow, as step computes it."""
+def _profile(c: np.ndarray, acc: float, powers: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The profile i = len(sources) steps after c, in march's closed form:
+    d**i*c shifted by i plus S_i = acc, behind the fed samples sum_{m<j}
+    d**m*s_{i-1-m} at 0 < j < i, with powers d**0, d**1, ...  One step is
+    c[:-1]*d + s_0 behind the pinned inflow, as step computes it."""
     i = len(sources)
     row = np.empty_like(c)
     carried = row[i:]
-    np.multiply(c[: c.size - i], p, out=carried)
+    np.multiply(c[: c.size - i], powers[i], out=carried)
     np.add(carried, acc, out=carried)
     row[0] = 0.0
     np.cumsum(np.multiply(powers[: i - 1], sources[:0:-1]), out=row[1:i])
@@ -527,7 +529,7 @@ def state_norm_sq(state: SimState, params: SystemParams) -> float:
 # Steps per block: run takes up to this many steps, in segments of nx from
 # the profile each starts from, and takes the energies of its output rows at
 # once when the block ends.  The cap bounds the block's step records (an
-# array of five floats a step) and outflow buffer; a longer block spreads
+# array of four floats a step) and outflow buffer; a longer block spreads
 # the block's own numpy calls over more steps and lets a window run longer.
 _ROWS = 255
 
@@ -625,41 +627,43 @@ def run(
     # the output columns, one array per block
     energies, a_sq, c_l, states = [], [], [], []
 
-    def profile(i: int, p: float, acc: float) -> np.ndarray:
+    def profile(i: int, acc: float) -> np.ndarray:
         # the profile after i steps of the block, from its segment's start
         if not i:
             return c.copy()
         b = (i - 1) // nx
-        return _profile(starts[b], p, acc, powers, sources[b * nx : i])
+        return _profile(starts[b], acc, powers, sources[b * nx : i])
 
-    def history(at: range, shared: bool) -> np.ndarray:
+    def history(at: range) -> np.ndarray:
         # half the gamma-weighted history integral of each output at, each a
         # sum of positive terms (where an FFT would lose relative accuracy)
         span = at[-1] - at[0]
         sq = np.square(buf[at[0] : at[-1] + n_tau + 1])
-        if not (shared and n_tau > 2 * span + 2 and span < shrink.size):
-            # one direct correlation over the outputs' windows
-            return 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
-        # Output j steps after the first weighs sq[k] by oldest_first[k - j]:
-        # exp(-j*dt) times the first output's weight over the core span < k
-        # < n_tau that every window holds inside its ends, so the core is one
-        # sum.  Either edge is its half-weighted end sample plus one running
-        # sum of squares times exp(j*dt) times their weights: the newest
-        # samples, n_tau <= k < n_tau + j, and the oldest, j < k <= span,
-        # summed from the newest down.  A scaled term is no smaller than the
-        # term it stands for, so it leaves the float range only upwards,
-        # where take correlates directly.
-        edges = np.zeros((2, span + 1))
-        np.multiply(edge_weights[0, 1 : span + 1], sq[n_tau : n_tau + span], out=edges[0, 1:])
-        np.multiply(edge_weights[1, :span][::-1], sq[1 : span + 1][::-1], out=edges[1, 1:])
-        _running_sums(edges)
-        terms = edges[0, :: at.step] + edges[1, ::-1][:: at.step]
-        terms += (sq[span + 1 : n_tau] * oldest_first[span + 1 : n_tau]).sum()
-        terms *= shrink[: span + 1 : at.step]
-        terms += sq[n_tau : n_tau + span + 1 : at.step] * oldest_first[n_tau]
-        terms += sq[: span + 1 : at.step] * oldest_first[0]
-        terms *= 0.5
-        return terms
+        if n_tau > 2 * span + 2 and span < shrink.size:
+            # Output j steps after the first weighs sq[k] by oldest_first[k -
+            # j]: exp(-j*dt) times the first output's weight over the core
+            # span < k < n_tau that every window holds inside its ends, so
+            # the core is one sum.  Either edge is its half-weighted end
+            # sample plus one running sum of squares times exp(j*dt) times
+            # their weights: the newest samples, n_tau <= k < n_tau + j, and
+            # the oldest, j < k <= span, summed from the newest down.  A
+            # scaled term is no smaller than the term it stands for, so it
+            # leaves the float range only upwards, where the correlation
+            # below takes over.
+            edges = np.zeros((2, span + 1))
+            np.multiply(edge_weights[0, 1 : span + 1], sq[n_tau : n_tau + span], out=edges[0, 1:])
+            np.multiply(edge_weights[1, :span][::-1], sq[1 : span + 1][::-1], out=edges[1, 1:])
+            _running_sums(edges)
+            terms = edges[0, :: at.step] + edges[1, ::-1][:: at.step]
+            terms += (sq[span + 1 : n_tau] * oldest_first[span + 1 : n_tau]).sum()
+            terms *= shrink[: span + 1 : at.step]
+            terms += sq[n_tau : n_tau + span + 1 : at.step] * oldest_first[n_tau]
+            terms += sq[: span + 1 : at.step] * oldest_first[0]
+            terms *= 0.5
+            if np.isfinite(terms).all():
+                return terms
+        # one direct correlation over the outputs' windows
+        return 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
 
     def take(k0: int, picked: slice) -> bool:
         # record the outputs at table[picked], after i steps of the block
@@ -667,7 +671,8 @@ def run(
         at = range(n + 1)[picked]
         if not at:
             return True
-        a, p, acc, fresh_sq, outlet = table[picked].T
+        a, acc, fresh_sq, outlet = table[picked].T
+        p = powers[nx - depth[picked]]
         # sum_j c_j**2 over the samples carried over from prefix sums of
         # start**2 and start, plus the fed ones
         at_depth = prefix_at[picked]
@@ -680,14 +685,11 @@ def run(
         value *= 0.5 * h
         a_sq_picked = a * a
         value += 0.5 * a_sq_picked
-        history_terms = history(at, True)
+        history_terms = history(at)
         total = value + history_terms
         # the energies are not negative, so their sum bounds each of them
         finite = -direct_above < total.sum() < direct_above
         if below or not finite:
-            if not finite:
-                history_terms = history(at, False)
-                total = value + history_terms
             # An energy near the top of the float range, or one so small
             # that a square which underflowed may weigh in it once d**r > 1
             # scales it up, is the trapezoid sum of its squared profile: that
@@ -696,7 +698,7 @@ def run(
             weights = _trapezoid_weights(nx + 1, h)
             direct = ~((below * p * p <= total) & (total < direct_above))
             for m in np.flatnonzero(direct).tolist():
-                row = profile(at[m], p[m], acc[m])
+                row = profile(at[m], acc[m])
                 total[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
                 total[m] += history_terms[m]
             finite = bool(np.isfinite(total).all())
@@ -704,16 +706,16 @@ def run(
         a_sq.append(a_sq_picked)
         c_l.append(outlet.copy())
         if keep_states:
-            for i, (a_i, p_i, acc_i, _, _) in zip(at, table[picked].tolist()):
+            for i, (a_i, acc_i, _, _) in zip(at, table[picked].tolist()):
                 window = buf[i : i + n_tau + 1][::-1].copy()
                 k = k0 + i
                 states.append(
-                    SimState(k * dt, k, profile(i, p_i, acc_i), a_i, window, dt, n_tau,
+                    SimState(k * dt, k, profile(i, acc_i), a_i, window, dt, n_tau,
                              state.tau_rounding_error)
                 )
         return finite
 
-    march = _march_fn(params, dt, n_tau, min(rows, nx))
+    march, powers = _march_fn(params, dt, n_tau, min(rows, nx))
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -728,14 +730,13 @@ def run(
         while k0 < n_steps:
             n = min(rows, n_steps - k0)
             table, sources, starts = march(c, a, buf, n)
-            powers = table[: min(n, nx) + 1, 1]
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
             finite = take(k0, slice(first, n + 1, stride))
             if k0 + n == n_steps and n_steps % stride:
                 finite &= take(k0, slice(n, n + 1))
-            a, p, acc = table[n, :3].tolist()
-            c = profile(n, p, acc)
+            a, acc = table[n, :2].tolist()
+            c = profile(n, acc)
             buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
             # a non-finite activation makes every later energy non-finite
@@ -765,15 +766,14 @@ def fit_decay_rate(trace: EnergyTrace, window: tuple[float, float]) -> FitResult
     when the window contains non-positive energies; raises DegenerateWindow
     on fewer than 10 samples or samples all at one time, and
     SimulationOverflow on an energy that is inf or NaN.  The window is a
-    pair (start, end), and one of any other length raises InvalidParameter.
-    Each end is a float or +-inf; NaN, or an int past the float range,
-    raises NonFiniteField (errors._real).
+    pair (start, end), and anything else, None or one of another length,
+    raises InvalidParameter (errors._pair).  Each end is a float or +-inf;
+    NaN, or an int past the float range, raises NonFiniteField
+    (errors._real).
     """
-    if len(window) != 2:
-        raise InvalidParameter(f"the window must be a pair (start, end), got {_shown(window)}")
     t0, t1 = (
         float(end) if end in (-math.inf, math.inf) else _real(f"{name}, if not +-inf,", end)
-        for name, end in zip(("the window start", "the window end"), window)
+        for name, end in zip(("the window start", "the window end"), _pair("the window", window))
     )
     ts, es = trace.times, trace.energies
     inside = (t0 <= ts) & (ts <= t1)

@@ -127,6 +127,12 @@ BAD_ARGUMENTS = {
     "init-state-delay-past-index-range": lambda: _init_state(tau=1e300, f=1e300),
     "init-state-c0-past-the-float-range": lambda: _init_state(c0=_past_range_off_zero),
     "init-state-history-past-the-float-range": lambda: _init_state(history=_past_range_off_zero),
+    "init-state-c0-complex-at-inflow": lambda: _init_state(c0=lambda x: 0j),
+    "init-state-c0-complex-inside": lambda: _init_state(c0=lambda x: 0.0 if x == 0.0 else 1j),
+    "init-state-history-complex-at-head": lambda: _init_state(history=lambda s: 0j),
+    "init-state-history-complex-in-window": lambda: _init_state(
+        history=lambda s: 0.0 if s == 0.0 else 1j
+    ),
     "default-box-negative-sigma": lambda: delaystab.default_box(POINT, -1.0),
 }
 
@@ -272,6 +278,28 @@ def test_a_family_that_is_not_a_four_tuple_is_refused(call, fixed):
         call(fixed)
     assert type(caught.value) is InvalidParameter
     assert str(caught.value).startswith("fixed must be a tuple (alpha, delta, l, f), got ")
+
+
+# Every pair argument of every entry point: its name in the message, and a
+# call of the one pair.
+PAIR_ARGUMENTS = {
+    "sweep-grid-counts": ("grid_counts", lambda v: delaystab.sweep(ONES, (0, 1), (0, 1), v)),
+    "sweep-beta-range": ("beta_range", lambda v: delaystab.sweep(ONES, v, (0, 1), (2, 2))),
+    "sweep-tau-range": ("tau_range", lambda v: delaystab.sweep(ONES, (0, 1), v, (2, 2))),
+    "fit-window": ("the window", lambda v: delaystab.fit_decay_rate(_decaying_trace(), v)),
+}
+NOT_PAIRS = {"none": None, "int": 5, "float": 1.5, "one": (1,), "three": (0, 1, 2)}
+
+
+@pytest.mark.parametrize("value", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
+@pytest.mark.parametrize("name", PAIR_ARGUMENTS)
+def test_a_pair_argument_that_is_not_a_pair_is_refused(name, value):
+    # None and a number raised a bare TypeError from len()
+    argument, call = PAIR_ARGUMENTS[name]
+    with pytest.raises(InvalidParameter) as caught:
+        call(value)
+    assert type(caught.value) is InvalidParameter
+    assert str(caught.value) == f"{argument} must be a pair, got {value}"
 
 
 NOT_REAL = {"str": "1", "bad-str": "abc", "none": None, "complex": 1j, "decimal": Decimal("1")}

@@ -510,7 +510,10 @@ class TestSweep:
                 (-(10**5000), 2), 1,
                 r"^n_beta must be an integer >= 2, got -<an integer of 16610 bits>$",
             ),
-            ((10**5000, 2, 3), 1, r"pairs, got \(\(<an integer of 16610 bits>, 2, 3\), "),
+            (
+                (10**5000, 2, 3), 1,
+                r"^grid_counts must be a pair, got \(<an integer of 16610 bits>, 2, 3\)$",
+            ),
             (
                 [2, -(10**5000)], 1,
                 r"^n_tau must be an integer >= 2, got -<an integer of 16610 bits>$",
