@@ -147,14 +147,15 @@ def _sample(fn, points: np.ndarray, refused: str) -> np.ndarray:
     """points with each replaced by fn(point), fn called once a point on a
     Python float, from the first; a block of _SAMPLE_BLOCK points at a time,
     so no list of them all is held.  A sample that numpy cannot store as a
-    float, an int past the float range (OverflowError) or a complex
-    (TypeError), raises InvalidParameter(refused); an error that fn raises
-    itself propagates as it is."""
+    float, an int past the float range (OverflowError), a complex
+    (TypeError), or a str it cannot parse or a sequence (ValueError), raises
+    InvalidParameter(refused); an error that fn raises itself propagates as
+    it is."""
     for block in np.split(points, range(_SAMPLE_BLOCK, points.size, _SAMPLE_BLOCK)):
         samples = list(map(fn, block.tolist()))
         try:
             block[:] = samples
-        except (OverflowError, TypeError):
+        except (OverflowError, TypeError, ValueError):
             raise InvalidParameter(refused) from None
         # so that this block's samples are not held while the next are built
         del samples
@@ -168,8 +169,8 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history maps [-tau, 0] to the outflow trace, compatible with
     c_l_history(0) = c0(l).  An a0 that is not finite raises
     NonFiniteField (errors._real).  A profile or history sample that is not
-    a finite real, an int past the float range or a complex included,
-    raises InvalidParameter, and so does a step (l/nx)/f that underflows to
+    a finite real, an int past the float range, a complex, a str numpy
+    cannot parse or a sequence included, raises InvalidParameter, and so does a step (l/nx)/f that underflows to
     0 or overflows to inf, or a delay that rounds to _DELAY_SAMPLES steps
     or more, before any sample is taken.  (SimConfig refuses an nx of
     _DELAY_SAMPLES or more.)  A sample that is a str numpy parses as a
@@ -571,16 +572,17 @@ def run(
     history terms are one direct correlation over the outputs' windows.
     The next block starts from the profile in closed form.  A block also
     stops where d**n would leave the normal floating-point range.  An
-    output whose energy nears the top of that range, or, where delta < 0,
-    one small enough that a square which underflowed may weigh in it, is
-    summed directly from its profile.
+    output whose energy is not finite or nears the top of that range, or,
+    where delta < 0, one small enough that a square which underflowed may
+    weigh in it, is energy() of its state.
 
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
     t_final of sys.maxsize steps or more raises InvalidParameter before
-    anything is allocated; a run whose energy leaves the floating-point
-    range raises SimulationOverflow naming the first output time at which it
-    is not finite.
+    anything is allocated.  A run whose energy leaves the floating-point
+    range raises energy()'s SimulationOverflow at the first output where it
+    is not finite, naming that output's time; the run marches on to that
+    output, at most output_stride steps past the step where it left.
     """
     steps = config.t_final / _step_size(params, config) - 1e-9
     if not steps < sys.maxsize:
@@ -627,12 +629,19 @@ def run(
     # the output columns, one array per block
     energies, a_sq, c_l, states = [], [], [], []
 
-    def profile(i: int, acc: float) -> np.ndarray:
+    def profile(i: int) -> np.ndarray:
         # the profile after i steps of the block, from its segment's start
         if not i:
             return c.copy()
         b = (i - 1) // nx
-        return _profile(starts[b], acc, powers, sources[b * nx : i])
+        return _profile(starts[b], table.item(i, 1), powers, sources[b * nx : i])
+
+    def state_at(i: int) -> SimState:
+        # the state after i steps of the block, its activation a float
+        k = k0 + i
+        window = buf[i : i + n_tau + 1][::-1].copy()
+        return SimState(k * dt, k, profile(i), table.item(i, 0), window, dt, n_tau,
+                        state.tau_rounding_error)
 
     def history(at: range) -> np.ndarray:
         # half the gamma-weighted history integral of each output at, each a
@@ -665,12 +674,11 @@ def run(
         # one direct correlation over the outputs' windows
         return 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
 
-    def take(k0: int, picked: slice) -> bool:
+    def take(picked: slice) -> None:
         # record the outputs at table[picked], after i steps of the block
-        # from c; False if an energy is not finite
         at = range(n + 1)[picked]
         if not at:
-            return True
+            return
         a, acc, fresh_sq, outlet = table[picked].T
         p = powers[nx - depth[picked]]
         # sum_j c_j**2 over the samples carried over from prefix sums of
@@ -685,42 +693,31 @@ def run(
         value *= 0.5 * h
         a_sq_picked = a * a
         value += 0.5 * a_sq_picked
-        history_terms = history(at)
-        total = value + history_terms
+        total = value + history(at)
         # the energies are not negative, so their sum bounds each of them
-        finite = -direct_above < total.sum() < direct_above
-        if below or not finite:
-            # An energy near the top of the float range, or one so small
-            # that a square which underflowed may weigh in it once d**r > 1
-            # scales it up, is the trapezoid sum of its squared profile: that
-            # sum leaves the range where a sample's square does, and squares
-            # each sample only once d**r has scaled it.
-            weights = _trapezoid_weights(nx + 1, h)
+        if below or not -direct_above < total.sum() < direct_above:
+            # An energy that is not finite or nears the top of the float
+            # range, or one so small that a square which underflowed may
+            # weigh in it once d**r > 1 scales it up, is energy() of its
+            # state: its trapezoid sum leaves the range where a sample's
+            # square does, where energy raises SimulationOverflow, and
+            # squares each sample only once d**r has scaled it.
             direct = ~((below * p * p <= total) & (total < direct_above))
             for m in np.flatnonzero(direct).tolist():
-                row = profile(at[m], acc[m])
-                total[m] = 0.5 * _sq_integral(row, weights) + 0.5 * a_sq_picked[m]
-                total[m] += history_terms[m]
-            finite = bool(np.isfinite(total).all())
+                total[m] = energy(state_at(at[m]), params, config.gamma)
         energies.append(total)
         a_sq.append(a_sq_picked)
         c_l.append(outlet.copy())
         if keep_states:
-            for i, (a_i, acc_i, _, _) in zip(at, table[picked].tolist()):
-                window = buf[i : i + n_tau + 1][::-1].copy()
-                k = k0 + i
-                states.append(
-                    SimState(k * dt, k, profile(i, acc_i), a_i, window, dt, n_tau,
-                             state.tau_rounding_error)
-                )
-        return finite
+            states.extend(map(state_at, at))
 
     march, powers = _march_fn(params, dt, n_tau, min(rows, nx))
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         # gamma*exp(tau) past the float range makes these weights inf with
-        # no RuntimeWarning; the first energy then fails the finite check
+        # no RuntimeWarning; the first energy is then energy()'s, which
+        # raises SimulationOverflow
         history_weights = _history_weights(params, config.gamma, dt, n_tau)
         oldest_first = history_weights[::-1].copy()
         # the weights next to a window's newest and oldest ends times
@@ -732,29 +729,18 @@ def run(
             table, sources, starts = march(c, a, buf, n)
             # the outputs among steps k0 + 1 .. k0 + n, and step 0
             first = stride - k0 % stride if k0 else 0
-            finite = take(k0, slice(first, n + 1, stride))
+            take(slice(first, n + 1, stride))
             if k0 + n == n_steps and n_steps % stride:
-                finite &= take(k0, slice(n, n + 1))
-            a, acc = table[n, :2].tolist()
-            c = profile(n, acc)
+                take(slice(n, n + 1))
+            a = table.item(n, 0)
+            c = profile(n)
             buf[: n_tau + 1] = buf[n : n + n_tau + 1]
             k0 += n
-            # a non-finite activation makes every later energy non-finite
-            if not (finite and math.isfinite(a)):
-                break
-    energies = np.concatenate(energies)
     # output j is step min(j*stride, n_steps)
     times = np.minimum(np.arange(-(-n_steps // stride) + 1) * stride, n_steps) * dt
-    # a run that stopped early has no energies past the block that failed
-    blown = np.flatnonzero(~np.isfinite(energies))
-    first_bad = blown[0] if blown.size else energies.size
-    if first_bad < times.size:
-        raise SimulationOverflow(
-            f"the energy left the floating-point range at t = {times[first_bad].item()!r}"
-        )
     return (
         SimTrace(states=tuple(states), tau_rounding_error=state.tau_rounding_error),
-        EnergyTrace(times, energies, np.concatenate(a_sq), np.concatenate(c_l)),
+        EnergyTrace(times, np.concatenate(energies), np.concatenate(a_sq), np.concatenate(c_l)),
     )
 
 

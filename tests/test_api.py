@@ -133,6 +133,16 @@ BAD_ARGUMENTS = {
     "init-state-history-complex-in-window": lambda: _init_state(
         history=lambda s: 0.0 if s == 0.0 else 1j
     ),
+    "init-state-c0-unparsed-str": lambda: _init_state(c0=lambda x: "abc"),
+    "init-state-c0-sequence": lambda: _init_state(c0=lambda x: [1.0]),
+    "init-state-history-unparsed-str-at-head": lambda: _init_state(history=lambda s: "abc"),
+    "init-state-history-sequence-at-head": lambda: _init_state(history=lambda s: [1.0]),
+    "init-state-history-unparsed-str-in-window": lambda: _init_state(
+        history=lambda s: 0.0 if s == 0.0 else "abc"
+    ),
+    "init-state-history-sequence-in-window": lambda: _init_state(
+        history=lambda s: 0.0 if s == 0.0 else [1.0]
+    ),
     "default-box-negative-sigma": lambda: delaystab.default_box(POINT, -1.0),
 }
 

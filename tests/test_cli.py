@@ -88,6 +88,24 @@ class TestEig:
             assert code == 3, command
             assert "contour" in err
 
+    def test_a_plain_value_error_is_a_usage_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by the solver")
+
+        monkeypatch.setattr(cli, "spectrum", refuse)
+        code, out, err = run_cli(capsys, ["eig", *ONES_FLAGS, "--beta", "1", "--tau", "1"])
+        assert (code, out, err) == (2, "", "delaystab: refused by the solver\n")
+
+    def test_a_dashed_token_that_is_no_number_is_left_to_argparse(self, capsys):
+        # neither "-x" nor "1:2:3" is a number or range, so neither is
+        # spliced onto its flag, and "--beta -x" misses its value
+        assert not cli._is_number("-x") and not cli._is_number("-1:2:3")
+        assert cli._splice_negatives(["--beta", "-x"]) == ["--beta", "-x"]
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", *ONES_FLAGS, "--beta", "-x", "--tau", "1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_unpolishable_cell_is_numerical_failure(self, capsys):
         # At tol = 1e-8 two simple eigenvalues near -3, 2.1e-6 apart, share a
         # cell too small to split that Newton cannot polish: no partial list.

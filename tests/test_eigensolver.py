@@ -1341,6 +1341,61 @@ class TestGiveUpBranches:
         assert not paired and lo.re_max == hi.re_min == 1.1
         assert es._count(lo_edges, lo) == es._count(hi_edges, hi) == 0
 
+    def test_a_segment_unsettled_after_its_last_round_is_refused(self, monkeypatch):
+        # every round finds the first step turning by pi and bisects it
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        sampler = es._Sampler(p)
+        pts = np.array([2.0 + 0.0j, 2.0 + 1.0j])
+        vals = es._deflated_with_scale(p, pts)[0]
+        monkeypatch.setattr(es, "_turns", lambda vals: np.r_[math.pi, np.zeros(vals.size - 2)])
+        assert es._refined(sampler, pts, vals, es._turns(vals)) is None
+        assert sampler.left == es._SAMPLE_BUDGET - es._REFINE_ROUNDS
+
+    def test_a_negative_count_is_a_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(es, "_count", lambda edges, box: -1)
+        box = ContourBox(-1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(SolverConsistencyError, match=r"winding count -1 over .* is negative$"):
+            count_zeros(SystemParams(1, 0.5, 1, 1, 1, 0.3), box)
+
+    def test_a_cut_whose_halves_count_no_integer_is_cut_at_the_next_fraction(self, monkeypatch):
+        # the first split's first half fails its count once; the search
+        # cuts the cell at the next fraction and finds the same roots
+        p = SystemParams(1, 3, 1, 1, 1, 5)
+        box = default_box(p, 1e-5)
+        contour = find_roots(p, box)
+        assert contour.total_count > 2
+        fractions, failed = [], []
+        split, count = es._split, es._count
+
+        def splitting(sampler, box, edges, frac):
+            fractions.append(frac)
+            return split(sampler, box, edges, frac)
+
+        def counting(edges, box):
+            if fractions and not failed:
+                failed.append(box)
+                raise QuadratureNonInteger("forced")
+            return count(edges, box)
+
+        monkeypatch.setattr(es, "_split", splitting)
+        monkeypatch.setattr(es, "_count", counting)
+        again = find_roots(p, box)
+        assert len(failed) == 1 and fractions[:2] == list(es._SPLIT_FRACTIONS[:2])
+        assert again.total_count == contour.total_count
+        assert [r.multiplicity for r in again.roots] == [r.multiplicity for r in contour.roots]
+        for got, ref in zip(again.roots, contour.roots):
+            assert abs(got.lam - ref.lam) <= 1e-10 * (1.0 + abs(ref.lam))
+
+    def test_a_root_at_the_pole_that_does_not_zero_the_numerator_is_refused(self, monkeypatch):
+        # a search that lists -alpha, where this point's deflated
+        # numerator is far from zero
+        p = SystemParams(1, 0.5, 1, 1, 1, 0.3)
+        box = default_box(p, 2.0)
+        fake = es.RootSet((es.Root(complex(-1.0, 0.0), 0.0, 0, False),), 1, box)
+        monkeypatch.setattr(es, "_located", lambda params, box, tol, predict: fake)
+        with pytest.raises(SolverConsistencyError, match="pole tolerance of -1.0 does not zero"):
+            spectrum(p, 2.0)
+
 
 class TestStripBox:
     """default_box bounds every eigenvalue with Re lambda >= -sigma, also

@@ -498,6 +498,15 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert region._usable_cpus() == 1
 
+    @pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
+    def test_usable_cpus_without_an_affinity_mask_are_the_cpu_count(
+        self, monkeypatch, count, cpus
+    ):
+        # os.cpu_count() is None where the count cannot be read
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert region._usable_cpus() == cpus
+
     @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None])
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(InvalidParameter, match="workers"):

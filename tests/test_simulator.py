@@ -1036,7 +1036,9 @@ class TestOverflow:
         with pytest.raises(SimulationOverflow, match=message):
             run(p, cfg, sine_profile(1.0), 1.0, zero_fn)
 
-    def test_run_stops_at_the_block_that_overflows(self, monkeypatch):
+    @staticmethod
+    def marched(monkeypatch) -> list:
+        """One entry per step the runs march from now on."""
         steps = []
         make = simulator._march_fn
 
@@ -1050,10 +1052,71 @@ class TestOverflow:
             return counted, powers
 
         monkeypatch.setattr(simulator, "_march_fn", counting)
+        return steps
+
+    def test_run_stops_at_the_block_that_overflows(self, monkeypatch):
+        steps = self.marched(monkeypatch)
         cfg = SimConfig(nx=10, t_final=2000, gamma=1)
         with pytest.raises(SimulationOverflow):
             run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
         assert 2410 <= len(steps) < 2410 + simulator._ROWS
+
+    @pytest.mark.parametrize("stride", [1000, 6000])
+    def test_a_strided_run_marches_on_to_the_output_past_the_overflow(self, stride, monkeypatch):
+        # the energy leaves the float range at step 2410 and the activation
+        # near step 4840; the run raises at the next output, step 3000 or
+        # 6000, within one block of it
+        steps = self.marched(monkeypatch)
+        cfg = SimConfig(nx=10, t_final=2000, gamma=1, output_stride=stride)
+        last = math.ceil(2410 / stride) * stride
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflow, match=f"at t = {last * 0.1!r}$"):
+                run(self.GROWING, cfg, sine_profile(1.0), 1.0, zero_fn)
+        assert last <= len(steps) < last + simulator._ROWS
+
+    @pytest.mark.parametrize(
+        "p, cfg, amplitude, a0, history",
+        [
+            # TestHistoryTerm's growing profile: delta*dt = -3
+            (SystemParams(1, 0.5, -60, 1, 1, 40.0), SimConfig(20, 40.0, 0.7), 1e-160, 1e-160,
+             lambda s: 0.0),
+            # the square-underflows point below: delta*dt = -40
+            (SystemParams(1, 0.5, -400, 1, 1, 0.3), SimConfig(10, 1.0, 1.0), 1e-170, 0.0,
+             zero_fn),
+        ],
+        ids=["growing-profile", "square-underflows"],
+    )
+    def test_each_direct_sum_is_the_energy_of_its_state(
+        self, p, cfg, amplitude, a0, history, monkeypatch
+    ):
+        # the outputs run does not take in closed form are energy() of
+        # their states, called through the module, bit for bit
+        direct = {}
+
+        def spy(state, params, gamma=None):
+            value = energy(state, params, gamma)
+            direct[state.step_index] = (state, value)
+            return value
+
+        monkeypatch.setattr(simulator, "energy", spy)
+
+        def c0(x):
+            return amplitude * math.sin(math.pi * x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, etrace = run(p, cfg, c0, a0, history, keep_states=True)
+        assert direct
+        kept = {state.step_index: (state, value)
+                for state, value in zip(trace.states, etrace.energies.tolist())}
+        for k, (state, value) in direct.items():
+            state_kept, value_kept = kept[k]
+            assert value_kept == value == energy(state_kept, p, cfg.gamma)
+            assert type(state.a) is float and state.a == state_kept.a
+            assert np.array_equal(state.c, state_kept.c)
+            assert np.array_equal(state.history, state_kept.history)
+            assert state.t == state_kept.t
 
     @pytest.mark.parametrize(
         "delta, t_final, amplitude",

@@ -118,6 +118,11 @@ INVOCATIONS = [
     # The README-size run (nx = 400, n_tau = 2000) up to t = 20: blocks of
     # 255 steps, each one window of arrays.
     f"simulate {ONES} --beta 0.5 --tau 5 --nx 400 --t-final 20",
+    # delta*dt = -3 from a 1e-160 activation: the squares underflow at each
+    # segment's start and d**20 = exp(60) lifts them back, so the run sums
+    # the energies below about 1e-256 from their states.
+    "simulate --alpha 1 --beta 0.5 --delta=-60 --l 1 --f 1 --tau 40 --nx 20 --t-final 40"
+    " --c0 zero --a0 1e-160",
     # Three delays over a wide window: each grid step crosses about 95
     # integers of its turn count, more than there are delays, so the flip
     # scan takes every delay of every step.
