@@ -301,6 +301,9 @@ def _axis_gain_scalar(fixed, omega: float, tau: float) -> complex:
     fixed = _family(fixed)
     _check_axis_gain(fixed)
     omega, tau = _real("omega", omega), _real("tau", tau)
+    # a finite omega and tau whose product leaves the float range are
+    # refused before exp(1j*omega*tau) makes the gain NaN
+    _real("omega*tau", omega * tau)
     gain = complex(np.exp(1j * omega * tau) * _axis_gain(fixed, omega))
     if cmath.isnan(gain):
         raise DenominatorVanishes(
@@ -316,8 +319,10 @@ def phase_residual(fixed, omega: float, tau: float) -> float:
     delta*l/f of about -709.43 (_check_axis_gain), DenominatorVanishes at a
     pole of the gain (delta = 0, omega = 2*pi*k*f/l, k != 0, recognised by
     |phi(w)| <= 1e-14 whatever the tube's l/f), and InvalidParameter for an
-    omega or tau that is not finite (errors._real: NonFiniteField for NaN,
-    inf or an int past the float range)."""
+    omega, a tau or a product omega*tau that is not finite (errors._real:
+    NonFiniteField for NaN, inf or an int past the float range), before any
+    numpy call: finite omega = tau = 1e200 make a phase past the float
+    range."""
     return _axis_gain_scalar(fixed, omega, tau).imag
 
 

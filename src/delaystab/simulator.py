@@ -170,13 +170,13 @@ def init_state(params: SystemParams, config: SimConfig, c0, a0: float, c_l_histo
     c_l_history(0) = c0(l).  An a0 that is not finite raises
     NonFiniteField (errors._real).  A profile or history sample that is not
     a finite real, an int past the float range, a complex, a str numpy
-    cannot parse or a sequence included, raises InvalidParameter, and so does a step (l/nx)/f that underflows to
-    0 or overflows to inf, or a delay that rounds to _DELAY_SAMPLES steps
-    or more, before any sample is taken.  (SimConfig refuses an nx of
-    _DELAY_SAMPLES or more.)  A sample that is a str numpy parses as a
-    float, such as "0.5", is taken as that float.  Each function is called
-    once per sample, on Python floats (_sample): c0 from x = 0 up,
-    c_l_history from 0 back to -tau.
+    cannot parse or a sequence included, raises InvalidParameter, and so
+    does a step (l/nx)/f that underflows to 0 or overflows to inf, or a
+    delay that rounds to _DELAY_SAMPLES steps or more, before any sample is
+    taken.  (SimConfig refuses an nx of _DELAY_SAMPLES or more.)  A sample
+    that is a str numpy parses as a float, such as "0.5", is taken as that
+    float.  Each function is called once per sample, on Python floats
+    (_sample): c0 from x = 0 up, c_l_history from 0 back to -tau.
     """
     a = _real("a0", a0)
     dt = _step_size(params, config)
@@ -469,62 +469,71 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _sq_integral(v: np.ndarray, weights: np.ndarray) -> float:
-    """Quadrature of v**2 with the given weights, numpy's pairwise sum of
-    the products: no BLAS dot, which a multithreaded BLAS runs threaded past
-    about 10,000 samples."""
-    return float((v * v * weights).sum())
-
-
-def _history_weights(
-    params: SystemParams, gamma: float | None, dt: float, n_tau: int
-) -> np.ndarray:
+def _history_weights(params: SystemParams, gamma: float | None, dt: float,
+                     n_tau: int) -> np.ndarray:
     """Trapezoid weights times gamma*exp(tau - age) over the newest-first
     delay window, so the energy's gamma-weighted history integral is the
     sum of z**2 times them.  gamma enters the exponent as log(gamma) + tau:
     exp(tau - age) alone overflows for tau above about 709.78.  gamma None
     stands for f*exp(-tau), which underflows above tau of about 745; its
     log(gamma) + tau is log(f), so its weight is f*exp(-age) for every
-    tau."""
+    tau.  A weight past the float range is inf, with no RuntimeWarning."""
     log_weight = math.log(params.f) if gamma is None else math.log(gamma) + params.tau
     ages = np.arange(n_tau + 1) * dt
-    return _trapezoid_weights(n_tau + 1, dt) * np.exp(log_weight - ages)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trapezoid_weights(n_tau + 1, dt) * np.exp(log_weight - ages)
+
+
+def _quadratic(c: np.ndarray, a: float, history: np.ndarray, c_weights: np.ndarray,
+               history_weights: np.ndarray, scale: float, history_scale: float, t: float,
+               what: str) -> float:
+    """The weighted sum of squares of a state (c, a, delay window) that
+    energy, state_norm_sq and run's direct outputs take: scale*(sum
+    c**2*c_weights + a**2) plus history_scale*sum history**2*history_weights,
+    each sum numpy's pairwise sum of the products, no BLAS dot, which a
+    multithreaded BLAS runs threaded past about 10,000 samples.  The scales
+    multiply the sums, not the weights, which would round the subnormal
+    products otherwise.  A sum past the floating-point range raises
+    SimulationOverflow reading "the {what} left the floating-point range at
+    t = {t}", with no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = scale * float((c * c * c_weights).sum()) + scale * a * a
+        value += history_scale * float((history * history * history_weights).sum())
+    if not math.isfinite(value):
+        raise SimulationOverflow(f"the {what} left the floating-point range at t = {t!r}")
+    return value
 
 
 def energy(state: SimState, params: SystemParams, gamma: float | None = None) -> float:
     """Composite-trapezoid energy: half the squared L2 norm of c, half the
-    squared activation, plus the gamma-weighted history integral; gamma
-    None is f*exp(-tau), as in SimConfig.  A gamma that is not finite and
-    > 0 raises InvalidParameter (errors._real).  An energy past the
-    floating-point range, from a gamma*exp(tau) or a sample that squares
-    past it, raises SimulationOverflow naming state.t, as run does, with no
+    squared activation, plus half the gamma-weighted history integral, as
+    _quadratic sums them; gamma None is f*exp(-tau), as in SimConfig.  A
+    gamma that is not finite and > 0 raises InvalidParameter
+    (errors._real).  An energy past the floating-point range, from a
+    gamma*exp(tau) or a sample that squares past it, raises
+    SimulationOverflow naming state.t, as run does, with no
     RuntimeWarning."""
     if gamma is not None:
         gamma = _real("gamma", gamma, 0)
-    dx = params.l / (state.c.size - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = 0.5 * _sq_integral(state.c, _trapezoid_weights(state.c.size, dx))
-        value += 0.5 * state.a * state.a
-        weights = _history_weights(params, gamma, state.dt, state.n_tau)
-        value += 0.5 * _sq_integral(state.history, weights)
-    if not math.isfinite(value):
-        raise SimulationOverflow(f"the energy left the floating-point range at t = {state.t!r}")
-    return value
+    c_weights = _trapezoid_weights(state.c.size, params.l / (state.c.size - 1))
+    weights = _history_weights(params, gamma, state.dt, state.n_tau)
+    return _quadratic(state.c, state.a, state.history, c_weights, weights, 0.5, 0.5, state.t,
+                      "energy")
 
 
 def state_norm_sq(state: SimState, params: SystemParams) -> float:
-    """Squared natural norm of the full state (c, a, delayed trace).  A norm
-    past the floating-point range raises SimulationOverflow naming state.t,
-    as energy does, with no RuntimeWarning."""
-    dx = params.l / (state.c.size - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _sq_integral(state.c, _trapezoid_weights(state.c.size, dx)) + state.a * state.a
-        if state.n_tau >= 1:
-            weights = _trapezoid_weights(state.n_tau + 1, 1.0 / state.n_tau)
-            value += params.f * params.tau * _sq_integral(state.history, weights)
-    if not math.isfinite(value):
-        raise SimulationOverflow(f"the state norm left the floating-point range at t = {state.t!r}")
-    return value
+    """Squared natural norm of the full state (c, a, delayed trace): the
+    trapezoid sums of c**2 and of the window's squares, the latter over
+    unit length times f*tau, plus a**2, as _quadratic sums them; at n_tau =
+    0 the window spans no time and weighs nothing.  A norm past the
+    floating-point range raises SimulationOverflow naming state.t, as
+    energy does, with no RuntimeWarning."""
+    c_weights = _trapezoid_weights(state.c.size, params.l / (state.c.size - 1))
+    n = state.n_tau
+    window = state.history if n else state.history[:0]
+    weights = _trapezoid_weights(n + 1, 1.0 / n) if n else window
+    return _quadratic(state.c, state.a, window, c_weights, weights, 1.0,
+                      params.f * params.tau if n else 0.0, state.t, "state norm")
 
 
 # Steps per block: run takes up to this many steps, in segments of nx from
@@ -567,22 +576,26 @@ def run(
     exp(-j*dt) times the first's core sum: one sum per block, plus the
     newest and the oldest samples as two running sums over the outputs'
     span, every part a sum of positive terms.  Where the windows share no
-    core (n_tau <= 2*span + 2), where exp(span*dt) would pass
-    exp(_WINDOW_RANGE), or where a scaled term leaves the float range, the
-    history terms are one direct correlation over the outputs' windows.
-    The next block starts from the profile in closed form.  A block also
-    stops where d**n would leave the normal floating-point range.  An
-    output whose energy is not finite or nears the top of that range, or,
-    where delta < 0, one small enough that a square which underflowed may
-    weigh in it, is energy() of its state.
+    core (n_tau <= 2*span + 2) or exp(span*dt) would pass
+    exp(_WINDOW_RANGE), the history terms are one direct correlation over
+    the outputs' windows.  The next block starts from the profile in closed
+    form.  A block also stops where d**n would leave the normal
+    floating-point range.  An output whose energy is not finite (a scaled
+    history term past the float range included) or nears the top of that
+    range, or, where delta < 0, one small enough that a square which
+    underflowed may weigh in it, is the sum energy() takes (_quadratic) of
+    its profile, activation and delay window, with the c and history
+    weights the run builds once: bit for bit energy() of its state, which
+    is not built.
 
     The states at those steps are kept only with keep_states=True.  Without
     them the run holds O(nx + n_tau + outputs) floats at any length.  A
     t_final of sys.maxsize steps or more raises InvalidParameter before
     anything is allocated.  A run whose energy leaves the floating-point
     range raises energy()'s SimulationOverflow at the first output where it
-    is not finite, naming that output's time; the run marches on to that
-    output, at most output_stride steps past the step where it left.
+    is not finite, naming that output's time, from that sum; the run
+    marches on to that output, at most output_stride steps past the step
+    where it left.
     """
     steps = config.t_final / _step_size(params, config) - 1e-9
     if not steps < sys.maxsize:
@@ -606,6 +619,7 @@ def run(
     buf = np.empty(n_tau + 1 + rows)
     buf[: n_tau + 1] = state.history[::-1]
     h = params.l / nx
+    c_weights = _trapezoid_weights(nx + 1, h)
     # An energy below direct_above has no sample whose square leaves the
     # float range: c_j**2 <= 4*energy/h.  Where d > 1 (delta < 0), the
     # squares and products in an energy's sums that underflowed, at most
@@ -637,10 +651,9 @@ def run(
         return _profile(starts[b], table.item(i, 1), powers, sources[b * nx : i])
 
     def state_at(i: int) -> SimState:
-        # the state after i steps of the block, its activation a float
-        k = k0 + i
+        # the state kept after i steps of the block, its activation a float
         window = buf[i : i + n_tau + 1][::-1].copy()
-        return SimState(k * dt, k, profile(i), table.item(i, 0), window, dt, n_tau,
+        return SimState((k0 + i) * dt, k0 + i, profile(i), table.item(i, 0), window, dt, n_tau,
                         state.tau_rounding_error)
 
     def history(at: range) -> np.ndarray:
@@ -657,8 +670,8 @@ def run(
             # their weights: the newest samples, n_tau <= k < n_tau + j, and
             # the oldest, j < k <= span, summed from the newest down.  A
             # scaled term is no smaller than the term it stands for, so it
-            # leaves the float range only upwards, where the correlation
-            # below takes over.
+            # leaves the float range only upwards, and the output's total is
+            # then not finite, which take sums directly.
             edges = np.zeros((2, span + 1))
             np.multiply(edge_weights[0, 1 : span + 1], sq[n_tau : n_tau + span], out=edges[0, 1:])
             np.multiply(edge_weights[1, :span][::-1], sq[1 : span + 1][::-1], out=edges[1, 1:])
@@ -668,9 +681,7 @@ def run(
             terms *= shrink[: span + 1 : at.step]
             terms += sq[n_tau : n_tau + span + 1 : at.step] * oldest_first[n_tau]
             terms += sq[: span + 1 : at.step] * oldest_first[0]
-            terms *= 0.5
-            if np.isfinite(terms).all():
-                return terms
+            return terms * 0.5
         # one direct correlation over the outputs' windows
         return 0.5 * np.convolve(sq, history_weights, "valid")[:: at.step]
 
@@ -698,13 +709,15 @@ def run(
         if below or not -direct_above < total.sum() < direct_above:
             # An energy that is not finite or nears the top of the float
             # range, or one so small that a square which underflowed may
-            # weigh in it once d**r > 1 scales it up, is energy() of its
-            # state: its trapezoid sum leaves the range where a sample's
-            # square does, where energy raises SimulationOverflow, and
-            # squares each sample only once d**r has scaled it.
+            # weigh in it once d**r > 1 scales it up, is energy()'s sum of
+            # its profile, activation and window: that sum leaves the range
+            # where a sample's square does, and raises SimulationOverflow
+            # there, and squares each sample only once d**r has scaled it.
             direct = ~((below * p * p <= total) & (total < direct_above))
             for m in np.flatnonzero(direct).tolist():
-                total[m] = energy(state_at(at[m]), params, config.gamma)
+                i = at[m]
+                total[m] = _quadratic(profile(i), table.item(i, 0), buf[i : i + n_tau + 1][::-1],
+                                      c_weights, history_weights, 0.5, 0.5, (k0 + i) * dt, "energy")
         energies.append(total)
         a_sq.append(a_sq_picked)
         c_l.append(outlet.copy())
@@ -715,9 +728,9 @@ def run(
     a = state.a
     k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # gamma*exp(tau) past the float range makes these weights inf with
-        # no RuntimeWarning; the first energy is then energy()'s, which
-        # raises SimulationOverflow
+        # gamma*exp(tau) past the float range makes these weights inf; the
+        # first energy is then not finite, and its direct sum raises
+        # SimulationOverflow
         history_weights = _history_weights(params, config.gamma, dt, n_tau)
         oldest_first = history_weights[::-1].copy()
         # the weights next to a window's newest and oldest ends times

@@ -229,6 +229,16 @@ class TestPhaseResidual:
         with pytest.raises(DenominatorVanishes):
             phase_residual((1.0, 0.0, 1.0, 1.0), 2.0 * math.pi, 1.0)
 
+    @pytest.mark.parametrize("fn", [phase_residual, beta_on_axis])
+    @pytest.mark.parametrize("omega, tau", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e10)])
+    def test_a_phase_past_the_float_range_is_not_finite(self, fn, omega, tau):
+        # omega and tau are finite, omega*tau is not: refused as a
+        # non-finite argument, with no RuntimeWarning and no pole named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteField, match=r"^omega\*tau must be finite, got -?inf$"):
+                fn((1.0, 1.0, 1.0, 1.0), omega, tau)
+
     @pytest.mark.parametrize("l", [1e-13, 1e-15, 1e-100, 1e-300])
     def test_short_tube_has_poles_only_at_zero_delta(self, l):
         # |D| = (l/f)*|phi(w)| is about l/f here: a pole is |phi(w)| <= 1e-14,

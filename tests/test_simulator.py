@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -422,7 +423,93 @@ class TestStep:
             assert s_scaled.a == pytest.approx(3.0 * s_base.a, rel=1e-12)
 
 
+def written_out_trapezoid(n, h):
+    w = np.full(n, h)
+    w[0] -= 0.5 * h
+    w[-1] -= 0.5 * h
+    return w
+
+
+def written_out_energy(state, params, gamma=None):
+    """energy as three terms, each half a weighted sum of squares."""
+    dx = params.l / (state.c.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 0.5 * float((state.c * state.c * written_out_trapezoid(state.c.size, dx)).sum())
+        value += 0.5 * state.a * state.a
+        log_weight = math.log(params.f) if gamma is None else math.log(gamma) + params.tau
+        ages = np.arange(state.n_tau + 1) * state.dt
+        weights = written_out_trapezoid(state.n_tau + 1, state.dt) * np.exp(log_weight - ages)
+        value += 0.5 * float((state.history * state.history * weights).sum())
+    if not math.isfinite(value):
+        raise SimulationOverflow(f"the energy left the floating-point range at t = {state.t!r}")
+    return value
+
+
+def written_out_norm(state, params):
+    """state_norm_sq as three terms; the window weighs nothing at n_tau = 0."""
+    dx = params.l / (state.c.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_weights = written_out_trapezoid(state.c.size, dx)
+        value = float((state.c * state.c * c_weights).sum()) + state.a * state.a
+        if state.n_tau >= 1:
+            weights = written_out_trapezoid(state.n_tau + 1, 1.0 / state.n_tau)
+            value += params.f * params.tau * float((state.history * state.history * weights).sum())
+    if not math.isfinite(value):
+        raise SimulationOverflow(f"the state norm left the floating-point range at t = {state.t!r}")
+    return value
+
+
+def outcome(fn, *args):
+    """fn(*args) as the hex digits of its float, or the message it raised."""
+    try:
+        return fn(*args).hex()
+    except SimulationOverflow as exc:
+        return str(exc)
+
+
 class TestEnergy:
+    @pytest.mark.parametrize(
+        "p, cfg, amplitude",
+        [
+            # delta*dt = -3 from a 1e-160 profile: subnormal energies
+            (SystemParams(1, 0.5, -60, 1, 1, 40.0), SimConfig(20, 40.0, 0.7), 1e-160),
+            # delta*dt = -40: c**2 underflows while d**10*c does not
+            (SystemParams(1, 0.5, -400, 1, 1, 0.3), SimConfig(10, 1.0), 1e-170),
+            # tau = 0: n_tau = 0, a window of one sample
+            (SystemParams(1, 0.5, 1, 1, 1, 0.0), SimConfig(7, 5.0, 0.7, 3), 1.0),
+            # delta = 0 and a growing activation, at stride 7
+            (SystemParams(1, -30, 0, 1, 1, 0.3), SimConfig(10, 20.0, output_stride=7), 1.0),
+        ],
+        ids=["subnormal", "square-underflows", "no-delay", "growing"],
+    )
+    def test_the_shared_sum_is_the_written_out_energy_and_norm(self, p, cfg, amplitude):
+        # energy and state_norm_sq, bit for bit the three-term sums written
+        # out, for gamma None and given, on kept states and on each with an
+        # activation that squares past the float range
+        def c0(x):
+            return amplitude * math.sin(math.pi * x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, _ = run(p, cfg, c0, amplitude, zero_fn, keep_states=True)
+            blown = [dataclasses.replace(state, a=1e200) for state in trace.states[::50]]
+            subnormal = 0
+            for state in trace.states + tuple(blown):
+                for gamma in (None, 0.7):
+                    got = outcome(energy, state, p, gamma)
+                    assert got == outcome(written_out_energy, state, p, gamma)
+                    subnormal += got.startswith("0x0.") and got != "0x0.0p+0"
+                assert outcome(state_norm_sq, state, p) == outcome(written_out_norm, state, p)
+        # the subnormal energies, of the first point alone
+        assert (subnormal > 0) == (p.delta == -60)
+        t = blown[-1].t
+        assert outcome(energy, blown[-1], p) == (
+            f"the energy left the floating-point range at t = {t!r}"
+        )
+        assert outcome(state_norm_sq, blown[-1], p) == (
+            f"the state norm left the floating-point range at t = {t!r}"
+        )
+
     def test_zero_state(self):
         p = SystemParams(1, 1, 1, 1, 1, 0.3)
         state = init_state(p, SimConfig(10, 1.0, 1.0), zero_fn, 0.0, zero_fn)
@@ -942,13 +1029,13 @@ class TestHistoryTerm:
     def test_core_and_edges_match_the_direct_sum(self, p, amplitude, slope, stride, monkeypatch):
         calls = correlations(monkeypatch)
         summed = []
-        sq_integral = simulator._sq_integral
+        quadratic = simulator._quadratic
 
         def counted(*args):
             summed.append(args)
-            return sq_integral(*args)
+            return quadratic(*args)
 
-        monkeypatch.setattr(simulator, "_sq_integral", counted)
+        monkeypatch.setattr(simulator, "_quadratic", counted)
         cfg = SimConfig(nx=20, t_final=800 / (20 * p.f), gamma=0.7, output_stride=stride)
 
         def c0(x):
@@ -995,7 +1082,7 @@ class TestHistoryTerm:
             with pytest.raises(SimulationOverflow, match=r"at t = 0\.0$"):
                 run(p, SimConfig(20, 1.0, gamma=1.0), sine_profile(1.0), 1.0, zero_fn)
 
-    def test_a_scaled_edge_past_the_float_range_leaves_the_energy_finite(self):
+    def test_a_scaled_edge_past_the_float_range_leaves_the_energy_finite(self, monkeypatch):
         # an edge's squares times exp(u*dt) overflow before the energy
         # does: the run still overflows first at t = 62.0, as by direct
         # correlation, where the scaled edges alone would at t = 31.1
@@ -1004,6 +1091,34 @@ class TestHistoryTerm:
             warnings.simplefilter("error")
             with pytest.raises(SimulationOverflow, match=r"at t = 62\.0$"):
                 run(p, SimConfig(20, 400.0, gamma=1.0), zero_fn, 1e145, zero_fn)
+        # up to the output before it: n_tau = 600 is past 2*255 + 2, so each
+        # block takes the core and edges, and its windows of 20 steps go as
+        # floats, so the edges are the only running sums, one call a block,
+        # over its outputs in order at stride 1
+        edges = []
+        running_sums = simulator._running_sums
+
+        def kept(x):
+            running_sums(x)
+            edges.append(x.copy())
+
+        monkeypatch.setattr(simulator, "_running_sums", kept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, etrace = run(p, SimConfig(20, 61.95, gamma=1.0), zero_fn, 1e145, zero_fn,
+                                keep_states=True)
+        assert sum(e.shape[1] for e in edges) == etrace.energies.size == 1240
+        assert np.isfinite(etrace.energies).all()
+        # the outputs whose core-and-edges term left the float range are
+        # energy() of their kept states, bit for bit
+        first = np.cumsum([0] + [e.shape[1] for e in edges])
+        past = np.concatenate([
+            start + np.flatnonzero(~np.isfinite(e[0] + e[1, ::-1]))
+            for start, e in zip(first.tolist(), edges)
+        ]).tolist()
+        assert past and trace.states[past[0]].t >= 31.1
+        for k in past:
+            assert etrace.energies[k].item() == energy(trace.states[k], p, 1.0)
 
 
 class TestOverflow:
@@ -1090,16 +1205,18 @@ class TestOverflow:
     def test_each_direct_sum_is_the_energy_of_its_state(
         self, p, cfg, amplitude, a0, history, monkeypatch
     ):
-        # the outputs run does not take in closed form are energy() of
-        # their states, called through the module, bit for bit
+        # the outputs run does not take in closed form are the sum energy()
+        # takes, called through the module on their profiles, activations
+        # and windows: bit for bit energy() of their kept states
         direct = {}
+        quadratic = simulator._quadratic
 
-        def spy(state, params, gamma=None):
-            value = energy(state, params, gamma)
-            direct[state.step_index] = (state, value)
+        def spy(c, a, window, *rest):
+            value = quadratic(c, a, window, *rest)
+            direct[rest[-2]] = (c.copy(), a, window.copy(), value)
             return value
 
-        monkeypatch.setattr(simulator, "energy", spy)
+        monkeypatch.setattr(simulator, "_quadratic", spy)
 
         def c0(x):
             return amplitude * math.sin(math.pi * x)
@@ -1107,16 +1224,41 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace, etrace = run(p, cfg, c0, a0, history, keep_states=True)
+        # the energy() calls below record nothing
+        monkeypatch.setattr(simulator, "_quadratic", quadratic)
         assert direct
-        kept = {state.step_index: (state, value)
+        kept = {state.t: (state, value)
                 for state, value in zip(trace.states, etrace.energies.tolist())}
-        for k, (state, value) in direct.items():
-            state_kept, value_kept = kept[k]
+        for t, (c, a, window, value) in direct.items():
+            state_kept, value_kept = kept[t]
             assert value_kept == value == energy(state_kept, p, cfg.gamma)
-            assert type(state.a) is float and state.a == state_kept.a
-            assert np.array_equal(state.c, state_kept.c)
-            assert np.array_equal(state.history, state_kept.history)
-            assert state.t == state_kept.t
+            assert type(a) is float and a == state_kept.a
+            assert np.array_equal(c, state_kept.c)
+            assert np.array_equal(window, state_kept.history)
+
+    def test_a_run_builds_its_weights_once_and_no_state_an_output(self, monkeypatch):
+        # the CLI-digest point at delta = -60, where 421 of the 801 outputs
+        # are summed directly: each takes the history weights the run built
+        # once, and no state is built for it
+        built, states = [], []
+        weights, sim_state = simulator._history_weights, simulator.SimState
+
+        def building(*args):
+            built.append(args)
+            return weights(*args)
+
+        def state(*args):
+            states.append(args)
+            return sim_state(*args)
+
+        monkeypatch.setattr(simulator, "_history_weights", building)
+        monkeypatch.setattr(simulator, "SimState", state)
+        p = SystemParams(1, 0.5, -60, 1, 1, 40.0)
+        _, etrace = run(p, SimConfig(20, 40.0), zero_fn, 1e-160, zero_fn)
+        assert etrace.energies.size == 801
+        assert len(built) == 1
+        # the initial state alone
+        assert len(states) == 1
 
     @pytest.mark.parametrize(
         "delta, t_final, amplitude",
